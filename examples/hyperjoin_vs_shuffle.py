@@ -1,7 +1,7 @@
 """Hyper-join internals: overlap matrices, block grouping, and the ILP optimum.
 
 This example works at the level of the join machinery rather than the full
-AdaptDB facade.  It reproduces Example 1 from the paper's introduction
+session lifecycle.  It reproduces Example 1 from the paper's introduction
 (grouping three build blocks under a two-block memory budget), then runs the
 bottom-up heuristic, the naive first-fit grouping, and the ILP on a larger
 synthetic overlap structure, and finally executes a real hyper-join and
@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import AdaptDB, AdaptDBConfig
+from repro.api import Session
+from repro.core import AdaptDBConfig
 from repro.join import (
     bottom_up_grouping,
     compute_overlap_matrix,
@@ -68,7 +69,7 @@ def grouping_algorithms_demo(num_build: int = 24, num_probe: int = 12, budget: i
 def real_join_demo() -> None:
     """Run an actual hyper-join and shuffle join over TPC-H blocks and compare I/O."""
     print("lineitem ⋈ orders on generated TPC-H data")
-    db = AdaptDB(AdaptDBConfig(rows_per_block=512, enable_smooth=False, enable_amoeba=False))
+    db = Session(AdaptDBConfig(rows_per_block=512, enable_smooth=False, enable_amoeba=False))
     tables = TPCHGenerator(scale=0.2).generate(["lineitem", "orders"])
     lineitem = db.load_table(tables["lineitem"])
     orders = db.load_table(tables["orders"])

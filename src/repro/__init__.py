@@ -9,8 +9,11 @@ cluster/HDFS substrate:
 * ``repro.partitioning``  — Amoeba upfront trees and AdaptDB two-phase trees
 * ``repro.adaptive``      — query window, smooth repartitioning, Amoeba refinement
 * ``repro.join``          — hyper-join (overlap, grouping heuristics, ILP) and shuffle join
-* ``repro.core``          — optimizer, planner, executor, and the :class:`AdaptDB` facade
+* ``repro.core``          — configuration, join planner and the cost-based optimizer
+* ``repro.exec``          — plan compilation, scheduling and the one schedule interpreter
+* ``repro.api``           — :class:`Session`: the staged plan / lower / execute lifecycle
 * ``repro.sim``           — discrete-event cluster simulator and the concurrent-workload driver
+* ``repro.parallel``      — worker pool and shared-memory transport of the ``"parallel"`` backend
 * ``repro.workloads``     — TPC-H and CMT generators plus the paper's workload patterns
 * ``repro.baselines``     — Full Scan, full repartitioning, Amoeba-only, PREF, hand-tuned
 * ``repro.experiments``   — one driver per figure of the paper's evaluation
@@ -25,26 +28,21 @@ from .common import (
     join_query,
     scan_query,
 )
-
-# .core must initialize before .api is imported here: AdaptDB (in .core) pulls
-# in the whole .api package mid-initialization, and running .api first would
-# re-enter .core through a half-executed backends module.
-from .core import AdaptDB, AdaptDBConfig, QueryResult
 from .api import (
     ExecutionBackend,
     LogicalPlan,
     PhysicalPlan,
-    SerialBackend,
     Session,
     SimBackend,
     TaskBackend,
 )
+from .core import AdaptDBConfig
+from .exec import QueryResult
 from .storage import ColumnTable
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "AdaptDB",
     "AdaptDBConfig",
     "ColumnTable",
     "ExecutionBackend",
@@ -56,7 +54,6 @@ __all__ = [
     "QueryResult",
     "ReproError",
     "Schema",
-    "SerialBackend",
     "Session",
     "SimBackend",
     "TaskBackend",

@@ -41,17 +41,10 @@ BANNED_TYPES = frozenset(
     }
 )
 
-#: Parallel-backend payloads obey the same purity discipline as tasks:
-#: they cross a process boundary, so only ids, pins and flat data may ride.
-PAYLOAD_CLASSES = frozenset(
-    {
-        "ScanPayload",
-        "ShuffleMapPayload",
-        "ShuffleReducePayload",
-        "HyperGroupPayload",
-        "TaskOutcome",
-    }
-)
+#: The interpreter's work descriptions obey the same purity discipline as
+#: tasks: the pool runner ships them across a process boundary, so only
+#: ids, pins and flat data may ride.
+PAYLOAD_CLASSES = frozenset({"BlockInput", "TaskWork", "TaskOutcome"})
 
 TASK_CLASSES = frozenset({"Task", "TaskSchedule"}) | PAYLOAD_CLASSES
 TASK_CONSTRUCTORS = frozenset({"Task", "new_task"}) | PAYLOAD_CLASSES

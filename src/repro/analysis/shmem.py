@@ -6,8 +6,8 @@ the bytes in zero-copy numpy views.  The segments are the *parent's*
 blocks — a worker-side write corrupts partition state across the process
 boundary with no exception anywhere.  Three rules, applied
 interprocedurally to everything reachable from the worker entry points
-(``_worker_main`` / ``_execute_payload`` in ``repro.parallel.pool``, the
-``run_*`` kernels in ``repro.exec.kernels_tasks``, and the
+(``_worker_main`` / ``_run_work`` in ``repro.parallel.pool``, ``run_task``
+and the ``run_*`` kernels in ``repro.exec.kernels_tasks``, and the
 ``SharedSegmentCache`` / ``SharedBlockView`` consumers) via the project
 call graph, so a helper called from a kernel is checked too:
 
@@ -116,7 +116,7 @@ def _is_root(info: FunctionInfo) -> bool:
         return True
     if info.module == "repro.parallel.pool" and info.name in {
         "_worker_main",
-        "_execute_payload",
+        "_run_work",
     }:
         return True
     if info.module == "repro.exec.kernels_tasks" and info.name.startswith("run_"):
@@ -359,7 +359,7 @@ def _check_payload_frozen(source: SourceFile) -> list[Violation]:
 
 def check(source: SourceFile, context: AnalysisContext) -> list[Violation]:
     violations = list(_worker_violations(context).get(source.path, ()))
-    if source.module.startswith("repro.parallel"):
+    if source.module.startswith(("repro.exec", "repro.parallel")):
         violations.extend(_check_payload_frozen(source))
     return violations
 

@@ -5,16 +5,16 @@ This package is the library's public planning/execution surface::
     Session  -- owns cluster, DFS, catalog; entry point for load/plan/run
     LogicalPlan / PhysicalPlan -- the two explicit plan stages, both with
         stable ``explain()`` text
-    ExecutionBackend -- protocol; SerialBackend, TaskBackend and SimBackend
-        (re-exported from ``repro.sim``) implement it
+    ExecutionBackend -- protocol; TaskBackend, SimBackend (re-exported from
+        ``repro.sim``) and ``repro.parallel.ParallelBackend`` implement it,
+        each a thin selection over the session's one schedule interpreter
     PlanCache / query_signature -- the epoch-keyed plan cache
 
-Everything else (``repro.core.AdaptDB``) is a compatibility shim over a
-:class:`Session`.  Construct optimizers/executors only through this package.
+Construct optimizers/executors only through this package.
 """
 
 from ..sim.backend import SimBackend
-from .backends import ExecutionBackend, SerialBackend, TaskBackend
+from .backends import ExecutionBackend, TaskBackend
 from .cache import CachedPlan, PlanCache, query_signature
 from .plans import LogicalPlan, PhysicalPlan
 from .session import Session
@@ -25,7 +25,6 @@ __all__ = [
     "LogicalPlan",
     "PhysicalPlan",
     "PlanCache",
-    "SerialBackend",
     "Session",
     "SimBackend",
     "TaskBackend",

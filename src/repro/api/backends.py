@@ -1,38 +1,29 @@
 """Pluggable execution backends for the staged query lifecycle.
 
 A backend consumes a :class:`~repro.api.plans.PhysicalPlan` and produces a
-:class:`~repro.exec.result.QueryResult`.  Two implementations ship:
+:class:`~repro.exec.result.QueryResult`.  Every backend is a thin selection
+over the session's one schedule interpreter
+(:class:`~repro.exec.engine.Executor`):
 
-* :class:`TaskBackend` — the task-based parallel engine (``repro.exec``):
-  replays the physical plan's compiled schedule, accounting both the serial
-  cost sum and the per-machine makespan;
-* :class:`SerialBackend` — the paper's idealised model: one serial pass over
-  scans and joins, charging equations (1) and (2) directly.  No task
-  schedule, so makespan fields stay zero and ``runtime_seconds`` is the
-  serial sum spread perfectly over the cluster.
+* :class:`TaskBackend` (``"tasks"``) — the interpreter with its inline
+  runner;
+* :class:`~repro.sim.backend.SimBackend` (``"simulated"``) — the same, plus
+  the discrete-event simulator's timing of the schedule;
+* :class:`~repro.parallel.backend.ParallelBackend` (``"parallel"``) — the
+  interpreter with a worker-pool runner, plus measured wall-clock fields.
 
-Both backends produce identical answers (``output_rows``,
-``scan_output_rows``) and identical serial cost (``cost_units`` /
-``runtime_seconds``) for the same physical plan — they differ only in the
-parallel-execution accounting the task engine adds.
+All three produce identical answers and fingerprints for the same physical
+plan.  The paper's idealised serial model is not a backend: it is the
+``cost_units`` / ``runtime_seconds`` pair every result carries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
-from ..cluster.cluster import Cluster
-from ..common.query import Query
-from ..core.config import AdaptDBConfig
-from ..core.optimizer import JoinDecision
-from ..core.planner import JoinMethod
 from ..exec.engine import Executor
 from ..exec.result import QueryResult
-from ..join.hyperjoin import execute_hyper_join, plan_hyper_join
-from ..join.kernels import batch_matching_count
-from ..join.shuffle import JoinStats, shuffle_join
-from ..storage.catalog import Catalog
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from .plans import PhysicalPlan
@@ -43,9 +34,6 @@ class ExecutionBackend(Protocol):
     """Anything that can execute a physical plan into a query result."""
 
     name: str
-    #: Whether the backend replays the lowered task schedule; the session
-    #: elides lowering for backends that set this False.
-    consumes_schedule: bool
 
     def execute(self, physical: "PhysicalPlan") -> QueryResult:
         """Run ``physical`` and return the accounted result."""
@@ -54,120 +42,13 @@ class ExecutionBackend(Protocol):
 
 @dataclass
 class TaskBackend:
-    """The task-based parallel engine behind the backend protocol."""
+    """The schedule interpreter, run in-process, behind the backend protocol."""
 
-    catalog: Catalog
-    cluster: Cluster
-    config: AdaptDBConfig
+    executor: Executor
     name: str = "tasks"
-    #: This backend replays the lowered task schedule (the session skips
-    #: lowering for backends that set this False).
-    consumes_schedule = True
-    executor: Executor = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.executor = Executor(
-            catalog=self.catalog, cluster=self.cluster, config=self.config
-        )
 
     def execute(self, physical: "PhysicalPlan") -> QueryResult:
         """Replay the physical plan's compiled schedule through the engine."""
-        if physical.schedule_elided:
-            # The plan was lowered for a schedule-free backend (e.g. the
-            # session's backend was switched afterwards): compile fresh.
-            return self.executor.execute(physical.logical)
         return self.executor.execute_schedule(
             physical.logical, physical.compiled, physical.schedule
-        )
-
-
-@dataclass
-class SerialBackend:
-    """The paper's idealised serial-sum execution model.
-
-    Executes the *logical* decisions directly (the task schedule is ignored):
-    every scan and join runs as one serial loop of batched block reads, and
-    costs follow equations (1) and (2) exactly.  Useful as the reference
-    model the task engine is validated against, and for runs where makespan
-    accounting is irrelevant.
-    """
-
-    catalog: Catalog
-    cluster: Cluster
-    config: AdaptDBConfig
-    name: str = "serial"
-    #: Executes the logical plan directly — the session elides lowering.
-    consumes_schedule = False
-
-    def execute(self, physical: "PhysicalPlan") -> QueryResult:
-        plan = physical.logical
-        cost_model = self.cluster.cost_model
-        result = QueryResult(query=plan.query)
-
-        # Adaptation work charged to the query (Type 2 blocks).
-        result.blocks_repartitioned = plan.adaptation.blocks_repartitioned
-        result.trees_created = plan.adaptation.trees_created
-        result.cost_units += cost_model.repartition_cost(plan.adaptation.blocks_repartitioned)
-
-        for table_name in plan.scan_tables:
-            block_ids = plan.scan_blocks.get(table_name, [])
-            dfs = self.catalog.get(table_name).dfs
-            blocks = dfs.get_blocks(block_ids)
-            predicates = plan.query.predicates_on(table_name)
-            result.scan_output_rows += batch_matching_count(blocks, predicates)
-            result.blocks_read += len(block_ids)
-            result.cost_units += cost_model.scan_cost(len(block_ids))
-
-        for decision in plan.join_decisions:
-            stats = self._run_join(plan.query, decision)
-            result.join_stats.append(stats)
-            result.join_methods.append(stats.method)
-            result.blocks_read += stats.total_blocks_read
-            result.shuffled_blocks += stats.shuffled_blocks
-            result.cost_units += stats.cost_units
-
-        if result.join_stats:
-            result.output_rows = result.join_stats[-1].output_rows
-        else:
-            result.output_rows = result.scan_output_rows
-        result.runtime_seconds = cost_model.to_seconds(result.cost_units)
-        return result
-
-    def _run_join(self, query: Query, decision: JoinDecision) -> JoinStats:
-        dfs = self.catalog.get(decision.build_table).dfs
-        build_column = decision.clause.column_for(decision.build_table)
-        probe_column = decision.clause.column_for(decision.probe_table)
-        build_predicates = query.predicates_on(decision.build_table)
-        probe_predicates = query.predicates_on(decision.probe_table)
-        if decision.method is JoinMethod.SHUFFLE:
-            return shuffle_join(
-                dfs,
-                decision.build_blocks,
-                decision.probe_blocks,
-                build_column,
-                probe_column,
-                build_predicates,
-                probe_predicates,
-                self.cluster.cost_model,
-                num_partitions=self.cluster.num_machines,
-            )
-        hyper_plan = decision.hyper_plan
-        if hyper_plan is None:  # defensive: decisions normally carry their plan
-            hyper_plan = plan_hyper_join(
-                dfs,
-                decision.build_blocks,
-                decision.probe_blocks,
-                build_column,
-                probe_column,
-                self.config.buffer_blocks,
-                self.config.grouping_algorithm,
-            )
-        return execute_hyper_join(
-            dfs,
-            hyper_plan,
-            build_column,
-            probe_column,
-            build_predicates,
-            probe_predicates,
-            self.cluster.cost_model,
         )

@@ -37,7 +37,7 @@ class LogicalPlan(QueryPlan):
     """An immutable planned query: join decisions plus relevant-block sets.
 
     Extends the executable :class:`~repro.core.optimizer.QueryPlan` (so the
-    compiler and both execution backends consume it directly) with the
+    compiler and the schedule interpreter consume it directly) with the
     provenance the session's plan cache needs.
 
     Attributes:
@@ -116,32 +116,15 @@ class PhysicalPlan:
         compiled: The compiled task list (plus per-join hyper schedules).
         schedule: Deterministic placement of the tasks onto machines.
         from_cache: Whether the compiled skeleton was served from the cache.
-        schedule_elided: True when lowering was skipped because the selected
-            backend executes the logical plan directly (the serial model has
-            no task schedule); ``compiled``/``schedule`` are empty stand-ins.
     """
 
     logical: LogicalPlan
     compiled: CompiledPlan
     schedule: TaskSchedule
     from_cache: bool = False
-    schedule_elided: bool = False
-
-    @classmethod
-    def logical_only(cls, logical: LogicalPlan, num_machines: int) -> "PhysicalPlan":
-        """A physical plan without a task schedule, for schedule-free backends."""
-        return cls(
-            logical=logical,
-            compiled=CompiledPlan(tasks=[], hyper_plans=[]),
-            schedule=TaskSchedule(num_machines=num_machines, assignments={}),
-            schedule_elided=True,
-        )
 
     def explain(self) -> str:
         """Stable description of the compiled schedule (cold == cached)."""
-        if self.schedule_elided:
-            return ("PhysicalPlan: lowering elided "
-                    "(backend executes the logical plan directly)")
         counts = {kind: 0 for kind in TaskKind}
         for task in self.compiled.tasks:
             counts[task.kind] += 1

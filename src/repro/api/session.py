@@ -13,10 +13,13 @@ every query through three explicit stages::
     result = session.run(query)         # the three stages in one call
 
 Execution goes through a pluggable :class:`~repro.api.backends.ExecutionBackend`
-(``"tasks"`` — the parallel task engine, ``"serial"`` — the paper's idealised
-model, or ``"simulated"`` — the task engine plus the ``repro.sim``
-discrete-event cluster simulator), selected per session via
-``AdaptDBConfig.execution_backend`` or the ``backend`` argument.
+(``"tasks"`` — the schedule interpreter run in-process, ``"simulated"`` —
+the same plus the ``repro.sim`` discrete-event cluster simulator's timing,
+or ``"parallel"`` — the same interpreter over a worker pool), selected per
+session via ``AdaptDBConfig.execution_backend`` or the ``backend`` argument.
+All three share the session's one :class:`~repro.exec.engine.Executor`; the
+paper's serial model is the ``cost_units`` / ``runtime_seconds`` of every
+result.
 
 Planning is cached: every :class:`~repro.storage.table.StoredTable` mutation
 bumps a per-table epoch, and the session keeps a bounded plan cache keyed on
@@ -72,7 +75,7 @@ from ..storage.catalog import Catalog
 from ..storage.dfs import DistributedFileSystem
 from ..storage.persist import PersistenceManager
 from ..storage.table import ColumnTable, StoredTable
-from .backends import ExecutionBackend, SerialBackend, TaskBackend
+from .backends import ExecutionBackend, TaskBackend
 from .cache import CachedPlan, PlanCache, query_signature
 from .plans import LogicalPlan, PhysicalPlan
 
@@ -83,9 +86,11 @@ class Session:
 
     Attributes:
         config: Instance configuration.
-        backend: Execution backend: a name (``"tasks"`` / ``"serial"``), an
-            :class:`ExecutionBackend` instance, or ``None`` to follow
-            ``config.execution_backend``.
+        backend: Execution backend: a name (``"tasks"`` / ``"simulated"`` /
+            ``"parallel"``), an :class:`ExecutionBackend` instance, or
+            ``None`` to follow ``config.execution_backend``.
+        executor: The one schedule interpreter every built-in backend runs
+            physical plans through.
     """
 
     config: AdaptDBConfig = field(default_factory=AdaptDBConfig)
@@ -101,23 +106,17 @@ class Session:
     repartitioner: AdaptiveRepartitioner = field(init=False)
     optimizer: Optimizer = field(init=False)
     plan_cache: PlanCache = field(init=False)
+    executor: Executor = field(init=False)
     backends: dict[str, ExecutionBackend] = field(init=False)
 
     def __post_init__(self) -> None:
         # The construction (and rng-derivation) order below is load-bearing:
-        # it reproduces the pre-session AdaptDB wiring bit-for-bit, so seeded
-        # runs keep their decision fingerprints across the API redesign.
+        # seeded runs keep their decision fingerprints (and the committed
+        # benchmark baselines stay valid) only while it is unchanged.
         self.rng = make_rng(self.config.seed)
-        seconds_per_block = self.config.seconds_per_block
-        if self.config.calibrated_cost_model:
-            from ..parallel.calibrate import stored_seconds_per_unit
-
-            fitted = stored_seconds_per_unit()
-            if fitted is not None:
-                seconds_per_block = fitted
         cost_model = CostModel(
             shuffle_factor=self.config.shuffle_cost_factor,
-            seconds_per_block=seconds_per_block,
+            seconds_per_block=self.config.seconds_per_block,
             parallelism=self.config.num_machines,
         )
         self.cluster = Cluster(
@@ -148,16 +147,18 @@ class Session:
             hyper_cache=HyperPlanCache(),
         )
         self.plan_cache = PlanCache(capacity=self.config.plan_cache_size)
+        self.executor = Executor(
+            catalog=self.catalog, cluster=self.cluster, config=self.config
+        )
         self.backends = {
             backend.name: backend
             for backend in (
-                TaskBackend(catalog=self.catalog, cluster=self.cluster, config=self.config),
-                SerialBackend(catalog=self.catalog, cluster=self.cluster, config=self.config),
-                SimBackend(catalog=self.catalog, cluster=self.cluster, config=self.config),
+                TaskBackend(self.executor),
+                SimBackend(self.executor),
                 # The worker pool starts lazily on the first parallel
                 # execute(), so registering the backend costs nothing for
                 # sessions that never select it.
-                ParallelBackend(catalog=self.catalog, cluster=self.cluster, config=self.config),
+                ParallelBackend(self.executor),
             )
         }
         self.use_backend(self.backend if self.backend is not None
@@ -283,14 +284,6 @@ class Session:
         if not isinstance(backend, ExecutionBackend):
             raise PlanningError("no execution backend selected")
         return backend
-
-    @property
-    def executor(self) -> Executor:
-        """The task engine's executor (compat with the pre-session API)."""
-        executor = getattr(self.backends["tasks"], "executor", None)
-        if not isinstance(executor, Executor):
-            raise PlanningError("the 'tasks' backend exposes no executor")
-        return executor
 
     # ------------------------------------------------------------------ #
     # Loading
@@ -483,15 +476,9 @@ class Session:
         The compiled skeleton (tasks + schedule) is cached alongside the
         logical entry, but only for queries without adaptation work:
         repartition tasks belong to the query whose adaptation produced them
-        and are compiled fresh whenever a report is non-empty.  Backends that
-        execute the logical plan directly (``consumes_schedule = False``,
-        e.g. the serial model) skip compilation and scheduling entirely.
+        and are compiled fresh whenever a report is non-empty.
         """
         started = time.perf_counter()
-        if not getattr(self.backend, "consumes_schedule", True):
-            physical = PhysicalPlan.logical_only(logical, self.cluster.num_machines)
-            logical.planning_seconds += time.perf_counter() - started
-            return physical
         entry = logical.cache_entry
         clean = logical.adaptation.blocks_repartitioned == 0
         if (entry is not None and entry.compiled is not None

@@ -17,7 +17,7 @@ from collections import Counter
 from ..api.session import Session
 from ..common.query import Query
 from ..core.config import AdaptDBConfig
-from ..core.executor import QueryResult
+from ..exec.result import QueryResult
 from ..partitioning.two_phase import TwoPhasePartitioner
 from ..partitioning.upfront import UpfrontPartitioner
 from ..storage.table import ColumnTable

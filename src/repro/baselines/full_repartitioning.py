@@ -17,7 +17,7 @@ from ..adaptive.window import QueryWindow
 from ..api.session import Session
 from ..common.query import Query
 from ..core.config import AdaptDBConfig
-from ..core.executor import QueryResult
+from ..exec.result import QueryResult
 from ..partitioning.two_phase import TwoPhasePartitioner
 from ..storage.table import ColumnTable
 from .runners import build_session

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from ..api.session import Session
 from ..common.query import Query
 from ..core.config import AdaptDBConfig
-from ..core.executor import QueryResult
+from ..exec.result import QueryResult
 from ..partitioning.two_phase import TwoPhasePartitioner
 from ..storage.table import ColumnTable
 

@@ -31,7 +31,7 @@ from typing import ClassVar, Protocol
 from ..api.session import Session
 from ..common.query import Query
 from ..core.config import AdaptDBConfig
-from ..core.executor import QueryResult
+from ..exec.result import QueryResult
 from ..storage.table import ColumnTable
 
 

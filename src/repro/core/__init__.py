@@ -1,21 +1,16 @@
-"""AdaptDB core: configuration, optimizer, planner, executor, and the facade."""
+"""AdaptDB core: configuration, planner and the cost-based optimizer."""
 
-from .adaptdb import AdaptDB
 from .config import AdaptDBConfig
-from .executor import Executor, QueryResult
 from .optimizer import JoinDecision, Optimizer, QueryPlan
 from .planner import JoinCase, JoinClassification, JoinMethod, classify_join
 
 __all__ = [
-    "AdaptDB",
     "AdaptDBConfig",
-    "Executor",
     "JoinCase",
     "JoinClassification",
     "JoinDecision",
     "JoinMethod",
     "Optimizer",
     "QueryPlan",
-    "QueryResult",
     "classify_join",
 ]

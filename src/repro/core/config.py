@@ -44,14 +44,17 @@ class AdaptDBConfig:
         seed: Seed for all randomized choices.
         shuffle_cost_factor: The cost model's ``CSJ`` constant.
         seconds_per_block: Cost-unit to modelled-seconds conversion factor.
+            ``repro.parallel.calibrate.apply_calibration`` feeds a measured
+            fit into a live session's cost model.
         execution_backend: Which :class:`~repro.api.ExecutionBackend` a
-            session executes through: ``"tasks"`` (the task-based parallel
-            engine, with makespan accounting), ``"serial"`` (the paper's
-            idealised serial-sum model), ``"simulated"`` (the task engine
-            plus the ``repro.sim`` discrete-event simulator: stage barriers,
-            queueing, repartition-bandwidth contention), or ``"parallel"``
-            (true multi-core execution on a persistent worker pool with
-            shared-memory block transport, ``repro.parallel``).
+            session executes through: ``"tasks"`` (the schedule interpreter
+            run in-process), ``"simulated"`` (the same plus the ``repro.sim``
+            discrete-event simulator: stage barriers, queueing,
+            repartition-bandwidth contention), or ``"parallel"`` (the same
+            interpreter on a persistent worker pool with shared-memory
+            block transport, ``repro.parallel``).  Every backend reports
+            the paper's serial-sum model (``cost_units`` /
+            ``runtime_seconds``) and the schedule's makespan on each result.
         num_workers: Worker processes of the parallel backend; ``None``
             means one worker per simulated machine.
         worker_start_method: ``multiprocessing`` start method for the
@@ -73,11 +76,6 @@ class AdaptDBConfig:
         delta_chain_limit: Change descriptors retained per table.  A cached
             artifact older than this many epoch bumps can no longer be
             patched and is recomputed cold (bounds delta-chain memory).
-        calibrated_cost_model: Replace the nominal ``seconds_per_block``
-            with the machine-calibrated ``seconds_per_unit`` fitted by
-            ``repro.parallel.calibrate`` (read from ``BENCH_adaptation.json``
-            when available), so modelled runtimes track this host's measured
-            multi-core execution.
         persistence: ``"memory"`` (default; blocks live purely in RAM) or
             ``"mmap"`` — blocks spill to memory-mapped per-column files
             under ``storage_root``, all reads route through a byte-budgeted
@@ -118,7 +116,6 @@ class AdaptDBConfig:
     plan_cache_size: int = 64
     incremental_planning: bool = True
     delta_chain_limit: int = 64
-    calibrated_cost_model: bool = False
     persistence: str = ""
     storage_root: str | None = None
     buffer_bytes: int | None = None
@@ -149,10 +146,9 @@ class AdaptDBConfig:
             raise PlanningError("join_level_fraction must be in [0, 1]")
         if self.force_join_method not in (None, "shuffle", "hyper"):
             raise PlanningError("force_join_method must be None, 'shuffle' or 'hyper'")
-        if self.execution_backend not in ("tasks", "serial", "simulated", "parallel"):
+        if self.execution_backend not in ("tasks", "simulated", "parallel"):
             raise PlanningError(
-                "execution_backend must be 'tasks', 'serial', 'simulated' "
-                "or 'parallel'"
+                "execution_backend must be 'tasks', 'simulated' or 'parallel'"
             )
         if self.num_workers is not None and self.num_workers < 1:
             raise PlanningError("num_workers must be at least 1 (or None)")

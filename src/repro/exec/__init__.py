@@ -1,19 +1,20 @@
-"""Task-based parallel execution engine.
+"""Task-based execution engine.
 
-The engine replaces the old serial executor loop: a :class:`QueryPlan` is
-*compiled* into per-machine work units (scan tasks, shuffle map/reduce tasks,
-hyper-join group tasks, repartition tasks), a locality-aware scheduler places
-the tasks on the cluster's machines, and every task reads all its blocks with
-one batched DFS call.  Runtime is accounted both ways: the serial cost sum
+A :class:`QueryPlan` is *compiled* into per-machine work units (scan tasks,
+shuffle map/reduce tasks, hyper-join group tasks, repartition tasks), a
+locality-aware scheduler places the tasks on the cluster's machines, and one
+schedule interpreter runs them — in-process or on the ``repro.parallel``
+worker pool — reading every task's blocks with one batched DFS call.
+Runtime is accounted both ways on every result: the serial cost sum
 (the paper's block-access model) and the *makespan* — the maximum per-machine
 load — which is what a distributed deployment would actually observe,
 stragglers included.
 
 * ``repro.exec.tasks``         — task and schedule data structures
 * ``repro.exec.scheduler``     — plan compilation and locality-aware placement
-* ``repro.exec.engine``        — the executor that runs a schedule
-* ``repro.exec.kernels_tasks`` — pure per-task kernels + outcome merging
-  (shared with the multi-core backend in ``repro.parallel``)
+* ``repro.exec.engine``        — the schedule interpreter and its inline runner
+* ``repro.exec.kernels_tasks`` — per-task work descriptions, the one
+  ``run_task`` both runners execute, and outcome merging
 * ``repro.exec.result``        — per-query accounting (:class:`QueryResult`)
 """
 

@@ -1,9 +1,15 @@
-"""The task executor: runs a compiled, scheduled plan and accounts it.
+"""The schedule interpreter: runs a compiled, scheduled plan and accounts it.
 
-Execution is simulated per machine: every task reads all its blocks with one
-batched DFS call issued from its assigned machine (so locality statistics
-reflect the scheduler's placement), and row work inside a task is vectorized
-over the whole batch.  Two runtimes are reported per query:
+One :class:`Executor` per session interprets every schedule the same way —
+begin accounting, then per barrier stage turn each placed task into one
+:class:`~repro.exec.kernels_tasks.TaskWork`, hand the stage to a *runner*,
+apply the outcomes in task-id order, finish accounting.  Two runners exist:
+:meth:`Executor.run_inline` executes the work in the parent, reading every
+task's blocks with one batched DFS call issued from its assigned machine
+(so locality statistics reflect the scheduler's placement); the
+``repro.parallel`` backend supplies the other, which ships the same work to
+its worker pool.  Two modelled runtimes are filled in per query, both pure
+functions of the schedule:
 
 * ``runtime_seconds`` — the paper's model: the serial block-access sum spread
   perfectly over the cluster,
@@ -15,6 +21,9 @@ over the whole batch.  Two runtimes are reported per query:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import groupby
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -25,19 +34,14 @@ from ..core.planner import JoinMethod
 from ..join.hyperjoin import HyperJoinPlan
 from ..join.shuffle import JoinStats
 from ..storage.catalog import Catalog
-from .kernels_tasks import (
-    apply_hyper_group_outcome,
-    apply_scan_outcome,
-    apply_shuffle_map_outcome,
-    apply_shuffle_reduce_outcome,
-    run_hyper_group_task,
-    run_scan_task,
-    run_shuffle_map_task,
-    run_shuffle_reduce_task,
-)
+from .kernels_tasks import BlockInput, TaskOutcome, TaskWork, apply_outcome, run_task
 from .result import QueryResult
 from .scheduler import CompiledPlan, Scheduler, compile_plan
 from .tasks import Task, TaskKind, TaskSchedule
+
+#: Executes one barrier stage's work and returns its outcomes (any order).
+#: The work is described lazily, as the runner iterates.
+StageRunner = Callable[[Iterable[TaskWork]], list[TaskOutcome]]
 
 
 @dataclass
@@ -64,13 +68,9 @@ class JoinState:
         return np.concatenate(parts[partition])
 
 
-#: Backwards-compatible private alias (pre-PR-7 name).
-_JoinState = JoinState
-
-
 @dataclass
 class Executor:
-    """Executes query plans against the stored tables, task by task."""
+    """Interprets task schedules against the stored tables, stage by stage."""
 
     catalog: Catalog
     cluster: Cluster
@@ -83,31 +83,97 @@ class Executor:
         return self.execute_schedule(plan, compiled, schedule)
 
     def execute_schedule(
-        self, plan: QueryPlan, compiled: CompiledPlan, schedule: TaskSchedule
+        self,
+        plan: QueryPlan,
+        compiled: CompiledPlan,
+        schedule: TaskSchedule,
+        runner: StageRunner | None = None,
     ) -> QueryResult:
-        """Run an already compiled and scheduled plan.
+        """Run an already compiled and scheduled plan through ``runner``.
 
         The session's plan cache replays a cached ``(compiled, schedule)``
         pair through this entry point; neither is mutated by execution, so a
         pair can be replayed any number of times at a fixed partition state.
+        ``runner`` defaults to :meth:`run_inline`.
         """
-        result, states = self.begin_schedule(plan, compiled)
-        for machine_id, task in schedule.placements():
-            self._run_task(task, machine_id, plan, states, result)
-        return self.finish_schedule(plan, schedule, states, result)
+        runner = runner or self.run_inline
+        result, states = self._begin(plan, compiled)
+        # Placements come ordered by (stage, task id); a stage's outcomes are
+        # merged before the next stage's work is described, so shuffle
+        # reduces see every map's partitions (the shuffle barrier).
+        for _, placed in groupby(schedule.placements(), key=lambda pair: pair[1].stage):
+            # Adaptation already rewrote the blocks: repartitions are
+            # cost-only tasks with no work to run.
+            stage = [
+                (machine_id, task)
+                for machine_id, task in placed
+                if task.kind is not TaskKind.REPARTITION
+            ]
+            task_of = {task.task_id: task for _, task in stage}
+            works = (
+                self._describe(task, machine_id, plan, states)
+                for machine_id, task in stage
+            )
+            for outcome in sorted(runner(works), key=lambda o: o.task_id):
+                apply_outcome(result, states, task_of[outcome.task_id], outcome)
+        return self._finish(plan, schedule, states, result)
 
     # ------------------------------------------------------------------ #
-    # Schedule accounting shared with the multi-core backend
+    # The inline runner
     # ------------------------------------------------------------------ #
-    def begin_schedule(
+    def run_inline(self, works: Iterable[TaskWork]) -> list[TaskOutcome]:
+        """Execute a stage's work in this process, one task after another."""
+        return [run_task(work, partial(self.fetch, work)) for work in works]
+
+    def fetch(self, work: TaskWork, block_input: BlockInput) -> Sequence:
+        """One batched DFS read of an input, issued from the task's machine."""
+        dfs = self.catalog.get(block_input.table).dfs
+        return dfs.get_blocks(block_input.block_ids, work.machine_id)
+
+    # ------------------------------------------------------------------ #
+    # Task -> work description
+    # ------------------------------------------------------------------ #
+    def _describe(
+        self, task: Task, machine_id: int, plan: QueryPlan, states: list[JoinState]
+    ) -> TaskWork:
+        query = plan.query
+
+        def blocks(table: str, block_ids: tuple[int, ...], key_column: str | None):
+            return BlockInput(
+                table, block_ids, tuple(query.predicates_on(table)), key_column
+            )
+
+        if task.kind is TaskKind.SCAN:
+            inputs = (blocks(task.table, task.block_ids, None),)
+            return TaskWork(task.task_id, task.kind, machine_id, inputs)
+        state = states[task.join_index]
+        clause = state.decision.clause
+        if task.kind is TaskKind.SHUFFLE_MAP:
+            inputs = (blocks(task.table, task.block_ids, clause.column_for(task.table)),)
+            return TaskWork(
+                task.task_id, task.kind, machine_id, inputs,
+                num_partitions=state.num_partitions,
+            )
+        if task.kind is TaskKind.SHUFFLE_REDUCE:
+            return TaskWork(
+                task.task_id, task.kind, machine_id,
+                build_keys=state.partition_keys("build", task.partition_index),
+                probe_keys=state.partition_keys("probe", task.partition_index),
+            )
+        build, probe = state.decision.build_table, state.decision.probe_table
+        inputs = (
+            blocks(build, task.block_ids, clause.column_for(build)),
+            blocks(probe, task.probe_block_ids, clause.column_for(probe)),
+        )
+        return TaskWork(task.task_id, task.kind, machine_id, inputs)
+
+    # ------------------------------------------------------------------ #
+    # Schedule accounting
+    # ------------------------------------------------------------------ #
+    def _begin(
         self, plan: QueryPlan, compiled: CompiledPlan
     ) -> tuple[QueryResult, list[JoinState]]:
-        """Pre-execution accounting: the result shell and join accumulators.
-
-        The parallel backend (``repro.parallel``) uses this together with
-        :meth:`finish_schedule` so that merging worker outcomes goes through
-        exactly the accounting code the in-process loop uses.
-        """
+        """Pre-execution accounting: the result shell and join accumulators."""
         cost_model = self.cluster.cost_model
         result = QueryResult(query=plan.query)
 
@@ -128,18 +194,18 @@ class Executor:
         ]
         return result, states
 
-    def finish_schedule(
+    def _finish(
         self,
         plan: QueryPlan,
         schedule: TaskSchedule,
         states: list[JoinState],
         result: QueryResult,
     ) -> QueryResult:
-        """Post-execution accounting: join stats, answer, makespan fields."""
+        """Post-execution accounting: join stats, answer, both runtime models."""
         cost_model = self.cluster.cost_model
 
         # Scan accounting: matched rows were accumulated per task; the cost
-        # follows the same per-block model as the serial executor.
+        # follows the paper's per-block model.
         for table_name in plan.scan_tables:
             result.cost_units += cost_model.scan_cost(
                 len(plan.scan_blocks.get(table_name, []))
@@ -166,64 +232,6 @@ class Executor:
         result.makespan_seconds = cost_model.makespan_seconds(result.machine_cost_units)
         result.runtime_seconds = cost_model.to_seconds(result.cost_units)
         return result
-
-    # ------------------------------------------------------------------ #
-    # Task execution
-    # ------------------------------------------------------------------ #
-    def _run_task(
-        self,
-        task: Task,
-        machine_id: int,
-        plan: QueryPlan,
-        states: list[JoinState],
-        result: QueryResult,
-    ) -> None:
-        if task.kind is TaskKind.REPARTITION:
-            return  # adaptation already rewrote the blocks; cost-only task
-
-        if task.kind is TaskKind.SCAN:
-            dfs = self.catalog.get(task.table).dfs
-            blocks = dfs.get_blocks(task.block_ids, machine_id)
-            matched = run_scan_task(blocks, plan.query.predicates_on(task.table))
-            apply_scan_outcome(result, task, matched)
-            return
-
-        state = states[task.join_index]
-        decision = state.decision
-
-        if task.kind is TaskKind.SHUFFLE_MAP:
-            dfs = self.catalog.get(task.table).dfs
-            blocks = dfs.get_blocks(task.block_ids, machine_id)
-            parts = run_shuffle_map_task(
-                blocks,
-                decision.clause.column_for(task.table),
-                plan.query.predicates_on(task.table),
-                state.num_partitions,
-            )
-            apply_shuffle_map_outcome(state, task, parts)
-            return
-
-        if task.kind is TaskKind.SHUFFLE_REDUCE:
-            rows = run_shuffle_reduce_task(
-                state.partition_keys("build", task.partition_index),
-                state.partition_keys("probe", task.partition_index),
-            )
-            apply_shuffle_reduce_outcome(state, rows)
-            return
-
-        # Hyper-join group: build one hash table, probe the overlapping blocks.
-        dfs = self.catalog.get(decision.build_table).dfs
-        build_blocks = dfs.get_blocks(task.block_ids, machine_id)
-        probe_blocks = dfs.get_blocks(task.probe_block_ids, machine_id)
-        rows = run_hyper_group_task(
-            build_blocks,
-            probe_blocks,
-            decision.clause.column_for(decision.build_table),
-            decision.clause.column_for(decision.probe_table),
-            plan.query.predicates_on(decision.build_table),
-            plan.query.predicates_on(decision.probe_table),
-        )
-        apply_hyper_group_outcome(state, task, rows)
 
     # ------------------------------------------------------------------ #
     # Join accounting

@@ -1,30 +1,30 @@
-"""Per-task run functions shared by the in-process and multi-core engines.
+"""Per-task work descriptions, kernels and outcome merging.
 
-:class:`~repro.exec.engine.Executor` used to inline all row-level task work
-in ``_run_task``, which made the task logic inseparable from executor state
-(catalog, cluster, join accumulators).  This module factors that work into
-pure module-level functions:
+The schedule interpreter (:class:`~repro.exec.engine.Executor`) turns every
+placed task into one :class:`TaskWork` — ids, column names, predicates and
+flat arrays only — and hands it to a runner.  Whichever runner executes it
+(the parent, inline; or a ``repro.parallel`` worker process), the work goes
+through the one :func:`run_task` below:
 
-* the ``run_*`` functions do the row work of one task.  They take only
-  block *readers* (anything exposing ``num_rows`` / ``columns`` /
+* the ``run_*`` kernels do the row work of one task.  They take only block
+  *readers* (anything exposing ``num_rows`` / ``columns`` /
   ``column_parts()`` — a live :class:`~repro.storage.block.Block` in the
-  in-process engine, a shared-memory
-  :class:`~repro.storage.shared_memory.SharedBlockView` in a worker
-  process), plain predicates, column names and integers.  Nothing here
-  captures a ``Catalog``, ``Cluster``, or ``DistributedFileSystem``, so the
-  functions are picklable and a ``multiprocessing`` worker executes exactly
-  the same code path the parent would;
-* the ``apply_*`` functions merge a task's outcome into the shared
+  parent, a shared-memory
+  :class:`~repro.storage.shared_memory.SharedBlockView` in a worker), plain
+  predicates, column names and integers.  Nothing here captures a
+  ``Catalog``, ``Cluster`` or ``DistributedFileSystem``: :func:`run_task`
+  resolves block ids through the ``fetch`` callable its runner supplies;
+* :func:`apply_outcome` merges a :class:`TaskOutcome` into the shared
   per-query accumulators (:class:`~repro.exec.engine.JoinState` /
-  :class:`~repro.exec.result.QueryResult`).  The parent applies outcomes in
-  deterministic task order whether the values were computed in-process or
-  returned by workers, which is what keeps the two backends' results and
-  fingerprints bit-identical.
+  :class:`~repro.exec.result.QueryResult`).  The interpreter applies
+  outcomes in task-id order whichever runner produced them, which is what
+  keeps every backend's results and fingerprints bit-identical.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -36,11 +36,61 @@ from ..join.kernels import (
     hash_partition,
     join_match_count,
 )
-from .tasks import Task
+from .tasks import Task, TaskKind
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from ..storage.shared_memory import TablePin
     from .engine import JoinState
     from .result import QueryResult
+
+
+# --------------------------------------------------------------------- #
+# Work descriptions (picklable; ids + pins + flat data only)
+# --------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class BlockInput:
+    """One batch of blocks a task reads, with the row filter applied to it.
+
+    ``pin`` is ``None`` on the descriptions the interpreter builds; the pool
+    runner attaches the table's shared-memory pin before shipping the work
+    to a worker.
+    """
+
+    table: str
+    block_ids: tuple[int, ...]
+    predicates: tuple[Predicate, ...]
+    key_column: str | None = None
+    pin: "TablePin | None" = None
+
+
+@dataclass(frozen=True)
+class TaskWork:
+    """Everything one placed task needs to run, in either process.
+
+    ``inputs`` holds one :class:`BlockInput` for scans and shuffle maps,
+    build then probe for hyper groups, and none for shuffle reduces — those
+    carry the merged per-partition ``build_keys`` / ``probe_keys`` instead.
+    """
+
+    task_id: int
+    kind: TaskKind
+    machine_id: int
+    inputs: tuple[BlockInput, ...] = ()
+    num_partitions: int = 0
+    build_keys: np.ndarray | None = None
+    probe_keys: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class TaskOutcome:
+    """What running one :class:`TaskWork` produced."""
+
+    task_id: int
+    rows: int
+    #: Shuffle-map only: one key array per target partition.
+    parts: tuple[np.ndarray, ...] | None = None
+    #: Measured by pool workers (reporting only); zero when run inline.
+    wall_seconds: float = 0.0
 
 
 # --------------------------------------------------------------------- #
@@ -99,9 +149,56 @@ def run_hyper_group_task(
     return join_match_count(build_histogram, probe_histogram)
 
 
+def run_task(
+    work: TaskWork, fetch: Callable[[BlockInput], Sequence]
+) -> TaskOutcome:
+    """Run one task; ``fetch`` resolves a block input to its block readers."""
+    if work.kind is TaskKind.SHUFFLE_REDUCE:
+        return TaskOutcome(
+            work.task_id, run_shuffle_reduce_task(work.build_keys, work.probe_keys)
+        )
+    first = work.inputs[0]
+    if work.kind is TaskKind.SCAN:
+        return TaskOutcome(
+            work.task_id, run_scan_task(fetch(first), list(first.predicates))
+        )
+    if work.kind is TaskKind.SHUFFLE_MAP:
+        parts = run_shuffle_map_task(
+            fetch(first), first.key_column, list(first.predicates), work.num_partitions
+        )
+        return TaskOutcome(work.task_id, 0, parts=tuple(parts))
+    # Hyper-join group: build one hash table, probe the overlapping blocks.
+    build, probe = work.inputs
+    rows = run_hyper_group_task(
+        fetch(build),
+        fetch(probe),
+        build.key_column,
+        probe.key_column,
+        list(build.predicates),
+        list(probe.predicates),
+    )
+    return TaskOutcome(work.task_id, rows)
+
+
 # --------------------------------------------------------------------- #
 # Apply functions (deterministic merge into the shared accumulators)
 # --------------------------------------------------------------------- #
+def apply_outcome(
+    result: "QueryResult", states: "list[JoinState]", task: Task, outcome: TaskOutcome
+) -> None:
+    """Merge one task's outcome into the query result / its join's state."""
+    if task.kind is TaskKind.SCAN:
+        apply_scan_outcome(result, task, outcome.rows)
+        return
+    state = states[task.join_index]
+    if task.kind is TaskKind.SHUFFLE_MAP:
+        apply_shuffle_map_outcome(state, task, outcome.parts)
+    elif task.kind is TaskKind.SHUFFLE_REDUCE:
+        apply_shuffle_reduce_outcome(state, outcome.rows)
+    else:
+        apply_hyper_group_outcome(state, task, outcome.rows)
+
+
 def apply_scan_outcome(result: "QueryResult", task: Task, matched_rows: int) -> None:
     """Merge a scan task's matched-row count into the query result."""
     result.scan_output_rows += matched_rows

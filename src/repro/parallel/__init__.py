@@ -1,9 +1,9 @@
 """True multi-core execution: worker pool, shared-memory transport, calibration.
 
-The fourth execution backend (``execution_backend="parallel"``): compiled
-task schedules run on a persistent process pool with block columns shipped
-through shared-memory segments, producing results and fingerprints
-bit-identical to the in-process task engine plus measured
+The ``execution_backend="parallel"`` backend: the session's schedule
+interpreter runs compiled task schedules on a persistent process pool, with
+block columns shipped through shared-memory segments, producing results and
+fingerprints bit-identical to the in-process runner plus measured
 ``wall_seconds``.  ``repro.parallel.calibrate`` compares the ``repro.sim``
 simulator's makespan predictions against those measurements.
 """
@@ -17,13 +17,12 @@ from .calibrate import (
     fig13_join_queries,
     strip_repartitions,
 )
-from .pool import TaskOutcome, WorkerPool
+from .pool import WorkerPool
 
 __all__ = [
     "CalibrationReport",
     "ParallelBackend",
     "QueryCalibration",
-    "TaskOutcome",
     "TaskRecord",
     "WorkerPool",
     "calibrate",

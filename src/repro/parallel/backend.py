@@ -8,52 +8,33 @@ workers through shared-memory segments pinned by a
 epoch-checked, so any repartition between queries rebuilds the affected
 table's segment before the next dispatch.
 
-Determinism contract: the parent merges worker outcomes **in task-id
-order within each stage** — exactly the order the in-process engine
-executes placements — through the same
-:meth:`~repro.exec.engine.Executor.begin_schedule` /
-``apply_*`` / :meth:`~repro.exec.engine.Executor.finish_schedule`
-accounting, so ``QueryResult.fingerprint()`` is bit-identical to
+Determinism contract: execution goes through the session's one schedule
+interpreter (:class:`~repro.exec.engine.Executor`) with this backend's
+pool runner (``ParallelBackend._run_stage``).  The interpreter describes
+each stage's tasks, this runner pins their tables, ships the descriptions
+to the pool and returns the collected outcomes, and the interpreter merges
+them **in task-id order** — exactly as it does for the inline runner — so
+``QueryResult.fingerprint()`` is bit-identical to
 :class:`~repro.api.backends.TaskBackend`.  The only parallel-specific
 fields are the wall-clock measurements (``wall_seconds`` /
 ``machine_wall_seconds``), which fingerprints exclude.
 
-The two-stage dispatch mirrors the schedule's shuffle barrier: stage 0
-(scans, shuffle maps, hyper groups) fans out first; the returned map
-outcomes are merged into the join states, and only then are stage 1
-reduce payloads — carrying the concatenated per-partition key arrays —
-built and fanned out.
+Stages follow the schedule's shuffle barrier: stage 0 (scans, shuffle maps,
+hyper groups) fans out first; only after its map outcomes are merged into
+the join states does the interpreter describe the stage 1 reduces —
+carrying the concatenated per-partition key arrays — for the next fan-out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Iterable
 
-from ..cluster.cluster import Cluster
-from ..core.config import AdaptDBConfig
-from ..core.optimizer import QueryPlan
-from ..exec.engine import Executor, JoinState
-from ..exec.kernels_tasks import (
-    apply_hyper_group_outcome,
-    apply_scan_outcome,
-    apply_shuffle_map_outcome,
-    apply_shuffle_reduce_outcome,
-)
+from ..exec.engine import Executor
+from ..exec.kernels_tasks import TaskOutcome, TaskWork
 from ..exec.result import QueryResult
-from ..exec.scheduler import CompiledPlan, Scheduler, compile_plan
-from ..exec.tasks import Task, TaskKind, TaskSchedule
-from ..storage.catalog import Catalog
-from ..storage.shared_memory import SharedBlockStore, TablePin
-from .pool import (
-    HyperGroupPayload,
-    Payload,
-    ScanPayload,
-    ShuffleMapPayload,
-    ShuffleReducePayload,
-    TaskOutcome,
-    WorkerPool,
-    _wall,
-)
+from ..storage.shared_memory import SharedBlockStore
+from .pool import WorkerPool, _wall
 
 
 @dataclass(frozen=True)
@@ -63,7 +44,6 @@ class TaskRecord:
     task_id: int
     kind: str
     machine_id: int
-    cost_units: float
     wall_seconds: float
 
 
@@ -71,24 +51,13 @@ class TaskRecord:
 class ParallelBackend:
     """True multi-core execution behind the backend protocol."""
 
-    catalog: Catalog
-    cluster: Cluster
-    config: AdaptDBConfig
+    executor: Executor
     name: str = "parallel"
-    #: Replays the lowered task schedule, like the task backend.
-    consumes_schedule = True
-    executor: Executor = field(init=False)
-    store: SharedBlockStore = field(init=False)
+    store: SharedBlockStore = field(init=False, default_factory=SharedBlockStore)
     #: Per-task wall measurements of the most recent execution (reporting
     #: and calibration only — never consulted by planning).
     last_task_records: list[TaskRecord] = field(init=False, default_factory=list)
     _pool: WorkerPool | None = field(init=False, default=None)
-
-    def __post_init__(self) -> None:
-        self.executor = Executor(
-            catalog=self.catalog, cluster=self.cluster, config=self.config
-        )
-        self.store = SharedBlockStore()
 
     # ------------------------------------------------------------------ #
     # Pool lifecycle
@@ -96,7 +65,7 @@ class ParallelBackend:
     @property
     def num_workers(self) -> int:
         """Pool size: ``config.num_workers`` or one worker per machine."""
-        return self.config.num_workers or self.cluster.num_machines
+        return self.executor.config.num_workers or self.executor.cluster.num_machines
 
     def ensure_pool(self) -> WorkerPool:
         """Start (or restart after a crash/close) the worker pool lazily."""
@@ -104,7 +73,9 @@ class ParallelBackend:
             self._pool.close()
             self._pool = None
         if self._pool is None:
-            self._pool = WorkerPool(self.num_workers, self.config.worker_start_method)
+            self._pool = WorkerPool(
+                self.num_workers, self.executor.config.worker_start_method
+            )
         return self._pool
 
     @property
@@ -123,159 +94,52 @@ class ParallelBackend:
     # Execution
     # ------------------------------------------------------------------ #
     def execute(self, physical) -> QueryResult:
-        """Run a physical plan's schedule on the worker pool."""
-        if physical.schedule_elided:
-            # The plan was lowered for a schedule-free backend (e.g. the
-            # session's backend was switched afterwards): compile fresh.
-            compiled = compile_plan(
-                physical.logical, self.catalog, self.cluster, self.config
-            )
-            schedule = Scheduler(self.cluster.num_machines).schedule(compiled.tasks)
-        else:
-            compiled, schedule = physical.compiled, physical.schedule
-        return self.execute_schedule(physical.logical, compiled, schedule)
-
-    def execute_schedule(
-        self, plan: QueryPlan, compiled: CompiledPlan, schedule: TaskSchedule
-    ) -> QueryResult:
-        """Dispatch a compiled schedule to the pool and merge the outcomes."""
+        """Interpret a physical plan's schedule with the pool as the runner."""
         pool = self.ensure_pool()
-        result, states = self.executor.begin_schedule(plan, compiled)
-        placements = schedule.placements()
-        machine_of = {task.task_id: machine_id for machine_id, task in placements}
-        task_of = {task.task_id: task for _, task in placements}
-        records: list[TaskRecord] = []
-        machine_wall = [0.0] * self.cluster.num_machines
+        self.last_task_records = []
         started = _wall()
-
-        # Stage 0: scans, shuffle maps, hyper groups (repartitions are
-        # cost-only no-ops the accounting already charged).
-        dispatched = 0
-        for machine_id, task in placements:
-            if task.stage != 0 or task.kind is TaskKind.REPARTITION:
-                continue
-            payload = self._stage0_payload(plan, states, task)
-            # Mirror the in-process engine's DFS accounting so locality
-            # statistics match TaskBackend's (block data itself travels via
-            # shared memory, not through this call).
-            self._account_reads(task, machine_id, states)
-            pool.submit(machine_id, payload)
-            dispatched += 1
-        outcomes = pool.collect(dispatched)
-        for outcome in sorted(outcomes, key=lambda o: o.task_id):
-            task = task_of[outcome.task_id]
-            self._apply_stage0(plan, states, result, task, outcome)
-            machine_id = machine_of[outcome.task_id]
-            machine_wall[machine_id] += outcome.wall_seconds
-            records.append(self._record(task, machine_id, outcome))
-
-        # Stage 1: shuffle reduces, fed from the merged map partitions.
-        dispatched = 0
-        for machine_id, task in placements:
-            if task.stage == 0 or task.kind is not TaskKind.SHUFFLE_REDUCE:
-                continue
-            state = states[task.join_index]
-            pool.submit(
-                machine_id,
-                ShuffleReducePayload(
-                    task_id=task.task_id,
-                    build_keys=state.partition_keys("build", task.partition_index),
-                    probe_keys=state.partition_keys("probe", task.partition_index),
-                ),
-            )
-            dispatched += 1
-        outcomes = pool.collect(dispatched)
-        for outcome in sorted(outcomes, key=lambda o: o.task_id):
-            task = task_of[outcome.task_id]
-            apply_shuffle_reduce_outcome(states[task.join_index], outcome.rows)
-            machine_id = machine_of[outcome.task_id]
-            machine_wall[machine_id] += outcome.wall_seconds
-            records.append(self._record(task, machine_id, outcome))
-
-        result = self.executor.finish_schedule(plan, schedule, states, result)
+        result = self.executor.execute_schedule(
+            physical.logical,
+            physical.compiled,
+            physical.schedule,
+            runner=lambda works: self._run_stage(pool, works),
+        )
         result.wall_seconds = _wall() - started
+        machine_wall = [0.0] * physical.schedule.num_machines
+        for record in self.last_task_records:
+            machine_wall[record.machine_id] += record.wall_seconds
         result.machine_wall_seconds = machine_wall
-        self.last_task_records = sorted(records, key=lambda r: r.task_id)
         return result
 
-    # ------------------------------------------------------------------ #
-    # Payload construction / outcome merging
-    # ------------------------------------------------------------------ #
-    def _pin(self, table_name: str) -> TablePin:
-        return self.store.pin_table(self.catalog.get(table_name))
-
-    def _stage0_payload(
-        self, plan: QueryPlan, states: list[JoinState], task: Task
-    ) -> Payload:
-        if task.kind is TaskKind.SCAN:
-            assert task.table is not None
-            return ScanPayload(
-                task_id=task.task_id,
-                pin=self._pin(task.table),
-                block_ids=tuple(task.block_ids),
-                predicates=tuple(plan.query.predicates_on(task.table)),
+    def _run_stage(
+        self, pool: WorkerPool, works: Iterable[TaskWork]
+    ) -> list[TaskOutcome]:
+        """The pool runner: fan one stage's work out and collect its outcomes."""
+        catalog = self.executor.catalog
+        submitted: dict[int, TaskWork] = {}
+        for work in works:
+            pinned = replace(
+                work,
+                inputs=tuple(
+                    replace(blocks, pin=self.store.pin_table(catalog.get(blocks.table)))
+                    for blocks in work.inputs
+                ),
             )
-        state = states[task.join_index]
-        decision = state.decision
-        if task.kind is TaskKind.SHUFFLE_MAP:
-            assert task.table is not None
-            return ShuffleMapPayload(
-                task_id=task.task_id,
-                pin=self._pin(task.table),
-                block_ids=tuple(task.block_ids),
-                key_column=decision.clause.column_for(task.table),
-                predicates=tuple(plan.query.predicates_on(task.table)),
-                num_partitions=state.num_partitions,
+            # Charge the reads where the inline runner would, so locality
+            # and buffer statistics match TaskBackend's (block data itself
+            # travels via shared memory, not through this call).
+            for blocks in work.inputs:
+                self.executor.fetch(work, blocks)
+            pool.submit(work.machine_id, pinned)
+            submitted[work.task_id] = work
+        outcomes = pool.collect(len(submitted))
+        self.last_task_records += [
+            TaskRecord(
+                task_id=outcome.task_id,
+                kind=submitted[outcome.task_id].kind.value,
+                machine_id=submitted[outcome.task_id].machine_id,
+                wall_seconds=outcome.wall_seconds,
             )
-        return HyperGroupPayload(
-            task_id=task.task_id,
-            build_pin=self._pin(decision.build_table),
-            probe_pin=self._pin(decision.probe_table),
-            build_block_ids=tuple(task.block_ids),
-            probe_block_ids=tuple(task.probe_block_ids),
-            build_column=decision.clause.column_for(decision.build_table),
-            probe_column=decision.clause.column_for(decision.probe_table),
-            build_predicates=tuple(plan.query.predicates_on(decision.build_table)),
-            probe_predicates=tuple(plan.query.predicates_on(decision.probe_table)),
-        )
-
-    def _apply_stage0(
-        self,
-        plan: QueryPlan,
-        states: list[JoinState],
-        result: QueryResult,
-        task: Task,
-        outcome: TaskOutcome,
-    ) -> None:
-        if task.kind is TaskKind.SCAN:
-            apply_scan_outcome(result, task, outcome.rows)
-        elif task.kind is TaskKind.SHUFFLE_MAP:
-            assert outcome.parts is not None
-            apply_shuffle_map_outcome(states[task.join_index], task, outcome.parts)
-        else:
-            apply_hyper_group_outcome(states[task.join_index], task, outcome.rows)
-
-    def _account_reads(
-        self, task: Task, machine_id: int, states: list[JoinState]
-    ) -> None:
-        """Charge the task's block reads to the DFS locality counters."""
-        if task.kind is TaskKind.HYPER_GROUP:
-            table_name = states[task.join_index].decision.build_table
-        else:
-            assert task.table is not None
-            table_name = task.table
-        dfs = self.catalog.get(table_name).dfs
-        if task.block_ids:
-            dfs.get_blocks(task.block_ids, machine_id)
-        if task.probe_block_ids:
-            dfs.get_blocks(task.probe_block_ids, machine_id)
-
-    @staticmethod
-    def _record(task: Task, machine_id: int, outcome: TaskOutcome) -> TaskRecord:
-        return TaskRecord(
-            task_id=task.task_id,
-            kind=task.kind.value,
-            machine_id=machine_id,
-            cost_units=task.cost_units,
-            wall_seconds=outcome.wall_seconds,
-        )
+            for outcome in outcomes
+        ]
+        return outcomes

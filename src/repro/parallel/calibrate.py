@@ -26,9 +26,7 @@ module only consumes the measured ``wall_seconds`` it reports.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from ..common.predicates import between
@@ -138,45 +136,14 @@ class CalibrationReport:
         }
 
 
-def stored_seconds_per_unit(path: Path | None = None) -> float | None:
-    """The machine-calibrated seconds-per-cost-unit recorded by the benches.
-
-    Reads the fitted scales of the ``post`` calibration workloads from
-    ``BENCH_adaptation.json`` (written by ``benchmarks/perf/bench_parallel.py``)
-    and returns their mean, or ``None`` when no usable record exists —
-    sessions with ``AdaptDBConfig.calibrated_cost_model`` fall back to the
-    nominal ``seconds_per_block`` then.
-    """
-    if path is None:
-        path = Path(__file__).resolve().parents[3] / "BENCH_adaptation.json"
-    if not path.exists():
-        return None
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    calibration = payload.get("post", {}).get("parallel", {}).get("calibration", {})
-    if not isinstance(calibration, dict):
-        return None
-    fitted = [
-        workload.get("fitted_seconds_per_unit")
-        for workload in calibration.values()
-        if isinstance(workload, dict)
-    ]
-    usable = [value for value in fitted if isinstance(value, (int, float)) and value > 0]
-    if not usable:
-        return None
-    return sum(usable) / len(usable)
-
-
 def apply_calibration(session: "Session", report: CalibrationReport) -> float:
     """Feed a report's fitted scale into the session's cost model.
 
-    The programmatic counterpart of ``AdaptDBConfig.calibrated_cost_model``
-    (which reads the *stored* calibration at session construction): after
-    running :func:`calibrate` on this very machine, apply the fit directly so
-    subsequent modelled runtimes are machine-calibrated.  A degenerate fit
-    (zero or negative scale, e.g. from an empty workload) is ignored.
+    After running :func:`calibrate` on this very machine, apply the fit so
+    subsequent modelled runtimes are machine-calibrated (a fit kept from an
+    earlier run goes in through ``AdaptDBConfig.seconds_per_block``).  A
+    degenerate fit (zero or negative scale, e.g. from an empty workload) is
+    ignored.
 
     Returns:
         The cost model's ``seconds_per_block`` after the update.

@@ -1,14 +1,15 @@
 """Persistent worker pool for the multi-core execution backend.
 
 One worker process per simulated machine (folded modulo ``num_workers``
-when the pool is smaller than the cluster).  Workers receive small
-picklable *payloads* — task ids, shared-memory pins
+when the pool is smaller than the cluster).  Workers receive the schedule
+interpreter's picklable :class:`~repro.exec.kernels_tasks.TaskWork`
+descriptions — task ids, shared-memory pins
 (:class:`~repro.storage.shared_memory.TablePin`), block ids, predicates —
 never live ``Block``/``StoredTable`` objects: block columns travel through
 the pinned shared-memory segments, and only shuffle keys and row counts
-cross the queues.  Each worker runs exactly the task kernels the
-in-process engine runs (``repro.exec.kernels_tasks``), so the parent can
-merge outcomes through the same accounting and stay bit-identical.
+cross the queues.  Each worker runs the work through the same
+:func:`~repro.exec.kernels_tasks.run_task` the parent runs inline, so the
+interpreter merges outcomes identically and stays bit-identical.
 
 Timing discipline: workers stamp each task with a wall-clock duration via
 the single marked helper below.  The measured times feed *reporting only*
@@ -23,21 +24,13 @@ import multiprocessing
 import queue as queue_module
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Any
-
-import numpy as np
 
 from ..common.clock import monotonic_seconds
 from ..common.errors import ExecutionError
-from ..common.predicates import Predicate
-from ..exec.kernels_tasks import (
-    run_hyper_group_task,
-    run_scan_task,
-    run_shuffle_map_task,
-    run_shuffle_reduce_task,
-)
-from ..storage.shared_memory import SharedSegmentCache, TablePin
+from ..exec.kernels_tasks import TaskOutcome, TaskWork, run_task
+from ..storage.shared_memory import SharedSegmentCache
 
 
 def _wall() -> float:
@@ -52,123 +45,30 @@ def _wall() -> float:
 
 
 # --------------------------------------------------------------------- #
-# Task payloads (picklable; ids + pins + flat data only)
-# --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ScanPayload:
-    """One scan task: count rows of ``block_ids`` matching ``predicates``."""
-
-    task_id: int
-    pin: TablePin
-    block_ids: tuple[int, ...]
-    predicates: tuple[Predicate, ...]
-
-
-@dataclass(frozen=True)
-class ShuffleMapPayload:
-    """One shuffle-map task: filter and hash-partition join keys."""
-
-    task_id: int
-    pin: TablePin
-    block_ids: tuple[int, ...]
-    key_column: str
-    predicates: tuple[Predicate, ...]
-    num_partitions: int
-
-
-@dataclass(frozen=True)
-class ShuffleReducePayload:
-    """One shuffle-reduce task: join cardinality of one partition's keys."""
-
-    task_id: int
-    build_keys: np.ndarray
-    probe_keys: np.ndarray
-
-
-@dataclass(frozen=True)
-class HyperGroupPayload:
-    """One hyper-join group: build one histogram, probe overlapping blocks."""
-
-    task_id: int
-    build_pin: TablePin
-    probe_pin: TablePin
-    build_block_ids: tuple[int, ...]
-    probe_block_ids: tuple[int, ...]
-    build_column: str
-    probe_column: str
-    build_predicates: tuple[Predicate, ...]
-    probe_predicates: tuple[Predicate, ...]
-
-
-@dataclass(frozen=True)
-class TaskOutcome:
-    """What a worker reports back for one executed task."""
-
-    task_id: int
-    rows: int
-    blocks_read: int
-    wall_seconds: float
-    #: Shuffle-map only: one key array per target partition.
-    parts: tuple[np.ndarray, ...] | None = None
-
-
-Payload = ScanPayload | ShuffleMapPayload | ShuffleReducePayload | HyperGroupPayload
-
-
-# --------------------------------------------------------------------- #
 # Worker process
 # --------------------------------------------------------------------- #
-def _execute_payload(payload: Payload, cache: SharedSegmentCache) -> TaskOutcome:
+def _run_work(work: TaskWork, cache: SharedSegmentCache) -> TaskOutcome:
+    """Run one task against the attached segments and stamp its duration."""
     started = _wall()
-    if isinstance(payload, ScanPayload):
-        blocks = cache.get_blocks(payload.pin, list(payload.block_ids))
-        rows = run_scan_task(blocks, list(payload.predicates))
-        return TaskOutcome(payload.task_id, rows, len(payload.block_ids), _wall() - started)
-    if isinstance(payload, ShuffleMapPayload):
-        blocks = cache.get_blocks(payload.pin, list(payload.block_ids))
-        parts = run_shuffle_map_task(
-            blocks,
-            payload.key_column,
-            list(payload.predicates),
-            payload.num_partitions,
-        )
-        return TaskOutcome(
-            payload.task_id,
-            0,
-            len(payload.block_ids),
-            _wall() - started,
-            parts=tuple(parts),
-        )
-    if isinstance(payload, ShuffleReducePayload):
-        rows = run_shuffle_reduce_task(payload.build_keys, payload.probe_keys)
-        return TaskOutcome(payload.task_id, rows, 0, _wall() - started)
-    build_blocks = cache.get_blocks(payload.build_pin, list(payload.build_block_ids))
-    probe_blocks = cache.get_blocks(payload.probe_pin, list(payload.probe_block_ids))
-    rows = run_hyper_group_task(
-        build_blocks,
-        probe_blocks,
-        payload.build_column,
-        payload.probe_column,
-        list(payload.build_predicates),
-        list(payload.probe_predicates),
+    outcome = run_task(
+        work, lambda blocks: cache.get_blocks(blocks.pin, list(blocks.block_ids))
     )
-    blocks_read = len(payload.build_block_ids) + len(payload.probe_block_ids)
-    return TaskOutcome(payload.task_id, rows, blocks_read, _wall() - started)
+    return replace(outcome, wall_seconds=_wall() - started)
 
 
 def _worker_main(worker_index: int, tasks: Any, results: Any) -> None:
-    """Worker loop: execute payloads until the ``None`` sentinel arrives."""
+    """Worker loop: run task work until the ``None`` sentinel arrives."""
     cache = SharedSegmentCache()
     try:
         while True:
-            payload = tasks.get()
-            if payload is None:
+            work = tasks.get()
+            if work is None:
                 return
             try:
-                outcome = _execute_payload(payload, cache)
+                outcome = _run_work(work, cache)
             except BaseException as exc:  # noqa: BLE001 - report, don't die
                 results.put(
-                    ("error", worker_index, payload.task_id,
+                    ("error", worker_index, work.task_id,
                      f"{exc!r}\n{traceback.format_exc()}")
                 )
             else:
@@ -215,11 +115,11 @@ class WorkerPool:
     # -------------------------------------------------------------- #
     # Dispatch / collect
     # -------------------------------------------------------------- #
-    def submit(self, worker_index: int, payload: Payload) -> None:
-        """Enqueue ``payload`` on one worker's task queue."""
+    def submit(self, worker_index: int, work: TaskWork) -> None:
+        """Enqueue ``work`` on one worker's task queue."""
         if self._closed:
             raise ExecutionError("WorkerPool is closed")
-        self._task_queues[worker_index % self.num_workers].put(payload)
+        self._task_queues[worker_index % self.num_workers].put(work)
 
     def collect(self, count: int, timeout: float = 60.0) -> list[TaskOutcome]:
         """Gather ``count`` outcomes, raising if a worker dies or errors.

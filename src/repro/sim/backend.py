@@ -2,9 +2,10 @@
 
 :class:`SimBackend` runs a physical plan twice, in two senses:
 
-* the **task engine** executes it for real (row-level answers, serial cost,
-  makespan accounting) — exactly what :class:`~repro.api.backends.TaskBackend`
-  does, so answers and fingerprints are identical across the two backends;
+* the session's **schedule interpreter** executes it for real (row-level
+  answers, serial cost, makespan accounting) — exactly what
+  :class:`~repro.api.backends.TaskBackend` does, so answers and fingerprints
+  are identical across the two backends;
 * the **cluster simulator** then plays the same schedule out event by event,
   honouring stage barriers (shuffle reduces wait for their producing maps)
   and the bounded repartitioning bandwidth, and stamps the result with
@@ -19,15 +20,11 @@ stalls where a reduce waits on maps finishing elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..cluster.cluster import Cluster
-from ..core.config import AdaptDBConfig
 from ..exec.engine import Executor
 from ..exec.result import QueryResult
-from ..exec.scheduler import Scheduler, compile_plan
 from ..exec.tasks import TaskSchedule
-from ..storage.catalog import Catalog
 from .simulator import ClusterSimulator, SimReport
 
 
@@ -35,42 +32,26 @@ from .simulator import ClusterSimulator, SimReport
 class SimBackend:
     """Discrete-event simulated execution behind the backend protocol."""
 
-    catalog: Catalog
-    cluster: Cluster
-    config: AdaptDBConfig
+    executor: Executor
     name: str = "simulated"
-    #: Replays the lowered task schedule, like the task backend.
-    consumes_schedule = True
-    executor: Executor = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.executor = Executor(
-            catalog=self.catalog, cluster=self.cluster, config=self.config
-        )
 
     def simulate_schedule(self, schedule: TaskSchedule) -> SimReport:
         """Play one schedule on a fresh simulator (single-query, no contention)."""
+        cluster = self.executor.cluster
         simulator = ClusterSimulator(
-            num_machines=self.cluster.num_machines,
-            seconds_per_block=self.cluster.cost_model.seconds_per_block,
-            repartition_bandwidth=self.config.sim_repartition_bandwidth,
+            num_machines=cluster.num_machines,
+            seconds_per_block=cluster.cost_model.seconds_per_block,
+            repartition_bandwidth=self.executor.config.sim_repartition_bandwidth,
         )
         simulator.submit(schedule, arrival=0.0, label="query")
         return simulator.run()
 
     def execute(self, physical) -> QueryResult:
         """Execute through the task engine, then simulate the schedule's timing."""
-        if physical.schedule_elided:
-            # The plan was lowered for a schedule-free backend (e.g. the
-            # session's backend was switched afterwards): compile fresh.
-            compiled = compile_plan(
-                physical.logical, self.catalog, self.cluster, self.config
-            )
-            schedule = Scheduler(self.cluster.num_machines).schedule(compiled.tasks)
-        else:
-            compiled, schedule = physical.compiled, physical.schedule
-        result = self.executor.execute_schedule(physical.logical, compiled, schedule)
-        report = self.simulate_schedule(schedule)
+        result = self.executor.execute_schedule(
+            physical.logical, physical.compiled, physical.schedule
+        )
+        report = self.simulate_schedule(physical.schedule)
         result.sim_seconds = report.finished_at
         result.sim_queueing_seconds = (
             report.jobs[0].queueing_seconds if report.jobs else 0.0

@@ -31,7 +31,6 @@ import numpy as np
 from ..common.errors import ExecutionError
 from ..common.query import Query
 from ..common.rng import derive_rng, make_rng
-from ..exec.scheduler import Scheduler, compile_plan
 from ..exec.tasks import Task, TaskKind, TaskSchedule
 from .simulator import ClusterSimulator
 
@@ -208,23 +207,15 @@ def run_concurrent_workload(
     # partition state (and therefore every plan) is independent of simulated
     # timing.  Lowering goes through the session, so queries sharing a
     # template reuse both the logical entry and the compiled task schedule
-    # from the epoch-keyed plan cache; only when the session's backend
-    # elides lowering (the serial model) is the schedule compiled directly.
+    # from the epoch-keyed plan cache.
     schedules: list[list[TaskSchedule]] = [[] for _ in client_queries]
-    scheduler = Scheduler(session.cluster.num_machines)
     rounds = max(len(queries) for queries in client_queries)
     for round_index in range(rounds):
         for client, queries in enumerate(client_queries):
             if round_index >= len(queries):
                 continue
             physical = session.lower(session.plan(queries[round_index], adapt=adapt))
-            if physical.schedule_elided:
-                compiled = compile_plan(
-                    physical.logical, session.catalog, session.cluster, session.config
-                )
-                schedules[client].append(scheduler.schedule(compiled.tasks))
-            else:
-                schedules[client].append(physical.schedule)
+            schedules[client].append(physical.schedule)
 
     # Stage 2: seeded arrival offsets and think times, pre-drawn per client
     # so the draw order never depends on simulated completion order.

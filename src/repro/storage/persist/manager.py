@@ -99,13 +99,26 @@ class PersistenceManager:
 
     @classmethod
     def open(cls, root: Path) -> "PersistenceManager":
-        """Open a storage root holding a committed checkpoint for restore."""
+        """Open a storage root holding a committed checkpoint for restore.
+
+        Raises:
+            StorageError: if the root holds no catalog, or its checkpoint
+                was written in another ``FORMAT_VERSION`` (there is no
+                migration; the root's files are left untouched).
+        """
         root = Path(root)
         if not (root / "catalog.sqlite").exists():
             raise StorageError(f"storage root {str(root)!r} holds no catalog")
         # Opening the connection replays any WAL a crashed writer left.
         probe = PersistentCatalog(root)
         try:
+            stored_version = probe.require_meta("format_version")
+            if stored_version != FORMAT_VERSION:
+                raise StorageError(
+                    f"storage root {str(root)!r} was checkpointed in format "
+                    f"version {stored_version}; this library reads version "
+                    f"{FORMAT_VERSION}"
+                )
             config_payload = probe.require_meta("config")
             num_machines = int(config_payload["num_machines"])
             buffer_bytes = config_payload.get("buffer_bytes")

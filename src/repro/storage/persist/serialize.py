@@ -23,8 +23,9 @@ from ...common.query import JoinClause, Query
 from ...common.schema import Column, DataType, Schema
 from ...partitioning.tree import PartitioningTree, TreeNode
 
-#: Bumped whenever any payload shape changes incompatibly.
-FORMAT_VERSION = 1
+#: Bumped whenever any payload shape changes incompatibly (2: the stored
+#: config lost fields).  ``PersistenceManager.open`` refuses other versions.
+FORMAT_VERSION = 2
 
 
 def _plain_scalar(value: Any) -> Any:

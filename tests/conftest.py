@@ -10,10 +10,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.common.rng import make_rng
 from repro.common.sanitize import sanitize_enabled
 from repro.common.schema import DataType, Schema
-from repro.core import AdaptDB, AdaptDBConfig
+from repro.core import AdaptDBConfig
 from repro.storage.table import ColumnTable
 from repro.workloads.cmt import CMTGenerator
 from repro.workloads.tpch import TPCHGenerator
@@ -57,7 +58,7 @@ def small_config():
 @pytest.fixture
 def small_db(small_config, tpch_tables):
     """An AdaptDB instance with lineitem/orders/part loaded."""
-    db = AdaptDB(small_config)
+    db = Session(small_config)
     for name in ("lineitem", "orders", "part"):
         db.load_table(tpch_tables[name])
     return db

@@ -1,13 +1,14 @@
-"""Integration tests for the AdaptDB facade."""
+"""Integration tests for a whole AdaptDB instance (one ``Session``)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.common.errors import StorageError
 from repro.common.query import join_query
-from repro.core import AdaptDB, AdaptDBConfig
+from repro.core import AdaptDBConfig
 from repro.partitioning.two_phase import TwoPhasePartitioner
 from repro.workloads.tpch_queries import tpch_query
 
@@ -16,19 +17,19 @@ from repro.testing import reference_join_count
 
 class TestLoading:
     def test_load_registers_table(self, small_config, tpch_tables):
-        db = AdaptDB(small_config)
+        db = Session(small_config)
         stored = db.load_table(tpch_tables["orders"])
         assert db.table("orders") is stored
         assert stored.total_rows == tpch_tables["orders"].num_rows
 
     def test_double_load_rejected(self, small_config, tpch_tables):
-        db = AdaptDB(small_config)
+        db = Session(small_config)
         db.load_table(tpch_tables["orders"])
         with pytest.raises(StorageError):
             db.load_table(tpch_tables["orders"])
 
     def test_load_with_custom_tree(self, small_config, tpch_tables):
-        db = AdaptDB(small_config)
+        db = Session(small_config)
         table = tpch_tables["orders"]
         tree = TwoPhasePartitioner("o_orderkey", ["o_orderdate"]).build(
             table.sample(), total_rows=table.num_rows, num_leaves=4
@@ -37,7 +38,7 @@ class TestLoading:
         assert stored.tree_for_join_attribute("o_orderkey") is not None
 
     def test_load_with_partition_attributes_subset(self, small_config, tpch_tables):
-        db = AdaptDB(small_config)
+        db = Session(small_config)
         stored = db.load_table(
             tpch_tables["orders"], partition_attributes=["o_orderdate", "o_custkey"]
         )
@@ -45,7 +46,7 @@ class TestLoading:
         assert set(counts).issubset({"o_orderdate", "o_custkey"})
 
     def test_blocks_are_replicated_across_machines(self, small_config, tpch_tables):
-        db = AdaptDB(small_config)
+        db = Session(small_config)
         stored = db.load_table(tpch_tables["orders"])
         for block_id in stored.block_ids():
             assert len(db.dfs.replicas_of(block_id)) == min(
@@ -89,7 +90,7 @@ class TestQueryExecution:
         """Two AdaptDB instances with the same seed produce identical cost series."""
         def run_once():
             config = AdaptDBConfig(rows_per_block=512, buffer_blocks=4, seed=99)
-            db = AdaptDB(config)
+            db = Session(config)
             for name in ("lineitem", "orders"):
                 db.load_table(tpch_tables[name])
             rng = np.random.default_rng(5)
@@ -100,8 +101,8 @@ class TestQueryExecution:
 
     def test_adaptation_reduces_steady_state_cost(self, tpch_tables):
         config = AdaptDBConfig(rows_per_block=512, buffer_blocks=4, seed=11)
-        adaptive = AdaptDB(config)
-        static = AdaptDB(AdaptDBConfig(
+        adaptive = Session(config)
+        static = Session(AdaptDBConfig(
             rows_per_block=512, buffer_blocks=4, seed=11,
             enable_smooth=False, enable_amoeba=False, force_join_method="shuffle",
         ))

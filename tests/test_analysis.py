@@ -727,10 +727,10 @@ from dataclasses import dataclass
 
 
 @dataclass
-class ScanPayload:
+class TaskWork:
     task_id: int
 """,
-            module="repro.parallel.pool",
+            module="repro.exec.kernels_tasks",
         )
         assert rules_of(violations) == {"shmem-payload-frozen"}
         assert (
@@ -740,10 +740,10 @@ from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
-class ScanPayload:
+class TaskWork:
     task_id: int
 """,
-                module="repro.parallel.pool",
+                module="repro.exec.kernels_tasks",
             )
             == []
         )

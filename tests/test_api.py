@@ -3,8 +3,9 @@
 Covers the session lifecycle (plan / lower / execute), the epoch-keyed plan
 cache (hits on repeated templates, invalidation on exactly the mutated
 tables, bit-identical cached results and explain text), partition-state
-epochs on ``StoredTable``, the pluggable execution backends, and the
-``AdaptDB`` compatibility shim.
+epochs on ``StoredTable``, and the pluggable execution backends (every one
+a selection over the session's one schedule interpreter, which is checked
+against the standalone join operators and the reference join).
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import pytest
 
 from repro.api import (
     PlanCache,
-    SerialBackend,
     Session,
+    SimBackend,
     TaskBackend,
     query_signature,
 )
@@ -24,9 +25,12 @@ from repro.common.epochs import PartitionDelta
 from repro.common.errors import PlanningError
 from repro.common.predicates import between, ge
 from repro.common.query import Query, join_query, scan_query
-from repro.core import AdaptDB, AdaptDBConfig
+from repro.core import AdaptDBConfig
+from repro.core.planner import JoinMethod
 from repro.experiments.harness import runtime_seconds
+from repro.join import hyper_join, shuffle_join
 from repro.partitioning.two_phase import TwoPhasePartitioner
+from repro.testing import reference_join_count
 from repro.workloads.tpch_queries import tpch_query
 
 
@@ -243,58 +247,25 @@ class TestPlanCache:
 
 
 class TestBackends:
-    def test_serial_and_task_backends_agree(self, session):
-        query = q12_like()
-        tasks_result = session.run(query, adapt=False)
-        session.use_backend("serial")
-        serial_result = session.run(query, adapt=False)
-        assert serial_result.output_rows == tasks_result.output_rows
-        assert serial_result.scan_output_rows == tasks_result.scan_output_rows
-        assert serial_result.blocks_read == tasks_result.blocks_read
-        assert serial_result.cost_units == pytest.approx(tasks_result.cost_units)
-        assert serial_result.runtime_seconds == pytest.approx(tasks_result.runtime_seconds)
-
-    def test_serial_backend_has_no_schedule_accounting(self, session):
-        session.use_backend("serial")
-        result = session.run(q12_like(), adapt=False)
-        assert result.makespan_cost_units == 0.0
-        assert result.tasks_scheduled == 0
-        assert result.machine_cost_units == []
-
     def test_backend_selected_via_config(self, tpch_tables):
         config = AdaptDBConfig(rows_per_block=512, buffer_blocks=4, seed=3,
-                               execution_backend="serial")
+                               execution_backend="simulated")
         session = Session(config=config)
-        assert isinstance(session.backend, SerialBackend)
+        assert isinstance(session.backend, SimBackend)
 
     def test_unknown_backend_rejected(self, session):
         with pytest.raises(PlanningError):
             session.use_backend("quantum")
         with pytest.raises(PlanningError):
             AdaptDBConfig(execution_backend="quantum")
+        # The paper's serial model is a field of every result, not a backend.
+        with pytest.raises(PlanningError):
+            AdaptDBConfig(execution_backend="serial")
 
     def test_custom_backend_instance_accepted(self, session):
-        backend = TaskBackend(
-            catalog=session.catalog, cluster=session.cluster, config=session.config,
-            name="tasks2",
-        )
+        backend = TaskBackend(session.executor, name="tasks2")
         assert session.use_backend(backend) is backend
         assert session.backends["tasks2"] is backend
-
-    def test_serial_sessions_skip_lowering(self, session):
-        session.use_backend("serial")
-        physical = session.lower(session.plan(q12_like(), adapt=False))
-        assert physical.schedule_elided
-        assert physical.compiled.tasks == []
-        assert "elided" in physical.explain()
-
-    def test_task_backend_recovers_from_elided_lowering(self, session):
-        session.use_backend("serial")
-        physical = session.lower(session.plan(q12_like(), adapt=False))
-        session.use_backend("tasks")
-        result = session.execute(physical)  # must compile for itself
-        assert result.tasks_scheduled > 0
-        assert result.output_rows == session.run(q12_like(), adapt=False).output_rows
 
     def test_mutating_a_served_plan_does_not_poison_the_cache(self, session):
         reference = session.run(q12_like(), adapt=False).fingerprint()
@@ -305,16 +276,92 @@ class TestBackends:
         assert session.run(q12_like(), adapt=False).fingerprint() == reference
 
     def test_multi_join_agreement(self, small_config, tpch_tables):
+        """A three-table plan replays bit-identically through every backend."""
         session = Session(config=small_config)
         for name in ("lineitem", "orders", "customer"):
             session.load_table(tpch_tables[name])
-        query = tpch_query("q3", session.rng)
-        tasks_result = session.run(query, adapt=False)
-        session.use_backend("serial")
-        serial_result = session.run(query, adapt=False)
-        assert serial_result.output_rows == tasks_result.output_rows
-        assert serial_result.join_methods == tasks_result.join_methods
-        assert serial_result.cost_units == pytest.approx(tasks_result.cost_units)
+        physical = session.lower(session.plan(tpch_query("q3", session.rng), adapt=False))
+        assert len(physical.logical.join_decisions) == 2
+        fingerprints = set()
+        for backend in ("tasks", "simulated", "parallel"):
+            session.use_backend(backend)
+            fingerprints.add(session.execute(physical).fingerprint())
+        session.close()
+        assert len(fingerprints) == 1
+
+    def test_one_interpreter_behind_every_builtin_backend(self, session):
+        assert {"tasks", "simulated", "parallel"} == set(session.backends)
+        assert all(
+            backend.executor is session.executor
+            for backend in session.backends.values()
+        )
+
+
+INTERPRETER_CASES = {
+    "forced-shuffle": ("shuffle", ("lineitem", "orders"), lambda rng: q12_like()),
+    "forced-hyper": ("hyper", ("lineitem", "orders"), lambda rng: q12_like()),
+    "q3": (None, ("lineitem", "orders", "customer"), lambda rng: tpch_query("q3", rng)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTERPRETER_CASES))
+def test_interpreter_matches_direct_operators(case, tpch_tables):
+    """Each ``JoinStats`` the interpreter produces equals the standalone
+    ``shuffle_join`` / ``hyper_join`` run on the same decision, and the
+    cardinalities equal the reference join on the raw tables."""
+    force, table_names, make_query = INTERPRETER_CASES[case]
+    config = AdaptDBConfig(rows_per_block=512, buffer_blocks=4, seed=3,
+                           force_join_method=force)
+    session = Session(config=config)
+    for name in table_names:
+        session.load_table(tpch_tables[name])
+    query = make_query(session.rng)
+    logical = session.plan(query, adapt=False)
+    result = session.execute(session.lower(logical))
+    assert len(result.join_stats) == len(logical.join_decisions) == len(table_names) - 1
+    if force is not None:
+        assert result.join_methods == [force] * len(logical.join_decisions)
+
+    cost_model = session.cluster.cost_model
+    for decision, stats in zip(logical.join_decisions, result.join_stats):
+        build, probe = decision.build_table, decision.probe_table
+        blocks_and_columns = (
+            session.dfs,
+            decision.build_blocks,
+            decision.probe_blocks,
+            decision.clause.column_for(build),
+            decision.clause.column_for(probe),
+        )
+        filters = (query.predicates_on(build), query.predicates_on(probe), cost_model)
+        if decision.method is JoinMethod.SHUFFLE:
+            direct = shuffle_join(
+                *blocks_and_columns, *filters,
+                num_partitions=session.cluster.num_machines,
+            )
+        else:
+            direct = hyper_join(
+                *blocks_and_columns, config.buffer_blocks, *filters,
+                algorithm=config.grouping_algorithm,
+            )
+        assert stats.method == direct.method
+        assert stats.output_rows == direct.output_rows
+        assert stats.build_blocks_read == direct.build_blocks_read
+        assert stats.probe_blocks_read == direct.probe_blocks_read
+        assert stats.cost_units == direct.cost_units
+        assert stats.output_rows == reference_join_count(
+            tpch_tables[build],
+            tpch_tables[probe],
+            decision.clause.column_for(build),
+            decision.clause.column_for(probe),
+            query.predicates_on(build),
+            query.predicates_on(probe),
+        )
+    # The paper's serial model is the sum of exactly these per-join costs.
+    assert result.cost_units == pytest.approx(
+        sum(stats.cost_units for stats in result.join_stats)
+    )
+    assert result.runtime_seconds == cost_model.to_seconds(result.cost_units)
+    assert result.output_rows == result.join_stats[-1].output_rows
 
 
 class TestReadStatScoping:
@@ -354,35 +401,3 @@ class TestPlanningMetadata:
         assert runtime_seconds(result, "makespan") == result.makespan_seconds
         with pytest.raises(ValueError):
             runtime_seconds(result, "wishful")
-
-
-class TestAdaptDBShim:
-    def test_facade_delegates_to_session(self, small_config, tpch_tables):
-        db = AdaptDB(small_config)
-        assert isinstance(db.session, Session)
-        db.load_table(tpch_tables["lineitem"])
-        db.load_table(tpch_tables["orders"])
-        assert db.catalog is db.session.catalog
-        assert db.dfs is db.session.dfs
-        assert db.optimizer is db.session.optimizer
-        assert db.rng is db.session.rng
-        result = db.run(q12_like(), adapt=False)
-        assert result.output_rows > 0
-
-    def test_facade_and_session_runs_are_identical(self, small_config, tpch_tables):
-        db = AdaptDB(small_config)
-        session = Session(config=small_config)
-        for name in ("lineitem", "orders"):
-            db.load_table(tpch_tables[name])
-            session.load_table(tpch_tables[name])
-        query = q12_like()
-        assert db.run(query, adapt=False).fingerprint() == \
-            session.run(query, adapt=False).fingerprint()
-
-    def test_facade_accepts_existing_session(self, small_config, tpch_tables):
-        session = Session(config=small_config)
-        session.load_table(tpch_tables["lineitem"])
-        db = AdaptDB(session=session)
-        assert db.session is session
-        assert db.config is session.config
-        assert db.table("lineitem") is session.table("lineitem")

@@ -6,6 +6,10 @@ as a top-level ``conftest`` module, so collecting the repo root failed before
 a single test ran.  ``--import-mode=importlib`` (set in ``pyproject.toml``)
 gives each module a unique name; this test collects the entire repository in
 a subprocess to prove the suite stays collectable.
+
+Also guards the package's import graph: ``repro.api`` and ``repro.parallel``
+must each be importable *first* in a fresh interpreter (``repro/__init__``
+used to need a hand-ordered import to dodge a ``core`` <-> ``api`` cycle).
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -36,3 +42,15 @@ def test_whole_repo_collects():
     )
     summary = completed.stdout.strip().splitlines()[-1]
     assert "error" not in summary.lower(), summary
+
+
+@pytest.mark.parametrize("module", ["repro.api", "repro.parallel"])
+def test_subpackage_imports_first_in_a_fresh_interpreter(module):
+    completed = subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Session
 from repro.common.errors import PlanningError
 from repro.common.predicates import between, eq
 from repro.common.query import join_query, scan_query
-from repro.core import AdaptDB, AdaptDBConfig
+from repro.core import AdaptDBConfig
 from repro.core.planner import JoinCase, JoinMethod, classify_join
 from repro.workloads.tpch_queries import tpch_query
 
@@ -36,7 +37,7 @@ class TestConfigValidation:
 class TestPlannerClassification:
     def make_db(self, tpch_tables, **config_kwargs):
         config = AdaptDBConfig(rows_per_block=512, seed=1, **config_kwargs)
-        db = AdaptDB(config)
+        db = Session(config)
         for name in ("lineitem", "orders"):
             db.load_table(tpch_tables[name])
         return db
@@ -78,7 +79,7 @@ class TestOptimizer:
 
     def test_pruning_disabled_reads_every_block(self, tpch_tables):
         config = AdaptDBConfig(rows_per_block=512, enable_pruning=False, seed=1)
-        db = AdaptDB(config)
+        db = Session(config)
         db.load_table(tpch_tables["lineitem"])
         predicate = between("l_shipdate", 0, 10)
         plan = db.plan(scan_query("lineitem", [predicate]), adapt=False)
@@ -105,7 +106,7 @@ class TestOptimizer:
 
     def test_forced_shuffle(self, tpch_tables):
         config = AdaptDBConfig(rows_per_block=512, force_join_method="shuffle", seed=1)
-        db = AdaptDB(config)
+        db = Session(config)
         for name in ("lineitem", "orders"):
             db.load_table(tpch_tables[name])
         plan = db.plan(join_query("lineitem", "orders", "l_orderkey", "o_orderkey"), adapt=False)
@@ -113,7 +114,7 @@ class TestOptimizer:
 
     def test_forced_hyper(self, tpch_tables):
         config = AdaptDBConfig(rows_per_block=512, force_join_method="hyper", seed=1)
-        db = AdaptDB(config)
+        db = Session(config)
         for name in ("lineitem", "orders"):
             db.load_table(tpch_tables[name])
         plan = db.plan(join_query("lineitem", "orders", "l_orderkey", "o_orderkey"), adapt=False)
@@ -165,7 +166,7 @@ class TestExecutor:
         assert result.used_hyper_join
 
     def test_multi_join_query_executes_every_clause(self, small_config, tpch_tables):
-        db = AdaptDB(small_config)
+        db = Session(small_config)
         for name in ("lineitem", "orders", "customer"):
             db.load_table(tpch_tables[name])
         result = db.run(tpch_query("q3", db.rng), adapt=False)

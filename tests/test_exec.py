@@ -12,9 +12,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.common.predicates import ge
 from repro.common.query import Query, JoinClause, join_query, scan_query
-from repro.core import AdaptDB, AdaptDBConfig
+from repro.core import AdaptDBConfig
 from repro.exec import Scheduler, Task, TaskKind, TaskSchedule, compile_plan
 from repro.exec.scheduler import bucket_blocks_by_replica, replica_hints
 from repro.join.kernels import batch_matching_count, gather_filtered_keys
@@ -134,7 +135,7 @@ class TestCompilation:
 
     def test_shuffle_join_compiles_map_and_reduce_stages(self, tpch_tables):
         config = AdaptDBConfig(rows_per_block=512, force_join_method="shuffle", seed=1)
-        db = AdaptDB(config)
+        db = Session(config)
         for name in ("lineitem", "orders"):
             db.load_table(tpch_tables[name])
         plan = db.plan(join_query("lineitem", "orders", "l_orderkey", "o_orderkey"), adapt=False)
@@ -154,7 +155,7 @@ class TestCompilation:
         equation (1)'s ``(CSJ - 1) * blocks`` share, only its split moves.
         """
         config = AdaptDBConfig(rows_per_block=512, force_join_method="shuffle", seed=1)
-        db = AdaptDB(config)
+        db = Session(config)
         for name in ("lineitem", "orders"):
             db.load_table(tpch_tables[name])
         plan = db.plan(join_query("lineitem", "orders", "l_orderkey", "o_orderkey"), adapt=False)
@@ -178,7 +179,7 @@ class TestCompilation:
 
     def test_hyper_join_compiles_one_task_per_group(self, tpch_tables):
         config = AdaptDBConfig(rows_per_block=512, force_join_method="hyper", seed=1)
-        db = AdaptDB(config)
+        db = Session(config)
         for name in ("lineitem", "orders"):
             db.load_table(tpch_tables[name])
         plan = db.plan(join_query("lineitem", "orders", "l_orderkey", "o_orderkey"), adapt=False)
@@ -190,7 +191,7 @@ class TestCompilation:
 class TestExecutorAccounting:
     def test_multi_join_reports_final_join_cardinality(self, small_config, tpch_tables):
         """Regression: output_rows used to be the *first* join's cardinality."""
-        db = AdaptDB(small_config)
+        db = Session(small_config)
         for name in ("lineitem", "orders", "customer"):
             db.load_table(tpch_tables[name])
         query = tpch_query("q3", db.rng)
@@ -211,7 +212,7 @@ class TestExecutorAccounting:
 
     def test_mixed_scan_and_join_accounts_scan_rows(self, small_config, tpch_tables):
         """Regression: scan matches were dropped whenever a join existed."""
-        db = AdaptDB(small_config)
+        db = Session(small_config)
         for name in ("lineitem", "orders", "part"):
             db.load_table(tpch_tables[name])
         predicate = ge("p_size", 0)  # matches every part row
@@ -236,7 +237,7 @@ class TestExecutorAccounting:
     def test_makespan_below_serial_sum_on_multi_machine_cluster(
         self, small_config, tpch_tables
     ):
-        db = AdaptDB(small_config)
+        db = Session(small_config)
         for name in ("lineitem", "orders", "customer"):
             db.load_table(tpch_tables[name])
         result = db.run(tpch_query("q3", db.rng), adapt=False)
@@ -264,7 +265,7 @@ class TestExecutorAccounting:
 
     def test_results_identical_across_runs(self, tpch_tables):
         def run_once():
-            db = AdaptDB(AdaptDBConfig(rows_per_block=512, buffer_blocks=4, seed=42))
+            db = Session(AdaptDBConfig(rows_per_block=512, buffer_blocks=4, seed=42))
             for name in ("lineitem", "orders"):
                 db.load_table(tpch_tables[name])
             result = db.run(

@@ -10,15 +10,12 @@ Covers the change-descriptor plumbing end to end:
   revalidation pass — always checked *bit-identical* against a session
   planning cold (``incremental_planning=False``),
 * the chain-overflow fallback (spans past the retained window replan),
-* fingerprint identity across all four execution backends after
-  incremental patching,
-* the calibration satellites (``stored_seconds_per_unit``,
-  ``apply_calibration``, ``AdaptDBConfig.calibrated_cost_model``).
+* fingerprint identity across all three execution backends after
+  incremental patching and over an adaptive (re-splitting) stream,
+* ``apply_calibration``, the one way to feed a measured fit in.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import pytest
@@ -31,10 +28,11 @@ from repro.common.rng import make_rng
 from repro.core import AdaptDBConfig
 from repro.join.grouping import group_blocks, matrix_row_digests
 from repro.join.overlap import compute_overlap_matrix, patch_overlap_matrix
+from repro.exec import TaskKind
 from repro.parallel.calibrate import (
     CalibrationReport,
     apply_calibration,
-    stored_seconds_per_unit,
+    fig13_join_queries,
 )
 
 PRED = (5.0, 25.0)
@@ -410,59 +408,46 @@ class TestIncrementalBitIdentity:
             session.close()
         assert fingerprints[True] == fingerprints[False]
 
-    def test_all_four_backends_agree_after_patching(self, tpch_tables):
+    def test_all_three_backends_agree_after_patching(self, tpch_tables):
         """Per backend, the patched session reproduces the cold session
-        bit-for-bit; the scheduling backends also agree with each other
-        (serial legitimately carries no schedule fields)."""
+        bit-for-bit, and the backends agree with each other — also over an
+        adaptive fig13-style stream whose re-splits put repartition tasks
+        into the schedules."""
+        backends = ("tasks", "simulated", "parallel")
         fingerprints = {}
         for incremental in (True, False):
             session = make_session(tpch_tables, incremental=incremental)
             session.run(li_join(), adapt=False)
             assert resplit_somewhere(session.table("lineitem"))
             per_backend = {}
-            for backend in ("tasks", "serial", "simulated", "parallel"):
+            for backend in backends:
                 session.use_backend(backend)
-                per_backend[backend] = session.run(li_join(), adapt=False).fingerprint()
-            fingerprints[incremental] = per_backend
+                per_backend[backend] = [session.run(li_join(), adapt=False).fingerprint()]
             if incremental:
                 assert session.cache_stats()["hyper_upgrades"] > 0
+
+            # Adaptive stream: adaptation runs once per query (in plan());
+            # the same physical plan then replays through every backend.
+            repartition_tasks = 0
+            for query in fig13_join_queries(6):
+                physical = session.lower(session.plan(query, adapt=True))
+                repartition_tasks += sum(
+                    task.kind is TaskKind.REPARTITION for task in physical.compiled.tasks
+                )
+                for backend in backends:
+                    session.use_backend(backend)
+                    per_backend[backend].append(session.execute(physical).fingerprint())
+            assert repartition_tasks > 0
+            fingerprints[incremental] = per_backend
             session.close()
         assert fingerprints[True] == fingerprints[False]
-        scheduling = {
-            fingerprints[True][backend]
-            for backend in ("tasks", "simulated", "parallel")
-        }
-        assert len(scheduling) == 1
+        assert len({tuple(fingerprints[True][backend]) for backend in backends}) == 1
 
 
 # --------------------------------------------------------------------- #
-# Calibration satellites
+# Calibration
 # --------------------------------------------------------------------- #
 class TestCalibration:
-    def test_stored_scale_missing_file_is_none(self, tmp_path):
-        assert stored_seconds_per_unit(tmp_path / "nope.json") is None
-
-    def test_stored_scale_bad_json_is_none(self, tmp_path):
-        path = tmp_path / "bench.json"
-        path.write_text("{not json")
-        assert stored_seconds_per_unit(path) is None
-
-    def test_stored_scale_averages_positive_fits(self, tmp_path):
-        path = tmp_path / "bench.json"
-        payload = {
-            "post": {
-                "parallel": {
-                    "calibration": {
-                        "a": {"fitted_seconds_per_unit": 0.002},
-                        "b": {"fitted_seconds_per_unit": 0.004},
-                        "broken": {"fitted_seconds_per_unit": -1.0},
-                    }
-                }
-            }
-        }
-        path.write_text(json.dumps(payload))
-        assert stored_seconds_per_unit(path) == pytest.approx(0.003)
-
     def test_apply_calibration_updates_the_frozen_cost_model(self):
         session = Session(config=AdaptDBConfig(seed=3))
         report = CalibrationReport(workload="w", num_workers=1, repeats=1)
@@ -477,14 +462,4 @@ class TestCalibration:
         report = CalibrationReport(workload="w", num_workers=1, repeats=1)
         report.fitted_seconds_per_unit = 0.0
         assert apply_calibration(session, report) == nominal
-        session.close()
-
-    def test_calibrated_cost_model_config_reads_the_stored_fit(self):
-        expected = stored_seconds_per_unit()
-        session = Session(config=AdaptDBConfig(seed=3, calibrated_cost_model=True))
-        if expected is None:
-            nominal = AdaptDBConfig(seed=3).seconds_per_block
-            assert session.cluster.cost_model.seconds_per_block == nominal
-        else:
-            assert session.cluster.cost_model.seconds_per_block == expected
         session.close()

@@ -1,4 +1,4 @@
-"""End-to-end integration tests: full workloads through the AdaptDB facade.
+"""End-to-end integration tests: full workloads through one ``Session``.
 
 These tests exercise the complete stack (generator → upfront partitioning →
 adaptive repartitioning → optimizer → executor) and check the two global
@@ -14,9 +14,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.baselines import AdaptDBRunner, FullScanBaseline
 from repro.common.rng import make_rng
-from repro.core import AdaptDB, AdaptDBConfig
+from repro.core import AdaptDBConfig
 from repro.workloads.cmt import CMTGenerator
 from repro.workloads.generators import switching_workload
 from repro.workloads.tpch import TPCHGenerator
@@ -33,7 +34,7 @@ def tpch_small():
 class TestTPCHWorkloadEndToEnd:
     def test_switching_workload_answers_match_reference(self, tpch_small):
         config = AdaptDBConfig(rows_per_block=512, buffer_blocks=4, seed=2)
-        db = AdaptDB(config)
+        db = Session(config)
         for table in tpch_small.values():
             db.load_table(table)
         rng = make_rng(17)
@@ -53,7 +54,7 @@ class TestTPCHWorkloadEndToEnd:
 
     def test_rows_never_lost_during_adaptation(self, tpch_small):
         config = AdaptDBConfig(rows_per_block=512, buffer_blocks=4, seed=2)
-        db = AdaptDB(config)
+        db = Session(config)
         for table in tpch_small.values():
             db.load_table(table)
         expected_rows = {name: table.num_rows for name, table in tpch_small.items()}
@@ -66,7 +67,7 @@ class TestTPCHWorkloadEndToEnd:
 
     def test_key_multisets_preserved_after_full_workload(self, tpch_small):
         config = AdaptDBConfig(rows_per_block=512, buffer_blocks=4, seed=2)
-        db = AdaptDB(config)
+        db = Session(config)
         db.load_table(tpch_small["lineitem"])
         db.load_table(tpch_small["orders"])
         original = np.sort(tpch_small["lineitem"].columns["l_orderkey"])
@@ -96,7 +97,7 @@ class TestCMTWorkloadEndToEnd:
         generator = CMTGenerator(scale=0.04, seed=11)
         tables = generator.generate()
         config = AdaptDBConfig(rows_per_block=512, buffer_blocks=4, seed=2)
-        db = AdaptDB(config)
+        db = Session(config)
         for table in tables.values():
             db.load_table(table)
         for query in generator.query_trace(25):
@@ -117,7 +118,7 @@ class TestCMTWorkloadEndToEnd:
     def test_adaptation_creates_trip_id_trees(self):
         generator = CMTGenerator(scale=0.04, seed=11)
         tables = generator.generate()
-        db = AdaptDB(AdaptDBConfig(rows_per_block=512, buffer_blocks=4, seed=2))
+        db = Session(AdaptDBConfig(rows_per_block=512, buffer_blocks=4, seed=2))
         for table in tables.values():
             db.load_table(table)
         for query in generator.query_trace(25):

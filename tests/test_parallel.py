@@ -26,9 +26,10 @@ from repro.common.epochs import PartitionDelta
 from repro.common.predicates import between
 from repro.common.query import join_query, scan_query
 from repro.core import AdaptDBConfig
+from repro.exec import TaskKind
+from repro.exec.kernels_tasks import TaskWork
 from repro.parallel import ParallelBackend, WorkerPool
 from repro.parallel.calibrate import fig08_scan_queries, fig13_join_queries
-from repro.parallel.pool import ShuffleReducePayload
 from repro.common.errors import ExecutionError
 from repro.storage.shared_memory import _attach_untracked
 from repro.workloads.tpch_queries import tpch_query
@@ -220,9 +221,12 @@ class TestSegmentLifecycle:
         script = (
             "import sys; sys.path.insert(0, sys.argv[1])\n"
             "import numpy as np\n"
-            "from repro.parallel.pool import WorkerPool, ShuffleReducePayload\n"
+            "from repro.exec import TaskKind\n"
+            "from repro.exec.kernels_tasks import TaskWork\n"
+            "from repro.parallel.pool import WorkerPool\n"
             "pool = WorkerPool(2)\n"
-            "pool.submit(0, ShuffleReducePayload(0, np.array([1]), np.array([1])))\n"
+            "pool.submit(0, TaskWork(0, TaskKind.SHUFFLE_REDUCE, 0,\n"
+            "    build_keys=np.array([1]), probe_keys=np.array([1])))\n"
             "assert pool.collect(1)[0].rows == 1\n"
             "# worker 1 never ran a task; no close() — just exit\n"
         )
@@ -239,8 +243,10 @@ class TestSegmentLifecycle:
             pool._workers[0].join(timeout=5.0)
             pool.submit(
                 0,
-                ShuffleReducePayload(
+                TaskWork(
                     task_id=0,
+                    kind=TaskKind.SHUFFLE_REDUCE,
+                    machine_id=0,
                     build_keys=np.array([1], dtype=np.int64),
                     probe_keys=np.array([1], dtype=np.int64),
                 ),
@@ -258,7 +264,7 @@ class TestBackendProtocol:
     def test_registered_and_selected_via_config(self, par_session):
         backend = par_session.backends["parallel"]
         assert isinstance(backend, ParallelBackend)
-        assert backend.consumes_schedule is True
+        assert backend.executor is par_session.executor
         assert par_session.backend.name == "parallel"
 
     def test_pool_starts_lazily(self, tpch_tables):
@@ -268,19 +274,5 @@ class TestBackendProtocol:
             assert backend.pool is None
             session.run(scan_query("lineitem", [between("l_quantity", 1, 10)]))
             assert backend.pool is not None and backend.pool.alive
-        finally:
-            session.close()
-
-    def test_handles_schedule_elided_plans(self, tpch_tables):
-        """Plans lowered for the serial backend re-compile on demand."""
-        session = make_session(tpch_tables, execution_backend="serial")
-        try:
-            query = join_query("lineitem", "orders", "l_orderkey", "o_orderkey")
-            physical = session.lower(session.plan(query, adapt=False))
-            assert physical.schedule_elided
-            serial_rows = session.execute(physical).output_rows
-            session.use_backend("parallel")
-            parallel_result = session.execute(physical)
-            assert parallel_result.output_rows == serial_rows
         finally:
             session.close()

@@ -12,6 +12,7 @@ committing the catalog.
 from __future__ import annotations
 
 import os
+import sqlite3
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from repro.common.rng import make_rng
 from repro.common.sanitize import set_sanitize
 from repro.core import AdaptDBConfig
 from repro.storage.dfs import DistributedFileSystem
-from repro.storage.persist import PersistenceManager
+from repro.storage.persist import FORMAT_VERSION, PersistenceManager
 from repro.workloads.generators import switching_workload
 
 
@@ -428,6 +429,34 @@ class TestCheckpointRestore:
     def test_open_requires_a_catalog_and_checkpoint(self, tmp_path):
         with pytest.raises(StorageError, match="no catalog"):
             Session.open(tmp_path / "nowhere")
+
+    def test_open_refuses_another_format_version(self, tmp_path, tpch_tables):
+        """A root checkpointed in another format fails typed, naming both
+        versions, and is left exactly as it was (there is no migration)."""
+        session = load_session(mmap_config(tmp_path), tpch_tables, ("part",))
+        session.checkpoint()
+        root = session.storage_root
+        session.close()
+        stored = FORMAT_VERSION - 1
+        with sqlite3.connect(root / "catalog.sqlite") as conn:
+            conn.execute(
+                "UPDATE meta SET value = ? WHERE key = 'format_version'", (str(stored),)
+            )
+        conn.close()
+
+        def snapshot():
+            return {
+                path.relative_to(root): path.read_bytes()
+                for path in sorted(root.rglob("*"))
+                if path.is_file()
+            }
+
+        before = snapshot()
+        with pytest.raises(
+            StorageError, match=f"version {stored}.*version {FORMAT_VERSION}"
+        ):
+            Session.open(root)
+        assert snapshot() == before
 
     def test_fresh_session_refuses_a_checkpointed_root(self, tmp_path, tpch_tables):
         session = load_session(mmap_config(tmp_path), tpch_tables, ("part",))
