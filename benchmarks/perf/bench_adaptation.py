@@ -297,8 +297,7 @@ def run_incremental_planning_benchmark(
                 cutpoint = low + (high - low) * fraction
                 if cutpoint == node.cutpoint:
                     cutpoint = low + (high - low) * 0.5
-                tree.resplit_node(node, node.attribute, cutpoint)
-                table.resplit_leaf_pair(left_id, right_id, node.attribute, cutpoint)
+                table.resplit(tree_id, node, node.attribute, cutpoint)
                 return True
         return False
 

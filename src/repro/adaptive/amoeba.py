@@ -179,30 +179,17 @@ class AmoebaAdaptor:
                 break
             if id(candidate.node) in applied_nodes:
                 continue
-            moved = self._apply(table, candidate)
+            moved = table.resplit(
+                candidate.tree_id,
+                candidate.node,
+                candidate.new_attribute,
+                candidate.new_cutpoint,
+            )
             applied_nodes.add(id(candidate.node))
             stats.transforms_applied += 1
             stats.blocks_repartitioned += 2
             stats.rows_moved += moved
         return stats
-
-    def _apply(self, table: StoredTable, candidate: TransformCandidate) -> int:
-        """Re-split one bottom-level node and redistribute its two blocks' rows."""
-        node = candidate.node
-        assert node.left is not None and node.right is not None
-        left_id = node.left.block_id
-        right_id = node.right.block_id
-        if left_id is None or right_id is None:
-            return 0
-        # The paired resplit_leaf_pair call directly below bumps the table's
-        # epoch unconditionally, covering this tree mutation — the epoch
-        # checker proves that flow itself, so no suppression is needed.
-        table.tree(candidate.tree_id).resplit_node(
-            node, candidate.new_attribute, candidate.new_cutpoint
-        )
-        return table.resplit_leaf_pair(
-            left_id, right_id, candidate.new_attribute, candidate.new_cutpoint
-        )
 
     # ------------------------------------------------------------------ #
     # Benefit estimation

@@ -1,14 +1,10 @@
 """Whole-program static analysis for the repro codebase's invariants.
 
-Seven checkers enforce contracts that the type system cannot.  They share a
+Five checkers enforce contracts that the type system cannot.  They share a
 project-wide call graph (:class:`~repro.analysis.framework.ProjectGraph`)
-that resolves calls across files and computes fixpoint function summaries,
-so the rules reason interprocedurally rather than one file at a time:
+that resolves calls across files, so the rules reason interprocedurally
+rather than one file at a time:
 
-* **epoch** — every partition-state mutation reaches ``bump_epoch()``
-  before returning, and nothing outside the storage/partitioning layers
-  writes partition state directly (rules ``epoch-discipline``,
-  ``epoch-direct-write``).
 * **determinism** — the fingerprinted layers use no stdlib/global
   randomness, no wall clock, and no unstable set iteration (rules
   ``no-stdlib-random``, ``no-global-numpy-rng``, ``no-wall-clock``,
@@ -17,10 +13,6 @@ so the rules reason interprocedurally rather than one file at a time:
   their key covers (rules ``cache-key-read``, ``cache-key-registration``).
 * **task-purity** — compiled tasks carry ids, never live storage objects
   (rules ``task-purity-field``, ``task-purity-capture``).
-* **deltas** — every mutated block/tree id flows into the
-  ``PartitionDelta`` handed to ``bump_epoch()``; under-description is a
-  gating error, over-description a warning (rules ``delta-completeness``,
-  ``delta-over-description``).
 * **shmem** — code reachable from worker-process entry points never
   writes attached shared-memory arrays, never touches parent-only state,
   and cross-process payloads are frozen dataclasses (rules
@@ -32,20 +24,21 @@ so the rules reason interprocedurally rather than one file at a time:
 
 Run ``python -m repro.analysis [paths...]`` (defaults to the installed
 ``repro`` package tree; ``--rules`` lists every rule, ``--format
-json|sarif`` emits machine-readable reports, ``--baseline`` accepts
-audited legacy findings) or call :func:`analyze_paths` /
-:func:`analyze_source` programmatically.  Suppress a finding with a
+json|sarif`` emits machine-readable reports) or call
+:func:`analyze_paths` / :func:`analyze_source` programmatically.  Suppress a finding with a
 justified ``# repro: allow[rule-id]`` comment on or above its line;
 ``# repro: allow[a, b]`` covers several rules at once.  The runtime twins
 of these contracts live in :mod:`repro.common.sanitize`
-(``REPRO_SANITIZE=1``).
+(``REPRO_SANITIZE=1``).  Epoch discipline and change-descriptor
+completeness are not checked here: they hold by construction in
+:meth:`repro.storage.table.StoredTable.mutation`.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from . import cache_keys, deltas, determinism, epoch, persist, purity, shmem
+from . import cache_keys, determinism, persist, purity, shmem
 from .framework import (
     AnalysisContext,
     Checker,
@@ -57,11 +50,9 @@ from .framework import (
 )
 
 ALL_CHECKERS: tuple[Checker, ...] = (
-    epoch.CHECKER,
     determinism.CHECKER,
     cache_keys.CHECKER,
     purity.CHECKER,
-    deltas.CHECKER,
     shmem.CHECKER,
     persist.CHECKER,
 )

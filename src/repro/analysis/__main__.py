@@ -1,8 +1,8 @@
 """CLI entry point: ``python -m repro.analysis [paths...]``.
 
-Exits 1 when any checker reports an unsuppressed, non-baselined *error*
-— this is the same gate CI's ``static-analysis`` job runs.  Warnings and
-baselined legacy findings are reported but do not fail the build.
+Exits 1 when any checker reports an unsuppressed *error* — this is the
+same gate CI's ``static-analysis`` job runs.  Warnings are reported but do
+not fail the build.
 
 Output formats (``--format``): ``text`` (default, one line per finding),
 ``json`` (stable machine-readable), and ``sarif`` (SARIF 2.1.0, suitable
@@ -19,7 +19,7 @@ import time
 from pathlib import Path
 
 from . import ALL_CHECKERS, ALL_RULES, analyze_paths
-from .report import Baseline, render_report, render_rules
+from .report import render_report, render_rules
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -55,21 +55,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="write the report to this file instead of stdout",
     )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help=(
-            "accepted-findings file; matching findings are reported but do "
-            "not fail the run"
-        ),
-    )
-    parser.add_argument(
-        "--write-baseline",
-        type=Path,
-        default=None,
-        help="write all current findings to this baseline file and exit 0",
-    )
     args = parser.parse_args(argv)
 
     if args.rules == "":
@@ -91,20 +76,6 @@ def main(argv: list[str] | None = None) -> int:
     violations, file_count = analyze_paths(paths, rules=rules)
     elapsed = time.perf_counter() - started
 
-    if args.write_baseline is not None:
-        Baseline.from_violations(violations).write(args.write_baseline)
-        print(
-            f"wrote {len(violations)} finding(s) to {args.write_baseline}",
-            file=sys.stderr,
-        )
-        return 0
-
-    if args.baseline is not None:
-        baseline = Baseline.load(args.baseline)
-        new, baselined = baseline.split(violations)
-    else:
-        new, baselined = list(violations), []
-
     report = render_report(
         args.format, violations, file_count=file_count, checkers=ALL_CHECKERS
     )
@@ -113,11 +84,10 @@ def main(argv: list[str] | None = None) -> int:
     else:
         print(report)
 
-    gating = [violation for violation in new if violation.severity == "error"]
+    gating = [violation for violation in violations if violation.severity == "error"]
     print(
         f"repro.analysis: {file_count} file(s) in {elapsed:.2f}s — "
-        f"{len(gating)} gating, {len(new) - len(gating)} warning(s), "
-        f"{len(baselined)} baselined",
+        f"{len(gating)} gating, {len(violations) - len(gating)} warning(s)",
         file=sys.stderr,
     )
     return 1 if gating else 0

@@ -8,10 +8,10 @@ owns everything they share so each checker file is only its rule logic:
 * :class:`SourceFile` — a parsed file plus its suppression comments.
 * :class:`ProjectGraph` — the whole-program function index and resolved
   call graph (imports, ``self.method()``, annotation-typed receivers),
-  with reachability and a generic summary-fixpoint driver on top.
+  with reachability on top.
 * :class:`AnalysisContext` — cross-file facts gathered in one pre-pass
-  (registered mutators, ``@epoch_keyed`` registrations, return
-  annotations, the project graph) plus a per-run :meth:`cache
+  (``@epoch_keyed`` registrations, return annotations, the project
+  graph) plus a per-run :meth:`cache
   <AnalysisContext.cache>` so whole-program passes compute their
   summaries once instead of per file.
 * :class:`Checker` — name + rule ids + a check callable; the registry in
@@ -167,25 +167,6 @@ def dotted_name(node: ast.expr) -> str | None:
     return None
 
 
-def decorator_names(func: FunctionNode) -> list[str]:
-    """Dotted names of a function's decorators (call decorators unwrapped)."""
-    names: list[str] = []
-    for decorator in func.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        name = dotted_name(target)
-        if name is not None:
-            names.append(name)
-    return names
-
-
-def has_decorator(func: FunctionNode, name: str) -> bool:
-    """Whether ``func`` carries decorator ``name`` (matched on last segment)."""
-    return any(
-        decorated == name or decorated.endswith(f".{name}")
-        for decorated in decorator_names(func)
-    )
-
-
 def epoch_keyed_decorator(func: FunctionNode) -> tuple[str, ...] | None:
     """The literal ``reads=(...)`` of an ``@epoch_keyed`` decorator, if any.
 
@@ -219,12 +200,6 @@ def epoch_keyed_decorator(func: FunctionNode) -> tuple[str, ...] | None:
 #: Module names can collide across analyzed trees (two ``conftest.py``),
 #: file paths cannot.
 FunctionKey = tuple[str, str]
-
-
-def parameter_names(func: FunctionNode) -> list[str]:
-    """Positional + keyword-only parameter names, in declaration order."""
-    args = func.args
-    return [arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
 
 
 def _annotation_class(annotation: ast.expr | None) -> str | None:
@@ -280,7 +255,8 @@ def map_call_arguments(call: ast.Call, callee: "FunctionInfo") -> dict[str, ast.
     parameter is ``self``/``cls``) shift positional arguments by one;
     starred arguments are skipped.
     """
-    params = parameter_names(callee.node)
+    args = callee.node.args
+    params = [arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
     offset = 0
     if params and params[0] in {"self", "cls"} and isinstance(call.func, ast.Attribute):
         offset = 1
@@ -429,27 +405,6 @@ class ProjectGraph:
             stack.extend(self.callees(key) - seen)
         return seen
 
-    def fixpoint_summaries(
-        self,
-        compute: Callable[[FunctionInfo, Mapping[FunctionKey, _S]], _S],
-    ) -> dict[FunctionKey, _S]:
-        """Run ``compute`` over every function until summaries stabilize.
-
-        ``compute`` sees the current summary map and must be monotone
-        (summaries only grow); iteration order is deterministic and the
-        loop stops at the first round with no change.
-        """
-        summaries: dict[FunctionKey, _S] = {}
-        while True:
-            changed = False
-            for key, info in self.functions.items():
-                summary = compute(info, summaries)
-                if summaries.get(key) != summary:
-                    summaries[key] = summary
-                    changed = True
-            if not changed:
-                return summaries
-
 
 def _import_bindings(source: SourceFile) -> dict[str, tuple[str, str | None]]:
     """Local name -> (module, attr) bindings from a module's imports."""
@@ -488,8 +443,6 @@ class AnalysisContext:
     """Cross-file facts shared by all checkers, built in one pre-pass."""
 
     files: list[SourceFile] = field(default_factory=list)
-    #: Method names decorated ``@mutates_partition_state`` anywhere.
-    mutator_names: frozenset[str] = frozenset()
     #: ``(module, qualname) -> declared reads`` for ``@epoch_keyed`` functions.
     epoch_keyed: dict[tuple[str, str], tuple[str, ...]] = field(default_factory=dict)
     #: Function name -> return annotation node (last definition wins).
@@ -512,13 +465,10 @@ class AnalysisContext:
 
     @classmethod
     def build(cls, files: list[SourceFile]) -> "AnalysisContext":
-        mutators: set[str] = set()
         epoch_keyed: dict[tuple[str, str], tuple[str, ...]] = {}
         returns: dict[str, ast.expr] = {}
         for source in files:
             for func, class_name in iter_functions(source.tree):
-                if has_decorator(func, "mutates_partition_state"):
-                    mutators.add(func.name)
                 reads = epoch_keyed_decorator(func)
                 if reads is not None:
                     qualname = f"{class_name}.{func.name}" if class_name else func.name
@@ -527,7 +477,6 @@ class AnalysisContext:
                     returns[func.name] = func.returns
         return cls(
             files=files,
-            mutator_names=frozenset(mutators),
             epoch_keyed=epoch_keyed,
             return_annotations=returns,
             graph=ProjectGraph.build(files),

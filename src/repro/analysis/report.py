@@ -1,22 +1,8 @@
-"""Report rendering (JSON / SARIF 2.1.0) and the violation baseline.
-
-The baseline is a committed JSON file (``analysis_baseline.json`` at the
-repo root) listing *accepted* legacy findings as ``(rule, path, message)``
-triples.  CI runs the checkers with ``--baseline``: a finding matching a
-baseline triple is reported but does not fail the build, so legacy
-suppressions stay auditable in one reviewable file while any *new*
-violation (different rule, file, or message) still gates.  Matching is
-deliberately count-insensitive — two identical findings on different
-lines of the same file match one triple — because line numbers churn with
-unrelated edits; tightening a file past its baseline is done by
-regenerating the file with ``--write-baseline``.
-"""
+"""Report rendering: text, stable JSON and SARIF 2.1.0."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from .framework import Checker, Violation
@@ -102,64 +88,6 @@ def violations_to_sarif(
     }
 
 
-@dataclass(frozen=True)
-class Baseline:
-    """Accepted legacy findings, matched on ``(rule, path, message)``."""
-
-    entries: frozenset[tuple[str, str, str]]
-
-    @classmethod
-    def load(cls, path: Path) -> "Baseline":
-        data = json.loads(path.read_text(encoding="utf-8"))
-        entries = frozenset(
-            (str(entry["rule"]), str(entry["path"]), str(entry["message"]))
-            for entry in data.get("violations", [])
-        )
-        return cls(entries=entries)
-
-    @classmethod
-    def from_violations(cls, violations: Iterable[Violation]) -> "Baseline":
-        return cls(
-            entries=frozenset(
-                (violation.rule, violation.path, violation.message)
-                for violation in violations
-            )
-        )
-
-    def contains(self, violation: Violation) -> bool:
-        key = (violation.rule, violation.path, violation.message)
-        return key in self.entries
-
-    def split(
-        self, violations: Sequence[Violation]
-    ) -> tuple[list[Violation], list[Violation]]:
-        """Partition into (new, baselined) findings."""
-        new: list[Violation] = []
-        baselined: list[Violation] = []
-        for violation in violations:
-            (baselined if self.contains(violation) else new).append(violation)
-        return new, baselined
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "comment": (
-                "Accepted legacy findings; matched count-insensitively on "
-                "(rule, path, message). Regenerate with "
-                "python -m repro.analysis --write-baseline after an "
-                "intentional change."
-            ),
-            "violations": [
-                {"rule": rule, "path": path, "message": message}
-                for rule, path, message in sorted(self.entries)
-            ],
-        }
-
-    def write(self, path: Path) -> None:
-        path.write_text(
-            json.dumps(self.to_json(), indent=2) + "\n", encoding="utf-8"
-        )
-
-
 def render_rules(checkers: Iterable[Checker]) -> str:
     """The ``--rules`` listing: every rule id with its one-line contract."""
     lines: list[str] = []
@@ -197,7 +125,6 @@ def render_report(
 
 
 __all__ = [
-    "Baseline",
     "SARIF_SCHEMA",
     "SARIF_VERSION",
     "render_report",

@@ -1,35 +1,26 @@
-"""Markers that make the epoch/caching contract machine-checkable.
+"""The epoch/caching contract: change descriptors and the cache-key marker.
 
 The plan cache and the hyper-plan memo are sound only because every
-partition-state mutation bumps the owning table's epoch.  That contract
-used to live in docstrings; this module turns it into two lightweight
-decorators that ``repro.analysis`` (and code reviewers) can key off:
+partition-state mutation advances the owning table's epoch and describes
+itself.  Both halves hold by construction: partition state changes only
+inside :meth:`repro.storage.table.StoredTable.mutation`, whose primitives
+record every block and tree id they touch into a **change descriptor**
+(:class:`PartitionDelta`) and whose exit is the one place the epoch
+advances.  Descriptors are kept in a bounded per-table delta chain
+(:meth:`repro.storage.table.StoredTable.delta_between`), which is what
+lets the planning layers *patch* cached overlap matrices, groupings and
+compiled schedules across epoch bumps instead of recomputing them.
 
-``@mutates_partition_state``
-    Marks a helper method that writes partition state on behalf of its
-    callers.  The helper itself is exempt from the bump-on-every-path
-    rule, but every *call site* of a marked method counts as a mutation
-    and must therefore reach ``bump_epoch()``.
+The read side is still declared by hand:
 
 ``@epoch_keyed(reads=(...))``
     Marks a function whose result is cached under an epoch-derived key.
     ``reads`` declares which mutable table/tree attributes the function
     is allowed to touch — anything it reads must either be immutable or
     covered by the epoch in its cache key.  The static checker rejects
-    reads outside the declared set.
-
-Both decorators only attach attributes; they add no call overhead and
-import nothing from the rest of the package.
-
-Since the incremental plan-state maintenance work, a bump additionally
-carries a **change descriptor** (:class:`PartitionDelta`): which blocks
-were rewritten or dropped and which trees were re-split, added or
-removed.  Descriptors are recorded in a bounded per-table delta chain
-(:meth:`repro.storage.table.StoredTable.delta_between`), which is what
-lets the planning layers *patch* cached overlap matrices, groupings and
-compiled schedules across epoch bumps instead of recomputing them.  The
-``epoch-descriptor`` static rule rejects any ``bump_epoch()`` call that
-does not pass one.
+    reads outside the declared set.  The decorator only attaches an
+    attribute; it adds no call overhead and imports nothing from the rest
+    of the package.
 """
 
 from __future__ import annotations
@@ -39,22 +30,8 @@ from typing import Callable, Iterable, TypeVar
 
 F = TypeVar("F", bound=Callable[..., object])
 
-#: Attribute set on functions wrapped by :func:`mutates_partition_state`.
-MUTATOR_ATTR = "__repro_mutates_partition_state__"
-
 #: Attribute set on functions wrapped by :func:`epoch_keyed`.
 EPOCH_KEYED_ATTR = "__repro_epoch_keyed_reads__"
-
-
-def mutates_partition_state(func: F) -> F:
-    """Mark ``func`` as a partition-state mutator.
-
-    Call sites of the decorated method are treated as mutations by the
-    epoch-discipline checker: the calling method must bump the table
-    epoch on every path (or be a marked mutator itself).
-    """
-    setattr(func, MUTATOR_ATTR, True)
-    return func
 
 
 def epoch_keyed(*, reads: tuple[str, ...] = ()) -> Callable[[F], F]:
@@ -74,11 +51,6 @@ def epoch_keyed(*, reads: tuple[str, ...] = ()) -> Callable[[F], F]:
     return decorate
 
 
-def is_partition_mutator(func: object) -> bool:
-    """Whether ``func`` was marked with :func:`mutates_partition_state`."""
-    return bool(getattr(func, MUTATOR_ATTR, False))
-
-
 def epoch_keyed_reads(func: object) -> tuple[str, ...] | None:
     """The declared ``reads`` of an epoch-keyed function, or ``None``."""
     reads = getattr(func, EPOCH_KEYED_ATTR, None)
@@ -91,13 +63,11 @@ def epoch_keyed_reads(func: object) -> tuple[str, ...] | None:
 class PartitionDelta:
     """Change descriptor for one (or a merged run of) epoch bump(s).
 
-    Every ``bump_epoch(delta)`` call records one of these in the owning
-    table's bounded delta chain.  The descriptor is deliberately *mutable*:
-    the epoch-discipline checker requires the bump to precede the mutation,
-    so the mutating method registers the descriptor first and fills in the
-    affected ids as the mutation proceeds — by the time any planning layer
-    reads the chain (always after the mutation returned), the descriptor is
-    complete.
+    ``StoredTable.mutation()`` opens one, the mutation primitives add the
+    ids they touch while the mutation runs (which is why the sets are
+    mutable), and the context's exit appends it to the owning table's
+    bounded delta chain.  The chain therefore only ever holds descriptors of
+    mutations that have finished, and nothing writes to one after that.
 
     Attributes:
         blocks_changed: Block ids whose *contents* (rows, and therefore
@@ -132,12 +102,17 @@ class PartitionDelta:
         for delta in deltas:
             if delta.full:
                 return cls.full_change()
-            result.blocks_changed |= delta.blocks_changed
-            result.blocks_dropped |= delta.blocks_dropped
-            result.trees_resplit |= delta.trees_resplit
-            result.trees_added |= delta.trees_added
-            result.trees_dropped |= delta.trees_dropped
+            result.include(delta)
         return result
+
+    def include(self, other: "PartitionDelta") -> None:
+        """Add everything ``other`` describes to this descriptor, in place."""
+        self.blocks_changed |= other.blocks_changed
+        self.blocks_dropped |= other.blocks_dropped
+        self.trees_resplit |= other.trees_resplit
+        self.trees_added |= other.trees_added
+        self.trees_dropped |= other.trees_dropped
+        self.full = self.full or other.full
 
     @property
     def touched_blocks(self) -> set[int]:

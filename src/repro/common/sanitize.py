@@ -9,11 +9,13 @@ rather than merely audited:
   :func:`freeze_attached` flips ``writeable=False`` on every attached
   array, so a worker write the static checker missed raises
   ``ValueError`` at the write site instead of corrupting parent blocks.
-* Every ``bump_epoch(delta)`` cross-checks the *previous* bump's
+* Every ``StoredTable.mutation()`` exit cross-checks that mutation's
   descriptor against the partition-state changes actually observed since
-  (:class:`PartitionStateSnapshot`) — an under-described delta raises
-  :class:`SanitizeError` naming the missing ids, the dynamic twin of the
-  ``delta-completeness`` rule.
+  the previous mutation's exit (:class:`PartitionStateSnapshot`) — a
+  change the primitives did not record raises :class:`SanitizeError`
+  naming the missing ids.  The primitives make under-description
+  unwritable through the table's own API; this is the independent oracle
+  for writes that go around them.
 * Cache-serve paths assert their container copies do not alias the
   cached entry (:func:`assert_unaliased`, :func:`assert_no_shared_memory`)
   so a caller mutating a served plan can never poison the cache.
@@ -107,42 +109,26 @@ def assert_no_shared_memory(
 
 @dataclass
 class PartitionStateSnapshot:
-    """Observable partition state at one bump, plus that bump's descriptor.
+    """Observable partition state as of one mutation's exit (or a restore).
 
-    Captured by ``StoredTable.bump_epoch`` when the sanitizer is on;
-    verified at the *next* bump (the bump-before-mutate discipline means a
-    descriptor is complete only once its mutation finished, which is
-    guaranteed by the time any later bump runs).
+    Captured by ``StoredTable`` when the sanitizer is on and verified at
+    the exit of the next mutation, against that mutation's descriptor.
     """
 
     block_rows: dict[int, int]
     tree_ids: frozenset[int]
-    delta: PartitionDelta
 
     @classmethod
-    def capture(
-        cls, table: "StoredTable", delta: PartitionDelta
-    ) -> "PartitionStateSnapshot":
+    def capture(cls, table: "StoredTable") -> "PartitionStateSnapshot":
         return cls(
-            block_rows=dict(table._block_rows),
-            tree_ids=frozenset(table.trees),
-            delta=delta,
+            block_rows=dict(table._block_rows), tree_ids=frozenset(table.trees)
         )
 
-    def verify(
-        self, table: "StoredTable", incoming: PartitionDelta | None = None
-    ) -> None:
-        """Raise :class:`SanitizeError` if observed changes exceed the descriptor.
-
-        ``incoming`` is the descriptor of the bump triggering this check.
-        A *full* incoming descriptor skips verification: full-change paths
-        (initial load, full repartitioning) legitimately mutate state just
-        before their own bump, and the blanket descriptor covers those
-        mutations for every chain consumer.
-        """
-        if self.delta.full or (incoming is not None and incoming.full):
+    def verify(self, table: "StoredTable", delta: PartitionDelta) -> None:
+        """Raise :class:`SanitizeError` if changes since this snapshot exceed ``delta``."""
+        if delta.full:
             return
-        described_blocks = self.delta.blocks_changed | self.delta.blocks_dropped
+        described_blocks = delta.touched_blocks
         missing: list[str] = []
         observed_rows = table._block_rows
         for block_id, rows in observed_rows.items():
@@ -156,15 +142,15 @@ class PartitionStateSnapshot:
                 missing.append(f"block {block_id} removed")
         observed_trees = frozenset(table.trees)
         for tree_id in sorted(observed_trees - self.tree_ids):
-            if tree_id not in self.delta.trees_added:
+            if tree_id not in delta.trees_added:
                 missing.append(f"tree {tree_id} added")
         for tree_id in sorted(self.tree_ids - observed_trees):
-            if tree_id not in self.delta.trees_dropped:
+            if tree_id not in delta.trees_dropped:
                 missing.append(f"tree {tree_id} removed")
         if missing:
             raise SanitizeError(
-                f"table {table.name!r}: the last PartitionDelta "
-                "under-describes the mutation that followed it: "
+                f"table {table.name!r}: the mutation's PartitionDelta "
+                "under-describes the changes observed at its exit: "
                 + "; ".join(sorted(missing))
             )
 

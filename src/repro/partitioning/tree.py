@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..common.epochs import mutates_partition_state
 from ..common.errors import PartitioningError
 from ..common.predicates import Predicate
 
@@ -205,7 +204,6 @@ class PartitioningTree:
             ]
         return list(compiled.all_block_ids)
 
-    @mutates_partition_state
     def assign_block_ids(self, block_ids: list[int]) -> None:
         """Bind leaf nodes to DFS block ids, left to right.
 
@@ -262,7 +260,6 @@ class PartitioningTree:
             tree_id=self.tree_id,
         )
 
-    @mutates_partition_state
     def resplit_node(self, node: TreeNode, attribute: str, cutpoint: float) -> None:
         """Change an internal node's split attribute/cutpoint (Amoeba transform).
 

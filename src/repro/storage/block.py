@@ -30,7 +30,6 @@ from typing import Callable
 
 import numpy as np
 
-from ..common.epochs import mutates_partition_state
 from ..common.errors import StorageError
 from ..common.predicates import Predicate, rows_matching
 from ..common.schema import Schema
@@ -161,7 +160,6 @@ class Block:
     # ------------------------------------------------------------------ #
     # Mutation (append path)
     # ------------------------------------------------------------------ #
-    @mutates_partition_state
     def append_rows(
         self,
         rows: dict[str, np.ndarray],
@@ -222,7 +220,6 @@ class Block:
             ranges[name] = (lo, hi)
         return added
 
-    @mutates_partition_state
     def replace_columns(self, columns: dict[str, np.ndarray]) -> None:
         """Replace the block's contents and recompute ranges and size exactly.
 

@@ -12,7 +12,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..common.epochs import mutates_partition_state
 from ..common.errors import StorageError
 from ..common.rng import make_rng
 from ..cluster.cluster import Cluster
@@ -80,14 +79,12 @@ class DistributedFileSystem:
     # ------------------------------------------------------------------ #
     # Block lifecycle
     # ------------------------------------------------------------------ #
-    @mutates_partition_state
     def allocate_block_id(self) -> int:
         """Reserve and return a fresh globally unique block id."""
         block_id = self._next_block_id
         self._next_block_id += 1
         return block_id
 
-    @mutates_partition_state
     def put_block(self, block: Block, machine_ids: Sequence[int] | None = None) -> int:
         """Store ``block`` and place its replicas on machines.
 
@@ -121,14 +118,12 @@ class DistributedFileSystem:
             self.buffer.admit(block)
         return block.block_id
 
-    @mutates_partition_state
     def create_block(self, table: str, columns: dict[str, np.ndarray]) -> Block:
         """Allocate an id, build a :class:`Block` for ``table`` and store it."""
         block = Block(block_id=self.allocate_block_id(), table=table, columns=columns)
         self.put_block(block)
         return block
 
-    @mutates_partition_state
     def delete_block(self, block_id: int) -> None:
         """Remove a block and all its replicas."""
         if block_id not in self._blocks:
@@ -142,7 +137,6 @@ class DistributedFileSystem:
         if self.block_store is not None:
             self.block_store.forget_block(block_id)
 
-    @mutates_partition_state
     def restore_block_counter(self, next_block_id: int) -> None:
         """Resume id allocation where a checkpointed session left off."""
         if next_block_id < self._next_block_id:

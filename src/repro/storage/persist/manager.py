@@ -322,7 +322,6 @@ class PersistenceManager:
                 _non_empty=non_empty,
                 _total_rows=payload["total_rows"],
             )
-            table.arm_sanitize_snapshot()
             session.catalog.register(table)
 
         rng_states = catalog.require_meta("rng")

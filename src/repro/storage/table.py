@@ -19,16 +19,18 @@ times per query.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
-from ..common.epochs import PartitionDelta, mutates_partition_state
+from ..common.epochs import PartitionDelta
 from ..common.errors import PartitioningError, StorageError
 from ..common.sanitize import PartitionStateSnapshot, sanitize_enabled
 from ..common.predicates import Predicate
 from ..common.schema import Schema
-from ..partitioning.tree import PartitioningTree
+from ..partitioning.tree import PartitioningTree, TreeNode
 from .block import Block, compute_ranges, concatenate_columns
 from .dfs import DistributedFileSystem
 from .sampling import sample_columns
@@ -89,11 +91,14 @@ class StoredTable:
         sample: Retained row sample used to build new trees later.
         rows_per_block: Target rows per block, used to size new trees.
 
-    Every mutation of the table's partition state (loading a tree, smooth
-    block migration, an Amoeba re-split, a full repartitioning, dropping a
-    drained tree) bumps the table's :attr:`epoch` and records a
-    :class:`~repro.common.epochs.PartitionDelta` describing exactly which
-    blocks and trees changed.  Planning layers key their caches on
+    Partition state (block contents, the block set, the tree set, split
+    nodes) changes only inside ``with table.mutation() as delta:``.  The
+    mutation primitives below record every block and tree id they touch
+    into the open :class:`~repro.common.epochs.PartitionDelta` and refuse to
+    run without one; the context's exit is the only place the
+    :attr:`epoch` advances and the descriptor joins the delta chain.  A
+    mutation therefore cannot skip its bump or under-describe itself.
+    Planning layers key their caches on
     ``(table, epoch)`` pairs: an unchanged epoch guarantees that block
     contents, block ranges and tree structure are all unchanged, so a cached
     plan replays bit-identically; on a changed epoch they consult
@@ -110,8 +115,9 @@ class StoredTable:
     _block_to_tree: dict[int, int] = field(default_factory=dict)
     _next_tree_id: int = 0
     _epoch: int = field(default=0, repr=False)
-    #: Maximum recorded change descriptors; past it, old epochs merge into a
-    #: blanket "full" sentinel and consumers fall back to a cold recompute.
+    #: Maximum recorded change descriptors; past it the oldest are dropped,
+    #: :meth:`delta_between` returns ``None`` for spans reaching back that
+    #: far, and consumers fall back to a cold recompute.
     delta_chain_limit: int = 64
     _delta_chain: list[tuple[int, PartitionDelta]] = field(
         default_factory=list, repr=False
@@ -123,11 +129,18 @@ class StoredTable:
     _non_empty: dict[int, set[int]] = field(default_factory=dict, repr=False)
     _total_rows: int = field(default=0, repr=False)
     _empty_template: dict[str, np.ndarray] | None = field(default=None, repr=False)
-    # Sanitizer state (REPRO_SANITIZE=1): the previous bump's snapshot,
-    # verified against observed changes at the next bump.
+    # The descriptor of the mutation in progress (``None`` between mutations).
+    _open_delta: PartitionDelta | None = field(default=None, repr=False, compare=False)
+    # Sanitizer state (REPRO_SANITIZE=1): the partition state as of the last
+    # mutation's exit (or construction), checked at the next mutation's exit.
     _sanitize_snapshot: PartitionStateSnapshot | None = field(
         default=None, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        # A table restored from a checkpoint arrives fully populated: this
+        # baseline makes its first mutation checked like any later one.
+        self._sanitize_rebase(None)
 
     # ------------------------------------------------------------------ #
     # Loading
@@ -154,40 +167,9 @@ class StoredTable:
             sample=table.sample(sample_size, rng),
             rows_per_block=rows_per_block,
         )
-        stored._materialize_tree(tree, table.columns, PartitionDelta.full_change())
+        with stored.mutation(full=True):
+            stored._materialize_tree(tree, table.columns)
         return stored
-
-    def _materialize_tree(
-        self,
-        tree: PartitioningTree,
-        columns: dict[str, np.ndarray],
-        delta: PartitionDelta,
-    ) -> int:
-        """Bind ``tree``'s leaves to new blocks filled with ``columns``' rows."""
-        self.bump_epoch(delta)
-        tree_id = self._next_tree_id
-        self._next_tree_id += 1
-        tree.tree_id = tree_id
-        delta.trees_added.add(tree_id)
-        self._tree_blocks[tree_id] = []
-        self._tree_rows[tree_id] = 0
-        self._non_empty[tree_id] = set()
-
-        leaf_indices = tree.route_rows(columns) if columns else np.zeros(0, dtype=np.int64)
-        num_leaves = tree.num_leaves
-        block_ids: list[int] = []
-        for leaf in range(num_leaves):
-            row_mask = leaf_indices == leaf
-            leaf_columns = {
-                name: np.asarray(array[row_mask]) for name, array in columns.items()
-            } if columns else self._empty_columns()
-            block = self.dfs.create_block(self.name, leaf_columns)
-            block_ids.append(block.block_id)
-            delta.blocks_changed.add(block.block_id)
-            self._register_block(block.block_id, tree_id, block.num_rows)
-        tree.assign_block_ids(block_ids)
-        self.trees[tree_id] = tree
-        return tree_id
 
     def _empty_columns(self) -> dict[str, np.ndarray]:
         """Zero-row column arrays matching the schema.
@@ -211,59 +193,70 @@ class StoredTable:
         """Monotonically increasing partition-state version of the table."""
         return self._epoch
 
-    def bump_epoch(self, delta: PartitionDelta) -> int:
-        """Advance the partition-state epoch, recording what changed.
+    @contextmanager
+    def mutation(self, full: bool = False) -> Iterator[PartitionDelta]:
+        """Open the one context in which partition state may change.
 
-        ``delta`` describes the mutation the caller is about to perform (the
-        bump-before-mutate discipline means the descriptor may still be
-        empty here — callers fill it in as the mutation proceeds, and the
-        chain is only read after mutations complete).  The chain is bounded
-        by :attr:`delta_chain_limit`; older entries are dropped, which makes
-        :meth:`delta_between` return ``None`` (= recompute) for spans that
-        reach past the retained window.
+        The primitives record what they touch into the mutation's change
+        descriptor as they run.  The yielded descriptor is a second, empty
+        one for the caller: ids added to it are included at exit
+        (over-description is always sound), and what the primitives recorded
+        is out of the caller's reach.  On exit — normal or by exception, so
+        a half-finished mutation is still announced — the epoch advances
+        once and the descriptor joins the delta chain, unless nothing was
+        recorded and ``full`` is false.  The chain is bounded by
+        :attr:`delta_chain_limit`.
 
-        Under ``REPRO_SANITIZE=1`` each bump first cross-checks the
-        previous bump's descriptor against the partition-state changes
-        actually observed since (by then its mutation has completed), then
-        snapshots the current state for the next check.
+        Under ``REPRO_SANITIZE=1`` the exit also cross-checks the descriptor
+        against the partition-state changes observed since the previous
+        mutation's exit (:class:`~repro.common.sanitize.SanitizeError`).
+
+        Args:
+            full: Blanket change (initial load, full repartitioning) —
+                always bumps, and consumers recompute from scratch.
+
+        Raises:
+            StorageError: if a mutation is already open; they do not nest.
         """
-        if sanitize_enabled():
-            self.verify_pending_delta(delta)
-        self._epoch += 1
-        self._delta_chain.append((self._epoch, delta))
-        if len(self._delta_chain) > self.delta_chain_limit:
-            del self._delta_chain[: -self.delta_chain_limit]
-        if sanitize_enabled():
-            self._sanitize_snapshot = PartitionStateSnapshot.capture(self, delta)
-        return self._epoch
+        if self._open_delta is not None:
+            raise StorageError(f"table {self.name!r}: mutation() does not nest")
+        delta = PartitionDelta(full=full)
+        self._open_delta = delta
+        added_by_caller = PartitionDelta()
+        try:
+            yield added_by_caller
+        finally:
+            self._open_delta = None
+            delta.include(added_by_caller)
+            if delta != PartitionDelta():  # something recorded, or full
+                self._epoch += 1
+                self._delta_chain.append((self._epoch, delta))
+                if len(self._delta_chain) > self.delta_chain_limit:
+                    del self._delta_chain[: -self.delta_chain_limit]
+            self._sanitize_rebase(delta)
 
-    def verify_pending_delta(self, incoming: PartitionDelta | None = None) -> None:
-        """Sanitizer: check the last bump's descriptor against observed changes.
-
-        A no-op when no snapshot is pending (sanitizer off, or no bump since
-        the last verification).  ``incoming`` is the descriptor of the bump
-        that triggered the check, if any.  Raises
-        :class:`~repro.common.sanitize.SanitizeError` on an under-described
-        descriptor.
-        """
-        snapshot = self._sanitize_snapshot
-        self._sanitize_snapshot = None
-        if snapshot is not None:
-            snapshot.verify(self, incoming)
-
-    def arm_sanitize_snapshot(self) -> None:
-        """Snapshot the current state as the sanitizer baseline (restore path).
-
-        A restored table has no pending bump, but under ``REPRO_SANITIZE=1``
-        the *next* bump should still be cross-checked against the state the
-        checkpoint reinstated — so restore arms an empty-delta snapshot,
-        making change descriptors verified across a restart exactly as they
-        are within one process.  A no-op when the sanitizer is off.
-        """
-        if sanitize_enabled():
-            self._sanitize_snapshot = PartitionStateSnapshot.capture(
-                self, PartitionDelta()
+    def _recording(self) -> PartitionDelta:
+        """The open mutation's descriptor; primitives call this before they write."""
+        if self._open_delta is None:
+            raise StorageError(
+                f"table {self.name!r}: partition state may only change inside mutation()"
             )
+        return self._open_delta
+
+    def _sanitize_rebase(self, delta: PartitionDelta | None) -> None:
+        """Sanitizer: check observed changes against ``delta``, then re-baseline.
+
+        ``delta`` is the descriptor of the mutation that just exited, or
+        ``None`` when there is nothing to check yet (construction).  Every
+        row-count, block-set or tree-set difference from the previous
+        baseline must be inside it.  A no-op with the sanitizer off.
+        """
+        previous, self._sanitize_snapshot = self._sanitize_snapshot, None
+        if not sanitize_enabled():
+            return
+        if previous is not None and delta is not None:
+            previous.verify(self, delta)
+        self._sanitize_snapshot = PartitionStateSnapshot.capture(self)
 
     def delta_between(self, start_epoch: int, end_epoch: int) -> PartitionDelta | None:
         """Merged change descriptor covering ``(start_epoch, end_epoch]``.
@@ -288,11 +281,37 @@ class StoredTable:
         )
 
     # ------------------------------------------------------------------ #
-    # Statistics cache maintenance
+    # Mutation primitives (the only code that writes partition state)
     # ------------------------------------------------------------------ #
-    @mutates_partition_state
+    def _materialize_tree(self, tree: PartitioningTree, columns: dict[str, np.ndarray]) -> int:
+        """Bind ``tree``'s leaves to new blocks filled with ``columns``' rows."""
+        delta = self._recording()
+        tree_id = self._next_tree_id
+        self._next_tree_id += 1
+        tree.tree_id = tree_id
+        delta.trees_added.add(tree_id)
+        self._tree_blocks[tree_id] = []
+        self._tree_rows[tree_id] = 0
+        self._non_empty[tree_id] = set()
+
+        leaf_indices = tree.route_rows(columns) if columns else np.zeros(0, dtype=np.int64)
+        num_leaves = tree.num_leaves
+        block_ids: list[int] = []
+        for leaf in range(num_leaves):
+            row_mask = leaf_indices == leaf
+            leaf_columns = {
+                name: np.asarray(array[row_mask]) for name, array in columns.items()
+            } if columns else self._empty_columns()
+            block = self.dfs.create_block(self.name, leaf_columns)
+            block_ids.append(block.block_id)
+            self._register_block(block.block_id, tree_id, block.num_rows)
+        tree.assign_block_ids(block_ids)
+        self.trees[tree_id] = tree
+        return tree_id
+
     def _register_block(self, block_id: int, tree_id: int, num_rows: int) -> None:
         """Record a freshly created block in the statistics caches."""
+        self._recording().blocks_changed.add(block_id)
         self._block_to_tree[block_id] = tree_id
         self._block_rows[block_id] = num_rows
         self._tree_blocks[tree_id].append(block_id)
@@ -301,7 +320,33 @@ class StoredTable:
         if num_rows:
             self._non_empty[tree_id].add(block_id)
 
-    @mutates_partition_state
+    def _open_block(self, block_id: int) -> Block:
+        """The block about to be rewritten in place, recorded as changed."""
+        self._recording().blocks_changed.add(block_id)
+        return self.dfs.peek_block(block_id)
+
+    def _append_rows(
+        self,
+        block_id: int,
+        rows: dict[str, np.ndarray],
+        chunk_ranges: dict[str, tuple[float, float]] | None = None,
+    ) -> None:
+        """Append ``rows`` to an existing block and update the cached stats."""
+        block = self._open_block(block_id)
+        block.append_rows(rows, chunk_ranges)
+        self._set_block_rows(block_id, block.num_rows)
+
+    def _clear_block(self, block_id: int) -> None:
+        """Empty a block in place (its rows have been migrated elsewhere)."""
+        self._open_block(block_id).clear(self._empty_columns())
+        self._set_block_rows(block_id, 0)
+
+    def _rewrite_block(self, block_id: int, columns: dict[str, np.ndarray]) -> None:
+        """Replace a block's contents wholesale (one side of a re-split)."""
+        block = self._open_block(block_id)
+        block.replace_columns(columns)
+        self._set_block_rows(block_id, block.num_rows)
+
     def _set_block_rows(self, block_id: int, num_rows: int) -> None:
         """Propagate a block's new row count through the caches."""
         previous = self._block_rows[block_id]
@@ -317,18 +362,22 @@ class StoredTable:
         else:
             self._non_empty[tree_id].discard(block_id)
 
-    @mutates_partition_state
     def _forget_tree(self, tree_id: int) -> None:
-        """Drop a tree's cache entries, including its blocks' per-block stats.
+        """Delete a tree, its blocks and all their cache entries.
 
-        Blocks are only ever deleted together with their tree, so per-block
-        eviction is handled here rather than by a standalone helper.
+        Blocks are only ever deleted together with their tree, so there is
+        no standalone block-deletion primitive.
         """
+        delta = self._recording()
+        delta.trees_dropped.add(tree_id)
         for block_id in self._tree_blocks.pop(tree_id):
+            delta.blocks_dropped.add(block_id)
+            self.dfs.delete_block(block_id)
             del self._block_to_tree[block_id]
             self._total_rows -= self._block_rows.pop(block_id)
         del self._tree_rows[tree_id]
         del self._non_empty[tree_id]
+        del self.trees[tree_id]
 
     def audit_cached_statistics(self) -> None:
         """Verify every cached statistic against a brute-force DFS scan.
@@ -379,7 +428,8 @@ class StoredTable:
         Returns:
             The id assigned to the new tree.
         """
-        return self._materialize_tree(tree, {}, PartitionDelta())
+        with self.mutation():
+            return self._materialize_tree(tree, {})
 
     def tree(self, tree_id: int) -> PartitioningTree:
         """Return the tree with the given id."""
@@ -507,8 +557,6 @@ class StoredTable:
             sources.append((block_id, source))
         if not sources:
             return stats
-        delta = PartitionDelta(blocks_changed={block_id for block_id, _ in sources})
-        self.bump_epoch(delta)
 
         # Route the union of all source rows once, then group by target leaf
         # with one stable sort (rows keep source order, and their original
@@ -544,79 +592,64 @@ class StoredTable:
             name: np.maximum.reduceat(values, starts)
             for name, values in sorted_columns.items()
         }
-        for position, leaf_position in enumerate(unique_leaves):
-            delta.blocks_changed.add(target_block_ids[int(leaf_position)])
-            segment = slice(boundaries[position], boundaries[position + 1])
-            rows = {name: values[segment] for name, values in sorted_columns.items()}
-            chunk_ranges = {
-                name: (float(leaf_mins[name][position]), float(leaf_maxs[name][position]))
-                for name in sorted_columns
-            }
-            self._append_rows(target_block_ids[int(leaf_position)], rows, chunk_ranges)
-        for block_id, _ in sources:
-            self._clear_block(block_id)
+        # The descriptor ends up as the non-empty foreign sources plus the
+        # target leaves that received rows.
+        with self.mutation():
+            for position, leaf_position in enumerate(unique_leaves):
+                segment = slice(boundaries[position], boundaries[position + 1])
+                rows = {name: values[segment] for name, values in sorted_columns.items()}
+                chunk_ranges = {
+                    name: (float(leaf_mins[name][position]), float(leaf_maxs[name][position]))
+                    for name in sorted_columns
+                }
+                self._append_rows(target_block_ids[int(leaf_position)], rows, chunk_ranges)
+            for block_id, _ in sources:
+                self._clear_block(block_id)
 
         stats.target_blocks_touched = len(unique_leaves)
         return stats
 
-    @mutates_partition_state
-    def _append_rows(
-        self,
-        block_id: int,
-        rows: dict[str, np.ndarray],
-        chunk_ranges: dict[str, tuple[float, float]] | None = None,
-    ) -> None:
-        """Append ``rows`` to an existing block and update the cached stats."""
-        block = self.dfs.peek_block(block_id)
-        block.append_rows(rows, chunk_ranges)
-        self._set_block_rows(block_id, block.num_rows)
-
-    @mutates_partition_state
-    def _clear_block(self, block_id: int) -> None:
-        """Empty a block in place (its rows have been migrated elsewhere)."""
-        block = self.dfs.peek_block(block_id)
-        block.clear(self._empty_columns())
-        self._set_block_rows(block_id, 0)
-
-    def resplit_leaf_pair(
-        self, left_id: int, right_id: int, attribute: str, cutpoint: float
+    def resplit(
+        self, tree_id: int, node: TreeNode, attribute: str, cutpoint: float
     ) -> int:
-        """Redistribute two sibling leaf blocks' rows across a new cutpoint.
+        """Apply one Amoeba transform: re-split ``node`` and its two leaf blocks.
 
-        This is the storage half of an Amoeba transform (the tree half is
-        :meth:`PartitioningTree.resplit_node`): the two blocks' rows are
-        merged and re-split on ``attribute <= cutpoint``, block metadata is
-        recomputed, and the cached statistics are updated.  If the blocks do
-        not store ``attribute`` (or hold no rows) nothing is rewritten.
+        ``node`` must be a bottom-level internal node of tree ``tree_id``
+        (both children are leaves).  Its split becomes ``attribute <=
+        cutpoint`` and the two blocks' rows are merged and redistributed
+        across the new cutpoint.  If the blocks do not store ``attribute``
+        (or hold no rows) no rows are rewritten.
 
         Returns:
             The number of rows redistributed.
         """
-        # The caller (the Amoeba adaptor) has already re-split the owning
-        # tree's node, so lookups changed even when no rows end up moving —
-        # the epoch must advance unconditionally.
-        self.bump_epoch(
-            PartitionDelta(
-                blocks_changed={left_id, right_id},
-                trees_resplit={self.tree_of_block(left_id)},
-            )
-        )
-        left_block = self.dfs.peek_block(left_id)
-        right_block = self.dfs.peek_block(right_id)
-        merged = {
-            name: np.concatenate([left_block.columns[name], right_block.columns[name]])
-            for name in left_block.columns
-        }
-        rows_moved = len(next(iter(merged.values()))) if merged else 0
-        values = merged.get(attribute)
-        if values is None or rows_moved == 0:
-            return 0
-        goes_left = values <= cutpoint
-        left_block.replace_columns({name: array[goes_left] for name, array in merged.items()})
-        right_block.replace_columns({name: array[~goes_left] for name, array in merged.items()})
-        self._set_block_rows(left_id, left_block.num_rows)
-        self._set_block_rows(right_id, right_block.num_rows)
-        return rows_moved
+        left, right = node.left, node.right
+        if left is None or right is None or not (left.is_leaf and right.is_leaf):
+            raise PartitioningError("resplit needs a node whose two children are leaves")
+        left_id, right_id = left.block_id, right.block_id
+        if self.tree_of_block(left_id) != tree_id:
+            raise PartitioningError(f"node is not part of tree {tree_id}")
+        with self.mutation() as delta:
+            self.trees[tree_id].resplit_node(node, attribute, cutpoint)
+            # The tree's lookups changed even when no rows end up moving, and
+            # plan revalidation only probes touched blocks, so the tree and
+            # both blocks are recorded unconditionally.
+            delta.trees_resplit.add(tree_id)
+            delta.blocks_changed.update((left_id, right_id))
+            left_columns = self.dfs.peek_block(left_id).columns
+            right_columns = self.dfs.peek_block(right_id).columns
+            merged = {
+                name: np.concatenate([left_columns[name], right_columns[name]])
+                for name in left_columns
+            }
+            rows_moved = len(next(iter(merged.values()))) if merged else 0
+            values = merged.get(attribute)
+            if values is None or rows_moved == 0:
+                return 0
+            goes_left = values <= cutpoint
+            self._rewrite_block(left_id, {name: array[goes_left] for name, array in merged.items()})
+            self._rewrite_block(right_id, {name: array[~goes_left] for name, array in merged.items()})
+            return rows_moved
 
     def drop_empty_trees(self) -> list[int]:
         """Remove trees that no longer hold any rows (keeping at least one tree).
@@ -631,20 +664,10 @@ class StoredTable:
             removable = removable[:-1]
         if not removable:
             return []
-        # Bump before mutating: there is no early exit past this point, so
-        # every path that touches the caches has already advanced the epoch.
-        delta = PartitionDelta()
-        self.bump_epoch(delta)
-        removed: list[int] = []
-        for tree_id in removable:
-            delta.trees_dropped.add(tree_id)
-            for block_id in self.block_ids(tree_id):
-                delta.blocks_dropped.add(block_id)
-                self.dfs.delete_block(block_id)
-            self._forget_tree(tree_id)
-            del self.trees[tree_id]
-            removed.append(tree_id)
-        return removed
+        with self.mutation():
+            for tree_id in removable:
+                self._forget_tree(tree_id)
+        return removable
 
     def replace_with_tree(self, tree: PartitioningTree) -> RepartitionStats:
         """Repartition the *entire* table under a single new tree.
@@ -660,17 +683,11 @@ class StoredTable:
             ],
             self.schema,
         )
-        old_block_ids = self.block_ids()
-        old_tree_ids = list(self.trees)
         num_source_blocks = len(self.non_empty_block_ids())
-
-        for block_id in old_block_ids:
-            self.dfs.delete_block(block_id)
-        for tree_id in old_tree_ids:
-            self._forget_tree(tree_id)
-            del self.trees[tree_id]
-
-        self._materialize_tree(tree, all_columns, PartitionDelta.full_change())
+        with self.mutation(full=True):
+            for tree_id in list(self.trees):
+                self._forget_tree(tree_id)
+            self._materialize_tree(tree, all_columns)
         rows_moved = len(next(iter(all_columns.values()))) if all_columns else 0
         return RepartitionStats(
             source_blocks=num_source_blocks,

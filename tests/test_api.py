@@ -21,7 +21,6 @@ from repro.api import (
     query_signature,
 )
 from repro.api.cache import CachedPlan
-from repro.common.epochs import PartitionDelta
 from repro.common.errors import PlanningError
 from repro.common.predicates import between, ge
 from repro.common.query import Query, join_query, scan_query
@@ -110,13 +109,17 @@ class TestStoredTableEpochs:
         table.move_blocks(table.block_ids(), target)
         assert table.epoch == after_move
 
-    def test_resplit_leaf_pair_bumps_unconditionally(self, session):
+    def test_resplit_bumps_unconditionally(self, session):
         table = session.table("lineitem")
-        tree = table.trees[0]
-        block_ids = tree.block_ids()
+        node, _ = table.trees[0].bottom_internal_nodes()[0]
         before = table.epoch
-        table.resplit_leaf_pair(block_ids[0], block_ids[1], "l_shipdate", 1e18)
+        # Re-splitting on the split the node already has moves nothing; the
+        # epoch must advance and name the tree and both blocks all the same.
+        table.resplit(0, node, node.attribute, node.cutpoint)
         assert table.epoch == before + 1
+        delta = table.delta_between(before, table.epoch)
+        assert delta.trees_resplit == {0}
+        assert delta.blocks_changed == {node.left.block_id, node.right.block_id}
 
     def test_replace_with_tree_bumps(self, session):
         table = session.table("part")
@@ -173,7 +176,8 @@ class TestPlanCache:
     def test_mutating_unrelated_table_keeps_entries_valid(self, session):
         session.run(q12_like(), adapt=False)
         # Partition-state change on part only.
-        session.table("part").bump_epoch(PartitionDelta.full_change())
+        with session.table("part").mutation(full=True):
+            pass
         assert session.run(q12_like(), adapt=False).plan_cache_hit
 
     def test_post_mutation_results_reflect_new_state(self, session, tpch_tables):

@@ -97,8 +97,7 @@ def resplit_somewhere(table, fraction=0.5, quantity_window=None):
             cutpoint = low + (high - low) * fraction
             if cutpoint == node.cutpoint:
                 cutpoint = low + (high - low) * 0.5
-            tree.resplit_node(node, node.attribute, cutpoint)
-            table.resplit_leaf_pair(left_id, right_id, node.attribute, cutpoint)
+            table.resplit(tree_id, node, node.attribute, cutpoint)
             return left_id, right_id
     return None
 
@@ -182,7 +181,8 @@ class TestDeltaChain:
         table.delta_chain_limit = 2
         start = table.epoch
         for _ in range(4):
-            table.bump_epoch(PartitionDelta(blocks_changed={1}))
+            with table.mutation() as delta:
+                delta.blocks_changed.add(1)
         assert table.delta_between(start, table.epoch) is None
         recent = table.delta_between(table.epoch - 1, table.epoch)
         assert recent is not None and recent.blocks_changed == {1}

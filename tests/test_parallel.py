@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 from repro.api import Session
-from repro.common.epochs import PartitionDelta
 from repro.common.predicates import between
 from repro.common.query import join_query, scan_query
 from repro.core import AdaptDBConfig
@@ -179,7 +178,8 @@ class TestSegmentLifecycle:
         stale = backend.store.current_pin("lineitem")
         assert stale is not None and stale.epoch == table.epoch
 
-        table.bump_epoch(PartitionDelta.full_change())
+        with table.mutation(full=True):
+            pass
         par_session.run(query)
         fresh = backend.store.current_pin("lineitem")
         assert fresh.epoch == table.epoch

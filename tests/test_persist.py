@@ -118,7 +118,7 @@ class TestBlockProtocol:
     def test_spill_unload_fault_round_trip(self, tmp_path):
         dfs, manager = self.make_dfs_with_store(tmp_path)
         columns = {"key": np.arange(100, dtype=np.int64)}
-        block = dfs.create_block("t", columns)  # repro: allow[epoch-discipline]
+        block = dfs.create_block("t", columns)
         assert block.dirty and block.is_resident
         manager.store.spill(block)
         assert not block.dirty
@@ -129,22 +129,22 @@ class TestBlockProtocol:
 
     def test_unload_refuses_dirty_blocks(self, tmp_path):
         dfs, manager = self.make_dfs_with_store(tmp_path)
-        block = dfs.create_block("t", {"key": np.arange(10, dtype=np.int64)})  # repro: allow[epoch-discipline]
+        block = dfs.create_block("t", {"key": np.arange(10, dtype=np.int64)})
         with pytest.raises(StorageError, match="unspilled changes"):
             block.unload()
         manager.store.spill(block)
-        block.append_rows({"key": np.arange(5, dtype=np.int64)})  # repro: allow[epoch-discipline]
+        block.append_rows({"key": np.arange(5, dtype=np.int64)})
         assert block.dirty
         with pytest.raises(StorageError, match="unspilled changes"):
             block.unload()
 
     def test_append_to_unloaded_block_defers_the_fault(self, tmp_path):
         dfs, manager = self.make_dfs_with_store(tmp_path)
-        block = dfs.create_block("t", {"key": np.arange(10, dtype=np.int64)})  # repro: allow[epoch-discipline]
+        block = dfs.create_block("t", {"key": np.arange(10, dtype=np.int64)})
         manager.buffer.bind(block, manager.store.spill(block))
         block.unload()
         faults_before = manager.buffer.faults
-        block.append_rows({"key": np.array([100, 101], dtype=np.int64)})  # repro: allow[epoch-discipline]
+        block.append_rows({"key": np.array([100, 101], dtype=np.int64)})
         # Metadata updated incrementally, no disk read yet.
         assert block.num_rows == 12
         assert not block.is_resident
@@ -158,7 +158,7 @@ class TestBlockProtocol:
 
     def test_metadata_survives_unload(self, tmp_path):
         dfs, manager = self.make_dfs_with_store(tmp_path)
-        block = dfs.create_block("t", {"key": np.arange(50, dtype=np.int64)})  # repro: allow[epoch-discipline]
+        block = dfs.create_block("t", {"key": np.arange(50, dtype=np.int64)})
         ranges, size, rows = dict(block.ranges), block.size_bytes, block.num_rows
         manager.store.spill(block)
         block.unload()
@@ -168,9 +168,9 @@ class TestBlockProtocol:
 
     def test_versioned_spills_keep_only_referenced_files(self, tmp_path):
         dfs, manager = self.make_dfs_with_store(tmp_path)
-        block = dfs.create_block("t", {"key": np.arange(10, dtype=np.int64)})  # repro: allow[epoch-discipline]
+        block = dfs.create_block("t", {"key": np.arange(10, dtype=np.int64)})
         manager.store.spill(block)
-        block.replace_columns({"key": np.arange(20, dtype=np.int64)})  # repro: allow[epoch-discipline]
+        block.replace_columns({"key": np.arange(20, dtype=np.int64)})
         manager.store.spill(block)
         assert manager.store.live_version(block.block_id) == 2
         manager.store.mark_durable()
@@ -196,12 +196,12 @@ class TestBlockBuffer:
         block_bytes = 100 * 8
         dfs, buffer = self.make_buffered_dfs(tmp_path, 3 * block_bytes)
         blocks = [
-            dfs.create_block("t", {"key": np.arange(100, dtype=np.int64)})  # repro: allow[epoch-discipline]
+            dfs.create_block("t", {"key": np.arange(100, dtype=np.int64)})
             for _ in range(3)
         ]
         assert buffer.evictions == 0
         dfs.get_block(blocks[0].block_id)  # refresh 0: LRU order is 1, 2, 0
-        dfs.create_block("t", {"key": np.arange(100, dtype=np.int64)})  # repro: allow[epoch-discipline]
+        dfs.create_block("t", {"key": np.arange(100, dtype=np.int64)})
         assert buffer.evictions == 1
         assert not blocks[1].is_resident
         assert blocks[0].is_resident and blocks[2].is_resident
@@ -209,10 +209,10 @@ class TestBlockBuffer:
     def test_eviction_spills_dirty_blocks_before_dropping(self, tmp_path):
         block_bytes = 100 * 8
         dfs, buffer = self.make_buffered_dfs(tmp_path, 2 * block_bytes)
-        first = dfs.create_block("t", {"key": np.arange(100, dtype=np.int64)})  # repro: allow[epoch-discipline]
+        first = dfs.create_block("t", {"key": np.arange(100, dtype=np.int64)})
         assert first.dirty
         for _ in range(2):
-            dfs.create_block("t", {"key": np.arange(100, dtype=np.int64)})  # repro: allow[epoch-discipline]
+            dfs.create_block("t", {"key": np.arange(100, dtype=np.int64)})
         assert not first.is_resident
         # The write-back preserved the data; faulting it back is bit-exact.
         np.testing.assert_array_equal(first.columns["key"], np.arange(100))
@@ -221,7 +221,7 @@ class TestBlockBuffer:
         block_bytes = 100 * 8
         dfs, buffer = self.make_buffered_dfs(tmp_path, 2 * block_bytes)
         blocks = [
-            dfs.create_block("t", {"key": np.arange(100, dtype=np.int64)})  # repro: allow[epoch-discipline]
+            dfs.create_block("t", {"key": np.arange(100, dtype=np.int64)})
             for _ in range(3)
         ]
         assert not blocks[0].is_resident
@@ -232,24 +232,24 @@ class TestBlockBuffer:
 
     def test_hit_counted_only_for_resident_blocks(self, tmp_path):
         dfs, buffer = self.make_buffered_dfs(tmp_path, None)
-        block = dfs.create_block("t", {"key": np.arange(10, dtype=np.int64)})  # repro: allow[epoch-discipline]
+        block = dfs.create_block("t", {"key": np.arange(10, dtype=np.int64)})
         dfs.get_block(block.block_id)
         assert buffer.hits == 1
         assert dfs.read_stats.buffer_hits == 1
 
     def test_delete_discards_without_eviction_accounting(self, tmp_path):
         dfs, buffer = self.make_buffered_dfs(tmp_path, None)
-        block = dfs.create_block("t", {"key": np.arange(10, dtype=np.int64)})  # repro: allow[epoch-discipline]
+        block = dfs.create_block("t", {"key": np.arange(10, dtype=np.int64)})
         resident_before = buffer.resident_bytes
         assert resident_before > 0
-        dfs.delete_block(block.block_id)  # repro: allow[epoch-discipline]
+        dfs.delete_block(block.block_id)
         assert buffer.evictions == 0
         assert buffer.resident_bytes == 0
 
     def test_drop_resident_and_set_budget(self, tmp_path):
         dfs, buffer = self.make_buffered_dfs(tmp_path, None)
         blocks = [
-            dfs.create_block("t", {"key": np.arange(100, dtype=np.int64)})  # repro: allow[epoch-discipline]
+            dfs.create_block("t", {"key": np.arange(100, dtype=np.int64)})
             for _ in range(4)
         ]
         dropped = buffer.drop_resident()
@@ -292,11 +292,11 @@ class TestPeekBypass:
         dfs = DistributedFileSystem(cluster=Cluster(num_machines=2), rng=make_rng(1))
         manager.attach(dfs)
         blocks = [
-            dfs.create_block("t", {"key": np.arange(100, dtype=np.int64)})  # repro: allow[epoch-discipline]
+            dfs.create_block("t", {"key": np.arange(100, dtype=np.int64)})
             for _ in range(3)
         ]
         dfs.peek_block(blocks[0].block_id)  # must NOT move block 0 to MRU
-        dfs.create_block("t", {"key": np.arange(100, dtype=np.int64)})  # repro: allow[epoch-discipline]
+        dfs.create_block("t", {"key": np.arange(100, dtype=np.int64)})
         assert not blocks[0].is_resident, "peek kept the LRU victim the LRU victim"
 
 
@@ -553,7 +553,7 @@ class TestCrashRecovery:
         block_state = all_block_columns(session)
         victim = session.table("part").block_ids()[0]
         # Simulate post-checkpoint adaptation dropping a block entirely.
-        session.dfs.delete_block(victim)  # repro: allow[epoch-discipline]
+        session.dfs.delete_block(victim)
         session.close()
 
         reopened = Session.open(root)

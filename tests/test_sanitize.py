@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster
-from repro.common.epochs import PartitionDelta
 from repro.common.rng import make_rng
 from repro.common.sanitize import (
     SanitizeError,
@@ -91,35 +90,35 @@ class TestFrozenViews:
 
 
 class TestDeltaCrossCheck:
-    def test_under_described_mutation_raises_at_next_bump(self, sanitize):
+    @staticmethod
+    def smuggle_rows(stored, block_id):
+        """Grow a block behind the mutation primitives' back."""
+        block = stored.dfs.peek_block(block_id)
+        block.append_rows({name: values[:1] for name, values in block.columns.items()})
+        stored._block_rows[block_id] = block.num_rows
+
+    def test_under_described_mutation_raises_at_exit(self, sanitize):
+        stored = make_stored()
+        block_id, other_id = stored.block_ids()[:2]
+        with pytest.raises(SanitizeError, match=f"block {block_id} rows changed"):
+            with stored.mutation() as delta:
+                delta.blocks_changed.add(other_id)
+                self.smuggle_rows(stored, block_id)
+
+    def test_change_outside_any_mutation_raises_at_the_next_exit(self, sanitize):
         stored = make_stored()
         block_id = stored.block_ids()[0]
-        stored.bump_epoch(PartitionDelta())  # claims nothing will change
-        # Seeded contract violation: partition state changes behind the
-        # (empty) descriptor's back.
-        # repro: allow[epoch-direct-write, delta-completeness]
-        stored._block_rows[block_id] += 7
-        with pytest.raises(SanitizeError, match="under-describes"):
-            stored.bump_epoch(PartitionDelta())
+        self.smuggle_rows(stored, block_id)
+        with pytest.raises(SanitizeError, match=f"block {block_id} rows changed"):
+            with stored.mutation():
+                pass
 
     def test_described_mutation_is_quiet(self, sanitize):
         stored = make_stored()
         block_id = stored.block_ids()[0]
-        delta = PartitionDelta(blocks_changed={block_id})
-        stored.bump_epoch(delta)
-        # repro: allow[epoch-direct-write]
-        stored._block_rows[block_id] += 7
-        stored.bump_epoch(PartitionDelta())
-
-    def test_full_incoming_descriptor_blankets_prior_mutation(self, sanitize):
-        # Full-change paths (load, replace_with_tree) legitimately mutate
-        # just before their own bump; the blanket descriptor covers it.
-        stored = make_stored()
-        block_id = stored.block_ids()[0]
-        stored.bump_epoch(PartitionDelta())
-        # repro: allow[epoch-direct-write]
-        stored._block_rows[block_id] += 7
-        stored.bump_epoch(PartitionDelta.full_change())
+        with stored.mutation() as delta:
+            delta.blocks_changed.add(block_id)
+            self.smuggle_rows(stored, block_id)
 
     def test_real_mutation_paths_verify_clean(self, sanitize):
         stored = make_stored()
@@ -128,18 +127,21 @@ class TestDeltaCrossCheck:
         )
         target = stored.add_empty_tree(tree)
         stored.move_blocks(stored.block_ids()[:2], target)
+        node, _ = stored.tree(target).bottom_internal_nodes()[0]
+        stored.resplit(target, node, "key", 500.0)
         stored.drop_empty_trees()
-        stored.verify_pending_delta()
+        stored.replace_with_tree(
+            UpfrontPartitioner(["key"], stored.rows_per_block).build(
+                stored.sample, total_rows=stored.total_rows
+            )
+        )
 
     def test_verify_is_noop_when_disabled(self):
         set_sanitize(False)
         try:
             stored = make_stored()
-            block_id = stored.block_ids()[0]
-            stored.bump_epoch(PartitionDelta())
-            # repro: allow[epoch-direct-write, delta-completeness]
-            stored._block_rows[block_id] += 7
-            stored.bump_epoch(PartitionDelta())  # no snapshot, no check
+            with stored.mutation():
+                self.smuggle_rows(stored, stored.block_ids()[0])
         finally:
             set_sanitize(None)
 

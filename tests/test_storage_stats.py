@@ -139,11 +139,7 @@ class TestCachedStatisticsProperty:
                     node, _ = bottom[int(rng.integers(0, len(bottom)))]
                     attribute = spare_attributes[int(rng.integers(0, 3))]
                     cutpoint = float(np.median(stored.sample[attribute]))
-                    tree.resplit_node(node, attribute, cutpoint)
-                    if node.left.block_id is not None and node.right.block_id is not None:
-                        stored.resplit_leaf_pair(
-                            node.left.block_id, node.right.block_id, attribute, cutpoint
-                        )
+                    stored.resplit(tree_id, node, attribute, cutpoint)
             assert_stats_match(stored)
 
     def test_move_blocks_conserves_rows(self):

@@ -247,6 +247,116 @@ class TestReplaceWithTree:
         assert stats.target_blocks_touched == 8
 
 
+class TestMutationContext:
+    """Partition state changes only inside ``mutation()``, which bumps at its exit."""
+
+    def test_primitives_refuse_to_run_outside_a_mutation(self):
+        stored = load_table(2000, 256)
+        block_id = stored.non_empty_block_ids()[0]
+        block = stored.dfs.peek_block(block_id)
+        rows = {name: values[:1] for name, values in block.columns.items()}
+        before = (stored.epoch, block.num_rows, stored.total_rows, stored.num_trees)
+        with pytest.raises(StorageError, match="inside mutation"):
+            stored._append_rows(block_id, rows)
+        with pytest.raises(StorageError, match="inside mutation"):
+            stored._clear_block(block_id)
+        with pytest.raises(StorageError, match="inside mutation"):
+            stored._forget_tree(0)
+        assert before == (stored.epoch, block.num_rows, stored.total_rows, stored.num_trees)
+        stored.audit_cached_statistics()
+
+    def test_mutations_do_not_nest(self):
+        stored = load_table(500, 256)
+        before = stored.epoch
+        with pytest.raises(StorageError, match="does not nest"):
+            with stored.mutation(full=True):
+                with stored.mutation():
+                    pass
+        # The outer mutation still closed: one bump, and the table is usable.
+        assert stored.epoch == before + 1
+        with stored.mutation():
+            pass
+
+    def test_empty_mutation_neither_bumps_nor_grows_the_chain(self):
+        stored = load_table(500, 256)
+        before, chain = stored.epoch, list(stored._delta_chain)
+        with stored.mutation():
+            pass
+        assert stored.epoch == before and stored._delta_chain == chain
+        with stored.mutation(full=True):
+            pass
+        assert stored.epoch == before + 1
+        assert stored.delta_between(before, stored.epoch).full
+
+    def test_caller_may_add_to_but_not_take_from_what_was_recorded(self):
+        stored = load_table(2000, 256)
+        block_id, extra_id = stored.non_empty_block_ids()[:2]
+        before = stored.epoch
+        with stored.mutation() as delta:
+            stored._clear_block(block_id)
+            delta.blocks_changed.clear()
+            delta.blocks_changed.add(extra_id)
+        assert stored.epoch == before + 1
+        recorded = stored.delta_between(before, stored.epoch)
+        assert recorded.blocks_changed == {block_id, extra_id}
+
+    @pytest.mark.parametrize("failing", ["delete_block", "route_rows"])
+    def test_failed_replace_with_tree_still_bumps(self, monkeypatch, failing):
+        stored = load_table(2000, 256)
+        tree = TwoPhasePartitioner("key", ["other"]).build(
+            stored.sample, total_rows=stored.total_rows, num_leaves=8
+        )
+        calls = []
+        delete_block = stored.dfs.delete_block
+
+        def delete_then_fail(block_id):
+            if calls:
+                raise RuntimeError("injected")
+            calls.append(block_id)
+            delete_block(block_id)
+
+        def fail(columns):
+            raise RuntimeError("injected")
+
+        if failing == "delete_block":
+            monkeypatch.setattr(stored.dfs, "delete_block", delete_then_fail)
+        else:
+            monkeypatch.setattr(tree, "route_rows", fail)
+        before, old_blocks = stored.epoch, stored.block_ids()
+        with pytest.raises(RuntimeError, match="injected"):
+            stored.replace_with_tree(tree)
+        # Blocks a plan cached at ``before`` names are gone, so that epoch
+        # must be too, and the gap must read as "recompute everything".
+        assert any(not stored.dfs.has_block(b) for b in old_blocks)
+        assert stored.epoch == before + 1
+        assert stored.delta_between(before, stored.epoch).full
+
+    def test_failed_move_blocks_still_bumps_and_describes(self, monkeypatch):
+        stored = load_table(4000, 256)
+        tree = TwoPhasePartitioner("key", ["other"]).build(
+            stored.sample, total_rows=stored.total_rows, num_leaves=16
+        )
+        target = stored.add_empty_tree(tree)
+        rows_before = dict(stored._block_rows)
+        append_rows = stored._append_rows
+        appended = []
+
+        def append_then_fail(block_id, rows, chunk_ranges=None):
+            if appended:
+                raise RuntimeError("injected")
+            appended.append(block_id)
+            append_rows(block_id, rows, chunk_ranges)
+
+        monkeypatch.setattr(stored, "_append_rows", append_then_fail)
+        before = stored.epoch
+        with pytest.raises(RuntimeError, match="injected"):
+            stored.move_blocks(stored.block_ids(0), target)
+        changed = {b for b, rows in stored._block_rows.items() if rows != rows_before[b]}
+        assert changed == set(appended)
+        assert stored.epoch == before + 1
+        assert changed <= stored.delta_between(before, stored.epoch).blocks_changed
+
+
 class TestJoinRange:
     def test_join_range_of_block(self):
         stored = load_table()
