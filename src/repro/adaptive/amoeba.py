@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..common.epochs import epoch_keyed
 from ..common.predicates import Predicate
 from ..partitioning.builders import median_cutpoint
 from ..partitioning.tree import TreeNode
@@ -231,7 +230,6 @@ class AmoebaAdaptor:
             for token, predicates in relevant
         )
 
-    @epoch_keyed(reads=())
     def _blocks_touched(
         self,
         attribute: str | None,
@@ -259,7 +257,6 @@ class AmoebaAdaptor:
         self._touched_cache[key] = touched
         return touched
 
-    @epoch_keyed(reads=("sample",))
     def _cutpoint_for(
         self,
         table: StoredTable,

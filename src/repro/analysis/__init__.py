@@ -1,23 +1,12 @@
-"""Whole-program static analysis for the repro codebase's invariants.
+"""Static analysis for the two repro invariants that need it.
 
-Five checkers enforce contracts that the type system cannot.  They share a
-project-wide call graph (:class:`~repro.analysis.framework.ProjectGraph`)
-that resolves calls across files, so the rules reason interprocedurally
-rather than one file at a time:
+Two checkers enforce contracts that neither the type system nor the data
+structures can.  Each rule looks at one file at a time:
 
 * **determinism** — the fingerprinted layers use no stdlib/global
   randomness, no wall clock, and no unstable set iteration (rules
   ``no-stdlib-random``, ``no-global-numpy-rng``, ``no-wall-clock``,
   ``unsorted-set-iter``, ``unseeded-rng``).
-* **cache-keys** — ``@epoch_keyed`` functions read only mutable state
-  their key covers (rules ``cache-key-read``, ``cache-key-registration``).
-* **task-purity** — compiled tasks carry ids, never live storage objects
-  (rules ``task-purity-field``, ``task-purity-capture``).
-* **shmem** — code reachable from worker-process entry points never
-  writes attached shared-memory arrays, never touches parent-only state,
-  and cross-process payloads are frozen dataclasses (rules
-  ``shmem-attached-write``, ``shmem-parent-state``,
-  ``shmem-payload-frozen``).
 * **persist** — catalog mutations in ``repro.storage.persist`` go
   through the transactional write path: no bare ``execute`` outside a
   ``transaction()`` block (rule ``catalog-transaction``).
@@ -25,24 +14,28 @@ rather than one file at a time:
 Run ``python -m repro.analysis [paths...]`` (defaults to the installed
 ``repro`` package tree; ``--rules`` lists every rule, ``--format
 json|sarif`` emits machine-readable reports) or call
-:func:`analyze_paths` / :func:`analyze_source` programmatically.  Suppress a finding with a
-justified ``# repro: allow[rule-id]`` comment on or above its line;
-``# repro: allow[a, b]`` covers several rules at once.  The runtime twins
-of these contracts live in :mod:`repro.common.sanitize`
-(``REPRO_SANITIZE=1``).  Epoch discipline and change-descriptor
-completeness are not checked here: they hold by construction in
-:meth:`repro.storage.table.StoredTable.mutation`.
+:func:`analyze_paths` / :func:`analyze_source` programmatically.
+Suppress a finding with a justified ``# repro: allow[rule-id]`` comment on
+or above its line; ``# repro: allow[a, b]`` covers several rules at once.
+
+Everything else holds by construction and is not checked here: epoch
+discipline and change-descriptor completeness in
+:meth:`repro.storage.table.StoredTable.mutation`; worker-side writes to
+shared blocks are impossible because attached views are built over a
+read-only buffer (:mod:`repro.storage.shared_memory`); and "task work
+carries ids, pins and flat arrays, never live storage objects" is a
+property of what pickles across the worker queues, tested on real
+streams in ``tests/test_exec.py``.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from . import cache_keys, determinism, persist, purity, shmem
+from . import determinism, persist
 from .framework import (
     AnalysisContext,
     Checker,
-    ProjectGraph,
     SourceFile,
     Violation,
     analyze_files,
@@ -51,9 +44,6 @@ from .framework import (
 
 ALL_CHECKERS: tuple[Checker, ...] = (
     determinism.CHECKER,
-    cache_keys.CHECKER,
-    purity.CHECKER,
-    shmem.CHECKER,
     persist.CHECKER,
 )
 
@@ -87,7 +77,6 @@ __all__ = [
     "ALL_RULES",
     "AnalysisContext",
     "Checker",
-    "ProjectGraph",
     "SourceFile",
     "Violation",
     "analyze_files",

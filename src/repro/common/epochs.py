@@ -1,4 +1,4 @@
-"""The epoch/caching contract: change descriptors and the cache-key marker.
+"""The epoch/caching contract: change descriptors.
 
 The plan cache and the hyper-plan memo are sound only because every
 partition-state mutation advances the owning table's epoch and describes
@@ -10,53 +10,12 @@ advances.  Descriptors are kept in a bounded per-table delta chain
 (:meth:`repro.storage.table.StoredTable.delta_between`), which is what
 lets the planning layers *patch* cached overlap matrices, groupings and
 compiled schedules across epoch bumps instead of recomputing them.
-
-The read side is still declared by hand:
-
-``@epoch_keyed(reads=(...))``
-    Marks a function whose result is cached under an epoch-derived key.
-    ``reads`` declares which mutable table/tree attributes the function
-    is allowed to touch — anything it reads must either be immutable or
-    covered by the epoch in its cache key.  The static checker rejects
-    reads outside the declared set.  The decorator only attaches an
-    attribute; it adds no call overhead and imports nothing from the rest
-    of the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, TypeVar
-
-F = TypeVar("F", bound=Callable[..., object])
-
-#: Attribute set on functions wrapped by :func:`epoch_keyed`.
-EPOCH_KEYED_ATTR = "__repro_epoch_keyed_reads__"
-
-
-def epoch_keyed(*, reads: tuple[str, ...] = ()) -> Callable[[F], F]:
-    """Mark ``func`` as cached under an epoch-derived key.
-
-    Args:
-        reads: Mutable table/tree attribute names the function's cache
-            key covers (because the key embeds the owning table's epoch,
-            which is bumped whenever those attributes change).  Reads of
-            mutable attributes outside this set are cache-key violations.
-    """
-
-    def decorate(func: F) -> F:
-        setattr(func, EPOCH_KEYED_ATTR, tuple(reads))
-        return func
-
-    return decorate
-
-
-def epoch_keyed_reads(func: object) -> tuple[str, ...] | None:
-    """The declared ``reads`` of an epoch-keyed function, or ``None``."""
-    reads = getattr(func, EPOCH_KEYED_ATTR, None)
-    if reads is None:
-        return None
-    return tuple(reads)
+from typing import Iterable
 
 
 @dataclass

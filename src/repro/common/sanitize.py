@@ -1,14 +1,9 @@
-"""Runtime sanitizer: dynamic enforcement of the statically-checked contracts.
+"""Runtime sanitizer: opt-in cross-checks of the epoch and cache contracts.
 
-``REPRO_SANITIZE=1`` (or :func:`set_sanitize`) turns on cheap runtime
-cross-checks of the invariants ``repro.analysis`` proves statically, so
-one CI job runs the whole tier-1 suite with the contracts *enforced*
-rather than merely audited:
+``REPRO_SANITIZE=1`` (or :func:`set_sanitize`) turns on two cheap runtime
+cross-checks, so one CI job runs the whole tier-1 suite with them
+enforced:
 
-* Worker-side shared-memory views become **actually** read-only —
-  :func:`freeze_attached` flips ``writeable=False`` on every attached
-  array, so a worker write the static checker missed raises
-  ``ValueError`` at the write site instead of corrupting parent blocks.
 * Every ``StoredTable.mutation()`` exit cross-checks that mutation's
   descriptor against the partition-state changes actually observed since
   the previous mutation's exit (:class:`PartitionStateSnapshot`) — a
@@ -21,7 +16,9 @@ rather than merely audited:
   so a caller mutating a served plan can never poison the cache.
 
 All checks are no-ops when the sanitizer is off; the hooks cost one
-predicate call on hot paths.
+predicate call on hot paths.  The sanitizer never changes what a worker
+process may do: attached shared-memory views are read-only in every mode
+(:mod:`repro.storage.shared_memory`).
 """
 
 from __future__ import annotations
@@ -58,14 +55,6 @@ def set_sanitize(enabled: bool | None) -> None:
     """Force the sanitizer on/off (tests); ``None`` defers to the env var."""
     global _override
     _override = enabled
-
-
-def freeze_attached(columns: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Make attached shared-memory views read-only under the sanitizer."""
-    if sanitize_enabled():
-        for array in columns.values():
-            array.setflags(write=False)
-    return columns
 
 
 def assert_unaliased(served: object, cached: object, what: str) -> None:
@@ -161,7 +150,6 @@ __all__ = [
     "SanitizeError",
     "assert_no_shared_memory",
     "assert_unaliased",
-    "freeze_attached",
     "sanitize_enabled",
     "set_sanitize",
 ]

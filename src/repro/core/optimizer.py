@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 from ..adaptive.repartitioner import AdaptiveRepartitioner, RepartitionReport
 from ..cluster.cluster import Cluster
-from ..common.epochs import epoch_keyed
 from ..common.errors import PlanningError
 from ..common.query import JoinClause, Query
 from ..join.hyperjoin import HyperJoinPlan, HyperPlanCache, plan_hyper_join
@@ -156,7 +155,6 @@ class Optimizer:
             estimated_hyper_cost=hyper_cost,
         )
 
-    @epoch_keyed(reads=("epoch", "delta_between"))
     def _hyper_plan(
         self,
         build_table: str,
@@ -219,7 +217,6 @@ class Optimizer:
         """
         return self._relevant_blocks(table_name, query)
 
-    @epoch_keyed(reads=("lookup", "non_empty_block_ids"))
     def _relevant_blocks(self, table_name: str, query: Query) -> list[int]:
         """Blocks of ``table_name`` that must be read for ``query``.
 

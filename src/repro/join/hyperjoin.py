@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from ..cluster.costmodel import CostModel
-from ..common.epochs import PartitionDelta, epoch_keyed
+from ..common.epochs import PartitionDelta
 from ..common.errors import PlanningError
 from ..common.lru import BoundedLRU
 from ..common.predicates import Predicate
@@ -59,7 +59,6 @@ class HyperJoinPlan:
         return self.grouping.total_probe_reads
 
 
-@epoch_keyed(reads=("peek_block", "num_rows", "ranges", "range_of"))
 def plan_hyper_join(
     dfs: DistributedFileSystem,
     build_block_ids: list[int],
@@ -189,7 +188,6 @@ class HyperPlanCache:
         """Misses resolved by delta-patching a stale entry (no cold replan)."""
         return self._upgrades
 
-    @epoch_keyed(reads=("peek_block", "num_rows", "ranges", "range_of"))
     def get_or_plan(
         self,
         dfs: DistributedFileSystem,
@@ -257,7 +255,6 @@ class HyperPlanCache:
     # ------------------------------------------------------------------ #
     # Delta upgrades
     # ------------------------------------------------------------------ #
-    @epoch_keyed(reads=())
     def _upgrade(
         self,
         dfs: DistributedFileSystem,
@@ -355,7 +352,6 @@ class HyperPlanCache:
             plan=plan,
         )
 
-    @epoch_keyed(reads=("peek_block", "num_rows", "ranges", "range_of"))
     def _usable_via_delta(
         self,
         dfs: DistributedFileSystem,

@@ -98,12 +98,21 @@ class ParallelBackend:
         pool = self.ensure_pool()
         self.last_task_records = []
         started = _wall()
-        result = self.executor.execute_schedule(
-            physical.logical,
-            physical.compiled,
-            physical.schedule,
-            runner=lambda works: self._run_stage(pool, works),
-        )
+        try:
+            result = self.executor.execute_schedule(
+                physical.logical,
+                physical.compiled,
+                physical.schedule,
+                runner=lambda works: self._run_stage(pool, works),
+            )
+        except BaseException:
+            # A failed stage leaves its other outcomes in the pool's result
+            # queue, where the next query would collect them as its own.
+            # Drop the pool; ensure_pool() starts a fresh one (pins stay:
+            # the store is parent-owned).
+            pool.close()
+            self._pool = None
+            raise
         result.wall_seconds = _wall() - started
         machine_wall = [0.0] * physical.schedule.num_machines
         for record in self.last_task_records:

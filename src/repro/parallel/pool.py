@@ -127,6 +127,8 @@ class WorkerPool:
         ``timeout`` bounds the wait per outcome *between* liveness checks —
         a crashed worker (e.g. killed by a signal, so it cannot report) is
         detected within about a second rather than after the full timeout.
+        After a raise the stage's other outcomes may still be queued, so
+        the caller must not reuse the pool (``ParallelBackend`` drops it).
         """
         outcomes: list[TaskOutcome] = []
         deadline = _wall() + timeout
@@ -150,6 +152,7 @@ class WorkerPool:
                     f"task {task_id} failed on worker {worker_index}: {detail}"
                 )
             outcomes.append(item[2])
+            deadline = _wall() + timeout
         return outcomes
 
     # -------------------------------------------------------------- #

@@ -14,10 +14,14 @@ per-column arrays into named ``multiprocessing.shared_memory`` segments:
   partition-state epoch moved unlinks the stale segment and builds a
   fresh one, so a repartition can never leave workers reading old rows.
 * :class:`SharedSegmentCache` (worker side) attaches segments by name and
-  wraps them in read-only :class:`SharedBlockView` objects exposing the
-  same ``num_rows`` / ``columns`` / ``column_parts()`` reader interface as
+  wraps them in :class:`SharedBlockView` objects exposing the same
+  ``num_rows`` / ``columns`` / ``column_parts()`` reader interface as
   :class:`~repro.storage.block.Block`, so the task kernels in
-  ``repro.exec.kernels_tasks`` run unchanged in either process.
+  ``repro.exec.kernels_tasks`` run unchanged in either process.  Every
+  column view is built over a **read-only** memoryview of the segment: a
+  worker can read a block but cannot change it in place (a write raises
+  ``ValueError`` at the write site, and the flag cannot be flipped back),
+  exactly like the mmap tier's read-only ``np.memmap`` arrays.
 
 Lifecycle: the parent owns every segment (create + unlink); workers only
 ever attach and detach.  ``SharedBlockStore.close()`` unlinks everything
@@ -36,7 +40,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..common.errors import StorageError
-from ..common.sanitize import freeze_attached
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from .table import StoredTable
@@ -77,8 +80,8 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
 
 
 # --------------------------------------------------------------------- #
-# Picklable catalog records (these ride in task payloads — no live
-# Block/StoredTable objects, per the repro.analysis purity rules)
+# Picklable catalog records (these ride in task payloads, so they hold
+# names, offsets and dtypes only — never a live Block or StoredTable)
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class ColumnSpec:
@@ -131,7 +134,7 @@ class SharedBlockView:
 
     Exposes exactly the surface the task kernels consume: ``num_rows``,
     ``columns`` and ``column_parts()``.  The arrays are zero-copy views
-    into the shared segment and must be treated as read-only.
+    into the shared segment and are read-only.
     """
 
     __slots__ = ("block_id", "num_rows", "_columns")
@@ -152,6 +155,11 @@ class SharedBlockView:
 
 
 def _views_of(buffer: memoryview, spec: BlockSpec) -> dict[str, np.ndarray]:
+    """Column views of one block over a segment's read-only ``buffer``.
+
+    numpy takes writability from the buffer, so the views are read-only
+    and ``setflags(write=True)`` on them raises.
+    """
     columns: dict[str, np.ndarray] = {}
     for col in spec.columns:
         if col.length == 0:
@@ -160,9 +168,18 @@ def _views_of(buffer: memoryview, spec: BlockSpec) -> dict[str, np.ndarray]:
             columns[col.name] = np.frombuffer(
                 buffer, dtype=np.dtype(col.dtype), count=col.length, offset=col.offset
             )
-    # Under REPRO_SANITIZE=1 the views are actually read-only, so a worker
-    # write raises at the write site instead of corrupting parent blocks.
-    return freeze_attached(columns)
+    return columns
+
+
+@dataclass
+class _Attachment:
+    """One attached segment: the mapping, its read-only buffer, its views."""
+
+    segment: str
+    shm: shared_memory.SharedMemory
+    #: The only buffer block views are ever built over.
+    readonly: memoryview
+    views: dict[int, SharedBlockView] = field(default_factory=dict)
 
 
 class SharedSegmentCache:
@@ -175,35 +192,38 @@ class SharedSegmentCache:
     """
 
     def __init__(self) -> None:
-        self._attached: dict[str, tuple[str, shared_memory.SharedMemory, dict[int, SharedBlockView]]] = {}
+        self._attached: dict[str, _Attachment] = {}
 
     def get_blocks(self, pin: TablePin, block_ids: list[int]) -> list[SharedBlockView]:
         """Return views for ``block_ids``, attaching the segment if needed."""
         entry = self._attached.get(pin.table)
-        if entry is None or entry[0] != pin.segment:
+        if entry is None or entry.segment != pin.segment:
             if entry is not None:
                 self._detach(entry)
             shm = _attach_untracked(pin.segment)
-            entry = (pin.segment, shm, {})
+            entry = _Attachment(pin.segment, shm, shm.buf.toreadonly())
             self._attached[pin.table] = entry
-        _, shm, views = entry
         result: list[SharedBlockView] = []
         for block_id in block_ids:
-            view = views.get(block_id)
+            view = entry.views.get(block_id)
             if view is None:
                 spec = pin.block(block_id)
-                view = SharedBlockView(block_id, spec.num_rows, _views_of(shm.buf, spec))
-                views[block_id] = view
+                view = SharedBlockView(
+                    block_id, spec.num_rows, _views_of(entry.readonly, spec)
+                )
+                entry.views[block_id] = view
             result.append(view)
         return result
 
-    def _detach(self, entry: tuple[str, shared_memory.SharedMemory, dict[int, SharedBlockView]]) -> None:
-        _, shm, views = entry
-        for view in views.values():
+    def _detach(self, entry: _Attachment) -> None:
+        for view in entry.views.values():
             view._columns = {}
-        views.clear()
+        entry.views.clear()
+        # The read-only buffer is a second handle on the mapping: release
+        # it first or close() could never unmap the stale segment.
+        entry.readonly.release()
         try:
-            shm.close()
+            entry.shm.close()
         except BufferError:  # pragma: no cover - exported views still alive
             pass
 

@@ -23,9 +23,9 @@ from repro.workloads.tpch import TPCHGenerator
 def pytest_report_header(config: pytest.Config) -> str:
     """Record whether the runtime sanitizer is active (REPRO_SANITIZE=1).
 
-    CI runs the suite twice — plain, and once with the sanitizer enforcing
-    the repro.analysis contracts at runtime; the header line makes the two
-    job logs distinguishable at a glance.
+    CI runs the suite twice — plain, and once with the sanitizer
+    cross-checking mutation descriptors and cache-serve aliasing; the
+    header line makes the two job logs distinguishable at a glance.
     """
     mode = "enabled" if sanitize_enabled() else "disabled"
     return f"repro sanitizer (REPRO_SANITIZE): {mode}"

@@ -15,22 +15,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    ALL_CHECKERS,
-    ALL_RULES,
-    SourceFile,
-    analyze_files,
-    analyze_paths,
-    analyze_source,
-)
+from repro.analysis import ALL_CHECKERS, ALL_RULES, analyze_paths, analyze_source
 from repro.analysis.framework import Violation
 from repro.analysis.report import (
     render_rules,
     violations_to_json,
     violations_to_sarif,
 )
-from repro.common.errors import PlanningError
-from repro.common.lru import BoundedLRU
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "repro"
@@ -122,95 +113,6 @@ class TestDeterminism:
 
 
 # --------------------------------------------------------------------- #
-# cache keys
-# --------------------------------------------------------------------- #
-class TestCacheKeys:
-    def test_undeclared_mutable_read_fires(self):
-        text = (
-            "from repro.common.epochs import epoch_keyed\n"
-            "\n"
-            "\n"
-            '@epoch_keyed(reads=("epoch",))\n'
-            "def relevant(table, predicates):\n"
-            "    return table.lookup(predicates)\n"
-        )
-        violations = analyze_source(text, module="repro.core.snippet")
-        assert rules_of(violations) == {"cache-key-read"}
-        assert "lookup" in violations[0].message
-
-    def test_declared_read_is_quiet(self):
-        text = (
-            "from repro.common.epochs import epoch_keyed\n"
-            "\n"
-            "\n"
-            '@epoch_keyed(reads=("epoch", "lookup"))\n'
-            "def relevant(table, predicates):\n"
-            "    return table.lookup(predicates)\n"
-        )
-        assert analyze_source(text, module="repro.core.snippet") == []
-
-    def test_missing_registrations_fire(self):
-        violations = analyze_source("X = 1\n", module="repro.join.hyperjoin")
-        assert rules_of(violations) == {"cache-key-registration"}
-        messages = " ".join(violation.message for violation in violations)
-        assert "plan_hyper_join" in messages
-        assert "HyperPlanCache.get_or_plan" in messages
-
-    def test_present_registrations_are_quiet(self):
-        text = (
-            "from repro.common.epochs import epoch_keyed\n"
-            "\n"
-            "\n"
-            "@epoch_keyed(reads=())\n"
-            "def plan_hyper_join():\n"
-            "    return None\n"
-            "\n"
-            "\n"
-            "class HyperPlanCache:\n"
-            "    @epoch_keyed(reads=())\n"
-            "    def get_or_plan(self):\n"
-            "        return None\n"
-        )
-        assert analyze_source(text, module="repro.join.hyperjoin") == []
-
-
-# --------------------------------------------------------------------- #
-# task purity
-# --------------------------------------------------------------------- #
-class TestTaskPurity:
-    def test_banned_field_annotation_fires(self):
-        text = (
-            "class Task:\n"
-            "    kind: int\n"
-            '    block: "Block"\n'
-        )
-        violations = analyze_source(text, module="repro.exec.tasks_snippet")
-        assert rules_of(violations) == {"task-purity-field"}
-        assert len(violations) == 1  # only the Block field, not ``kind``
-
-    def test_tainted_capture_fires_and_ids_are_fine(self):
-        bad = (
-            "def compile_tasks(dfs, ids):\n"
-            "    blocks = dfs.get_blocks(ids)\n"
-            "    return Task(blocks)\n"
-        )
-        violations = analyze_source(bad, module="repro.exec.snippet")
-        assert rules_of(violations) == {"task-purity-capture"}
-        good = bad.replace("Task(blocks)", "Task(ids)")
-        assert analyze_source(good, module="repro.exec.snippet") == []
-
-    def test_direct_storage_call_argument_fires(self):
-        text = "def f(dfs):\n    return Task(dfs.get_block(3))\n"
-        assert rules_of(analyze_source(text, module="repro.exec.snippet")) == {
-            "task-purity-capture"
-        }
-
-    def test_out_of_scope_module_is_quiet(self):
-        text = "def f(dfs):\n    return Task(dfs.get_block(3))\n"
-        assert analyze_source(text, module="repro.workloads.snippet") == []
-
-
-# --------------------------------------------------------------------- #
 # framework mechanics
 # --------------------------------------------------------------------- #
 class TestFramework:
@@ -295,164 +197,6 @@ class TestRepositoryIsClean:
             cwd=REPO,
         )
         assert proc.returncode != 0
-
-
-# --------------------------------------------------------------------- #
-# BoundedLRU key hygiene (satellite)
-# --------------------------------------------------------------------- #
-class TestBoundedLRUKeys:
-    def test_unhashable_put_raises_planning_error(self):
-        cache = BoundedLRU(capacity=4)
-        with pytest.raises(PlanningError, match="not hashable"):
-            cache.put(["list", "key"], "value")
-
-    def test_unhashable_get_raises_planning_error(self):
-        cache = BoundedLRU(capacity=4)
-        with pytest.raises(PlanningError, match="not hashable"):
-            cache.get({"dict": "key"})
-
-    def test_hashable_keys_still_work(self):
-        cache = BoundedLRU(capacity=2)
-        cache.put(("a", 1), "x")
-        assert cache.get(("a", 1)) == "x"
-        assert cache.hits == 1
-
-
-# --------------------------------------------------------------------- #
-# shmem races
-# --------------------------------------------------------------------- #
-class TestShmemRaces:
-    def test_worker_write_to_attached_view_fires(self):
-        violations = analyze_source(
-            """
-def run_scan(view, payload):
-    arr = view.columns["a"]
-    arr[0] = 1.0
-""",
-            module="repro.exec.kernels_tasks",
-        )
-        assert rules_of(violations) == {"shmem-attached-write"}
-
-    def test_copy_before_write_is_quiet(self):
-        assert (
-            analyze_source(
-                """
-import numpy as np
-
-
-def run_scan(view, payload):
-    arr = np.array(view.columns["a"])
-    arr[0] = 1.0
-""",
-                module="repro.exec.kernels_tasks",
-            )
-            == []
-        )
-
-    def test_taint_flows_through_helper_calls(self):
-        violations = analyze_source(
-            """
-def _helper(block):
-    block[0] = 99
-
-
-def run_scan(view, payload):
-    _helper(view.columns["a"])
-""",
-            module="repro.exec.kernels_tasks",
-        )
-        assert rules_of(violations) == {"shmem-attached-write"}
-        assert "_helper" in violations[0].message
-
-    def test_inplace_ndarray_method_fires(self):
-        violations = analyze_source(
-            """
-def run_scan(view, payload):
-    view.columns["a"].sort()
-""",
-            module="repro.exec.kernels_tasks",
-        )
-        assert rules_of(violations) == {"shmem-attached-write"}
-
-    def test_setflags_write_false_is_sanctioned(self):
-        text_template = """
-def run_scan(view, payload):
-    view.columns["a"].setflags(write={value})
-"""
-        assert (
-            analyze_source(
-                text_template.format(value="False"),
-                module="repro.exec.kernels_tasks",
-            )
-            == []
-        )
-        violations = analyze_source(
-            text_template.format(value="True"),
-            module="repro.exec.kernels_tasks",
-        )
-        assert rules_of(violations) == {"shmem-attached-write"}
-
-    def test_parent_only_api_call_fires(self):
-        violations = analyze_source(
-            """
-def run_scan(view, payload, store):
-    store.pin_table(payload.table)
-""",
-            module="repro.exec.kernels_tasks",
-        )
-        assert rules_of(violations) == {"shmem-parent-state"}
-
-    def test_parent_type_reference_fires(self):
-        violations = analyze_source(
-            """
-def run_scan(view, payload):
-    return WorkerPool
-""",
-            module="repro.exec.kernels_tasks",
-        )
-        assert rules_of(violations) == {"shmem-parent-state"}
-
-    def test_non_worker_function_is_out_of_scope(self):
-        # apply_* helpers run parent-side; the worker rules must not reach
-        # functions unreachable from the worker roots.
-        assert (
-            analyze_source(
-                """
-def apply_results(table, results):
-    table.pin_table("t")
-""",
-                module="repro.exec.kernels_tasks",
-            )
-            == []
-        )
-
-    def test_unfrozen_payload_class_fires(self):
-        violations = analyze_source(
-            """
-from dataclasses import dataclass
-
-
-@dataclass
-class TaskWork:
-    task_id: int
-""",
-            module="repro.exec.kernels_tasks",
-        )
-        assert rules_of(violations) == {"shmem-payload-frozen"}
-        assert (
-            analyze_source(
-                """
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class TaskWork:
-    task_id: int
-""",
-                module="repro.exec.kernels_tasks",
-            )
-            == []
-        )
 
 
 # --------------------------------------------------------------------- #
@@ -556,54 +300,6 @@ def save(conn):
             )
             == []
         )
-
-
-# --------------------------------------------------------------------- #
-# cross-file whole-program analysis
-# --------------------------------------------------------------------- #
-class TestCrossFileAnalysis:
-    WORKER = """
-from repro.join.helpers import rescale
-
-
-def run_scan(view, payload):
-    rescale(view.columns["a"])
-"""
-
-    def _analyze_pair(self, helper_text):
-        files = [
-            SourceFile.from_text(
-                self.WORKER, path="kernels_tasks.py", module="repro.exec.kernels_tasks"
-            ),
-            SourceFile.from_text(
-                helper_text, path="helpers.py", module="repro.join.helpers"
-            ),
-        ]
-        return analyze_files(files, ALL_CHECKERS)
-
-    def test_attached_array_copied_in_cross_file_helper_is_quiet(self):
-        violations = self._analyze_pair(
-            """
-import numpy as np
-
-
-def rescale(values):
-    fresh = np.array(values)
-    fresh[0] = 0.0
-    return fresh
-"""
-        )
-        assert violations == []
-
-    def test_attached_array_written_in_cross_file_helper_fires(self):
-        violations = self._analyze_pair(
-            """
-def rescale(values):
-    values[0] = 0.0
-"""
-        )
-        assert rules_of(violations) == {"shmem-attached-write"}
-        assert [violation.path for violation in violations] == ["helpers.py"]
 
 
 # --------------------------------------------------------------------- #
@@ -786,7 +482,18 @@ class TestCLIFormats:
     def test_rules_listing_mode(self, tmp_path):
         proc = self._run(tmp_path, "--rules")
         assert proc.returncode == 0
-        assert "shmem-attached-write" in proc.stdout
-        # Epoch discipline and delta completeness hold by construction now.
-        assert "epoch-discipline" not in proc.stdout
-        assert "delta-completeness" not in proc.stdout
+        assert "catalog-transaction" in proc.stdout
+        # Epoch discipline, delta completeness, read-only attached views and
+        # the task hand-off hold by construction now.
+        for deleted in (
+            "epoch-discipline",
+            "delta-completeness",
+            "shmem-attached-write",
+            "shmem-parent-state",
+            "shmem-payload-frozen",
+            "task-purity-field",
+            "task-purity-capture",
+            "cache-key-read",
+            "cache-key-registration",
+        ):
+            assert deleted not in proc.stdout

@@ -1,26 +1,45 @@
 """Tests for the task-based parallel execution engine (repro.exec).
 
 Covers the scheduler (locality-aware placement, makespan accounting,
-determinism), plan compilation, batched DFS reads and the two executor
-accounting regressions: multi-join queries must report the *final* join's
+determinism), plan compilation, batched DFS reads, the two executor
+accounting regressions — multi-join queries must report the *final* join's
 cardinality, and pure-scan matches must be accounted separately from join
-output in mixed scan+join queries.
+output in mixed scan+join queries — and the worker boundary: what a task
+hands to another process is what pickles, so the "ids, pins and flat arrays
+only" contract is checked on the pickle stream of real workloads.
 """
 
 from __future__ import annotations
+
+import io
+import pickle
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.api import Session
+from repro.cluster import Cluster
 from repro.common.predicates import ge
 from repro.common.query import Query, JoinClause, join_query, scan_query
+from repro.common.rng import make_rng
 from repro.core import AdaptDBConfig
 from repro.exec import Scheduler, Task, TaskKind, TaskSchedule, compile_plan
+from repro.exec.engine import Executor
+from repro.exec.kernels_tasks import BlockInput, TaskOutcome, TaskWork, run_task
 from repro.exec.scheduler import bucket_blocks_by_replica, replica_hints
 from repro.join.kernels import batch_matching_count, gather_filtered_keys
+from repro.parallel import WorkerPool
+from repro.partitioning.tree import PartitioningTree, TreeNode
+from repro.storage.block import Block
+from repro.storage.catalog import Catalog
+from repro.storage.dfs import DistributedFileSystem
+from repro.storage.shared_memory import BlockSpec, ColumnSpec, SharedBlockStore, TablePin
+from repro.storage.table import StoredTable
 from repro.testing import reference_join_count
-from repro.workloads.tpch_queries import tpch_query
+from repro.workloads.generators import switching_workload
+from repro.workloads.tpch_queries import EVALUATED_TEMPLATES, tpch_query
 
 
 def make_task(task_id, cost, hints=None, stage=0, kind=TaskKind.SCAN, blocks=()):
@@ -319,3 +338,120 @@ class TestBatchedReads:
         assert result.blocks_read > 0
         # Replica-bucketed scan tasks read every block from a local replica.
         assert small_db.dfs.read_stats.locality_fraction == 1.0
+
+
+# --------------------------------------------------------------------- #
+# The worker boundary: the hand-off is what pickles
+# --------------------------------------------------------------------- #
+#: Parent-only state.  None of it may be reachable from anything that
+#: crosses a worker queue.
+PARENT_STATE = (
+    Block, StoredTable, Catalog, DistributedFileSystem, Cluster, PartitioningTree,
+    TreeNode, Session, Executor, SharedBlockStore, WorkerPool,
+)
+
+
+class BoundaryPickler(pickle.Pickler):
+    """A pickler that refuses parent-only state anywhere in the object graph."""
+
+    def reducer_override(self, obj):
+        if isinstance(obj, PARENT_STATE):
+            raise pickle.PicklingError(
+                f"{type(obj).__name__} reached a cross-process payload"
+            )
+        return NotImplemented
+
+
+def ship(payload):
+    """Send ``payload`` through the boundary and return what arrives."""
+    stream = io.BytesIO()
+    BoundaryPickler(stream, pickle.HIGHEST_PROTOCOL).dump(payload)
+    return pickle.loads(stream.getvalue())
+
+
+@dataclass
+class BoundaryBackend:
+    """The inline runner with a process boundary's pickling in the middle:
+    every work item and every outcome is shipped, and the *shipped* work runs.
+    """
+
+    executor: Executor
+    name: str = "boundary"
+    shipped: list[TaskWork] = field(default_factory=list)
+
+    def execute(self, physical):
+        ship(physical.compiled.tasks)
+        ship(physical.schedule)
+        return self.executor.execute_schedule(
+            physical.logical, physical.compiled, physical.schedule, runner=self.run_stage
+        )
+
+    def run_stage(self, works):
+        outcomes = []
+        for work in works:
+            arrived = ship(work)
+            self.shipped.append(arrived)
+            outcomes.append(ship(run_task(arrived, partial(self.executor.fetch, arrived))))
+        return outcomes
+
+
+class TestWorkerBoundary:
+    def run_stream(self, tpch_tables, queries, config, boundary):
+        session = Session(AdaptDBConfig(rows_per_block=512, buffer_blocks=8, seed=1, **config))
+        for table in tpch_tables.values():
+            session.load_table(table)
+        backend = BoundaryBackend(session.executor)
+        if boundary:
+            session.use_backend(backend)
+        results = session.run_workload(queries)
+        return [result.fingerprint() for result in results], backend.shipped, session
+
+    @pytest.mark.parametrize(
+        "config",
+        [{}, {"force_join_method": "shuffle"}, {"force_join_method": "hyper"}],
+        ids=["fig13a", "forced-shuffle", "forced-hyper"],
+    )
+    def test_real_streams_cross_the_boundary_bit_identically(self, tpch_tables, config):
+        """Every work item and outcome of fig13a's adaptive switching stream
+        (which opens with the multi-join q3) and of the two forced join
+        methods pickles without parent state, and running what arrived gives
+        the results the plain ``tasks`` run gives.
+        """
+        if config:
+            queries = [join_query("lineitem", "orders", "l_orderkey", "o_orderkey")]
+        else:
+            queries = switching_workload(list(EVALUATED_TEMPLATES), 2, make_rng(1))
+            assert len(queries[0].joins) > 1
+        plain, _, _ = self.run_stream(tpch_tables, queries, config, boundary=False)
+        arrived, shipped, session = self.run_stream(tpch_tables, queries, config, boundary=True)
+        assert arrived == plain
+        kinds = {work.kind for work in shipped}
+        if config.get("force_join_method") == "shuffle":
+            assert {TaskKind.SHUFFLE_MAP, TaskKind.SHUFFLE_REDUCE} <= kinds
+        else:
+            assert TaskKind.HYPER_GROUP in kinds
+
+        # What the pool runner adds, the table's pin, crosses as well.
+        work = next(work for work in shipped if work.inputs)
+        store = SharedBlockStore()
+        try:
+            pins = [store.pin_table(session.table(blocks.table)) for blocks in work.inputs]
+            pinned = replace(
+                work,
+                inputs=tuple(
+                    replace(blocks, pin=pin) for blocks, pin in zip(work.inputs, pins)
+                ),
+            )
+            assert [blocks.pin for blocks in ship(pinned).inputs] == pins
+        finally:
+            store.close()
+
+    def test_boundary_pickler_rejects_parent_state(self, small_db):
+        """The oracle bites: a live block one level inside a work item is refused."""
+        block = small_db.dfs.peek_block(small_db.table("orders").block_ids()[0])
+        with pytest.raises(pickle.PicklingError, match="Block"):
+            ship(TaskWork(0, TaskKind.SHUFFLE_REDUCE, 0, build_keys=[block]))
+
+    def test_payload_classes_are_frozen(self):
+        payloads = (BlockInput, TaskWork, TaskOutcome, TablePin, BlockSpec, ColumnSpec)
+        assert all(cls.__dataclass_params__.frozen for cls in payloads)

@@ -7,16 +7,22 @@ in-process task backend — same ``output_rows``, same ``fingerprint()`` —
 on scan, shuffle-join and hyper-join workloads, including adaptive
 workloads that repartition tables (epoch bumps) mid-stream.  Around that
 core: segment lifecycle (no leaks after close, epoch-bumped pins rebuilt,
-crashed workers recovered) and the wall-clock reporting fields that
+crashed workers recovered), failed stages (a worker-side error — including
+a write to a pinned block, which is read-only — fails the query loudly and
+leaves the session correct) and the wall-clock reporting fields that
 fingerprints must ignore.
 """
 
 from __future__ import annotations
 
+import itertools
+import multiprocessing
 import os
+import queue
 import signal
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,9 +31,9 @@ from repro.api import Session
 from repro.common.predicates import between
 from repro.common.query import join_query, scan_query
 from repro.core import AdaptDBConfig
-from repro.exec import TaskKind
-from repro.exec.kernels_tasks import TaskWork
-from repro.parallel import ParallelBackend, WorkerPool
+from repro.exec import TaskKind, kernels_tasks
+from repro.exec.kernels_tasks import TaskOutcome, TaskWork
+from repro.parallel import ParallelBackend, WorkerPool, pool as pool_module
 from repro.parallel.calibrate import fig08_scan_queries, fig13_join_queries
 from repro.common.errors import ExecutionError
 from repro.storage.shared_memory import _attach_untracked
@@ -75,6 +81,11 @@ def assert_backends_agree(session: Session, query) -> tuple:
     assert parallel_result.output_rows == tasks_result.output_rows
     assert parallel_result.fingerprint() == tasks_result.fingerprint()
     return tasks_result, parallel_result
+
+
+def pinned_segments(backend: ParallelBackend) -> list[str]:
+    store = backend.store
+    return [store.current_pin(name).segment for name in store.pinned_tables]
 
 
 def segment_exists(name: str) -> bool:
@@ -160,10 +171,7 @@ class TestSegmentLifecycle:
         session = make_session(tpch_tables)
         session.run(join_query("lineitem", "orders", "l_orderkey", "o_orderkey"))
         backend = session.backends["parallel"]
-        segments = [
-            backend.store.current_pin(name).segment
-            for name in backend.store.pinned_tables
-        ]
+        segments = pinned_segments(backend)
         assert segments, "executing a join should have pinned tables"
         assert all(segment_exists(segment) for segment in segments)
         session.close()
@@ -203,10 +211,7 @@ class TestSegmentLifecycle:
         assert backend.pool.alive
 
         # ...and teardown still unlinks every segment.
-        segments = [
-            backend.store.current_pin(name).segment
-            for name in backend.store.pinned_tables
-        ]
+        segments = pinned_segments(backend)
         session.close()
         assert not any(segment_exists(segment) for segment in segments)
 
@@ -254,6 +259,108 @@ class TestSegmentLifecycle:
             with pytest.raises(ExecutionError, match="died"):
                 pool.collect(1, timeout=10.0)
         finally:
+            pool.close()
+
+
+# --------------------------------------------------------------------- #
+# Failed stages
+# --------------------------------------------------------------------- #
+class TestFailedStages:
+    def test_failed_stage_does_not_poison_the_next_query(self, tpch_tables, monkeypatch):
+        """Regression: a failed stage's other outcomes stayed in the result
+        queue of a pool that was still alive, and the next query collected
+        them as its own (a wrong answer, a stale error or a bare KeyError).
+        """
+        session = make_session(tpch_tables)
+        backend = session.backends["parallel"]
+        scan = scan_query("lineitem", [between("l_quantity", 5, 40)])
+        session.run(scan_query("orders"), adapt=False)  # a live pool, lineitem unseen
+        pool = backend.pool
+        pin_table = backend.store.pin_table
+        # Ship a pin that lists no blocks: every task of the stage fails in
+        # its worker, collect() raises on the first report and the others
+        # are still on their way to the queue.
+        monkeypatch.setattr(
+            backend.store, "pin_table", lambda table: replace(pin_table(table), blocks={})
+        )
+        with pytest.raises(ExecutionError, match="not pinned"):
+            session.run(scan, adapt=False)
+        monkeypatch.undo()
+
+        for query in (join_query("lineitem", "orders", "l_orderkey", "o_orderkey"), scan):
+            assert_backends_agree(session, query)
+        assert backend.pool is not pool and backend.pool.alive
+        segments = pinned_segments(backend)
+        session.close()
+        assert segments and not any(segment_exists(segment) for segment in segments)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched kernel reaches the workers by fork inheritance",
+    )
+    def test_worker_write_to_a_pinned_block_fails_the_query(self, tpch_tables, monkeypatch):
+        session = make_session(tpch_tables, worker_start_method="fork")
+        try:
+            scan = scan_query("lineitem", [between("l_quantity", 5, 25)])
+            table = session.table("lineitem")
+            first_column = table.schema.column_names[0]
+            before = {
+                block_id: session.dfs.peek_block(block_id).columns[first_column].copy()
+                for block_id in table.non_empty_block_ids()
+            }
+            run_scan_task = kernels_tasks.run_scan_task
+
+            def writing_scan(blocks, predicates):
+                column = blocks[0].columns[first_column]
+                column[0] = column[0] + 1
+                return run_scan_task(blocks, predicates)
+
+            # Patched before the pool starts, so the forked workers run it.
+            monkeypatch.setattr(kernels_tasks, "run_scan_task", writing_scan)
+            with pytest.raises(ExecutionError, match="destination is read-only"):
+                session.run(scan, adapt=False)
+            monkeypatch.undo()
+
+            for block_id, column in before.items():
+                assert np.array_equal(
+                    session.dfs.peek_block(block_id).columns[first_column], column
+                )
+            # The workers that inherited the patch went with the failed pool.
+            assert_backends_agree(session, scan)
+        finally:
+            session.close()
+
+    def test_collect_timeout_is_per_outcome(self, monkeypatch):
+        """Regression: the deadline was set once per stage, so a stage making
+        steady progress for longer than ``timeout`` in total was killed at
+        the first quiet second after it.
+        """
+
+        class ScriptedQueue:
+            def __init__(self, *script):
+                self.script = list(script)
+
+            def get(self, timeout):
+                item = self.script.pop(0)
+                if item is queue.Empty:
+                    raise queue.Empty
+                return item
+
+        pool = WorkerPool(1)
+        results = pool._results
+        try:
+            pool._results = ScriptedQueue(
+                queue.Empty,
+                ("ok", 0, TaskOutcome(task_id=0, rows=1)),
+                queue.Empty,
+                ("ok", 0, TaskOutcome(task_id=1, rows=1)),
+            )
+            clock = itertools.count(step=40)
+            monkeypatch.setattr(pool_module, "_wall", lambda: float(next(clock)))
+            outcomes = pool.collect(2, timeout=60.0)
+            assert [outcome.task_id for outcome in outcomes] == [0, 1]
+        finally:
+            pool._results = results
             pool.close()
 
 

@@ -1,10 +1,12 @@
-"""Runtime sanitizer (REPRO_SANITIZE=1): dynamic twins of the static rules.
+"""Runtime sanitizer (REPRO_SANITIZE=1): the mutation-exit and aliasing checks.
 
 Each check is exercised positively (a seeded contract violation raises)
 and negatively (the sanctioned behaviour stays quiet, and everything is a
 no-op with the sanitizer off).  CI additionally runs the whole tier-1
 suite once with the sanitizer enabled, so the production code paths are
-exercised under enforcement too.
+exercised under enforcement too.  ``TestFrozenViews`` pins down what the
+sanitizer no longer decides: attached shared-memory views are read-only
+whether it is on or off.
 """
 
 from __future__ import annotations
@@ -24,7 +26,13 @@ from repro.common.sanitize import (
 from repro.common.schema import DataType, Schema
 from repro.partitioning.upfront import UpfrontPartitioner
 from repro.storage.dfs import DistributedFileSystem
-from repro.storage.shared_memory import BlockSpec, ColumnSpec, _views_of
+from repro.storage.shared_memory import (
+    BlockSpec,
+    ColumnSpec,
+    SharedBlockStore,
+    SharedSegmentCache,
+    _views_of,
+)
 from repro.storage.table import ColumnTable, StoredTable
 
 
@@ -64,7 +72,7 @@ class TestSwitch:
 class TestFrozenViews:
     def _spec_and_buffer(self) -> tuple[memoryview, BlockSpec]:
         array = np.arange(8, dtype=np.int64)
-        buffer = memoryview(bytearray(array.tobytes()))
+        buffer = memoryview(bytearray(array.tobytes())).toreadonly()
         spec = BlockSpec(
             block_id=0,
             num_rows=8,
@@ -78,15 +86,33 @@ class TestFrozenViews:
         with pytest.raises(ValueError):
             columns["key"][0] = 99
 
-    def test_views_stay_writable_without_sanitizer(self):
+    def test_views_are_readonly_without_sanitizer(self):
+        """A worker cannot write a pinned block, nor make its view writable."""
         set_sanitize(False)
+        stored = make_stored()
+        block_id = stored.non_empty_block_ids()[0]
+        before = stored.dfs.peek_block(block_id).columns["key"].copy()
+        store, cache, witness = SharedBlockStore(), SharedSegmentCache(), SharedSegmentCache()
         try:
-            buffer, spec = self._spec_and_buffer()
-            columns = _views_of(buffer, spec)
-            columns["key"][0] = 99
-            assert columns["key"][0] == 99
+            pin = store.pin_table(stored)
+            view = cache.get_blocks(pin, [block_id])[0].columns["key"]
+            assert not view.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = view[0] + 1
+            with pytest.raises(ValueError):
+                view.setflags(write=True)
+            del view
+            # Neither the parent's block nor the segment every other worker
+            # reads has changed.
+            seen = witness.get_blocks(pin, [block_id])[0].columns["key"]
+            assert np.array_equal(seen, before)
+            del seen
+            assert np.array_equal(stored.dfs.peek_block(block_id).columns["key"], before)
         finally:
             set_sanitize(None)
+            witness.close()
+            cache.close()
+            store.close()
 
 
 class TestDeltaCrossCheck:
