@@ -1,9 +1,9 @@
 """Determinism checker.
 
-The adaptation benchmarks fingerprint query results and schedules, so
-the executing/simulating/adapting/planning layers (``repro.exec``,
-``repro.sim``, ``repro.adaptive``, ``repro.join``) must be bit-stable
-run to run.  Rules:
+The tests and the layered benchmark fingerprint query results and
+schedules, so the executing/simulating/adapting/planning layers
+(``repro.exec``, ``repro.sim``, ``repro.adaptive``, ``repro.join``) must be
+bit-stable run to run.  Rules:
 
 ``no-stdlib-random``
     ``random`` (the stdlib module) is banned in scoped modules; the only

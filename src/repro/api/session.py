@@ -66,7 +66,6 @@ from ..core.optimizer import Optimizer
 from ..exec.engine import Executor
 from ..exec.result import QueryResult
 from ..exec.scheduler import Scheduler, compile_plan
-from ..join.hyperjoin import HyperPlanCache
 from ..parallel.backend import ParallelBackend
 from ..partitioning.tree import PartitioningTree
 from ..partitioning.upfront import UpfrontPartitioner
@@ -111,12 +110,12 @@ class Session:
 
     def __post_init__(self) -> None:
         # The construction (and rng-derivation) order below is load-bearing:
-        # seeded runs keep their decision fingerprints (and the committed
-        # benchmark baselines stay valid) only while it is unchanged.
+        # seeded runs keep their decision fingerprints (and the golden
+        # digests in tests/test_integration.py stay valid) only while it is
+        # unchanged.
         self.rng = make_rng(self.config.seed)
         cost_model = CostModel(
             shuffle_factor=self.config.shuffle_cost_factor,
-            seconds_per_block=self.config.seconds_per_block,
             parallelism=self.config.num_machines,
         )
         self.cluster = Cluster(
@@ -144,7 +143,6 @@ class Session:
             cluster=self.cluster,
             config=self.config,
             repartitioner=self.repartitioner,
-            hyper_cache=HyperPlanCache(),
         )
         self.plan_cache = PlanCache(capacity=self.config.plan_cache_size)
         self.executor = Executor(
@@ -365,7 +363,7 @@ class Session:
 
         entry = self.plan_cache.get(key) if self.plan_cache.capacity else None
         from_cache = entry is not None
-        if entry is None and self.plan_cache.capacity and self.config.incremental_planning:
+        if entry is None and self.plan_cache.capacity:
             entry = self._revalidate(query, signature, epochs)
             if entry is not None:
                 # The surviving entry (logical decisions *and* any compiled
@@ -568,20 +566,18 @@ class Session:
     def cache_stats(self) -> dict[str, float]:
         """Hit/miss counters of the plan cache and the hyper-plan cache."""
         hyper = self.optimizer.hyper_cache
-        stats = {
+        hyper_lookups = hyper.hits + hyper.misses
+        return {
             "plan_lookups": self.plan_cache.lookups,
             "plan_hits": self.plan_cache.hits,
             "plan_misses": self.plan_cache.misses,
             "plan_hit_rate": round(self.plan_cache.hit_rate, 4),
             "plan_revalidations": self.plan_cache.revalidations,
             "plan_entries": len(self.plan_cache),
+            "hyper_hits": hyper.hits,
+            "hyper_misses": hyper.misses,
+            "hyper_upgrades": hyper.upgrades,
+            "hyper_hit_rate": (
+                round(hyper.hits / hyper_lookups, 4) if hyper_lookups else 0.0
+            ),
         }
-        if hyper is not None:
-            lookups = hyper.hits + hyper.misses
-            stats.update(
-                hyper_hits=hyper.hits,
-                hyper_misses=hyper.misses,
-                hyper_upgrades=hyper.upgrades,
-                hyper_hit_rate=round(hyper.hits / lookups, 4) if lookups else 0.0,
-            )
-        return stats

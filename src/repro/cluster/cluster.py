@@ -10,7 +10,7 @@ on.  It answers two questions the paper's evaluation depends on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..common.errors import StorageError
 from .costmodel import CostModel
@@ -45,13 +45,7 @@ class Cluster:
         # Keep the cost model's notion of parallelism in sync with the
         # actual cluster size so modelled seconds scale correctly.
         if self.cost_model.parallelism != self.num_machines:
-            self.cost_model = CostModel(
-                shuffle_factor=self.cost_model.shuffle_factor,
-                remote_read_penalty=self.cost_model.remote_read_penalty,
-                repartition_write_factor=self.cost_model.repartition_write_factor,
-                seconds_per_block=self.cost_model.seconds_per_block,
-                parallelism=self.num_machines,
-            )
+            self.cost_model = replace(self.cost_model, parallelism=self.num_machines)
 
     def machine(self, machine_id: int) -> Machine:
         """Return the machine with the given id."""

@@ -11,9 +11,10 @@ proportional to the number of blocks accessed.  Constants follow the paper:
   average, equation (2).
 * Remote reads cost 8 % more than local reads (Figure 7 / [3]).
 
-The model also converts block counts into *modelled seconds* with a
-configurable per-block time so experiment harnesses can report runtime-shaped
-series; absolute values are not meant to match the paper's testbed.
+Cost units are the one modelled currency: one block access takes one unit
+of modelled time, so the ``*_seconds`` conversions below are cost units per
+machine and exist only to give the experiment drivers runtime-shaped series;
+absolute values are not meant to match the paper's testbed.
 """
 
 from __future__ import annotations
@@ -34,16 +35,14 @@ class CostModel:
             routes every record through the new tree and writes it back, so
             the default charges one read plus one (slightly more expensive)
             write per block.
-        seconds_per_block: Conversion from one block access in cost units to
-            modelled wall-clock seconds.  Purely presentational.
         parallelism: Number of machines sharing the work; modelled seconds
-            are divided by this value, mirroring perfectly parallel scans.
+            are cost units divided by this value, mirroring perfectly
+            parallel scans.
     """
 
     shuffle_factor: float = 3.0
     remote_read_penalty: float = 1.08
     repartition_write_factor: float = 1.5
-    seconds_per_block: float = 1.0
     parallelism: int = 10
 
     # ------------------------------------------------------------------ #
@@ -97,8 +96,8 @@ class CostModel:
         return max(machine_costs) if machine_costs else 0.0
 
     def makespan_seconds(self, machine_costs: list[float]) -> float:
-        """Makespan converted to modelled wall-clock seconds."""
-        return self.makespan(machine_costs) * self.seconds_per_block
+        """Makespan as modelled seconds (one cost unit per second)."""
+        return self.makespan(machine_costs)
 
     # ------------------------------------------------------------------ #
     # Presentation
@@ -106,7 +105,8 @@ class CostModel:
     def to_seconds(self, cost_units: float) -> float:
         """Convert cost units into modelled seconds on the whole cluster.
 
-        This is the idealised conversion (perfect parallelism); use
-        :meth:`makespan_seconds` for the schedule-aware runtime.
+        This is the idealised conversion (perfect parallelism: cost units
+        per machine); use :meth:`makespan_seconds` for the schedule-aware
+        runtime.
         """
-        return cost_units * self.seconds_per_block / max(self.parallelism, 1)
+        return cost_units / max(self.parallelism, 1)

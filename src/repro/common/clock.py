@@ -6,8 +6,8 @@ The determinism checker bans direct ``time.perf_counter()`` /
 duration must never feed a planning decision or a result fingerprint.
 Durations that are *reported* — solver wall time on an
 :class:`~repro.join.ilp.ILPSolution`, task timings on
-``QueryResult.wall_seconds``, calibration harness measurements — go
-through :func:`monotonic_seconds` instead.  ``repro.common`` is outside
+``QueryResult.wall_seconds`` / ``machine_wall_seconds`` — go through
+:func:`monotonic_seconds` instead.  ``repro.common`` is outside
 the checker's determinism scope, so this is the one place the clock is
 read and every call site names its purpose by importing from here
 rather than carrying a per-line suppression.

@@ -43,9 +43,6 @@ class AdaptDBConfig:
         replication: DFS replication factor.
         seed: Seed for all randomized choices.
         shuffle_cost_factor: The cost model's ``CSJ`` constant.
-        seconds_per_block: Cost-unit to modelled-seconds conversion factor.
-            ``repro.parallel.calibrate.apply_calibration`` feeds a measured
-            fit into a live session's cost model.
         execution_backend: Which :class:`~repro.api.ExecutionBackend` a
             session executes through: ``"tasks"`` (the schedule interpreter
             run in-process), ``"simulated"`` (the same plus the ``repro.sim``
@@ -53,8 +50,9 @@ class AdaptDBConfig:
             repartition-bandwidth contention), or ``"parallel"`` (the same
             interpreter on a persistent worker pool with shared-memory
             block transport, ``repro.parallel``).  Every backend reports
-            the paper's serial-sum model (``cost_units`` /
-            ``runtime_seconds``) and the schedule's makespan on each result.
+            the paper's serial-sum model (``cost_units``, and
+            ``runtime_seconds`` = cost units per machine) and the schedule's
+            makespan on each result.
         num_workers: Worker processes of the parallel backend; ``None``
             means one worker per simulated machine.
         worker_start_method: ``multiprocessing`` start method for the
@@ -67,15 +65,12 @@ class AdaptDBConfig:
             spreading for free.
         plan_cache_size: Capacity of the session's epoch-keyed plan cache
             (entries); ``0`` disables plan caching entirely.
-        incremental_planning: Maintain cached planning state *across* epoch
-            bumps: stale hyper-plan memo entries are delta-patched instead of
-            recomputed, and compiled session plans are revalidated against
-            the tables' change descriptors.  Decisions are bit-identical
-            either way; disabling falls back to invalidate-and-recompute
-            (the pre-delta behaviour, kept for benchmarking).
-        delta_chain_limit: Change descriptors retained per table.  A cached
-            artifact older than this many epoch bumps can no longer be
-            patched and is recomputed cold (bounds delta-chain memory).
+        delta_chain_limit: Change descriptors retained per table.  Cached
+            planning state is maintained *across* epoch bumps (stale
+            hyper-plan memo entries are delta-patched, compiled session
+            plans are revalidated against the tables' change descriptors);
+            an artifact older than this many bumps can no longer be patched
+            and is recomputed cold (bounds delta-chain memory).
         persistence: ``"memory"`` (default; blocks live purely in RAM) or
             ``"mmap"`` — blocks spill to memory-mapped per-column files
             under ``storage_root``, all reads route through a byte-budgeted
@@ -89,7 +84,8 @@ class AdaptDBConfig:
         buffer_bytes: Byte budget of the block buffer; ``None`` means
             unbounded (blocks spill only at checkpoints).  Only meaningful
             with ``persistence="mmap"``.  When unset, ``REPRO_BUFFER_BYTES``
-            supplies a default for mmap sessions.
+            (a non-negative integer; ``0`` means unbounded) supplies a
+            default for mmap sessions.
     """
 
     num_machines: int = 10
@@ -108,13 +104,11 @@ class AdaptDBConfig:
     replication: int = 3
     seed: int = 20170101
     shuffle_cost_factor: float = 3.0
-    seconds_per_block: float = 1.0
     execution_backend: str = "tasks"
     num_workers: int | None = None
     worker_start_method: str | None = None
     sim_repartition_bandwidth: int = 2
     plan_cache_size: int = 64
-    incremental_planning: bool = True
     delta_chain_limit: int = 64
     persistence: str = ""
     storage_root: str | None = None
@@ -133,9 +127,17 @@ class AdaptDBConfig:
             and self.persistence == "mmap"
             and os.environ.get("REPRO_BUFFER_BYTES", "")
         ):
-            env_budget = int(os.environ["REPRO_BUFFER_BYTES"])
-            # REPRO_BUFFER_BYTES=0 means explicitly unbounded.
-            self.buffer_bytes = env_budget if env_budget > 0 else None
+            raw_budget = os.environ["REPRO_BUFFER_BYTES"]
+            try:
+                env_budget = int(raw_budget)
+            except ValueError:
+                env_budget = -1  # reported with the negative case below
+            if env_budget < 0:
+                raise PlanningError(
+                    "REPRO_BUFFER_BYTES must be a non-negative integer "
+                    f"(0 means unbounded), got {raw_budget!r}"
+                )
+            self.buffer_bytes = env_budget or None
         if self.rows_per_block <= 0:
             raise PlanningError("rows_per_block must be positive")
         if self.buffer_blocks < 1:

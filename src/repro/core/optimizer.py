@@ -22,7 +22,7 @@ from ..adaptive.repartitioner import AdaptiveRepartitioner, RepartitionReport
 from ..cluster.cluster import Cluster
 from ..common.errors import PlanningError
 from ..common.query import JoinClause, Query
-from ..join.hyperjoin import HyperJoinPlan, HyperPlanCache, plan_hyper_join
+from ..join.hyperjoin import HyperJoinPlan, HyperPlanCache
 from ..storage.catalog import Catalog
 from .config import AdaptDBConfig
 from .planner import JoinClassification, JoinMethod, classify_join
@@ -72,17 +72,17 @@ class QueryPlan:
 class Optimizer:
     """Cost-based join-method selection plus adaptation orchestration.
 
-    When ``hyper_cache`` is set, hyper-join schedules (overlap matrix +
-    grouping) are memoized across queries keyed on both tables' partition-
-    state epochs — repeated-template workloads re-cost the same block sets
-    every query and hit the cache once adaptation converges.
+    Hyper-join schedules (overlap matrix + grouping) are memoized in
+    ``hyper_cache`` across queries, keyed on both tables' partition-state
+    epochs — repeated-template workloads re-cost the same block sets every
+    query and hit the cache once adaptation converges.
     """
 
     catalog: Catalog
     cluster: Cluster
     config: AdaptDBConfig
     repartitioner: AdaptiveRepartitioner | None = None
-    hyper_cache: HyperPlanCache | None = None
+    hyper_cache: HyperPlanCache = field(default_factory=HyperPlanCache)
 
     # ------------------------------------------------------------------ #
     # Entry point
@@ -164,29 +164,14 @@ class Optimizer:
         build_col: str,
         probe_col: str,
     ) -> HyperJoinPlan:
-        """Plan one hyper-join direction, through the epoch-keyed cache if set."""
+        """Plan one hyper-join direction through the epoch-keyed cache."""
         dfs = self.catalog.get(build_table).dfs
-        if self.hyper_cache is None:
-            return plan_hyper_join(
-                dfs,
-                build_blocks,
-                probe_blocks,
-                build_col,
-                probe_col,
-                self.config.buffer_blocks,
-                self.config.grouping_algorithm,
-            )
         state_token = (
             build_table,
             self.catalog.get(build_table).epoch,
             probe_table,
             self.catalog.get(probe_table).epoch,
         )
-        delta_source = None
-        if self.config.incremental_planning:
-            delta_source = lambda name, start, end: self.catalog.get(  # noqa: E731
-                name
-            ).delta_between(start, end)
         return self.hyper_cache.get_or_plan(
             dfs,
             build_blocks,
@@ -196,7 +181,9 @@ class Optimizer:
             self.config.buffer_blocks,
             self.config.grouping_algorithm,
             state_token,
-            delta_source=delta_source,
+            delta_source=lambda name, start, end: (
+                self.catalog.get(name).delta_between(start, end)
+            ),
         )
 
     def _choose_method(self, shuffle_cost: float, hyper_cost: float) -> JoinMethod:

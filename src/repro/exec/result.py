@@ -93,7 +93,7 @@ class QueryResult:
 
         Two executions of the same query against the same partition state
         must produce equal fingerprints — the plan-cache tests and the
-        adaptation benchmark compare cached vs. cold runs through this.
+        layered benchmark compare cached vs. cold runs through this.
         Wall-clock measurements (``planning_seconds``, ``wall_seconds``,
         ``machine_wall_seconds``), cache provenance (``plan_cache_hit``) and
         buffer traffic (``buffer_hits`` / ``buffer_faults`` /

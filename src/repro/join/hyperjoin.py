@@ -142,10 +142,10 @@ class HyperPlanCache:
 
     where ``state_token`` carries the ``(table, epoch)`` pairs of both sides.
     Any table mutation bumps its epoch and thereby orphans every entry that
-    mentions it.  When the caller supplies a ``delta_source``, an orphan is
-    not abandoned: the cache finds the newest entry for the same join
-    template, asks both tables for the merged change descriptor spanning the
-    stale and current epochs, and **patches** the schedule — re-peeking only
+    mentions it.  An orphan is not abandoned: the cache finds the newest
+    entry for the same join template, asks both tables (through the caller's
+    ``delta_source``) for the merged change descriptor spanning the stale
+    and current epochs, and **patches** the schedule — re-peeking only
     changed blocks, rewriting only changed overlap rows/columns, and
     re-grouping through the digest-keyed memo — in O(changed × blocks)
     instead of recomputing in O(blocks²).  The patched plan is bit-identical
@@ -198,7 +198,7 @@ class HyperPlanCache:
         buffer_blocks: int,
         algorithm: str,
         state_token: tuple,
-        delta_source: DeltaSource | None = None,
+        delta_source: DeltaSource,
     ) -> HyperJoinPlan:
         """Return the cached schedule for this key, upgrading or planning on a miss."""
         key = (
@@ -220,13 +220,12 @@ class HyperPlanCache:
         )
         entry = self._cache.get(key)
         if entry is None:
-            if delta_source is not None:
-                entry = self._upgrade(
-                    dfs, key, template, build_block_ids, probe_block_ids, delta_source
-                )
-                if entry is not None:
-                    self._upgrades += 1
-            if entry is None:
+            entry = self._upgrade(
+                dfs, key, template, build_block_ids, probe_block_ids, delta_source
+            )
+            if entry is not None:
+                self._upgrades += 1
+            else:
                 plan = plan_hyper_join(
                     dfs,
                     build_block_ids,

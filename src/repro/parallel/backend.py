@@ -37,16 +37,6 @@ from ..storage.shared_memory import SharedBlockStore
 from .pool import WorkerPool, _wall
 
 
-@dataclass(frozen=True)
-class TaskRecord:
-    """Per-task measurement retained for the calibration harness."""
-
-    task_id: int
-    kind: str
-    machine_id: int
-    wall_seconds: float
-
-
 @dataclass
 class ParallelBackend:
     """True multi-core execution behind the backend protocol."""
@@ -54,9 +44,6 @@ class ParallelBackend:
     executor: Executor
     name: str = "parallel"
     store: SharedBlockStore = field(init=False, default_factory=SharedBlockStore)
-    #: Per-task wall measurements of the most recent execution (reporting
-    #: and calibration only — never consulted by planning).
-    last_task_records: list[TaskRecord] = field(init=False, default_factory=list)
     _pool: WorkerPool | None = field(init=False, default=None)
 
     # ------------------------------------------------------------------ #
@@ -96,14 +83,14 @@ class ParallelBackend:
     def execute(self, physical) -> QueryResult:
         """Interpret a physical plan's schedule with the pool as the runner."""
         pool = self.ensure_pool()
-        self.last_task_records = []
+        machine_wall = [0.0] * physical.schedule.num_machines
         started = _wall()
         try:
             result = self.executor.execute_schedule(
                 physical.logical,
                 physical.compiled,
                 physical.schedule,
-                runner=lambda works: self._run_stage(pool, works),
+                runner=lambda works: self._run_stage(pool, works, machine_wall),
             )
         except BaseException:
             # A failed stage leaves its other outcomes in the pool's result
@@ -114,18 +101,19 @@ class ParallelBackend:
             self._pool = None
             raise
         result.wall_seconds = _wall() - started
-        machine_wall = [0.0] * physical.schedule.num_machines
-        for record in self.last_task_records:
-            machine_wall[record.machine_id] += record.wall_seconds
         result.machine_wall_seconds = machine_wall
         return result
 
     def _run_stage(
-        self, pool: WorkerPool, works: Iterable[TaskWork]
+        self, pool: WorkerPool, works: Iterable[TaskWork], machine_wall: list[float]
     ) -> list[TaskOutcome]:
-        """The pool runner: fan one stage's work out and collect its outcomes."""
+        """The pool runner: fan one stage's work out and collect its outcomes.
+
+        Each outcome's measured ``wall_seconds`` is added to its machine's
+        slot of ``machine_wall`` (reporting only).
+        """
         catalog = self.executor.catalog
-        submitted: dict[int, TaskWork] = {}
+        machine_of: dict[int, int] = {}
         for work in works:
             pinned = replace(
                 work,
@@ -140,15 +128,8 @@ class ParallelBackend:
             for blocks in work.inputs:
                 self.executor.fetch(work, blocks)
             pool.submit(work.machine_id, pinned)
-            submitted[work.task_id] = work
-        outcomes = pool.collect(len(submitted))
-        self.last_task_records += [
-            TaskRecord(
-                task_id=outcome.task_id,
-                kind=submitted[outcome.task_id].kind.value,
-                machine_id=submitted[outcome.task_id].machine_id,
-                wall_seconds=outcome.wall_seconds,
-            )
-            for outcome in outcomes
-        ]
+            machine_of[work.task_id] = work.machine_id
+        outcomes = pool.collect(len(machine_of))
+        for outcome in outcomes:
+            machine_wall[machine_of[outcome.task_id]] += outcome.wall_seconds
         return outcomes

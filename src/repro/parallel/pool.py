@@ -13,7 +13,7 @@ interpreter merges outcomes identically and stays bit-identical.
 
 Timing discipline: workers stamp each task with a wall-clock duration via
 the single marked helper below.  The measured times feed *reporting only*
-(``QueryResult.wall_seconds`` and the calibration harness) — never a
+(``QueryResult.wall_seconds`` / ``machine_wall_seconds``) — never a
 decision, never a fingerprint — which is why the wall-clock reads are
 ``# repro: allow``-ed for the determinism checker.
 """
@@ -37,8 +37,8 @@ def _wall() -> float:
     """The pool's wall-clock source (reporting-only measurements).
 
     Measured task durations are reported on ``QueryResult.wall_seconds``
-    and in the calibration harness; they never feed a planning decision or
-    a fingerprint, so they go through the sanctioned
+    and ``machine_wall_seconds``; they never feed a planning decision or a
+    fingerprint, so they go through the sanctioned
     :func:`repro.common.clock.monotonic_seconds` helper.
     """
     return monotonic_seconds()

@@ -9,29 +9,16 @@ package *plays schedules out* on virtual machines:
   repartitioning-bandwidth resource (:class:`ClusterSimulator`);
 * ``repro.sim.backend``   — :class:`SimBackend`, the
   ``runtime_model="simulated"`` execution backend selectable through
-  :class:`repro.api.Session`;
-* ``repro.sim.workload``  — closed-loop concurrent-query driver
-  (:func:`run_concurrent_workload`) reporting latency percentiles,
-  queueing delay and machine utilisation under contention.
+  :class:`repro.api.Session`.
 """
 
 from .backend import SimBackend
 from .simulator import ClusterSimulator, JobStats, SimReport, task_dependencies
-from .workload import (
-    QueryTiming,
-    WorkloadReport,
-    background_repartition_schedule,
-    run_concurrent_workload,
-)
 
 __all__ = [
     "ClusterSimulator",
     "JobStats",
-    "QueryTiming",
     "SimBackend",
     "SimReport",
-    "WorkloadReport",
-    "background_repartition_schedule",
-    "run_concurrent_workload",
     "task_dependencies",
 ]

@@ -37,10 +37,8 @@ class SimBackend:
 
     def simulate_schedule(self, schedule: TaskSchedule) -> SimReport:
         """Play one schedule on a fresh simulator (single-query, no contention)."""
-        cluster = self.executor.cluster
         simulator = ClusterSimulator(
-            num_machines=cluster.num_machines,
-            seconds_per_block=cluster.cost_model.seconds_per_block,
+            num_machines=self.executor.cluster.num_machines,
             repartition_bandwidth=self.executor.config.sim_repartition_bandwidth,
         )
         simulator.submit(schedule, arrival=0.0, label="query")

@@ -22,12 +22,11 @@ instead:
 Everything is deterministic: the event queue breaks time ties on a
 monotonic sequence number, machines dispatch in id order, and queues are
 scanned in placement order — the same submissions always produce the same
-event trace, which the tests and the benchmark's determinism gate rely on.
+event trace, which the determinism tests rely on.
 
-Time is modelled seconds: one cost unit (block access) takes
-``seconds_per_block`` seconds, the same conversion the cost model's
-``makespan_seconds`` uses, so simulated and makespan completion times are
-directly comparable.
+Time is modelled seconds: one cost unit (block access) takes one second,
+the same conversion the cost model's ``makespan_seconds`` uses, so simulated
+and makespan completion times are directly comparable.
 """
 
 from __future__ import annotations
@@ -170,17 +169,14 @@ class ClusterSimulator:
 
     Attributes:
         num_machines: Machines available (schedules must target this size).
-        seconds_per_block: Cost-unit to simulated-seconds conversion (matches
-            :meth:`repro.cluster.costmodel.CostModel.makespan_seconds`).
         repartition_bandwidth: Maximum number of repartition tasks running
             cluster-wide at once; ``None`` leaves them unbounded.
         on_job_complete: Optional callback ``(job, finish_time)`` fired when
             a job's last task finishes; it may call :meth:`submit` to inject
-            follow-up jobs (the closed-loop workload driver does).
+            follow-up jobs.
     """
 
     num_machines: int
-    seconds_per_block: float = 1.0
     repartition_bandwidth: int | None = None
     on_job_complete: Callable[[JobStats, float], None] | None = None
 
@@ -281,7 +277,7 @@ class ClusterSimulator:
                 job=job,
                 task=task,
                 machine_id=placement[task.task_id],
-                seconds=task.cost_units * self.seconds_per_block,
+                seconds=task.cost_units,
                 deps_remaining=len(dependencies[task.task_id]),
                 ready_time=self._now,
             )

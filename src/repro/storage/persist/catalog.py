@@ -91,7 +91,9 @@ class PersistentCatalog:
         # isolation_level=None puts sqlite3 in autocommit so transaction()
         # controls the BEGIN/COMMIT span itself.  Connecting replays any WAL
         # left behind by a crashed writer before the first statement runs.
-        self._conn = sqlite3.connect(str(self.path), isolation_level=None)
+        self._conn: sqlite3.Connection | None = sqlite3.connect(
+            str(self.path), isolation_level=None
+        )
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.execute("PRAGMA foreign_keys=ON")
@@ -122,9 +124,15 @@ class PersistentCatalog:
             cursor.close()
 
     def close(self) -> None:
-        """Close the underlying connection (idempotent)."""
+        """Close and forget the underlying connection (idempotent)."""
         if self._conn is not None:
             self._conn.close()
+            self._conn = None
+
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`close` has released the connection."""
+        return self._conn is None
 
     # ------------------------------------------------------------------ #
     # Reads (always against the last committed state)

@@ -151,7 +151,16 @@ class PersistenceManager:
         untouched); phase 2 commits one transaction describing exactly
         those versions.  Only after the commit are superseded and stranded
         version directories removed.
+
+        Raises:
+            StorageError: if the session was closed — checked before phase
+                1, so nothing is written under the root.
         """
+        if self.catalog.closed:
+            raise StorageError(
+                f"cannot checkpoint storage root {str(self.root)!r}: the "
+                "session is closed (its catalog connection was released)"
+            )
         dfs = session.dfs
         tables = session.catalog.tables()
         spilled = 0

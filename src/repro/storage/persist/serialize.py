@@ -23,9 +23,10 @@ from ...common.query import JoinClause, Query
 from ...common.schema import Column, DataType, Schema
 from ...partitioning.tree import PartitioningTree, TreeNode
 
-#: Bumped whenever any payload shape changes incompatibly (2: the stored
-#: config lost fields).  ``PersistenceManager.open`` refuses other versions.
-FORMAT_VERSION = 2
+#: Bumped whenever any payload shape changes incompatibly (2 and 3: the
+#: stored config lost fields).  ``PersistenceManager.open`` refuses other
+#: versions.
+FORMAT_VERSION = 3
 
 
 def _plain_scalar(value: Any) -> Any:

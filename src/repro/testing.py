@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common.predicates import rows_matching
+from .common.predicates import between, rows_matching
+from .common.query import Query, join_query, scan_query
 from .storage.table import ColumnTable
 
 
@@ -38,6 +39,42 @@ def reference_join_count(
         left_unique, right_unique, assume_unique=True, return_indices=True
     )
     return int((left_counts[left_idx] * right_counts[right_idx]).sum())
+
+
+# --------------------------------------------------------------------- #
+# Deterministic query grids (no RNG, fixed predicate windows)
+# --------------------------------------------------------------------- #
+def fig08_scan_queries(num_queries: int = 4) -> list[Query]:
+    """Fig08-style selective scans over ``lineitem`` (quantity windows)."""
+    queries = []
+    for index in range(num_queries):
+        low = 1 + (index * 11) % 35
+        queries.append(
+            scan_query(
+                "lineitem",
+                [between("l_quantity", low, low + 12)],
+                template=f"fig8-scan-{index}",
+            )
+        )
+    return queries
+
+
+def fig13_join_queries(num_queries: int = 3) -> list[Query]:
+    """Fig13-style ``lineitem ⋈ orders`` joins with shifting selections."""
+    queries = []
+    for index in range(num_queries):
+        low = 5 + (index * 9) % 30
+        queries.append(
+            join_query(
+                "lineitem",
+                "orders",
+                "l_orderkey",
+                "o_orderkey",
+                predicates={"lineitem": [between("l_quantity", low, low + 20)]},
+                template=f"fig13-join-{index}",
+            )
+        )
+    return queries
 
 
 def run_once(benchmark, function, *args, **kwargs):

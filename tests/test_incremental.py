@@ -8,11 +8,11 @@ Covers the change-descriptor plumbing end to end:
 * the digest-keyed grouping memo,
 * ``HyperPlanCache`` delta upgrades and the session plan-cache
   revalidation pass — always checked *bit-identical* against a session
-  planning cold (``incremental_planning=False``),
+  planning cold (the oracle: its tables' ``delta_between`` answers ``None``,
+  the fallback production takes on chain overflow),
 * the chain-overflow fallback (spans past the retained window replan),
 * fingerprint identity across all three execution backends after
-  incremental patching and over an adaptive (re-splitting) stream,
-* ``apply_calibration``, the one way to feed a measured fit in.
+  incremental patching and over an adaptive (re-splitting) stream.
 """
 
 from __future__ import annotations
@@ -29,26 +29,24 @@ from repro.core import AdaptDBConfig
 from repro.join.grouping import group_blocks, matrix_row_digests
 from repro.join.overlap import compute_overlap_matrix, patch_overlap_matrix
 from repro.exec import TaskKind
-from repro.parallel.calibrate import (
-    CalibrationReport,
-    apply_calibration,
-    fig13_join_queries,
-)
+from repro.testing import fig13_join_queries
 
 PRED = (5.0, 25.0)
 
 
 def make_session(tables, incremental=True, **overrides):
-    config = AdaptDBConfig(
-        rows_per_block=512,
-        buffer_blocks=4,
-        seed=3,
-        incremental_planning=incremental,
-        **overrides,
-    )
+    """A two-table session; ``incremental=False`` is the cold-planning oracle.
+
+    The oracle shadows ``delta_between`` on its tables so every span reads
+    as unavailable: revalidation and hyper-plan upgrades then fall back to
+    planning cold, exactly as they do in production on chain overflow.
+    """
+    config = AdaptDBConfig(rows_per_block=512, buffer_blocks=4, seed=3, **overrides)
     session = Session(config=config)
     for name in ("lineitem", "orders"):
-        session.load_table(tables[name])
+        stored = session.load_table(tables[name])
+        if not incremental:
+            stored.delta_between = lambda start, end: None
     return session
 
 
@@ -443,23 +441,3 @@ class TestIncrementalBitIdentity:
         assert fingerprints[True] == fingerprints[False]
         assert len({tuple(fingerprints[True][backend]) for backend in backends}) == 1
 
-
-# --------------------------------------------------------------------- #
-# Calibration
-# --------------------------------------------------------------------- #
-class TestCalibration:
-    def test_apply_calibration_updates_the_frozen_cost_model(self):
-        session = Session(config=AdaptDBConfig(seed=3))
-        report = CalibrationReport(workload="w", num_workers=1, repeats=1)
-        report.fitted_seconds_per_unit = 0.5
-        assert apply_calibration(session, report) == 0.5
-        assert session.cluster.cost_model.seconds_per_block == 0.5
-        session.close()
-
-    def test_apply_calibration_ignores_degenerate_fits(self):
-        session = Session(config=AdaptDBConfig(seed=3))
-        nominal = session.cluster.cost_model.seconds_per_block
-        report = CalibrationReport(workload="w", num_workers=1, repeats=1)
-        report.fitted_seconds_per_unit = 0.0
-        assert apply_calibration(session, report) == nominal
-        session.close()

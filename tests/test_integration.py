@@ -7,9 +7,16 @@ invariants that must hold no matter how the layout evolves:
 1. query answers never change (they always match a reference computation on
    the raw data), and
 2. no rows are ever lost or duplicated by block migrations.
+
+``TestGoldenDigests`` additionally pins two literal digests that tie today's
+decisions to earlier commits (the cross-commit oracles of the retired
+``benchmarks/perf`` harness).
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -21,9 +28,13 @@ from repro.core import AdaptDBConfig
 from repro.workloads.cmt import CMTGenerator
 from repro.workloads.generators import switching_workload
 from repro.workloads.tpch import TPCHGenerator
-from repro.workloads.tpch_queries import tpch_query
+from repro.workloads.tpch_queries import (
+    EVALUATED_TEMPLATES,
+    tables_for_templates,
+    tpch_query,
+)
 
-from repro.testing import reference_join_count
+from repro.testing import fig08_scan_queries, reference_join_count
 
 
 @pytest.fixture(scope="module")
@@ -124,3 +135,83 @@ class TestCMTWorkloadEndToEnd:
         for query in generator.query_trace(25):
             db.run(query)
         assert db.table("trips").tree_for_join_attribute("trip_id") is not None
+
+
+# --------------------------------------------------------------------- #
+# Golden digests: decisions must not drift across commits
+# --------------------------------------------------------------------- #
+def sha256_of(payload) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+class TestGoldenDigests:
+    """Literal digests first recorded on earlier engines.
+
+    Both must hold on every backend and storage tier; a change to either
+    literal means seeded decisions changed and needs its own justification.
+    """
+
+    #: Per-query decision series of the 16-query fig13-style switching
+    #: stream, first recorded on the seed engine.
+    SEED_ENGINE_DECISIONS = (
+        "8485ebcd1b2c0fa51595fdaa858f0a442b15c24ec6f16b733248309edaf180c4"
+    )
+    #: ``QueryResult.fingerprint()`` of three fig08-style scans.
+    SCAN_FINGERPRINTS = (
+        "bcb9d2b23eb35e0438fb5d081d82e271013c302f5b5ab81d4037f3eb5d7a2d40"
+    )
+
+    @pytest.mark.parametrize("persistence", ["memory", "mmap"])
+    @pytest.mark.parametrize("backend", ["tasks", "simulated", "parallel"])
+    def test_switching_stream_decisions(self, backend, persistence, tmp_path):
+        templates = list(EVALUATED_TEMPLATES)
+        tables = list(
+            TPCHGenerator(scale=0.02, seed=1)
+            .generate(tables_for_templates(templates))
+            .values()
+        )
+        queries = switching_workload(templates, 2, make_rng(1))
+        tier = {"persistence": "memory"}
+        if persistence == "mmap":
+            # A buffer far below the working set: blocks spill, evict and
+            # fault throughout the stream.
+            tier = {
+                "persistence": "mmap",
+                "storage_root": str(tmp_path / "root"),
+                "buffer_bytes": 96_000,
+            }
+        config = AdaptDBConfig(
+            rows_per_block=64, buffer_blocks=8, seed=1,
+            execution_backend=backend, num_workers=2, **tier,
+        )
+        runner = AdaptDBRunner(tables, config)
+        try:
+            results = runner.run_workload(queries)
+        finally:
+            runner.db.close()
+        per_query = {
+            name: [int(getattr(result, name)) for result in results]
+            for name in (
+                "output_rows", "scan_output_rows", "blocks_read",
+                "blocks_repartitioned", "trees_created",
+            )
+        }
+        assert len(results) == 16
+        assert sha256_of(per_query) == self.SEED_ENGINE_DECISIONS
+
+    @pytest.mark.parametrize(
+        "backend, num_workers", [("tasks", None), ("parallel", 1), ("parallel", 2)]
+    )
+    def test_scan_fingerprints(self, backend, num_workers):
+        tables = TPCHGenerator(scale=0.02, seed=1).generate(["lineitem"])
+        config = AdaptDBConfig(
+            rows_per_block=128, buffer_blocks=8, seed=1, num_machines=8,
+            execution_backend=backend, num_workers=num_workers,
+        )
+        with Session(config) as session:
+            session.load_table(tables["lineitem"])
+            fingerprints = [
+                session.run(query, adapt=False).fingerprint()
+                for query in fig08_scan_queries(3)
+            ]
+        assert sha256_of([list(fp) for fp in fingerprints]) == self.SCAN_FINGERPRINTS

@@ -471,6 +471,29 @@ class TestCheckpointRestore:
             session.checkpoint()
         session.close()
 
+    def test_checkpoint_on_a_closed_session_fails_typed_and_writes_nothing(
+        self, tmp_path, tpch_tables
+    ):
+        queries = adaptive_workload()
+        session = load_session(mmap_config(tmp_path), tpch_tables)
+        session.run_workload(queries[:3])
+        expected = [session.run(q, adapt=False).fingerprint() for q in queries[:3]]
+        session.checkpoint()
+        session.run_workload(queries[3:6])  # dirties blocks past the checkpoint
+        session.close()
+
+        root = tmp_path / "root"
+        before = sorted(root.rglob("*"))
+        with pytest.raises(StorageError, match="closed"):
+            session.checkpoint()
+        assert sorted(root.rglob("*")) == before, "phase 1 must not have spilled"
+
+        reopened = Session.open(root)
+        assert [
+            reopened.run(q, adapt=False).fingerprint() for q in queries[:3]
+        ] == expected
+        reopened.close()
+
     def test_sanitizer_verifies_descriptors_across_restart(
         self, tmp_path, tpch_tables
     ):
@@ -582,6 +605,17 @@ class TestPersistenceConfig:
         explicit = AdaptDBConfig(persistence="memory")
         assert explicit.persistence == "memory"
         assert explicit.buffer_bytes is None
+        monkeypatch.setenv("REPRO_BUFFER_BYTES", "0")
+        assert AdaptDBConfig().buffer_bytes is None, "0 means unbounded"
+
+    @pytest.mark.parametrize("value", ["abc", "-5"])
+    def test_env_buffer_bytes_must_be_a_non_negative_integer(
+        self, monkeypatch, value
+    ):
+        monkeypatch.setenv("REPRO_PERSISTENCE", "mmap")
+        monkeypatch.setenv("REPRO_BUFFER_BYTES", value)
+        with pytest.raises(PlanningError, match=f"REPRO_BUFFER_BYTES.*{value}"):
+            AdaptDBConfig()
 
     def test_env_storage_root_hosts_session_dirs(
         self, monkeypatch, tmp_path, tpch_tables

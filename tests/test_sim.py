@@ -3,8 +3,7 @@
 Covers the simulator core against hand-computed two-machine schedules
 (barrier stalls, FIFO first-ready dispatch, bounded repartitioning
 bandwidth), event-ordering determinism, the `SimBackend` agreement with the
-makespan model on single-query no-contention workloads, and the concurrent
-closed-loop workload driver.
+makespan model on single-query no-contention workloads.
 """
 
 from __future__ import annotations
@@ -17,12 +16,7 @@ from repro.common.query import join_query, scan_query
 from repro.common.rng import make_rng
 from repro.core import AdaptDBConfig
 from repro.exec import Task, TaskKind, TaskSchedule, compile_plan
-from repro.sim import (
-    ClusterSimulator,
-    background_repartition_schedule,
-    run_concurrent_workload,
-    task_dependencies,
-)
+from repro.sim import ClusterSimulator, task_dependencies
 from repro.workloads.tpch_queries import tpch_query
 
 
@@ -286,98 +280,3 @@ class TestSimBackend:
             )
 
         assert run_once() == run_once()
-
-
-class TestWorkloadDriver:
-    def make_clients(self, num_clients=4, per_client=2, seed=9):
-        rng = make_rng(seed)
-        templates = ["q12", "q3"]
-        return [
-            [tpch_query(templates[i % len(templates)], rng) for i in range(per_client)]
-            for _ in range(num_clients)
-        ]
-
-    def build_session(self, tpch_tables):
-        config = AdaptDBConfig(rows_per_block=512, buffer_blocks=4, seed=3)
-        session = Session(config=config)
-        for name in ("lineitem", "orders", "customer"):
-            session.load_table(tpch_tables[name])
-        return session
-
-    def test_report_shape_and_percentiles(self, tpch_tables):
-        session = self.build_session(tpch_tables)
-        report = run_concurrent_workload(
-            session, self.make_clients(), think_seconds=1.0, seed=2
-        )
-        assert len(report.queries) == 8
-        percentiles = report.percentiles()
-        assert 0.0 < percentiles["p50"] <= percentiles["p90"] <= percentiles["p99"]
-        assert percentiles["max"] >= percentiles["p99"]
-        assert all(timing.latency > 0.0 for timing in report.queries)
-        assert len(report.utilisation_bins) == 20
-        assert report.finished_at >= max(t.finished for t in report.queries)
-
-    def test_deterministic_across_fresh_sessions(self, tpch_tables):
-        def run_once():
-            session = self.build_session(tpch_tables)
-            return run_concurrent_workload(
-                session,
-                self.make_clients(),
-                think_seconds=2.0,
-                seed=5,
-                background_repartition_blocks=32,
-            ).fingerprint()
-
-        assert run_once() == run_once()
-
-    def test_seed_changes_arrivals(self, tpch_tables):
-        first = run_concurrent_workload(
-            self.build_session(tpch_tables), self.make_clients(),
-            think_seconds=2.0, seed=1,
-        )
-        second = run_concurrent_workload(
-            self.build_session(tpch_tables), self.make_clients(),
-            think_seconds=2.0, seed=2,
-        )
-        assert first.fingerprint() != second.fingerprint()
-
-    def test_background_repartitioning_adds_contention(self, tpch_tables):
-        quiet = run_concurrent_workload(
-            self.build_session(tpch_tables), self.make_clients(),
-            think_seconds=1.0, seed=4,
-        )
-        contended = run_concurrent_workload(
-            self.build_session(tpch_tables), self.make_clients(),
-            think_seconds=1.0, seed=4, background_repartition_blocks=64,
-        )
-        assert contended.background_jobs == 1
-        assert contended.percentiles()["mean"] > quiet.percentiles()["mean"]
-        assert contended.mean_queueing_seconds >= quiet.mean_queueing_seconds
-
-    def test_closed_loop_respects_think_time(self, tpch_tables):
-        """A client's next arrival is its previous completion plus think."""
-        session = self.build_session(tpch_tables)
-        report = run_concurrent_workload(
-            session, self.make_clients(num_clients=1, per_client=3),
-            think_seconds=5.0, seed=8,
-        )
-        by_index = {t.index: t for t in report.queries}
-        for index in range(1, 3):
-            assert by_index[index].arrival >= by_index[index - 1].finished
-
-    def test_rejects_empty_workload(self, tpch_tables):
-        session = self.build_session(tpch_tables)
-        with pytest.raises(ExecutionError):
-            run_concurrent_workload(session, [[]], seed=1)
-
-    def test_background_schedule_spreads_chunks(self):
-        from repro.cluster.costmodel import CostModel
-
-        schedule = background_repartition_schedule(
-            num_machines=3, blocks=20, cost_model=CostModel(), chunk_blocks=8
-        )
-        tasks = schedule.tasks
-        assert all(t.kind is TaskKind.REPARTITION for t in tasks)
-        assert len(tasks) == 3  # 8 + 8 + 4 blocks
-        total_cost = sum(t.cost_units for t in tasks)
-        assert total_cost == pytest.approx(CostModel().repartition_cost(20))
