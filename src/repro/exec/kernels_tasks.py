@@ -52,8 +52,8 @@ class BlockInput:
     """One batch of blocks a task reads, with the row filter applied to it.
 
     ``pin`` is ``None`` on the descriptions the interpreter builds; the pool
-    runner attaches the table's shared-memory pin before shipping the work
-    to a worker.
+    runner attaches the shared-memory slots of exactly ``block_ids`` before
+    shipping the work to a worker.
     """
 
     table: str

@@ -3,10 +3,11 @@
 :class:`ParallelBackend` replays already-compiled :class:`TaskSchedule`\\ s
 on a persistent :class:`~repro.parallel.pool.WorkerPool` — one worker per
 simulated machine (folded modulo ``num_workers``).  Block columns reach the
-workers through shared-memory segments pinned by a
-:class:`~repro.storage.shared_memory.SharedBlockStore`; pins are
-epoch-checked, so any repartition between queries rebuilds the affected
-table's segment before the next dispatch.
+workers through one shared-memory slab per table, kept current by a
+:class:`~repro.storage.shared_memory.SharedBlockStore`: before a stage is
+dispatched, the blocks it reads that a repartition touched since they were
+last copied are copied again, and each work item carries the slots of its
+own blocks only.
 
 Determinism contract: execution goes through the session's one schedule
 interpreter (:class:`~repro.exec.engine.Executor`) with this backend's
@@ -112,24 +113,31 @@ class ParallelBackend:
         Each outcome's measured ``wall_seconds`` is added to its machine's
         slot of ``machine_wall`` (reporting only).
         """
-        catalog = self.executor.catalog
-        machine_of: dict[int, int] = {}
+        works = list(works)
+        # One pin per table per stage, made before anything is submitted: the
+        # store writes into a segment only while no worker is reading it.
+        read: dict[str, list[int]] = {}
         for work in works:
-            pinned = replace(
-                work,
-                inputs=tuple(
-                    replace(blocks, pin=self.store.pin_table(catalog.get(blocks.table)))
-                    for blocks in work.inputs
-                ),
-            )
-            # Charge the reads where the inline runner would, so locality
-            # and buffer statistics match TaskBackend's (block data itself
-            # travels via shared memory, not through this call).
             for blocks in work.inputs:
+                read.setdefault(blocks.table, []).extend(blocks.block_ids)
+        catalog = self.executor.catalog
+        pins = {
+            name: self.store.pin_table(catalog.get(name), block_ids)
+            for name, block_ids in read.items()
+        }
+        for work in works:
+            inputs = []
+            for blocks in work.inputs:
+                # Charge the reads where the inline runner would, so locality
+                # and buffer statistics match TaskBackend's (block data itself
+                # travels via shared memory, not through this call).
                 self.executor.fetch(work, blocks)
-            pool.submit(work.machine_id, pinned)
-            machine_of[work.task_id] = work.machine_id
-        outcomes = pool.collect(len(machine_of))
+                pin = pins[blocks.table]
+                slots = {block_id: pin.slots[block_id] for block_id in blocks.block_ids}
+                inputs.append(replace(blocks, pin=replace(pin, slots=slots)))
+            pool.submit(work.machine_id, replace(work, inputs=tuple(inputs)))
+        machine_of = {work.task_id: work.machine_id for work in works}
+        outcomes = pool.collect(len(works))
         for outcome in outcomes:
             machine_wall[machine_of[outcome.task_id]] += outcome.wall_seconds
         return outcomes

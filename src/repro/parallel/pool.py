@@ -3,13 +3,13 @@
 One worker process per simulated machine (folded modulo ``num_workers``
 when the pool is smaller than the cluster).  Workers receive the schedule
 interpreter's picklable :class:`~repro.exec.kernels_tasks.TaskWork`
-descriptions — task ids, shared-memory pins
-(:class:`~repro.storage.shared_memory.TablePin`), block ids, predicates —
-never live ``Block``/``StoredTable`` objects: block columns travel through
-the pinned shared-memory segments, and only shuffle keys and row counts
-cross the queues.  Each worker runs the work through the same
-:func:`~repro.exec.kernels_tasks.run_task` the parent runs inline, so the
-interpreter merges outcomes identically and stays bit-identical.
+descriptions — task ids, block ids, predicates and, per input, a
+:class:`~repro.storage.shared_memory.TablePin` listing the shared-memory
+slots of those blocks only — never live ``Block``/``StoredTable`` objects:
+block columns travel through the pinned shared-memory segments, and only
+shuffle keys and row counts come back.  Each worker runs the work through
+the same :func:`~repro.exec.kernels_tasks.run_task` the parent runs inline,
+so the interpreter merges outcomes identically and stays bit-identical.
 
 Timing discipline: workers stamp each task with a wall-clock duration via
 the single marked helper below.  The measured times feed *reporting only*
@@ -21,10 +21,10 @@ decision, never a fingerprint — which is why the wall-clock reads are
 from __future__ import annotations
 
 import multiprocessing
-import queue as queue_module
 import sys
 import traceback
 from dataclasses import replace
+from multiprocessing.connection import wait
 from typing import Any
 
 from ..common.clock import monotonic_seconds
@@ -51,7 +51,7 @@ def _run_work(work: TaskWork, cache: SharedSegmentCache) -> TaskOutcome:
     """Run one task against the attached segments and stamp its duration."""
     started = _wall()
     outcome = run_task(
-        work, lambda blocks: cache.get_blocks(blocks.pin, list(blocks.block_ids))
+        work, lambda blocks: cache.get_blocks(blocks.pin, blocks.block_ids)
     )
     return replace(outcome, wall_seconds=_wall() - started)
 
@@ -67,12 +67,12 @@ def _worker_main(worker_index: int, tasks: Any, results: Any) -> None:
             try:
                 outcome = _run_work(work, cache)
             except BaseException as exc:  # noqa: BLE001 - report, don't die
-                results.put(
+                results.send(
                     ("error", worker_index, work.task_id,
                      f"{exc!r}\n{traceback.format_exc()}")
                 )
             else:
-                results.put(("ok", worker_index, outcome))
+                results.send(("ok", worker_index, outcome))
     finally:
         cache.close()
 
@@ -84,9 +84,10 @@ class WorkerPool:
     """A persistent pool of task-executing worker processes.
 
     One task queue per worker (the backend maps machine ids onto workers,
-    so placement survives the process boundary) and one shared result
-    queue.  Workers are daemons: even an abandoned pool cannot outlive the
-    parent process.
+    so placement survives the process boundary) and one result pipe per
+    worker, which the worker alone writes, so :meth:`collect` can wait on the
+    pipes and the processes' sentinels together.  Workers are daemons: even
+    an abandoned pool cannot outlive the parent process.
     """
 
     def __init__(self, num_workers: int, start_method: str | None = None) -> None:
@@ -98,17 +99,20 @@ class WorkerPool:
         self.num_workers = num_workers
         self.start_method = start_method
         ctx = multiprocessing.get_context(start_method)
-        self._results: Any = ctx.Queue()
         self._task_queues: list[Any] = [ctx.Queue() for _ in range(num_workers)]
+        self._results: list[Any] = []
         self._workers = []
         for index in range(num_workers):
+            reader, writer = ctx.Pipe(duplex=False)
             process = ctx.Process(
                 target=_worker_main,
-                args=(index, self._task_queues[index], self._results),
+                args=(index, self._task_queues[index], writer),
                 daemon=True,
                 name=f"repro-parallel-{index}",
             )
             process.start()
+            writer.close()  # the worker holds the only write end now
+            self._results.append(reader)
             self._workers.append(process)
         self._closed = False
 
@@ -124,35 +128,42 @@ class WorkerPool:
     def collect(self, count: int, timeout: float = 60.0) -> list[TaskOutcome]:
         """Gather ``count`` outcomes, raising if a worker dies or errors.
 
-        ``timeout`` bounds the wait per outcome *between* liveness checks —
-        a crashed worker (e.g. killed by a signal, so it cannot report) is
-        detected within about a second rather than after the full timeout.
-        After a raise the stage's other outcomes may still be queued, so
-        the caller must not reuse the pool (``ParallelBackend`` drops it).
+        ``timeout`` bounds the wait for each outcome.  The wait is on the
+        result pipes and the workers' sentinels together, so a crashed
+        worker (e.g. killed by a signal, so it cannot report) is reported
+        at once — after whatever it managed to send has been read.  After a
+        raise the stage's other outcomes may still be in the pipes, so the
+        caller must not reuse the pool (``ParallelBackend`` drops it).
         """
         outcomes: list[TaskOutcome] = []
-        deadline = _wall() + timeout
+        sentinels = [worker.sentinel for worker in self._workers]
         while len(outcomes) < count:
-            try:
-                item = self._results.get(timeout=1.0)
-            except queue_module.Empty:
-                dead = [w.name for w in self._workers if not w.is_alive()]
-                if dead:
-                    raise ExecutionError(
-                        f"worker process(es) died during execution: {dead}"
-                    ) from None
-                if _wall() > deadline:
-                    raise ExecutionError(
-                        f"timed out collecting task outcomes ({len(outcomes)}/{count})"
-                    ) from None
-                continue
-            if item[0] == "error":
-                _, worker_index, task_id, detail = item
+            ready = wait([*self._results, *sentinels], timeout)
+            if not ready:
                 raise ExecutionError(
-                    f"task {task_id} failed on worker {worker_index}: {detail}"
+                    f"timed out collecting task outcomes ({len(outcomes)}/{count})"
                 )
-            outcomes.append(item[2])
-            deadline = _wall() + timeout
+            items = []
+            for reader in ready:
+                if reader not in sentinels:
+                    try:
+                        items.append(reader.recv())
+                    except EOFError:  # a dead worker's pipe reads as closed
+                        pass
+            if not items:  # only sentinels and closed pipes were ready
+                dead = [
+                    worker.name
+                    for worker, reader in zip(self._workers, self._results)
+                    if worker.sentinel in ready or reader in ready
+                ]
+                raise ExecutionError(f"worker process(es) died during execution: {dead}")
+            for item in items:
+                if item[0] == "error":
+                    _, worker_index, task_id, detail = item
+                    raise ExecutionError(
+                        f"task {task_id} failed on worker {worker_index}: {detail}"
+                    )
+                outcomes.append(item[2])
         return outcomes
 
     # -------------------------------------------------------------- #
@@ -190,8 +201,10 @@ class WorkerPool:
             if worker.is_alive():  # pragma: no cover - stuck worker
                 worker.terminate()
                 worker.join(timeout=1.0)
+        for reader in self._results:
+            reader.close()
         if not finalizing:
-            for task_queue in [*self._task_queues, self._results]:
+            for task_queue in self._task_queues:
                 task_queue.close()
                 task_queue.join_thread()
 

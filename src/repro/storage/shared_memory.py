@@ -2,37 +2,47 @@
 
 The parallel backend (``repro.parallel``) runs one worker process per
 simulated machine.  Workers must read block columns without serialising
-them through the task queue, so this module pins a table's consolidated
-per-column arrays into named ``multiprocessing.shared_memory`` segments:
+them through the task queue, so this module keeps, per table, one named
+``multiprocessing.shared_memory`` segment — a **slab** — that is a cache of
+block copies:
 
 * :class:`SharedBlockStore` (parent side) sits under the
-  :class:`~repro.storage.dfs.DistributedFileSystem`: ``pin_table`` copies
-  every block's contiguous columns (the PR-2 chunk consolidation makes
-  them contiguous already) into one segment per table and returns a
-  :class:`TablePin` — a picklable catalog of ``(offset, dtype, length)``
-  column specs.  Pins are **epoch-checked**: re-pinning a table whose
-  partition-state epoch moved unlinks the stale segment and builds a
-  fresh one, so a repartition can never leave workers reading old rows.
+  :class:`~repro.storage.dfs.DistributedFileSystem`.  ``pin_table(table,
+  block_ids)`` makes the slab current for exactly the blocks a stage is
+  about to read.  When the table's epoch moved, the change descriptor
+  :meth:`~repro.storage.table.StoredTable.delta_between` returns says which
+  slots are stale (a ``full`` or missing descriptor says "all of them");
+  their extents go back to the free list, and only the stale blocks *this
+  stage reads* are copied in again, so a repartition that moved a fraction
+  of the blocks costs a fraction of the table.  The segment is replaced —
+  compacted, and regrown if the table grew — only when no free extent fits.
+  The returned :class:`TablePin` is what crosses the process boundary:
+  segment name, one column schema per table and one ``(num_rows, offset)``
+  slot per block read; column offsets follow from those (:func:`_layout`).
 * :class:`SharedSegmentCache` (worker side) attaches segments by name and
-  wraps them in :class:`SharedBlockView` objects exposing the same
+  wraps slots in :class:`SharedBlockView` objects exposing the same
   ``num_rows`` / ``columns`` / ``column_parts()`` reader interface as
   :class:`~repro.storage.block.Block`, so the task kernels in
-  ``repro.exec.kernels_tasks`` run unchanged in either process.  Every
-  column view is built over a **read-only** memoryview of the segment: a
-  worker can read a block but cannot change it in place (a write raises
-  ``ValueError`` at the write site, and the flag cannot be flipped back),
-  exactly like the mmap tier's read-only ``np.memmap`` arrays.
+  ``repro.exec.kernels_tasks`` run unchanged in either process.  A column
+  view is built when a kernel first asks for it, over a **read-only**
+  memoryview of the segment: a worker can read a block but cannot change it
+  in place (a write raises ``ValueError`` at the write site, and the flag
+  cannot be flipped back), exactly like the mmap tier's read-only
+  ``np.memmap`` arrays.  A cached view is served only for the slot it was
+  built for, so an extent reused by another block never shows through.
 
-Lifecycle: the parent owns every segment (create + unlink); workers only
-ever attach and detach.  ``SharedBlockStore.close()`` unlinks everything
-and is additionally registered via ``atexit`` so segments cannot outlive
-the session even on abnormal teardown (a crashed worker never owns a
-segment, so it can leak nothing).
+Lifecycle: the parent owns every segment (create + unlink) and writes to a
+slab only between stages, when no worker reads; workers only ever attach
+and detach.  ``SharedBlockStore.close()`` unlinks everything; while the
+store owns a segment it is also registered via ``atexit`` so segments
+cannot outlive the session even on abnormal teardown (a crashed worker
+never owns a segment, so it can leak nothing).
 """
 
 from __future__ import annotations
 
 import atexit
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
 from typing import TYPE_CHECKING
@@ -42,14 +52,33 @@ import numpy as np
 from ..common.errors import StorageError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from .block import Block
     from .table import StoredTable
 
 #: Column start offsets are aligned so every numpy view is itemsize-aligned.
 _ALIGN = 16
+#: A new slab holds the whole table plus this share: room for the blocks a
+#: repartition grows before the extents of the ones it emptied are reused.
+_HEADROOM = 0.125
+
+#: ``(column name, numpy dtype string)`` per column, in slot order.
+ColumnSchema = tuple[tuple[str, str], ...]
+#: ``(num_rows, offset)``: where one block's copy starts inside the segment.
+Slot = tuple[int, int]
 
 
 def _aligned(offset: int) -> int:
     return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
+
+
+def _layout(
+    schema: ColumnSchema, num_rows: int, offset: int
+) -> Iterator[tuple[str, np.dtype, int]]:
+    """``(name, dtype, offset)`` of every column of a slot, in schema order."""
+    for name, dtype_str in schema:
+        dtype = np.dtype(dtype_str)
+        yield name, dtype, offset
+        offset += _aligned(num_rows * dtype.itemsize)
 
 
 def _attach_untracked(name: str) -> shared_memory.SharedMemory:
@@ -79,56 +108,58 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
         resource_tracker.register = original_register
 
 
-# --------------------------------------------------------------------- #
-# Picklable catalog records (these ride in task payloads, so they hold
-# names, offsets and dtypes only — never a live Block or StoredTable)
-# --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ColumnSpec:
-    """Where one block column lives inside a pinned segment."""
-
-    name: str
-    offset: int
-    dtype: str
-    length: int
-
-
-@dataclass(frozen=True)
-class BlockSpec:
-    """One block's layout inside a pinned segment."""
-
-    block_id: int
-    num_rows: int
-    columns: tuple[ColumnSpec, ...]
-
-
 @dataclass(frozen=True)
 class TablePin:
-    """A pinned table: segment name plus the per-block column catalog.
+    """What a work item carries to read some blocks of one pinned table.
 
-    The pin is what crosses the process boundary — it is a plain picklable
-    record.  ``epoch`` is the table's partition-state epoch at pin time;
-    the parent guarantees a pin is only shipped while it is current.
+    A plain picklable record, proportional to the blocks listed — never to
+    the table.  The parent guarantees a pin is only shipped while every
+    slot in it is current.
     """
 
     table: str
-    epoch: int
     segment: str
-    size_bytes: int
-    blocks: dict[int, BlockSpec]
-
-    def block(self, block_id: int) -> BlockSpec:
-        try:
-            return self.blocks[block_id]
-        except KeyError:
-            raise StorageError(
-                f"block {block_id} is not pinned for table {self.table!r}"
-            ) from None
+    schema: ColumnSchema
+    slots: dict[int, Slot]
 
 
 # --------------------------------------------------------------------- #
 # Worker-side read view
 # --------------------------------------------------------------------- #
+class _SlotColumns(Mapping):
+    """The columns of one slot; each view is built when first asked for."""
+
+    __slots__ = ("_buffer", "_schema", "_slot", "_views")
+
+    def __init__(self, buffer: memoryview, schema: ColumnSchema, slot: Slot) -> None:
+        self._buffer, self._schema, self._slot = buffer, schema, slot
+        self._views: dict[str, np.ndarray] = {}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        view = self._views.get(name)
+        if view is None:
+            num_rows, start = self._slot
+            for column, dtype, offset in _layout(self._schema, num_rows, start):
+                if column == name:
+                    break
+            else:
+                raise KeyError(name)
+            # numpy takes writability from the buffer: the view is read-only
+            # and ``setflags(write=True)`` on it raises.
+            view = self._views[name] = (
+                np.frombuffer(self._buffer, dtype=dtype, count=num_rows, offset=offset)
+                if num_rows
+                else np.empty(0, dtype=dtype)
+            )
+        return view
+
+    def __iter__(self) -> Iterator[str]:
+        return (name for name, _ in self._schema)
+
+    def __len__(self) -> int:
+        return len(self._schema)
+
+
 class SharedBlockView:
     """Read-only view of one pinned block, mimicking the Block reader API.
 
@@ -137,38 +168,20 @@ class SharedBlockView:
     into the shared segment and are read-only.
     """
 
-    __slots__ = ("block_id", "num_rows", "_columns")
+    __slots__ = ("block_id", "num_rows", "slot", "columns")
 
-    def __init__(self, block_id: int, num_rows: int, columns: dict[str, np.ndarray]) -> None:
+    def __init__(
+        self, block_id: int, slot: Slot, schema: ColumnSchema, buffer: memoryview
+    ) -> None:
         self.block_id = block_id
-        self.num_rows = num_rows
-        self._columns = columns
+        self.num_rows = slot[0]
+        self.slot = slot
+        self.columns = _SlotColumns(buffer, schema, slot)
 
-    @property
-    def columns(self) -> dict[str, np.ndarray]:
-        return self._columns
-
-    def column_parts(self) -> list[dict[str, np.ndarray]]:
+    def column_parts(self) -> list[Mapping[str, np.ndarray]]:
         if self.num_rows == 0:
             return []
-        return [self._columns]
-
-
-def _views_of(buffer: memoryview, spec: BlockSpec) -> dict[str, np.ndarray]:
-    """Column views of one block over a segment's read-only ``buffer``.
-
-    numpy takes writability from the buffer, so the views are read-only
-    and ``setflags(write=True)`` on them raises.
-    """
-    columns: dict[str, np.ndarray] = {}
-    for col in spec.columns:
-        if col.length == 0:
-            columns[col.name] = np.empty(0, dtype=np.dtype(col.dtype))
-        else:
-            columns[col.name] = np.frombuffer(
-                buffer, dtype=np.dtype(col.dtype), count=col.length, offset=col.offset
-            )
-    return columns
+        return [self.columns]
 
 
 @dataclass
@@ -185,16 +198,19 @@ class _Attachment:
 class SharedSegmentCache:
     """Worker-side cache of attached segments and block views.
 
-    Keyed by table name; a pin with a new segment name (the parent only
-    re-pins on an epoch bump) evicts and detaches the stale attachment, so
-    a worker never reads rows from before a repartition.  Attachments are
-    untracked (see :func:`_attach_untracked`) — the parent owns cleanup.
+    Keyed by table name; a pin with a new segment name (the parent replaced
+    an exhausted slab) evicts and detaches the stale attachment.  A block's
+    cached view is served only while the pin still names the slot it was
+    built over — the parent moves a block whose rows changed, and may hand
+    its old extent to another block — so a worker never reads rows from
+    before a repartition.  Attachments are untracked (see
+    :func:`_attach_untracked`) — the parent owns cleanup.
     """
 
     def __init__(self) -> None:
         self._attached: dict[str, _Attachment] = {}
 
-    def get_blocks(self, pin: TablePin, block_ids: list[int]) -> list[SharedBlockView]:
+    def get_blocks(self, pin: TablePin, block_ids: Iterable[int]) -> list[SharedBlockView]:
         """Return views for ``block_ids``, attaching the segment if needed."""
         entry = self._attached.get(pin.table)
         if entry is None or entry.segment != pin.segment:
@@ -205,24 +221,27 @@ class SharedSegmentCache:
             self._attached[pin.table] = entry
         result: list[SharedBlockView] = []
         for block_id in block_ids:
+            try:
+                slot = pin.slots[block_id]
+            except KeyError:
+                raise StorageError(
+                    f"block {block_id} is not pinned for table {pin.table!r}"
+                ) from None
             view = entry.views.get(block_id)
-            if view is None:
-                spec = pin.block(block_id)
-                view = SharedBlockView(
-                    block_id, spec.num_rows, _views_of(entry.readonly, spec)
-                )
+            if view is None or view.slot != slot:
+                view = SharedBlockView(block_id, slot, pin.schema, entry.readonly)
                 entry.views[block_id] = view
             result.append(view)
         return result
 
     def _detach(self, entry: _Attachment) -> None:
         for view in entry.views.values():
-            view._columns = {}
+            view.columns._views.clear()
         entry.views.clear()
-        # The read-only buffer is a second handle on the mapping: release
-        # it first or close() could never unmap the stale segment.
-        entry.readonly.release()
         try:
+            # The read-only buffer is a second handle on the mapping: release
+            # it first or close() could never unmap the stale segment.
+            entry.readonly.release()
             entry.shm.close()
         except BufferError:  # pragma: no cover - exported views still alive
             pass
@@ -237,112 +256,179 @@ class SharedSegmentCache:
 # --------------------------------------------------------------------- #
 # Parent-side store
 # --------------------------------------------------------------------- #
-class SharedBlockStore:
-    """Pins tables' consolidated block columns into shared-memory segments.
+@dataclass
+class _Slab:
+    """One table's segment: which blocks it holds, as of which epoch, and
+    which extents are free."""
 
-    One segment per table per pin; segments use auto-generated names (short
-    enough for macOS's 31-character POSIX limit).  The store is the sole
-    owner: it closes **and unlinks** segments on unpin/close, and registers
-    an ``atexit`` hook so a dropped store cannot leak segments.
+    shm: shared_memory.SharedMemory
+    schema: ColumnSchema
+    epoch: int
+    slots: dict[int, Slot] = field(default_factory=dict)
+    #: ``(offset, length)`` extents holding no current block.
+    free: list[tuple[int, int]] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self._itemsizes = [np.dtype(dtype).itemsize for _, dtype in self.schema]
+
+    def slot_bytes(self, num_rows: int) -> int:
+        """Bytes a block of ``num_rows`` rows occupies (see :func:`_layout`)."""
+        return sum(_aligned(num_rows * itemsize) for itemsize in self._itemsizes)
+
+    def release(self, block_id: int) -> None:
+        num_rows, offset = self.slots.pop(block_id)
+        if num_rows:
+            # In front of the untouched tail: pages already resident go first.
+            self.free.insert(0, (offset, self.slot_bytes(num_rows)))
+
+    def allocate(self, length: int) -> int | None:
+        """First fit; on a miss the live slots are compacted once."""
+        for compacted in (False, True):
+            for index, (offset, size) in enumerate(self.free):
+                if size > length:
+                    self.free[index] = (offset + length, size - length)
+                elif size == length:
+                    del self.free[index]
+                else:
+                    continue
+                return offset
+            if not compacted:
+                self.compact()
+        return None
+
+    def compact(self) -> None:
+        """Slide every live slot towards the start; one free extent remains."""
+        data = np.frombuffer(self.shm.buf, dtype=np.uint8)
+        end = 0
+        for block_id, (num_rows, offset) in sorted(
+            self.slots.items(), key=lambda item: item[1][1]
+        ):
+            length = self.slot_bytes(num_rows)
+            if length and offset != end:
+                data[end : end + length] = data[offset : offset + length]
+                self.slots[block_id] = (num_rows, end)
+            end += length
+        self.free = [(end, self.shm.size - end)]
+
+
+class SharedBlockStore:
+    """Keeps one shared-memory slab per pinned table current, block by block.
+
+    Segments use auto-generated names (short enough for macOS's
+    31-character POSIX limit).  The store is the sole owner: it closes
+    **and unlinks** segments on unpin/close, and keeps an ``atexit`` hook
+    registered for as long as it owns one, so a dropped store cannot leak
+    segments and a closed one is not kept alive until interpreter exit.
     """
 
     def __init__(self) -> None:
-        self._pins: dict[str, tuple[TablePin, shared_memory.SharedMemory]] = {}
-        self._atexit = atexit.register(self.close)
+        self._slabs: dict[str, _Slab] = {}
+        #: Bytes written into segments so far (what pinning has cost).
+        self.copied_bytes = 0
 
     # -------------------------------------------------------------- #
     # Pinning
     # -------------------------------------------------------------- #
-    def pin_table(self, table: "StoredTable") -> TablePin:
-        """Pin ``table``'s blocks, reusing a current pin when the epoch matches.
+    def pin_table(self, table: "StoredTable", block_ids: Iterable[int]) -> TablePin:
+        """Make ``block_ids`` current in ``table``'s slab and list their slots.
 
-        A stale pin (the table's epoch moved since pinning — e.g. a
-        repartition or Amoeba re-split happened) is unlinked and rebuilt.
+        Slots of blocks touched since the slab's epoch are dropped first;
+        then whichever of ``block_ids`` the slab does not hold is copied in.
         """
-        existing = self._pins.get(table.name)
-        if existing is not None:
-            if existing[0].epoch == table.epoch:
-                return existing[0]
-            self.unpin_table(table.name)
-        pin = self._build_pin(table)
-        return pin
-
-    def _build_pin(self, table: "StoredTable") -> TablePin:
-        block_ids = table.block_ids()
-        layouts: dict[int, list[tuple[str, int, str, int, np.ndarray]]] = {}
-        num_rows: dict[int, int] = {}
-        offset = 0
+        block_ids = list(block_ids)
+        slab = self._slabs.get(table.name) or self._new_slab(table)
+        if slab.epoch != table.epoch:
+            delta = table.delta_between(slab.epoch, table.epoch)
+            everything = delta is None or delta.full
+            stale = slab.slots.keys() if everything else delta.touched_blocks
+            for block_id in [b for b in stale if b in slab.slots]:
+                slab.release(block_id)
+            slab.epoch = table.epoch
         for block_id in block_ids:
-            block = table.dfs.peek_block(block_id)
-            num_rows[block_id] = block.num_rows
-            cols: list[tuple[str, int, str, int, np.ndarray]] = []
-            # .columns consolidates pending chunks → contiguous arrays.
-            for name, array in block.columns.items():
-                array = np.ascontiguousarray(array)
-                offset = _aligned(offset)
-                cols.append((name, offset, array.dtype.str, len(array), array))
-                offset += array.nbytes
-            layouts[block_id] = cols
-        shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
-        try:
-            blocks: dict[int, BlockSpec] = {}
-            for block_id in block_ids:
-                specs: list[ColumnSpec] = []
-                for name, col_offset, dtype, length, array in layouts[block_id]:
-                    if length:
-                        target = np.frombuffer(
-                            shm.buf, dtype=np.dtype(dtype), count=length, offset=col_offset
-                        )
-                        target[:] = array
-                        del target  # drop the exported view before any close()
-                    specs.append(ColumnSpec(name, col_offset, dtype, length))
-                blocks[block_id] = BlockSpec(block_id, num_rows[block_id], tuple(specs))
-        except BaseException:
-            shm.close()
-            shm.unlink()
-            raise
-        pin = TablePin(
-            table=table.name,
-            epoch=table.epoch,
-            segment=shm.name,
-            size_bytes=max(offset, 1),
-            blocks=blocks,
-        )
-        self._pins[table.name] = (pin, shm)
-        return pin
+            if block_id in slab.slots:
+                continue
+            if not self._copy_in(slab, table.dfs.peek_block(block_id)):
+                # No free extent fits: start over in a fresh segment sized
+                # for the table as it is now, which holds any one stage.
+                self._new_slab(table)
+                return self.pin_table(table, block_ids)
+        slots = {block_id: slab.slots[block_id] for block_id in block_ids}
+        return TablePin(table.name, slab.shm.name, slab.schema, slots)
 
-    def current_pin(self, table_name: str) -> TablePin | None:
-        """The live pin for ``table_name`` (no epoch check), or ``None``."""
-        entry = self._pins.get(table_name)
-        return entry[0] if entry else None
+    def _new_slab(self, table: "StoredTable") -> _Slab:
+        """Replace ``table``'s segment (if any) with an empty, larger-enough one."""
+        self.unpin_table(table.name)
+        block_ids = table.block_ids()
+        sample = (table.non_empty_block_ids() or block_ids)[:1]
+        columns = table.dfs.peek_block(sample[0]).columns if sample else {}
+        schema = tuple((name, array.dtype.str) for name, array in columns.items())
+        # Every block at once, each column padded to the alignment, plus headroom.
+        row_bytes = sum(array.dtype.itemsize for array in columns.values())
+        size = table.total_rows * row_bytes + _ALIGN * len(schema) * len(block_ids)
+        size = max(_aligned(int(size * (1 + _HEADROOM))), _ALIGN)
+        shm = shared_memory.SharedMemory(create=True, size=size)
+        if not self._slabs:
+            atexit.register(self.close)
+        slab = self._slabs[table.name] = _Slab(shm, schema, table.epoch, free=[(0, shm.size)])
+        return slab
+
+    def _copy_in(self, slab: _Slab, block: "Block") -> bool:
+        """Copy ``block`` into a free extent; ``False`` if none is big enough."""
+        num_rows = block.num_rows
+        length = slab.slot_bytes(num_rows)
+        offset = slab.allocate(length) if length else 0
+        if offset is None:
+            return False
+        if num_rows:
+            # .columns consolidates pending chunks → contiguous arrays (and lets
+            # go of the larger arrays the chunks were slices of).
+            columns = block.columns
+            for name, dtype, at in _layout(slab.schema, num_rows, offset):
+                if columns[name].dtype != dtype:
+                    raise StorageError(
+                        f"block {block.block_id} holds {name!r} as {columns[name].dtype}, "
+                        f"the slab of table {block.table!r} as {dtype}"
+                    )
+                np.frombuffer(slab.shm.buf, dtype=dtype, count=num_rows, offset=at)[:] = (
+                    columns[name]
+                )
+        self.copied_bytes += length
+        slab.slots[block.block_id] = (num_rows, offset)
+        return True
+
+    def segment_of(self, table_name: str) -> str | None:
+        """The name of ``table_name``'s segment, or ``None`` if it has none."""
+        slab = self._slabs.get(table_name)
+        return slab.shm.name if slab else None
 
     # -------------------------------------------------------------- #
     # Lifecycle
     # -------------------------------------------------------------- #
     def unpin_table(self, table_name: str) -> None:
         """Unlink a table's segment; a no-op if the table is not pinned."""
-        entry = self._pins.pop(table_name, None)
-        if entry is None:
+        slab = self._slabs.pop(table_name, None)
+        if slab is None:
             return
-        _, shm = entry
+        if not self._slabs:
+            atexit.unregister(self.close)
         try:
-            shm.close()
+            slab.shm.close()
         except BufferError:  # pragma: no cover - defensive
             pass
         try:
-            shm.unlink()
+            slab.shm.unlink()
         except FileNotFoundError:  # pragma: no cover - already gone
             pass
 
     def close(self) -> None:
         """Unlink every pinned segment.  Idempotent."""
-        for table_name in list(self._pins):
+        for table_name in list(self._slabs):
             self.unpin_table(table_name)
 
     @property
     def pinned_tables(self) -> list[str]:
-        return sorted(self._pins)
+        return sorted(self._slabs)
 
     @property
     def pinned_bytes(self) -> int:
-        return sum(pin.size_bytes for pin, _ in self._pins.values())
+        return sum(slab.shm.size for slab in self._slabs.values())

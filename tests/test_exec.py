@@ -35,7 +35,7 @@ from repro.partitioning.tree import PartitioningTree, TreeNode
 from repro.storage.block import Block
 from repro.storage.catalog import Catalog
 from repro.storage.dfs import DistributedFileSystem
-from repro.storage.shared_memory import BlockSpec, ColumnSpec, SharedBlockStore, TablePin
+from repro.storage.shared_memory import SharedBlockStore, TablePin
 from repro.storage.table import StoredTable
 from repro.testing import reference_join_count
 from repro.workloads.generators import switching_workload
@@ -431,11 +431,15 @@ class TestWorkerBoundary:
         else:
             assert TaskKind.HYPER_GROUP in kinds
 
-        # What the pool runner adds, the table's pin, crosses as well.
-        work = next(work for work in shipped if work.inputs)
+        # What the pool runner adds, the slots of the blocks read, crosses as
+        # well (the last query's blocks: nothing repartitioned them since).
+        work = next(work for work in reversed(shipped) if work.inputs)
         store = SharedBlockStore()
         try:
-            pins = [store.pin_table(session.table(blocks.table)) for blocks in work.inputs]
+            pins = [
+                store.pin_table(session.table(blocks.table), blocks.block_ids)
+                for blocks in work.inputs
+            ]
             pinned = replace(
                 work,
                 inputs=tuple(
@@ -443,6 +447,10 @@ class TestWorkerBoundary:
                 ),
             )
             assert [blocks.pin for blocks in ship(pinned).inputs] == pins
+            assert all(
+                set(pin.slots) == set(blocks.block_ids)
+                for blocks, pin in zip(work.inputs, pins)
+            )
         finally:
             store.close()
 
@@ -453,5 +461,5 @@ class TestWorkerBoundary:
             ship(TaskWork(0, TaskKind.SHUFFLE_REDUCE, 0, build_keys=[block]))
 
     def test_payload_classes_are_frozen(self):
-        payloads = (BlockInput, TaskWork, TaskOutcome, TablePin, BlockSpec, ColumnSpec)
+        payloads = (BlockInput, TaskWork, TaskOutcome, TablePin)
         assert all(cls.__dataclass_params__.frozen for cls in payloads)

@@ -6,8 +6,9 @@ shared-memory segments, and produces results **bit-identical** to the
 in-process task backend — same ``output_rows``, same ``fingerprint()`` —
 on scan, shuffle-join and hyper-join workloads, including adaptive
 workloads that repartition tables (epoch bumps) mid-stream.  Around that
-core: segment lifecycle (no leaks after close, epoch-bumped pins rebuilt,
-crashed workers recovered), failed stages (a worker-side error — including
+core: the shared-memory slab (stale slots re-copied on demand, extents
+reused, the hand-off proportional to the blocks read), segment lifecycle (no
+leaks after close, crashed workers recovered), failed stages (a worker-side error — including
 a write to a pinned block, which is read-only — fails the query loudly and
 leaves the session correct) and the wall-clock reporting fields that
 fingerprints must ignore.
@@ -15,13 +16,15 @@ fingerprints must ignore.
 
 from __future__ import annotations
 
-import itertools
+import gc
 import multiprocessing
 import os
-import queue
+import pickle
 import signal
 import subprocess
 import sys
+import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -32,11 +35,19 @@ from repro.common.predicates import between
 from repro.common.query import join_query, scan_query
 from repro.core import AdaptDBConfig
 from repro.exec import TaskKind, kernels_tasks
-from repro.exec.kernels_tasks import TaskOutcome, TaskWork
+from repro.exec.kernels_tasks import BlockInput, TaskOutcome, TaskWork
 from repro.parallel import ParallelBackend, WorkerPool, pool as pool_module
-from repro.common.errors import ExecutionError
-from repro.storage.shared_memory import _attach_untracked
+from repro.common.errors import ExecutionError, StorageError
+from repro.common.rng import make_rng
+from repro.partitioning.upfront import UpfrontPartitioner
+from repro.storage import shared_memory
+from repro.storage.shared_memory import (
+    SharedBlockStore,
+    SharedSegmentCache,
+    _attach_untracked,
+)
 from repro.testing import fig08_scan_queries, fig13_join_queries
+from repro.workloads import EVALUATED_TEMPLATES, switching_workload
 from repro.workloads.tpch_queries import tpch_query
 
 
@@ -85,7 +96,7 @@ def assert_backends_agree(session: Session, query) -> tuple:
 
 def pinned_segments(backend: ParallelBackend) -> list[str]:
     store = backend.store
-    return [store.current_pin(name).segment for name in store.pinned_tables]
+    return [store.segment_of(name) for name in store.pinned_tables]
 
 
 def segment_exists(name: str) -> bool:
@@ -163,6 +174,177 @@ class TestAgreement:
 
 
 # --------------------------------------------------------------------- #
+# The slab: a per-table cache of block copies, invalidated by deltas
+# --------------------------------------------------------------------- #
+def lineitem_of(tpch_tables, rows_per_block: int = 512):
+    """A stored ``lineitem`` (blocks of uneven sizes) outside any parallel session."""
+    session = Session(AdaptDBConfig(rows_per_block=rows_per_block, seed=3))
+    return session.load_table(tpch_tables["lineitem"])
+
+
+def adaptive_stream(count: int) -> list:
+    """A template-switching TPC-H stream that keeps repartitioning."""
+    per_template = -(-count // len(EVALUATED_TEMPLATES))
+    return switching_workload(list(EVALUATED_TEMPLATES), per_template, make_rng(1))[:count]
+
+
+def full_session(tpch_tables, **overrides) -> Session:
+    session = Session(config=parallel_config(**overrides))
+    for table in tpch_tables.values():
+        session.load_table(table)
+    return session
+
+
+def born_small(store: SharedBlockStore, table, monkeypatch) -> str:
+    """Give ``table`` a slab a third of its size — what a table that grew
+    would find — so that a stage reading more than that has to replace it."""
+    monkeypatch.setattr(shared_memory, "_HEADROOM", -0.7)
+    store.pin_table(table, table.non_empty_block_ids()[:1])
+    monkeypatch.undo()
+    return store.segment_of(table.name)
+
+
+class TestSlab:
+    def test_reused_extent_is_read_with_the_new_rows(self, tpch_tables):
+        """A worker that cached a block's view reads the block's new rows
+        after the parent rewrote it into an extent another block gave up
+        (views keyed by block id alone would serve the old extent)."""
+        stored = lineitem_of(tpch_tables)
+        sizes = {b: stored.dfs.peek_block(b).num_rows for b in stored.non_empty_block_ids()}
+        first = min(sizes, key=sizes.get)
+        second = max(sizes, key=sizes.get)
+        assert sizes[first] < sizes[second]
+        rows = {b: dict(stored.dfs.peek_block(b).columns) for b in (first, second)}
+        store, cache = SharedBlockStore(), SharedSegmentCache()
+        try:
+            before = store.pin_table(stored, [first, second])
+            for view in cache.get_blocks(before, [first, second]):
+                assert np.array_equal(
+                    view.columns["l_orderkey"], rows[view.block_id]["l_orderkey"]
+                )
+            with stored.mutation():  # the two blocks swap their rows
+                stored._rewrite_block(first, rows[second])
+                stored._rewrite_block(second, rows[first])
+            after = store.pin_table(stored, [first, second])
+            assert after.segment == before.segment
+            assert after.slots[first][1] in {offset for _, offset in before.slots.values()}
+            for view, other in zip(cache.get_blocks(after, [first, second]), (second, first)):
+                assert view.num_rows == sizes[other]
+                for name, expected in rows[other].items():
+                    assert np.array_equal(view.columns[name], expected)
+            with pytest.raises(StorageError, match="not pinned"):
+                cache.get_blocks(after, [first, -1])
+        finally:
+            cache.close()
+            store.close()
+
+    @pytest.mark.parametrize("fallback", ["full-delta", "chain-overflow", "exhaustion"])
+    def test_fallbacks_agree_with_tasks_and_keep_one_segment(
+        self, tpch_tables, monkeypatch, fallback
+    ):
+        """Whenever the delta cannot say what changed (a ``full`` descriptor,
+        a span the bounded chain no longer covers) every slot is stale, and
+        when no extent fits the segment is replaced: answers stay those of
+        ``tasks`` and each table still owns exactly one segment."""
+        limit = 1 if fallback == "chain-overflow" else 64
+        session = full_session(tpch_tables, delta_chain_limit=limit)
+        store = session.backends["parallel"].store
+        seen: set[str] = set()
+        try:
+            if fallback == "exhaustion":
+                small = born_small(store, session.table("lineitem"), monkeypatch)
+            for index, query in enumerate(adaptive_stream(12)):
+                if fallback == "full-delta" and index % 4 == 3:
+                    table = session.table("lineitem")
+                    table.replace_with_tree(
+                        UpfrontPartitioner(["l_orderkey"], table.rows_per_block).build(
+                            table.sample, total_rows=table.total_rows
+                        )
+                    )
+                assert_backends_agree(session, query)
+                seen.update(pinned_segments(session.backends["parallel"]))
+                assert sorted(filter(segment_exists, seen)) == sorted(
+                    pinned_segments(session.backends["parallel"])
+                )
+            if fallback == "exhaustion":
+                assert store.segment_of("lineitem") != small
+                assert not segment_exists(small)
+            else:
+                assert len(seen) == len(store.pinned_tables)  # nothing was replaced
+        finally:
+            session.close()
+        assert not any(segment_exists(segment) for segment in seen)
+
+    def test_hand_off_does_not_grow_with_the_table(self, tpch_tables):
+        """What a work item pickles to depends on the blocks it reads, not
+        on how many blocks its table has."""
+        sizes, blocks_in_table = [], []
+        for rows_per_block in (512, 50):
+            stored = lineitem_of(tpch_tables, rows_per_block)
+            block_ids = tuple(stored.non_empty_block_ids()[:3])
+            store = SharedBlockStore()
+            try:
+                blocks = BlockInput(
+                    "lineitem", block_ids, (), "l_orderkey",
+                    pin=store.pin_table(stored, block_ids),
+                )
+                sizes.append(len(pickle.dumps(TaskWork(0, TaskKind.SHUFFLE_MAP, 0, (blocks,)))))
+            finally:
+                store.close()
+            blocks_in_table.append(len(stored.block_ids()))
+        assert blocks_in_table[1] >= 10 * blocks_in_table[0]
+        assert sizes[1] <= sizes[0] + 16  # a few offsets need a wider integer
+
+    def test_a_block_changed_but_never_read_is_not_copied(self, tpch_tables):
+        stored = lineitem_of(tpch_tables)
+        read, unread = stored.non_empty_block_ids()[:2]
+        rows = dict(stored.dfs.peek_block(read).columns)
+        store = SharedBlockStore()
+        try:
+            store.pin_table(stored, [read, unread])
+            copied = store.copied_bytes
+            with stored.mutation():
+                stored._rewrite_block(unread, rows)
+            store.pin_table(stored, [read])
+            assert store.copied_bytes == copied
+            store.pin_table(stored, [read, unread])
+            assert store.copied_bytes == copied + sum(a.nbytes for a in rows.values())
+        finally:
+            store.close()
+
+    def test_every_slot_read_equals_the_block_byte_for_byte(self, tpch_tables, monkeypatch):
+        """Over an adaptive stream, after every query, each slot a stage was
+        handed holds exactly the bytes of the block it stands for."""
+        session = full_session(tpch_tables)
+        store = session.backends["parallel"].store
+        pin_table, pins, checked = store.pin_table, [], 0
+
+        def recording(table, block_ids):
+            pins.append(pin_table(table, block_ids))
+            return pins[-1]
+
+        monkeypatch.setattr(store, "pin_table", recording)
+        cache = SharedSegmentCache()
+        try:
+            for query in adaptive_stream(40):
+                pins.clear()
+                session.run(query)
+                for pin in pins:
+                    for view in cache.get_blocks(pin, pin.slots):
+                        block = session.dfs.peek_block(view.block_id)
+                        assert view.num_rows == block.num_rows
+                        assert list(view.columns) == list(block.columns)
+                        for name, array in block.columns.items():
+                            assert view.columns[name].tobytes() == array.tobytes()
+                        checked += 1
+            assert checked > 500
+            assert session.table("lineitem").epoch > 10  # the stream did repartition
+        finally:
+            cache.close()
+            session.close()
+
+
+# --------------------------------------------------------------------- #
 # Shared-memory segment lifecycle
 # --------------------------------------------------------------------- #
 class TestSegmentLifecycle:
@@ -177,22 +359,54 @@ class TestSegmentLifecycle:
         assert backend.store.pinned_tables == []
         assert not any(segment_exists(segment) for segment in segments)
 
+    def test_close_leaves_no_segment_after_patches_and_rebuilds(self, tpch_tables, monkeypatch):
+        session = full_session(tpch_tables)
+        backend = session.backends["parallel"]
+        seen: set[str] = set()
+        born_small(backend.store, session.table("lineitem"), monkeypatch)
+        for query in adaptive_stream(10):
+            seen.update(pinned_segments(backend))
+            session.run(query)
+        seen.update(pinned_segments(backend))
+        assert len(seen) > len(backend.store.pinned_tables)  # a segment was replaced
+        assert backend.store.copied_bytes > backend.store.pinned_bytes  # and slots patched
+        session.close()
+        assert backend.store.pinned_tables == []
+        assert not any(segment_exists(segment) for segment in seen)
+
+    def test_a_closed_sessions_store_is_collectable(self, tpch_tables):
+        """Regression: every store registered ``atexit`` for good, so every
+        session of a process (of any backend) lived until interpreter exit."""
+        session = make_session(tpch_tables)
+        session.run(scan_query("lineitem", [between("l_quantity", 1, 10)]))
+        idle = Session(config=parallel_config(execution_backend="tasks"))
+        stores = [weakref.ref(s.backends["parallel"].store) for s in (session, idle)]
+        session.close()
+        idle.close()
+        del session, idle
+        gc.collect()
+        assert [store() for store in stores] == [None, None]
+
     def test_epoch_bump_invalidates_pin(self, par_session):
+        """A blanket epoch bump makes every slot stale — the blocks read next
+        are copied again — but the segment, and the workers' attachment to
+        it, stay."""
         query = scan_query("lineitem", [between("l_quantity", 1, 20)])
-        par_session.run(query)
-        backend = par_session.backends["parallel"]
+        baseline = par_session.run(query, adapt=False).fingerprint()
+        store = par_session.backends["parallel"].store
         table = par_session.table("lineitem")
-        stale = backend.store.current_pin("lineitem")
-        assert stale is not None and stale.epoch == table.epoch
+        segment, copied = store.segment_of("lineitem"), store.copied_bytes
+        assert segment is not None and copied > 0
+
+        assert par_session.run(query, adapt=False).fingerprint() == baseline
+        assert store.copied_bytes == copied  # a current slab costs nothing
 
         with table.mutation(full=True):
             pass
-        par_session.run(query)
-        fresh = backend.store.current_pin("lineitem")
-        assert fresh.epoch == table.epoch
-        assert fresh.segment != stale.segment
-        assert not segment_exists(stale.segment)
-        assert segment_exists(fresh.segment)
+        assert par_session.run(query, adapt=False).fingerprint() == baseline
+        assert store.copied_bytes == 2 * copied
+        assert store.segment_of("lineitem") == segment
+        assert segment_exists(segment)
 
     def test_worker_crash_recovers_and_leaks_nothing(self, tpch_tables):
         session = make_session(tpch_tables)
@@ -255,8 +469,11 @@ class TestSegmentLifecycle:
                     probe_keys=np.array([1], dtype=np.int64),
                 ),
             )
-            with pytest.raises(ExecutionError, match="died"):
+            started = time.monotonic()
+            with pytest.raises(ExecutionError, match="died.*repro-parallel-0"):
                 pool.collect(1, timeout=10.0)
+            # Reported off the worker's sentinel, not at the next poll.
+            assert time.monotonic() - started < 0.5
         finally:
             pool.close()
 
@@ -276,13 +493,15 @@ class TestFailedStages:
         session.run(scan_query("orders"), adapt=False)  # a live pool, lineitem unseen
         pool = backend.pool
         pin_table = backend.store.pin_table
-        # Ship a pin that lists no blocks: every task of the stage fails in
+        # Ship pins that name no segment: every task of the stage fails in
         # its worker, collect() raises on the first report and the others
-        # are still on their way to the queue.
+        # are still on their way to the parent.
         monkeypatch.setattr(
-            backend.store, "pin_table", lambda table: replace(pin_table(table), blocks={})
+            backend.store,
+            "pin_table",
+            lambda table, block_ids: replace(pin_table(table, block_ids), segment="psm_none"),
         )
-        with pytest.raises(ExecutionError, match="not pinned"):
+        with pytest.raises(ExecutionError, match="FileNotFoundError"):
             session.run(scan, adapt=False)
         monkeypatch.undo()
 
@@ -332,33 +551,39 @@ class TestFailedStages:
     def test_collect_timeout_is_per_outcome(self, monkeypatch):
         """Regression: the deadline was set once per stage, so a stage making
         steady progress for longer than ``timeout`` in total was killed at
-        the first quiet second after it.
+        the first quiet second after it.  Every wait for an outcome gets the
+        whole timeout, and only a wait that ends with nothing ready fails.
         """
 
-        class ScriptedQueue:
-            def __init__(self, *script):
-                self.script = list(script)
+        class ScriptedReader:
+            def __init__(self, *outcomes):
+                self.outcomes = list(outcomes)
 
-            def get(self, timeout):
-                item = self.script.pop(0)
-                if item is queue.Empty:
-                    raise queue.Empty
-                return item
+            def recv(self):
+                return ("ok", 0, self.outcomes.pop(0))
+
+            def close(self):
+                pass
 
         pool = WorkerPool(1)
-        results = pool._results
+        reader, results = ScriptedReader(TaskOutcome(0, 1), TaskOutcome(1, 1)), pool._results
+        waited = []
+
+        def scripted_wait(handles, timeout):
+            # Each outcome arrives "after 40 s": 80 s in total, above the limit.
+            waited.append(timeout)
+            return [reader] if reader.outcomes else []
+
         try:
-            pool._results = ScriptedQueue(
-                queue.Empty,
-                ("ok", 0, TaskOutcome(task_id=0, rows=1)),
-                queue.Empty,
-                ("ok", 0, TaskOutcome(task_id=1, rows=1)),
-            )
-            clock = itertools.count(step=40)
-            monkeypatch.setattr(pool_module, "_wall", lambda: float(next(clock)))
+            pool._results = [reader]
+            monkeypatch.setattr(pool_module, "wait", scripted_wait)
             outcomes = pool.collect(2, timeout=60.0)
             assert [outcome.task_id for outcome in outcomes] == [0, 1]
+            assert waited == [60.0, 60.0]
+            with pytest.raises(ExecutionError, match=r"timed out .*\(0/1\)"):
+                pool.collect(1, timeout=60.0)
         finally:
+            monkeypatch.undo()
             pool._results = results
             pool.close()
 

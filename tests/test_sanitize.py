@@ -27,11 +27,9 @@ from repro.common.schema import DataType, Schema
 from repro.partitioning.upfront import UpfrontPartitioner
 from repro.storage.dfs import DistributedFileSystem
 from repro.storage.shared_memory import (
-    BlockSpec,
-    ColumnSpec,
     SharedBlockStore,
+    SharedBlockView,
     SharedSegmentCache,
-    _views_of,
 )
 from repro.storage.table import ColumnTable, StoredTable
 
@@ -70,21 +68,13 @@ class TestSwitch:
 
 
 class TestFrozenViews:
-    def _spec_and_buffer(self) -> tuple[memoryview, BlockSpec]:
+    def test_attached_views_are_readonly(self, sanitize):
         array = np.arange(8, dtype=np.int64)
         buffer = memoryview(bytearray(array.tobytes())).toreadonly()
-        spec = BlockSpec(
-            block_id=0,
-            num_rows=8,
-            columns=(ColumnSpec("key", 0, array.dtype.str, 8),),
-        )
-        return buffer, spec
-
-    def test_attached_views_are_readonly(self, sanitize):
-        buffer, spec = self._spec_and_buffer()
-        columns = _views_of(buffer, spec)
+        view = SharedBlockView(0, (8, 0), (("key", array.dtype.str),), buffer)
+        assert np.array_equal(view.columns["key"], array)
         with pytest.raises(ValueError):
-            columns["key"][0] = 99
+            view.columns["key"][0] = 99
 
     def test_views_are_readonly_without_sanitizer(self):
         """A worker cannot write a pinned block, nor make its view writable."""
@@ -94,7 +84,7 @@ class TestFrozenViews:
         before = stored.dfs.peek_block(block_id).columns["key"].copy()
         store, cache, witness = SharedBlockStore(), SharedSegmentCache(), SharedSegmentCache()
         try:
-            pin = store.pin_table(stored)
+            pin = store.pin_table(stored, [block_id])
             view = cache.get_blocks(pin, [block_id])[0].columns["key"]
             assert not view.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
