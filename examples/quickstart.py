@@ -43,7 +43,7 @@ def main() -> None:
     print("\nFirst query, explained:")
     print(physical.explain_full())
     print(f"-> {result.output_rows} rows, {result.runtime_seconds:.2f} model-s "
-          f"(makespan {result.makespan_seconds:.2f} s)")
+          f"(makespan {result.makespan_cost_units:.2f} s)")
 
     print("\nRunning 15 more q12 queries (lineitem ⋈ orders on orderkey):")
     print(f"{'#':>3} {'join':>8} {'blocks read':>12} {'repartitioned':>14} "

@@ -10,9 +10,8 @@ cluster/HDFS substrate:
 * ``repro.adaptive``      — query window, smooth repartitioning, Amoeba refinement
 * ``repro.join``          — hyper-join (overlap, grouping heuristics, ILP) and shuffle join
 * ``repro.core``          — configuration, join planner and the cost-based optimizer
-* ``repro.exec``          — plan compilation, scheduling and the one schedule interpreter
+* ``repro.exec``          — plan compilation, scheduling, the one schedule interpreter and ``simulate(schedule)``
 * ``repro.api``           — :class:`Session`: the staged plan / lower / execute lifecycle
-* ``repro.sim``           — discrete-event cluster simulator and the concurrent-workload driver
 * ``repro.parallel``      — worker pool and shared-memory transport of the ``"parallel"`` backend
 * ``repro.workloads``     — TPC-H and CMT generators plus the paper's workload patterns
 * ``repro.baselines``     — Full Scan, full repartitioning, Amoeba-only, PREF, hand-tuned
@@ -33,7 +32,6 @@ from .api import (
     LogicalPlan,
     PhysicalPlan,
     Session,
-    SimBackend,
     TaskBackend,
 )
 from .core import AdaptDBConfig
@@ -55,7 +53,6 @@ __all__ = [
     "ReproError",
     "Schema",
     "Session",
-    "SimBackend",
     "TaskBackend",
     "__version__",
     "join_query",

@@ -12,8 +12,7 @@ structures can.  Each rule looks at one file at a time:
   ``transaction()`` block (rule ``catalog-transaction``).
 
 Run ``python -m repro.analysis [paths...]`` (defaults to the installed
-``repro`` package tree; ``--rules`` lists every rule, ``--format
-json|sarif`` emits machine-readable reports) or call
+``repro`` package tree; ``--rules`` lists every rule) or call
 :func:`analyze_paths` / :func:`analyze_source` programmatically.
 Suppress a finding with a justified ``# repro: allow[rule-id]`` comment on
 or above its line; ``# repro: allow[a, b]`` covers several rules at once.

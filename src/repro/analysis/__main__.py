@@ -1,14 +1,9 @@
 """CLI entry point: ``python -m repro.analysis [paths...]``.
 
-Exits 1 when any checker reports an unsuppressed *error* — this is the
-same gate CI's ``static-analysis`` job runs.  Warnings are reported but do
-not fail the build.
-
-Output formats (``--format``): ``text`` (default, one line per finding),
-``json`` (stable machine-readable), and ``sarif`` (SARIF 2.1.0, suitable
-for CI artifact upload / code-scanning ingestion).  ``--out`` writes the
-report to a file instead of stdout; wall time always goes to stderr so
-CI job logs record checker cost without polluting parseable output.
+Exits 1 when any checker reports an unsuppressed finding — this is the
+same gate CI's ``static-analysis`` job runs.  The report is text on stdout,
+one line per finding; wall time goes to stderr so CI job logs record
+checker cost.
 """
 
 from __future__ import annotations
@@ -17,9 +12,24 @@ import argparse
 import sys
 import time
 from pathlib import Path
+from typing import Iterable
 
 from . import ALL_CHECKERS, ALL_RULES, analyze_paths
-from .report import render_report, render_rules
+from .framework import Checker
+
+
+def render_rules(checkers: Iterable[Checker]) -> str:
+    """The ``--rules`` listing: every rule id with its one-line contract."""
+    lines: list[str] = []
+    for checker in checkers:
+        lines.append(f"{checker.name}:")
+        for rule in checker.rules:
+            description = checker.descriptions.get(rule, "")
+            if description:
+                lines.append(f"  {rule}: {description}")
+            else:
+                lines.append(f"  {rule}")
+    return "\n".join(lines)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -43,54 +53,33 @@ def main(argv: list[str] | None = None) -> int:
             "list every rule and its contract, then exit"
         ),
     )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=None,
-        help="write the report to this file instead of stdout",
-    )
     args = parser.parse_args(argv)
 
     if args.rules == "":
         print(render_rules(ALL_CHECKERS))
         return 0
+    rules: frozenset[str] | None = None
     if args.rules is not None:
-        requested = frozenset(
+        rules = frozenset(
             rule.strip() for rule in args.rules.split(",") if rule.strip()
         )
-        unknown = requested - ALL_RULES
+        unknown = rules - ALL_RULES
         if unknown:
             parser.error(f"unknown rule(s): {', '.join(sorted(unknown))}")
-        rules: frozenset[str] | None = requested
-    else:
-        rules = None
 
     paths = list(args.paths) or [Path(__file__).resolve().parents[1]]
     started = time.perf_counter()
     violations, file_count = analyze_paths(paths, rules=rules)
     elapsed = time.perf_counter() - started
 
-    report = render_report(
-        args.format, violations, file_count=file_count, checkers=ALL_CHECKERS
-    )
-    if args.out is not None:
-        args.out.write_text(report + "\n", encoding="utf-8")
+    for violation in violations:
+        print(violation.render())
+    if violations:
+        print(f"{len(violations)} violation(s) across {file_count} file(s)")
     else:
-        print(report)
-
-    gating = [violation for violation in violations if violation.severity == "error"]
-    print(
-        f"repro.analysis: {file_count} file(s) in {elapsed:.2f}s — "
-        f"{len(gating)} gating, {len(violations) - len(gating)} warning(s)",
-        file=sys.stderr,
-    )
-    return 1 if gating else 0
+        print(f"OK: {file_count} file(s), 0 violations")
+    print(f"repro.analysis: {file_count} file(s) in {elapsed:.2f}s", file=sys.stderr)
+    return 1 if violations else 0
 
 
 if __name__ == "__main__":

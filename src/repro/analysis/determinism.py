@@ -1,9 +1,8 @@
 """Determinism checker.
 
 The tests and the layered benchmark fingerprint query results and
-schedules, so the executing/simulating/adapting/planning layers
-(``repro.exec``, ``repro.sim``, ``repro.adaptive``, ``repro.join``) must be
-bit-stable run to run.  Rules:
+schedules, so the executing/adapting/planning layers (``repro.exec``,
+``repro.adaptive``, ``repro.join``) must be bit-stable run to run.  Rules:
 
 ``no-stdlib-random``
     ``random`` (the stdlib module) is banned in scoped modules; the only
@@ -73,7 +72,6 @@ RULE_UNSEEDED = "unseeded-rng"
 #: diverge the reopened session from the original.
 SCOPE_PREFIXES = (
     "repro.exec",
-    "repro.sim",
     "repro.adaptive",
     "repro.join",
     "repro.parallel",

@@ -3,8 +3,7 @@
 The checkers are plain functions over parsed source files; this module
 owns everything they share so each checker file is only its rule logic:
 
-* :class:`Violation` — one finding, with file:line, severity and a fix
-  hint.
+* :class:`Violation` — one finding, with file:line and a fix hint.
 * :class:`SourceFile` — a parsed file plus its suppression comments.
 * :class:`AnalysisContext` — the one cross-file fact the rules use,
   gathered in a pre-pass: every function's return annotation (the
@@ -42,8 +41,6 @@ class Violation:
     line: int
     message: str
     hint: str = ""
-    #: ``"error"`` findings gate CI; ``"warning"`` findings are advisory.
-    severity: str = "error"
 
     def render(self) -> str:
         """Human-readable one-line form, ``path:line: [rule] message``."""
@@ -182,7 +179,7 @@ class Checker:
     name: str
     rules: tuple[str, ...]
     check: CheckFunction
-    #: rule id -> one-line description, surfaced by ``--rules`` and SARIF.
+    #: rule id -> one-line description, surfaced by ``--rules``.
     descriptions: Mapping[str, str] = field(default_factory=dict)
 
 

@@ -5,15 +5,14 @@ This package is the library's public planning/execution surface::
     Session  -- owns cluster, DFS, catalog; entry point for load/plan/run
     LogicalPlan / PhysicalPlan -- the two explicit plan stages, both with
         stable ``explain()`` text
-    ExecutionBackend -- protocol; TaskBackend, SimBackend (re-exported from
-        ``repro.sim``) and ``repro.parallel.ParallelBackend`` implement it,
-        each a thin selection over the session's one schedule interpreter
+    ExecutionBackend -- protocol; TaskBackend and
+        ``repro.parallel.ParallelBackend`` implement it, each a thin
+        selection over the session's one schedule interpreter
     PlanCache / query_signature -- the epoch-keyed plan cache
 
 Construct optimizers/executors only through this package.
 """
 
-from ..sim.backend import SimBackend
 from .backends import ExecutionBackend, TaskBackend
 from .cache import CachedPlan, PlanCache, query_signature
 from .plans import LogicalPlan, PhysicalPlan
@@ -26,7 +25,6 @@ __all__ = [
     "PhysicalPlan",
     "PlanCache",
     "Session",
-    "SimBackend",
     "TaskBackend",
     "query_signature",
 ]

@@ -7,14 +7,13 @@ over the session's one schedule interpreter
 
 * :class:`TaskBackend` (``"tasks"``) — the interpreter with its inline
   runner;
-* :class:`~repro.sim.backend.SimBackend` (``"simulated"``) — the same, plus
-  the discrete-event simulator's timing of the schedule;
 * :class:`~repro.parallel.backend.ParallelBackend` (``"parallel"``) — the
   interpreter with a worker-pool runner, plus measured wall-clock fields.
 
-All three produce identical answers and fingerprints for the same physical
-plan.  The paper's idealised serial model is not a backend: it is the
-``cost_units`` / ``runtime_seconds`` pair every result carries.
+Both produce identical answers and fingerprints for the same physical plan.
+A runtime model is not a backend: serial, makespan and simulated time are
+all reads of the result either backend returns (see
+:class:`~repro.exec.result.QueryResult` and :func:`repro.exec.simulate`).
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from ..core.optimizer import QueryPlan
 from ..core.planner import JoinMethod
 from ..exec.scheduler import CompiledPlan
-from ..exec.tasks import TaskKind, TaskSchedule
+from ..exec.tasks import TaskKind, TaskSchedule, straggler_factor
 from .cache import CachedPlan
 
 
@@ -137,7 +137,7 @@ class PhysicalPlan:
             ),
             f"  serial_cost={_fmt(schedule.total_cost)} "
             f"makespan={_fmt(schedule.makespan)} "
-            f"straggler={_fmt(schedule.straggler_factor)} "
+            f"straggler={_fmt(straggler_factor(schedule.machine_loads))} "
             f"locality={_fmt(schedule.locality_fraction)}",
         ]
         return "\n".join(lines)

@@ -13,13 +13,11 @@ every query through three explicit stages::
     result = session.run(query)         # the three stages in one call
 
 Execution goes through a pluggable :class:`~repro.api.backends.ExecutionBackend`
-(``"tasks"`` — the schedule interpreter run in-process, ``"simulated"`` —
-the same plus the ``repro.sim`` discrete-event cluster simulator's timing,
-or ``"parallel"`` — the same interpreter over a worker pool), selected per
-session via ``AdaptDBConfig.execution_backend`` or the ``backend`` argument.
-All three share the session's one :class:`~repro.exec.engine.Executor`; the
-paper's serial model is the ``cost_units`` / ``runtime_seconds`` of every
-result.
+(``"tasks"`` — the schedule interpreter run in-process, or ``"parallel"`` —
+the same interpreter over a worker pool), selected per session via
+``AdaptDBConfig.execution_backend`` or the ``backend`` argument.  Both share
+the session's one :class:`~repro.exec.engine.Executor`; the modelled
+runtimes (serial, makespan, simulated) are reads of every result.
 
 Planning is cached: every :class:`~repro.storage.table.StoredTable` mutation
 bumps a per-table epoch, and the session keeps a bounded plan cache keyed on
@@ -69,7 +67,6 @@ from ..exec.scheduler import Scheduler, compile_plan
 from ..parallel.backend import ParallelBackend
 from ..partitioning.tree import PartitioningTree
 from ..partitioning.upfront import UpfrontPartitioner
-from ..sim.backend import SimBackend
 from ..storage.catalog import Catalog
 from ..storage.dfs import DistributedFileSystem
 from ..storage.persist import PersistenceManager
@@ -85,9 +82,9 @@ class Session:
 
     Attributes:
         config: Instance configuration.
-        backend: Execution backend: a name (``"tasks"`` / ``"simulated"`` /
-            ``"parallel"``), an :class:`ExecutionBackend` instance, or
-            ``None`` to follow ``config.execution_backend``.
+        backend: Execution backend: a name (``"tasks"`` / ``"parallel"``),
+            an :class:`ExecutionBackend` instance, or ``None`` to follow
+            ``config.execution_backend``.
         executor: The one schedule interpreter every built-in backend runs
             physical plans through.
     """
@@ -148,16 +145,12 @@ class Session:
         self.executor = Executor(
             catalog=self.catalog, cluster=self.cluster, config=self.config
         )
+        # The worker pool starts lazily on the first parallel execute(), so
+        # registering the backend costs nothing for sessions that never
+        # select it.
         self.backends = {
             backend.name: backend
-            for backend in (
-                TaskBackend(self.executor),
-                SimBackend(self.executor),
-                # The worker pool starts lazily on the first parallel
-                # execute(), so registering the backend costs nothing for
-                # sessions that never select it.
-                ParallelBackend(self.executor),
-            )
+            for backend in (TaskBackend(self.executor), ParallelBackend(self.executor))
         }
         self.use_backend(self.backend if self.backend is not None
                          else self.config.execution_backend)

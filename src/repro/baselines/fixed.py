@@ -48,11 +48,6 @@ class BestGuessFixedBaseline:
             tree = self._hand_tuned_tree(table)
             self.session.load_table(table, tree=tree)
 
-    @property
-    def db(self) -> Session:
-        """The underlying engine (kept under the pre-session attribute name)."""
-        return self.session
-
     def run_workload(self, queries: list[Query]) -> list[QueryResult]:
         """Run the workload on the fixed, hand-tuned layout."""
         return self.session.run_workload(queries, adapt=False)

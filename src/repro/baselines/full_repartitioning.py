@@ -50,11 +50,6 @@ class FullRepartitioningBaseline:
         )
         self.window = QueryWindow(size=self.config.window_size)
 
-    @property
-    def db(self) -> Session:
-        """The underlying engine (kept under the pre-session attribute name)."""
-        return self.session
-
     def run_workload(self, queries: list[Query]) -> list[QueryResult]:
         """Run the workload, fully repartitioning tables when triggered."""
         return [self._run_query(query) for query in queries]
@@ -67,11 +62,18 @@ class FullRepartitioningBaseline:
         repartitioned_blocks = self._maybe_repartition(query)
         result = self.session.run(query, adapt=False)
         if repartitioned_blocks:
-            cost_model = self.session.cluster.cost_model
-            extra_cost = cost_model.repartition_cost(repartitioned_blocks)
+            # The rewrite is a blocking pre-step every machine shares evenly,
+            # so it is charged into the loads as well as the serial sum: all
+            # runtime models then move by the same modelled amount.
+            extra_cost = self.session.cluster.cost_model.repartition_cost(
+                repartitioned_blocks
+            )
             result.blocks_repartitioned += repartitioned_blocks
             result.cost_units += extra_cost
-            result.runtime_seconds = cost_model.to_seconds(result.cost_units)
+            share = extra_cost / len(result.machine_cost_units)
+            result.machine_cost_units = [
+                load + share for load in result.machine_cost_units
+            ]
         return result
 
     def _maybe_repartition(self, query: Query) -> int:

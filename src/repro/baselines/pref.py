@@ -74,11 +74,6 @@ class PREFBaseline:
             self.session.load_table(table, tree=tree)
         self.replication_factors = self._derive_replication_factors()
 
-    @property
-    def db(self) -> Session:
-        """The underlying engine (kept under the pre-session attribute name)."""
-        return self.session
-
     # ------------------------------------------------------------------ #
     # Workload execution
     # ------------------------------------------------------------------ #
@@ -90,10 +85,13 @@ class PREFBaseline:
         result = self.session.run(query, adapt=False)
         inflation = self._query_replication_factor(query)
         if inflation > 1.0:
-            cost_model = self.session.cluster.cost_model
+            # Replicated copies inflate every machine's I/O alike, so the
+            # loads scale with the serial sum under every runtime model.
             result.cost_units *= inflation
+            result.machine_cost_units = [
+                load * inflation for load in result.machine_cost_units
+            ]
             result.blocks_read = int(round(result.blocks_read * inflation))
-            result.runtime_seconds = cost_model.to_seconds(result.cost_units)
         return result
 
     # ------------------------------------------------------------------ #

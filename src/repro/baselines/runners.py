@@ -77,11 +77,6 @@ class ConfiguredRunner:
         )
         self.session = build_session(self.tables, config)
 
-    @property
-    def db(self) -> Session:
-        """The underlying engine (kept under the pre-session attribute name)."""
-        return self.session
-
     def run_workload(self, queries: list[Query]) -> list[QueryResult]:
         """Run the workload under this runner's configuration preset."""
         return self.session.run_workload(queries, adapt=self.adapt)

@@ -12,8 +12,8 @@ proportional to the number of blocks accessed.  Constants follow the paper:
 * Remote reads cost 8 % more than local reads (Figure 7 / [3]).
 
 Cost units are the one modelled currency: one block access takes one unit
-of modelled time, so the ``*_seconds`` conversions below are cost units per
-machine and exist only to give the experiment drivers runtime-shaped series;
+of modelled time, so :meth:`CostModel.to_seconds` is cost units per machine
+and exists only to give the experiment drivers runtime-shaped series;
 absolute values are not meant to match the paper's testbed.
 """
 
@@ -83,30 +83,13 @@ class CostModel:
         return local_reads + remote_reads * self.remote_read_penalty
 
     # ------------------------------------------------------------------ #
-    # Parallel execution: makespan and stragglers
-    # ------------------------------------------------------------------ #
-    def makespan(self, machine_costs: list[float]) -> float:
-        """Parallel completion time in cost units: the max per-machine cost.
-
-        The serial sum (``sum(machine_costs)``) is what the paper's model
-        charges; the makespan is what a cluster actually waits for — the
-        machine with the heaviest task load.  The gap between
-        ``makespan`` and ``sum / len`` is the straggler overhead.
-        """
-        return max(machine_costs) if machine_costs else 0.0
-
-    def makespan_seconds(self, machine_costs: list[float]) -> float:
-        """Makespan as modelled seconds (one cost unit per second)."""
-        return self.makespan(machine_costs)
-
-    # ------------------------------------------------------------------ #
     # Presentation
     # ------------------------------------------------------------------ #
     def to_seconds(self, cost_units: float) -> float:
         """Convert cost units into modelled seconds on the whole cluster.
 
         This is the idealised conversion (perfect parallelism: cost units
-        per machine); use :meth:`makespan_seconds` for the schedule-aware
-        runtime.
+        per machine); ``QueryResult.makespan_cost_units`` is the
+        schedule-aware runtime.
         """
         return cost_units / max(self.parallelism, 1)

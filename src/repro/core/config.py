@@ -18,7 +18,7 @@ class AdaptDBConfig:
     """Configuration of one AdaptDB instance.
 
     Attributes:
-        num_machines: Worker nodes in the simulated cluster (paper: 10).
+        num_machines: Worker nodes in the modelled cluster (paper: 10).
         rows_per_block: Target rows per storage block (stand-in for the 64 MB
             HDFS block size).
         buffer_blocks: Memory budget ``B`` of the hyper-join — how many
@@ -45,24 +45,18 @@ class AdaptDBConfig:
         shuffle_cost_factor: The cost model's ``CSJ`` constant.
         execution_backend: Which :class:`~repro.api.ExecutionBackend` a
             session executes through: ``"tasks"`` (the schedule interpreter
-            run in-process), ``"simulated"`` (the same plus the ``repro.sim``
-            discrete-event simulator: stage barriers, queueing,
-            repartition-bandwidth contention), or ``"parallel"`` (the same
-            interpreter on a persistent worker pool with shared-memory
-            block transport, ``repro.parallel``).  Every backend reports
-            the paper's serial-sum model (``cost_units``, and
-            ``runtime_seconds`` = cost units per machine) and the schedule's
-            makespan on each result.
+            run in-process) or ``"parallel"`` (the same interpreter on a
+            persistent worker pool with shared-memory block transport,
+            ``repro.parallel``).  Both report the paper's serial-sum model
+            (``cost_units``, and ``runtime_seconds`` = cost units per
+            machine), the schedule's makespan and the schedule itself on
+            each result.
         num_workers: Worker processes of the parallel backend; ``None``
-            means one worker per simulated machine.
+            means one worker per modelled machine.
         worker_start_method: ``multiprocessing`` start method for the
             parallel backend's pool (``"fork"`` / ``"spawn"`` /
             ``"forkserver"``); ``None`` picks ``fork`` where available,
             else ``spawn``.
-        sim_repartition_bandwidth: Cluster-wide cap on repartition tasks
-            running concurrently in the simulator — the bounded I/O budget
-            adaptation work gets, so it contends with query tasks instead of
-            spreading for free.
         plan_cache_size: Capacity of the session's epoch-keyed plan cache
             (entries); ``0`` disables plan caching entirely.
         delta_chain_limit: Change descriptors retained per table.  Cached
@@ -107,7 +101,6 @@ class AdaptDBConfig:
     execution_backend: str = "tasks"
     num_workers: int | None = None
     worker_start_method: str | None = None
-    sim_repartition_bandwidth: int = 2
     plan_cache_size: int = 64
     delta_chain_limit: int = 64
     persistence: str = ""
@@ -148,18 +141,14 @@ class AdaptDBConfig:
             raise PlanningError("join_level_fraction must be in [0, 1]")
         if self.force_join_method not in (None, "shuffle", "hyper"):
             raise PlanningError("force_join_method must be None, 'shuffle' or 'hyper'")
-        if self.execution_backend not in ("tasks", "simulated", "parallel"):
-            raise PlanningError(
-                "execution_backend must be 'tasks', 'simulated' or 'parallel'"
-            )
+        if self.execution_backend not in ("tasks", "parallel"):
+            raise PlanningError("execution_backend must be 'tasks' or 'parallel'")
         if self.num_workers is not None and self.num_workers < 1:
             raise PlanningError("num_workers must be at least 1 (or None)")
         if self.worker_start_method not in (None, "fork", "spawn", "forkserver"):
             raise PlanningError(
                 "worker_start_method must be None, 'fork', 'spawn' or 'forkserver'"
             )
-        if self.sim_repartition_bandwidth < 1:
-            raise PlanningError("sim_repartition_bandwidth must be at least 1")
         if self.plan_cache_size < 0:
             raise PlanningError("plan_cache_size must be non-negative")
         if self.delta_chain_limit < 1:

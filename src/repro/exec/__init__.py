@@ -5,12 +5,15 @@ shuffle map/reduce tasks, hyper-join group tasks, repartition tasks), a
 locality-aware scheduler places the tasks on the cluster's machines, and one
 schedule interpreter runs them — in-process or on the ``repro.parallel``
 worker pool — reading every task's blocks with one batched DFS call.
-Runtime is accounted both ways on every result: the serial cost sum
-(the paper's block-access model) and the *makespan* — the maximum per-machine
-load — which is what a distributed deployment would actually observe,
-stragglers included.
+Every result carries the serial cost sum (the paper's block-access model),
+the per-machine loads whose maximum is the *makespan* — what a distributed
+deployment would actually observe, stragglers included — and the schedule
+itself, which :func:`simulate` plays out with shuffle barriers and bounded
+repartitioning bandwidth.
 
-* ``repro.exec.tasks``         — task and schedule data structures
+* ``repro.exec.tasks``         — task and schedule data structures, and the
+  runtime models that are functions of a schedule (``makespan``,
+  :func:`simulate`)
 * ``repro.exec.scheduler``     — plan compilation and locality-aware placement
 * ``repro.exec.engine``        — the schedule interpreter and its inline runner
 * ``repro.exec.kernels_tasks`` — per-task work descriptions, the one
@@ -21,7 +24,7 @@ stragglers included.
 from .engine import Executor, JoinState
 from .result import QueryResult
 from .scheduler import CompiledPlan, Scheduler, compile_plan, replica_hints
-from .tasks import Task, TaskKind, TaskSchedule
+from .tasks import Task, TaskKind, TaskSchedule, simulate, task_dependencies
 
 __all__ = [
     "CompiledPlan",
@@ -34,4 +37,6 @@ __all__ = [
     "TaskSchedule",
     "compile_plan",
     "replica_hints",
+    "simulate",
+    "task_dependencies",
 ]

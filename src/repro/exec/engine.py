@@ -8,14 +8,9 @@ apply the outcomes in task-id order, finish accounting.  Two runners exist:
 task's blocks with one batched DFS call issued from its assigned machine
 (so locality statistics reflect the scheduler's placement); the
 ``repro.parallel`` backend supplies the other, which ships the same work to
-its worker pool.  Two modelled runtimes are filled in per query, both pure
-functions of the schedule:
-
-* ``runtime_seconds`` — the paper's model: the serial block-access sum spread
-  perfectly over the cluster,
-* ``makespan_seconds`` — the schedule's actual completion time: the cost of
-  the most loaded machine, which includes straggler effects the serial model
-  hides.
+its worker pool.  The result keeps the serial block-access sum, the
+schedule's per-machine loads and the schedule itself; every modelled runtime
+(serial, makespan, barrier-aware simulation) is derived from those on read.
 """
 
 from __future__ import annotations
@@ -201,7 +196,7 @@ class Executor:
         states: list[JoinState],
         result: QueryResult,
     ) -> QueryResult:
-        """Post-execution accounting: join stats, answer, both runtime models."""
+        """Post-execution accounting: join stats, answer, the schedule's loads."""
         cost_model = self.cluster.cost_model
 
         # Scan accounting: matched rows were accumulated per task; the cost
@@ -228,9 +223,7 @@ class Executor:
             result.output_rows = result.scan_output_rows
 
         result.machine_cost_units = schedule.machine_loads
-        result.makespan_cost_units = schedule.makespan
-        result.makespan_seconds = cost_model.makespan_seconds(result.machine_cost_units)
-        result.runtime_seconds = cost_model.to_seconds(result.cost_units)
+        result.schedule = schedule
         return result
 
     # ------------------------------------------------------------------ #

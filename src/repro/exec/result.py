@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 from ..common.query import Query
 from ..join.shuffle import JoinStats
+from .tasks import TaskSchedule, straggler_factor
 
 
 @dataclass
@@ -24,12 +25,11 @@ class QueryResult:
         blocks_repartitioned: Blocks rewritten by adaptation during this query.
         shuffled_blocks: Blocks that went through a shuffle.
         cost_units: Total modelled cost in block accesses (the serial sum).
-        runtime_seconds: Serial cost converted to modelled seconds assuming
-            perfect parallelism (``cost_units / parallelism``).
         machine_cost_units: Scheduled cost per machine (index = machine id).
-        makespan_cost_units: Maximum per-machine cost — the parallel
-            completion time of the task schedule in block accesses.
-        makespan_seconds: Makespan converted to modelled seconds.
+        schedule: The task schedule the result was produced from — the very
+            object the physical plan (and the plan cache) holds, never a
+            copy — so :func:`~repro.exec.tasks.simulate` can be evaluated on
+            demand.  Excluded from :meth:`fingerprint` and ``repr``.
         tasks_scheduled: Number of tasks the plan compiled into.
         join_methods: Join algorithm used per join clause.
         join_stats: Detailed per-join statistics.
@@ -39,13 +39,6 @@ class QueryResult:
             :meth:`fingerprint` because it is measured, not modelled.
         plan_cache_hit: Whether the session served the plan from its
             epoch-keyed plan cache instead of planning from scratch.
-        sim_seconds: Completion time of the schedule in the discrete-event
-            simulator (``repro.sim``): makespan plus barrier-induced stalls.
-            Zero unless the query ran through the simulated backend.
-        sim_queueing_seconds: Summed per-task queueing delay the simulator
-            observed (time tasks spent runnable but waiting for a machine).
-        sim_machine_busy_seconds: Simulated busy time per machine (index =
-            machine id); ``sim_seconds - busy`` is that machine's idle time.
         wall_seconds: Measured wall-clock time of the execution, populated
             only by the multi-core ``ParallelBackend`` (zero elsewhere).
             Excluded from :meth:`fingerprint` — it is measured, not modelled.
@@ -69,19 +62,14 @@ class QueryResult:
     blocks_repartitioned: int = 0
     shuffled_blocks: int = 0
     cost_units: float = 0.0
-    runtime_seconds: float = 0.0
     machine_cost_units: list[float] = field(default_factory=list)
-    makespan_cost_units: float = 0.0
-    makespan_seconds: float = 0.0
+    schedule: TaskSchedule | None = field(default=None, repr=False)
     tasks_scheduled: int = 0
     join_methods: list[str] = field(default_factory=list)
     join_stats: list[JoinStats] = field(default_factory=list)
     trees_created: int = 0
     planning_seconds: float = 0.0
     plan_cache_hit: bool = False
-    sim_seconds: float = 0.0
-    sim_queueing_seconds: float = 0.0
-    sim_machine_busy_seconds: list[float] = field(default_factory=list)
     wall_seconds: float = 0.0
     machine_wall_seconds: list[float] = field(default_factory=list)
     buffer_hits: int = 0
@@ -116,23 +104,26 @@ class QueryResult:
         )
 
     @property
+    def runtime_seconds(self) -> float:
+        """The paper's serial model as modelled seconds: the cost sum spread
+        perfectly over the cluster (``cost_units / num_machines``)."""
+        return self.cost_units / max(len(self.machine_cost_units), 1)
+
+    @property
+    def makespan_cost_units(self) -> float:
+        """The most loaded machine's cost — the schedule's parallel
+        completion time, stragglers included (0.0 when nothing ran)."""
+        return max(self.machine_cost_units, default=0.0)
+
+    @property
     def used_hyper_join(self) -> bool:
         """Whether any join of the query ran as a hyper-join."""
         return any(method == "hyper" for method in self.join_methods)
 
     @property
     def straggler_factor(self) -> float:
-        """Makespan relative to a perfectly balanced cluster (>= 1.0).
-
-        1.0 means every machine finished at the same time; 2.0 means the
-        slowest machine carried twice the average load.
-        """
-        if not self.machine_cost_units:
-            return 1.0
-        total = sum(self.machine_cost_units)
-        if total <= 0.0:
-            return 1.0
-        return self.makespan_cost_units / (total / len(self.machine_cost_units))
+        """Makespan relative to a perfectly balanced cluster (>= 1.0)."""
+        return straggler_factor(self.machine_cost_units)
 
     @property
     def parallel_speedup(self) -> float:

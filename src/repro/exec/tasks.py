@@ -1,15 +1,29 @@
-"""Work units of the parallel execution engine.
+"""Work units of the parallel execution engine, and their runtime models.
 
 A query plan is compiled into :class:`Task` objects — the unit the scheduler
 places and a simulated machine executes.  Tasks are pure descriptions (which
 blocks to read, what share of the modelled cost they carry); all row-level
 work happens in the engine so tasks stay cheap to create and schedule.
+
+A finished :class:`TaskSchedule` is all a runtime model needs: the serial
+sum (``total_cost``), the ``makespan`` and the barrier-aware completion time
+(:func:`simulate`) are pure functions of it, all in modelled seconds (one
+cost unit, a block access, takes one second).
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
+
+from ..common.errors import ExecutionError
+
+#: Repartition tasks :func:`simulate` lets run cluster-wide at any instant —
+#: the bounded I/O budget adaptation work gets, so it queues behind itself
+#: and contends with query tasks instead of spreading for free.
+REPARTITION_BANDWIDTH = 2
 
 
 class TaskKind(Enum):
@@ -84,12 +98,6 @@ class TaskSchedule:
     num_machines: int
     assignments: dict[int, list[Task]]
 
-    @property
-    def tasks(self) -> list[Task]:
-        """All scheduled tasks, ordered by (stage, task id)."""
-        every = [task for placed in self.assignments.values() for task in placed]
-        return sorted(every, key=lambda task: (task.stage, task.task_id))
-
     def placements(self) -> list[tuple[int, Task]]:
         """(machine id, task) pairs in deterministic execution order.
 
@@ -123,14 +131,6 @@ class TaskSchedule:
         return max(loads) if loads else 0.0
 
     @property
-    def straggler_factor(self) -> float:
-        """Makespan relative to a perfectly balanced cluster (>= 1.0)."""
-        total = self.total_cost
-        if total <= 0.0 or self.num_machines == 0:
-            return 1.0
-        return self.makespan / (total / self.num_machines)
-
-    @property
     def locality_fraction(self) -> float:
         """Fraction of scheduled block reads served from a local replica.
 
@@ -148,3 +148,119 @@ class TaskSchedule:
         if total == 0:
             return 0.0
         return local / total
+
+
+def straggler_factor(machine_loads: list[float]) -> float:
+    """The most loaded machine relative to a perfectly balanced cluster.
+
+    1.0 means every machine finished at the same time (or nothing ran);
+    2.0 means the slowest machine carried twice the average load.
+    """
+    total = sum(machine_loads)
+    if total <= 0.0:
+        return 1.0
+    return max(machine_loads) / (total / len(machine_loads))
+
+
+def task_dependencies(tasks: list[Task]) -> dict[int, set[int]]:
+    """Barrier dependencies of a schedule's tasks, keyed by task id.
+
+    Shuffle-reduce tasks depend on every shuffle-map task of the same join
+    (the producing maps).  Any other stage>0 task conservatively depends on
+    every lower-stage task.  Stage-0 tasks have no dependencies.
+    """
+    maps_by_join: dict[int | None, set[int]] = {}
+    for task in tasks:
+        if task.kind is TaskKind.SHUFFLE_MAP:
+            maps_by_join.setdefault(task.join_index, set()).add(task.task_id)
+    dependencies: dict[int, set[int]] = {}
+    for task in tasks:
+        if task.stage == 0:
+            dependencies[task.task_id] = set()
+        elif task.kind is TaskKind.SHUFFLE_REDUCE and task.join_index in maps_by_join:
+            dependencies[task.task_id] = set(maps_by_join[task.join_index])
+        else:
+            dependencies[task.task_id] = {
+                other.task_id for other in tasks if other.stage < task.stage
+            }
+    return dependencies
+
+
+class SimReport(NamedTuple):
+    """What :func:`simulate` observed playing one schedule out.
+
+    Attributes:
+        finished_at: Completion time (makespan plus barrier/bandwidth stalls).
+        queueing_seconds: Summed over tasks, the gap between a task becoming
+            runnable (its barrier open) and its machine starting it.
+        machine_busy_seconds: Busy time per machine (index = machine id).
+    """
+
+    finished_at: float
+    queueing_seconds: float
+    machine_busy_seconds: list[float]
+
+
+def simulate(
+    schedule: TaskSchedule, repartition_bandwidth: int = REPARTITION_BANDWIDTH
+) -> SimReport:
+    """Play ``schedule`` out event by event on its virtual machines.
+
+    Where :attr:`TaskSchedule.makespan` assumes every machine runs its load
+    back to back, this honours *when* tasks can run: every machine owns a
+    FIFO queue (the interpreter's execution order) and runs the first
+    *ready* task in it, idling when none is; a task is ready once its
+    :func:`task_dependencies` have finished (a shuffle reduce waits for the
+    maps of its own join, wherever they run), and at most
+    ``repartition_bandwidth`` repartition tasks are in flight cluster-wide.
+    Deterministic: machines dispatch in id order and simultaneous finishes
+    are processed in start order (a sequence number breaks time ties).
+    """
+    if repartition_bandwidth < 1:
+        raise ExecutionError("repartition_bandwidth must be at least 1")
+    placements = schedule.placements()
+    dependencies = task_dependencies([task for _, task in placements])
+    blockers = {task_id: len(deps) for task_id, deps in dependencies.items()}
+    dependents: dict[int, list[int]] = {task_id: [] for task_id in dependencies}
+    for task_id, deps in dependencies.items():
+        for dependency in sorted(deps):
+            dependents[dependency].append(task_id)
+    queues: list[list[Task]] = [[] for _ in range(schedule.num_machines)]
+    for machine_id, task in placements:
+        queues[machine_id].append(task)
+
+    ready_at = dict.fromkeys(dependencies, 0.0)
+    running: list[tuple[Task, float] | None] = [None] * schedule.num_machines
+    busy = [0.0] * schedule.num_machines
+    finishes: list[tuple[float, int, int]] = []  # (time, sequence, machine id)
+    now = queueing = 0.0
+    repartitions_in_flight = sequence = 0
+    while True:
+        for machine_id, queue in enumerate(queues):
+            if running[machine_id] is not None:
+                continue
+            for index, task in enumerate(queue):
+                if blockers[task.task_id] == 0 and (
+                    task.kind is not TaskKind.REPARTITION
+                    or repartitions_in_flight < repartition_bandwidth
+                ):
+                    break
+            else:
+                continue
+            del queue[index]
+            repartitions_in_flight += task.kind is TaskKind.REPARTITION
+            queueing += now - ready_at[task.task_id]
+            running[machine_id] = (task, now)
+            heapq.heappush(finishes, (now + task.cost_units, sequence, machine_id))
+            sequence += 1
+        if not finishes:
+            return SimReport(now, queueing, busy)
+        now, _, machine_id = heapq.heappop(finishes)
+        task, started = running[machine_id]
+        running[machine_id] = None
+        busy[machine_id] += now - started
+        repartitions_in_flight -= task.kind is TaskKind.REPARTITION
+        for dependent in dependents[task.task_id]:
+            blockers[dependent] -= 1
+            if blockers[dependent] == 0:
+                ready_at[dependent] = now

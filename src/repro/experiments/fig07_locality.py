@@ -20,6 +20,7 @@ from ..common.query import scan_query
 from ..api.session import Session
 from ..core.config import AdaptDBConfig
 from ..exec.scheduler import Scheduler, compile_plan
+from ..exec.tasks import straggler_factor
 from ..workloads.tpch import TPCHGenerator
 from .harness import ExperimentResult
 
@@ -45,9 +46,7 @@ def run(scale: float = 0.3, rows_per_block: int = 512, seed: int = 1) -> Experim
     schedule = Scheduler(db.cluster.num_machines).schedule(compiled.tasks)
 
     runtimes = [
-        cost_model.makespan_seconds(
-            [cost_model.scan_cost(load, locality) for load in schedule.machine_loads]
-        )
+        max(cost_model.scan_cost(load, locality) for load in schedule.machine_loads)
         for locality in LOCALITY_LEVELS
     ]
 
@@ -66,7 +65,7 @@ def run(scale: float = 0.3, rows_per_block: int = 512, seed: int = 1) -> Experim
     result.notes["blocks_scanned"] = num_blocks
     result.notes["scan_tasks"] = len(compiled.tasks)
     result.notes["makespan_blocks"] = schedule.makespan
-    result.notes["straggler_factor"] = round(schedule.straggler_factor, 3)
+    result.notes["straggler_factor"] = round(straggler_factor(schedule.machine_loads), 3)
     result.notes["scheduler_locality"] = round(schedule.locality_fraction, 3)
     return result
 

@@ -47,7 +47,7 @@ def run(scale: float = 0.4, rows_per_block: int = 512, seed: int = 1) -> Experim
         result = db.run(query, adapt=False)
         results.append(result)
         runtimes.append(result.runtime_seconds)
-        makespans.append(result.makespan_seconds)
+        makespans.append(result.makespan_cost_units)
         labels.append(f"{relative:.2f}x")
 
     sizes = np.asarray(RELATIVE_SIZES)

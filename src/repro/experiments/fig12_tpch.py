@@ -21,7 +21,7 @@ from ..common.rng import derive_rng, make_rng
 from ..core.config import AdaptDBConfig
 from ..workloads.tpch import TPCHGenerator
 from ..workloads.tpch_queries import tables_for_templates, tpch_query
-from .harness import ExperimentResult, backend_for_runtime_model, runtime_seconds
+from .harness import ExperimentResult, runtime_seconds
 
 #: The join templates shown in Figure 12 (q6 has no join and is excluded).
 FIGURE12_TEMPLATES = ["q3", "q5", "q8", "q10", "q12", "q14", "q19"]
@@ -63,17 +63,14 @@ def run(
         runtime_model: ``"makespan"`` (the task schedule's completion time
             on the modelled cluster — the default, matching the paper's
             parallel deployment), ``"serial"`` (sum of per-task costs), or
-            ``"simulated"`` (the discrete-event simulator's completion
-            time, barriers and queueing included).
+            ``"simulated"`` (the schedule played out event by event,
+            barrier and bandwidth stalls included).
     """
     templates = templates or list(FIGURE12_TEMPLATES)
     root_rng = make_rng(seed)
     table_names = tables_for_templates(templates)
     tables = list(TPCHGenerator(scale=scale, seed=seed).generate(table_names).values())
-    config = AdaptDBConfig(
-        rows_per_block=rows_per_block, buffer_blocks=8, seed=seed,
-        execution_backend=backend_for_runtime_model(runtime_model),
-    )
+    config = AdaptDBConfig(rows_per_block=rows_per_block, buffer_blocks=8, seed=seed)
 
     per_system: dict[str, list[float]] = {system: [] for system in FIGURE12_SYSTEMS}
 

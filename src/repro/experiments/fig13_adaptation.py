@@ -12,8 +12,6 @@ the eight templates and compares three systems:
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..baselines.full_repartitioning import FullRepartitioningBaseline
 from ..baselines.runners import AdaptDBRunner, FullScanBaseline
 from ..common.query import Query
@@ -22,7 +20,7 @@ from ..core.config import AdaptDBConfig
 from ..workloads.generators import shifting_workload, switching_workload
 from ..workloads.tpch import TPCHGenerator
 from ..workloads.tpch_queries import EVALUATED_TEMPLATES, tables_for_templates
-from .harness import ExperimentResult, backend_for_runtime_model, runtime_series
+from .harness import ExperimentResult, runtime_series
 
 #: Systems compared in Figure 13, in legend order.
 FIGURE13_SYSTEMS = ["Full Scan", "Repartitioning", "AdaptDB"]
@@ -86,8 +84,9 @@ def run_switching(
     template list for the paper-sized 160-query run.  ``runtime_model``
     selects the reported per-query runtime (``"makespan"`` — the task
     schedule's completion time, the default, matching the paper's parallel
-    deployment — ``"serial"``, or ``"simulated"``, which routes execution
-    through the discrete-event simulator backend).
+    deployment — ``"serial"``, or ``"simulated"``, the schedule played out
+    event by event with barrier and bandwidth stalls); every model is a read
+    of the same results.
     """
     templates = templates or list(EVALUATED_TEMPLATES)
     rng = make_rng(seed)
@@ -95,10 +94,7 @@ def run_switching(
         TPCHGenerator(scale=scale, seed=seed).generate(tables_for_templates(templates)).values()
     )
     queries = switching_workload(templates, queries_per_template, rng)
-    config = AdaptDBConfig(
-        rows_per_block=rows_per_block, buffer_blocks=8, seed=seed,
-        execution_backend=backend_for_runtime_model(runtime_model),
-    )
+    config = AdaptDBConfig(rows_per_block=rows_per_block, buffer_blocks=8, seed=seed)
     runtimes = _run_systems(tables, queries, config, runtime_model)
     result = _build_result(
         "fig13a", "Execution time for the switching workload on TPC-H", runtimes
@@ -126,10 +122,7 @@ def run_shifting(
         TPCHGenerator(scale=scale, seed=seed).generate(tables_for_templates(templates)).values()
     )
     queries = shifting_workload(templates, transition_length, rng)
-    config = AdaptDBConfig(
-        rows_per_block=rows_per_block, buffer_blocks=8, seed=seed,
-        execution_backend=backend_for_runtime_model(runtime_model),
-    )
+    config = AdaptDBConfig(rows_per_block=rows_per_block, buffer_blocks=8, seed=seed)
     runtimes = _run_systems(tables, queries, config, runtime_model)
     result = _build_result(
         "fig13b", "Execution time for the shifting workload on TPC-H", runtimes

@@ -19,7 +19,7 @@ from ..baselines.full_repartitioning import FullRepartitioningBaseline
 from ..baselines.runners import AdaptDBRunner, FullScanBaseline
 from ..core.config import AdaptDBConfig
 from ..workloads.cmt import CMTGenerator
-from .harness import ExperimentResult, backend_for_runtime_model, runtime_series
+from .harness import ExperimentResult, runtime_series
 
 #: Systems compared in Figure 18, in legend order.
 FIGURE18_SYSTEMS = [
@@ -41,16 +41,13 @@ def run(
 
     ``runtime_model`` selects the reported per-query runtime (``"makespan"``
     — the task schedule's completion time, the default, matching the
-    paper's parallel deployment — ``"serial"``, or ``"simulated"``, which
-    routes execution through the discrete-event simulator backend).
+    paper's parallel deployment — ``"serial"``, or ``"simulated"``, the
+    schedule played out event by event with barrier and bandwidth stalls).
     """
     generator = CMTGenerator(scale=scale, seed=seed)
     tables = list(generator.generate().values())
     queries = generator.query_trace(num_queries)
-    config = AdaptDBConfig(
-        rows_per_block=rows_per_block, buffer_blocks=8, seed=seed,
-        execution_backend=backend_for_runtime_model(runtime_model),
-    )
+    config = AdaptDBConfig(rows_per_block=rows_per_block, buffer_blocks=8, seed=seed)
 
     runners = [
         FullScanBaseline(tables, config),

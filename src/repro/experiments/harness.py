@@ -11,23 +11,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..exec.tasks import simulate
+
 #: Runtime models a figure driver can report: the paper's idealised serial
 #: sum spread perfectly over the cluster, the task schedule's makespan (what
-#: a real cluster waits for, stragglers included), or the discrete-event
-#: simulator's completion time (makespan plus barrier and queueing stalls).
+#: a real cluster waits for, stragglers included), or the schedule played
+#: out event by event (makespan plus barrier and bandwidth stalls).
 RUNTIME_MODELS = ("serial", "makespan", "simulated")
 
 
 def runtime_seconds(result, runtime_model: str = "serial") -> float:
-    """Pick one :class:`~repro.exec.result.QueryResult` runtime by model name.
+    """One :class:`~repro.exec.result.QueryResult`'s runtime under a model.
 
-    Args:
-        result: The query result to read.
-        runtime_model: ``"serial"`` returns ``runtime_seconds`` (the paper's
-            model, the default everywhere so existing figure outputs are
-            unchanged); ``"makespan"`` returns ``makespan_seconds``;
-            ``"simulated"`` returns ``sim_seconds`` (populated only when the
-            query executed through the ``"simulated"`` backend).
+    Every model is a read of the result, whichever backend produced it:
+    ``"serial"`` is ``runtime_seconds`` (the paper's model), ``"makespan"``
+    is ``makespan_cost_units`` (one cost unit per modelled second), and
+    ``"simulated"`` adds to that makespan the stall
+    :func:`~repro.exec.tasks.simulate` finds in the result's schedule — so
+    cost a baseline charged into the result's loads moves all three alike.
 
     Raises:
         ValueError: on an unknown model name.
@@ -36,25 +37,14 @@ def runtime_seconds(result, runtime_model: str = "serial") -> float:
         raise ValueError(
             f"unknown runtime model {runtime_model!r}; choose from {RUNTIME_MODELS}"
         )
+    if runtime_model == "serial":
+        return result.runtime_seconds
     if runtime_model == "makespan":
-        return result.makespan_seconds
-    if runtime_model == "simulated":
-        return result.sim_seconds
-    return result.runtime_seconds
-
-
-def backend_for_runtime_model(runtime_model: str) -> str:
-    """The execution backend a figure driver needs for ``runtime_model``.
-
-    ``"simulated"`` requires the simulated backend (it is the only one that
-    populates ``sim_seconds``); the serial and makespan models both read
-    fields the default task backend produces.
-    """
-    if runtime_model not in RUNTIME_MODELS:
-        raise ValueError(
-            f"unknown runtime model {runtime_model!r}; choose from {RUNTIME_MODELS}"
-        )
-    return "simulated" if runtime_model == "simulated" else "tasks"
+        return result.makespan_cost_units
+    schedule = result.schedule
+    return result.makespan_cost_units + (
+        simulate(schedule).finished_at - schedule.makespan
+    )
 
 
 def runtime_series(results, runtime_model: str = "serial") -> list[float]:

@@ -23,10 +23,10 @@ from ...common.query import JoinClause, Query
 from ...common.schema import Column, DataType, Schema
 from ...partitioning.tree import PartitioningTree, TreeNode
 
-#: Bumped whenever any payload shape changes incompatibly (2 and 3: the
-#: stored config lost fields).  ``PersistenceManager.open`` refuses other
+#: Bumped whenever any payload shape changes incompatibly (2, 3 and 4: the
+#: stored config lost fields; 4 also a legal ``execution_backend`` value).  ``PersistenceManager.open`` refuses other
 #: versions.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def _plain_scalar(value: Any) -> Any:

@@ -13,15 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from repro.analysis import ALL_CHECKERS, ALL_RULES, analyze_paths, analyze_source
-from repro.analysis.framework import Violation
-from repro.analysis.report import (
-    render_rules,
-    violations_to_json,
-    violations_to_sarif,
-)
+from repro.analysis.__main__ import render_rules
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "repro"
@@ -45,7 +38,7 @@ class TestDeterminism:
     def test_global_numpy_rng_fires(self):
         violations = analyze_source(
             "import numpy as np\n\n\ndef f(x):\n    np.random.shuffle(x)\n",
-            module="repro.sim.snippet",
+            module="repro.exec.snippet",
         )
         assert "no-global-numpy-rng" in rules_of(violations)
 
@@ -99,7 +92,7 @@ class TestDeterminism:
             "            out.append(value)\n"
             "    return out\n"
         )
-        assert rules_of(analyze_source(text, module="repro.sim.snippet")) == {
+        assert rules_of(analyze_source(text, module="repro.exec.snippet")) == {
             "unsorted-set-iter"
         }
 
@@ -337,114 +330,9 @@ def f(x):
 
 
 # --------------------------------------------------------------------- #
-# report formats
+# the report: a rules listing, text findings, an exit code
 # --------------------------------------------------------------------- #
-SARIF_SHAPE_SCHEMA = {
-    "type": "object",
-    "required": ["$schema", "version", "runs"],
-    "properties": {
-        "version": {"const": "2.1.0"},
-        "runs": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["tool", "results"],
-                "properties": {
-                    "tool": {
-                        "type": "object",
-                        "required": ["driver"],
-                        "properties": {
-                            "driver": {
-                                "type": "object",
-                                "required": ["name", "rules"],
-                                "properties": {
-                                    "rules": {
-                                        "type": "array",
-                                        "items": {
-                                            "type": "object",
-                                            "required": ["id"],
-                                        },
-                                    }
-                                },
-                            }
-                        },
-                    },
-                    "results": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": [
-                                "ruleId",
-                                "level",
-                                "message",
-                                "locations",
-                            ],
-                            "properties": {
-                                "level": {"enum": ["error", "warning"]},
-                                "message": {
-                                    "type": "object",
-                                    "required": ["text"],
-                                },
-                                "locations": {
-                                    "type": "array",
-                                    "minItems": 1,
-                                    "items": {
-                                        "type": "object",
-                                        "required": ["physicalLocation"],
-                                    },
-                                },
-                            },
-                        },
-                    },
-                },
-            },
-        },
-    },
-}
-
-
 class TestReportFormats:
-    def _violations(self):
-        return analyze_source(
-            "import random\n", module="repro.exec.snippet", path="x.py"
-        )
-
-    def test_json_golden(self):
-        payload = violations_to_json(self._violations(), file_count=1)
-        assert payload == {
-            "files_analyzed": 1,
-            "violations": [
-                {
-                    "rule": "no-stdlib-random",
-                    "path": "x.py",
-                    "line": 1,
-                    "severity": "error",
-                    "message": "stdlib random imported in a deterministic module",
-                    "hint": "use repro.common.rng.make_rng instead",
-                }
-            ],
-        }
-
-    def test_sarif_validates_against_schema_shape(self):
-        jsonschema = pytest.importorskip("jsonschema")
-
-        log = violations_to_sarif(self._violations(), ALL_CHECKERS)
-        jsonschema.validate(log, SARIF_SHAPE_SCHEMA)
-        driver_rules = {
-            rule["id"] for rule in log["runs"][0]["tool"]["driver"]["rules"]
-        }
-        for result in log["runs"][0]["results"]:
-            assert result["ruleId"] in driver_rules
-
-    def test_sarif_levels_follow_severity(self):
-        violations = [
-            Violation("no-wall-clock", "x.py", 1, "advisory", severity="warning"),
-            *self._violations(),
-        ]
-        log = violations_to_sarif(violations, ALL_CHECKERS)
-        assert [r["level"] for r in log["runs"][0]["results"]] == ["warning", "error"]
-
     def test_rules_listing_covers_every_rule(self):
         listing = render_rules(ALL_CHECKERS)
         for rule in ALL_RULES:
@@ -469,15 +357,12 @@ class TestCLIFormats:
             cwd=tmp_path,
         )
 
-    def test_sarif_output_file_and_timing_line(self, tmp_path):
-        import json
-
-        out = tmp_path / "analysis.sarif"
-        proc = self._run(tmp_path, "--format", "sarif", "--out", str(out))
+    def test_text_findings_exit_code_and_timing_line(self, tmp_path):
+        proc = self._run(tmp_path)
         assert proc.returncode == 1
-        log = json.loads(out.read_text(encoding="utf-8"))
-        assert log["version"] == "2.1.0"
-        assert "repro.analysis:" in proc.stderr and "gating" in proc.stderr
+        assert "bad.py:3: [unseeded-rng]" in proc.stdout
+        assert "1 violation(s) across 1 file(s)" in proc.stdout
+        assert "repro.analysis: 1 file(s) in" in proc.stderr
 
     def test_rules_listing_mode(self, tmp_path):
         proc = self._run(tmp_path, "--rules")

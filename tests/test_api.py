@@ -16,7 +16,6 @@ import pytest
 from repro.api import (
     PlanCache,
     Session,
-    SimBackend,
     TaskBackend,
     query_signature,
 )
@@ -26,8 +25,10 @@ from repro.common.predicates import between, ge
 from repro.common.query import Query, join_query, scan_query
 from repro.core import AdaptDBConfig
 from repro.core.planner import JoinMethod
+from repro.exec import simulate
 from repro.experiments.harness import runtime_seconds
 from repro.join import hyper_join, shuffle_join
+from repro.parallel import ParallelBackend
 from repro.partitioning.two_phase import TwoPhasePartitioner
 from repro.testing import reference_join_count
 from repro.workloads.tpch_queries import tpch_query
@@ -253,18 +254,21 @@ class TestPlanCache:
 class TestBackends:
     def test_backend_selected_via_config(self, tpch_tables):
         config = AdaptDBConfig(rows_per_block=512, buffer_blocks=4, seed=3,
-                               execution_backend="simulated")
+                               execution_backend="parallel")
         session = Session(config=config)
-        assert isinstance(session.backend, SimBackend)
+        assert isinstance(session.backend, ParallelBackend)
 
     def test_unknown_backend_rejected(self, session):
         with pytest.raises(PlanningError):
             session.use_backend("quantum")
         with pytest.raises(PlanningError):
             AdaptDBConfig(execution_backend="quantum")
-        # The paper's serial model is a field of every result, not a backend.
-        with pytest.raises(PlanningError):
-            AdaptDBConfig(execution_backend="serial")
+        # A runtime model is a read of every result, not a backend.
+        for model in ("serial", "simulated"):
+            with pytest.raises(PlanningError):
+                AdaptDBConfig(execution_backend=model)
+            with pytest.raises(PlanningError):
+                session.use_backend(model)
 
     def test_custom_backend_instance_accepted(self, session):
         backend = TaskBackend(session.executor, name="tasks2")
@@ -287,14 +291,14 @@ class TestBackends:
         physical = session.lower(session.plan(tpch_query("q3", session.rng), adapt=False))
         assert len(physical.logical.join_decisions) == 2
         fingerprints = set()
-        for backend in ("tasks", "simulated", "parallel"):
+        for backend in ("tasks", "parallel"):
             session.use_backend(backend)
             fingerprints.add(session.execute(physical).fingerprint())
         session.close()
         assert len(fingerprints) == 1
 
     def test_one_interpreter_behind_every_builtin_backend(self, session):
-        assert {"tasks", "simulated", "parallel"} == set(session.backends)
+        assert {"tasks", "parallel"} == set(session.backends)
         assert all(
             backend.executor is session.executor
             for backend in session.backends.values()
@@ -402,6 +406,7 @@ class TestPlanningMetadata:
     def test_runtime_model_helper(self, session):
         result = session.run(q12_like(), adapt=False)
         assert runtime_seconds(result) == result.runtime_seconds
-        assert runtime_seconds(result, "makespan") == result.makespan_seconds
+        assert runtime_seconds(result, "makespan") == result.makespan_cost_units
+        assert runtime_seconds(result, "simulated") == simulate(result.schedule).finished_at
         with pytest.raises(ValueError):
             runtime_seconds(result, "wishful")

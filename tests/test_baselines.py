@@ -16,6 +16,7 @@ from repro.baselines import (
 )
 from repro.common.rng import make_rng
 from repro.core import AdaptDBConfig
+from repro.experiments.harness import RUNTIME_MODELS, runtime_seconds
 from repro.workloads.cmt import CMTGenerator
 from repro.workloads.tpch_queries import tpch_query
 
@@ -74,8 +75,8 @@ class TestFullScan:
     def test_reads_every_block(self, tables, config):
         runner = FullScanBaseline(list(tables.values()), config)
         result = runner.run_workload(q12_workload(1))[0]
-        lineitem_blocks = len(runner.db.table("lineitem").non_empty_block_ids())
-        orders_blocks = len(runner.db.table("orders").non_empty_block_ids())
+        lineitem_blocks = len(runner.session.table("lineitem").non_empty_block_ids())
+        orders_blocks = len(runner.session.table("orders").non_empty_block_ids())
         assert result.blocks_read == lineitem_blocks + orders_blocks
 
 
@@ -104,7 +105,7 @@ class TestAmoebaBaseline:
     def test_amoeba_never_builds_join_trees(self, tables, config):
         runner = AmoebaBaseline(list(tables.values()), config)
         runner.run_workload(q12_workload(8))
-        assert runner.db.table("lineitem").tree_for_join_attribute("l_orderkey") is None
+        assert runner.session.table("lineitem").tree_for_join_attribute("l_orderkey") is None
 
     def test_amoeba_uses_shuffle_joins(self, tables, config):
         runner = AmoebaBaseline(list(tables.values()), config)
@@ -124,9 +125,28 @@ class TestFullRepartitioning:
     def test_converges_to_co_partitioned_layout(self, tables, config):
         runner = FullRepartitioningBaseline(list(tables.values()), config)
         runner.run_workload(q12_workload(10))
-        lineitem = runner.db.table("lineitem")
+        lineitem = runner.session.table("lineitem")
         assert lineitem.num_trees == 1
         assert lineitem.tree_for_join_attribute("l_orderkey") is not None
+
+    def test_rewrite_is_charged_under_every_runtime_model(self, tables, config):
+        """The query that triggers a rewrite is slower than the same query on
+        the already-repartitioned layout by the rewrite's per-machine share,
+        whichever runtime model reads the result."""
+        runner = FullRepartitioningBaseline(list(tables.values()), config)
+        query = q12_workload(1)[0]
+        rewriting, settled = runner.run_workload([query, query])
+        assert rewriting.blocks_repartitioned > 0
+        assert settled.blocks_repartitioned == 0
+        share = (
+            runner.session.cluster.cost_model.repartition_cost(
+                rewriting.blocks_repartitioned
+            )
+            / config.num_machines
+        )
+        for model in RUNTIME_MODELS:
+            charged = runtime_seconds(rewriting, model) - runtime_seconds(settled, model)
+            assert charged == pytest.approx(share), model
 
     def test_spike_is_taller_than_adaptdbs_worst_query(self, tables, config):
         queries = q12_workload(10)
@@ -163,6 +183,20 @@ class TestPREF:
             r.cost_units for r in without_replication
         )
 
+    def test_replication_inflates_every_runtime_model(self, tables, config):
+        rng = make_rng(2)
+        hint = [tpch_query("q12", rng), tpch_query("q14", rng)]
+        query = q12_workload(1)[0]
+        replicated = PREFBaseline(list(tables.values()), workload_hint=hint, config=config)
+        plain = PREFBaseline(list(tables.values()), workload_hint=[], config=config)
+        factor = replicated._query_replication_factor(query)
+        assert factor == 1.5  # lineitem is referenced through two join paths
+        inflated, baseline = replicated.run_workload([query])[0], plain.run_workload([query])[0]
+        for model in RUNTIME_MODELS:
+            assert runtime_seconds(inflated, model) == pytest.approx(
+                factor * runtime_seconds(baseline, model)
+            ), model
+
     def test_joins_are_co_partitioned(self, tables, config):
         queries = q12_workload(3)
         runner = PREFBaseline(list(tables.values()), workload_hint=queries, config=config)
@@ -174,8 +208,8 @@ class TestBestGuessFixed:
     def test_trees_match_workload_join_attributes(self, tables, config):
         queries = q12_workload(5)
         runner = BestGuessFixedBaseline(list(tables.values()), queries, config)
-        assert runner.db.table("lineitem").tree_for_join_attribute("l_orderkey") is not None
-        assert runner.db.table("orders").tree_for_join_attribute("o_orderkey") is not None
+        assert runner.session.table("lineitem").tree_for_join_attribute("l_orderkey") is not None
+        assert runner.session.table("orders").tree_for_join_attribute("o_orderkey") is not None
 
     def test_layout_never_changes(self, tables, config):
         queries = q12_workload(5)
@@ -187,7 +221,7 @@ class TestBestGuessFixed:
         generator_queries = CMTGenerator(scale=0.05, seed=7).query_trace(20)
         runner = BestGuessFixedBaseline(list(cmt_tables.values()), generator_queries, config)
         # trip_latest is rarely joined; whatever tree it gets must hold all rows.
-        assert runner.db.table("trip_latest").total_rows == cmt_tables["trip_latest"].num_rows
+        assert runner.session.table("trip_latest").total_rows == cmt_tables["trip_latest"].num_rows
 
     def test_adaptdb_converges_towards_fixed_layout(self, tables, config):
         queries = q12_workload(14)

@@ -25,7 +25,8 @@ from repro.common.predicates import ge
 from repro.common.query import Query, JoinClause, join_query, scan_query
 from repro.common.rng import make_rng
 from repro.core import AdaptDBConfig
-from repro.exec import Scheduler, Task, TaskKind, TaskSchedule, compile_plan
+from repro.exec import Scheduler, Task, TaskKind, compile_plan
+from repro.exec.tasks import straggler_factor
 from repro.exec.engine import Executor
 from repro.exec.kernels_tasks import BlockInput, TaskOutcome, TaskWork, run_task
 from repro.exec.scheduler import bucket_blocks_by_replica, replica_hints
@@ -107,7 +108,7 @@ class TestScheduler:
         schedule = Scheduler(num_machines=3).schedule([])
         assert schedule.makespan == 0.0
         assert schedule.total_cost == 0.0
-        assert schedule.straggler_factor == 1.0
+        assert straggler_factor(schedule.machine_loads) == 1.0
         assert schedule.locality_fraction == 0.0
 
     def test_zero_cost_schedule_edge_cases(self):
@@ -116,7 +117,7 @@ class TestScheduler:
             [make_task(0, 0.0), make_task(1, 0.0, kind=TaskKind.SHUFFLE_REDUCE, stage=1)]
         )
         assert schedule.makespan == 0.0
-        assert schedule.straggler_factor == 1.0
+        assert straggler_factor(schedule.machine_loads) == 1.0
         assert schedule.locality_fraction == 0.0
 
 
@@ -274,7 +275,7 @@ class TestExecutorAccounting:
         compiled = compile_plan(plan, small_db.catalog, small_db.cluster, small_db.config)
         assert compiled.tasks == []
         schedule = Scheduler(small_db.cluster.num_machines).schedule(compiled.tasks)
-        assert schedule.straggler_factor == 1.0
+        assert straggler_factor(schedule.machine_loads) == 1.0
         assert schedule.locality_fraction == 0.0
         result = small_db.executor.execute_schedule(plan, compiled, schedule)
         assert result.output_rows == 0

@@ -162,7 +162,7 @@ class TestGoldenDigests:
     )
 
     @pytest.mark.parametrize("persistence", ["memory", "mmap"])
-    @pytest.mark.parametrize("backend", ["tasks", "simulated", "parallel"])
+    @pytest.mark.parametrize("backend", ["tasks", "parallel"])
     def test_switching_stream_decisions(self, backend, persistence, tmp_path):
         templates = list(EVALUATED_TEMPLATES)
         tables = list(
@@ -188,7 +188,7 @@ class TestGoldenDigests:
         try:
             results = runner.run_workload(queries)
         finally:
-            runner.db.close()
+            runner.session.close()
         per_query = {
             name: [int(getattr(result, name)) for result in results]
             for name in (
