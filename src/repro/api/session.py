@@ -36,7 +36,7 @@ touch them, so interleaved plan/run calls cannot skew locality accounting.
 Sessions configured with ``persistence="mmap"`` additionally own a durable
 storage tier (:mod:`repro.storage.persist`): blocks spill to memory-mapped
 files under ``config.storage_root``, reads route through a byte-budgeted
-LRU buffer, and :meth:`Session.checkpoint` / :meth:`Session.open` provide
+block buffer, and :meth:`Session.checkpoint` / :meth:`Session.open` provide
 epoch-aware crash recovery — a reopened session resumes with its partition
 trees, epochs, delta chains, samples, RNG states and adaptation window
 intact, reproducing bit-identical query fingerprints.
@@ -525,7 +525,7 @@ class Session:
     # ------------------------------------------------------------------ #
     def close(self) -> None:
         """Release cross-process resources (worker pool, pinned segments)
-        and the persistence tier's catalog connection, if any.
+        and the persistence tier's catalog connection and file mappings.
 
         Closing is idempotent and a closed session remains usable through
         the in-process backends (the parallel backend restarts its pool

@@ -66,9 +66,9 @@ class AdaptDBConfig:
             an artifact older than this many bumps can no longer be patched
             and is recomputed cold (bounds delta-chain memory).
         persistence: ``"memory"`` (default; blocks live purely in RAM) or
-            ``"mmap"`` — blocks spill to memory-mapped per-column files
+            ``"mmap"`` — blocks spill to memory-mapped one-per-version files
             under ``storage_root``, all reads route through a byte-budgeted
-            LRU buffer, and ``Session.checkpoint()`` / ``Session.open()``
+            block buffer, and ``Session.checkpoint()`` / ``Session.open()``
             provide epoch-aware crash recovery.  The default can be
             overridden with the ``REPRO_PERSISTENCE`` environment variable
             (an explicit constructor argument always wins).

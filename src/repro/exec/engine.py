@@ -96,7 +96,13 @@ class Executor:
         # Placements come ordered by (stage, task id); a stage's outcomes are
         # merged before the next stage's work is described, so shuffle
         # reduces see every map's partitions (the shuffle barrier).
-        for _, placed in groupby(schedule.placements(), key=lambda pair: pair[1].stage):
+        placements = schedule.placements()
+        # The whole reference string is known before the first read: a
+        # block buffer under the DFS evicts by it (consumed only if attached).
+        self.catalog.get(plan.query.tables[0]).dfs.announce(
+            block_id for _, task in placements for block_id in task.read_block_ids
+        )
+        for _, placed in groupby(placements, key=lambda pair: pair[1].stage):
             # Adaptation already rewrote the blocks: repartitions are
             # cost-only tasks with no work to run.
             stage = [

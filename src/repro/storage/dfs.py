@@ -8,7 +8,7 @@ reads flow so that locality and I/O statistics can be accounted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -192,6 +192,12 @@ class DistributedFileSystem:
                 to the per-block round-robin of :meth:`get_block`.
         """
         return [self.get_block(block_id, reader_machine) for block_id in block_ids]
+
+    def announce(self, block_ids: Iterable[int]) -> None:
+        """Tell the block buffer, if one is attached, the order in which the
+        coming execution reads blocks (an eviction hint, never an answer)."""
+        if self.buffer is not None:
+            self.buffer.announce(block_ids)
 
     def peek_block(self, block_id: int) -> Block:
         """Return a block without recording a read (metadata access).

@@ -1,4 +1,4 @@
-"""Durable storage tier: spill files, LRU buffer, catalog, checkpoints.
+"""Durable storage tier: spill files, block buffer, catalog, checkpoints.
 
 See :mod:`repro.storage.persist.manager` for the lifecycle overview.
 """

@@ -1,4 +1,4 @@
-"""The byte-budgeted LRU block buffer.
+"""The byte-budgeted block buffer.
 
 Every data read of a persistent session flows through one
 :class:`BlockBuffer` sitting between the DFS and the spill store:
@@ -9,10 +9,17 @@ Every data read of a persistent session flows through one
   consumer actually walks.
 * A spilled block's columns fault in through the loader the buffer bound
   to it (:meth:`bind`): the fault is counted, the block is (re)admitted at
-  the MRU end, and the budget is enforced by evicting from the LRU end —
-  clean blocks just drop their in-memory copy, dirty blocks are spilled
-  first.  This also covers stragglers: a consumer holding a ``Block``
-  handle past an eviction transparently re-faults on its next column read.
+  the MRU end, and the budget is enforced by evicting — clean blocks just
+  drop their in-memory copy, dirty blocks are spilled first.  This also
+  covers stragglers: a consumer holding a ``Block`` handle past an eviction
+  transparently re-faults on its next column read.
+* The victim is the resident block whose next *announced* use is farthest.
+  The executor holds a query's whole reference string before it reads the
+  first block and hands it to :meth:`announce`; blocks with no announced use
+  go first, and recency breaks ties — so with nothing announced (loading,
+  adaptation writes, a hint left stale by an exception) the policy is plain
+  LRU.  The hint is advisory: it moves hit rates, never answers, and the
+  next execution replaces it.
 * ``peek_block`` never calls into the buffer at all — diagnostic peeks
   neither count as reads nor refresh recency, so metadata probes
   (planning, statistics audits) cannot perturb eviction order.  If a peek
@@ -34,7 +41,8 @@ be, to be read at all) and trimmed back on the next admission.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from collections import deque
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
@@ -61,6 +69,12 @@ class BlockBuffer:
         self.evictions = 0
         #: Set once the buffer is attached to a DFS; per-execution counter sink.
         self.dfs: "DistributedFileSystem | None" = None
+        #: Announced future: block id -> positions of its uses not yet handed
+        #: out by ``touch``, and the position of the use handed out last.
+        self._uses: dict[int, deque[int]] = {}
+        self._handed: dict[int, int] = {}
+        #: Position the consumer has reached (that of the latest fault).
+        self._now = -1
 
     # ------------------------------------------------------------------ #
     # Wiring
@@ -74,6 +88,12 @@ class BlockBuffer:
         self._charge(block)
         self._enforce_budget(exclude=block.block_id)
 
+    def announce(self, block_ids: Iterable[int]) -> None:
+        """Replace the eviction hint with the order blocks will be read in."""
+        self._uses, self._handed, self._now = {}, {}, -1
+        for position, block_id in enumerate(block_ids):
+            self._uses.setdefault(block_id, deque()).append(position)
+
     # ------------------------------------------------------------------ #
     # The read path
     # ------------------------------------------------------------------ #
@@ -81,16 +101,24 @@ class BlockBuffer:
         """Account a DFS read: hit + refresh when resident, else defer to the
         lazy fault (the loader bound by :meth:`bind` counts it on first use).
         """
+        uses = self._uses.get(block.block_id)
+        if uses:
+            self._handed[block.block_id] = uses.popleft()
         if block.block_id in self._resident:
             self.hits += 1
-            self._record("buffer_hits")
+            if self.dfs is not None:
+                self.dfs.read_stats.buffer_hits += 1
             self._charge(block)  # refresh recency and recharge a grown block
 
     def _fault(self, block: "Block", raw_loader: Callable[[], dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
         """Materialize a spilled block's columns, admitting it to the pool."""
         columns = raw_loader()
         self.faults += 1
-        self._record("buffer_faults")
+        if self.dfs is not None:
+            self.dfs.read_stats.buffer_faults += 1
+        # A batch read hands out blocks ahead of the consumer; a fault is
+        # where the consumer is known to be.
+        self._now = max(self._now, self._handed.get(block.block_id, -1))
         self._charge(block)
         self._enforce_budget(exclude=block.block_id)
         return columns
@@ -109,21 +137,29 @@ class BlockBuffer:
         self._held[block.block_id] = block
         self.resident_bytes += block.size_bytes - previous
 
-    def _enforce_budget(self, exclude: int | None = None) -> None:
-        """Evict from the LRU end until the pool fits the budget.
+    def _next_use(self, block_id: int) -> float:
+        """Position of a block's next announced use (inf when there is none)."""
+        handed = self._handed.get(block_id, -1)
+        if handed > self._now:
+            return handed  # handed out, not yet consumed
+        uses = self._uses.get(block_id)
+        return uses[0] if uses else float("inf")
 
-        ``exclude`` protects the block being admitted right now — evicting
-        it before its caller ever touched the data would thrash.
+    def _enforce_budget(self, exclude: int | None = None) -> None:
+        """Evict the farthest-next-use block until the pool fits the budget.
+
+        Candidates are walked LRU first and ``max`` keeps the first of equal
+        keys, so recency breaks ties.  ``exclude`` protects the block being
+        admitted right now — evicting it before its caller ever touched the
+        data would thrash.
         """
         if self.budget_bytes is None:
             return
         while self.resident_bytes > self.budget_bytes:
-            victim_id = next(
-                (block_id for block_id in self._resident if block_id != exclude), None
-            )
-            if victim_id is None:
+            candidates = [block_id for block_id in self._resident if block_id != exclude]
+            if not candidates:
                 return
-            self._evict(victim_id)
+            self._evict(max(candidates, key=self._next_use))
 
     def _evict(self, block_id: int) -> None:
         charge = self._resident.pop(block_id)
@@ -135,7 +171,8 @@ class BlockBuffer:
             self.bind(block, self.store.spill(block))
         block.unload()
         self.evictions += 1
-        self._record("buffer_evictions")
+        if self.dfs is not None:
+            self.dfs.read_stats.buffer_evictions += 1
 
     def discard(self, block_id: int) -> None:
         """Drop tracking for a deleted block (no spill, no eviction count)."""
@@ -163,15 +200,19 @@ class BlockBuffer:
             dropped += 1
         return dropped
 
+    def release(self) -> None:
+        """Let go of every file mapping (session close): resident clean blocks
+        drop their columns — no eviction is counted, nothing was evicted for
+        space — and a dirty block's mapped prefix becomes a heap copy."""
+        for block_id, block in list(self._held.items()):
+            if block.dirty:
+                block.consolidate()
+            else:
+                self.discard(block_id)
+                block.unload()
+
     def reset_counters(self) -> None:
         """Zero the lifetime hit/fault/eviction counters (sweep bookkeeping)."""
         self.hits = 0
         self.faults = 0
         self.evictions = 0
-
-    def _record(self, field_name: str) -> None:
-        """Mirror one event into the attached DFS's per-execution ReadStats."""
-        dfs = self.dfs
-        if dfs is not None:
-            stats = dfs.read_stats
-            setattr(stats, field_name, getattr(stats, field_name) + 1)

@@ -14,7 +14,7 @@ owns the two lifecycle transitions:
     crash anywhere before the commit leaves the catalog at the previous
     checkpoint; the stranded spill files are garbage-collected on the
     next open.  After the commit the freshly referenced versions become
-    durable and superseded version directories are removed.
+    durable and superseded version files are removed.
 
 ``restore``
     Rebuilds a session's partition state from the last committed
@@ -138,7 +138,9 @@ class PersistenceManager:
         self.buffer.dfs = dfs
 
     def close(self) -> None:
-        """Release the catalog connection (idempotent)."""
+        """Release the catalog connection and unmap every resident spill
+        file (idempotent; unmapped blocks fault back in if read again)."""
+        self.buffer.release()
         self.catalog.close()
 
     # ------------------------------------------------------------------ #
@@ -150,7 +152,7 @@ class PersistenceManager:
         Phase 1 spills every dirty block (new on-disk versions, catalog
         untouched); phase 2 commits one transaction describing exactly
         those versions.  Only after the commit are superseded and stranded
-        version directories removed.
+        version files removed.
 
         Raises:
             StorageError: if the session was closed — checked before phase

@@ -24,9 +24,10 @@ from ...common.schema import Column, DataType, Schema
 from ...partitioning.tree import PartitioningTree, TreeNode
 
 #: Bumped whenever any payload shape changes incompatibly (2, 3 and 4: the
-#: stored config lost fields; 4 also a legal ``execution_backend`` value).  ``PersistenceManager.open`` refuses other
+#: stored config lost fields; 4 also a legal ``execution_backend`` value; 5: a
+#: spilled version is one file).  ``PersistenceManager.open`` refuses other
 #: versions.
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 def _plain_scalar(value: Any) -> Any:

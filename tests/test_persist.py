@@ -1,21 +1,30 @@
 """Tests for the durable storage tier (repro.storage.persist).
 
-Covers the block spill/fault protocol, the byte-budgeted LRU buffer (hits,
+Covers the block spill/fault protocol, the byte-budgeted buffer (hits,
 faults, evictions, write-back), the peek bypass, a randomized spill/evict
 audit proving buffered reads are bit-identical to the in-memory store,
 checkpoint/restore of the full partition state (epochs, trees, statistics,
-delta chains, RNG states, the adaptation window, plan-cache keys), and
-crash consistency when a checkpoint dies between spilling blocks and
-committing the catalog.
+delta chains, RNG states, the adaptation window, plan-cache keys), crash
+consistency when a checkpoint dies between spilling blocks and committing
+the catalog, the one-file-per-version spill format (round trip, staging,
+typed errors for every kind of damage), eviction by the schedule's announced
+future, and ``close()`` letting go of every mapping.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import sqlite3
+import struct
+import tempfile
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api.session import Session
 from repro.common.errors import PlanningError, StorageError
@@ -23,7 +32,9 @@ from repro.common.predicates import between, ge
 from repro.common.query import join_query, scan_query
 from repro.common.rng import make_rng
 from repro.common.sanitize import set_sanitize
+from repro.cluster.cluster import Cluster
 from repro.core import AdaptDBConfig
+from repro.storage.block import Block
 from repro.storage.dfs import DistributedFileSystem
 from repro.storage.persist import FORMAT_VERSION, PersistenceManager
 from repro.workloads.generators import switching_workload
@@ -103,17 +114,20 @@ def assert_same_block_state(actual, expected):
                 )
 
 
+def bare_tier(root, budget_bytes=None, num_machines=1):
+    """A DFS wired to a fresh durable tier, without a session around it."""
+    manager = PersistenceManager(Path(root), num_machines, buffer_bytes=budget_bytes)
+    dfs = DistributedFileSystem(cluster=Cluster(num_machines=num_machines), rng=make_rng(1))
+    manager.attach(dfs)
+    return dfs, manager
+
+
 # --------------------------------------------------------------------- #
 # Block spill/fault protocol
 # --------------------------------------------------------------------- #
 class TestBlockProtocol:
     def make_dfs_with_store(self, tmp_path):
-        from repro.cluster.cluster import Cluster
-
-        manager = PersistenceManager(tmp_path / "store", num_machines=2)
-        dfs = DistributedFileSystem(cluster=Cluster(num_machines=2), rng=make_rng(1))
-        manager.attach(dfs)
-        return dfs, manager
+        return bare_tier(tmp_path / "store", num_machines=2)
 
     def test_spill_unload_fault_round_trip(self, tmp_path):
         dfs, manager = self.make_dfs_with_store(tmp_path)
@@ -185,11 +199,7 @@ class TestBlockProtocol:
 # --------------------------------------------------------------------- #
 class TestBlockBuffer:
     def make_buffered_dfs(self, tmp_path, budget_bytes):
-        from repro.cluster.cluster import Cluster
-
-        manager = PersistenceManager(tmp_path / "buf", 2, buffer_bytes=budget_bytes)
-        dfs = DistributedFileSystem(cluster=Cluster(num_machines=2), rng=make_rng(1))
-        manager.attach(dfs)
+        dfs, manager = bare_tier(tmp_path / "buf", budget_bytes, num_machines=2)
         return dfs, manager.buffer
 
     def test_budget_evicts_least_recently_used_first(self, tmp_path):
@@ -285,12 +295,8 @@ class TestPeekBypass:
         session.close()
 
     def test_peek_does_not_refresh_recency(self, tmp_path):
-        from repro.cluster.cluster import Cluster
-
         block_bytes = 100 * 8
-        manager = PersistenceManager(tmp_path / "peek", 2, buffer_bytes=3 * block_bytes)
-        dfs = DistributedFileSystem(cluster=Cluster(num_machines=2), rng=make_rng(1))
-        manager.attach(dfs)
+        dfs, _ = bare_tier(tmp_path / "peek", 3 * block_bytes, num_machines=2)
         blocks = [
             dfs.create_block("t", {"key": np.arange(100, dtype=np.int64)})
             for _ in range(3)
@@ -437,7 +443,8 @@ class TestCheckpointRestore:
         session.checkpoint()
         root = session.storage_root
         session.close()
-        stored = FORMAT_VERSION - 1
+        stored = 4  # the last format that spilled a directory per version
+        assert stored == FORMAT_VERSION - 1
         with sqlite3.connect(root / "catalog.sqlite") as conn:
             conn.execute(
                 "UPDATE meta SET value = ? WHERE key = 'format_version'", (str(stored),)
@@ -581,6 +588,370 @@ class TestCrashRecovery:
 
         reopened = Session.open(root)
         assert_same_block_state(all_block_columns(reopened), block_state)
+        reopened.close()
+
+
+# --------------------------------------------------------------------- #
+# The spill format: one checksummed file per block version
+# --------------------------------------------------------------------- #
+def version_file(store, block_id):
+    """Path of a block's live spill file."""
+    return (
+        store.root
+        / f"machine-{store.machine_of(block_id):02d}"
+        / f"block-{block_id:06d}-v{store.live_version(block_id)}"
+    )
+
+
+def is_mapped(array):
+    """Whether an array is, at the bottom of its base chain, a view of a mapping."""
+    base = array
+    while base is not None:
+        if isinstance(base, mmap.mmap):
+            return True
+        base = base.obj if isinstance(base, memoryview) else getattr(base, "base", None)
+    return False
+
+
+COLUMN_DTYPES = {
+    "i8": np.dtype(np.int64),
+    "f8": np.dtype(np.float64),
+    "i4": np.dtype(np.int32),
+    "flag": np.dtype(bool),
+    "text": np.dtype("<U8"),
+}
+
+
+def make_columns(names, num_rows, seed):
+    rng = np.random.default_rng(seed)
+    columns = {}
+    for name in names:
+        dtype = COLUMN_DTYPES[name]
+        values = rng.integers(-1000, 1000, size=num_rows)
+        columns[name] = (
+            np.array([f"s{v}" for v in values], dtype=dtype)
+            if dtype.kind == "U"
+            else values.astype(dtype)
+        )
+    return columns
+
+
+class TestSpillFormat:
+    @given(
+        names=st.lists(st.sampled_from(sorted(COLUMN_DTYPES)), min_size=1, unique=True),
+        num_rows=st.integers(min_value=0, max_value=40),
+        appended=st.integers(min_value=1, max_value=10),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_is_exact_read_only_and_one_file(
+        self, names, num_rows, appended, seed
+    ):
+        with tempfile.TemporaryDirectory() as root:
+            dfs, manager = bare_tier(root)
+            columns = make_columns(names, num_rows, seed)
+            # Explicit ranges: min/max metadata is numeric, the text column
+            # only exercises the header's dtype string.
+            zero_ranges = {name: (0.0, 0.0) for name in names}
+            block = Block(dfs.allocate_block_id(), "t", columns, ranges=zero_ranges)
+            dfs.put_block(block)
+            machine_dir = version_file(manager.store, block.block_id).parent
+
+            def evict_and_fault(expected, version):
+                assert manager.buffer.drop_resident() == 1
+                assert not block.is_resident
+                assert sorted(os.listdir(machine_dir)) == [
+                    f"block-{block.block_id:06d}-v{v}" for v in range(1, version + 1)
+                ], "a version is exactly one file"
+                assert all(path.is_file() for path in machine_dir.iterdir())
+                faulted = block.columns
+                assert list(faulted) == list(expected)
+                for name, array in expected.items():
+                    assert faulted[name].dtype == array.dtype
+                    np.testing.assert_array_equal(faulted[name], array)
+                    assert not faulted[name].flags.writeable
+                    with pytest.raises(ValueError):
+                        faulted[name].setflags(write=True)
+
+            evict_and_fault(columns, version=1)
+            # Re-spilled after an append: the mapped prefix plus the chunk.
+            extra = make_columns(names, appended, seed + 1)
+            block.append_rows(extra, chunk_ranges=zero_ranges)
+            evict_and_fault(
+                {name: np.concatenate([columns[name], extra[name]]) for name in names},
+                version=2,
+            )
+            manager.close()
+
+    def test_crash_before_the_rename_leaves_only_a_staging_file(
+        self, tmp_path, monkeypatch
+    ):
+        dfs, manager = bare_tier(tmp_path / "root")
+        store = manager.store
+        block = dfs.create_block("t", {"key": np.arange(10, dtype=np.int64)})
+
+        def die(source, target):
+            raise OSError("simulated crash before the rename")
+
+        monkeypatch.setattr(os, "replace", die)
+        with pytest.raises(OSError, match="simulated crash"):
+            store.spill(block)
+        monkeypatch.undo()
+
+        machine_dir = tmp_path / "root" / "machine-00"
+        assert os.listdir(machine_dir) == [f"block-{block.block_id:06d}-v1.tmp"]
+        assert block.dirty and store.live_version(block.block_id) == 0
+        with pytest.raises(StorageError, match="is missing"):
+            store.loader(block.block_id, 1)()  # the fault path never sees a .tmp
+        assert store.gc() == 1
+        assert os.listdir(machine_dir) == []
+        # The block was never marked clean, so nothing was lost.
+        store.spill(block)
+        block.unload()
+        np.testing.assert_array_equal(block.columns["key"], np.arange(10))
+
+
+def _truncate(path, size):
+    with open(path, "r+b") as handle:
+        handle.truncate(size)
+
+
+def _flip(path, offset):
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+def _data_start(path):
+    """Offset of the first column's first byte (from the file's own prefix)."""
+    _, header_size, _ = struct.unpack_from("<8sII", path.read_bytes())
+    return -(-(16 + header_size) // 64) * 64
+
+
+DAMAGE = {
+    "empty": lambda path: _truncate(path, 0),
+    "cut_in_prefix": lambda path: _truncate(path, 10),
+    "cut_in_header": lambda path: _truncate(path, 40),
+    "cut_in_column": lambda path: _truncate(path, _data_start(path) + 12),
+    "flipped_header_byte": lambda path: _flip(path, 30),
+    "flipped_column_byte": lambda path: _flip(path, _data_start(path) + 3),
+    "deleted": lambda path: path.unlink(),
+}
+
+
+class TestDamagedSpillFiles:
+    @pytest.fixture
+    def reopened(self, tmp_path, tpch_tables):
+        config = mmap_config(tmp_path, rows_per_block=128)
+        session = load_session(config, tpch_tables, ("part",))
+        session.checkpoint()
+        session.close()
+        reopened = Session.open(tmp_path / "root")
+        yield reopened
+        reopened.close()
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_every_damage_raises_typed_at_fault_time(self, reopened, damage):
+        buffer, store = reopened.persist.buffer, reopened.persist.store
+        victim, intact = reopened.table("part").non_empty_block_ids()[:2]
+        path = version_file(store, victim)
+        DAMAGE[damage](path)
+
+        block = reopened.dfs.get_block(victim)  # metadata only: no error yet
+        faults = buffer.faults
+        with pytest.raises(StorageError) as raised:
+            _ = block.columns
+        message = str(raised.value)
+        assert f"block {victim} v{store.live_version(victim)}" in message
+        assert str(path) in message
+        assert buffer.faults == faults, "a failed fault is not a fault"
+        assert not buffer.is_resident(victim) and not block.is_resident
+        # The damage is contained: other blocks still read.
+        assert reopened.dfs.get_block(intact).columns["p_partkey"].size > 0
+        assert buffer.faults == faults + 1
+
+    def test_column_checksums_are_read_once_per_version(self, reopened, monkeypatch):
+        buffer = reopened.persist.buffer
+        block_id = reopened.table("part").non_empty_block_ids()[0]
+        block = reopened.dfs.get_block(block_id)
+        calls = []
+        real_crc32 = zlib.crc32
+
+        def counting_crc32(data, *args):
+            calls.append(len(memoryview(data).cast("B")))
+            return real_crc32(data, *args)
+
+        monkeypatch.setattr(zlib, "crc32", counting_crc32)
+        num_columns = len(block.columns)
+        assert len(calls) == 1 + num_columns, "first fault: header + every column"
+        buffer.drop_resident()
+        del calls[:]
+        _ = block.columns
+        assert len(calls) == 1, "a verified version re-checks only its header"
+
+
+# --------------------------------------------------------------------- #
+# Eviction by the announced future
+# --------------------------------------------------------------------- #
+class TestAnnouncedFuture:
+    BLOCK_BYTES = 100 * 8
+
+    def cold_blocks(self, tmp_path, count, capacity):
+        """``count`` equal-sized spilled blocks under a ``capacity``-block budget,
+        plus the list every eviction appends its victim to."""
+        dfs, manager = bare_tier(tmp_path / "root")
+        buffer = manager.buffer
+        ids = [
+            dfs.create_block("t", {"key": np.full(100, i, dtype=np.int64)}).block_id
+            for i in range(count)
+        ]
+        buffer.drop_resident()
+        buffer.reset_counters()
+        buffer.set_budget(capacity * self.BLOCK_BYTES)
+        victims = []
+        evict = buffer._evict
+        buffer._evict = lambda block_id: (victims.append(block_id), evict(block_id))
+        return dfs, buffer, ids, victims
+
+    REFERENCES = [0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3]
+
+    def read(self, dfs, ids, references):
+        for reference in references:
+            assert dfs.get_block(ids[reference]).columns["key"][0] == reference
+
+    def test_unannounced_reads_evict_least_recently_used(self, tmp_path):
+        dfs, buffer, ids, victims = self.cold_blocks(tmp_path, count=4, capacity=3)
+        self.read(dfs, ids, self.REFERENCES)
+        # A cyclic scan one block larger than the buffer: LRU always evicts
+        # the block it needs next.
+        assert buffer.faults == 12 and buffer.hits == 0
+        assert victims == [ids[i] for i in (0, 1, 2, 3, 0, 1, 2, 3, 0)]
+
+    def test_announced_reads_evict_the_farthest_next_use(self, tmp_path):
+        dfs, buffer, ids, victims = self.cold_blocks(tmp_path, count=4, capacity=3)
+        dfs.announce(ids[reference] for reference in self.REFERENCES)
+        self.read(dfs, ids, self.REFERENCES)
+        # Belady's count for this string: 4 cold faults + 2; the last victim
+        # is block 0, which has no use left (none-announced goes first).
+        assert buffer.faults == 6 and buffer.hits == 6
+        assert victims == [ids[2], ids[1], ids[0]]
+
+    def test_a_batch_read_keeps_what_it_has_handed_out(self, tmp_path):
+        """``get_blocks`` hands a task's blocks out before the consumer walks
+        them: a resident block of the batch is still ahead, not used up."""
+        dfs, buffer, ids, victims = self.cold_blocks(tmp_path, count=4, capacity=2)
+        self.read(dfs, ids, [3, 2])  # resident: 3 (LRU), 2
+        buffer.reset_counters()
+        del victims[:]
+        dfs.announce([ids[0], ids[1], ids[2]])
+        for block, expected in zip(dfs.get_blocks([ids[0], ids[1], ids[2]]), (0, 1, 2)):
+            assert block.columns["key"][0] == expected
+        assert victims == [ids[3], ids[0]]
+        assert buffer.faults == 2 and buffer.hits == 1
+
+    def pressured_session(self, tmp_path, tpch_tables, name):
+        return load_session(
+            mmap_config(tmp_path, name=name, buffer_bytes=192 * 1024), tpch_tables
+        )
+
+    def test_the_hint_is_advisory(self, tmp_path, tpch_tables, monkeypatch):
+        """Without the announcement the same stream gives the same answers and
+        fingerprints under plain LRU — only the fault count differs."""
+        queries = adaptive_workload(queries_per_template=2)
+        session = self.pressured_session(tmp_path, tpch_tables, "announced")
+        announced = session.run_workload(queries)
+        announced_faults = session.persist.buffer.faults
+        session.close()
+
+        monkeypatch.setattr(DistributedFileSystem, "announce", lambda self, ids: None)
+        session = self.pressured_session(tmp_path, tpch_tables, "lru")
+        unannounced = session.run_workload(queries)
+        lru_faults = session.persist.buffer.faults
+        session.close()
+
+        assert [r.fingerprint() for r in announced] == [r.fingerprint() for r in unannounced]
+        assert [r.output_rows for r in announced] == [r.output_rows for r in unannounced]
+        # Exact, repeating counts (the stream and the policy are deterministic).
+        assert (lru_faults, announced_faults) == (LRU_FAULTS, ANNOUNCED_FAULTS)
+        assert announced_faults < lru_faults
+
+    def test_a_stale_hint_is_replaced_by_the_next_execution(
+        self, tmp_path, tpch_tables, monkeypatch
+    ):
+        from repro.exec import engine
+
+        session = self.pressured_session(tmp_path, tpch_tables, "stale")
+        buffer = session.persist.buffer
+        join = join_query("lineitem", "orders", "l_orderkey", "o_orderkey")
+
+        def die(work, fetch):
+            raise RuntimeError("kernel failed mid-query")
+
+        monkeypatch.setattr(engine, "run_task", die)
+        with pytest.raises(RuntimeError, match="mid-query"):
+            session.run(join, adapt=False)
+        monkeypatch.undo()
+        lineitem = set(session.table("lineitem").block_ids())
+        assert lineitem & set(buffer._uses), "the failed query left its hint behind"
+
+        part = set(session.table("part").block_ids())
+        result = session.run(scan_query("part", [ge("p_size", 10.0)]), adapt=False)
+        assert result.output_rows > 0
+        assert set(buffer._uses) <= part and set(buffer._handed) <= part
+        session.close()
+
+
+#: Faults of ``test_the_hint_is_advisory``'s stream under each policy (175 is also
+#: what the LRU-only buffer before the announcement existed counted).
+LRU_FAULTS, ANNOUNCED_FAULTS = 175, 119
+
+
+# --------------------------------------------------------------------- #
+# close() lets go of every mapping
+# --------------------------------------------------------------------- #
+class TestCloseUnmaps:
+    def mappings_under(self, root):
+        with open("/proc/self/maps") as maps:
+            return [line for line in maps if str(root) in line]
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc")
+    def test_no_mapping_outlives_close(self, tmp_path, tpch_tables):
+        queries = adaptive_workload(queries_per_template=2)
+        session = load_session(mmap_config(tmp_path), tpch_tables)
+        session.run_workload(queries[:4])
+        session.checkpoint()
+        session.close()
+
+        root = tmp_path / "root"
+        reopened = Session.open(root)
+        reopened.persist.buffer.set_budget(256 * 1024)
+        # Cold reads map files; the adaptive queries then append to mapped
+        # blocks, leaving dirty blocks whose prefix is still a mapping.
+        reopened.run_workload(queries[:4], adapt=False)
+        reopened.run_workload(queries[4:])
+        blocks = [
+            reopened.dfs.peek_block(block_id)
+            for table in reopened.catalog.tables()
+            for block_id in table.block_ids()
+        ]
+
+        def mapped_blocks():
+            return [
+                block.block_id
+                for block in blocks
+                if block.is_resident
+                for part in block.column_parts()
+                if any(is_mapped(array) for array in part.values())
+            ]
+
+        assert mapped_blocks() and self.mappings_under(root)
+        evictions = reopened.persist.buffer.evictions
+        reopened.close()  # and no gc.collect(): the session is still referenced
+        assert mapped_blocks() == []
+        assert self.mappings_under(root) == []
+        assert reopened.persist.buffer.evictions == evictions, "nothing was evicted for space"
+        # A closed session still reads through the in-process backends.
+        assert reopened.run(queries[0], adapt=False).output_rows >= 0
         reopened.close()
 
 
