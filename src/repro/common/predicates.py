@@ -146,12 +146,14 @@ def rows_matching(
                 f"({', '.join(str(p) for p in predicates)}) without any columns"
             )
         return np.zeros(0, dtype=bool)
-    num_rows = len(next(iter(columns.values())))
-    mask = np.ones(num_rows, dtype=bool)
+    mask: NDArray[np.bool_] | None = None
     for predicate in predicates:
         if predicate.column not in columns:
             raise PlanningError(f"predicate column {predicate.column!r} not present in data")
-        mask &= predicate.mask(columns[predicate.column])
+        term = predicate.mask(columns[predicate.column])  # fresh: ours to narrow
+        mask = term if mask is None else np.logical_and(mask, term, out=mask)
+    if mask is None:
+        return np.ones(len(next(iter(columns.values()))), dtype=bool)
     return mask
 
 

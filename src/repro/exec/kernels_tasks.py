@@ -7,9 +7,9 @@ flat arrays only — and hands it to a runner.  Whichever runner executes it
 through the one :func:`run_task` below:
 
 * the ``run_*`` kernels do the row work of one task.  They take only block
-  *readers* (anything exposing ``num_rows`` / ``columns`` /
-  ``column_parts()`` — a live :class:`~repro.storage.block.Block` in the
-  parent, a shared-memory
+  *readers* (anything exposing ``num_rows`` and ``columns`` — a live
+  :class:`~repro.storage.block.Block` in the parent, whose ``columns``
+  compacts pending chunks on the first read; a shared-memory
   :class:`~repro.storage.shared_memory.SharedBlockView` in a worker), plain
   predicates, column names and integers.  Nothing here captures a
   ``Catalog``, ``Cluster`` or ``DistributedFileSystem``: :func:`run_task`
@@ -30,11 +30,10 @@ import numpy as np
 
 from ..common.predicates import Predicate
 from ..join.kernels import (
-    KeyHistogram,
     batch_matching_count,
     gather_filtered_keys,
-    hash_partition,
-    join_match_count,
+    join_match_count_arrays,
+    split_by_partition,
 )
 from .tasks import Task, TaskKind
 
@@ -114,21 +113,12 @@ def run_shuffle_map_task(
     without re-deriving the partitioning.
     """
     keys = gather_filtered_keys(blocks, key_column, predicates)
-    parts: list[np.ndarray] = [
-        np.empty(0, dtype=np.int64) for _ in range(num_partitions)
-    ]
-    if len(keys):
-        assignment = hash_partition(keys, num_partitions)
-        for partition in np.unique(assignment):
-            parts[int(partition)] = keys[assignment == partition]
-    return parts
+    return split_by_partition(keys, num_partitions)
 
 
 def run_shuffle_reduce_task(build_keys: np.ndarray, probe_keys: np.ndarray) -> int:
     """Join cardinality of one shuffle partition's build and probe keys."""
-    return join_match_count(
-        KeyHistogram.from_keys(build_keys), KeyHistogram.from_keys(probe_keys)
-    )
+    return join_match_count_arrays(build_keys, probe_keys)
 
 
 def run_hyper_group_task(
@@ -139,14 +129,11 @@ def run_hyper_group_task(
     build_predicates: list[Predicate],
     probe_predicates: list[Predicate],
 ) -> int:
-    """One hyper-join group: build a histogram, probe the overlapping blocks."""
-    build_histogram = KeyHistogram.from_keys(
-        gather_filtered_keys(build_blocks, build_column, build_predicates)
+    """One hyper-join group: build a hash table, probe the overlapping blocks."""
+    return join_match_count_arrays(
+        gather_filtered_keys(build_blocks, build_column, build_predicates),
+        gather_filtered_keys(probe_blocks, probe_column, probe_predicates),
     )
-    probe_histogram = KeyHistogram.from_keys(
-        gather_filtered_keys(probe_blocks, probe_column, probe_predicates)
-    )
-    return join_match_count(build_histogram, probe_histogram)
 
 
 def run_task(

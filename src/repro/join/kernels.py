@@ -1,9 +1,20 @@
-"""Low-level join kernels shared by the shuffle-join and hyper-join executors.
+"""Low-level join kernels: the row work of one task, costing its bytes.
 
-AdaptDB's evaluation reports I/O-driven runtimes, so the reproduction's join
-executors only need to (a) account block accesses faithfully and (b) compute
-the *correct* number of join matches so tests can verify results against a
-reference join.  Both needs are served by counting key multiplicities.
+AdaptDB's evaluation reports I/O-driven runtimes, so the join executors only
+need to (a) account block accesses faithfully and (b) compute the *correct*
+number of join matches so tests can verify results against a reference join.
+
+* :func:`gather_columns`: one ``np.concatenate`` per column over the batch,
+  O(rows).  ``block.columns`` compacts pending chunks on the first read after
+  an append, so the copy is paid once, not on each of a block's many reads.
+* :func:`join_match_count_arrays`: integer keys whose shared range spans at
+  most :data:`DENSE_SPAN_FACTOR` slots per row are counted into a direct-address
+  table the probe keys index, O(rows + span), no sort.  Under range
+  partitioning that is the common case: a hyper-join group's build keys are a
+  key *range*, a shuffle partition every ``num_partitions``-th key of one.
+  Float and sparse keys sort (:class:`KeyHistogram`), O(n log n).
+* :func:`split_by_partition`: one stable radix ``argsort`` of the narrowed
+  assignment and one ``bincount``, O(rows) whatever the partition count.
 """
 
 from __future__ import annotations
@@ -18,6 +29,11 @@ from ..common.predicates import Predicate, rows_matching
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
     from ..storage.block import Block
+
+#: Slots of counting table allowed per row joined: bounds the transient table
+#: to this multiple of the int64 input bytes.  The sort path only wins beyond
+#: 16 to 32 slots per row on every input size measured (EXPERIMENTS.md).
+DENSE_SPAN_FACTOR = 16
 
 
 @dataclass
@@ -70,9 +86,28 @@ def join_match_count(left: KeyHistogram, right: KeyHistogram) -> int:
     return int((left.counts[left_idx] * right.counts[right_idx]).sum())
 
 
-def join_match_count_arrays(left_keys: np.ndarray, right_keys: np.ndarray) -> int:
-    """Convenience wrapper: join cardinality of two raw key arrays."""
-    return join_match_count(KeyHistogram.from_keys(left_keys), KeyHistogram.from_keys(right_keys))
+def join_match_count_arrays(build_keys: np.ndarray, probe_keys: np.ndarray) -> int:
+    """Join cardinality of two raw key arrays (the hash join of one task).
+
+    Dense integer keys are counted over the range both sides share: one
+    ``bincount`` of the build keys is the hash table, the probe keys index it.
+    The span is a Python int, so the ends of int64 cannot overflow it.
+    """
+    sides = (build_keys, probe_keys)
+    if len(build_keys) == 0 or len(probe_keys) == 0:
+        return 0
+    if all(np.issubdtype(k.dtype, np.integer) and np.can_cast(k.dtype, np.intp) for k in sides):
+        low = max(int(keys.min()) for keys in sides)
+        high = min(int(keys.max()) for keys in sides)
+        span = high - low + 1
+        if span <= 0:
+            return 0
+        if span <= DENSE_SPAN_FACTOR * (len(build_keys) + len(probe_keys)):
+            build, probe = (
+                np.subtract(k[(k >= low) & (k <= high)], low, dtype=np.intp) for k in sides
+            )
+            return int(np.bincount(build, minlength=span)[probe].sum())
+    return join_match_count(*map(KeyHistogram.from_keys, sides))
 
 
 def gather_columns(blocks: Iterable["Block"], columns: list[str]) -> dict[str, np.ndarray]:
@@ -83,31 +118,16 @@ def gather_columns(blocks: Iterable["Block"], columns: list[str]) -> dict[str, n
     not silently become int64 just because no block held rows).  int64 is
     only the last-resort default when no block carries the column at all.
     """
-    # Stream each block's raw parts (consolidated prefix + pending chunks):
-    # the batch concatenates across blocks anyway, so forcing a per-block
-    # consolidation first would just copy the data twice.
-    all_parts: list[dict[str, np.ndarray]] = []
-    dtypes: dict[str, np.dtype] = {}
-    for block in blocks:
-        if block.num_rows == 0:
-            block_columns = block.columns
-            for name in columns:
-                if name not in dtypes and name in block_columns:
-                    dtypes[name] = block_columns[name].dtype
-            continue
-        all_parts.extend(block.column_parts())
-    result: dict[str, np.ndarray] = {}
-    for name in columns:
-        try:
-            arrays = [part[name] for part in all_parts]
-        except KeyError:
-            raise StorageError(f"gathered blocks have no column {name!r}") from None
-        result[name] = (
-            np.concatenate(arrays)
-            if arrays
-            else np.empty(0, dtype=dtypes.get(name, np.int64))
-        )
-    return result
+    blocks = list(blocks)
+    sources = [block.columns for block in blocks if block.num_rows]
+    if not sources:
+        empties = [block.columns for block in reversed(blocks)]  # the first block wins
+        dtypes = {name: e[name].dtype for e in empties for name in columns if name in e}
+        return {name: np.empty(0, dtype=dtypes.get(name, np.int64)) for name in columns}
+    try:
+        return {name: np.concatenate([source[name] for source in sources]) for name in columns}
+    except KeyError as error:
+        raise StorageError(f"gathered blocks have no column {error.args[0]!r}") from None
 
 
 def gather_filtered_keys(
@@ -146,4 +166,22 @@ def hash_partition(keys: np.ndarray, num_partitions: int) -> np.ndarray:
     """Assign each key to a shuffle partition (simple modulo hashing)."""
     if num_partitions <= 0:
         raise ValueError("num_partitions must be positive")
-    return (keys.astype(np.int64) % num_partitions + num_partitions) % num_partitions
+    # np.mod takes the sign of the (positive) divisor: already non-negative.
+    return np.mod(keys.astype(np.int64, copy=False), num_partitions)
+
+
+def split_by_partition(keys: np.ndarray, num_partitions: int) -> list[np.ndarray]:
+    """Split ``keys`` into one array per shuffle partition, in one pass.
+
+    The assignment is narrowed to the smallest unsigned dtype that holds it
+    (numpy radix-sorts up to 16 bits); the sort is stable, so each partition
+    is exactly ``keys[assignment == p]``, or an empty int64 array.
+    """
+    assignment = hash_partition(keys, num_partitions)
+    narrow = assignment.astype(np.min_scalar_type(num_partitions - 1), copy=False)
+    routed = keys[np.argsort(narrow, kind="stable")]
+    ends = np.cumsum(np.bincount(assignment, minlength=num_partitions)).tolist()
+    return [
+        routed[start:end] if end > start else np.empty(0, dtype=np.int64)
+        for start, end in zip([0, *ends], ends)
+    ]

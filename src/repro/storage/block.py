@@ -9,9 +9,12 @@ computation and the partitioning-tree lookup consume.
 Storage is *chunked*: appends (the smooth-repartitioning write path) push the
 incoming column arrays onto a chunk list and only update the per-column
 min/max ranges and row/byte counters incrementally — O(appended rows)
-instead of O(block rows).  The chunks are consolidated into contiguous
-arrays lazily, on the first columnar read, mirroring an LSM-style write path
-with deferred compaction.
+instead of O(block rows) — an LSM-style write path with deferred compaction.
+Who compacts: the first columnar read after an append (``columns``: a task's
+gather, a spill, a shared-memory pin), in place and once — a block is read
+hundreds of times between appends.  Who deliberately does not: block
+migration streams ``column_parts()`` of its sources, which are about to be
+cleared; compacting them first would copy every row twice.
 
 Under the persistence tier a block can additionally be **unloaded**: its
 consolidated columns are dropped (``_columns is None``) and fault back in
@@ -271,9 +274,9 @@ class Block:
         """The block's raw storage parts, in row order, without consolidating.
 
         Returns the consolidated prefix (if it holds rows) followed by every
-        pending chunk in append order.  Batch readers that concatenate
-        across blocks anyway (``gather_columns``, block migration) stream
-        these directly instead of forcing a per-block consolidation copy.
+        pending chunk in append order.  For the one reader that consumes a
+        block exactly once — block migration, whose sources are cleared right
+        after; everything that reads a block again uses ``columns``.
         Empty blocks yield no parts.  Treat the dicts as read-only.
         """
         if self._num_rows == 0:

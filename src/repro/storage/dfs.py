@@ -184,14 +184,27 @@ class DistributedFileSystem:
 
         Tasks issue one ``get_blocks`` call for all blocks they touch instead
         of one ``get_block`` per block; the returned list preserves the order
-        of ``block_ids``.
+        of ``block_ids``.  Without a buffer (which must see every ``touch``
+        in order) one reader's batch is accounted in one step.
 
         Args:
             block_ids: Blocks to read.
             reader_machine: Machine performing the read.  ``None`` falls back
                 to the per-block round-robin of :meth:`get_block`.
         """
-        return [self.get_block(block_id, reader_machine) for block_id in block_ids]
+        if self.buffer is not None or reader_machine is None:
+            return [self.get_block(block_id, reader_machine) for block_id in block_ids]
+        try:
+            blocks = [self._blocks[block_id] for block_id in block_ids]
+        except KeyError as error:
+            raise StorageError(f"unknown block {error.args[0]}") from None
+        machine = self.cluster.machine(reader_machine)
+        local = sum(map(machine.stored_blocks.__contains__, block_ids))
+        machine.local_reads += local
+        machine.remote_reads += len(blocks) - local
+        self.read_stats.local_reads += local
+        self.read_stats.remote_reads += len(blocks) - local
+        return blocks
 
     def announce(self, block_ids: Iterable[int]) -> None:
         """Tell the block buffer, if one is attached, the order in which the

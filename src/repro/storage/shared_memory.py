@@ -21,7 +21,7 @@ block copies:
   slot per block read; column offsets follow from those (:func:`_layout`).
 * :class:`SharedSegmentCache` (worker side) attaches segments by name and
   wraps slots in :class:`SharedBlockView` objects exposing the same
-  ``num_rows`` / ``columns`` / ``column_parts()`` reader interface as
+  ``num_rows`` / ``columns`` reader interface as
   :class:`~repro.storage.block.Block`, so the task kernels in
   ``repro.exec.kernels_tasks`` run unchanged in either process.  A column
   view is built when a kernel first asks for it, over a **read-only**
@@ -163,9 +163,9 @@ class _SlotColumns(Mapping):
 class SharedBlockView:
     """Read-only view of one pinned block, mimicking the Block reader API.
 
-    Exposes exactly the surface the task kernels consume: ``num_rows``,
-    ``columns`` and ``column_parts()``.  The arrays are zero-copy views
-    into the shared segment and are read-only.
+    Exposes exactly the surface the task kernels consume: ``num_rows`` and
+    ``columns`` — read-only zero-copy views into the shared segment, one
+    contiguous array each (the parent compacts a block as it copies it in).
     """
 
     __slots__ = ("block_id", "num_rows", "slot", "columns")
@@ -177,11 +177,6 @@ class SharedBlockView:
         self.num_rows = slot[0]
         self.slot = slot
         self.columns = _SlotColumns(buffer, schema, slot)
-
-    def column_parts(self) -> list[Mapping[str, np.ndarray]]:
-        if self.num_rows == 0:
-            return []
-        return [self.columns]
 
 
 @dataclass

@@ -34,6 +34,7 @@ from repro.common.rng import make_rng
 from repro.common.sanitize import set_sanitize
 from repro.cluster.cluster import Cluster
 from repro.core import AdaptDBConfig
+from repro.partitioning.two_phase import TwoPhasePartitioner
 from repro.storage.block import Block
 from repro.storage.dfs import DistributedFileSystem
 from repro.storage.persist import FORMAT_VERSION, PersistenceManager
@@ -953,6 +954,99 @@ class TestCloseUnmaps:
         # A closed session still reads through the in-process backends.
         assert reopened.run(queries[0], adapt=False).output_rows >= 0
         reopened.close()
+
+
+# --------------------------------------------------------------------- #
+# Read-triggered compaction under a bounded buffer
+# --------------------------------------------------------------------- #
+class TestCompactionUnderTheBuffer:
+    """``consolidate()`` now runs inside a task's gather, after
+    ``BlockBuffer.touch`` charged the block; residency accounting and
+    restart bit-identity must not notice."""
+
+    BUDGET = 256 * 1024
+
+    def test_a_join_read_faults_an_appended_to_cold_block_once_and_charges_it(
+        self, tmp_path, tpch_tables, monkeypatch
+    ):
+        session = load_session(
+            mmap_config(tmp_path), tpch_tables, names=("lineitem", "orders")
+        )
+        lineitem, buffer = session.table("lineitem"), session.persist.buffer
+        tree = TwoPhasePartitioner("l_partkey", []).build(
+            lineitem.sample, total_rows=lineitem.total_rows, num_leaves=8
+        )
+        target = lineitem.add_empty_tree(tree)
+        sources = lineitem.non_empty_block_ids()
+        lineitem.move_blocks(sources[::2], target)
+        session.checkpoint()
+        buffer.set_budget(self.BUDGET)
+        buffer.drop_resident()
+        # The write path: rows land on evicted, clean blocks without a fault.
+        lineitem.move_blocks(sources[1::2], target)
+        appended = [session.dfs.peek_block(b) for b in lineitem.non_empty_block_ids(target)]
+        assert len(appended) == 8
+        for block in appended:
+            assert not block.is_resident and block.dirty and block.num_pending_chunks == 1
+
+        faults: dict[int, int] = {}
+        evictions: dict[int, int] = {}
+        fault, evict = buffer._fault, buffer._evict
+
+        def counting_fault(block, raw_loader):
+            faults[block.block_id] = faults.get(block.block_id, 0) + 1
+            return fault(block, raw_loader)
+
+        def counting_evict(block_id):
+            evictions[block_id] = evictions.get(block_id, 0) + 1
+            evict(block_id)
+
+        monkeypatch.setattr(buffer, "_fault", counting_fault)
+        monkeypatch.setattr(buffer, "_evict", counting_evict)
+        result = session.run(
+            join_query("lineitem", "orders", "l_orderkey", "o_orderkey"), adapt=False
+        )
+        assert result.output_rows == tpch_tables["lineitem"].num_rows
+        stayed = 0
+        for block in appended:
+            # One fault per residency: compaction itself never re-reads the file.
+            assert faults[block.block_id] == evictions.get(block.block_id, 0) + block.is_resident
+            assert block.num_pending_chunks == 0
+            if block.block_id not in evictions:
+                stayed += 1
+                assert block.is_resident and block.dirty
+                assert all(array.flags.owndata for array in block.columns.values())
+        assert stayed, "at least one compacted block was still resident at the end"
+
+        resident = [
+            session.dfs.get_block(block_id)  # the next touch recharges
+            for table in session.catalog.tables()
+            for block_id in table.block_ids()
+            if buffer.is_resident(block_id)
+        ]
+        assert buffer.resident_bytes == sum(block.size_bytes for block in resident)
+        session.close()
+
+    def test_a_restart_mid_stream_changes_no_fingerprint(self, tmp_path, tpch_tables):
+        queries = adaptive_workload(queries_per_template=3)
+        straight = load_session(
+            mmap_config(tmp_path, "straight", buffer_bytes=self.BUDGET), tpch_tables
+        )
+        expected = [r.fingerprint() for r in straight.run_workload(queries)]
+        straight.close()
+
+        session = load_session(
+            mmap_config(tmp_path, buffer_bytes=self.BUDGET), tpch_tables
+        )
+        first = [r.fingerprint() for r in session.run_workload(queries[:5])]
+        session.checkpoint()
+        session.close()
+        reopened = Session.open(tmp_path / "root")
+        assert reopened.persist.buffer.budget_bytes == self.BUDGET
+        second = [r.fingerprint() for r in reopened.run_workload(queries[5:])]
+        assert reopened.persist.buffer.faults > 0
+        reopened.close()
+        assert first + second == expected
 
 
 # --------------------------------------------------------------------- #

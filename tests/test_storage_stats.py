@@ -9,7 +9,9 @@ Two families of properties introduced by the incremental-metadata work:
   ``drop_empty_trees``, Amoeba re-splits), and
 * chunked blocks must consolidate without observable change: row order,
   ranges and ``size_bytes`` are identical whether reads happen before,
-  between or after appends.
+  between or after appends, and
+* who consolidates: the first join read after an append compacts exactly the
+  blocks it reads, once; block migration never compacts its sources.
 """
 
 from __future__ import annotations
@@ -17,14 +19,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.cluster import Cluster
+from repro.common.query import join_query
 from repro.common.rng import make_rng
 from repro.common.schema import DataType, Schema
+from repro.core import AdaptDBConfig
 from repro.partitioning.two_phase import TwoPhasePartitioner
 from repro.partitioning.upfront import UpfrontPartitioner
 from repro.storage.block import Block, compute_ranges
 from repro.storage.dfs import DistributedFileSystem
 from repro.storage.table import ColumnTable, StoredTable
+from repro.testing import reference_join_count
 
 
 def make_stored(rows: int = 1500, rows_per_block: int = 64, seed: int = 11) -> StoredTable:
@@ -242,3 +248,86 @@ class TestChunkedBlockConsolidation:
         block = self.make_block()
         with pytest.raises(StorageError):
             block.append_rows({"a": np.array([1], dtype=np.int64)})
+
+
+# --------------------------------------------------------------------- #
+# Read-triggered compaction
+# --------------------------------------------------------------------- #
+def migrate_in_batches(table: StoredTable, join_attribute: str, batches: int = 4) -> int:
+    """The smooth-repartitioning write path: a new tree on ``join_attribute``
+    receives the table's blocks a few at a time, one appended chunk per target
+    block per batch.  Returns the new tree's id."""
+    tree = TwoPhasePartitioner(join_attribute, []).build(
+        table.sample, total_rows=table.total_rows, num_leaves=4
+    )
+    target = table.add_empty_tree(tree)
+    sources = table.non_empty_block_ids()
+    for start in range(batches):
+        table.move_blocks(sources[start::batches], target)
+    return target
+
+
+class TestReadTriggeredCompaction:
+    @pytest.fixture
+    def session(self, tpch_tables):
+        # The memory tier is pinned: under a bounded buffer an eviction spills,
+        # and so compacts, blocks no query read.
+        session = Session(AdaptDBConfig(rows_per_block=32, seed=3, persistence="memory"))
+        for name in ("lineitem", "orders", "part"):
+            session.load_table(tpch_tables[name])
+        yield session
+        session.close()
+
+    def pending(self, session, table_name: str) -> dict[int, int]:
+        return {
+            block_id: session.dfs.peek_block(block_id).num_pending_chunks
+            for block_id in session.table(table_name).block_ids()
+        }
+
+    def test_a_join_compacts_exactly_the_blocks_it_reads(self, session, tpch_tables):
+        migrate_in_batches(session.table("lineitem"), "l_orderkey")
+        migrate_in_batches(session.table("part"), "p_retailprice")
+        lineitem_before = self.pending(session, "lineitem")
+        part_before = self.pending(session, "part")
+        assert sum(lineitem_before.values()) > 4 and sum(part_before.values()) > 4
+        assert max(lineitem_before.values()) > 1, "several chunks await one block"
+
+        query = join_query("lineitem", "orders", "l_orderkey", "o_orderkey")
+        expected = reference_join_count(
+            tpch_tables["lineitem"], tpch_tables["orders"], "l_orderkey", "o_orderkey"
+        )
+        for _ in range(2):
+            result = session.run(query, adapt=False)
+            assert result.output_rows == expected
+            read = {
+                block_id
+                for _, task in result.schedule.placements()
+                for block_id in task.read_block_ids
+            }
+            assert {b for b, chunks in lineitem_before.items() if chunks} <= read
+            assert not any(self.pending(session, "lineitem").values())
+            # Blocks the query did not read are exactly as the writes left them.
+            assert self.pending(session, "part") == part_before
+
+    def test_migration_streams_its_sources_without_compacting_them(
+        self, session, tpch_tables, monkeypatch
+    ):
+        part = session.table("part")
+        target = migrate_in_batches(part, "p_retailprice")
+        sources = part.non_empty_block_ids(target)
+        assert all(session.dfs.peek_block(b).num_pending_chunks > 1 for b in sources)
+        compacted: list[int] = []
+        consolidate = Block.consolidate
+
+        def recording(block: Block) -> None:
+            compacted.append(block.block_id)
+            consolidate(block)
+
+        monkeypatch.setattr(Block, "consolidate", recording)
+        stats = part.move_blocks(sources, 0)
+        assert stats.rows_moved == part.total_rows == tpch_tables["part"].num_rows
+        assert not set(compacted) & set(sources)
+        moved = np.concatenate(
+            [session.dfs.peek_block(b).columns["p_partkey"] for b in part.block_ids(0)]
+        )
+        assert sorted(moved.tolist()) == sorted(tpch_tables["part"].columns["p_partkey"].tolist())
