@@ -4,8 +4,9 @@ This example works at the level of the join machinery rather than the full
 session lifecycle.  It reproduces Example 1 from the paper's introduction
 (grouping three build blocks under a two-block memory budget), then runs the
 bottom-up heuristic, the naive first-fit grouping, and the ILP on a larger
-synthetic overlap structure, and finally executes a real hyper-join and
-shuffle join on TPC-H data to compare their I/O.
+synthetic overlap structure, and finally runs the same TPC-H join through a
+session twice, pinned to hyper-join and then to shuffle join, to compare
+their I/O.
 
 Run with::
 
@@ -17,15 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api import Session
+from repro.common import join_query
 from repro.core import AdaptDBConfig
-from repro.join import (
-    bottom_up_grouping,
-    compute_overlap_matrix,
-    first_fit_grouping,
-    hyper_join,
-    ilp_grouping,
-    shuffle_join,
-)
+from repro.join import bottom_up_grouping, compute_overlap_matrix, first_fit_grouping, ilp_grouping
 from repro.workloads import TPCHGenerator
 
 
@@ -67,30 +62,19 @@ def grouping_algorithms_demo(num_build: int = 24, num_probe: int = 12, budget: i
 
 
 def real_join_demo() -> None:
-    """Run an actual hyper-join and shuffle join over TPC-H blocks and compare I/O."""
+    """Run lineitem ⋈ orders as a hyper-join and as a shuffle join and compare I/O."""
     print("lineitem ⋈ orders on generated TPC-H data")
-    db = Session(AdaptDBConfig(rows_per_block=512, enable_smooth=False, enable_amoeba=False))
     tables = TPCHGenerator(scale=0.2).generate(["lineitem", "orders"])
-    lineitem = db.load_table(tables["lineitem"])
-    orders = db.load_table(tables["orders"])
-
-    hyper = hyper_join(
-        db.dfs,
-        lineitem.non_empty_block_ids(),
-        orders.non_empty_block_ids(),
-        "l_orderkey",
-        "o_orderkey",
-        buffer_blocks=8,
-        cost_model=db.cluster.cost_model,
-    )
-    shuffle = shuffle_join(
-        db.dfs,
-        lineitem.non_empty_block_ids(),
-        orders.non_empty_block_ids(),
-        "l_orderkey",
-        "o_orderkey",
-        cost_model=db.cluster.cost_model,
-    )
+    query = join_query("lineitem", "orders", "l_orderkey", "o_orderkey")
+    stats = {}
+    for method in ("hyper", "shuffle"):
+        config = AdaptDBConfig(rows_per_block=512, buffer_blocks=8, enable_smooth=False,
+                               enable_amoeba=False, force_join_method=method)
+        with Session(config) as db:
+            for table in tables.values():
+                db.load_table(table)
+            stats[method] = db.run(query).join_stats[0]
+    hyper, shuffle = stats["hyper"], stats["shuffle"]
     print(f"  hyper-join : cost={hyper.cost_units:7.1f}  "
           f"build reads={hyper.build_blocks_read}  probe reads={hyper.probe_blocks_read}  "
           f"C_HyJ={hyper.probe_multiplicity:.2f}  output rows={hyper.output_rows}")

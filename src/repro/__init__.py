@@ -8,9 +8,9 @@ cluster/HDFS substrate:
 * ``repro.storage``       — blocks, the distributed file system, tables, catalog
 * ``repro.partitioning``  — Amoeba upfront trees and AdaptDB two-phase trees
 * ``repro.adaptive``      — query window, smooth repartitioning, Amoeba refinement
-* ``repro.join``          — hyper-join (overlap, grouping heuristics, ILP) and shuffle join
+* ``repro.join``          — hyper-join planning (overlap, grouping heuristics, ILP) and the join kernels
 * ``repro.core``          — configuration, join planner and the cost-based optimizer
-* ``repro.exec``          — plan compilation, scheduling, the one schedule interpreter and ``simulate(schedule)``
+* ``repro.exec``          — plan compilation, scheduling, the one schedule interpreter (the only join executor) and ``simulate(schedule)``
 * ``repro.api``           — :class:`Session`: the staged plan / lower / execute lifecycle
 * ``repro.parallel``      — worker pool and shared-memory transport of the ``"parallel"`` backend
 * ``repro.workloads``     — TPC-H and CMT generators plus the paper's workload patterns

@@ -90,7 +90,7 @@ class LogicalPlan(QueryPlan):
                 f"    cost: shuffle={_fmt(decision.estimated_shuffle_cost)} "
                 f"hyper={_fmt(decision.estimated_hyper_cost)}"
             )
-            if decision.method is JoinMethod.HYPER and decision.hyper_plan is not None:
+            if decision.method is JoinMethod.HYPER:
                 hyper = decision.hyper_plan
                 lines.append(
                     f"    hyper: groups={hyper.grouping.num_groups} "
@@ -113,7 +113,7 @@ class PhysicalPlan:
 
     Attributes:
         logical: The plan this was lowered from.
-        compiled: The compiled task list (plus per-join hyper schedules).
+        compiled: The compiled task list.
         schedule: Deterministic placement of the tasks onto machines.
         from_cache: Whether the compiled skeleton was served from the cache.
     """

@@ -139,7 +139,6 @@ class Session:
             catalog=self.catalog,
             cluster=self.cluster,
             config=self.config,
-            repartitioner=self.repartitioner,
         )
         self.plan_cache = PlanCache(capacity=self.config.plan_cache_size)
         self.executor = Executor(
@@ -346,7 +345,7 @@ class Session:
         planning (and later lowering), not adaptation.
         """
         adaptation = RepartitionReport()
-        if adapt and self.repartitioner is not None:
+        if adapt:
             adaptation = self.repartitioner.on_query(self.catalog, query)
 
         started = time.perf_counter()
@@ -365,7 +364,7 @@ class Session:
                 self.plan_cache.revalidations += 1
                 from_cache = True
         if entry is None:
-            base = self.optimizer.plan_query(query, adapt=False)
+            base = self.optimizer.plan_query(query)
             # The entry keeps its own container copies so a caller mutating a
             # served plan's lists cannot poison the cache (the JoinDecision
             # objects themselves are shared and documented read-only).
@@ -481,7 +480,7 @@ class Session:
                 from_cache=True,
             )
         else:
-            compiled = compile_plan(logical, self.catalog, self.cluster, self.config)
+            compiled = compile_plan(logical, self.catalog, self.cluster)
             schedule = Scheduler(self.cluster.num_machines).schedule(compiled.tasks)
             physical = PhysicalPlan(logical=logical, compiled=compiled, schedule=schedule)
             if entry is not None and clean:

@@ -1,14 +1,11 @@
 """The AdaptDB optimizer (Sections 5.4 and 6).
 
-Per query the optimizer does two things:
-
-1. **Adaptation** — it lets the adaptive repartitioner migrate blocks (smooth
-   repartitioning for join attributes, Amoeba refinement for selections) and
-   records how much work that was; those are the paper's Type 2 blocks.
-2. **Join-method choice** — for every join clause it estimates ``Cost-SJ``
-   and ``Cost-HyJ`` from the relevant block sets (using the bottom-up
-   grouping algorithm to estimate ``C_HyJ``) and picks the cheaper method,
-   unless the configuration forces one.
+Per query the optimizer chooses join methods: for every join clause it
+estimates ``Cost-SJ`` and ``Cost-HyJ`` from the relevant block sets (using
+the bottom-up grouping algorithm to estimate ``C_HyJ``) and picks the
+cheaper method, unless the configuration forces one.  Adaptation (the
+paper's Type 2 blocks) runs before it, in ``Session.plan``, which records
+the repartitioner's report on the plan.
 
 The result is a :class:`QueryPlan` that the executor can run without making
 further decisions.
@@ -18,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..adaptive.repartitioner import AdaptiveRepartitioner, RepartitionReport
+from ..adaptive.repartitioner import RepartitionReport
 from ..cluster.cluster import Cluster
 from ..common.errors import PlanningError
 from ..common.query import JoinClause, Query
@@ -40,7 +37,8 @@ class JoinDecision:
             the hash tables); for shuffle joins the labels are kept for
             reporting symmetry.
         build_blocks / probe_blocks: Relevant block ids per side.
-        hyper_plan: The hyper-join schedule (``None`` for shuffle joins).
+        hyper_plan: The cheaper build direction's hyper-join schedule.  Always
+            set, whatever the method; executed only when it is ``HYPER``.
         estimated_shuffle_cost / estimated_hyper_cost: Cost-model estimates
             used to make the decision.
     """
@@ -52,7 +50,7 @@ class JoinDecision:
     probe_table: str
     build_blocks: list[int]
     probe_blocks: list[int]
-    hyper_plan: HyperJoinPlan | None
+    hyper_plan: HyperJoinPlan
     estimated_shuffle_cost: float
     estimated_hyper_cost: float
 
@@ -81,18 +79,13 @@ class Optimizer:
     catalog: Catalog
     cluster: Cluster
     config: AdaptDBConfig
-    repartitioner: AdaptiveRepartitioner | None = None
     hyper_cache: HyperPlanCache = field(default_factory=HyperPlanCache)
 
     # ------------------------------------------------------------------ #
     # Entry point
     # ------------------------------------------------------------------ #
-    def plan_query(self, query: Query, adapt: bool = True) -> QueryPlan:
-        """Adapt the layout (optionally) and produce an executable plan."""
-        adaptation = RepartitionReport()
-        if adapt and self.repartitioner is not None:
-            adaptation = self.repartitioner.on_query(self.catalog, query)
-
+    def plan_query(self, query: Query) -> QueryPlan:
+        """Produce an executable plan for ``query`` at the current layout."""
         joined_tables = {table for clause in query.joins for table in (clause.left_table, clause.right_table)}
         scan_tables = [table for table in query.tables if table not in joined_tables]
         scan_blocks = {
@@ -104,7 +97,6 @@ class Optimizer:
             scan_tables=scan_tables,
             scan_blocks=scan_blocks,
             join_decisions=decisions,
-            adaptation=adaptation,
         )
 
     # ------------------------------------------------------------------ #

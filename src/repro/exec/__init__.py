@@ -18,7 +18,8 @@ repartitioning bandwidth.
 * ``repro.exec.engine``        — the schedule interpreter and its inline runner
 * ``repro.exec.kernels_tasks`` — per-task work descriptions, the one
   ``run_task`` both runners execute, and outcome merging
-* ``repro.exec.result``        — per-query accounting (:class:`QueryResult`)
+* ``repro.exec.result``        — per-query and per-join accounting
+  (:class:`QueryResult`, :class:`JoinStats`)
 """
 
 from .engine import Executor, JoinState

@@ -26,12 +26,10 @@ from ..cluster.cluster import Cluster
 from ..core.config import AdaptDBConfig
 from ..core.optimizer import JoinDecision, QueryPlan
 from ..core.planner import JoinMethod
-from ..join.hyperjoin import HyperJoinPlan
-from ..join.shuffle import JoinStats
 from ..storage.catalog import Catalog
 from .kernels_tasks import BlockInput, TaskOutcome, TaskWork, apply_outcome, run_task
-from .result import QueryResult
-from .scheduler import CompiledPlan, Scheduler, compile_plan
+from .result import JoinStats, QueryResult
+from .scheduler import CompiledPlan
 from .tasks import Task, TaskKind, TaskSchedule
 
 #: Executes one barrier stage's work and returns its outcomes (any order).
@@ -44,7 +42,6 @@ class JoinState:
     """Mutable per-join accumulator shared by that join's tasks."""
 
     decision: JoinDecision
-    hyper_plan: HyperJoinPlan | None
     num_partitions: int
     build_partitions: list[list[np.ndarray]] = field(init=False)
     probe_partitions: list[list[np.ndarray]] = field(init=False)
@@ -70,12 +67,6 @@ class Executor:
     catalog: Catalog
     cluster: Cluster
     config: AdaptDBConfig
-
-    def execute(self, plan: QueryPlan) -> QueryResult:
-        """Compile, schedule and run ``plan``, returning the accounted result."""
-        compiled = compile_plan(plan, self.catalog, self.cluster, self.config)
-        schedule = Scheduler(self.cluster.num_machines).schedule(compiled.tasks)
-        return self.execute_schedule(plan, compiled, schedule)
 
     def execute_schedule(
         self,
@@ -186,12 +177,8 @@ class Executor:
         result.tasks_scheduled = len(compiled.tasks)
 
         states = [
-            JoinState(
-                decision=decision,
-                hyper_plan=compiled.hyper_plans[index],
-                num_partitions=self.cluster.num_machines,
-            )
-            for index, decision in enumerate(plan.join_decisions)
+            JoinState(decision=decision, num_partitions=self.cluster.num_machines)
+            for decision in plan.join_decisions
         ]
         return result, states
 
@@ -248,7 +235,7 @@ class Executor:
                     state.build_blocks_read, state.probe_blocks_read
                 ),
             )
-        hyper_plan = state.hyper_plan
+        hyper_plan = state.decision.hyper_plan
         return JoinStats(
             method="hyper",
             build_blocks_read=state.build_blocks_read,
@@ -258,6 +245,6 @@ class Executor:
             cost_units=cost_model.hyper_join_cost(
                 state.build_blocks_read, state.probe_blocks_read
             ),
-            probe_multiplicity=hyper_plan.probe_multiplicity if hyper_plan else 1.0,
-            groups=hyper_plan.grouping.num_groups if hyper_plan else 0,
+            probe_multiplicity=hyper_plan.probe_multiplicity,
+            groups=hyper_plan.grouping.num_groups,
         )

@@ -5,8 +5,28 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..common.query import Query
-from ..join.shuffle import JoinStats
 from .tasks import TaskSchedule, straggler_factor
+
+
+@dataclass
+class JoinStats:
+    """I/O and output accounting for one executed join."""
+
+    method: str
+    build_blocks_read: int = 0
+    probe_blocks_read: int = 0
+    shuffled_blocks: int = 0
+    output_rows: int = 0
+    cost_units: float = 0.0
+    probe_multiplicity: float = 1.0
+    groups: int = 0
+
+    @property
+    def total_blocks_read(self) -> int:
+        """Block reads of both sides.  A hyper-join reads a probe block once
+        per group that probes it (eq. 2's ``C_HyJ · blocks(S)``); a shuffle
+        join reads every block once."""
+        return self.build_blocks_read + self.probe_blocks_read
 
 
 @dataclass
@@ -21,7 +41,8 @@ class QueryResult:
         scan_output_rows: Rows matched by pure scans (tables not taking part
             in any join), accounted separately from join output so mixed
             scan+join queries report both.
-        blocks_read: Total blocks read by scans and joins (first-pass reads).
+        blocks_read: Block reads by scans and joins, counted per read: a
+            hyper-join probe block probed by three groups counts three times.
         blocks_repartitioned: Blocks rewritten by adaptation during this query.
         shuffled_blocks: Blocks that went through a shuffle.
         cost_units: Total modelled cost in block accesses (the serial sum).

@@ -28,10 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..cluster.cluster import Cluster
-from ..core.config import AdaptDBConfig
 from ..core.optimizer import JoinDecision, QueryPlan
 from ..core.planner import JoinMethod
-from ..join.hyperjoin import HyperJoinPlan, plan_hyper_join
+from ..join.hyperjoin import HyperJoinPlan
 from ..join.kernels import gather_filtered_keys, hash_partition
 from ..storage.catalog import Catalog
 from ..storage.dfs import DistributedFileSystem
@@ -69,26 +68,20 @@ def bucket_blocks_by_replica(
 
 @dataclass
 class CompiledPlan:
-    """The task list of a query plan plus per-join hyper schedules.
+    """The task list of a query plan.
 
     Attributes:
         tasks: Every task the plan compiled into.
-        hyper_plans: Per join decision, the hyper-join schedule the tasks
-            were derived from (``None`` for shuffle joins).
     """
 
     tasks: list[Task]
-    hyper_plans: list[HyperJoinPlan | None]
 
 
-def compile_plan(
-    plan: QueryPlan, catalog: Catalog, cluster: Cluster, config: AdaptDBConfig
-) -> CompiledPlan:
+def compile_plan(plan: QueryPlan, catalog: Catalog, cluster: Cluster) -> CompiledPlan:
     """Compile ``plan`` into tasks whose costs sum to the plan's serial cost."""
     cost_model = cluster.cost_model
     num_machines = cluster.num_machines
     tasks: list[Task] = []
-    hyper_plans: list[HyperJoinPlan | None] = []
 
     def new_task(**kwargs) -> Task:
         task = Task(task_id=len(tasks), **kwargs)
@@ -123,24 +116,11 @@ def compile_plan(
     for join_index, decision in enumerate(plan.join_decisions):
         dfs = catalog.get(decision.build_table).dfs
         if decision.method is JoinMethod.SHUFFLE:
-            hyper_plans.append(None)
             _compile_shuffle(new_task, dfs, plan, decision, join_index, cluster)
         else:
-            hyper_plan = decision.hyper_plan
-            if hyper_plan is None:
-                hyper_plan = plan_hyper_join(
-                    dfs,
-                    decision.build_blocks,
-                    decision.probe_blocks,
-                    decision.clause.column_for(decision.build_table),
-                    decision.clause.column_for(decision.probe_table),
-                    config.buffer_blocks,
-                    config.grouping_algorithm,
-                )
-            hyper_plans.append(hyper_plan)
-            _compile_hyper(new_task, dfs, hyper_plan, join_index, cluster)
+            _compile_hyper(new_task, dfs, decision.hyper_plan, join_index, cluster)
 
-    return CompiledPlan(tasks=tasks, hyper_plans=hyper_plans)
+    return CompiledPlan(tasks=tasks)
 
 
 def _compile_shuffle(

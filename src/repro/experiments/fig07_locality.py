@@ -42,7 +42,7 @@ def run(scale: float = 0.3, rows_per_block: int = 512, seed: int = 1) -> Experim
     # Compile and schedule the map-only scan; the makespan (blocks on the
     # most loaded machine) is what the job actually waits for.
     plan = db.plan(scan_query("lineitem"), adapt=False)
-    compiled = compile_plan(plan, db.catalog, db.cluster, db.config)
+    compiled = compile_plan(plan, db.catalog, db.cluster)
     schedule = Scheduler(db.cluster.num_machines).schedule(compiled.tasks)
 
     runtimes = [

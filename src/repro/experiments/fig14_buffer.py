@@ -7,9 +7,12 @@ buffer lets each hash table cover more build blocks, so each probe block is
 shared by more of them and re-read less often — until the sharing saturates.
 
 In the reproduction the buffer is expressed directly in build-side blocks
-(the paper's buffer divided by the 64 MB block size), and the sweep runs
-against the *real* bounded-memory storage tier: the session persists via
-``persistence="mmap"``, every block is spilled at a checkpoint, and each
+(the paper's buffer divided by the 64 MB block size), and every sweep point
+runs the join through the session's task engine: the logical plan's join is
+pinned to a hyper-join with lineitem as the build side, grouped at that
+point's budget, and lowered into one ``HYPER_GROUP`` task per group.  The
+sweep drives the *real* bounded-memory storage tier: the session persists
+via ``persistence="mmap"``, every block is spilled at a checkpoint, and each
 sweep point restarts cold with the block buffer's byte budget scaled to the
 same number of blocks the hyper-join groups over.  Alongside the modelled
 series the experiment therefore reports *measured* buffer traffic — faults
@@ -21,10 +24,13 @@ from __future__ import annotations
 
 import math
 import shutil
+from dataclasses import replace
 
 from ..api.session import Session
+from ..common.query import join_query
 from ..core.config import AdaptDBConfig
-from ..join.hyperjoin import hyper_join
+from ..core.planner import JoinMethod
+from ..join.hyperjoin import plan_hyper_join
 from ..partitioning.two_phase import TwoPhasePartitioner
 from ..storage.table import ColumnTable
 from ..workloads.tpch import TPCHGenerator
@@ -83,6 +89,8 @@ def run(
     assert db.persist is not None
     buffer = db.persist.buffer
     mean_block_bytes = max(1, db.dfs.total_bytes() // max(1, db.dfs.num_blocks))
+    logical = db.plan(join_query("lineitem", "orders", "l_orderkey", "o_orderkey"), adapt=False)
+    build_ids, probe_ids = lineitem.non_empty_block_ids(), orders.non_empty_block_ids()
 
     runtimes: list[float] = []
     probe_blocks: list[float] = []
@@ -94,15 +102,20 @@ def run(
         buffer.set_budget((buffer_blocks + 1) * mean_block_bytes)
         buffer.drop_resident()
         buffer.reset_counters()
-        stats = hyper_join(
-            db.dfs,
-            lineitem.non_empty_block_ids(),
-            orders.non_empty_block_ids(),
-            "l_orderkey",
-            "o_orderkey",
-            buffer_blocks=buffer_blocks,
-            cost_model=db.cluster.cost_model,
+        decision = replace(
+            logical.join_decisions[0],
+            method=JoinMethod.HYPER,
+            build_table="lineitem",
+            probe_table="orders",
+            build_blocks=build_ids,
+            probe_blocks=probe_ids,
+            hyper_plan=plan_hyper_join(
+                db.dfs, build_ids, probe_ids, "l_orderkey", "o_orderkey", buffer_blocks
+            ),
         )
+        # No cache entry: lowering must not serve the previous point's schedule.
+        plan = replace(logical, join_decisions=[decision], cache_entry=None)
+        stats = db.execute(db.lower(plan)).join_stats[0]
         runtimes.append(db.cluster.cost_model.to_seconds(stats.cost_units))
         probe_blocks.append(stats.probe_blocks_read)
         faults.append(buffer.faults)

@@ -1,4 +1,5 @@
-"""Distributed join algorithms: hyper-join, shuffle join, and block grouping."""
+"""Distributed join planning: hyper-join schedules, block grouping, the ILP,
+and the row kernels the task engine runs joins with."""
 
 from .grouping import (
     GROUPING_ALGORITHMS,
@@ -10,36 +11,29 @@ from .grouping import (
     group_blocks,
     grouping_cost,
 )
-from .hyperjoin import HyperJoinPlan, execute_hyper_join, hyper_join, plan_hyper_join
+from .hyperjoin import HyperJoinPlan, plan_hyper_join
 from .ilp import ILPSolution, ilp_grouping
-from .kernels import KeyHistogram, hash_partition, join_match_count, join_match_count_arrays
+from .kernels import hash_partition, join_match_count_arrays
 from .overlap import compute_overlap_matrix, delta, probe_blocks_needed, ranges_overlap, union_vector
-from .shuffle import JoinStats, shuffle_join
 
 __all__ = [
     "GROUPING_ALGORITHMS",
     "Grouping",
     "HyperJoinPlan",
     "ILPSolution",
-    "JoinStats",
-    "KeyHistogram",
     "average_probe_multiplicity",
     "bottom_up_grouping",
     "compute_overlap_matrix",
     "delta",
-    "execute_hyper_join",
     "first_fit_grouping",
     "greedy_grouping",
     "group_blocks",
     "grouping_cost",
     "hash_partition",
-    "hyper_join",
     "ilp_grouping",
-    "join_match_count",
     "join_match_count_arrays",
     "plan_hyper_join",
     "probe_blocks_needed",
     "ranges_overlap",
-    "shuffle_join",
     "union_vector",
 ]

@@ -7,6 +7,9 @@ the group.  The cost is ``blocks(R) + C_HyJ · blocks(S)`` (equation (2)),
 where ``C_HyJ`` is the average number of times a needed probe block is read —
 1.0 for perfectly co-partitioned tables, larger when block ranges overlap
 more widely.
+
+This module plans that schedule; the task engine executes it, one
+``HYPER_GROUP`` task per group (:mod:`repro.exec.scheduler`).
 """
 
 from __future__ import annotations
@@ -17,17 +20,13 @@ from typing import Callable
 
 import numpy as np
 
-from ..cluster.costmodel import CostModel
 from ..common.epochs import PartitionDelta
 from ..common.errors import PlanningError
 from ..common.lru import BoundedLRU
-from ..common.predicates import Predicate
 from ..common.sanitize import assert_no_shared_memory, sanitize_enabled
 from ..storage.dfs import DistributedFileSystem
 from .grouping import Grouping, average_probe_multiplicity, group_blocks, matrix_row_digests
-from .kernels import KeyHistogram, join_match_count
 from .overlap import Range, compute_overlap_matrix, patch_overlap_matrix
-from .shuffle import JoinStats
 
 #: ``(table_name, start_epoch, end_epoch) -> merged delta or None`` — how the
 #: cache reaches :meth:`repro.storage.table.StoredTable.delta_between`
@@ -390,92 +389,3 @@ class HyperPlanCache:
                 ids.append(block_id)
                 ranges.append(block.range_of(column))
         return ids, ranges, kept
-
-
-def execute_hyper_join(
-    dfs: DistributedFileSystem,
-    plan: HyperJoinPlan,
-    build_column: str,
-    probe_column: str,
-    build_predicates: list[Predicate] | None = None,
-    probe_predicates: list[Predicate] | None = None,
-    cost_model: CostModel | None = None,
-) -> JoinStats:
-    """Run a hyper-join according to ``plan`` and account its I/O.
-
-    For every group: the group's build blocks are read once and a hash table
-    (key histogram) is built over their filtered rows; every probe block
-    overlapping the group is then read and probed.
-
-    Returns:
-        A :class:`JoinStats` with ``method="hyper"``.
-    """
-    cost_model = cost_model or CostModel()
-    build_predicates = build_predicates or []
-    probe_predicates = probe_predicates or []
-
-    build_reads = 0
-    probe_reads = 0
-    output_rows = 0
-
-    for group in plan.grouping.groups:
-        histograms: list[KeyHistogram] = []
-        for index in group:
-            block = dfs.get_block(plan.build_block_ids[index])
-            build_reads += 1
-            rows = block.filtered(build_predicates)
-            histograms.append(KeyHistogram.from_keys(rows[build_column]))
-        build_histogram = KeyHistogram.merge(histograms)
-
-        group_union = plan.overlap[group].any(axis=0) if group else np.zeros(0, dtype=bool)
-        for probe_index in np.flatnonzero(group_union):
-            block = dfs.get_block(plan.probe_block_ids[int(probe_index)])
-            probe_reads += 1
-            rows = block.filtered(probe_predicates)
-            probe_histogram = KeyHistogram.from_keys(rows[probe_column])
-            output_rows += join_match_count(build_histogram, probe_histogram)
-
-    cost = cost_model.hyper_join_cost(build_reads, probe_reads)
-    return JoinStats(
-        method="hyper",
-        build_blocks_read=build_reads,
-        probe_blocks_read=probe_reads,
-        shuffled_blocks=0,
-        output_rows=output_rows,
-        cost_units=cost,
-        probe_multiplicity=plan.probe_multiplicity,
-        groups=plan.grouping.num_groups,
-    )
-
-
-def hyper_join(
-    dfs: DistributedFileSystem,
-    build_block_ids: list[int],
-    probe_block_ids: list[int],
-    build_column: str,
-    probe_column: str,
-    buffer_blocks: int,
-    build_predicates: list[Predicate] | None = None,
-    probe_predicates: list[Predicate] | None = None,
-    cost_model: CostModel | None = None,
-    algorithm: str = "bottom_up",
-) -> JoinStats:
-    """Plan and execute a hyper-join in one call (convenience wrapper)."""
-    plan = plan_hyper_join(
-        dfs,
-        build_block_ids,
-        probe_block_ids,
-        build_column,
-        probe_column,
-        buffer_blocks,
-        algorithm,
-    )
-    return execute_hyper_join(
-        dfs,
-        plan,
-        build_column,
-        probe_column,
-        build_predicates,
-        probe_predicates,
-        cost_model,
-    )

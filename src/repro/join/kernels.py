@@ -12,14 +12,13 @@ number of join matches so tests can verify results against a reference join.
   table the probe keys index, O(rows + span), no sort.  Under range
   partitioning that is the common case: a hyper-join group's build keys are a
   key *range*, a shuffle partition every ``num_partitions``-th key of one.
-  Float and sparse keys sort (:class:`KeyHistogram`), O(n log n).
+  Float and sparse keys sort (``_sorted_match_count``), O(n log n).
 * :func:`split_by_partition`: one stable radix ``argsort`` of the narrowed
   assignment and one ``bincount``, O(rows) whatever the partition count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -36,54 +35,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
 DENSE_SPAN_FACTOR = 16
 
 
-@dataclass
-class KeyHistogram:
-    """Distinct keys of one relation side together with their multiplicities."""
-
-    keys: np.ndarray
-    counts: np.ndarray
-
-    @classmethod
-    def from_keys(cls, keys: np.ndarray) -> "KeyHistogram":
-        """Build a histogram from a raw key array."""
-        if len(keys) == 0:
-            return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        unique, counts = np.unique(keys, return_counts=True)
-        return cls(unique, counts)
-
-    @classmethod
-    def merge(cls, histograms: list["KeyHistogram"]) -> "KeyHistogram":
-        """Merge several histograms into one (summing multiplicities)."""
-        non_empty = [histogram for histogram in histograms if len(histogram.keys)]
-        if not non_empty:
-            return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        keys = np.concatenate([histogram.keys for histogram in non_empty])
-        counts = np.concatenate([histogram.counts for histogram in non_empty])
-        unique, inverse = np.unique(keys, return_inverse=True)
-        merged_counts = np.zeros(len(unique), dtype=np.int64)
-        np.add.at(merged_counts, inverse, counts)
-        return cls(unique, merged_counts)
-
-    @property
-    def total(self) -> int:
-        """Total number of rows represented by the histogram."""
-        return int(self.counts.sum())
-
-
-def join_match_count(left: KeyHistogram, right: KeyHistogram) -> int:
-    """Number of join output rows between two key histograms.
-
-    Equal to Σ over common keys of (left multiplicity × right multiplicity),
-    i.e. the cardinality of the equi-join.
-    """
-    if len(left.keys) == 0 or len(right.keys) == 0:
-        return 0
-    common, left_idx, right_idx = np.intersect1d(
-        left.keys, right.keys, assume_unique=True, return_indices=True
+def _sorted_match_count(build_keys: np.ndarray, probe_keys: np.ndarray) -> int:
+    """Join cardinality of two non-empty key arrays by sorting: Σ over the
+    common keys of (build multiplicity × probe multiplicity)."""
+    (build, build_counts), (probe, probe_counts) = (
+        np.unique(keys, return_counts=True) for keys in (build_keys, probe_keys)
     )
-    if len(common) == 0:
-        return 0
-    return int((left.counts[left_idx] * right.counts[right_idx]).sum())
+    _, build_idx, probe_idx = np.intersect1d(
+        build, probe, assume_unique=True, return_indices=True
+    )
+    return int((build_counts[build_idx] * probe_counts[probe_idx]).sum())
 
 
 def join_match_count_arrays(build_keys: np.ndarray, probe_keys: np.ndarray) -> int:
@@ -107,7 +68,7 @@ def join_match_count_arrays(build_keys: np.ndarray, probe_keys: np.ndarray) -> i
                 np.subtract(k[(k >= low) & (k <= high)], low, dtype=np.intp) for k in sides
             )
             return int(np.bincount(build, minlength=span)[probe].sum())
-    return join_match_count(*map(KeyHistogram.from_keys, sides))
+    return _sorted_match_count(build_keys, probe_keys)
 
 
 def gather_columns(blocks: Iterable["Block"], columns: list[str]) -> dict[str, np.ndarray]:

@@ -34,7 +34,6 @@ from typing import Callable
 import numpy as np
 
 from ..common.errors import StorageError
-from ..common.predicates import Predicate, rows_matching
 from ..common.schema import Schema
 
 
@@ -330,19 +329,6 @@ class Block:
     # ------------------------------------------------------------------ #
     # Row access
     # ------------------------------------------------------------------ #
-    def filtered(self, predicates: list[Predicate]) -> dict[str, np.ndarray]:
-        """Return the columns restricted to rows matching all ``predicates``."""
-        if not predicates:
-            return dict(self.columns)
-        mask = rows_matching(self.columns, predicates)
-        return {name: array[mask] for name, array in self.columns.items()}
-
-    def matching_count(self, predicates: list[Predicate]) -> int:
-        """Number of rows matching all ``predicates``."""
-        if not predicates:
-            return self.num_rows
-        return int(rows_matching(self.columns, predicates).sum())
-
     def column(self, name: str) -> np.ndarray:
         """Return the array for column ``name``."""
         try:

@@ -154,18 +154,9 @@ class DistributedFileSystem:
     # ------------------------------------------------------------------ #
     # Reads
     # ------------------------------------------------------------------ #
-    def get_block(self, block_id: int, reader_machine: int | None = None) -> Block:
-        """Read a block, accounting locality against ``reader_machine``.
-
-        Args:
-            block_id: The block to read.
-            reader_machine: Machine performing the read.  ``None`` picks a
-                machine round-robin, approximating the scheduler assigning
-                tasks across the cluster.
-        """
+    def get_block(self, block_id: int, reader_machine: int) -> Block:
+        """Read a block, accounting locality against the machine reading it."""
         block = self.peek_block(block_id)
-        if reader_machine is None:
-            reader_machine = block_id % self.cluster.num_machines
         machine = self.cluster.machine(reader_machine)
         if machine.record_read(block_id):
             self.read_stats.local_reads += 1
@@ -177,22 +168,15 @@ class DistributedFileSystem:
             self.buffer.touch(block)
         return block
 
-    def get_blocks(
-        self, block_ids: Sequence[int], reader_machine: int | None = None
-    ) -> list[Block]:
+    def get_blocks(self, block_ids: Sequence[int], reader_machine: int) -> list[Block]:
         """Read a batch of blocks in one call, accounting locality per block.
 
         Tasks issue one ``get_blocks`` call for all blocks they touch instead
         of one ``get_block`` per block; the returned list preserves the order
         of ``block_ids``.  Without a buffer (which must see every ``touch``
         in order) one reader's batch is accounted in one step.
-
-        Args:
-            block_ids: Blocks to read.
-            reader_machine: Machine performing the read.  ``None`` falls back
-                to the per-block round-robin of :meth:`get_block`.
         """
-        if self.buffer is not None or reader_machine is None:
+        if self.buffer is not None:
             return [self.get_block(block_id, reader_machine) for block_id in block_ids]
         try:
             blocks = [self._blocks[block_id] for block_id in block_ids]

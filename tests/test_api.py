@@ -4,8 +4,9 @@ Covers the session lifecycle (plan / lower / execute), the epoch-keyed plan
 cache (hits on repeated templates, invalidation on exactly the mutated
 tables, bit-identical cached results and explain text), partition-state
 epochs on ``StoredTable``, and the pluggable execution backends (every one
-a selection over the session's one schedule interpreter, which is checked
-against the standalone join operators and the reference join).
+a selection over the session's one schedule interpreter, whose join
+accounting is checked against the plan's own arithmetic and the reference
+join).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from repro.core import AdaptDBConfig
 from repro.core.planner import JoinMethod
 from repro.exec import simulate
 from repro.experiments.harness import runtime_seconds
-from repro.join import hyper_join, shuffle_join
 from repro.parallel import ParallelBackend
 from repro.partitioning.two_phase import TwoPhasePartitioner
 from repro.testing import reference_join_count
@@ -312,58 +312,65 @@ INTERPRETER_CASES = {
 }
 
 
+@pytest.mark.parametrize("storage", ["memory", "mmap"])
+@pytest.mark.parametrize("backend", ["tasks", "parallel"])
 @pytest.mark.parametrize("case", sorted(INTERPRETER_CASES))
-def test_interpreter_matches_direct_operators(case, tpch_tables):
-    """Each ``JoinStats`` the interpreter produces equals the standalone
-    ``shuffle_join`` / ``hyper_join`` run on the same decision, and the
-    cardinalities equal the reference join on the raw tables."""
+def test_interpreter_accounting_equals_the_plan(case, backend, storage, tpch_tables, tmp_path):
+    """Each ``JoinStats`` the interpreter produces is its decision's own
+    arithmetic — eq. (2) over the hyper-join plan, eq. (1) over the non-empty
+    relevant blocks — on both backends and both storage tiers, and every
+    cardinality equals the reference join on the raw tables."""
     force, table_names, make_query = INTERPRETER_CASES[case]
+    tier = (
+        {"persistence": "mmap", "storage_root": str(tmp_path / "root"), "buffer_bytes": 96 * 1024}
+        if storage == "mmap"
+        else {"persistence": "memory"}
+    )
     config = AdaptDBConfig(rows_per_block=512, buffer_blocks=4, seed=3,
-                           force_join_method=force)
-    session = Session(config=config)
-    for name in table_names:
-        session.load_table(tpch_tables[name])
-    query = make_query(session.rng)
-    logical = session.plan(query, adapt=False)
-    result = session.execute(session.lower(logical))
-    assert len(result.join_stats) == len(logical.join_decisions) == len(table_names) - 1
-    if force is not None:
-        assert result.join_methods == [force] * len(logical.join_decisions)
+                           force_join_method=force, execution_backend=backend,
+                           num_workers=2, **tier)
+    with Session(config=config) as session:
+        for name in table_names:
+            session.load_table(tpch_tables[name])
+        query = make_query(session.rng)
+        logical = session.plan(query, adapt=False)
+        result = session.execute(session.lower(logical))
 
-    cost_model = session.cluster.cost_model
-    for decision, stats in zip(logical.join_decisions, result.join_stats):
-        build, probe = decision.build_table, decision.probe_table
-        blocks_and_columns = (
-            session.dfs,
-            decision.build_blocks,
-            decision.probe_blocks,
-            decision.clause.column_for(build),
-            decision.clause.column_for(probe),
-        )
-        filters = (query.predicates_on(build), query.predicates_on(probe), cost_model)
-        if decision.method is JoinMethod.SHUFFLE:
-            direct = shuffle_join(
-                *blocks_and_columns, *filters,
-                num_partitions=session.cluster.num_machines,
+        def non_empty(block_ids: list[int]) -> int:
+            return sum(1 for block_id in block_ids if session.dfs.peek_block(block_id).num_rows)
+
+        assert len(result.join_stats) == len(logical.join_decisions) == len(table_names) - 1
+        if force is not None:
+            assert result.join_methods == [force] * len(logical.join_decisions)
+        cost_model = session.cluster.cost_model
+        for decision, stats in zip(logical.join_decisions, result.join_stats):
+            assert stats.method == decision.method.value
+            if decision.method is JoinMethod.HYPER:
+                plan = decision.hyper_plan
+                assert stats.build_blocks_read == len(plan.build_block_ids)
+                assert stats.probe_blocks_read == plan.estimated_probe_reads
+                assert stats.groups == plan.grouping.num_groups
+                assert stats.probe_multiplicity == plan.probe_multiplicity
+                assert stats.shuffled_blocks == 0
+                assert stats.cost_units == cost_model.hyper_join_cost(
+                    len(plan.build_block_ids), plan.estimated_probe_reads
+                )
+            else:
+                assert stats.build_blocks_read == non_empty(decision.build_blocks)
+                assert stats.probe_blocks_read == non_empty(decision.probe_blocks)
+                assert stats.shuffled_blocks == stats.total_blocks_read
+                assert stats.cost_units == cost_model.shuffle_join_cost(
+                    stats.build_blocks_read, stats.probe_blocks_read
+                )
+            build, probe = decision.build_table, decision.probe_table
+            assert stats.output_rows == reference_join_count(
+                tpch_tables[build],
+                tpch_tables[probe],
+                decision.clause.column_for(build),
+                decision.clause.column_for(probe),
+                query.predicates_on(build),
+                query.predicates_on(probe),
             )
-        else:
-            direct = hyper_join(
-                *blocks_and_columns, config.buffer_blocks, *filters,
-                algorithm=config.grouping_algorithm,
-            )
-        assert stats.method == direct.method
-        assert stats.output_rows == direct.output_rows
-        assert stats.build_blocks_read == direct.build_blocks_read
-        assert stats.probe_blocks_read == direct.probe_blocks_read
-        assert stats.cost_units == direct.cost_units
-        assert stats.output_rows == reference_join_count(
-            tpch_tables[build],
-            tpch_tables[probe],
-            decision.clause.column_for(build),
-            decision.clause.column_for(probe),
-            query.predicates_on(build),
-            query.predicates_on(probe),
-        )
     # The paper's serial model is the sum of exactly these per-join costs.
     assert result.cost_units == pytest.approx(
         sum(stats.cost_units for stats in result.join_stats)

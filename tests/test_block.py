@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.common.predicates import between, eq
+from repro.common.predicates import between, eq, rows_matching
 from repro.common.schema import DataType, Schema
 from repro.common.errors import StorageError
 from repro.storage.block import Block, compute_ranges, concatenate_columns
@@ -51,17 +51,18 @@ class TestBlock:
         assert block.ranges == {}
 
     def test_filtered_rows(self):
-        block = make_block()
-        rows = block.filtered([between("key", 2, 4)])
-        assert rows["key"].tolist() == [2, 3, 4]
-        assert rows["value"].tolist() == [20.0, 30.0, 40.0]
+        columns = make_block().columns
+        mask = rows_matching(columns, [between("key", 2, 4)])
+        assert columns["key"][mask].tolist() == [2, 3, 4]
+        assert columns["value"][mask].tolist() == [20.0, 30.0, 40.0]
 
     def test_filtered_without_predicates_returns_all(self):
-        assert make_block().filtered([])["key"].tolist() == [1, 2, 3, 4, 5]
+        columns = make_block().columns
+        assert columns["key"][rows_matching(columns, [])].tolist() == [1, 2, 3, 4, 5]
 
     def test_matching_count(self):
-        assert make_block().matching_count([eq("key", 3)]) == 1
-        assert make_block().matching_count([]) == 5
+        assert rows_matching(make_block().columns, [eq("key", 3)]).sum() == 1
+        assert rows_matching(make_block().columns, []).sum() == 5
 
     def test_column_access(self):
         assert make_block().column("key").tolist() == [1, 2, 3, 4, 5]

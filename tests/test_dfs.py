@@ -73,7 +73,7 @@ class TestBlockLifecycle:
 class TestReads:
     def test_get_block_returns_stored_data(self, dfs):
         block = dfs.create_block("t", make_columns(5))
-        fetched = dfs.get_block(block.block_id)
+        fetched = dfs.get_block(block.block_id, reader_machine=0)
         assert fetched.column("key").tolist() == list(range(5, 15))
 
     def test_peek_does_not_count_reads(self, dfs):
@@ -83,8 +83,8 @@ class TestReads:
 
     def test_get_counts_reads(self, dfs):
         block = dfs.create_block("t", make_columns())
-        dfs.get_block(block.block_id)
-        dfs.get_block(block.block_id)
+        dfs.get_block(block.block_id, reader_machine=0)
+        dfs.get_block(block.block_id, reader_machine=1)
         assert dfs.read_stats.total_reads == 2
 
     def test_locality_accounting_respects_placement(self, dfs):
@@ -99,11 +99,11 @@ class TestReads:
 
     def test_unknown_block_read_raises(self, dfs):
         with pytest.raises(StorageError):
-            dfs.get_block(42)
+            dfs.get_block(42, reader_machine=0)
 
     def test_reset_read_stats(self, dfs):
         block = dfs.create_block("t", make_columns())
-        dfs.get_block(block.block_id)
+        dfs.get_block(block.block_id, reader_machine=0)
         dfs.reset_read_stats()
         assert dfs.read_stats.total_reads == 0
         assert dfs.cluster.total_local_reads == 0

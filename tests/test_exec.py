@@ -21,7 +21,7 @@ import pytest
 
 from repro.api import Session
 from repro.cluster import Cluster
-from repro.common.predicates import ge
+from repro.common.predicates import ge, rows_matching
 from repro.common.query import Query, JoinClause, join_query, scan_query
 from repro.common.rng import make_rng
 from repro.core import AdaptDBConfig
@@ -148,9 +148,9 @@ class TestCompilation:
     def test_join_plan_compiles_to_tasks_with_matching_cost(self, small_db):
         query = join_query("lineitem", "orders", "l_orderkey", "o_orderkey")
         plan = small_db.plan(query, adapt=False)
-        compiled = compile_plan(plan, small_db.catalog, small_db.cluster, small_db.config)
+        compiled = compile_plan(plan, small_db.catalog, small_db.cluster)
         assert compiled.tasks, "a join plan must compile to at least one task"
-        result = small_db.executor.execute(plan)
+        result = small_db.execute(small_db.lower(plan))
         assert sum(t.cost_units for t in compiled.tasks) == pytest.approx(result.cost_units)
 
     def test_shuffle_join_compiles_map_and_reduce_stages(self, tpch_tables):
@@ -159,7 +159,7 @@ class TestCompilation:
         for name in ("lineitem", "orders"):
             db.load_table(tpch_tables[name])
         plan = db.plan(join_query("lineitem", "orders", "l_orderkey", "o_orderkey"), adapt=False)
-        compiled = compile_plan(plan, db.catalog, db.cluster, db.config)
+        compiled = compile_plan(plan, db.catalog, db.cluster)
         kinds = {task.kind for task in compiled.tasks}
         assert TaskKind.SHUFFLE_MAP in kinds
         assert TaskKind.SHUFFLE_REDUCE in kinds
@@ -179,7 +179,7 @@ class TestCompilation:
         for name in ("lineitem", "orders"):
             db.load_table(tpch_tables[name])
         plan = db.plan(join_query("lineitem", "orders", "l_orderkey", "o_orderkey"), adapt=False)
-        compiled = compile_plan(plan, db.catalog, db.cluster, db.config)
+        compiled = compile_plan(plan, db.catalog, db.cluster)
         reduces = [t for t in compiled.tasks if t.kind is TaskKind.SHUFFLE_REDUCE]
         maps = [t for t in compiled.tasks if t.kind is TaskKind.SHUFFLE_MAP]
         assert len(reduces) == db.cluster.num_machines
@@ -203,9 +203,9 @@ class TestCompilation:
         for name in ("lineitem", "orders"):
             db.load_table(tpch_tables[name])
         plan = db.plan(join_query("lineitem", "orders", "l_orderkey", "o_orderkey"), adapt=False)
-        compiled = compile_plan(plan, db.catalog, db.cluster, db.config)
+        compiled = compile_plan(plan, db.catalog, db.cluster)
         group_tasks = [t for t in compiled.tasks if t.kind is TaskKind.HYPER_GROUP]
-        assert len(group_tasks) == compiled.hyper_plans[0].grouping.num_groups
+        assert len(group_tasks) == plan.join_decisions[0].hyper_plan.grouping.num_groups
 
 
 class TestExecutorAccounting:
@@ -272,7 +272,7 @@ class TestExecutorAccounting:
         """A query whose relevant-block set is empty must not divide by zero."""
         plan = small_db.plan(scan_query("lineitem"), adapt=False)
         plan.scan_blocks["lineitem"] = []
-        compiled = compile_plan(plan, small_db.catalog, small_db.cluster, small_db.config)
+        compiled = compile_plan(plan, small_db.catalog, small_db.cluster)
         assert compiled.tasks == []
         schedule = Scheduler(small_db.cluster.num_machines).schedule(compiled.tasks)
         assert straggler_factor(schedule.machine_loads) == 1.0
@@ -325,11 +325,11 @@ class TestBatchedReads:
         dfs = small_db.dfs
         blocks = [dfs.peek_block(b) for b in table.non_empty_block_ids()]
         predicates = [ge("l_shipdate", 100)]
-        per_block = sum(b.matching_count(predicates) for b in blocks)
-        assert batch_matching_count(blocks, predicates) == per_block
+        masks = [rows_matching(b.columns, predicates) for b in blocks]
+        assert batch_matching_count(blocks, predicates) == sum(int(m.sum()) for m in masks)
         keys = gather_filtered_keys(blocks, "l_orderkey", predicates)
         per_block_keys = np.concatenate(
-            [b.filtered(predicates)["l_orderkey"] for b in blocks]
+            [b.columns["l_orderkey"][mask] for b, mask in zip(blocks, masks)]
         )
         assert np.array_equal(np.sort(keys), np.sort(per_block_keys))
 

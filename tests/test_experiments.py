@@ -151,6 +151,10 @@ class TestFig14:
         assert blocks == sorted(blocks, reverse=True)
         assert times == sorted(times, reverse=True)
         assert blocks[-1] < blocks[0]
+        # The modelled series are eq. (2) over the plan: pinned, so they stay
+        # put whichever executor runs the groups.
+        assert times == [9.0, 5.7, 4.2, 3.6]
+        assert blocks == [66, 33, 18, 12]
 
 
 class TestFig15:

@@ -1,4 +1,4 @@
-"""Tests for repro.join.kernels (key histograms, match counting, hash partitioning).
+"""Tests for repro.join.kernels (match counting, hash partitioning, the gather).
 
 The three task kernels — the counting join, the one-pass partition and the
 one-call gather — are each pinned against an oracle that shares no code with
@@ -21,10 +21,8 @@ from repro.common.errors import StorageError
 from repro.common.rng import make_rng
 from repro.join.kernels import (
     DENSE_SPAN_FACTOR,
-    KeyHistogram,
     gather_columns,
     hash_partition,
-    join_match_count,
     join_match_count_arrays,
     split_by_partition,
 )
@@ -35,54 +33,26 @@ from repro.storage.shared_memory import SharedBlockView, _layout
 from repro.testing import reference_join_count
 
 
-class TestKeyHistogram:
-    def test_from_keys_counts_multiplicities(self):
-        histogram = KeyHistogram.from_keys(np.array([1, 1, 2, 3, 3, 3]))
-        assert histogram.keys.tolist() == [1, 2, 3]
-        assert histogram.counts.tolist() == [2, 1, 3]
-        assert histogram.total == 6
-
-    def test_from_empty_keys(self):
-        histogram = KeyHistogram.from_keys(np.empty(0, dtype=np.int64))
-        assert histogram.total == 0
-
-    def test_merge_sums_counts(self):
-        merged = KeyHistogram.merge(
-            [
-                KeyHistogram.from_keys(np.array([1, 2, 2])),
-                KeyHistogram.from_keys(np.array([2, 3])),
-            ]
-        )
-        assert merged.keys.tolist() == [1, 2, 3]
-        assert merged.counts.tolist() == [1, 3, 1]
-
-    def test_merge_empty_list(self):
-        assert KeyHistogram.merge([]).total == 0
-
-    def test_merge_ignores_empty_histograms(self):
-        merged = KeyHistogram.merge(
-            [KeyHistogram.from_keys(np.empty(0, dtype=np.int64)),
-             KeyHistogram.from_keys(np.array([5]))]
-        )
-        assert merged.keys.tolist() == [5]
-
-
 class TestJoinMatchCount:
-    def test_simple_counts(self):
-        left = KeyHistogram.from_keys(np.array([1, 1, 2]))
-        right = KeyHistogram.from_keys(np.array([1, 2, 2, 3]))
+    """Float keys take the sort path: multiplicities multiply per common key."""
+
+    def test_simple_counts(self, sorted_joins):
+        left = np.array([1.0, 1.0, 2.0])
+        right = np.array([1.0, 2.0, 2.0, 3.0])
         # key 1: 2*1, key 2: 1*2
-        assert join_match_count(left, right) == 4
+        assert join_match_count_arrays(left, right) == 4
+        assert sorted_joins == [(3, 4)]
 
-    def test_no_common_keys(self):
-        left = KeyHistogram.from_keys(np.array([1, 2]))
-        right = KeyHistogram.from_keys(np.array([3, 4]))
-        assert join_match_count(left, right) == 0
+    def test_no_common_keys(self, sorted_joins):
+        left = np.array([1.5, 2.5])
+        right = np.array([0.5, 3.5])
+        assert join_match_count_arrays(left, right) == 0
+        assert sorted_joins == [(2, 2)]
 
-    def test_empty_side(self):
-        left = KeyHistogram.from_keys(np.empty(0, dtype=np.int64))
-        right = KeyHistogram.from_keys(np.array([1]))
-        assert join_match_count(left, right) == 0
+    def test_empty_side(self, sorted_joins):
+        assert join_match_count_arrays(np.empty(0), np.array([1.0])) == 0
+        assert join_match_count_arrays(np.array([1.0]), np.empty(0)) == 0
+        assert not sorted_joins, "an empty side is answered before any sort"
 
     def test_array_wrapper_matches_bruteforce(self, rng):
         left = rng.integers(0, 50, size=300)
@@ -161,11 +131,13 @@ def sorted_joins(monkeypatch) -> list:
     """Every fall-through to the sort path, as ``(build rows, probe rows)``."""
     calls: list = []
 
-    def recording(left, right):
-        calls.append((left.total, right.total))
-        return join_match_count(left, right)
+    sort = kernels._sorted_match_count
 
-    monkeypatch.setattr(kernels, "join_match_count", recording)
+    def recording(build_keys, probe_keys):
+        calls.append((len(build_keys), len(probe_keys)))
+        return sort(build_keys, probe_keys)
+
+    monkeypatch.setattr(kernels, "_sorted_match_count", recording)
     return calls
 
 

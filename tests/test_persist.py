@@ -211,7 +211,7 @@ class TestBlockBuffer:
             for _ in range(3)
         ]
         assert buffer.evictions == 0
-        dfs.get_block(blocks[0].block_id)  # refresh 0: LRU order is 1, 2, 0
+        dfs.get_block(blocks[0].block_id, 0)  # refresh 0: LRU order is 1, 2, 0
         dfs.create_block("t", {"key": np.arange(100, dtype=np.int64)})
         assert buffer.evictions == 1
         assert not blocks[1].is_resident
@@ -237,14 +237,14 @@ class TestBlockBuffer:
         ]
         assert not blocks[0].is_resident
         before = buffer.faults
-        _ = dfs.get_block(blocks[0].block_id).columns
+        _ = dfs.get_block(blocks[0].block_id, 0).columns
         assert buffer.faults == before + 1
         assert blocks[0].is_resident
 
     def test_hit_counted_only_for_resident_blocks(self, tmp_path):
         dfs, buffer = self.make_buffered_dfs(tmp_path, None)
         block = dfs.create_block("t", {"key": np.arange(10, dtype=np.int64)})
-        dfs.get_block(block.block_id)
+        dfs.get_block(block.block_id, 0)
         assert buffer.hits == 1
         assert dfs.read_stats.buffer_hits == 1
 
@@ -268,7 +268,7 @@ class TestBlockBuffer:
         assert buffer.resident_bytes == 0
         assert all(not block.is_resident for block in blocks)
         for block in blocks:
-            _ = dfs.get_block(block.block_id).columns
+            _ = dfs.get_block(block.block_id, 0).columns
         buffer.set_budget(100 * 8)
         assert buffer.resident_bytes <= 100 * 8
 
@@ -758,7 +758,7 @@ class TestDamagedSpillFiles:
         path = version_file(store, victim)
         DAMAGE[damage](path)
 
-        block = reopened.dfs.get_block(victim)  # metadata only: no error yet
+        block = reopened.dfs.get_block(victim, 0)  # metadata only: no error yet
         faults = buffer.faults
         with pytest.raises(StorageError) as raised:
             _ = block.columns
@@ -768,13 +768,13 @@ class TestDamagedSpillFiles:
         assert buffer.faults == faults, "a failed fault is not a fault"
         assert not buffer.is_resident(victim) and not block.is_resident
         # The damage is contained: other blocks still read.
-        assert reopened.dfs.get_block(intact).columns["p_partkey"].size > 0
+        assert reopened.dfs.get_block(intact, 0).columns["p_partkey"].size > 0
         assert buffer.faults == faults + 1
 
     def test_column_checksums_are_read_once_per_version(self, reopened, monkeypatch):
         buffer = reopened.persist.buffer
         block_id = reopened.table("part").non_empty_block_ids()[0]
-        block = reopened.dfs.get_block(block_id)
+        block = reopened.dfs.get_block(block_id, 0)
         calls = []
         real_crc32 = zlib.crc32
 
@@ -818,7 +818,7 @@ class TestAnnouncedFuture:
 
     def read(self, dfs, ids, references):
         for reference in references:
-            assert dfs.get_block(ids[reference]).columns["key"][0] == reference
+            assert dfs.get_block(ids[reference], 0).columns["key"][0] == reference
 
     def test_unannounced_reads_evict_least_recently_used(self, tmp_path):
         dfs, buffer, ids, victims = self.cold_blocks(tmp_path, count=4, capacity=3)
@@ -845,7 +845,7 @@ class TestAnnouncedFuture:
         buffer.reset_counters()
         del victims[:]
         dfs.announce([ids[0], ids[1], ids[2]])
-        for block, expected in zip(dfs.get_blocks([ids[0], ids[1], ids[2]]), (0, 1, 2)):
+        for block, expected in zip(dfs.get_blocks([ids[0], ids[1], ids[2]], 0), (0, 1, 2)):
             assert block.columns["key"][0] == expected
         assert victims == [ids[3], ids[0]]
         assert buffer.faults == 2 and buffer.hits == 1
@@ -1019,7 +1019,7 @@ class TestCompactionUnderTheBuffer:
         assert stayed, "at least one compacted block was still resident at the end"
 
         resident = [
-            session.dfs.get_block(block_id)  # the next touch recharges
+            session.dfs.get_block(block_id, 0)  # the next touch recharges
             for table in session.catalog.tables()
             for block_id in table.block_ids()
             if buffer.is_resident(block_id)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.common.errors import PartitioningError, SchemaError, StorageError
-from repro.common.predicates import between, le
+from repro.common.predicates import between, le, rows_matching
 from repro.common.rng import make_rng
 from repro.common.schema import DataType, Schema
 from repro.partitioning.two_phase import TwoPhasePartitioner
@@ -109,7 +109,7 @@ class TestLookup:
         matching_blocks = set(stored.lookup([predicate]))
         for block_id in stored.non_empty_block_ids():
             block = stored.dfs.peek_block(block_id)
-            if block.matching_count([predicate]) > 0:
+            if rows_matching(block.columns, [predicate]).any():
                 assert block_id in matching_blocks
 
     def test_lookup_can_include_empty_blocks(self):
