@@ -13,6 +13,7 @@ the join levels at the top are managed by smooth repartitioning instead.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -54,6 +55,11 @@ class AmoebaAdaptationStats:
     rows_moved: int = 0
 
 
+#: Predicate-tuple tokens, unique in the process: a token keys results in
+#: a tree's bottom memo, which outlives any one adaptor's token table.
+_TOKENS = itertools.count()
+
+
 @dataclass
 class AmoebaAdaptor:
     """Selection-driven refinement of the lower levels of partitioning trees.
@@ -65,18 +71,17 @@ class AmoebaAdaptor:
             incoming query; keeps adaptation incremental.
         benefit_threshold: Minimum net benefit required to apply a transform.
 
-    Candidate enumeration runs every query over every bottom-level node, so
-    its two pure sub-computations are memoized: candidate cutpoints (the
-    table sample never changes, so a (table, attribute, bounds) key is exact)
-    and the per-predicate-set block-touch counts used by the benefit
-    estimate (keyed on the node's split and the query's predicate tuple).
+    Candidate enumeration runs every query over every bottom-level node, one
+    attribute at a time: a tree's candidate cutpoints for an attribute and
+    each window query's blocks-touched counts are arrays over its bottom
+    nodes, memoized in the tree's :meth:`~PartitioningTree.bottom_memo`: the
+    table sample never changes, the memo lives as long as the nodes' path
+    bounds, and touched counts are keyed by the cutpoints they were taken at.
     """
 
     repartition_cost_per_block: float = 2.5
     max_transforms_per_query: int = 1
     benefit_threshold: float = 0.0
-    _cutpoint_cache: dict = field(default_factory=dict, repr=False)
-    _touched_cache: dict = field(default_factory=dict, repr=False)
     _predicate_tokens: dict = field(default_factory=dict, repr=False)
 
     # ------------------------------------------------------------------ #
@@ -95,75 +100,72 @@ class AmoebaAdaptor:
         if not hot_attributes:
             return []
 
-        # Tokenize each window query's predicate tuple once (the benefit memo
-        # keys on the small integer token instead of re-hashing the predicate
-        # dataclasses per candidate) and index the window entries by the
-        # attributes they actually constrain: an entry without a predicate on
-        # a split attribute always touches both leaves, so only the relevant
-        # entries need per-cutpoint evaluation.
-        self._trim_caches()
-        window_predicates: list[tuple[int, tuple[Predicate, ...]]] = []
+        # Tokenize each window query's predicate tuple once and index the
+        # window entries by the attributes they constrain: an entry without
+        # a predicate on a split attribute always touches both leaves, so
+        # only the entries indexed under it need evaluating.
+        if len(self._predicate_tokens) > self._MEMO_LIMIT:
+            self._predicate_tokens.clear()
+        total_entries = 0
         entries_by_attr: dict[str, list[tuple[int, tuple[Predicate, ...]]]] = {}
         for query in window.queries_on(table.name):
             predicates = tuple(query.predicates_on(table.name))
             if not predicates:
                 continue
-            token = self._predicate_tokens.setdefault(
-                predicates, len(self._predicate_tokens)
-            )
-            window_predicates.append((token, predicates))
+            token = self._predicate_tokens.get(predicates)
+            if token is None:
+                token = self._predicate_tokens[predicates] = next(_TOKENS)
+            total_entries += 1
             for column in sorted({predicate.column for predicate in predicates}):
                 entries_by_attr.setdefault(column, []).append((token, predicates))
-        total_entries = len(window_predicates)
-        candidates: list[TransformCandidate] = []
-        for tree_id, tree in table.trees.items():
-            for node, bounds in tree.bottom_internal_nodes():
-                if tree.join_attribute is not None and node.attribute == tree.join_attribute:
-                    # Never down-grade a join-attribute split into a selection
-                    # split: the join levels are managed by smooth repartitioning.
-                    continue
-                # One nested cache level per (table, bounds): attribute keys
-                # are plain strings whose hashes python caches, so the hot
-                # memo-hit path never re-hashes the bounds tuple.
-                node_cutpoints = self._cutpoint_cache.setdefault(
-                    (table.name, tuple(sorted(bounds.items()))), {}
+
+        ranked: list[tuple[float, int, int, int, TransformCandidate]] = []
+        for tree_position, (tree_id, tree) in enumerate(table.trees.items()):
+            bottom = tree.bottom_internal_nodes()
+            if not bottom:
+                continue
+            memo = tree.bottom_memo()
+            split_on = np.array([node.attribute for node, _ in bottom], dtype=object)
+            current_cuts = np.array([node.cutpoint for node, _ in bottom], dtype=np.float64)
+            current = np.empty(len(bottom), dtype=np.int64)
+            for attribute in dict.fromkeys(split_on.tolist()):
+                at = np.flatnonzero(split_on == attribute)
+                current[at] = self._touched_sums(
+                    memo, attribute, current_cuts[at], entries_by_attr, total_entries
                 )
-                for attribute in hot_attributes:
-                    if attribute == node.attribute:
-                        continue
-                    cutpoint = self._cutpoint_for(table, attribute, bounds, node_cutpoints)
-                    if cutpoint is None:
-                        continue
-                    benefit = self._estimate_benefit(
-                        node, attribute, cutpoint, entries_by_attr, total_entries
+            # Never down-grade a join-attribute split into a selection
+            # split: the join levels are managed by smooth repartitioning.
+            open_nodes = split_on != tree.join_attribute
+            for attribute_position, attribute in enumerate(hot_attributes):
+                cuts, has_cut = self._cutpoints(memo, table, attribute, tree.root)
+                proposed = self._touched_sums(
+                    memo, attribute, cuts, entries_by_attr, total_entries
+                )
+                benefit = (current - proposed).astype(np.float64) - (
+                    self.repartition_cost_per_block * 2
+                )
+                eligible = open_nodes & has_cut & (split_on != attribute) & (
+                    benefit > self.benefit_threshold
+                )
+                for position in np.flatnonzero(eligible).tolist():
+                    candidate = TransformCandidate(
+                        tree_id=tree_id,
+                        node=bottom[position][0],
+                        new_attribute=attribute,
+                        new_cutpoint=float(cuts[position]),
+                        benefit=float(benefit[position]),
                     )
-                    if benefit > self.benefit_threshold:
-                        candidates.append(
-                            TransformCandidate(
-                                tree_id=tree_id,
-                                node=node,
-                                new_attribute=attribute,
-                                new_cutpoint=cutpoint,
-                                benefit=benefit,
-                            )
-                        )
-        candidates.sort(key=lambda candidate: -candidate.benefit)
-        return candidates
+                    ranked.append(
+                        (-candidate.benefit, tree_position, position, attribute_position, candidate)
+                    )
+        # Highest benefit first; ties in (tree, node, attribute) order.
+        ranked.sort(key=lambda entry: entry[:4])
+        return [entry[4] for entry in ranked]
 
     _MEMO_LIMIT = 16_384
-
-    def _trim_caches(self) -> None:
-        """Bound the memo tables for workloads with non-repeating predicates.
-
-        ``_touched_cache`` keys on tokens issued by ``_predicate_tokens``,
-        so the two must be dropped together — clearing only the tokens would
-        let a reissued token alias a stale cached count.
-        """
-        if len(self._predicate_tokens) > self._MEMO_LIMIT or len(self._touched_cache) > self._MEMO_LIMIT:
-            self._predicate_tokens.clear()
-            self._touched_cache.clear()
-        if len(self._cutpoint_cache) > self._MEMO_LIMIT:
-            self._cutpoint_cache.clear()
+    #: Touched counts kept per tree: the live set is (split attributes) ×
+    #: (window entries), so this bound is only reached by stale entries.
+    _TOUCHED_LIMIT = 1_024
 
     # ------------------------------------------------------------------ #
     # Adaptation
@@ -193,103 +195,106 @@ class AmoebaAdaptor:
     # ------------------------------------------------------------------ #
     # Benefit estimation
     # ------------------------------------------------------------------ #
-    def _estimate_benefit(
+    def _touched_sums(
         self,
-        node: TreeNode,
+        memo: dict,
         attribute: str,
-        cutpoint: float,
+        cuts: np.ndarray,
         entries_by_attr: dict[str, list[tuple[int, tuple[Predicate, ...]]]],
         total_entries: int,
-    ) -> float:
-        """Blocks saved over the window if ``node`` were re-split on ``attribute``."""
-        assert node.left is not None and node.right is not None
-        current = self._touched_sum(node.attribute, node.cutpoint, entries_by_attr, total_entries)
-        proposed = self._touched_sum(attribute, cutpoint, entries_by_attr, total_entries)
-        return float(current - proposed) - self.repartition_cost_per_block * 2
-
-    def _touched_sum(
-        self,
-        attribute: str | None,
-        cutpoint: float | None,
-        entries_by_attr: dict[str, list[tuple[int, tuple[Predicate, ...]]]],
-        total_entries: int,
-    ) -> int:
-        """Σ over the window of blocks touched under one (attribute, cutpoint) split.
+    ) -> np.ndarray:
+        """Σ over the window of blocks touched per node, each node split on
+        ``attribute`` at ``cuts[node]``.
 
         Window entries without a predicate on ``attribute`` contribute a flat
-        2 (both leaves read); only the entries indexed under ``attribute``
-        need per-cutpoint evaluation.
+        2 (both leaves read).
         """
-        if attribute is None or cutpoint is None:
-            return 2 * total_entries
-        relevant = entries_by_attr.get(attribute)
-        if not relevant:
-            return 2 * total_entries
-        return 2 * (total_entries - len(relevant)) + sum(
-            self._blocks_touched(attribute, cutpoint, predicates, token)
-            for token, predicates in relevant
-        )
+        relevant = entries_by_attr.get(attribute, ())
+        total = np.full(len(cuts), 2 * (total_entries - len(relevant)), dtype=np.int64)
+        known = memo.setdefault("touched", {})
+        if len(known) > self._TOUCHED_LIMIT:
+            known.clear()
+        at = cuts.tobytes()
+        for token, predicates in relevant:
+            key = (attribute, at, token)
+            touched = known.get(key)
+            if touched is None:
+                touched = known[key] = blocks_touched(attribute, cuts, predicates)
+            total += touched
+        return total
 
-    def _blocks_touched(
+    def _cutpoints(
         self,
-        attribute: str | None,
-        cutpoint: float | None,
-        predicates: tuple[Predicate, ...],
-        token: int,
-    ) -> int:
-        """How many of a bottom node's two leaf blocks the predicates must read."""
-        if attribute is None or cutpoint is None:
-            return 2
-        key = (attribute, cutpoint, token)
-        cached = self._touched_cache.get(key)
-        if cached is not None:
-            return cached
-        relevant = [predicate for predicate in predicates if predicate.column == attribute]
-        if not relevant:
-            touched = 2
-        else:
-            touched = 0
-            if all(predicate.may_match_range(-math.inf, cutpoint) for predicate in relevant):
-                touched += 1
-            if all(predicate.may_match_range(cutpoint, math.inf) for predicate in relevant):
-                touched += 1
-            touched = max(touched, 0)
-        self._touched_cache[key] = touched
-        return touched
-
-    def _cutpoint_for(
-        self,
+        memo: dict,
         table: StoredTable,
         attribute: str,
-        bounds: dict[str, tuple[float, float]],
-        memo: dict | None = None,
-    ) -> float | None:
-        """Median of ``attribute`` in the table sample, restricted to ``bounds``.
-
-        The sample is fixed at load time, so results are memoized per
-        ``(table, bounds)`` in ``memo`` (a nested level of
-        ``_cutpoint_cache``) under the attribute name.
-        """
-        if memo is None:
-            memo = self._cutpoint_cache.setdefault(
-                (table.name, tuple(sorted(bounds.items()))), {}
+        root: TreeNode,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per bottom node: the median of ``attribute`` over the table sample
+        rows within the node's bounds (the whole sample when fewer than two
+        are), and whether there is one.  The rows within each node's bounds
+        are found once and shared by every attribute."""
+        key = ("cutpoints", attribute)
+        cached = memo.get(key)
+        if cached is None:
+            sample = table.sample
+            rows = memo.get("sample_rows")
+            if rows is None:
+                rows = memo["sample_rows"] = _bottom_sample_rows(root, sample)
+            values = sample[attribute]
+            found = [
+                median_cutpoint(values[within] if len(within) >= 2 else values)
+                for within in rows
+            ]
+            cached = memo[key] = (
+                np.array([math.nan if cut is None else cut for cut in found], dtype=np.float64),
+                np.array([cut is not None for cut in found], dtype=bool),
             )
-        if attribute in memo:
-            return memo[attribute]
-        sample = table.sample
-        if attribute not in sample or len(sample[attribute]) == 0:
-            cutpoint = None
+        return cached
+
+
+def _bottom_sample_rows(root: TreeNode, sample: dict[str, np.ndarray]) -> list[np.ndarray]:
+    """Per bottom internal node, in :meth:`PartitioningTree.bottom_internal_nodes`
+    order: the indices of the sample rows inside its closed path bounds.
+
+    A child's rows are its parent's narrowed by one comparison — ``<= cut``
+    on the left, ``>= cut`` on the right — which is the path-bounds test
+    one attribute at a time; a NaN cutpoint or an attribute the sample lacks
+    narrows nothing, as it leaves the bounds as they are.
+    """
+    result: list[np.ndarray] = []
+
+    def descend(node: TreeNode, rows: np.ndarray) -> None:
+        if node.is_leaf:
+            return
+        assert node.left is not None and node.right is not None
+        if node.left.is_leaf and node.right.is_leaf:
+            result.append(rows)
+            return
+        values = sample.get(node.attribute)  # type: ignore[arg-type]
+        cut = node.cutpoint
+        if values is None or cut is None or math.isnan(cut):
+            left = right = rows
         else:
-            mask = np.ones(len(sample[attribute]), dtype=bool)
-            for bounded_attribute, (lo, hi) in bounds.items():
-                if bounded_attribute in sample:
-                    values = sample[bounded_attribute]
-                    mask &= (values >= lo) & (values <= hi)
-            subset = sample[attribute][mask]
-            if len(subset) < 2:
-                subset = sample[attribute]
-            cutpoint = median_cutpoint(subset)
-        memo[attribute] = cutpoint
-        return cutpoint
+            at = values[rows]
+            left, right = rows[at <= cut], rows[at >= cut]
+        descend(node.left, left)
+        descend(node.right, right)
+
+    descend(root, np.arange(len(next(iter(sample.values())))))
+    return result
 
 
+def blocks_touched(
+    attribute: str, cuts: np.ndarray, predicates: tuple[Predicate, ...]
+) -> np.ndarray:
+    """How many of a bottom node's two leaf blocks ``predicates`` must read,
+    per node, when each node splits on ``attribute`` at ``cuts[node]``: the
+    left leaf when every predicate on ``attribute`` may match ``(-inf, cut)``,
+    the right one when every one may match ``(cut, inf)``."""
+    left = right = True
+    for predicate in predicates:
+        if predicate.column == attribute:
+            left = left & predicate.may_match_range(-math.inf, cuts)
+            right = right & predicate.may_match_range(cuts, math.inf)
+    return np.add(left, right, dtype=np.int64)

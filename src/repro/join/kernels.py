@@ -5,8 +5,9 @@ need to (a) account block accesses faithfully and (b) compute the *correct*
 number of join matches so tests can verify results against a reference join.
 
 * :func:`gather_columns`: one ``np.concatenate`` per column over the batch,
-  O(rows).  ``block.columns`` compacts pending chunks on the first read after
-  an append, so the copy is paid once, not on each of a block's many reads.
+  O(rows).  ``block.arrays(names)`` compacts the named columns on their first
+  read after an append, so the copy is paid once, not on each of a block's
+  many reads, and never for a column no task reads.
 * :func:`join_match_count_arrays`: integer keys whose shared range spans at
   most :data:`DENSE_SPAN_FACTOR` slots per row are counted into a direct-address
   table the probe keys index, O(rows + span), no sort.  Under range
@@ -80,7 +81,7 @@ def gather_columns(blocks: Iterable["Block"], columns: list[str]) -> dict[str, n
     only the last-resort default when no block carries the column at all.
     """
     blocks = list(blocks)
-    sources = [block.columns for block in blocks if block.num_rows]
+    sources = [block.arrays(columns) for block in blocks if block.num_rows]
     if not sources:
         empties = [block.columns for block in reversed(blocks)]  # the first block wins
         dtypes = {name: e[name].dtype for e in empties for name in columns if name in e}

@@ -16,20 +16,21 @@ In AdaptDB a tree may additionally carry a *join attribute*: the top
 Section 5.1).
 
 Both hot entry points run off a *compiled* form of the tree: flat numpy
-arrays (per-node attribute index, cutpoint and child offsets, plus the
-left-to-right leaf list) built once and cached until the structure changes.
-``lookup`` walks the arrays iteratively, narrowing one ``(lo, hi)`` interval
-per attribute in place instead of copying a bounds dict per node, and
-``route_rows`` advances all rows level-synchronously through the node arrays
-instead of rebuilding ``leaves()`` and an ``id()``-keyed index per call.
-Structural edits must go through :meth:`resplit_node` (or call
-:meth:`invalidate_compiled`) so the cache is rebuilt.
+arrays (per-node attribute index, cutpoint and child offsets, the
+left-to-right leaf list, and every leaf's box — its path interval per
+attribute) built once and cached until the structure changes.  ``lookup``
+is one array ``may_match_range`` per predicate over the leaf boxes, ANDed,
+and ``route_rows`` advances all rows level-synchronously through the node
+arrays.  Structural edits must go through :meth:`resplit_node` (or call
+:meth:`invalidate_compiled`) so the cache is patched or rebuilt, and leaves
+are (re)bound through :meth:`assign_block_ids`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -78,8 +79,11 @@ class CompiledTree:
     into ``attributes`` of node ``i``'s split attribute, or ``-1`` for a
     leaf; ``left``/``right`` hold child node numbers (``-1`` for leaves) and
     ``leaf_pos`` maps a leaf node number to its left-to-right leaf position.
-    ``leaf_nodes`` keeps the live :class:`TreeNode` references so block-id
-    (re)binding never stales the cache.
+    ``leaf_lo[a, j]`` / ``leaf_hi[a, j]`` bound attribute ``a`` on leaf
+    ``j``'s root path: a row routed to leaf ``j`` has ``leaf_lo < value <=
+    leaf_hi`` on every split attribute (``-inf`` / ``inf`` where the path
+    never splits on it).  ``bound_blocks`` / ``bound_leaves`` and
+    ``block_leaf`` are derived from the leaves' block ids on first use.
     """
 
     attributes: list[str]
@@ -91,9 +95,24 @@ class CompiledTree:
     leaf_pos: np.ndarray
     leaf_nodes: list[TreeNode]
     node_index: dict[int, int]
-    parent: np.ndarray
-    all_block_ids: list[int] | None = None
-    block_leaf_node: dict[int, int] | None = None
+    leaf_lo: np.ndarray
+    leaf_hi: np.ndarray
+    bound_blocks: list[int] | None = None
+    bound_leaves: np.ndarray | None = None
+    block_leaf: dict[int, int] | None = None
+
+    def bound_leaf_blocks(self) -> tuple[list[int], np.ndarray]:
+        """Block ids of the bound leaves, left to right, and their leaf positions.
+
+        The ids are the leaves' own ``int`` objects: lookup results select
+        from this list instead of allocating an ``int`` per block per call.
+        """
+        if self.bound_blocks is None:
+            positions = [p for p, leaf in enumerate(self.leaf_nodes) if leaf.block_id is not None]
+            self.bound_blocks = [self.leaf_nodes[p].block_id for p in positions]  # type: ignore[misc]
+            self.bound_leaves = np.array(positions, dtype=np.intp)
+        assert self.bound_leaves is not None
+        return self.bound_blocks, self.bound_leaves
 
 
 @dataclass
@@ -114,6 +133,7 @@ class PartitioningTree:
     tree_id: int = 0
     _compiled: CompiledTree | None = field(default=None, init=False, repr=False, compare=False)
     _bottom_nodes: list | None = field(default=None, init=False, repr=False, compare=False)
+    _bottom_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------ #
     # Compilation
@@ -122,6 +142,7 @@ class PartitioningTree:
         """Drop the compiled form after a structural change to the tree."""
         self._compiled = None
         self._bottom_nodes = None
+        self._bottom_memo = {}
 
     def compiled(self) -> CompiledTree:
         """Return the compiled form, rebuilding it if the structure changed."""
@@ -149,7 +170,6 @@ class PartitioningTree:
         left = np.full(count, -1, dtype=np.int32)
         right = np.full(count, -1, dtype=np.int32)
         leaf_pos = np.full(count, -1, dtype=np.int32)
-        parent = np.full(count, -1, dtype=np.int32)
         leaf_nodes: list[TreeNode] = []
 
         for index, node in enumerate(nodes):
@@ -167,8 +187,23 @@ class PartitioningTree:
             cutpoints[index] = node.cutpoint
             left[index] = index_of[id(node.left)]
             right[index] = index_of[id(node.right)]
-            parent[left[index]] = index
-            parent[right[index]] = index
+
+        # Path boxes in preorder: a parent's box is final before its
+        # children's.  ``c if c < hi else hi`` (not np.minimum) leaves a box
+        # untouched by a NaN cutpoint, exactly as routing never sends a row
+        # through a NaN comparison's left side.
+        lo = np.full((count, len(attributes)), -math.inf)
+        hi = np.full((count, len(attributes)), math.inf)
+        for index in np.flatnonzero(node_attr >= 0).tolist():
+            attr_index, cutpoint = node_attr[index], cutpoints[index]
+            left_child, right_child = left[index], right[index]
+            lo[left_child] = lo[right_child] = lo[index]
+            hi[left_child] = hi[right_child] = hi[index]
+            if cutpoint < hi[index, attr_index]:
+                hi[left_child, attr_index] = cutpoint
+            if cutpoint > lo[index, attr_index]:
+                lo[right_child, attr_index] = cutpoint
+        leaves = np.flatnonzero(node_attr < 0)  # preorder = left to right
 
         return CompiledTree(
             attributes=attributes,
@@ -180,7 +215,8 @@ class PartitioningTree:
             leaf_pos=leaf_pos,
             leaf_nodes=leaf_nodes,
             node_index=index_of,
-            parent=parent,
+            leaf_lo=np.ascontiguousarray(lo[leaves].T),
+            leaf_hi=np.ascontiguousarray(hi[leaves].T),
         )
 
     # ------------------------------------------------------------------ #
@@ -197,12 +233,7 @@ class PartitioningTree:
 
     def block_ids(self) -> list[int]:
         """Block ids of all leaves that have been bound to blocks."""
-        compiled = self.compiled()
-        if compiled.all_block_ids is None:
-            compiled.all_block_ids = [
-                leaf.block_id for leaf in compiled.leaf_nodes if leaf.block_id is not None
-            ]
-        return list(compiled.all_block_ids)
+        return list(self.compiled().bound_leaf_blocks()[0])
 
     def assign_block_ids(self, block_ids: list[int]) -> None:
         """Bind leaf nodes to DFS block ids, left to right.
@@ -219,8 +250,8 @@ class PartitioningTree:
             )
         for leaf, block_id in zip(leaves, block_ids):
             leaf.block_id = block_id
-        compiled.all_block_ids = None
-        compiled.block_leaf_node = None
+        compiled.bound_blocks = compiled.bound_leaves = None
+        compiled.block_leaf = None
 
     # ------------------------------------------------------------------ #
     # Structure inspection / mutation
@@ -270,14 +301,14 @@ class PartitioningTree:
         """
         if node.is_leaf:
             raise PartitioningError("cannot re-split a leaf node")
+        assert node.left is not None and node.right is not None
         node.attribute = attribute
         node.cutpoint = cutpoint
-        assert node.left is not None and node.right is not None
-        if not (node.left.is_leaf and node.right.is_leaf):
-            # Re-splitting above the bottom level changes descendants' path
-            # bounds; the bottom-node cache must be rebuilt.
-            self._bottom_nodes = None
         compiled = self._compiled
+        if not (node.left.is_leaf and node.right.is_leaf):
+            # Above the bottom level every descendant's path box changes.
+            self.invalidate_compiled()
+            return
         if compiled is None:
             return
         index = compiled.node_index.get(id(node))
@@ -289,14 +320,31 @@ class PartitioningTree:
             attr_index = len(compiled.attributes)
             compiled.attributes.append(attribute)
             compiled.attribute_index[attribute] = attr_index
+            width = compiled.leaf_lo.shape[1]
+            compiled.leaf_lo = np.vstack([compiled.leaf_lo, np.full((1, width), -math.inf)])
+            compiled.leaf_hi = np.vstack([compiled.leaf_hi, np.full((1, width), math.inf)])
         compiled.node_attr[index] = attr_index
         compiled.cutpoints[index] = cutpoint
+        # The node's own box is the union of its two leaves' boxes; the new
+        # split narrows one attribute of each side, as _compile would.
+        left_leaf = compiled.leaf_pos[compiled.left[index]]
+        right_leaf = compiled.leaf_pos[compiled.right[index]]
+        pair = [left_leaf, right_leaf]
+        box_lo = compiled.leaf_lo[:, pair].min(axis=1)
+        box_hi = compiled.leaf_hi[:, pair].max(axis=1)
+        compiled.leaf_lo[:, pair] = box_lo[:, None]
+        compiled.leaf_hi[:, pair] = box_hi[:, None]
+        if cutpoint < box_hi[attr_index]:
+            compiled.leaf_hi[attr_index, left_leaf] = cutpoint
+        if cutpoint > box_lo[attr_index]:
+            compiled.leaf_lo[attr_index, right_leaf] = cutpoint
 
     def bottom_internal_nodes(self) -> list[tuple[TreeNode, dict[str, tuple[float, float]]]]:
         """Internal nodes whose two children are both leaves, with path bounds.
 
         The result is cached alongside the compiled form (Amoeba enumerates
-        these every query); treat the bounds dicts as read-only.
+        these every query); treat the bounds dicts as read-only.  See
+        :meth:`bottom_memo` for results derived from it.
         """
         if self._bottom_nodes is None:
             result: list[tuple[TreeNode, dict[str, tuple[float, float]]]] = []
@@ -320,6 +368,12 @@ class PartitioningTree:
             descend(self.root, {})
             self._bottom_nodes = result
         return self._bottom_nodes
+
+    def bottom_memo(self) -> dict:
+        """Scratch space for results derived from :meth:`bottom_internal_nodes`,
+        emptied with it; a bottom-level re-split keeps both, so what depends
+        on a node's own split must key on it."""
+        return self._bottom_memo
 
     # ------------------------------------------------------------------ #
     # Routing
@@ -385,121 +439,41 @@ class PartitioningTree:
     def lookup(self, predicates: list[Predicate] | None = None) -> list[int]:
         """Return the block ids of leaves that may contain matching rows.
 
-        This is the ``lookup(T, q)`` function from the paper's cost model.
-        Leaves that are not bound to a block id are skipped.  The walk is
-        iterative over the compiled arrays: one ``(lo, hi)`` interval per
-        attribute is narrowed before descending and restored afterwards, and
-        only the predicates on the node's own split attribute are re-checked
-        (the rest were already satisfied on the path down).
+        This is the ``lookup(T, q)`` function from the paper's cost model: a
+        leaf matches when every predicate on a split attribute may match the
+        leaf's box.  Leaves that are not bound to a block id are skipped.
         """
         compiled = self.compiled()
-        leaf_nodes = compiled.leaf_nodes
-
-        predicates_by_attr: dict[int, list[Predicate]] = {}
-        for predicate in predicates or ():
-            attr_index = compiled.attribute_index.get(predicate.column)
-            if attr_index is not None:
-                predicates_by_attr.setdefault(attr_index, []).append(predicate)
-        if not predicates_by_attr:
-            if compiled.all_block_ids is None:
-                compiled.all_block_ids = [
-                    leaf.block_id for leaf in leaf_nodes if leaf.block_id is not None
-                ]
-            return list(compiled.all_block_ids)
-
-        node_attr, cutpoints = compiled.node_attr, compiled.cutpoints
-        left, right, leaf_pos = compiled.left, compiled.right, compiled.leaf_pos
-        lo = [-math.inf] * len(compiled.attributes)
-        hi = [math.inf] * len(compiled.attributes)
-        matched: list[int] = []
-
-        # Stack entries: (node, attr, lo_value, hi_value).  node >= 0 visits
-        # that node after installing bounds[attr] = (lo_value, hi_value)
-        # (attr < 0: nothing to install); node < 0 restores bounds[attr].
-        stack: list[tuple[int, int, float, float]] = [(0, -1, 0.0, 0.0)]
-        while stack:
-            node, attr, lo_value, hi_value = stack.pop()
-            if node < 0:
-                lo[attr], hi[attr] = lo_value, hi_value
-                continue
-            if attr >= 0:
-                lo[attr], hi[attr] = lo_value, hi_value
-            split_attr = node_attr[node]
-            if split_attr < 0:
-                leaf = leaf_nodes[leaf_pos[node]]
-                if leaf.block_id is not None:
-                    matched.append(leaf.block_id)
-                continue
-            cutpoint = cutpoints[node]
-            current_lo, current_hi = lo[split_attr], hi[split_attr]
-            left_hi = cutpoint if cutpoint < current_hi else current_hi
-            right_lo = cutpoint if cutpoint > current_lo else current_lo
-            attr_predicates = predicates_by_attr.get(split_attr)
-            if attr_predicates is None:
-                visit_left = visit_right = True
-            else:
-                visit_left = all(
-                    p.may_match_range(current_lo, left_hi) for p in attr_predicates
-                )
-                visit_right = all(
-                    p.may_match_range(right_lo, current_hi) for p in attr_predicates
-                )
-            stack.append((-1, split_attr, current_lo, current_hi))
-            if visit_right:
-                stack.append((right[node], split_attr, right_lo, current_hi))
-            if visit_left:
-                stack.append((left[node], split_attr, current_lo, left_hi))
-
-        return matched
-
-    def lookup_block(self, block_id: int, predicates: list[Predicate] | None = None) -> bool:
-        """Whether :meth:`lookup` would include ``block_id`` — in O(depth).
-
-        Walks the compiled parent chain from the block's leaf to the root,
-        intersecting the per-attribute path interval, and tests the
-        predicates against that final interval.  ``may_match_range`` is
-        monotone under interval widening for every operator, so passing the
-        final (narrowest) interval implies passing every intermediate one —
-        this reproduces :meth:`lookup` membership exactly without walking
-        the whole tree.  Unknown block ids return ``False``.
-        """
-        compiled = self.compiled()
-        if compiled.block_leaf_node is None:
-            leaf_pos = compiled.leaf_pos
-            leaf_nodes = compiled.leaf_nodes
-            compiled.block_leaf_node = {
-                bound: int(node)
-                for node in np.flatnonzero(leaf_pos >= 0)
-                if (bound := leaf_nodes[leaf_pos[node]].block_id) is not None
-            }
-        node = compiled.block_leaf_node.get(block_id)
-        if node is None:
-            return False
-
-        # attribute index -> [lo, hi]; min/max make the walk order-free.
-        intervals: dict[int, list[float]] = {}
-        parent, left = compiled.parent, compiled.left
-        node_attr, cutpoints = compiled.node_attr, compiled.cutpoints
-        child = node
-        above = int(parent[child])
-        while above >= 0:
-            box = intervals.setdefault(int(node_attr[above]), [-math.inf, math.inf])
-            cutpoint = float(cutpoints[above])
-            if left[above] == child:
-                if cutpoint < box[1]:
-                    box[1] = cutpoint
-            elif cutpoint > box[0]:
-                box[0] = cutpoint
-            child = above
-            above = int(parent[above])
-
+        keep = None
         for predicate in predicates or ():
             attr_index = compiled.attribute_index.get(predicate.column)
             if attr_index is None:
-                continue  # lookup() ignores predicates on unsplit columns
-            box = intervals.get(attr_index)
-            lo, hi = (box[0], box[1]) if box is not None else (-math.inf, math.inf)
-            if not predicate.may_match_range(lo, hi):
+                continue  # the tree never splits on it: no leaf is pruned
+            match = predicate.may_match_range(
+                compiled.leaf_lo[attr_index], compiled.leaf_hi[attr_index]
+            )
+            keep = match if keep is None else keep & match
+        blocks, positions = compiled.bound_leaf_blocks()
+        if keep is None:
+            return list(blocks)
+        return list(compress(blocks, keep[positions].tolist()))
+
+    def lookup_block(self, block_id: int, predicates: list[Predicate] | None = None) -> bool:
+        """Whether :meth:`lookup` would include ``block_id``: its leaf's box
+        against each predicate.  Unknown block ids return ``False``."""
+        compiled = self.compiled()
+        if compiled.block_leaf is None:
+            blocks, positions = compiled.bound_leaf_blocks()
+            compiled.block_leaf = dict(zip(blocks, positions.tolist()))
+        position = compiled.block_leaf.get(block_id)
+        if position is None:
+            return False
+        for predicate in predicates or ():
+            attr_index = compiled.attribute_index.get(predicate.column)
+            if attr_index is not None and not predicate.may_match_range(
+                float(compiled.leaf_lo[attr_index, position]),
+                float(compiled.leaf_hi[attr_index, position]),
+            ):
                 return False
         return True
 
@@ -509,24 +483,14 @@ class PartitioningTree:
         Returns a mapping ``block_id -> (lo, hi)`` for bound leaves.  Leaves
         under subtrees that never split on ``attribute`` get infinite bounds.
         """
-        result: dict[int, tuple[float, float]] = {}
-
-        def descend(node: TreeNode, lo: float, hi: float) -> None:
-            if node.is_leaf:
-                if node.block_id is not None:
-                    result[node.block_id] = (lo, hi)
-                return
-            assert node.left is not None and node.right is not None
-            if node.attribute == attribute:
-                assert node.cutpoint is not None
-                descend(node.left, lo, min(hi, node.cutpoint))
-                descend(node.right, max(lo, node.cutpoint), hi)
-            else:
-                descend(node.left, lo, hi)
-                descend(node.right, lo, hi)
-
-        descend(self.root, -math.inf, math.inf)
-        return result
+        compiled = self.compiled()
+        attr_index = compiled.attribute_index.get(attribute)
+        blocks, positions = compiled.bound_leaf_blocks()
+        if attr_index is None:
+            return {block: (-math.inf, math.inf) for block in blocks}
+        lows = compiled.leaf_lo[attr_index, positions].tolist()
+        highs = compiled.leaf_hi[attr_index, positions].tolist()
+        return dict(zip(blocks, zip(lows, highs)))
 
     def describe(self) -> str:
         """Multi-line textual rendering of the tree (for debugging/docs)."""

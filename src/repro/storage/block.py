@@ -6,22 +6,26 @@ the equivalent of a 64 MB HDFS block in the paper.  Blocks store real rows
 carry per-column min/max metadata, which is what the hyper-join overlap
 computation and the partitioning-tree lookup consume.
 
-Storage is *chunked*: appends (the smooth-repartitioning write path) push the
-incoming column arrays onto a chunk list and only update the per-column
-min/max ranges and row/byte counters incrementally — O(appended rows)
-instead of O(block rows) — an LSM-style write path with deferred compaction.
-Who compacts: the first columnar read after an append (``columns``: a task's
-gather, a spill, a shared-memory pin), in place and once — a block is read
-hundreds of times between appends.  Who deliberately does not: block
-migration streams ``column_parts()`` of its sources, which are about to be
-cleared; compacting them first would copy every row twice.
+Storage is *chunked per column*: appends (the smooth-repartitioning write
+path) push each incoming column array onto that column's pending list and
+only update the per-column min/max ranges and row/byte counters
+incrementally — O(appended rows) instead of O(block rows) — an LSM-style
+write path with deferred compaction.  A pending column's old contents become
+its first piece, so no reader ever sees a stale array.  Who compacts: the
+first read of a column after an append, in place and once — a block is read
+hundreds of times between appends.  A task names the columns it reads
+(``arrays``), so the columns no task reads stay pending; ``columns`` (a
+spill, a shared-memory pin, a re-split) compacts every column.  Who
+deliberately does not: block migration streams ``column_pieces()`` of its
+sources, which are about to be cleared; compacting them first would copy
+every row twice.
 
 Under the persistence tier a block can additionally be **unloaded**: its
 consolidated columns are dropped (``_columns is None``) and fault back in
 through a bound loader on the next columnar read.  Metadata — ranges,
 ``size_bytes``, ``num_rows`` — always stays resident, so planning peeks and
-pruning never touch disk.  Appends to an unloaded block land on the chunk
-list without faulting; the on-disk prefix is only read when something
+pruning never touch disk.  Appends to an unloaded block land on the pending
+lists without faulting; the on-disk prefix is only read when something
 actually consumes the rows.  ``dirty`` tracks whether the in-memory state
 has diverged from the newest spill — only clean blocks may drop their
 columns, dirty ones are written back first.
@@ -29,7 +33,7 @@ columns, dirty ones are written back first.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable, Mapping, Sequence, cast
 
 import numpy as np
 
@@ -63,7 +67,7 @@ class Block:
 
     __slots__ = (
         "block_id", "table", "ranges", "size_bytes",
-        "_columns", "_chunks", "_num_rows", "_loader", "dirty",
+        "_columns", "_pending", "_num_rows", "_loader", "dirty",
     )
 
     def __init__(
@@ -76,8 +80,12 @@ class Block:
     ) -> None:
         self.block_id = block_id
         self.table = table
-        self._columns: dict[str, np.ndarray] | None = dict(columns)
-        self._chunks: list[dict[str, np.ndarray]] = []
+        #: Column name -> its contiguous array, or ``None`` while appends to
+        #: it await a merge: its pieces, old contents first, are in
+        #: ``_pending``.  A column's key keeps its place either way.
+        self._columns: dict[str, np.ndarray | None] | None = dict(columns)
+        #: Column name -> its pieces in row order, awaiting one merge.
+        self._pending: dict[str, list[np.ndarray]] = {}
         self._num_rows = _chunk_rows(self._columns, block_id)
         self.ranges = ranges if ranges else compute_ranges(self._columns)
         self.size_bytes = size_bytes if size_bytes else _estimate_bytes(self._columns)
@@ -125,19 +133,32 @@ class Block:
         """Column name -> contiguous value array.
 
         Faults an unloaded block's columns back in through the bound loader,
-        then consolidates pending chunks.
+        then consolidates every pending column.
         """
         if self._columns is None:
             self._fault()
-        if self._chunks:
+        if self._pending:
             self.consolidate()
-        assert self._columns is not None
-        return self._columns
+        return cast("dict[str, np.ndarray]", self._columns)
+
+    def arrays(self, names: list[str]) -> Mapping[str, np.ndarray | None]:
+        """A mapping in which each of ``names`` is one contiguous array.
+
+        Like :attr:`columns`, but only ``names`` are consolidated: a reader
+        that needs two of twelve columns leaves the other ten pending, and
+        their entries are ``None``, never stale.  Treat the result as
+        read-only; it is the block's own mapping, not a copy.
+        """
+        if self._columns is None:
+            self._fault()
+        if self._pending and not self._pending.keys().isdisjoint(names):
+            self._merge(names)
+        return cast("dict[str, np.ndarray | None]", self._columns)
 
     @property
-    def num_pending_chunks(self) -> int:
-        """How many appended chunks await consolidation (0 when contiguous)."""
-        return len(self._chunks)
+    def pending_columns(self) -> dict[str, int]:
+        """Column -> pieces awaiting one merge (empty when contiguous)."""
+        return {name: len(pieces) for name, pieces in self._pending.items()}
 
     @property
     def is_resident(self) -> bool:
@@ -162,65 +183,70 @@ class Block:
     # ------------------------------------------------------------------ #
     # Mutation (append path)
     # ------------------------------------------------------------------ #
-    def append_rows(
-        self,
-        rows: dict[str, np.ndarray],
-        chunk_ranges: dict[str, tuple[float, float]] | None = None,
-    ) -> int:
-        """Append ``rows`` as a chunk, updating metadata incrementally.
+    def append_rows(self, rows: dict[str, np.ndarray]) -> int:
+        """Append ``rows`` as pending pieces, updating metadata incrementally.
 
-        Ranges merge via min/max against the incoming chunk only, the row and
-        byte counters accumulate, and no data is copied until the next
-        columnar read.
-
-        Args:
-            rows: Column name -> value array (all equal length).
-            chunk_ranges: Optional precomputed per-column (min, max) of the
-                chunk — the block-migration path derives them for every
-                target leaf with one ``reduceat`` per column, which is much
-                cheaper than one reduction per leaf here.
-
-        Returns:
-            The number of rows appended.
+        ``rows`` maps every column name to a value array, all of equal
+        length; returns how many rows were appended.  Ranges merge via
+        min/max against the incoming rows only, the row and byte counters
+        accumulate, and no data is copied until the next read of each column.
         """
-        if chunk_ranges is None:
-            added = _chunk_rows(rows, self.block_id)
-            if added == 0:
-                return 0
-            # Validate against the *effective* column set — the consolidated
-            # dict when present (even with zero rows, it is the schema), the
-            # first chunk for an initially column-less block — so validation
-            # always agrees with what consolidate() will produce.
-            stored = self._columns if self._columns else (
-                self._chunks[0] if self._chunks else None
+        added = _chunk_rows(rows, self.block_id)
+        if added == 0:
+            return 0
+        # Validate against the *effective* column set — consolidated and
+        # pending together (an initially column-less block has only the
+        # latter) — so validation always agrees with what a read produces.
+        stored = (self._columns or {}).keys() | self._pending.keys()
+        if stored and rows.keys() != stored:
+            raise StorageError(
+                f"block {self.block_id}: appended columns {sorted(rows)} do not match "
+                f"stored columns {sorted(stored)}"
             )
-            if stored is not None and rows.keys() != stored.keys():
-                raise StorageError(
-                    f"block {self.block_id}: appended columns {sorted(rows)} do not match "
-                    f"stored columns {sorted(stored)}"
-                )
-            rows = dict(rows)
-        else:
-            # Trusted internal path (block migration): the caller built the
-            # chunk from equal-length slices and owns the dict.
-            added = len(next(iter(rows.values()))) if rows else 0
-            if added == 0:
-                return 0
-        self._chunks.append(rows)
-        self.dirty = True
-        self._num_rows += added
-        self.size_bytes += _estimate_bytes(rows)
+        pieces = list(rows.values())
+        lows = [float(piece.min()) for piece in pieces]
+        self.extend(list(rows), pieces, added, lows, [float(piece.max()) for piece in pieces])
+        return added
+
+    def extend(
+        self,
+        names: list[str],
+        pieces: list[np.ndarray],
+        num_rows: int,
+        lows: Sequence[float],
+        highs: Sequence[float],
+    ) -> None:
+        """Trusted append of ``num_rows`` rows: ``pieces[i]`` holds column
+        ``names[i]``, whose (min, max) over the piece is ``(lows[i], highs[i])``.
+
+        Block migration calls this once per target block: it has cut the
+        pieces from one sorted batch and derived every target's ranges with
+        one ``reduceat`` per column, so nothing is validated or reduced here.
+        """
+        columns, pending = self._columns, self._pending
         ranges = self.ranges
-        for name, array in rows.items():
-            if chunk_ranges is not None:
-                lo, hi = chunk_ranges[name]
+        added_bytes = 0
+        for name, piece, lo, hi in zip(names, pieces, lows, highs):
+            column = pending.get(name)
+            if column is not None:
+                column.append(piece)
             else:
-                lo, hi = float(array.min()), float(array.max())
+                # An unloaded block's old contents join on the fault instead.
+                prefix = None
+                if columns is not None:
+                    prefix, columns[name] = columns.get(name), None
+                pending[name] = [prefix, piece] if prefix is not None and len(prefix) else [piece]
+            added_bytes += piece.nbytes
             existing = ranges.get(name)
             if existing is not None:
-                lo, hi = min(existing[0], lo), max(existing[1], hi)
+                if existing[0] < lo:
+                    lo = existing[0]
+                if existing[1] > hi:
+                    hi = existing[1]
             ranges[name] = (lo, hi)
-        return added
+        self.dirty = True
+        self._num_rows += num_rows
+        self.size_bytes += added_bytes
 
     def replace_columns(self, columns: dict[str, np.ndarray]) -> None:
         """Replace the block's contents and recompute ranges and size exactly.
@@ -230,7 +256,7 @@ class Block:
         never silently prune a block with live rows.
         """
         self._columns = dict(columns)
-        self._chunks = []
+        self._pending = {}
         self._num_rows = _chunk_rows(self._columns, self.block_id)
         self.ranges = compute_ranges(self._columns)
         self.size_bytes = _estimate_bytes(self._columns)
@@ -239,54 +265,62 @@ class Block:
     def clear(self, empty_columns: dict[str, np.ndarray]) -> None:
         """Empty the block in place (its rows have been migrated elsewhere)."""
         self._columns = dict(empty_columns)
-        self._chunks = []
+        self._pending = {}
         self._num_rows = 0
         self.ranges = {}
         self.size_bytes = 0
         self.dirty = True
 
     def consolidate(self) -> None:
-        """Merge pending chunks into contiguous per-column arrays.
+        """Merge every pending column into a contiguous array.
 
-        Row order is preserved: the original contents first, then every chunk
-        in append order.  ``size_bytes`` is re-derived from the consolidated
-        arrays so dtype promotions cannot leave it stale.  An unloaded block
-        faults its on-disk prefix in first — it comes before the chunks.
+        ``size_bytes`` is re-derived from the consolidated arrays afterwards,
+        so it is exact whatever dtype promotions the merges did.
         """
-        if not self._chunks:
+        if not self._pending:
             return
         if self._columns is None:
             self._fault()
-        chunks, self._chunks = self._chunks, []
-        if self._columns and len(next(iter(self._columns.values()))):
-            names = list(self._columns)
-            parts: list[dict[str, np.ndarray]] = [self._columns, *chunks]
-        else:
-            names = list(chunks[0])
-            parts = chunks
-        self._columns = {
-            name: np.concatenate([part[name] for part in parts]) for name in names
-        }
+        self._merge(list(self._pending))
+        assert self._columns is not None
         self.size_bytes = _estimate_bytes(self._columns)
 
-    def column_parts(self) -> list[dict[str, np.ndarray]]:
-        """The block's raw storage parts, in row order, without consolidating.
+    def _merge(self, names: Iterable[str]) -> None:
+        """Merge the pending pieces of ``names`` into their columns.
 
-        Returns the consolidated prefix (if it holds rows) followed by every
-        pending chunk in append order.  For the one reader that consumes a
+        The pieces are in row order, the old contents first.  The caller
+        has faulted an unloaded block in.
+        """
+        columns, pending = self._columns, self._pending
+        assert columns is not None
+        for name in names:
+            pieces = pending.pop(name, None)
+            if pieces is None:
+                continue
+            # Always a copy: a lone piece is a slice of a migration batch,
+            # which it would otherwise keep alive.
+            merged = np.concatenate(pieces)
+            self.size_bytes += merged.nbytes - sum(piece.nbytes for piece in pieces)
+            columns[name] = merged
+
+    def column_pieces(self) -> dict[str, list[np.ndarray]]:
+        """The block's raw storage per column, in row order, without consolidating.
+
+        A complete column is one piece; a pending one is its pieces in row
+        order.  For the one reader that consumes a
         block exactly once — block migration, whose sources are cleared right
-        after; everything that reads a block again uses ``columns``.
-        Empty blocks yield no parts.  Treat the dicts as read-only.
+        after; everything that reads a block again uses ``arrays`` or
+        ``columns``.  Empty blocks yield no columns.  Treat the result as
+        read-only.
         """
         if self._num_rows == 0:
-            return []
+            return {}
         if self._columns is None:
             self._fault()
-        parts: list[dict[str, np.ndarray]] = []
-        if self._columns and len(next(iter(self._columns.values()))):
-            parts.append(self._columns)
-        parts.extend(self._chunks)
-        return parts
+        columns = self._columns
+        assert columns is not None
+        pieces = dict(self._pending)
+        return {name: pieces.get(name) or [array] for name, array in columns.items()}
 
     # ------------------------------------------------------------------ #
     # Persistence protocol (spill store / block buffer)
@@ -305,10 +339,10 @@ class Block:
         """Drop the in-memory columns of a clean block (metadata stays).
 
         Raises:
-            StorageError: if the block is dirty, has pending chunks, or has
+            StorageError: if the block is dirty, has pending columns, or has
                 no loader to fault the columns back in from.
         """
-        if self.dirty or self._chunks:
+        if self.dirty or self._pending:
             raise StorageError(
                 f"block {self.block_id} has unspilled changes and cannot be unloaded"
             )
@@ -319,12 +353,18 @@ class Block:
         self._columns = None
 
     def _fault(self) -> None:
-        """Materialize the consolidated columns from the bound loader."""
+        """Materialize the spilled columns from the bound loader; a column
+        appended to while unloaded gets its spilled rows as first piece."""
         if self._loader is None:
             raise StorageError(
                 f"block {self.block_id} is unloaded and has no loader to fault from"
             )
-        self._columns = dict(self._loader())
+        columns: dict[str, np.ndarray | None] = dict(self._loader())
+        for name, pieces in self._pending.items():
+            prefix, columns[name] = columns.get(name), None
+            if prefix is not None and len(prefix):
+                pieces.insert(0, prefix)
+        self._columns = columns
 
     # ------------------------------------------------------------------ #
     # Row access
@@ -339,7 +379,7 @@ class Block:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"Block(block_id={self.block_id}, table={self.table!r}, "
-            f"num_rows={self._num_rows}, pending_chunks={len(self._chunks)})"
+            f"num_rows={self._num_rows}, pending_columns={list(self._pending)})"
         )
 
 

@@ -163,9 +163,10 @@ class _SlotColumns(Mapping):
 class SharedBlockView:
     """Read-only view of one pinned block, mimicking the Block reader API.
 
-    Exposes exactly the surface the task kernels consume: ``num_rows`` and
-    ``columns`` — read-only zero-copy views into the shared segment, one
-    contiguous array each (the parent compacts a block as it copies it in).
+    Exposes exactly the surface the task kernels consume: ``num_rows``,
+    ``columns`` and ``arrays(names)`` — read-only zero-copy views into the
+    shared segment, one contiguous array each (the parent compacts a block
+    as it copies it in).
     """
 
     __slots__ = ("block_id", "num_rows", "slot", "columns")
@@ -177,6 +178,10 @@ class SharedBlockView:
         self.num_rows = slot[0]
         self.slot = slot
         self.columns = _SlotColumns(buffer, schema, slot)
+
+    def arrays(self, names: list[str]) -> Mapping[str, np.ndarray]:
+        """The column views; every column is contiguous (see :meth:`Block.arrays`)."""
+        return self.columns
 
 
 @dataclass

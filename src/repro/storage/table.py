@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -294,14 +294,23 @@ class StoredTable:
         self._tree_rows[tree_id] = 0
         self._non_empty[tree_id] = set()
 
-        leaf_indices = tree.route_rows(columns) if columns else np.zeros(0, dtype=np.int64)
+        # One stable sort groups the rows by leaf (each leaf keeps table
+        # order).  Each leaf gathers its own arrays through its slice of the
+        # order: a slice of one sorted copy would keep the whole copy alive
+        # until the tree's last block is rewritten.
         num_leaves = tree.num_leaves
+        if columns:
+            leaf_indices = tree.route_rows(columns)
+            order = np.argsort(leaf_indices, kind="stable")
+            ends = np.cumsum(np.bincount(leaf_indices, minlength=num_leaves)).tolist()
+            leaf_contents = [
+                {name: array[order[start:end]] for name, array in columns.items()}
+                for start, end in zip([0, *ends], ends)
+            ]
+        else:
+            leaf_contents = [self._empty_columns() for _ in range(num_leaves)]
         block_ids: list[int] = []
-        for leaf in range(num_leaves):
-            row_mask = leaf_indices == leaf
-            leaf_columns = {
-                name: np.asarray(array[row_mask]) for name, array in columns.items()
-            } if columns else self._empty_columns()
+        for leaf_columns in leaf_contents:
             block = self.dfs.create_block(self.name, leaf_columns)
             block_ids.append(block.block_id)
             self._register_block(block.block_id, tree_id, block.num_rows)
@@ -327,14 +336,28 @@ class StoredTable:
 
     def _append_rows(
         self,
-        block_id: int,
-        rows: dict[str, np.ndarray],
-        chunk_ranges: dict[str, tuple[float, float]] | None = None,
+        block_ids: list[int],
+        names: list[str],
+        columns: list[np.ndarray],
+        bounds: list[int],
+        lows: Iterable[Sequence[float]],
+        highs: Iterable[Sequence[float]],
     ) -> None:
-        """Append ``rows`` to an existing block and update the cached stats."""
-        block = self._open_block(block_id)
-        block.append_rows(rows, chunk_ranges)
-        self._set_block_rows(block_id, block.num_rows)
+        """Append rows ``bounds[i]:bounds[i + 1]`` of ``columns`` (named
+        ``names``) to ``block_ids[i]``, whose per-column (min, max) over
+        those rows are ``lows[i]`` / ``highs[i]`` (see :meth:`Block.extend`)."""
+        self._recording().blocks_changed.update(block_ids)
+        peek_block = self.dfs.peek_block
+        for position, (block_id, block_lows, block_highs) in enumerate(
+            zip(block_ids, lows, highs)
+        ):
+            start, end = bounds[position], bounds[position + 1]
+            block = peek_block(block_id)
+            block.extend(
+                names, [values[start:end] for values in columns], end - start,
+                block_lows, block_highs,
+            )
+            self._set_block_rows(block_id, block.num_rows)
 
     def _clear_block(self, block_id: int) -> None:
         """Empty a block in place (its rows have been migrated elsewhere)."""
@@ -563,46 +586,37 @@ class StoredTable:
         # order within each source, inside every leaf) and compute every
         # leaf's per-column min/max with one reduceat per column.  This costs
         # O(moved rows) total instead of per-(source, leaf) python work.
-        # Source blocks are streamed part-by-part (consolidated prefix plus
-        # pending chunks) — they are about to be cleared, so consolidating
+        # Source blocks are streamed piece by piece (consolidated prefix plus
+        # pending pieces) — they are about to be cleared, so consolidating
         # them first would copy every row twice.
-        parts = [part for _, source in sources for part in source.column_parts()]
-        names = list(parts[0])
-        union_columns = {
-            name: (
-                np.concatenate([part[name] for part in parts])
-                if len(parts) > 1
-                else parts[0][name]
-            )
-            for name in names
-        }
+        source_pieces = [source.column_pieces() for _, source in sources]
+        names = list(source_pieces[0])
+        union_columns = {}
+        for name in names:
+            column = [piece for pieces in source_pieces for piece in pieces[name]]
+            union_columns[name] = column[0] if len(column) == 1 else np.concatenate(column)
         leaf_indices = target_tree.route_rows(union_columns)
         stats.source_blocks = len(sources)
         stats.rows_moved = len(leaf_indices)
 
         order = np.argsort(leaf_indices, kind="stable")
         unique_leaves, starts = np.unique(leaf_indices[order], return_index=True)
-        boundaries = np.append(starts, len(order))
-        sorted_columns = {name: array[order] for name, array in union_columns.items()}
-        leaf_mins = {
-            name: np.minimum.reduceat(values, starts)
-            for name, values in sorted_columns.items()
-        }
-        leaf_maxs = {
-            name: np.maximum.reduceat(values, starts)
-            for name, values in sorted_columns.items()
-        }
+        bounds = [*starts.tolist(), len(order)]
+        sorted_columns = [union_columns[name][order] for name in names]
+        # Per target leaf, every column's (min, max): one reduceat per column.
+        lows = zip(*(
+            np.minimum.reduceat(values, starts).astype(np.float64).tolist()
+            for values in sorted_columns
+        ))
+        highs = zip(*(
+            np.maximum.reduceat(values, starts).astype(np.float64).tolist()
+            for values in sorted_columns
+        ))
+        targets = [target_block_ids[leaf] for leaf in unique_leaves.tolist()]
         # The descriptor ends up as the non-empty foreign sources plus the
         # target leaves that received rows.
         with self.mutation():
-            for position, leaf_position in enumerate(unique_leaves):
-                segment = slice(boundaries[position], boundaries[position + 1])
-                rows = {name: values[segment] for name, values in sorted_columns.items()}
-                chunk_ranges = {
-                    name: (float(leaf_mins[name][position]), float(leaf_maxs[name][position]))
-                    for name in sorted_columns
-                }
-                self._append_rows(target_block_ids[int(leaf_position)], rows, chunk_ranges)
+            self._append_rows(targets, names, sorted_columns, bounds, lows, highs)
             for block_id, _ in sources:
                 self._clear_block(block_id)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.adaptive.amoeba import AmoebaAdaptor
@@ -11,6 +13,7 @@ from repro.common.predicates import le
 from repro.common.query import scan_query
 from repro.common.rng import make_rng
 from repro.common.schema import DataType, Schema
+from repro.experiments import fig13_adaptation
 from repro.partitioning.upfront import UpfrontPartitioner
 from repro.storage.dfs import DistributedFileSystem
 from repro.storage.table import ColumnTable, StoredTable
@@ -133,6 +136,44 @@ class TestAdapt:
         adaptor.adapt(table, hot_window())
         counts = table.trees[next(iter(table.trees))].attribute_counts()
         assert counts.get("unqueried", 0) == 3  # all three internal nodes untouched
+
+
+def scalar_touched_sums(self, memo, attribute, cuts, entries_by_attr, total_entries):
+    """Reference for ``AmoebaAdaptor._touched_sums``: one node and one
+    window entry at a time, scalar bounds, no memo."""
+
+    def touched_sum(cut: float) -> int:
+        relevant = entries_by_attr.get(attribute, [])
+        total = 2 * (total_entries - len(relevant))
+        for _, predicates in relevant:
+            on = [p for p in predicates if p.column == attribute]
+            total += all(p.may_match_range(-math.inf, cut) for p in on)
+            total += all(p.may_match_range(cut, math.inf) for p in on)
+        return total
+
+    return np.array([touched_sum(float(cut)) for cut in cuts], dtype=np.int64)
+
+
+class TestVectorisedBenefits:
+    def run_fig13a(self, monkeypatch) -> tuple[list, dict]:
+        transforms: list = []
+        resplit = StoredTable.resplit
+
+        def recording(table, tree_id, node, attribute, cutpoint):
+            moved = resplit(table, tree_id, node, attribute, cutpoint)
+            transforms.append((table.name, tree_id, attribute, cutpoint, moved))
+            return moved
+
+        with monkeypatch.context() as patch:
+            patch.setattr(StoredTable, "resplit", recording)
+            result = fig13_adaptation.run_switching()
+        return transforms, {series.label: series.y for series in result.series}
+
+    def test_fig13a_decisions_equal_the_scalar_reference(self, monkeypatch):
+        transforms, series = self.run_fig13a(monkeypatch)
+        monkeypatch.setattr(AmoebaAdaptor, "_touched_sums", scalar_touched_sums)
+        assert self.run_fig13a(monkeypatch) == (transforms, series)
+        assert len(transforms) > 10, "the stream must exercise Amoeba"
 
 
 def _bottom_nodes(tree):

@@ -2,7 +2,7 @@
 
 The three task kernels — the counting join, the one-pass partition and the
 one-call gather — are each pinned against an oracle that shares no code with
-them (a ``Counter`` product, boolean masks, a ``column_parts()`` concatenation).
+them (a ``Counter`` product, boolean masks, a ``column_pieces()`` concatenation).
 """
 
 from __future__ import annotations
@@ -250,17 +250,19 @@ class TestSplitByPartition:
 # --------------------------------------------------------------------- #
 # The one-call gather
 # --------------------------------------------------------------------- #
-def parts_of(reader) -> list:
-    """A reader's storage parts without consolidating anything."""
+def pieces_of(reader, name: str) -> list:
+    """A reader's storage pieces of column ``name``, consolidating nothing."""
     if isinstance(reader, Block):
-        return reader.column_parts()
-    return [reader.columns] if reader.num_rows else []
+        return reader.column_pieces().get(name, [])
+    return [reader.columns[name]] if reader.num_rows else []
 
 
 def parts_oracle(readers, names) -> dict[str, np.ndarray]:
-    """Per-part streaming: the gather this repository used to run."""
-    parts = [part for reader in readers for part in parts_of(reader)]
-    return {name: np.concatenate([part[name] for part in parts]) for name in names}
+    """Per-piece streaming: the gather this repository used to run."""
+    return {
+        name: np.concatenate([piece for reader in readers for piece in pieces_of(reader, name)])
+        for name in names
+    }
 
 
 def shared_view(block_id: int, columns: dict[str, np.ndarray]) -> SharedBlockView:
@@ -314,15 +316,15 @@ class TestGatherAgainstThePartsOracle:
     def test_mixed_batch_equals_the_oracle_and_compacts_what_it_read(self, mixed_batch):
         expected = parts_oracle(mixed_batch, ["v", "k"])
         assert not mixed_batch[3].columns["k"].flags.writeable  # a file mapping
-        assert sum(len(parts_of(reader)) for reader in mixed_batch) == 10
+        assert sum(len(pieces_of(reader, "k")) for reader in mixed_batch) == 10
         gathered = gather_columns(mixed_batch, ["v", "k"])
         assert list(gathered) == ["v", "k"]
         for name, array in expected.items():
             assert gathered[name].dtype == array.dtype
             assert gathered[name].tobytes() == array.tobytes()
         blocks = [reader for reader in mixed_batch if isinstance(reader, Block)]
-        assert all(block.num_pending_chunks == 0 for block in blocks)
-        assert sum(len(parts_of(reader)) for reader in mixed_batch) == 6
+        assert all(block.pending_columns == {} for block in blocks)
+        assert sum(len(pieces_of(reader, "k")) for reader in mixed_batch) == 6
         again = gather_columns(mixed_batch, ["v", "k"])
         assert all(again[name].tobytes() == gathered[name].tobytes() for name in again)
 
@@ -346,7 +348,7 @@ class TestGatherAgainstThePartsOracle:
         arrays, so per-part (or per-block) streaming cannot drift back."""
         batch = [Block(i, "t", two_columns(rng, i % 4)) for i in range(12)]
         batch[5].append_rows(two_columns(rng, 2))
-        gather_columns(batch, ["k"])  # the first read compacts block 5
+        gather_columns(batch, ["k", "v"])  # the first read compacts block 5
         non_empty = sum(1 for block in batch if block.num_rows)
         received: list[int] = []
         concatenate = np.concatenate

@@ -677,7 +677,8 @@ class TestSpillFormat:
             evict_and_fault(columns, version=1)
             # Re-spilled after an append: the mapped prefix plus the chunk.
             extra = make_columns(names, appended, seed + 1)
-            block.append_rows(extra, chunk_ranges=zero_ranges)
+            zeros = [0.0] * len(names)
+            block.extend(names, [extra[name] for name in names], appended, zeros, zeros)
             evict_and_fault(
                 {name: np.concatenate([columns[name], extra[name]]) for name in names},
                 version=2,
@@ -941,8 +942,8 @@ class TestCloseUnmaps:
                 block.block_id
                 for block in blocks
                 if block.is_resident
-                for part in block.column_parts()
-                if any(is_mapped(array) for array in part.values())
+                for pieces in block.column_pieces().values()
+                if any(is_mapped(array) for array in pieces)
             ]
 
         assert mapped_blocks() and self.mappings_under(root)
@@ -960,7 +961,7 @@ class TestCloseUnmaps:
 # Read-triggered compaction under a bounded buffer
 # --------------------------------------------------------------------- #
 class TestCompactionUnderTheBuffer:
-    """``consolidate()`` now runs inside a task's gather, after
+    """Compaction runs inside a task's gather, after
     ``BlockBuffer.touch`` charged the block; residency accounting and
     restart bit-identity must not notice."""
 
@@ -987,7 +988,8 @@ class TestCompactionUnderTheBuffer:
         appended = [session.dfs.peek_block(b) for b in lineitem.non_empty_block_ids(target)]
         assert len(appended) == 8
         for block in appended:
-            assert not block.is_resident and block.dirty and block.num_pending_chunks == 1
+            assert not block.is_resident and block.dirty
+            assert set(block.pending_columns.values()) == {1}
 
         faults: dict[int, int] = {}
         evictions: dict[int, int] = {}
@@ -1011,7 +1013,7 @@ class TestCompactionUnderTheBuffer:
         for block in appended:
             # One fault per residency: compaction itself never re-reads the file.
             assert faults[block.block_id] == evictions.get(block.block_id, 0) + block.is_resident
-            assert block.num_pending_chunks == 0
+            assert "l_orderkey" not in block.pending_columns
             if block.block_id not in evictions:
                 stayed += 1
                 assert block.is_resident and block.dirty

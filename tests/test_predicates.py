@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import PlanningError
 from repro.common.predicates import (
@@ -150,3 +154,76 @@ class TestBlockMayMatch:
 
     def test_columns_without_ranges_are_conservative(self):
         assert block_may_match({}, [eq("missing", 1)])
+
+
+# --------------------------------------------------------------------- #
+# The array form of may_match_range
+# --------------------------------------------------------------------- #
+def scalar_may_match(predicate: Predicate, lo: float, hi: float) -> bool:
+    """The scalar truth table ``may_match_range`` had before it took arrays."""
+    if math.isnan(lo) or math.isnan(hi):
+        return True
+    value, op = predicate.value, predicate.op
+    if op is Operator.IN:
+        return any(lo <= v <= hi for v in value)
+    if op is Operator.EQ:
+        return lo <= value <= hi
+    if op is Operator.NE:
+        return not (lo == hi == value)
+    if op is Operator.LT:
+        return lo < value
+    if op is Operator.LE:
+        return lo <= value
+    if op is Operator.GT:
+        return hi > value
+    if op is Operator.GE:
+        return hi >= value
+    assert op is Operator.BETWEEN
+    return not (hi < value or lo > predicate.high)
+
+
+#: Few distinct values, so equal ends, ``lo > hi`` and ties with the
+#: constant are common; bounds may also be infinite or NaN.
+CONSTANTS = st.sampled_from([-math.inf, -2.0, 0.0, 1.5, 3.0, math.inf])
+BOUNDS = st.one_of(CONSTANTS, st.just(math.nan))
+
+
+@st.composite
+def predicates(draw) -> Predicate:
+    op = draw(st.sampled_from(list(Operator)))
+    if op is Operator.IN:
+        return Predicate("a", op, tuple(draw(st.lists(CONSTANTS, max_size=3))))
+    if op is Operator.BETWEEN:
+        return Predicate("a", op, draw(CONSTANTS), draw(CONSTANTS))
+    return Predicate("a", op, draw(CONSTANTS))
+
+
+class TestArrayRangePruning:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(predicate=predicates(), ends=st.lists(st.tuples(BOUNDS, BOUNDS), min_size=1, max_size=8))
+    def test_array_form_equals_the_scalar_truth_table(self, predicate, ends):
+        expected = [scalar_may_match(predicate, lo, hi) for lo, hi in ends]
+        lo = np.array([lo for lo, _ in ends])
+        hi = np.array([hi for _, hi in ends])
+        got = predicate.may_match_range(lo, hi)
+        assert got.dtype == bool and got.tolist() == expected
+        assert [bool(predicate.may_match_range(l, h)) for l, h in ends] == expected
+        # A scalar end broadcasts against an array of the other.
+        assert predicate.may_match_range(-math.inf, hi).tolist() == [
+            scalar_may_match(predicate, -math.inf, h) for _, h in ends
+        ]
+
+    def test_empty_in_tuple_matches_nothing_but_nan(self):
+        predicate = isin("a", ())
+        assert not predicate.may_match_range(-math.inf, math.inf)
+        assert predicate.may_match_range(np.array([0.0, math.nan]), 1.0).tolist() == [False, True]
+        assert predicate.mask(np.arange(4)).tolist() == [False] * 4
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float64])
+    def test_in_mask_equals_isin(self, rng, dtype):
+        values = rng.integers(0, 20, size=500).astype(dtype)
+        if dtype is np.float64:
+            values[::7] = np.nan
+        for members in [(3,), (1, 9, 19), (0.5, 7), (25,), (7, 7)]:
+            mask = isin("a", members).mask(values)
+            assert mask.tolist() == np.isin(values, np.asarray(members)).tolist()

@@ -189,11 +189,11 @@ class TestChunkedBlockConsolidation:
         block = self.make_block()
         block.append_rows({"a": np.array([1, 5], dtype=np.int64), "b": np.array([0.1, 0.5])})
         block.append_rows({"a": np.array([9], dtype=np.int64), "b": np.array([0.9])})
-        assert block.num_pending_chunks == 2
+        assert block.pending_columns == {"a": 3, "b": 3}  # old contents + 2 appends
         assert block.num_rows == 6  # O(1), before any consolidation
         assert block.columns["a"].tolist() == [3, 1, 4, 1, 5, 9]
         assert block.columns["b"].tolist() == [0.3, 0.1, 0.4, 0.1, 0.5, 0.9]
-        assert block.num_pending_chunks == 0
+        assert block.pending_columns == {}
 
     def test_incremental_ranges_equal_recomputation(self):
         block = self.make_block()
@@ -232,14 +232,15 @@ class TestChunkedBlockConsolidation:
         assert block.num_rows == 0
         assert block.ranges == {}
         assert block.size_bytes == 0
-        assert block.num_pending_chunks == 0
+        assert block.pending_columns == {}
 
-    def test_column_parts_stream_in_row_order(self):
+    def test_column_pieces_stream_in_row_order(self):
         block = self.make_block()
         block.append_rows({"a": np.array([5], dtype=np.int64), "b": np.array([0.5])})
-        parts = block.column_parts()
-        assert [part["a"].tolist() for part in parts] == [[3, 1, 4], [5]]
-        streamed = np.concatenate([part["a"] for part in parts])
+        pieces = block.column_pieces()
+        assert [piece.tolist() for piece in pieces["a"]] == [[3, 1, 4], [5]]
+        assert block.pending_columns == {"a": 2, "b": 2}  # streaming compacts nothing
+        streamed = np.concatenate(pieces["a"])
         assert streamed.tolist() == block.columns["a"].tolist()
 
     def test_mismatched_append_columns_rejected(self):
@@ -248,6 +249,88 @@ class TestChunkedBlockConsolidation:
         block = self.make_block()
         with pytest.raises(StorageError):
             block.append_rows({"a": np.array([1], dtype=np.int64)})
+
+
+class TestPerColumnCompaction:
+    """A reader that names its columns compacts only those columns."""
+
+    def make_block(self) -> Block:
+        block = Block(
+            block_id=0,
+            table="t",
+            columns={
+                "a": np.array([3, 1], dtype=np.int64),
+                "b": np.array([0.3, 0.1]),
+                "c": np.array([30, 10], dtype=np.int32),
+            },
+        )
+        for a in ([4, 1], [5]):
+            block.append_rows({
+                "a": np.array(a, dtype=np.int64),
+                "b": np.array(a) / 10,
+                "c": np.array(a, dtype=np.int32) * 10,
+            })
+        return block
+
+    def test_reading_some_columns_leaves_the_rest_pending(self):
+        block = self.make_block()
+        arrays = block.arrays(["a", "b"])
+        assert arrays["a"].tolist() == [3, 1, 4, 1, 5]
+        assert arrays["b"].tolist() == [0.3, 0.1, 0.4, 0.1, 0.5]
+        assert block.pending_columns == {"c": 3}
+        assert arrays["c"] is None  # pending, never stale
+        # A second read of the same columns serves the compacted arrays.
+        assert block.arrays(["a"])["a"] is arrays["a"]
+        assert block.arrays(["c"])["c"].tolist() == [30, 10, 40, 10, 50]
+        assert block.pending_columns == {}
+        assert list(block.columns) == ["a", "b", "c"]  # column order survives
+
+    def test_columns_compacts_everything_and_size_is_exact(self):
+        block = self.make_block()
+        block.arrays(["a"])
+        columns = block.columns
+        assert block.pending_columns == {}
+        assert columns["c"].dtype == np.int32 and columns["c"].tolist() == [30, 10, 40, 10, 50]
+        assert block.size_bytes == sum(array.nbytes for array in columns.values())
+
+    def test_unknown_column_raises(self):
+        with pytest.raises(KeyError):
+            self.make_block().arrays(["a", "missing"])["missing"]
+
+    def test_unload_refuses_while_any_column_is_pending(self):
+        from repro.common.errors import StorageError
+
+        block = self.make_block()
+        block.arrays(["a", "b"])
+        block.mark_clean(lambda: {})
+        with pytest.raises(StorageError, match="unspilled"):
+            block.unload()
+        block.arrays(["c"])
+        block.unload()
+        assert not block.is_resident
+
+    def test_an_unloaded_block_takes_appends_without_faulting(self):
+        spilled = {
+            "a": np.array([3, 1], dtype=np.int64),
+            "b": np.array([0.3, 0.1]),
+        }
+        faults: list[int] = []
+
+        def loader() -> dict[str, np.ndarray]:
+            faults.append(1)
+            return dict(spilled)
+
+        block = Block(0, "t", dict(spilled))
+        block.mark_clean(loader)
+        block.unload()
+        block.append_rows({"a": np.array([7], dtype=np.int64), "b": np.array([0.7])})
+        assert faults == [] and not block.is_resident
+        assert block.num_rows == 3 and block.ranges["a"] == (1.0, 7.0)
+        assert block.arrays(["a"])["a"].tolist() == [3, 1, 7]
+        # The fault put b's spilled rows ahead of its appended piece.
+        assert faults == [1] and block.pending_columns == {"b": 2}
+        assert block.columns["b"].tolist() == [0.3, 0.1, 0.7]
+        assert faults == [1]
 
 
 # --------------------------------------------------------------------- #
@@ -278,17 +361,19 @@ class TestReadTriggeredCompaction:
         yield session
         session.close()
 
-    def pending(self, session, table_name: str) -> dict[int, int]:
+    def pending(self, session, table_name: str, column: str) -> dict[int, int]:
+        """Block -> pieces of ``column`` awaiting compaction."""
         return {
-            block_id: session.dfs.peek_block(block_id).num_pending_chunks
+            block_id: session.dfs.peek_block(block_id).pending_columns.get(column, 0)
             for block_id in session.table(table_name).block_ids()
         }
 
     def test_a_join_compacts_exactly_the_blocks_it_reads(self, session, tpch_tables):
         migrate_in_batches(session.table("lineitem"), "l_orderkey")
         migrate_in_batches(session.table("part"), "p_retailprice")
-        lineitem_before = self.pending(session, "lineitem")
-        part_before = self.pending(session, "part")
+        lineitem_before = self.pending(session, "lineitem", "l_orderkey")
+        part_before = self.pending(session, "part", "p_partkey")
+        unread_before = self.pending(session, "lineitem", "l_shipmode")
         assert sum(lineitem_before.values()) > 4 and sum(part_before.values()) > 4
         assert max(lineitem_before.values()) > 1, "several chunks await one block"
 
@@ -305,9 +390,11 @@ class TestReadTriggeredCompaction:
                 for block_id in task.read_block_ids
             }
             assert {b for b, chunks in lineitem_before.items() if chunks} <= read
-            assert not any(self.pending(session, "lineitem").values())
-            # Blocks the query did not read are exactly as the writes left them.
-            assert self.pending(session, "part") == part_before
+            assert not any(self.pending(session, "lineitem", "l_orderkey").values())
+            # A column no task read, and blocks no task read, are exactly as
+            # the writes left them.
+            assert self.pending(session, "lineitem", "l_shipmode") == unread_before
+            assert self.pending(session, "part", "p_partkey") == part_before
 
     def test_migration_streams_its_sources_without_compacting_them(
         self, session, tpch_tables, monkeypatch
@@ -315,15 +402,17 @@ class TestReadTriggeredCompaction:
         part = session.table("part")
         target = migrate_in_batches(part, "p_retailprice")
         sources = part.non_empty_block_ids(target)
-        assert all(session.dfs.peek_block(b).num_pending_chunks > 1 for b in sources)
+        assert all(
+            min(session.dfs.peek_block(b).pending_columns.values()) > 1 for b in sources
+        )
         compacted: list[int] = []
-        consolidate = Block.consolidate
+        merge = Block._merge
 
-        def recording(block: Block) -> None:
+        def recording(block: Block, names) -> None:
             compacted.append(block.block_id)
-            consolidate(block)
+            merge(block, names)
 
-        monkeypatch.setattr(Block, "consolidate", recording)
+        monkeypatch.setattr(Block, "_merge", recording)
         stats = part.move_blocks(sources, 0)
         assert stats.rows_moved == part.total_rows == tpch_tables["part"].num_rows
         assert not set(compacted) & set(sources)

@@ -12,6 +12,7 @@ from repro.common.rng import make_rng
 from repro.common.schema import DataType, Schema
 from repro.partitioning.two_phase import TwoPhasePartitioner
 from repro.partitioning.upfront import UpfrontPartitioner
+from repro.storage.block import Block
 from repro.storage.dfs import DistributedFileSystem
 from repro.storage.table import ColumnTable, RepartitionStats, StoredTable
 
@@ -254,10 +255,12 @@ class TestMutationContext:
         stored = load_table(2000, 256)
         block_id = stored.non_empty_block_ids()[0]
         block = stored.dfs.peek_block(block_id)
-        rows = {name: values[:1] for name, values in block.columns.items()}
+        names = list(block.columns)
+        columns = [block.columns[name][:1] for name in names]
+        lows = [[float(values[0]) for values in columns]]
         before = (stored.epoch, block.num_rows, stored.total_rows, stored.num_trees)
         with pytest.raises(StorageError, match="inside mutation"):
-            stored._append_rows(block_id, rows)
+            stored._append_rows([block_id], names, columns, [0, 1], lows, lows)
         with pytest.raises(StorageError, match="inside mutation"):
             stored._clear_block(block_id)
         with pytest.raises(StorageError, match="inside mutation"):
@@ -338,16 +341,16 @@ class TestMutationContext:
         )
         target = stored.add_empty_tree(tree)
         rows_before = dict(stored._block_rows)
-        append_rows = stored._append_rows
+        extend = Block.extend
         appended = []
 
-        def append_then_fail(block_id, rows, chunk_ranges=None):
+        def extend_then_fail(block, *args):
             if appended:
                 raise RuntimeError("injected")
-            appended.append(block_id)
-            append_rows(block_id, rows, chunk_ranges)
+            appended.append(block.block_id)
+            extend(block, *args)
 
-        monkeypatch.setattr(stored, "_append_rows", append_then_fail)
+        monkeypatch.setattr(Block, "extend", extend_then_fail)
         before = stored.epoch
         with pytest.raises(RuntimeError, match="injected"):
             stored.move_blocks(stored.block_ids(0), target)

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import PartitioningError
-from repro.common.predicates import between, eq, gt, le
+from repro.common.predicates import Operator, Predicate, between, eq, gt, le
 from repro.partitioning.tree import PartitioningTree, TreeNode
 
 
@@ -201,3 +206,121 @@ class TestLeafBounds:
     def test_bounds_on_absent_attribute_are_infinite(self):
         bounds = two_level_tree().leaf_bounds("missing")
         assert all(lo == -np.inf and hi == np.inf for lo, hi in bounds.values())
+
+
+# --------------------------------------------------------------------- #
+# Leaf boxes against the live nodes, across re-splits
+# --------------------------------------------------------------------- #
+SPLIT_ON = ["a", "b", "c"]
+#: Few cutpoints, so repeated splits on one attribute give equal ends and
+#: empty (``lo > hi``) boxes.
+CUTS = st.sampled_from([0.0, 1.0, 2.0, 3.0, 5.0])
+CONSTANTS = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 5.0, 6.0])
+
+
+def path_boxes(tree: PartitioningTree) -> list[tuple[int | None, dict[str, tuple[float, float]]]]:
+    """Every leaf's block id and root-path interval per attribute, left to
+    right, walked from the live nodes."""
+    leaves: list = []
+
+    def walk(node: TreeNode, box: dict[str, tuple[float, float]]) -> None:
+        if node.is_leaf:
+            leaves.append((node.block_id, box))
+            return
+        lo, hi = box.get(node.attribute, (-math.inf, math.inf))
+        walk(node.left, {**box, node.attribute: (lo, min(hi, node.cutpoint))})
+        walk(node.right, {**box, node.attribute: (max(lo, node.cutpoint), hi)})
+
+    walk(tree.root, {})
+    return leaves
+
+
+def internal_nodes(node: TreeNode) -> list[TreeNode]:
+    if node.is_leaf:
+        return []
+    return [node, *internal_nodes(node.left), *internal_nodes(node.right)]
+
+
+@st.composite
+def random_trees(draw) -> PartitioningTree:
+    block_ids = itertools.count()
+
+    def build(depth: int) -> TreeNode:
+        if depth == 0 or not draw(st.booleans()):
+            block_id = next(block_ids)
+            return TreeNode(block_id=None if block_id % 7 == 3 else block_id)
+        return TreeNode(
+            attribute=draw(st.sampled_from(SPLIT_ON)), cutpoint=draw(CUTS),
+            left=build(depth - 1), right=build(depth - 1),
+        )
+
+    return PartitioningTree(
+        root=TreeNode(
+            attribute=draw(st.sampled_from(SPLIT_ON)), cutpoint=draw(CUTS),
+            left=build(3), right=build(3),
+        )
+    )
+
+
+@st.composite
+def predicate_lists(draw) -> list[Predicate]:
+    """Predicates with finite, non-empty constants: each may match
+    ``(-inf, inf)``, so whether an unsplit column is checked cannot matter."""
+    result = []
+    for _ in range(draw(st.integers(0, 3))):
+        column = draw(st.sampled_from([*SPLIT_ON, "d", "unsplit"]))
+        op = draw(st.sampled_from(list(Operator)))
+        if op is Operator.IN:
+            members = tuple(draw(st.lists(CONSTANTS, min_size=1, max_size=3)))
+            result.append(Predicate(column, op, members))
+        elif op is Operator.BETWEEN:
+            result.append(Predicate(column, op, draw(CONSTANTS), draw(CONSTANTS)))
+        else:
+            result.append(Predicate(column, op, draw(CONSTANTS)))
+    return result
+
+
+class TestLeafBoxesAgainstThePaths:
+    """``lookup``, ``lookup_block`` and ``leaf_bounds`` read compiled leaf
+    boxes, which ``resplit_node`` patches in place; the oracle re-walks the
+    live nodes every time, so a box the patch forgot shows up at once."""
+
+    def check(self, tree: PartitioningTree, predicates: list[Predicate]) -> None:
+        leaves = path_boxes(tree)
+        split = {node.attribute for node in internal_nodes(tree.root)}
+        expected = [
+            block_id
+            for block_id, box in leaves
+            if block_id is not None
+            and all(
+                p.may_match_range(*box.get(p.column, (-math.inf, math.inf)))
+                for p in predicates
+                if p.column in split
+            )
+        ]
+        assert tree.lookup(predicates) == expected
+        assert tree.block_ids() == [block_id for block_id, _ in leaves if block_id is not None]
+        for block_id, _ in leaves:
+            if block_id is not None:
+                assert tree.lookup_block(block_id, predicates) == (block_id in expected)
+        assert not tree.lookup_block(10_000, predicates)
+        for attribute in [*SPLIT_ON, "d"]:
+            assert tree.leaf_bounds(attribute) == {
+                block_id: box.get(attribute, (-math.inf, math.inf))
+                for block_id, box in leaves
+                if block_id is not None
+            }
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(tree=random_trees(), data=st.data())
+    def test_boxes_follow_random_resplits(self, tree, data):
+        self.check(tree, data.draw(predicate_lists()))
+        for _ in range(data.draw(st.integers(1, 6))):
+            nodes = internal_nodes(tree.root)
+            bottom = [n for n in nodes if n.left.is_leaf and n.right.is_leaf]
+            # Mostly bottom nodes (patched in place), sometimes any node.
+            pool = bottom if bottom and data.draw(st.integers(0, 3)) else nodes
+            node = pool[data.draw(st.integers(0, len(pool) - 1))]
+            attribute = data.draw(st.sampled_from([*SPLIT_ON, "d"]))
+            tree.resplit_node(node, attribute, data.draw(CUTS))
+            self.check(tree, data.draw(predicate_lists()))
