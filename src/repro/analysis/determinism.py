@@ -2,23 +2,18 @@
 
 The tests and the layered benchmark fingerprint query results and
 schedules, so the executing/adapting/planning layers (``repro.exec``,
-``repro.adaptive``, ``repro.join``) must be bit-stable run to run.  Rules:
-
-``no-stdlib-random``
-    ``random`` (the stdlib module) is banned in scoped modules; the only
-    sanctioned randomness source is ``repro.common.rng.make_rng``.
-
-``no-global-numpy-rng``
-    Calls through the module-level ``np.random.*`` API are banned in
-    scoped modules (annotations like ``np.random.Generator`` are fine —
-    only calls are flagged).
+``repro.adaptive``, ``repro.join``) must be bit-stable run to run.
+Randomness needs no rule here: a stdlib, global-numpy or unseeded draw in
+these layers makes the configuration matrix (``tests/test_matrix.py``) and
+the golden digests disagree, which EXPERIMENTS.md's seeded-bug table shows.
+The two rules below guard what those tests miss:
 
 ``no-wall-clock``
     ``time.time`` / ``time.perf_counter`` / ``time.monotonic`` /
     ``time.process_time`` are banned in scoped modules; wall-clock
     timing belongs to the session harness (``repro.api``), which is out
-    of scope.  Suppress with justification where a measured wall time is
-    reported but never feeds a decision or a fingerprint.
+    of scope.  A measured wall time that is reported but never feeds a
+    decision or a fingerprint is read through ``repro.common.clock``.
 
 ``unsorted-set-iter``
     Iterating a ``set`` in a ``for`` statement, a list/generator
@@ -28,12 +23,6 @@ schedules, so the executing/adapting/planning layers (``repro.exec``,
     comprehension, ...) is allowed.  Plain dict iteration is *not*
     flagged: dicts are insertion-ordered, so determinism reduces to the
     order their keys were inserted, which these rules already police.
-
-``unseeded-rng``
-    Applies everywhere (including benchmarks and examples): argless
-    ``default_rng()`` and the legacy global draws (``np.random.rand``,
-    ``np.random.seed``, ...) are banned; derive generators from
-    ``make_rng(seed)`` so runs are reproducible.
 
 Set-ness is inferred per function from literals, ``set()`` calls, set
 annotations, and calls to functions whose return annotation is
@@ -56,16 +45,13 @@ from .framework import (
     dotted_name,
 )
 
-RULE_STDLIB_RANDOM = "no-stdlib-random"
-RULE_GLOBAL_NUMPY = "no-global-numpy-rng"
 RULE_WALL_CLOCK = "no-wall-clock"
 RULE_SET_ITER = "unsorted-set-iter"
-RULE_UNSEEDED = "unseeded-rng"
 
 #: Modules whose behaviour is fingerprinted and must be deterministic.
 #: ``repro.parallel`` is in scope because its results must stay
-#: bit-identical to the in-process engine; its one sanctioned wall-clock
-#: helper (reporting-only timings) carries a ``# repro: allow``.
+#: bit-identical to the in-process engine; its reporting-only timings read
+#: the clock through ``repro.common.clock``.
 #: ``repro.storage.persist`` is in scope because a checkpoint/restore
 #: round trip must reproduce bit-identical fingerprints — any hidden
 #: randomness or unstable iteration in the spill/restore paths would
@@ -90,28 +76,6 @@ ORDER_FREE_CONSUMERS = frozenset(
 
 #: Sequence builders that *do* freeze iteration order.
 ORDER_SENSITIVE_BUILDERS = frozenset({"list", "tuple"})
-
-#: Legacy module-level numpy draws (non-exhaustive, the common ones).
-LEGACY_NUMPY_DRAWS = frozenset(
-    {
-        "seed",
-        "rand",
-        "randn",
-        "random",
-        "randint",
-        "random_sample",
-        "choice",
-        "shuffle",
-        "permutation",
-        "uniform",
-        "normal",
-        "standard_normal",
-        "exponential",
-        "poisson",
-        "binomial",
-        "beta",
-    }
-)
 
 _SET = "set"
 _DICT_OF_SETS = "dict_set"
@@ -356,71 +320,26 @@ def _check_set_iteration(
     return violations
 
 
-def _check_scoped_calls(source: SourceFile) -> list[Violation]:
+def _check_wall_clock(source: SourceFile) -> list[Violation]:
     violations: list[Violation] = []
     from_time_names: set[str] = set()
     for node in ast.walk(source.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "random" or alias.name.startswith("random."):
-                    violations.append(
-                        Violation(
-                            rule=RULE_STDLIB_RANDOM,
-                            path=source.path,
-                            line=node.lineno,
-                            message="stdlib random imported in a deterministic module",
-                            hint="use repro.common.rng.make_rng instead",
-                        )
-                    )
-        elif isinstance(node, ast.ImportFrom):
-            if node.module == "random":
+        if isinstance(node, ast.ImportFrom) and node.module == "time":
+            imported = {alias.asname or alias.name for alias in node.names}
+            if imported & WALL_CLOCK_NAMES:
+                from_time_names.update(imported & WALL_CLOCK_NAMES)
                 violations.append(
                     Violation(
-                        rule=RULE_STDLIB_RANDOM,
+                        rule=RULE_WALL_CLOCK,
                         path=source.path,
                         line=node.lineno,
-                        message="stdlib random imported in a deterministic module",
-                        hint="use repro.common.rng.make_rng instead",
+                        message="wall-clock import in a deterministic module",
+                        hint="timing belongs to the repro.api session harness",
                     )
                 )
-            elif node.module == "time":
-                imported = {alias.asname or alias.name for alias in node.names}
-                if imported & WALL_CLOCK_NAMES:
-                    from_time_names.update(imported & WALL_CLOCK_NAMES)
-                    violations.append(
-                        Violation(
-                            rule=RULE_WALL_CLOCK,
-                            path=source.path,
-                            line=node.lineno,
-                            message="wall-clock import in a deterministic module",
-                            hint="timing belongs to the repro.api session harness",
-                        )
-                    )
         elif isinstance(node, ast.Call):
             name = dotted_name(node.func)
-            if name is None:
-                continue
-            if name.startswith(("random.",)):
-                violations.append(
-                    Violation(
-                        rule=RULE_STDLIB_RANDOM,
-                        path=source.path,
-                        line=node.lineno,
-                        message=f"{name}() in a deterministic module",
-                        hint="use repro.common.rng.make_rng instead",
-                    )
-                )
-            elif name.startswith(("np.random.", "numpy.random.")):
-                violations.append(
-                    Violation(
-                        rule=RULE_GLOBAL_NUMPY,
-                        path=source.path,
-                        line=node.lineno,
-                        message=f"{name}() uses the global numpy RNG",
-                        hint="thread a Generator from repro.common.rng.make_rng",
-                    )
-                )
-            elif name in WALL_CLOCK_CALLS or name in from_time_names:
+            if name in WALL_CLOCK_CALLS or name in from_time_names:
                 violations.append(
                     Violation(
                         rule=RULE_WALL_CLOCK,
@@ -433,66 +352,17 @@ def _check_scoped_calls(source: SourceFile) -> list[Violation]:
     return violations
 
 
-def _check_unseeded(source: SourceFile) -> list[Violation]:
-    violations: list[Violation] = []
-    for node in ast.walk(source.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = dotted_name(node.func)
-        if name is None:
-            continue
-        leaf = name.split(".")[-1]
-        if leaf == "default_rng" and not node.args and not node.keywords:
-            violations.append(
-                Violation(
-                    rule=RULE_UNSEEDED,
-                    path=source.path,
-                    line=node.lineno,
-                    message="default_rng() without a seed is irreproducible",
-                    hint="pass an explicit seed, or use repro.common.rng.make_rng",
-                )
-            )
-        elif (
-            name.startswith(("np.random.", "numpy.random."))
-            and leaf in LEGACY_NUMPY_DRAWS
-        ):
-            violations.append(
-                Violation(
-                    rule=RULE_UNSEEDED,
-                    path=source.path,
-                    line=node.lineno,
-                    message=f"{name}() draws from the unseeded global numpy RNG",
-                    hint="use a Generator from repro.common.rng.make_rng(seed)",
-                )
-            )
-    return violations
-
-
 def check(source: SourceFile, context: AnalysisContext) -> list[Violation]:
-    violations = _check_unseeded(source)
-    if _in_scope(source.module):
-        violations.extend(_check_scoped_calls(source))
-        violations.extend(_check_set_iteration(source, context))
-    return violations
+    if not _in_scope(source.module):
+        return []
+    return _check_wall_clock(source) + _check_set_iteration(source, context)
 
 
 CHECKER = Checker(
     name="determinism",
-    rules=(
-        RULE_STDLIB_RANDOM,
-        RULE_GLOBAL_NUMPY,
-        RULE_WALL_CLOCK,
-        RULE_SET_ITER,
-        RULE_UNSEEDED,
-    ),
+    rules=(RULE_WALL_CLOCK, RULE_SET_ITER),
     check=check,
     descriptions={
-        RULE_STDLIB_RANDOM: (
-            "fingerprinted layers never use the stdlib random module"
-        ),
-        RULE_GLOBAL_NUMPY: (
-            "fingerprinted layers never use numpy's global RNG state"
-        ),
         RULE_WALL_CLOCK: (
             "fingerprinted layers never read the wall clock; timing goes "
             "through the sanctioned repro.common.clock helper"
@@ -500,9 +370,6 @@ CHECKER = Checker(
         RULE_SET_ITER: (
             "no iteration over sets/frozensets without sorted() in "
             "fingerprinted layers"
-        ),
-        RULE_UNSEEDED: (
-            "every numpy Generator is constructed from an explicit seed"
         ),
     },
 )

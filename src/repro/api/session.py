@@ -58,7 +58,6 @@ from ..cluster.costmodel import CostModel
 from ..common.errors import PlanningError, StorageError
 from ..common.query import Query
 from ..common.rng import derive_rng, make_rng
-from ..common.sanitize import assert_unaliased, sanitize_enabled
 from ..core.config import AdaptDBConfig
 from ..core.optimizer import Optimizer
 from ..exec.engine import Executor
@@ -389,21 +388,6 @@ class Session:
             from_cache=from_cache,
             cache_entry=entry,
         )
-        if sanitize_enabled():
-            # The served plan's containers must be copies: a caller mutating
-            # them (plans are documented mutable-by-caller) must never reach
-            # the cached entry.
-            assert_unaliased(
-                logical.scan_tables, entry.scan_tables, "LogicalPlan.scan_tables"
-            )
-            assert_unaliased(
-                logical.scan_blocks, entry.scan_blocks, "LogicalPlan.scan_blocks"
-            )
-            assert_unaliased(
-                logical.join_decisions,
-                entry.join_decisions,
-                "LogicalPlan.join_decisions",
-            )
         logical.planning_seconds = time.perf_counter() - started
         return logical
 

@@ -25,7 +25,6 @@ from .predicates import (
 )
 from .query import JoinClause, Query, join_query, scan_query
 from .rng import DEFAULT_SEED, derive_rng, make_rng, spawn_rngs
-from .sanitize import SanitizeError, sanitize_enabled, set_sanitize
 from .schema import Column, DataType, Schema
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "Predicate",
     "Query",
     "ReproError",
-    "SanitizeError",
     "Schema",
     "SchemaError",
     "StorageError",
@@ -58,8 +56,6 @@ __all__ = [
     "make_rng",
     "monotonic_seconds",
     "rows_matching",
-    "sanitize_enabled",
     "scan_query",
-    "set_sanitize",
     "spawn_rngs",
 ]

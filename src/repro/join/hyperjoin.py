@@ -23,7 +23,6 @@ import numpy as np
 from ..common.epochs import PartitionDelta
 from ..common.errors import PlanningError
 from ..common.lru import BoundedLRU
-from ..common.sanitize import assert_no_shared_memory, sanitize_enabled
 from ..storage.dfs import DistributedFileSystem
 from .grouping import Grouping, average_probe_multiplicity, group_blocks, matrix_row_digests
 from .overlap import Range, compute_overlap_matrix, patch_overlap_matrix
@@ -41,7 +40,8 @@ class HyperJoinPlan:
     Attributes:
         build_block_ids: Non-empty build-side blocks, in overlap-matrix order.
         probe_block_ids: Non-empty probe-side blocks, in overlap-matrix order.
-        overlap: The boolean overlap matrix between the two block lists.
+        overlap: The boolean overlap matrix between the two block lists;
+            read-only, because cached plans share it.
         grouping: The chosen grouping of build-side blocks.
         probe_multiplicity: Estimated ``C_HyJ`` for this schedule.
     """
@@ -99,6 +99,7 @@ def plan_hyper_join(
     probe_ids, probe_ranges = usable(probe_block_ids, probe_column)
 
     overlap = compute_overlap_matrix(build_ranges, probe_ranges)
+    overlap.setflags(write=False)  # cached and shared: never patched in place
     grouping = group_blocks(overlap, buffer_blocks, algorithm) if build_ids else Grouping(groups=[])
     multiplicity = average_probe_multiplicity(overlap, grouping) if build_ids else 1.0
     return HyperJoinPlan(
@@ -154,8 +155,9 @@ class HyperPlanCache:
     Cached plans are shared and must be treated as read-only by consumers
     (they already are: compilation and execution only read them).  Patched
     plans are always *new* ``HyperJoinPlan`` objects with freshly allocated
-    id lists and overlap matrices — an upgrade can never mutate arrays a
-    caller already holds.
+    id lists and overlap matrices, and every overlap matrix is read-only
+    from the moment its entry is built — an in-place patch of an array a
+    caller already holds raises at the write.
 
     The cache is held per optimizer instance, never globally — block ids are
     only unique within one DFS, and test suites run many engines side by
@@ -307,6 +309,7 @@ class HyperPlanCache:
         overlap = patch_overlap_matrix(
             old.plan.overlap, build_ranges, probe_ranges, kept_build, kept_probe
         )
+        overlap.setflags(write=False)
         if probe_same:
             # Probe columns are untouched, so a kept build row's bytes — and
             # therefore its digest — are unchanged; hash only fresh rows.
@@ -330,12 +333,6 @@ class HyperPlanCache:
         else:
             grouping = Grouping(groups=[])
             multiplicity = 1.0
-        if sanitize_enabled():
-            # The patched matrix must be fresh storage: sharing memory with
-            # the old entry would mean the in-place patch corrupted it.
-            assert_no_shared_memory(
-                overlap, old.plan.overlap, "HyperPlanCache upgrade overlap"
-            )
         plan = HyperJoinPlan(
             build_block_ids=list(build_ids),
             probe_block_ids=list(probe_ids),

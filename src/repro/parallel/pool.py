@@ -12,10 +12,11 @@ the same :func:`~repro.exec.kernels_tasks.run_task` the parent runs inline,
 so the interpreter merges outcomes identically and stays bit-identical.
 
 Timing discipline: workers stamp each task with a wall-clock duration via
-the single marked helper below.  The measured times feed *reporting only*
+the single helper below.  The measured times feed *reporting only*
 (``QueryResult.wall_seconds`` / ``machine_wall_seconds``) — never a
-decision, never a fingerprint — which is why the wall-clock reads are
-``# repro: allow``-ed for the determinism checker.
+decision, never a fingerprint — which is why the clock is read through
+:mod:`repro.common.clock`, the one place the determinism checker's
+``no-wall-clock`` rule does not cover.
 """
 
 from __future__ import annotations

@@ -67,7 +67,7 @@ class Block:
 
     __slots__ = (
         "block_id", "table", "ranges", "size_bytes",
-        "_columns", "_pending", "_num_rows", "_loader", "dirty",
+        "_columns", "_pending", "_num_rows", "_loader", "dirty", "__weakref__",
     )
 
     def __init__(

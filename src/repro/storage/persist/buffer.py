@@ -41,6 +41,7 @@ be, to be read at all) and trimmed back on the next admission.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Iterable
 
@@ -80,8 +81,14 @@ class BlockBuffer:
     # Wiring
     # ------------------------------------------------------------------ #
     def bind(self, block: "Block", raw_loader: Callable[[], dict[str, np.ndarray]]) -> None:
-        """Route ``block``'s future column faults through this buffer."""
-        block.set_loader(lambda: self._fault(block, raw_loader))
+        """Route ``block``'s future column faults through this buffer.
+
+        The loader refers to the block and to the buffer weakly, so no block
+        sits in a reference cycle through its own loader: a closed session
+        is freed by reference counting, not by the cycle collector.
+        """
+        buffer, target = weakref.ref(self), weakref.ref(block)
+        block.set_loader(lambda: buffer()._fault(target(), raw_loader))
 
     def admit(self, block: "Block") -> None:
         """Charge a resident block (creation or restore-with-data) to the pool."""

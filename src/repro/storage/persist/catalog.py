@@ -15,10 +15,13 @@ WAL mode makes the commit itself atomic; SQLite replays a pending WAL
 automatically when the database is next opened.
 
 All catalog **mutations** go through :meth:`PersistentCatalog.transaction`
-— one ``BEGIN IMMEDIATE``-to-``COMMIT`` span per logical update.  The
-``catalog-transaction`` static rule (:mod:`repro.analysis.persist`)
-rejects any bare write ``execute`` outside such a block, so a half-written
-catalog state cannot be introduced by a future code path either.
+— one ``BEGIN IMMEDIATE``-to-``COMMIT`` span per logical update — and the
+connection makes that the only way a write can reach disk: it never
+autocommits, so a write issued anywhere else opens an implicit transaction
+that only ``transaction()`` could commit.  It refuses to (it rolls the
+stray write back and raises), and :meth:`PersistentCatalog.close` discards
+it, so a half-written catalog state cannot be introduced by a future code
+path either.
 """
 
 from __future__ import annotations
@@ -77,22 +80,24 @@ class PersistentCatalog:
     """SQLite-backed metadata store of one storage root.
 
     The connection runs in WAL mode with ``synchronous=NORMAL`` (a commit
-    is durable up to an OS crash, the standard WAL trade-off) and explicit
-    transactions: the connection is opened in autocommit and every mutation
-    span is an explicit ``BEGIN IMMEDIATE`` .. ``COMMIT`` issued by
-    :meth:`transaction`.  Reads (``SELECT``) are safe outside transactions
-    — they see the last committed state.
+    is durable up to an OS crash, the standard WAL trade-off) and never
+    autocommits: every mutation span is a ``BEGIN IMMEDIATE`` .. ``COMMIT``
+    issued by :meth:`transaction`, and a write anywhere else opens an
+    implicit ``BEGIN IMMEDIATE`` that nothing but a rollback ends.  Reads
+    (``SELECT``) are safe outside transactions — they see the last
+    committed state.
     """
 
     def __init__(self, root: Path) -> None:
         self.root = Path(root)
         self.path = self.root / CATALOG_FILENAME
         self.root.mkdir(parents=True, exist_ok=True)
-        # isolation_level=None puts sqlite3 in autocommit so transaction()
-        # controls the BEGIN/COMMIT span itself.  Connecting replays any WAL
-        # left behind by a crashed writer before the first statement runs.
+        # isolation_level="IMMEDIATE": sqlite3 opens a transaction before a
+        # write that runs outside one, and only commit() ends it — which
+        # transaction() alone calls.  Connecting replays any WAL left behind
+        # by a crashed writer before the first statement runs.
         self._conn: sqlite3.Connection | None = sqlite3.connect(
-            str(self.path), isolation_level=None
+            str(self.path), isolation_level="IMMEDIATE"
         )
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
@@ -108,23 +113,35 @@ class PersistentCatalog:
     def transaction(self) -> Iterator[sqlite3.Cursor]:
         """One atomic catalog update: commit on success, rollback on error.
 
-        Every catalog mutation must run on the yielded cursor inside this
-        context — the ``catalog-transaction`` static rule enforces it.
+        Every catalog mutation runs on the yielded cursor inside this
+        context; a write anywhere else never reaches disk.
+
+        Raises:
+            StorageError: if a transaction is already open on entry, i.e. a
+                write ran outside this context.  That write is rolled back.
         """
-        cursor = self._conn.cursor()
+        conn = self._conn
+        if conn.in_transaction:
+            conn.rollback()
+            raise StorageError(
+                f"storage root {str(self.root)!r}: a catalog write ran outside "
+                "transaction(); it was rolled back"
+            )
+        cursor = conn.cursor()
         cursor.execute("BEGIN IMMEDIATE")
         try:
             yield cursor
         except BaseException:
-            self._conn.execute("ROLLBACK")
+            conn.rollback()
             raise
         else:
-            self._conn.execute("COMMIT")
+            conn.commit()
         finally:
             cursor.close()
 
     def close(self) -> None:
-        """Close and forget the underlying connection (idempotent)."""
+        """Close and forget the underlying connection (idempotent); a write
+        that ran outside :meth:`transaction` is discarded."""
         if self._conn is not None:
             self._conn.close()
             self._conn = None

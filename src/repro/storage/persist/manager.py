@@ -139,8 +139,15 @@ class PersistenceManager:
 
     def close(self) -> None:
         """Release the catalog connection and unmap every resident spill
-        file (idempotent; unmapped blocks fault back in if read again)."""
+        file (idempotent; unmapped blocks fault back in if read again).
+
+        The buffer also lets go of the DFS, the one back-reference of the
+        ``dfs.buffer`` wiring, so a closed session is freed by reference
+        counting; a closed session's reads stop counting buffer traffic in
+        ``dfs.read_stats``.
+        """
         self.buffer.release()
+        self.buffer.dfs = None
         self.catalog.close()
 
     # ------------------------------------------------------------------ #

@@ -27,7 +27,6 @@ import numpy as np
 
 from ..common.epochs import PartitionDelta
 from ..common.errors import PartitioningError, StorageError
-from ..common.sanitize import PartitionStateSnapshot, sanitize_enabled
 from ..common.predicates import Predicate
 from ..common.schema import Schema
 from ..partitioning.tree import PartitioningTree, TreeNode
@@ -131,16 +130,6 @@ class StoredTable:
     _empty_template: dict[str, np.ndarray] | None = field(default=None, repr=False)
     # The descriptor of the mutation in progress (``None`` between mutations).
     _open_delta: PartitionDelta | None = field(default=None, repr=False, compare=False)
-    # Sanitizer state (REPRO_SANITIZE=1): the partition state as of the last
-    # mutation's exit (or construction), checked at the next mutation's exit.
-    _sanitize_snapshot: PartitionStateSnapshot | None = field(
-        default=None, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        # A table restored from a checkpoint arrives fully populated: this
-        # baseline makes its first mutation checked like any later one.
-        self._sanitize_rebase(None)
 
     # ------------------------------------------------------------------ #
     # Loading
@@ -207,10 +196,6 @@ class StoredTable:
         recorded and ``full`` is false.  The chain is bounded by
         :attr:`delta_chain_limit`.
 
-        Under ``REPRO_SANITIZE=1`` the exit also cross-checks the descriptor
-        against the partition-state changes observed since the previous
-        mutation's exit (:class:`~repro.common.sanitize.SanitizeError`).
-
         Args:
             full: Blanket change (initial load, full repartitioning) —
                 always bumps, and consumers recompute from scratch.
@@ -233,7 +218,6 @@ class StoredTable:
                 self._delta_chain.append((self._epoch, delta))
                 if len(self._delta_chain) > self.delta_chain_limit:
                     del self._delta_chain[: -self.delta_chain_limit]
-            self._sanitize_rebase(delta)
 
     def _recording(self) -> PartitionDelta:
         """The open mutation's descriptor; primitives call this before they write."""
@@ -242,21 +226,6 @@ class StoredTable:
                 f"table {self.name!r}: partition state may only change inside mutation()"
             )
         return self._open_delta
-
-    def _sanitize_rebase(self, delta: PartitionDelta | None) -> None:
-        """Sanitizer: check observed changes against ``delta``, then re-baseline.
-
-        ``delta`` is the descriptor of the mutation that just exited, or
-        ``None`` when there is nothing to check yet (construction).  Every
-        row-count, block-set or tree-set difference from the previous
-        baseline must be inside it.  A no-op with the sanitizer off.
-        """
-        previous, self._sanitize_snapshot = self._sanitize_snapshot, None
-        if not sanitize_enabled():
-            return
-        if previous is not None and delta is not None:
-            previous.verify(self, delta)
-        self._sanitize_snapshot = PartitionStateSnapshot.capture(self)
 
     def delta_between(self, start_epoch: int, end_epoch: int) -> PartitionDelta | None:
         """Merged change descriptor covering ``(start_epoch, end_epoch]``.

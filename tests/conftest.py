@@ -12,23 +12,11 @@ import pytest
 
 from repro.api import Session
 from repro.common.rng import make_rng
-from repro.common.sanitize import sanitize_enabled
 from repro.common.schema import DataType, Schema
 from repro.core import AdaptDBConfig
 from repro.storage.table import ColumnTable
 from repro.workloads.cmt import CMTGenerator
 from repro.workloads.tpch import TPCHGenerator
-
-
-def pytest_report_header(config: pytest.Config) -> str:
-    """Record whether the runtime sanitizer is active (REPRO_SANITIZE=1).
-
-    CI runs the suite twice — plain, and once with the sanitizer
-    cross-checking mutation descriptors and cache-serve aliasing; the
-    header line makes the two job logs distinguishable at a glance.
-    """
-    mode = "enabled" if sanitize_enabled() else "disabled"
-    return f"repro sanitizer (REPRO_SANITIZE): {mode}"
 
 
 @pytest.fixture

@@ -11,7 +11,6 @@ join).
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.api import (
@@ -216,21 +215,6 @@ class TestPlanCache:
         assert not first.plan_cache_hit and not second.plan_cache_hit
         assert len(session.plan_cache) == 0
 
-    def test_workload_identical_with_and_without_cache(self, tpch_tables):
-        """The cache must never change results or adaptation decisions."""
-        rng = np.random.default_rng(9)
-        queries = [tpch_query("q12", rng) for _ in range(10)]
-
-        def run_workload(plan_cache_size: int):
-            config = AdaptDBConfig(rows_per_block=512, buffer_blocks=4, seed=11,
-                                   plan_cache_size=plan_cache_size)
-            session = Session(config=config)
-            for name in ("lineitem", "orders"):
-                session.load_table(tpch_tables[name])
-            return [result.fingerprint() for result in session.run_workload(queries)]
-
-        assert run_workload(64) == run_workload(0)
-
     def test_hyper_plan_cache_reused_across_different_predicates(self, session):
         """Same pruned block sets under different values reuse the hyper plan."""
         session.run(q12_like(0.0, 1e18), adapt=False)   # prunes nothing
@@ -282,20 +266,6 @@ class TestBackends:
         tampered.scan_tables.append("part")
         tampered.scan_blocks["part"] = []
         assert session.run(q12_like(), adapt=False).fingerprint() == reference
-
-    def test_multi_join_agreement(self, small_config, tpch_tables):
-        """A three-table plan replays bit-identically through every backend."""
-        session = Session(config=small_config)
-        for name in ("lineitem", "orders", "customer"):
-            session.load_table(tpch_tables[name])
-        physical = session.lower(session.plan(tpch_query("q3", session.rng), adapt=False))
-        assert len(physical.logical.join_decisions) == 2
-        fingerprints = set()
-        for backend in ("tasks", "parallel"):
-            session.use_backend(backend)
-            fingerprints.add(session.execute(physical).fingerprint())
-        session.close()
-        assert len(fingerprints) == 1
 
     def test_one_interpreter_behind_every_builtin_backend(self, session):
         assert {"tasks", "parallel"} == set(session.backends)

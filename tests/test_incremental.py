@@ -11,8 +11,11 @@ Covers the change-descriptor plumbing end to end:
   planning cold (the oracle: its tables' ``delta_between`` answers ``None``,
   the fallback production takes on chain overflow),
 * the chain-overflow fallback (spans past the retained window replan),
-* fingerprint identity across both execution backends after
-  incremental patching and over an adaptive (re-splitting) stream.
+* read-only overlap matrices in every cached hyper plan.
+
+Agreement with the cold oracle over adaptive streams, on both execution
+backends, is checked across the whole configuration matrix in
+``tests/test_matrix.py``.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from repro.common.rng import make_rng
 from repro.core import AdaptDBConfig
 from repro.join.grouping import group_blocks, matrix_row_digests
 from repro.join.overlap import compute_overlap_matrix, patch_overlap_matrix
-from repro.exec import TaskKind
-from repro.testing import fig13_join_queries
 
 PRED = (5.0, 25.0)
 
@@ -363,24 +364,6 @@ class TestIncrementalBitIdentity:
         assert session.cache_stats()["plan_revalidations"] == 0
         session.close()
 
-    def test_adaptive_workload_stays_bit_identical(self, tpch_tables):
-        """Real adaptation (smooth moves, Amoeba re-splits, tree drops)
-        interleaved with planning: incremental on/off agree query by query."""
-        def workload(session):
-            results = []
-            for step in range(5):
-                low = 3.0 + 4.0 * step
-                results.append(
-                    session.run(li_join(low, low + 15.0), adapt=True).fingerprint()
-                )
-            return results
-
-        with_patching = make_session(tpch_tables, incremental=True)
-        without = make_session(tpch_tables, incremental=False)
-        assert workload(with_patching) == workload(without)
-        with_patching.close()
-        without.close()
-
     def test_chain_overflow_falls_back_to_cold_planning(self, tpch_tables):
         """Spans past the retained delta window must replan, never guess."""
         fingerprints = {}
@@ -406,38 +389,19 @@ class TestIncrementalBitIdentity:
             session.close()
         assert fingerprints[True] == fingerprints[False]
 
-    def test_both_backends_agree_after_patching(self, tpch_tables):
-        """Per backend, the patched session reproduces the cold session
-        bit-for-bit, and the backends agree with each other — also over an
-        adaptive fig13-style stream whose re-splits put repartition tasks
-        into the schedules."""
-        backends = ("tasks", "parallel")
-        fingerprints = {}
-        for incremental in (True, False):
-            session = make_session(tpch_tables, incremental=incremental)
-            session.run(li_join(), adapt=False)
-            assert resplit_somewhere(session.table("lineitem"))
-            per_backend = {}
-            for backend in backends:
-                session.use_backend(backend)
-                per_backend[backend] = [session.run(li_join(), adapt=False).fingerprint()]
-            if incremental:
-                assert session.cache_stats()["hyper_upgrades"] > 0
-
-            # Adaptive stream: adaptation runs once per query (in plan());
-            # the same physical plan then replays through every backend.
-            repartition_tasks = 0
-            for query in fig13_join_queries(6):
-                physical = session.lower(session.plan(query, adapt=True))
-                repartition_tasks += sum(
-                    task.kind is TaskKind.REPARTITION for task in physical.compiled.tasks
-                )
-                for backend in backends:
-                    session.use_backend(backend)
-                    per_backend[backend].append(session.execute(physical).fingerprint())
-            assert repartition_tasks > 0
-            fingerprints[incremental] = per_backend
-            session.close()
-        assert fingerprints[True] == fingerprints[False]
-        assert len({tuple(fingerprints[True][backend]) for backend in backends}) == 1
+    def test_cached_overlap_matrices_refuse_in_place_writes(self, tpch_tables):
+        """Both places a hyper-plan entry is built — cold planning and a
+        delta upgrade — hand out a read-only overlap matrix, so patching a
+        cached matrix in place raises at the write."""
+        session = make_session(tpch_tables, force_join_method="hyper")
+        plans = [session.plan(li_join(), adapt=False).join_decisions[0].hyper_plan]
+        assert resplit_somewhere(session.table("lineitem"))
+        plans.append(session.plan(li_join(), adapt=False).join_decisions[0].hyper_plan)
+        assert session.cache_stats()["hyper_upgrades"] > 0
+        assert plans[0] is not plans[1]
+        for plan in plans:
+            assert plan.overlap.size
+            with pytest.raises(ValueError, match="read-only"):
+                plan.overlap[0, 0] = not plan.overlap[0, 0]
+        session.close()
 

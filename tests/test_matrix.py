@@ -1,0 +1,320 @@
+"""The configuration matrix is the oracle: every configuration gives equal answers.
+
+AdaptDB's adaptation (smooth repartitioning, Amoeba re-splits, the hyper-join
+vs. shuffle choice) may change what a query costs, never what it answers, and
+no configuration knob may change a single decision.  One derandomized
+hypothesis state machine drives queries, re-splits, block moves, tree drops,
+tampered plans and checkpoint/reopen cycles through every configuration at
+once::
+
+    {tasks, parallel} x {memory, mmap unbounded, mmap evicting}
+                      x {plan cache on, off} x {delta patching, cold oracle}
+
+After every step the fingerprints and the logical and physical ``explain()``
+texts agree across the whole matrix, every join cardinality equals
+``reference_join_count`` and every scan count equals ``rows_matching`` on the
+raw tables.  The cold oracle shadows ``delta_between`` with ``None``, exactly
+as production falls back on a delta-chain overflow.  The parallel axis
+replays each step's physical plan through both backends of one session, and
+every session's parallel backend runs on one shared worker pool.  At the end
+of the run, every fast path the matrix is the oracle for must have fired.
+"""
+
+from __future__ import annotations
+
+import functools
+import shutil
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    rule,
+    run_state_machine_as_test,
+)
+
+from repro.api import Session
+from repro.common.predicates import rows_matching
+from repro.common.rng import make_rng
+from repro.core import AdaptDBConfig
+from repro.exec import TaskKind
+from repro.parallel import WorkerPool
+from repro.partitioning.two_phase import TwoPhasePartitioner
+from repro.testing import fig08_scan_queries, fig13_join_queries, reference_join_count
+from repro.workloads.tpch import TPCHGenerator
+from repro.workloads.tpch_queries import tpch_query
+
+TABLES = ("lineitem", "orders", "customer", "part")
+ROWS_PER_BLOCK = 512
+#: Small enough that every query of the run evicts blocks.
+EVICTING_BUDGET = 64 * 1024
+QUERY_KINDS = ("fig13", "fig08", "q3", "q6", "q12", "q14")
+#: Per table, the (join attribute, selection attributes) of the trees a
+#: ``move`` step may create.
+NEW_TREES = {
+    "lineitem": (("l_orderkey", ["l_shipdate"]), ("l_partkey", ["l_quantity"])),
+    "orders": (("o_orderkey", ["o_orderdate"]), ("o_custkey", ["o_orderdate"])),
+}
+BACKENDS = ("tasks", "parallel")
+#: The fast paths this harness is the oracle for; each must fire in a run.
+FAST_PATHS = (
+    "plan revalidation", "hyper upgrade", "REPARTITION task", "buffer eviction", "reopen",
+)
+
+
+@dataclass(frozen=True)
+class Config:
+    storage: str  # "memory", "mmap" (unbounded buffer) or "mmap-evicting"
+    plan_cache: bool
+    incremental: bool
+
+    def session_config(self, root: Path) -> AdaptDBConfig:
+        if self.storage == "memory":
+            tier: dict = {"persistence": "memory"}
+        else:
+            budget = EVICTING_BUDGET if self.storage == "mmap-evicting" else None
+            tier = {"persistence": "mmap", "storage_root": str(root), "buffer_bytes": budget}
+        return AdaptDBConfig(
+            rows_per_block=ROWS_PER_BLOCK, buffer_blocks=4, window_size=6, seed=5,
+            num_machines=4, num_workers=2,
+            plan_cache_size=64 if self.plan_cache else 0, **tier,
+        )
+
+    def __str__(self) -> str:
+        return (
+            f"{self.storage}/cache={'on' if self.plan_cache else 'off'}"
+            f"/{'delta' if self.incremental else 'cold'}"
+        )
+
+
+CONFIGS = tuple(
+    Config(storage, plan_cache, incremental)
+    for storage in ("memory", "mmap", "mmap-evicting")
+    for plan_cache in (True, False)
+    for incremental in (True, False)
+)
+
+
+@functools.lru_cache(maxsize=1)
+def raw_tables():
+    return TPCHGenerator(scale=0.05, seed=7).generate()
+
+
+def make_query(kind: str, index: int):
+    if kind == "fig13":
+        return fig13_join_queries(4)[index]
+    if kind == "fig08":
+        return fig08_scan_queries(4)[index]
+    return tpch_query(kind, make_rng(index))
+
+
+def check_answers(logical, result) -> None:
+    """Every join cardinality and scan count equals the raw-table reference."""
+    raw, query = raw_tables(), logical.query
+    for decision, stats in zip(logical.join_decisions, result.join_stats, strict=True):
+        build, probe = decision.build_table, decision.probe_table
+        assert stats.output_rows == reference_join_count(
+            raw[build], raw[probe],
+            decision.clause.column_for(build), decision.clause.column_for(probe),
+            query.predicates_on(build), query.predicates_on(probe),
+        ), f"join {decision.clause} of {query.template or query.tables}"
+    if not query.joins:
+        assert result.scan_output_rows == sum(
+            int(rows_matching(raw[name].columns, query.predicates_on(name)).sum())
+            for name in query.tables
+        )
+
+
+class ConfigurationMatrix(RuleBasedStateMachine):
+    #: The worker pool every session's parallel backend shares (set per run).
+    pool: WorkerPool
+    #: How often each fast path fired over the run.
+    fired: dict[str, int]
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.root = Path(tempfile.mkdtemp(prefix="repro-matrix-"))
+        self.sessions: dict[Config, Session] = {}
+        for position, config in enumerate(CONFIGS):
+            session = Session(config.session_config(self.root / f"root-{position}"))
+            for name in TABLES:
+                session.load_table(raw_tables()[name])
+            self.sessions[config] = self.wire(config, session)
+        self.last_query = None
+
+    # -------------------------------------------------------------- #
+    # Session wiring
+    # -------------------------------------------------------------- #
+    def wire(self, config: Config, session: Session) -> Session:
+        if not config.incremental:
+            for table in session.catalog.tables():
+                table.delta_between = lambda start, end: None
+        session.backends["parallel"]._pool = self.pool
+        return session
+
+    def retire(self, session: Session) -> None:
+        """Count the session's fast paths, then close it (sparing the pool)."""
+        self.fired["plan revalidation"] += session.plan_cache.revalidations
+        self.fired["hyper upgrade"] += session.optimizer.hyper_cache.upgrades
+        if session.persist is not None:
+            self.fired["buffer eviction"] += session.persist.buffer.evictions
+        session.backends["parallel"]._pool = None
+        session.close()
+
+    def teardown(self) -> None:
+        for session in self.sessions.values():
+            self.retire(session)
+        shutil.rmtree(self.root, ignore_errors=True)
+
+    # -------------------------------------------------------------- #
+    # The per-step oracle
+    # -------------------------------------------------------------- #
+    def run_everywhere(self, query, adapt: bool) -> None:
+        """Run ``query`` in every configuration; all answers must agree."""
+        self.last_query = query
+        outcomes = {}
+        for config, session in self.sessions.items():
+            physical = session.lower(session.plan(query, adapt=adapt))
+            self.fired["REPARTITION task"] += sum(
+                task.kind is TaskKind.REPARTITION for task in physical.compiled.tasks
+            )
+            for backend in BACKENDS:
+                session.use_backend(backend)
+                result = session.execute(physical)
+                check_answers(physical.logical, result)
+                outcomes[f"{backend}/{config}"] = (
+                    result.fingerprint(), physical.logical.explain(), physical.explain()
+                )
+            session.use_backend("tasks")
+        reference_name, reference = next(iter(outcomes.items()))
+        for name, outcome in outcomes.items():
+            assert outcome == reference, f"{name} disagrees with {reference_name}"
+
+    def rerun_last(self) -> None:
+        """The next query sees the change every configuration just made."""
+        if self.last_query is not None:
+            self.run_everywhere(self.last_query, adapt=False)
+
+    @invariant()
+    def same_partition_state(self) -> None:
+        states = {
+            str(config): (
+                session.describe(),
+                tuple((table.name, table.epoch) for table in session.catalog.tables()),
+            )
+            for config, session in self.sessions.items()
+        }
+        assert len(set(states.values())) == 1, states
+
+    # -------------------------------------------------------------- #
+    # Rules
+    # -------------------------------------------------------------- #
+    @rule(kind=st.sampled_from(QUERY_KINDS), index=st.integers(0, 3), adapt=st.booleans())
+    def query(self, kind, index, adapt):
+        self.run_everywhere(make_query(kind, index), adapt)
+
+    @rule(
+        table=st.sampled_from(sorted(NEW_TREES)),
+        pick=st.integers(0, 10_000),
+        fraction=st.sampled_from((0.25, 0.5, 0.75)),
+    )
+    def resplit(self, table, pick, fraction):
+        """An Amoeba transform: re-cut one bottom node on its own attribute
+        (a node over two empty blocks keeps its cut and moves nothing)."""
+        for session in self.sessions.values():
+            stored = session.table(table)
+            tree_id = sorted(stored.trees)[pick % len(stored.trees)]
+            bottom = stored.tree(tree_id).bottom_internal_nodes()
+            if not bottom:
+                continue
+            node, _ = bottom[pick % len(bottom)]
+            ranges = [
+                block_range
+                for block_id in (node.left.block_id, node.right.block_id)
+                if (block_range := stored.join_range_of_block(block_id, node.attribute))
+            ]
+            cutpoint = node.cutpoint
+            if ranges:
+                low = min(lo for lo, _ in ranges)
+                high = max(hi for _, hi in ranges)
+                cutpoint = low + (high - low) * fraction
+            stored.resplit(tree_id, node, node.attribute, cutpoint)
+        self.rerun_last()
+
+    @rule(
+        table=st.sampled_from(sorted(NEW_TREES)),
+        which=st.integers(0, 1),
+        picks=st.lists(st.integers(0, 10_000), min_size=1, max_size=6),
+    )
+    def move(self, table, which, picks):
+        """Start a new tree and move a drawn subset of blocks into it."""
+        join_attribute, selection = NEW_TREES[table][which]
+        for session in self.sessions.values():
+            stored = session.table(table)
+            tree = TwoPhasePartitioner(join_attribute, selection).build(
+                stored.sample,
+                total_rows=stored.total_rows,
+                num_leaves=max(2, stored.total_rows // ROWS_PER_BLOCK),
+            )
+            target = stored.add_empty_tree(tree)
+            sources = stored.non_empty_block_ids()
+            stored.move_blocks(sorted({sources[p % len(sources)] for p in picks}), target)
+        self.rerun_last()
+
+    @rule()
+    def drop_empty_trees(self):
+        for session in self.sessions.values():
+            for table in session.catalog.tables():
+                table.drop_empty_trees()
+        self.rerun_last()
+
+    @rule(kind=st.sampled_from(QUERY_KINDS), index=st.integers(0, 3))
+    def tamper(self, kind, index):
+        """Callers may mutate a served plan's lists; the cache must not see it."""
+        query = make_query(kind, index)
+        for session in self.sessions.values():
+            served = session.plan(query, adapt=False)
+            served.join_decisions.clear()
+            for block_ids in served.scan_blocks.values():
+                block_ids.clear()
+            served.scan_blocks["part"] = []
+            served.scan_tables.append("part")
+        self.run_everywhere(query, adapt=False)
+
+    @rule()
+    def checkpoint_and_reopen(self):
+        """mmap configurations restart from a checkpoint; memory ones carry on."""
+        for config, session in list(self.sessions.items()):
+            if config.storage == "memory":
+                continue
+            session.checkpoint()
+            root = session.storage_root
+            self.retire(session)
+            self.sessions[config] = self.wire(config, Session.open(root))
+        self.fired["reopen"] += 1
+        self.rerun_last()
+
+
+MATRIX_SETTINGS = settings(
+    max_examples=10,
+    stateful_step_count=10,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=list(HealthCheck),
+)
+
+
+def test_every_configuration_gives_the_same_answers():
+    ConfigurationMatrix.fired = dict.fromkeys(FAST_PATHS, 0)
+    ConfigurationMatrix.pool = WorkerPool(2)
+    try:
+        run_state_machine_as_test(ConfigurationMatrix, settings=MATRIX_SETTINGS)
+    finally:
+        ConfigurationMatrix.pool.close()
+    fired = ConfigurationMatrix.fired
+    assert all(fired[path] > 0 for path in FAST_PATHS), fired

@@ -3,15 +3,15 @@
 The contract under test: the parallel backend executes compiled task
 schedules on real worker processes, with block columns shipped through
 shared-memory segments, and produces results **bit-identical** to the
-in-process task backend — same ``output_rows``, same ``fingerprint()`` —
-on scan, shuffle-join and hyper-join workloads, including adaptive
-workloads that repartition tables (epoch bumps) mid-stream.  Around that
-core: the shared-memory slab (stale slots re-copied on demand, extents
+in-process task backend — same ``output_rows``, same ``fingerprint()``.
+Agreement over adaptive workloads that repartition tables (epoch bumps)
+mid-stream is checked across the whole configuration matrix in
+``tests/test_matrix.py``.  Here: the shared-memory slab (stale slots re-copied on demand, extents
 reused, the hand-off proportional to the blocks read), segment lifecycle (no
 leaks after close, crashed workers recovered), failed stages (a worker-side error — including
 a write to a pinned block, which is read-only — fails the query loudly and
-leaves the session correct) and the wall-clock reporting fields that
-fingerprints must ignore.
+leaves the session correct), the wall-clock reporting fields that
+fingerprints must ignore, and attached views that are read-only.
 """
 
 from __future__ import annotations
@@ -31,8 +31,10 @@ import numpy as np
 import pytest
 
 from repro.api import Session
+from repro.cluster import Cluster
 from repro.common.predicates import between
 from repro.common.query import join_query, scan_query
+from repro.common.schema import DataType, Schema
 from repro.core import AdaptDBConfig
 from repro.exec import TaskKind, kernels_tasks
 from repro.exec.kernels_tasks import BlockInput, TaskOutcome, TaskWork
@@ -41,14 +43,16 @@ from repro.common.errors import ExecutionError, StorageError
 from repro.common.rng import make_rng
 from repro.partitioning.upfront import UpfrontPartitioner
 from repro.storage import shared_memory
+from repro.storage.dfs import DistributedFileSystem
 from repro.storage.shared_memory import (
     SharedBlockStore,
+    SharedBlockView,
     SharedSegmentCache,
     _attach_untracked,
 )
+from repro.storage.table import ColumnTable, StoredTable
 from repro.testing import fig08_scan_queries, fig13_join_queries
 from repro.workloads import EVALUATED_TEMPLATES, switching_workload
-from repro.workloads.tpch_queries import tpch_query
 
 
 def parallel_config(**overrides) -> AdaptDBConfig:
@@ -112,26 +116,8 @@ def segment_exists(name: str) -> bool:
 # Bit-identical agreement with the in-process task backend
 # --------------------------------------------------------------------- #
 class TestAgreement:
-    def test_fig12_mini_workload_bit_identical(self, par_session):
-        """TPC-H template mix (fig12-style), adapting as it runs."""
-        rng = np.random.default_rng(42)
-        templates = ["q6", "q12", "q14", "q12", "q6"]
-        for template in templates:
-            assert_backends_agree(par_session, tpch_query(template, rng))
-
-    def test_fig13_switching_workload_bit_identical(self, par_session):
-        """Join workload with shifting predicates (fig13-style).
-
-        Runs with adaptation on, so partition trees are rewritten and
-        table epochs bump mid-workload; every post-repartition query must
-        still match the task backend bit for bit (stale shared-memory
-        pins would break this).
-        """
-        epoch_before = par_session.table("lineitem").epoch
-        for query in fig13_join_queries(4) + fig08_scan_queries(2):
-            assert_backends_agree(par_session, query)
-        # Adaptation must actually have happened for this test to bite.
-        assert par_session.table("lineitem").epoch > epoch_before
+    """Agreement over adaptive workloads is ``tests/test_matrix.py``'s job;
+    these pin the pool's own knobs and the wall-clock fields."""
 
     def test_num_workers_one_equivalent(self, tpch_tables):
         session = make_session(tpch_tables, num_workers=1)
@@ -607,3 +593,60 @@ class TestBackendProtocol:
             assert backend.pool is not None and backend.pool.alive
         finally:
             session.close()
+
+
+# --------------------------------------------------------------------- #
+# Attached views are read-only
+# --------------------------------------------------------------------- #
+def make_stored(rows: int = 400, rows_per_block: int = 64) -> StoredTable:
+    rng = np.random.default_rng(3)
+    schema = Schema.of(("key", DataType.INT), ("value", DataType.FLOAT))
+    table = ColumnTable(
+        "t",
+        schema,
+        {
+            "key": rng.integers(0, 1_000, size=rows),
+            "value": rng.uniform(0, 1, size=rows),
+        },
+    )
+    tree = UpfrontPartitioner(["key"], rows_per_block).build(
+        table.sample(rng=np.random.default_rng(4)), total_rows=rows
+    )
+    dfs = DistributedFileSystem(cluster=Cluster(num_machines=2), rng=make_rng(5))
+    return StoredTable.load(table, dfs, tree, rows_per_block=rows_per_block)
+
+
+class TestFrozenViews:
+    def test_attached_views_are_readonly(self):
+        array = np.arange(8, dtype=np.int64)
+        buffer = memoryview(bytearray(array.tobytes())).toreadonly()
+        view = SharedBlockView(0, (8, 0), (("key", array.dtype.str),), buffer)
+        assert np.array_equal(view.columns["key"], array)
+        with pytest.raises(ValueError):
+            view.columns["key"][0] = 99
+
+    def test_a_worker_cannot_write_a_pinned_block(self):
+        """A worker cannot write a pinned block, nor make its view writable."""
+        stored = make_stored()
+        block_id = stored.non_empty_block_ids()[0]
+        before = stored.dfs.peek_block(block_id).columns["key"].copy()
+        store, cache, witness = SharedBlockStore(), SharedSegmentCache(), SharedSegmentCache()
+        try:
+            pin = store.pin_table(stored, [block_id])
+            view = cache.get_blocks(pin, [block_id])[0].columns["key"]
+            assert not view.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = view[0] + 1
+            with pytest.raises(ValueError):
+                view.setflags(write=True)
+            del view
+            # Neither the parent's block nor the segment every other worker
+            # reads has changed.
+            seen = witness.get_blocks(pin, [block_id])[0].columns["key"]
+            assert np.array_equal(seen, before)
+            del seen
+            assert np.array_equal(stored.dfs.peek_block(block_id).columns["key"], before)
+        finally:
+            witness.close()
+            cache.close()
+            store.close()

@@ -13,11 +13,14 @@ future, and ``close()`` letting go of every mapping.
 
 from __future__ import annotations
 
+import gc
 import mmap
 import os
+import re
 import sqlite3
 import struct
 import tempfile
+import weakref
 import zlib
 from pathlib import Path
 
@@ -31,7 +34,6 @@ from repro.common.errors import PlanningError, StorageError
 from repro.common.predicates import between, ge
 from repro.common.query import join_query, scan_query
 from repro.common.rng import make_rng
-from repro.common.sanitize import set_sanitize
 from repro.cluster.cluster import Cluster
 from repro.core import AdaptDBConfig
 from repro.partitioning.two_phase import TwoPhasePartitioner
@@ -502,21 +504,35 @@ class TestCheckpointRestore:
         ] == expected
         reopened.close()
 
-    def test_sanitizer_verifies_descriptors_across_restart(
-        self, tmp_path, tpch_tables
-    ):
-        set_sanitize(True)
-        try:
-            session = load_session(mmap_config(tmp_path), tpch_tables)
-            session.run_workload(adaptive_workload(queries_per_template=2)[:4])
+
+# --------------------------------------------------------------------- #
+# The catalog write path
+# --------------------------------------------------------------------- #
+class TestCatalogWritePath:
+    """A catalog write outside ``transaction()`` can never reach disk."""
+
+    def test_a_stray_write_is_gone_after_close_and_reopen(self, tmp_path, tpch_tables):
+        session = load_session(mmap_config(tmp_path), tpch_tables, ("part",))
+        session.checkpoint()
+        session.persist.catalog._conn.execute("DELETE FROM blocks")
+        session.close()
+
+        reopened = Session.open(tmp_path / "root")
+        assert reopened.persist.catalog.block_rows()
+        assert reopened.table("part").total_rows == tpch_tables["part"].num_rows
+        reopened.close()
+
+    def test_the_next_transaction_refuses_and_rolls_it_back(self, tmp_path, tpch_tables):
+        session = load_session(mmap_config(tmp_path), tpch_tables, ("part",))
+        session.checkpoint()
+        catalog = session.persist.catalog
+        catalog._conn.execute("DELETE FROM meta WHERE key = 'config'")
+        root = re.escape(str(tmp_path / "root"))
+        with pytest.raises(StorageError, match=f"{root}.*outside transaction"):
             session.checkpoint()
-            session.close()
-            reopened = Session.open(tmp_path / "root")
-            # Post-restore bumps verify against the restored snapshot baseline.
-            reopened.run_workload(adaptive_workload(queries_per_template=2)[4:])
-            reopened.close()
-        finally:
-            set_sanitize(None)
+        assert catalog.has_checkpoint(), "the stray DELETE was rolled back"
+        session.checkpoint()
+        session.close()
 
 
 # --------------------------------------------------------------------- #
@@ -955,6 +971,21 @@ class TestCloseUnmaps:
         # A closed session still reads through the in-process backends.
         assert reopened.run(queries[0], adapt=False).output_rows >= 0
         reopened.close()
+
+    def test_a_closed_session_is_freed_by_reference_counting(self, tmp_path, tpch_tables):
+        session = load_session(mmap_config(tmp_path, buffer_bytes=256 * 1024), tpch_tables)
+        session.run_workload(adaptive_workload(queries_per_template=1))
+        session.checkpoint()
+        session.run_workload(adaptive_workload(queries_per_template=1, seed=2))
+        dfs = weakref.ref(session.dfs)
+        gc.collect()
+        gc.disable()
+        try:
+            session.close()
+            del session
+            assert dfs() is None, "the closed session's DFS waits for the cycle collector"
+        finally:
+            gc.enable()
 
 
 # --------------------------------------------------------------------- #

@@ -2,19 +2,28 @@
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.cluster import Cluster
+from repro.common.epochs import PartitionDelta
 from repro.common.errors import PartitioningError, SchemaError, StorageError
 from repro.common.predicates import between, le, rows_matching
+from repro.common.query import join_query
 from repro.common.rng import make_rng
 from repro.common.schema import DataType, Schema
+from repro.core import AdaptDBConfig
+from repro.partitioning.tree import PartitioningTree
 from repro.partitioning.two_phase import TwoPhasePartitioner
 from repro.partitioning.upfront import UpfrontPartitioner
-from repro.storage.block import Block
+from repro.storage.block import Block, concatenate_columns
 from repro.storage.dfs import DistributedFileSystem
 from repro.storage.table import ColumnTable, RepartitionStats, StoredTable
+from repro.testing import reference_join_count
 
 
 def make_column_table(rows: int = 2000, name: str = "t") -> ColumnTable:
@@ -303,61 +312,198 @@ class TestMutationContext:
         recorded = stored.delta_between(before, stored.epoch)
         assert recorded.blocks_changed == {block_id, extra_id}
 
-    @pytest.mark.parametrize("failing", ["delete_block", "route_rows"])
-    def test_failed_replace_with_tree_still_bumps(self, monkeypatch, failing):
-        stored = load_table(2000, 256)
-        tree = TwoPhasePartitioner("key", ["other"]).build(
-            stored.sample, total_rows=stored.total_rows, num_leaves=8
-        )
-        calls = []
-        delete_block = stored.dfs.delete_block
 
-        def delete_then_fail(block_id):
-            if calls:
-                raise RuntimeError("injected")
-            calls.append(block_id)
-            delete_block(block_id)
+# --------------------------------------------------------------------- #
+# A failure anywhere inside any mutation leaves a described state
+# --------------------------------------------------------------------- #
+class InjectedFault(RuntimeError):
+    """Raised in place of the k-th call of a fault point."""
 
-        def fail(columns):
-            raise RuntimeError("injected")
 
-        if failing == "delete_block":
-            monkeypatch.setattr(stored.dfs, "delete_block", delete_then_fail)
-        else:
-            monkeypatch.setattr(tree, "route_rows", fail)
-        before, old_blocks = stored.epoch, stored.block_ids()
-        with pytest.raises(RuntimeError, match="injected"):
-            stored.replace_with_tree(tree)
-        # Blocks a plan cached at ``before`` names are gone, so that epoch
-        # must be too, and the gap must read as "recompute everything".
-        assert any(not stored.dfs.has_block(b) for b in old_blocks)
-        assert stored.epoch == before + 1
-        assert stored.delta_between(before, stored.epoch).full
+PRIMITIVES = (
+    "_materialize_tree", "_register_block", "_append_rows",
+    "_clear_block", "_rewrite_block", "_forget_tree",
+)
+#: Where a fault is injected.  The mutation primitives fail as they are
+#: entered; the writes inside them (a block append, a block deletion, the
+#: routing of a new tree's rows) fail half-way through a primitive.
+FAULT_POINTS = {
+    **{name: (StoredTable, name) for name in PRIMITIVES},
+    "Block.extend": (Block, "extend"),
+    "DistributedFileSystem.delete_block": (DistributedFileSystem, "delete_block"),
+    "PartitioningTree.route_rows": (PartitioningTree, "route_rows"),
+}
+ENTRY_POINTS = (
+    "load", "move_blocks", "resplit", "add_empty_tree", "drop_empty_trees", "replace_with_tree",
+)
+#: Entry points that are blanket changes: they always bump, with a full delta.
+FULL_ENTRY_POINTS = ("load", "replace_with_tree")
+JOIN = join_query("t", "u", "key", "key", predicates={"t": [between("other", 10, 70)]})
 
-    def test_failed_move_blocks_still_bumps_and_describes(self, monkeypatch):
-        stored = load_table(4000, 256)
-        tree = TwoPhasePartitioner("key", ["other"]).build(
-            stored.sample, total_rows=stored.total_rows, num_leaves=16
-        )
-        target = stored.add_empty_tree(tree)
-        rows_before = dict(stored._block_rows)
-        extend = Block.extend
-        appended = []
 
-        def extend_then_fail(block, *args):
-            if appended:
-                raise RuntimeError("injected")
-            appended.append(block.block_id)
-            extend(block, *args)
+def dimension_table() -> ColumnTable:
+    keys = np.arange(0, 10_000, 3, dtype=np.int64)
+    schema = Schema.of(("key", DataType.INT), ("weight", DataType.FLOAT))
+    return ColumnTable("u", schema, {"key": keys, "weight": keys / 7.0})
 
-        monkeypatch.setattr(Block, "extend", extend_then_fail)
-        before = stored.epoch
-        with pytest.raises(RuntimeError, match="injected"):
-            stored.move_blocks(stored.block_ids(0), target)
-        changed = {b for b, rows in stored._block_rows.items() if rows != rows_before[b]}
-        assert changed == set(appended)
-        assert stored.epoch == before + 1
-        assert changed <= stored.delta_between(before, stored.epoch).blocks_changed
+
+def tree_shape(node) -> object:
+    if node.is_leaf:
+        return node.block_id
+    return (node.attribute, node.cutpoint, tree_shape(node.left), tree_shape(node.right))
+
+
+@dataclass
+class PartitionSnapshot:
+    """A table's partition state, observed directly: the descriptor's oracle."""
+
+    blocks: dict[int, tuple[int, bytes]]  # block id -> (rows, content digest)
+    trees: dict[int, object]  # tree id -> structure
+    registered: frozenset[int]  # tree ids with statistics entries
+    next_tree_id: int
+
+    @classmethod
+    def capture(cls, stored: StoredTable) -> "PartitionSnapshot":
+        blocks = {}
+        for block_id, rows in stored._block_rows.items():
+            columns = stored.dfs.peek_block(block_id).columns
+            digest = hashlib.blake2b(digest_size=16)
+            for name in sorted(columns):
+                digest.update(np.ascontiguousarray(columns[name]).tobytes())
+            blocks[block_id] = (rows, digest.digest())
+        trees = {tree_id: tree_shape(tree.root) for tree_id, tree in stored.trees.items()}
+        return cls(blocks, trees, frozenset(stored._tree_blocks), stored._next_tree_id)
+
+    def undescribed(self, after: "PartitionSnapshot", delta: PartitionDelta) -> list[str]:
+        """Every change from this snapshot to ``after`` that ``delta`` misses."""
+        if delta.full:
+            return []
+        missing = [
+            f"block {block_id}"
+            for block_id in sorted(self.blocks.keys() | after.blocks.keys())
+            if self.blocks.get(block_id) != after.blocks.get(block_id)
+            and block_id not in delta.touched_blocks
+        ]
+        for tree_id in sorted(self.registered | after.registered):
+            if (tree_id in self.registered) != (tree_id in after.registered):
+                if tree_id not in delta.trees_added | delta.trees_dropped:
+                    missing.append(f"tree {tree_id} added or dropped")
+            elif self.trees.get(tree_id) != after.trees.get(tree_id):
+                if tree_id not in delta.trees_resplit | delta.trees_added:
+                    missing.append(f"tree {tree_id} restructured")
+        return missing
+
+
+def two_phase_tree(stored: StoredTable, num_leaves: int = 8) -> PartitioningTree:
+    return TwoPhasePartitioner("key", ["other"]).build(
+        stored.sample, total_rows=stored.total_rows, num_leaves=num_leaves
+    )
+
+
+def stage(entry: str, session: Session):
+    """Set up ``entry`` on table ``t`` of ``session``; returns the call to fail."""
+    if entry == "load":
+        return lambda: session.load_table(make_column_table())
+    stored = session.table("t")
+    if entry == "move_blocks":
+        target = stored.add_empty_tree(two_phase_tree(stored))
+        return lambda: stored.move_blocks(stored.block_ids(0), target)
+    if entry == "resplit":
+        node, _ = stored.tree(0).bottom_internal_nodes()[0]
+        return lambda: stored.resplit(0, node, "value", 0.5)
+    if entry == "add_empty_tree":
+        return lambda: stored.add_empty_tree(two_phase_tree(stored))
+    if entry == "drop_empty_trees":
+        target = stored.add_empty_tree(two_phase_tree(stored))
+        stored.add_empty_tree(two_phase_tree(stored, num_leaves=2))
+        stored.move_blocks(stored.block_ids(0), target)
+        return stored.drop_empty_trees  # forgets tree 0 and the 2-leaf tree
+    return lambda: stored.replace_with_tree(two_phase_tree(stored))
+
+
+def run_with_fault(monkeypatch, entry: str, fault: str, k: int) -> int:
+    """Run ``entry`` with ``fault`` raising at its ``k``-th call (none for
+    ``k = 0``), check what it left behind, and return the calls seen."""
+    session = Session(AdaptDBConfig(rows_per_block=256, num_machines=4, seed=3,
+                                    persistence="memory"))
+    session.load_table(dimension_table())
+    if entry != "load":
+        session.load_table(make_column_table())
+    call = stage(entry, session)
+    subject: list[StoredTable] = []
+    if entry != "load":
+        session.run(JOIN, adapt=False)  # plans cached at the old epoch
+        subject.append(session.table("t"))
+        before = PartitionSnapshot.capture(subject[0])
+    else:
+        before = PartitionSnapshot({}, {}, frozenset(), 0)
+    epoch = subject[0].epoch if subject else 0
+
+    owner, name = FAULT_POINTS[fault]
+    original, mutation = getattr(owner, name), StoredTable.mutation
+    calls = 0
+
+    def faulty(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls == k:
+            raise InjectedFault(fault)
+        return original(*args, **kwargs)
+
+    def capturing_mutation(self, *args, **kwargs):  # the table ``load`` builds
+        if not subject:
+            subject.append(self)
+        return mutation(self, *args, **kwargs)
+
+    failed = False
+    with monkeypatch.context() as patch:
+        patch.setattr(owner, name, faulty)
+        patch.setattr(StoredTable, "mutation", capturing_mutation)
+        try:
+            call()
+        except InjectedFault:
+            failed = True
+    assert failed == (0 < k <= calls)
+
+    stored = subject[0]
+    after = PartitionSnapshot.capture(stored)
+    changed, advanced = after != before, stored.epoch != epoch
+    full = entry in FULL_ENTRY_POINTS
+    # The epoch advanced if and only if something changed (a blanket change
+    # always advances it).  A write failing half-way through a primitive
+    # may leave it advanced over a recorded change it never made.
+    assert advanced or not (changed or full)
+    if fault in PRIMITIVES:
+        assert advanced == (changed or full)
+    delta = stored.delta_between(epoch, stored.epoch)
+    assert delta.full == (full and advanced)
+    assert before.undescribed(after, delta) == []
+
+    # The next query answers from what the table's trees now hold.
+    if "t" not in session.catalog:
+        session.load_table(make_column_table())
+    contents = [
+        session.dfs.peek_block(block_id).columns
+        for block_id in session.table("t").lookup()
+    ]
+    current = ColumnTable("t", stored.schema, concatenate_columns(contents, stored.schema))
+    result = session.run(JOIN, adapt=False)
+    assert result.output_rows == reference_join_count(
+        current, dimension_table(), "key", "key", JOIN.predicates_on("t")
+    )
+    session.close()
+    return calls
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("fault", sorted(FAULT_POINTS))
+def test_a_failure_anywhere_leaves_a_described_state(monkeypatch, fault, entry):
+    """Raise at every call of every fault point inside every entry point:
+    the epoch and the delta chain cover whatever happened before the raise,
+    and the next query is answered from what the table now holds."""
+    calls = run_with_fault(monkeypatch, entry, fault, 0)
+    for k in range(1, calls + 1):
+        run_with_fault(monkeypatch, entry, fault, k)
 
 
 class TestJoinRange:
