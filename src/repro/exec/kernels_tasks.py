@@ -61,6 +61,13 @@ class BlockInput:
     key_column: str | None = None
     pin: "TablePin | None" = None
 
+    @property
+    def columns_read(self) -> dict[str, None]:
+        """The columns :func:`run_task` reads of these blocks, in order: the
+        join key, then the predicates' (a scan with no predicates reads none)."""
+        names = dict.fromkeys(predicate.column for predicate in self.predicates)
+        return {self.key_column: None, **names} if self.key_column else names
+
 
 @dataclass(frozen=True)
 class TaskWork:

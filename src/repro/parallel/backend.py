@@ -5,9 +5,9 @@ on a persistent :class:`~repro.parallel.pool.WorkerPool` — one worker per
 simulated machine (folded modulo ``num_workers``).  Block columns reach the
 workers through one shared-memory slab per table, kept current by a
 :class:`~repro.storage.shared_memory.SharedBlockStore`: before a stage is
-dispatched, the blocks it reads that a repartition touched since they were
-last copied are copied again, and each work item carries the slots of its
-own blocks only.
+dispatched, the columns it reads of the blocks it reads are copied in if the
+slab lacks them or a repartition touched the block since, and each work
+item carries the slots of its own blocks and columns only.
 
 Determinism contract: execution goes through the session's one schedule
 interpreter (:class:`~repro.exec.engine.Executor`) with this backend's
@@ -115,15 +115,19 @@ class ParallelBackend:
         """
         works = list(works)
         # One pin per table per stage, made before anything is submitted: the
-        # store writes into a segment only while no worker is reading it.
-        read: dict[str, list[int]] = {}
+        # store writes into a segment only while no worker is reading it.  It
+        # lists each block once (probe blocks are re-read) and the columns
+        # any input of the stage reads.
+        read: dict[str, tuple[dict[int, None], dict[str, None]]] = {}
         for work in works:
             for blocks in work.inputs:
-                read.setdefault(blocks.table, []).extend(blocks.block_ids)
+                block_ids, names = read.setdefault(blocks.table, ({}, {}))
+                block_ids.update(dict.fromkeys(blocks.block_ids))
+                names.update(blocks.columns_read)
         catalog = self.executor.catalog
         pins = {
-            name: self.store.pin_table(catalog.get(name), block_ids)
-            for name, block_ids in read.items()
+            name: self.store.pin_table(catalog.get(name), block_ids, names)
+            for name, (block_ids, names) in read.items()
         }
         for work in works:
             inputs = []
@@ -132,9 +136,8 @@ class ParallelBackend:
                 # and buffer statistics match TaskBackend's (block data itself
                 # travels via shared memory, not through this call).
                 self.executor.fetch(work, blocks)
-                pin = pins[blocks.table]
-                slots = {block_id: pin.slots[block_id] for block_id in blocks.block_ids}
-                inputs.append(replace(blocks, pin=replace(pin, slots=slots)))
+                pin = pins[blocks.table].select(blocks.block_ids, blocks.columns_read)
+                inputs.append(replace(blocks, pin=pin))
             pool.submit(work.machine_id, replace(work, inputs=tuple(inputs)))
         machine_of = {work.task_id: work.machine_id for work in works}
         outcomes = pool.collect(len(works))

@@ -4,32 +4,35 @@ The parallel backend (``repro.parallel``) runs one worker process per
 simulated machine.  Workers must read block columns without serialising
 them through the task queue, so this module keeps, per table, one named
 ``multiprocessing.shared_memory`` segment — a **slab** — that is a cache of
-block copies:
+block column copies:
 
 * :class:`SharedBlockStore` (parent side) sits under the
   :class:`~repro.storage.dfs.DistributedFileSystem`.  ``pin_table(table,
-  block_ids)`` makes the slab current for exactly the blocks a stage is
-  about to read.  When the table's epoch moved, the change descriptor
-  :meth:`~repro.storage.table.StoredTable.delta_between` returns says which
-  slots are stale (a ``full`` or missing descriptor says "all of them");
-  their extents go back to the free list, and only the stale blocks *this
-  stage reads* are copied in again, so a repartition that moved a fraction
-  of the blocks costs a fraction of the table.  The segment is replaced —
-  compacted, and regrown if the table grew — only when no free extent fits.
-  The returned :class:`TablePin` is what crosses the process boundary:
-  segment name, one column schema per table and one ``(num_rows, offset)``
-  slot per block read; column offsets follow from those (:func:`_layout`).
+  block_ids, columns)`` makes the slab current for exactly the blocks and
+  columns a stage is about to read.  When the table's epoch moved, the
+  change descriptor :meth:`~repro.storage.table.StoredTable.delta_between`
+  returns says which slots are stale (a ``full`` or missing descriptor says
+  "all of them") and they are dropped; then each requested column a block's
+  slot lacks is copied in through ``block.arrays(names)``, so a column no
+  stage reads is neither copied nor compacted, exactly as on the inline
+  path.  Copies are appended at the slab's tail.  When the tail reaches the
+  end, the live extents are compacted once; only if that leaves too little
+  room is the segment replaced by a fresh one sized for every column of the
+  table.  The returned :class:`TablePin` is what crosses the process
+  boundary: segment name, the ``(name, dtype)`` of each column read and,
+  per block read, ``(num_rows, offsets)`` with one offset per column.
 * :class:`SharedSegmentCache` (worker side) attaches segments by name and
   wraps slots in :class:`SharedBlockView` objects exposing the same
   ``num_rows`` / ``columns`` reader interface as
   :class:`~repro.storage.block.Block`, so the task kernels in
   ``repro.exec.kernels_tasks`` run unchanged in either process.  A column
-  view is built when a kernel first asks for it, over a **read-only**
-  memoryview of the segment: a worker can read a block but cannot change it
-  in place (a write raises ``ValueError`` at the write site, and the flag
-  cannot be flipped back), exactly like the mmap tier's read-only
-  ``np.memmap`` arrays.  A cached view is served only for the slot it was
-  built for, so an extent reused by another block never shows through.
+  view is built from its offset when a kernel first asks for it, over a
+  **read-only** memoryview of the segment: a worker can read a block but
+  cannot change it in place (a write raises ``ValueError`` at the write
+  site, and the flag cannot be flipped back), exactly like the mmap tier's
+  read-only ``np.memmap`` arrays.  A cached view is served only for the slot
+  it was built for, so an extent that was compacted away or handed to
+  another block never shows through.
 
 Lifecycle: the parent owns every segment (create + unlink) and writes to a
 slab only between stages, when no worker reads; workers only ever attach
@@ -42,7 +45,7 @@ never owns a segment, so it can leak nothing).
 from __future__ import annotations
 
 import atexit
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Collection, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
 from typing import TYPE_CHECKING
@@ -52,33 +55,24 @@ import numpy as np
 from ..common.errors import StorageError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from .block import Block
     from .table import StoredTable
 
 #: Column start offsets are aligned so every numpy view is itemsize-aligned.
 _ALIGN = 16
-#: A new slab holds the whole table plus this share: room for the blocks a
-#: repartition grows before the extents of the ones it emptied are reused.
+#: A new slab holds every column of the whole table plus this share: room
+#: for the copies a repartition adds before a compaction reclaims the
+#: extents of the ones it made stale.
 _HEADROOM = 0.125
 
-#: ``(column name, numpy dtype string)`` per column, in slot order.
+#: ``(column name, numpy dtype string)`` per column a pin lists.
 ColumnSchema = tuple[tuple[str, str], ...]
-#: ``(num_rows, offset)``: where one block's copy starts inside the segment.
-Slot = tuple[int, int]
+#: ``(num_rows, offsets)``: where each column of one block's copy starts,
+#: in :attr:`TablePin.columns` order.
+Slot = tuple[int, tuple[int, ...]]
 
 
 def _aligned(offset: int) -> int:
     return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
-
-
-def _layout(
-    schema: ColumnSchema, num_rows: int, offset: int
-) -> Iterator[tuple[str, np.dtype, int]]:
-    """``(name, dtype, offset)`` of every column of a slot, in schema order."""
-    for name, dtype_str in schema:
-        dtype = np.dtype(dtype_str)
-        yield name, dtype, offset
-        offset += _aligned(num_rows * dtype.itemsize)
 
 
 def _attach_untracked(name: str) -> shared_memory.SharedMemory:
@@ -110,17 +104,27 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
 
 @dataclass(frozen=True)
 class TablePin:
-    """What a work item carries to read some blocks of one pinned table.
+    """What a work item carries to read some columns of some blocks of one
+    pinned table.
 
-    A plain picklable record, proportional to the blocks listed — never to
-    the table.  The parent guarantees a pin is only shipped while every
-    slot in it is current.
+    A plain picklable record, proportional to the blocks and columns listed
+    — never to the table.  The parent guarantees a pin is only shipped while
+    every slot in it is current.
     """
 
     table: str
     segment: str
-    schema: ColumnSchema
+    columns: ColumnSchema
     slots: dict[int, Slot]
+
+    def select(self, block_ids: Iterable[int], names: Collection[str]) -> "TablePin":
+        """The pin of one input: the slots of ``block_ids``, ``names`` only."""
+        keep = [i for i, (name, _) in enumerate(self.columns) if name in names]
+        slots = {b: self.slots[b] for b in block_ids}
+        if len(keep) < len(self.columns):
+            slots = {b: (rows, tuple(at[i] for i in keep)) for b, (rows, at) in slots.items()}
+        columns = tuple(self.columns[i] for i in keep)
+        return TablePin(self.table, self.segment, columns, slots)
 
 
 # --------------------------------------------------------------------- #
@@ -129,35 +133,31 @@ class TablePin:
 class _SlotColumns(Mapping):
     """The columns of one slot; each view is built when first asked for."""
 
-    __slots__ = ("_buffer", "_schema", "_slot", "_views")
+    __slots__ = ("_buffer", "_num_rows", "_at", "_views")
 
-    def __init__(self, buffer: memoryview, schema: ColumnSchema, slot: Slot) -> None:
-        self._buffer, self._schema, self._slot = buffer, schema, slot
+    def __init__(self, buffer: memoryview, columns: ColumnSchema, slot: Slot) -> None:
+        self._buffer = buffer
+        self._num_rows, offsets = slot
+        #: Column -> ``(dtype, offset)``: a view is one lookup away.
+        self._at = {name: (dtype, at) for (name, dtype), at in zip(columns, offsets)}
         self._views: dict[str, np.ndarray] = {}
 
     def __getitem__(self, name: str) -> np.ndarray:
         view = self._views.get(name)
         if view is None:
-            num_rows, start = self._slot
-            for column, dtype, offset in _layout(self._schema, num_rows, start):
-                if column == name:
-                    break
-            else:
-                raise KeyError(name)
+            dtype, offset = self._at[name]
             # numpy takes writability from the buffer: the view is read-only
             # and ``setflags(write=True)`` on it raises.
-            view = self._views[name] = (
-                np.frombuffer(self._buffer, dtype=dtype, count=num_rows, offset=offset)
-                if num_rows
-                else np.empty(0, dtype=dtype)
+            view = self._views[name] = np.frombuffer(
+                self._buffer, dtype=dtype, count=self._num_rows, offset=offset
             )
         return view
 
     def __iter__(self) -> Iterator[str]:
-        return (name for name, _ in self._schema)
+        return iter(self._at)
 
     def __len__(self) -> int:
-        return len(self._schema)
+        return len(self._at)
 
 
 class SharedBlockView:
@@ -165,19 +165,19 @@ class SharedBlockView:
 
     Exposes exactly the surface the task kernels consume: ``num_rows``,
     ``columns`` and ``arrays(names)`` — read-only zero-copy views into the
-    shared segment, one contiguous array each (the parent compacts a block
-    as it copies it in).
+    shared segment, one contiguous array each, of the columns its pin lists.
     """
 
-    __slots__ = ("block_id", "num_rows", "slot", "columns")
+    __slots__ = ("block_id", "num_rows", "key", "columns")
 
     def __init__(
-        self, block_id: int, slot: Slot, schema: ColumnSchema, buffer: memoryview
+        self, block_id: int, slot: Slot, columns: ColumnSchema, buffer: memoryview
     ) -> None:
         self.block_id = block_id
         self.num_rows = slot[0]
-        self.slot = slot
-        self.columns = _SlotColumns(buffer, schema, slot)
+        #: What the view was built over; it is served for nothing else.
+        self.key = (columns, slot)
+        self.columns = _SlotColumns(buffer, columns, slot)
 
     def arrays(self, names: list[str]) -> Mapping[str, np.ndarray]:
         """The column views; every column is contiguous (see :meth:`Block.arrays`)."""
@@ -200,11 +200,12 @@ class SharedSegmentCache:
 
     Keyed by table name; a pin with a new segment name (the parent replaced
     an exhausted slab) evicts and detaches the stale attachment.  A block's
-    cached view is served only while the pin still names the slot it was
-    built over — the parent moves a block whose rows changed, and may hand
-    its old extent to another block — so a worker never reads rows from
-    before a repartition.  Attachments are untracked (see
-    :func:`_attach_untracked`) — the parent owns cleanup.
+    cached view is served only while the pin still lists the columns and
+    the slot it was built over — the parent moves a block whose rows
+    changed, slides live extents down when it compacts, and reuses the
+    space it reclaimed — so a worker never reads rows from before a
+    repartition.  Attachments are untracked (see :func:`_attach_untracked`)
+    — the parent owns cleanup.
     """
 
     def __init__(self) -> None:
@@ -228,8 +229,8 @@ class SharedSegmentCache:
                     f"block {block_id} is not pinned for table {pin.table!r}"
                 ) from None
             view = entry.views.get(block_id)
-            if view is None or view.slot != slot:
-                view = SharedBlockView(block_id, slot, pin.schema, entry.readonly)
+            if view is None or view.key != (pin.columns, slot):
+                view = SharedBlockView(block_id, slot, pin.columns, entry.readonly)
                 entry.views[block_id] = view
             result.append(view)
         return result
@@ -258,61 +259,59 @@ class SharedSegmentCache:
 # --------------------------------------------------------------------- #
 @dataclass
 class _Slab:
-    """One table's segment: which blocks it holds, as of which epoch, and
-    which extents are free."""
+    """One table's segment: which block columns it holds, as of which epoch,
+    and where its free tail starts."""
 
     shm: shared_memory.SharedMemory
-    schema: ColumnSchema
     epoch: int
-    slots: dict[int, Slot] = field(default_factory=dict)
-    #: ``(offset, length)`` extents holding no current block.
-    free: list[tuple[int, int]] = field(default_factory=list)
+    #: Column -> its dtype, fixed by the column's first copy.
+    dtypes: dict[str, np.dtype] = field(default_factory=dict)
+    #: Block -> ``(num_rows, {column: offset})``.
+    slots: dict[int, tuple[int, dict[str, int]]] = field(default_factory=dict)
+    #: Where the next copy goes; everything from here to the end is free.
+    tail: int = 0
+    #: Bytes below the tail that no current slot holds.
+    garbage: int = 0
 
-    def __post_init__(self) -> None:
-        self._itemsizes = [np.dtype(dtype).itemsize for _, dtype in self.schema]
-
-    def slot_bytes(self, num_rows: int) -> int:
-        """Bytes a block of ``num_rows`` rows occupies (see :func:`_layout`)."""
-        return sum(_aligned(num_rows * itemsize) for itemsize in self._itemsizes)
+    def extent(self, num_rows: int, name: str) -> int:
+        """Bytes one column of a block of ``num_rows`` rows occupies."""
+        return _aligned(num_rows * self.dtypes[name].itemsize)
 
     def release(self, block_id: int) -> None:
-        num_rows, offset = self.slots.pop(block_id)
-        if num_rows:
-            # In front of the untouched tail: pages already resident go first.
-            self.free.insert(0, (offset, self.slot_bytes(num_rows)))
+        num_rows, offsets = self.slots.pop(block_id)
+        self.garbage += sum(self.extent(num_rows, name) for name in offsets)
 
     def allocate(self, length: int) -> int | None:
-        """First fit; on a miss the live slots are compacted once."""
-        for compacted in (False, True):
-            for index, (offset, size) in enumerate(self.free):
-                if size > length:
-                    self.free[index] = (offset + length, size - length)
-                elif size == length:
-                    del self.free[index]
-                else:
-                    continue
-                return offset
-            if not compacted:
-                self.compact()
-        return None
+        """The tail; at the end, the live extents are compacted first.
+        ``None`` if even they leave no room."""
+        if self.tail + length > self.shm.size and self.garbage:
+            self.compact()
+        if self.tail + length > self.shm.size:
+            return None
+        offset, self.tail = self.tail, self.tail + length
+        return offset
 
     def compact(self) -> None:
-        """Slide every live slot towards the start; one free extent remains."""
+        """Slide every live extent towards the start, in offset order."""
         data = np.frombuffer(self.shm.buf, dtype=np.uint8)
+        extents = sorted(
+            (offset, block_id, name)
+            for block_id, (_, offsets) in self.slots.items()
+            for name, offset in offsets.items()
+        )
         end = 0
-        for block_id, (num_rows, offset) in sorted(
-            self.slots.items(), key=lambda item: item[1][1]
-        ):
-            length = self.slot_bytes(num_rows)
-            if length and offset != end:
+        for offset, block_id, name in extents:
+            num_rows, offsets = self.slots[block_id]
+            length = self.extent(num_rows, name)
+            if offset != end:
                 data[end : end + length] = data[offset : offset + length]
-                self.slots[block_id] = (num_rows, end)
+                offsets[name] = end
             end += length
-        self.free = [(end, self.shm.size - end)]
+        self.tail, self.garbage = end, 0
 
 
 class SharedBlockStore:
-    """Keeps one shared-memory slab per pinned table current, block by block.
+    """Keeps one shared-memory slab per pinned table current, column by column.
 
     Segments use auto-generated names (short enough for macOS's
     31-character POSIX limit).  The store is the sole owner: it closes
@@ -329,13 +328,22 @@ class SharedBlockStore:
     # -------------------------------------------------------------- #
     # Pinning
     # -------------------------------------------------------------- #
-    def pin_table(self, table: "StoredTable", block_ids: Iterable[int]) -> TablePin:
-        """Make ``block_ids`` current in ``table``'s slab and list their slots.
+    def pin_table(
+        self, table: "StoredTable", block_ids: Iterable[int], columns: Iterable[str]
+    ) -> TablePin:
+        """Make ``columns`` of ``block_ids`` current in ``table``'s slab and
+        list their slots.
 
         Slots of blocks touched since the slab's epoch are dropped first;
-        then whichever of ``block_ids`` the slab does not hold is copied in.
+        then each requested column a block's slot lacks is copied in.  When
+        the slab has no room even after compacting, the stage starts over,
+        once, in a fresh segment sized for the table as it is now.
+
+        Raises:
+            StorageError: if even a fresh segment cannot hold the stage, or a
+                block holds a column in another dtype than the slab.
         """
-        block_ids = list(block_ids)
+        block_ids, names = list(block_ids), list(columns)
         slab = self._slabs.get(table.name) or self._new_slab(table)
         if slab.epoch != table.epoch:
             delta = table.delta_between(slab.epoch, table.epoch)
@@ -344,56 +352,67 @@ class SharedBlockStore:
             for block_id in [b for b in stale if b in slab.slots]:
                 slab.release(block_id)
             slab.epoch = table.epoch
-        for block_id in block_ids:
-            if block_id in slab.slots:
-                continue
-            if not self._copy_in(slab, table.dfs.peek_block(block_id)):
-                # No free extent fits: start over in a fresh segment sized
-                # for the table as it is now, which holds any one stage.
-                self._new_slab(table)
-                return self.pin_table(table, block_ids)
-        slots = {block_id: slab.slots[block_id] for block_id in block_ids}
-        return TablePin(table.name, slab.shm.name, slab.schema, slots)
+        if not self._copy_in(slab, table, block_ids, names):
+            slab = self._new_slab(table)
+            if not self._copy_in(slab, table, block_ids, names):
+                size = slab.shm.size
+                self.unpin_table(table.name)
+                read = [table.dfs.peek_block(b).arrays(names) for b in block_ids]
+                needed = sum(_aligned(arrays[name].nbytes) for arrays in read for name in names)
+                raise StorageError(
+                    f"a stage reads {needed} bytes of table {table.name!r}; "
+                    f"a fresh shared-memory segment holds {size}"
+                )
+        # A column is typed by its first copy, so a pin of no blocks lists none.
+        names = [name for name in names if name in slab.dtypes]
+        slots = {b: slab.slots[b] for b in block_ids}
+        slots = {b: (rows, tuple(at[n] for n in names)) for b, (rows, at) in slots.items()}
+        pinned = tuple((name, slab.dtypes[name].str) for name in names)
+        return TablePin(table.name, slab.shm.name, pinned, slots)
 
     def _new_slab(self, table: "StoredTable") -> _Slab:
-        """Replace ``table``'s segment (if any) with an empty, larger-enough one."""
+        """Replace ``table``'s segment (if any) with an empty one that holds
+        every column of every block, plus headroom."""
         self.unpin_table(table.name)
-        block_ids = table.block_ids()
-        sample = (table.non_empty_block_ids() or block_ids)[:1]
-        columns = table.dfs.peek_block(sample[0]).columns if sample else {}
-        schema = tuple((name, array.dtype.str) for name, array in columns.items())
-        # Every block at once, each column padded to the alignment, plus headroom.
-        row_bytes = sum(array.dtype.itemsize for array in columns.values())
-        size = table.total_rows * row_bytes + _ALIGN * len(schema) * len(block_ids)
+        row_bytes = sum(column.dtype.numpy_dtype.itemsize for column in table.schema.columns)
+        size = table.total_rows * row_bytes + _ALIGN * len(table.schema) * len(table.block_ids())
         size = max(_aligned(int(size * (1 + _HEADROOM))), _ALIGN)
         shm = shared_memory.SharedMemory(create=True, size=size)
         if not self._slabs:
             atexit.register(self.close)
-        slab = self._slabs[table.name] = _Slab(shm, schema, table.epoch, free=[(0, shm.size)])
+        slab = self._slabs[table.name] = _Slab(shm, table.epoch)
         return slab
 
-    def _copy_in(self, slab: _Slab, block: "Block") -> bool:
-        """Copy ``block`` into a free extent; ``False`` if none is big enough."""
-        num_rows = block.num_rows
-        length = slab.slot_bytes(num_rows)
-        offset = slab.allocate(length) if length else 0
-        if offset is None:
-            return False
-        if num_rows:
-            # .columns consolidates pending chunks → contiguous arrays (and lets
-            # go of the larger arrays the chunks were slices of).
-            columns = block.columns
-            for name, dtype, at in _layout(slab.schema, num_rows, offset):
-                if columns[name].dtype != dtype:
+    def _copy_in(
+        self, slab: _Slab, table: "StoredTable", block_ids: list[int], names: list[str]
+    ) -> bool:
+        """Copy the ``names`` each block's slot lacks; ``False`` once one
+        does not fit."""
+        for block_id in block_ids:
+            slot = slab.slots.get(block_id)
+            if slot is None:
+                slot = slab.slots[block_id] = (table.dfs.peek_block(block_id).num_rows, {})
+            num_rows, offsets = slot
+            missing = [name for name in names if name not in offsets]
+            if not missing:
+                continue
+            # Merges only the missing columns; the others stay pending.
+            arrays = table.dfs.peek_block(block_id).arrays(missing)
+            for name in missing:
+                array = arrays[name]
+                dtype = slab.dtypes.setdefault(name, array.dtype)
+                if array.dtype != dtype:
                     raise StorageError(
-                        f"block {block.block_id} holds {name!r} as {columns[name].dtype}, "
-                        f"the slab of table {block.table!r} as {dtype}"
+                        f"block {block_id} holds {name!r} as {array.dtype}, "
+                        f"the slab of table {table.name!r} as {dtype}"
                     )
-                np.frombuffer(slab.shm.buf, dtype=dtype, count=num_rows, offset=at)[:] = (
-                    columns[name]
-                )
-        self.copied_bytes += length
-        slab.slots[block.block_id] = (num_rows, offset)
+                length = slab.extent(num_rows, name)
+                offset = slab.allocate(length)
+                if offset is None:
+                    return False
+                np.frombuffer(slab.shm.buf, dtype, num_rows, offset)[:] = array
+                offsets[name] = offset
+                self.copied_bytes += length
         return True
 
     def segment_of(self, table_name: str) -> str | None:

@@ -437,10 +437,12 @@ class TestWorkerBoundary:
         work = next(work for work in reversed(shipped) if work.inputs)
         store = SharedBlockStore()
         try:
-            pins = [
-                store.pin_table(session.table(blocks.table), blocks.block_ids)
-                for blocks in work.inputs
-            ]
+            pins = []
+            for blocks in work.inputs:
+                table = session.table(blocks.table)
+                pins.append(
+                    store.pin_table(table, blocks.block_ids, table.schema.column_names)
+                )
             pinned = replace(
                 work,
                 inputs=tuple(

@@ -29,7 +29,7 @@ from repro.join.kernels import (
 from repro.storage.block import Block
 from repro.storage.dfs import DistributedFileSystem
 from repro.storage.persist import PersistenceManager
-from repro.storage.shared_memory import SharedBlockView, _layout
+from repro.storage.shared_memory import SharedBlockView, _aligned
 from repro.testing import reference_join_count
 
 
@@ -267,13 +267,15 @@ def parts_oracle(readers, names) -> dict[str, np.ndarray]:
 
 def shared_view(block_id: int, columns: dict[str, np.ndarray]) -> SharedBlockView:
     """A worker-side view over a private read-only buffer laid out like a slot."""
-    schema = tuple((name, array.dtype.str) for name, array in columns.items())
+    pinned = tuple((name, array.dtype.str) for name, array in columns.items())
     num_rows = len(next(iter(columns.values())))
-    layout = list(_layout(schema, num_rows, 0))
-    buffer = bytearray(layout[-1][2] + num_rows * layout[-1][1].itemsize)
-    for name, dtype, offset in layout:
-        np.frombuffer(buffer, dtype=dtype, count=num_rows, offset=offset)[:] = columns[name]
-    return SharedBlockView(block_id, (num_rows, 0), schema, memoryview(buffer).toreadonly())
+    ends = np.cumsum([_aligned(array.nbytes) for array in columns.values()]).tolist()
+    offsets = tuple([0, *ends[:-1]])
+    buffer = bytearray(ends[-1])
+    for offset, array in zip(offsets, columns.values()):
+        np.frombuffer(buffer, dtype=array.dtype, count=num_rows, offset=offset)[:] = array
+    slot = (num_rows, offsets)
+    return SharedBlockView(block_id, slot, pinned, memoryview(buffer).toreadonly())
 
 
 def two_columns(rng, num_rows: int) -> dict[str, np.ndarray]:

@@ -6,8 +6,10 @@ shared-memory segments, and produces results **bit-identical** to the
 in-process task backend — same ``output_rows``, same ``fingerprint()``.
 Agreement over adaptive workloads that repartition tables (epoch bumps)
 mid-stream is checked across the whole configuration matrix in
-``tests/test_matrix.py``.  Here: the shared-memory slab (stale slots re-copied on demand, extents
-reused, the hand-off proportional to the blocks read), segment lifecycle (no
+``tests/test_matrix.py``.  Here: the shared-memory slab (only the columns a
+stage reads are copied, stale slots re-copied on demand, compaction, a stage
+too big for any segment failing typed, the hand-off proportional to the
+blocks read), segment lifecycle (no
 leaks after close, crashed workers recovered), failed stages (a worker-side error — including
 a write to a pinned block, which is read-only — fails the query loudly and
 leaves the session correct), the wall-clock reporting fields that
@@ -17,6 +19,7 @@ fingerprints must ignore, and attached views that are read-only.
 from __future__ import annotations
 
 import gc
+import glob
 import multiprocessing
 import os
 import pickle
@@ -48,6 +51,7 @@ from repro.storage.shared_memory import (
     SharedBlockStore,
     SharedBlockView,
     SharedSegmentCache,
+    _aligned,
     _attach_untracked,
 )
 from repro.storage.table import ColumnTable, StoredTable
@@ -182,42 +186,71 @@ def full_session(tpch_tables, **overrides) -> Session:
 
 
 def born_small(store: SharedBlockStore, table, monkeypatch) -> str:
-    """Give ``table`` a slab a third of its size — what a table that grew
+    """Give ``table`` a slab a twentieth of its size — what a table that grew
     would find — so that a stage reading more than that has to replace it."""
-    monkeypatch.setattr(shared_memory, "_HEADROOM", -0.7)
-    store.pin_table(table, table.non_empty_block_ids()[:1])
+    monkeypatch.setattr(shared_memory, "_HEADROOM", -0.95)
+    store.pin_table(table, table.non_empty_block_ids()[:1], table.schema.column_names[:1])
     monkeypatch.undo()
     return store.segment_of(table.name)
 
 
+def recorded_pins(store: SharedBlockStore, monkeypatch) -> list:
+    """Every pin ``store`` returns from now on, in order."""
+    pin_table, pins = store.pin_table, []
+
+    def recording(table, block_ids, columns):
+        pins.append(pin_table(table, block_ids, columns))
+        return pins[-1]
+
+    monkeypatch.setattr(store, "pin_table", recording)
+    return pins
+
+
+def slot_bytes(block, names) -> int:
+    """What copying ``names`` of ``block`` into a slab costs."""
+    arrays = block.arrays(list(names))
+    return sum(_aligned(arrays[name].nbytes) for name in names)
+
+
 class TestSlab:
-    def test_reused_extent_is_read_with_the_new_rows(self, tpch_tables):
-        """A worker that cached a block's view reads the block's new rows
-        after the parent rewrote it into an extent another block gave up
-        (views keyed by block id alone would serve the old extent)."""
+    def test_reused_extent_is_read_with_the_new_rows(self, tpch_tables, monkeypatch):
+        """A worker that cached views of every block reads each block's
+        current rows after the parent rewrote two of them into a slab with
+        no room to spare: the tail reached the end, the live extents slid
+        down, and views keyed by block id alone (or by the old slot) would
+        serve another block's bytes."""
         stored = lineitem_of(tpch_tables)
-        sizes = {b: stored.dfs.peek_block(b).num_rows for b in stored.non_empty_block_ids()}
+        names = stored.schema.column_names
+        block_ids = stored.non_empty_block_ids()
+        sizes = {b: stored.dfs.peek_block(b).num_rows for b in block_ids}
         first = min(sizes, key=sizes.get)
         second = max(sizes, key=sizes.get)
         assert sizes[first] < sizes[second]
         rows = {b: dict(stored.dfs.peek_block(b).columns) for b in (first, second)}
+        monkeypatch.setattr(shared_memory, "_HEADROOM", 0.0)
         store, cache = SharedBlockStore(), SharedSegmentCache()
         try:
-            before = store.pin_table(stored, [first, second])
-            for view in cache.get_blocks(before, [first, second]):
-                assert np.array_equal(
-                    view.columns["l_orderkey"], rows[view.block_id]["l_orderkey"]
-                )
+            before = store.pin_table(stored, block_ids, names)
+            for view in cache.get_blocks(before, block_ids):
+                for name in names:
+                    assert np.array_equal(
+                        view.columns[name], stored.dfs.peek_block(view.block_id).columns[name]
+                    )
             with stored.mutation():  # the two blocks swap their rows
                 stored._rewrite_block(first, rows[second])
                 stored._rewrite_block(second, rows[first])
-            after = store.pin_table(stored, [first, second])
+            after = store.pin_table(stored, block_ids, names)
             assert after.segment == before.segment
-            assert after.slots[first][1] in {offset for _, offset in before.slots.values()}
-            for view, other in zip(cache.get_blocks(after, [first, second]), (second, first)):
-                assert view.num_rows == sizes[other]
-                for name, expected in rows[other].items():
-                    assert np.array_equal(view.columns[name], expected)
+            moved = [
+                b for b in block_ids
+                if b not in (first, second) and after.slots[b] != before.slots[b]
+            ]
+            assert moved, "the slab was not compacted"
+            for view in cache.get_blocks(after, block_ids):
+                block = stored.dfs.peek_block(view.block_id)
+                assert view.num_rows == block.num_rows
+                for name in names:
+                    assert view.columns[name].tobytes() == block.columns[name].tobytes()
             with pytest.raises(StorageError, match="not pinned"):
                 cache.get_blocks(after, [first, -1])
         finally:
@@ -272,7 +305,7 @@ class TestSlab:
             try:
                 blocks = BlockInput(
                     "lineitem", block_ids, (), "l_orderkey",
-                    pin=store.pin_table(stored, block_ids),
+                    pin=store.pin_table(stored, block_ids, ["l_orderkey"]),
                 )
                 sizes.append(len(pickle.dumps(TaskWork(0, TaskKind.SHUFFLE_MAP, 0, (blocks,)))))
             finally:
@@ -281,35 +314,56 @@ class TestSlab:
         assert blocks_in_table[1] >= 10 * blocks_in_table[0]
         assert sizes[1] <= sizes[0] + 16  # a few offsets need a wider integer
 
+    def test_an_input_is_handed_its_own_blocks_and_columns(self, tpch_tables):
+        """Two inputs of one stage read one table through different columns:
+        each is handed the slots of its blocks and the offsets of its columns
+        only, and reads the block's own bytes through them."""
+        stored = lineitem_of(tpch_tables)
+        block_ids = stored.non_empty_block_ids()[:4]
+        store, cache = SharedBlockStore(), SharedSegmentCache()
+        try:
+            pin = store.pin_table(stored, block_ids, ["l_orderkey", "l_partkey", "l_quantity"])
+            for names in (["l_partkey"], ["l_quantity", "l_orderkey"]):
+                selected = pin.select(block_ids[1:3], names)
+                assert [name for name, _ in selected.columns] == [
+                    name for name, _ in pin.columns if name in names
+                ]
+                assert sorted(selected.slots) == sorted(block_ids[1:3])
+                for view in cache.get_blocks(selected, block_ids[1:3]):
+                    assert sorted(view.columns) == sorted(names)
+                    block = stored.dfs.peek_block(view.block_id)
+                    assert all(
+                        view.columns[name].tobytes() == block.columns[name].tobytes()
+                        for name in names
+                    )
+        finally:
+            cache.close()
+            store.close()
+
     def test_a_block_changed_but_never_read_is_not_copied(self, tpch_tables):
         stored = lineitem_of(tpch_tables)
         read, unread = stored.non_empty_block_ids()[:2]
         rows = dict(stored.dfs.peek_block(read).columns)
+        names = ["l_orderkey", "l_quantity"]
         store = SharedBlockStore()
         try:
-            store.pin_table(stored, [read, unread])
+            store.pin_table(stored, [read, unread], names)
             copied = store.copied_bytes
             with stored.mutation():
                 stored._rewrite_block(unread, rows)
-            store.pin_table(stored, [read])
+            store.pin_table(stored, [read], names)
             assert store.copied_bytes == copied
-            store.pin_table(stored, [read, unread])
-            assert store.copied_bytes == copied + sum(a.nbytes for a in rows.values())
+            store.pin_table(stored, [read, unread], names)
+            assert store.copied_bytes == copied + slot_bytes(stored.dfs.peek_block(unread), names)
         finally:
             store.close()
 
     def test_every_slot_read_equals_the_block_byte_for_byte(self, tpch_tables, monkeypatch):
-        """Over an adaptive stream, after every query, each slot a stage was
-        handed holds exactly the bytes of the block it stands for."""
+        """Over an adaptive stream, after every query, every column of each
+        slot a stage was handed holds exactly the bytes of the block it
+        stands for."""
         session = full_session(tpch_tables)
-        store = session.backends["parallel"].store
-        pin_table, pins, checked = store.pin_table, [], 0
-
-        def recording(table, block_ids):
-            pins.append(pin_table(table, block_ids))
-            return pins[-1]
-
-        monkeypatch.setattr(store, "pin_table", recording)
+        pins, checked = recorded_pins(session.backends["parallel"].store, monkeypatch), 0
         cache = SharedSegmentCache()
         try:
             for query in adaptive_stream(40):
@@ -319,15 +373,122 @@ class TestSlab:
                     for view in cache.get_blocks(pin, pin.slots):
                         block = session.dfs.peek_block(view.block_id)
                         assert view.num_rows == block.num_rows
-                        assert list(view.columns) == list(block.columns)
-                        for name, array in block.columns.items():
-                            assert view.columns[name].tobytes() == array.tobytes()
+                        assert list(view.columns) == [name for name, _ in pin.columns]
+                        current = block.arrays(list(view.columns))
+                        assert all(
+                            view.columns[name].tobytes() == current[name].tobytes()
+                            for name in view.columns
+                        )
                         checked += 1
             assert checked > 500
             assert session.table("lineitem").epoch > 10  # the stream did repartition
         finally:
             cache.close()
             session.close()
+
+    def test_a_query_copies_and_compacts_only_the_columns_it_reads(self, tpch_tables):
+        """After an adaptive stream left blocks with pending pieces, one
+        parallel query merges and copies the columns it reads of the blocks
+        it reads, and nothing else: every other column stays pending, as on
+        the inline path (a pin that copied the whole block merged them all)."""
+        session = full_session(tpch_tables, execution_backend="tasks")
+        store = session.backends["parallel"].store
+        try:
+            for query in adaptive_stream(12):
+                session.run(query)
+            tables = ("lineitem", "orders")
+            pending = {
+                block_id: set(session.dfs.peek_block(block_id).pending_columns)
+                for table in tables
+                for block_id in session.table(table).block_ids()
+            }
+            session.use_backend("parallel")
+            query = join_query(
+                "lineitem", "orders", "l_orderkey", "o_orderkey",
+                {"lineitem": [between("l_quantity", 5, 25)]},
+            )
+            result = session.run(query, adapt=False)
+            reads = {"lineitem": {"l_orderkey", "l_quantity"}, "orders": {"o_orderkey"}}
+            read = {b for _, task in result.schedule.placements() for b in task.read_block_ids}
+            blocks = [session.dfs.peek_block(block_id) for block_id in sorted(read)]
+            for block in blocks:
+                assert set(block.pending_columns) == pending[block.block_id] - reads[block.table]
+            assert any(block.pending_columns for block in blocks)
+            assert store.copied_bytes == sum(
+                slot_bytes(block, reads[block.table]) for block in blocks
+            )
+        finally:
+            session.close()
+
+    def test_a_slot_widens_by_the_columns_it_lacks(self, tpch_tables, monkeypatch):
+        """Over a template-switching stream, each stage copies exactly the
+        (block, column) pairs no earlier stage copied, and the columns a slot
+        already holds keep their place as it widens (nothing adapts, so no
+        slot goes stale)."""
+        session = full_session(tpch_tables)
+        store = session.backends["parallel"].store
+        pins = recorded_pins(store, monkeypatch)
+        held: dict[int, dict[str, int]] = {}
+        widened = 0
+        try:
+            for query in adaptive_stream(24):
+                copied, pins[:] = store.copied_bytes, []
+                session.run(query, adapt=False)
+                expected = 0
+                for pin in pins:
+                    for block_id, (num_rows, offsets) in pin.slots.items():
+                        known = held.setdefault(block_id, {})
+                        new = [name for name, _ in pin.columns if name not in known]
+                        widened += bool(known and new)
+                        for (name, dtype), offset in zip(pin.columns, offsets):
+                            assert known.setdefault(name, offset) == offset
+                            if name in new:
+                                expected += _aligned(num_rows * np.dtype(dtype).itemsize)
+                assert store.copied_bytes - copied == expected
+            assert widened > 10
+        finally:
+            session.close()
+
+    def test_a_pin_missing_a_column_fails_typed(self, tpch_tables):
+        """A kernel handed a pin that lacks a column it reads raises a
+        ``StorageError`` naming the column, never a bare ``KeyError``."""
+        stored = lineitem_of(tpch_tables)
+        block_ids = tuple(stored.non_empty_block_ids()[:3])
+        store, cache = SharedBlockStore(), SharedSegmentCache()
+        try:
+            blocks = BlockInput(
+                "lineitem", block_ids, (between("l_quantity", 5, 25),), "l_orderkey",
+                pin=store.pin_table(stored, block_ids, ["l_orderkey"]),
+            )
+            for kind in (TaskKind.SCAN, TaskKind.SHUFFLE_MAP):
+                work = TaskWork(0, kind, 0, (blocks,), num_partitions=4)
+                with pytest.raises(StorageError, match="'l_quantity'"):
+                    kernels_tasks.run_task(work, lambda b: cache.get_blocks(b.pin, b.block_ids))
+        finally:
+            cache.close()
+            store.close()
+
+    def test_a_stage_no_fresh_segment_holds_fails_typed(self, tpch_tables, monkeypatch):
+        """Regression: ``pin_table`` called itself after replacing the slab,
+        so a stage that not even a fresh segment holds recursed until
+        ``RecursionError``.  It fails typed, its segment is gone, and the
+        session runs on once segments are sized as usual."""
+        before = set(glob.glob("/dev/shm/psm_*"))
+        session = make_session(tpch_tables)
+        store = session.backends["parallel"].store
+        scan = scan_query("lineitem", [between("l_quantity", 1, 50)])
+        try:
+            monkeypatch.setattr(shared_memory, "_HEADROOM", -0.99)
+            with pytest.raises(
+                StorageError, match=r"reads \d+ bytes of table 'lineitem'; .* holds \d+"
+            ):
+                session.run(scan, adapt=False)
+            assert store.segment_of("lineitem") is None
+            monkeypatch.undo()
+            assert_backends_agree(session, scan)
+        finally:
+            session.close()
+        assert set(glob.glob("/dev/shm/psm_*")) <= before
 
 
 # --------------------------------------------------------------------- #
@@ -355,7 +516,8 @@ class TestSegmentLifecycle:
             session.run(query)
         seen.update(pinned_segments(backend))
         assert len(seen) > len(backend.store.pinned_tables)  # a segment was replaced
-        assert backend.store.copied_bytes > backend.store.pinned_bytes  # and slots patched
+        # ...and stale slots were copied again: more was copied than is held.
+        assert backend.store.copied_bytes > sum(s.tail for s in backend.store._slabs.values())
         session.close()
         assert backend.store.pinned_tables == []
         assert not any(segment_exists(segment) for segment in seen)
@@ -485,7 +647,7 @@ class TestFailedStages:
         monkeypatch.setattr(
             backend.store,
             "pin_table",
-            lambda table, block_ids: replace(pin_table(table, block_ids), segment="psm_none"),
+            lambda *args: replace(pin_table(*args), segment="psm_none"),
         )
         with pytest.raises(ExecutionError, match="FileNotFoundError"):
             session.run(scan, adapt=False)
@@ -507,7 +669,7 @@ class TestFailedStages:
         try:
             scan = scan_query("lineitem", [between("l_quantity", 5, 25)])
             table = session.table("lineitem")
-            first_column = table.schema.column_names[0]
+            first_column = "l_quantity"  # the one column the scan reads
             before = {
                 block_id: session.dfs.peek_block(block_id).columns[first_column].copy()
                 for block_id in table.non_empty_block_ids()
@@ -620,7 +782,7 @@ class TestFrozenViews:
     def test_attached_views_are_readonly(self):
         array = np.arange(8, dtype=np.int64)
         buffer = memoryview(bytearray(array.tobytes())).toreadonly()
-        view = SharedBlockView(0, (8, 0), (("key", array.dtype.str),), buffer)
+        view = SharedBlockView(0, (8, (0,)), (("key", array.dtype.str),), buffer)
         assert np.array_equal(view.columns["key"], array)
         with pytest.raises(ValueError):
             view.columns["key"][0] = 99
@@ -632,7 +794,7 @@ class TestFrozenViews:
         before = stored.dfs.peek_block(block_id).columns["key"].copy()
         store, cache, witness = SharedBlockStore(), SharedSegmentCache(), SharedSegmentCache()
         try:
-            pin = store.pin_table(stored, [block_id])
+            pin = store.pin_table(stored, [block_id], ["key"])
             view = cache.get_blocks(pin, [block_id])[0].columns["key"]
             assert not view.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
