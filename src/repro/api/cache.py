@@ -92,7 +92,9 @@ class PlanCache(BoundedLRU[tuple[object, ...], CachedPlan]):
     Besides exact-match lookups, the cache keeps a per-signature index of
     the newest key so the session can find the entry a changed epoch
     orphaned and *revalidate* it against the tables' change descriptors
-    instead of replanning (``revalidations`` counts the rescues).
+    instead of replanning (``revalidations`` counts the rescues).  A
+    signature's index entry leaves with its key, so the index never holds
+    more entries than the LRU.
     """
 
     revalidations: int = 0
@@ -103,10 +105,15 @@ class PlanCache(BoundedLRU[tuple[object, ...], CachedPlan]):
         if self.capacity > 0:
             self._latest[key[0]] = key
 
+    def _evict(self, key: tuple[object, ...]) -> None:
+        super()._evict(key)
+        if self._latest.get(key[0]) == key:
+            del self._latest[key[0]]
+
+    def clear(self) -> None:
+        super().clear()
+        self._latest.clear()
+
     def latest_key(self, signature: object) -> tuple[object, ...] | None:
-        """The newest cache key recorded for ``signature`` (may be evicted)."""
-        key = self._latest.get(signature)
-        if key is not None and self.peek(key) is None:
-            del self._latest[signature]  # the entry aged out of the LRU
-            return None
-        return key
+        """The newest cache key recorded for ``signature``, if still cached."""
+        return self._latest.get(signature)

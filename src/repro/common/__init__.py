@@ -1,6 +1,5 @@
 """Shared value types: schemas, predicates, queries, errors, RNG helpers."""
 
-from .clock import monotonic_seconds
 from .errors import (
     ExecutionError,
     PartitioningError,
@@ -54,7 +53,6 @@ __all__ = [
     "le",
     "lt",
     "make_rng",
-    "monotonic_seconds",
     "rows_matching",
     "scan_query",
     "spawn_rngs",

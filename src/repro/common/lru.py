@@ -86,8 +86,13 @@ class BoundedLRU(Generic[K, V]):
         self._check_key(key)
         self._entries.pop(key, None)
         while len(self._entries) >= self.capacity:
-            self._entries.pop(next(iter(self._entries)))
+            self._evict(next(iter(self._entries)))
         self._entries[key] = value
+
+    def _evict(self, key: K) -> None:
+        """Drop the least-recently-used ``key`` (subclasses drop their
+        index entries for it too)."""
+        del self._entries[key]
 
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""

@@ -18,13 +18,13 @@ runtime grows quickly with the number of blocks.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from ..common.clock import monotonic_seconds
 from ..common.errors import PlanningError
 from .grouping import Grouping, grouping_cost
 
@@ -141,7 +141,7 @@ def ilp_grouping(
 
     # Measured solver wall time is reported on the ILPSolution for operators;
     # it never feeds a planning decision or a fingerprint.
-    started = monotonic_seconds()
+    started = time.perf_counter()
     result = milp(
         c=objective,
         constraints=constraints,
@@ -149,7 +149,7 @@ def ilp_grouping(
         integrality=integrality,
         options=options or None,
     )
-    elapsed = monotonic_seconds() - started
+    elapsed = time.perf_counter() - started
 
     if result.x is None:
         raise PlanningError(f"ILP solver failed: {result.message}")

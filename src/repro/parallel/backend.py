@@ -28,6 +28,7 @@ carrying the concatenated per-partition key arrays — for the next fan-out.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
@@ -35,7 +36,7 @@ from ..exec.engine import Executor
 from ..exec.kernels_tasks import TaskOutcome, TaskWork
 from ..exec.result import QueryResult
 from ..storage.shared_memory import SharedBlockStore
-from .pool import WorkerPool, _wall
+from .pool import WorkerPool
 
 
 @dataclass
@@ -85,7 +86,7 @@ class ParallelBackend:
         """Interpret a physical plan's schedule with the pool as the runner."""
         pool = self.ensure_pool()
         machine_wall = [0.0] * physical.schedule.num_machines
-        started = _wall()
+        started = time.perf_counter()
         try:
             result = self.executor.execute_schedule(
                 physical.logical,
@@ -101,7 +102,7 @@ class ParallelBackend:
             pool.close()
             self._pool = None
             raise
-        result.wall_seconds = _wall() - started
+        result.wall_seconds = time.perf_counter() - started
         result.machine_wall_seconds = machine_wall
         return result
 

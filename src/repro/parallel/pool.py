@@ -11,38 +11,27 @@ shuffle keys and row counts come back.  Each worker runs the work through
 the same :func:`~repro.exec.kernels_tasks.run_task` the parent runs inline,
 so the interpreter merges outcomes identically and stays bit-identical.
 
-Timing discipline: workers stamp each task with a wall-clock duration via
-the single helper below.  The measured times feed *reporting only*
-(``QueryResult.wall_seconds`` / ``machine_wall_seconds``) — never a
-decision, never a fingerprint — which is why the clock is read through
-:mod:`repro.common.clock`, the one place the determinism checker's
-``no-wall-clock`` rule does not cover.
+Timing: workers stamp each task with its ``time.perf_counter()`` duration.
+The measured times are reported on ``QueryResult.wall_seconds`` /
+``machine_wall_seconds`` and feed no decision and no fingerprint.
+``tests/test_determinism.py`` holds that: it runs the golden streams with
+every ``repro`` module on an adversarial clock, and the decisions must not
+change.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import sys
+import time
 import traceback
 from dataclasses import replace
 from multiprocessing.connection import wait
 from typing import Any
 
-from ..common.clock import monotonic_seconds
 from ..common.errors import ExecutionError
 from ..exec.kernels_tasks import TaskOutcome, TaskWork, run_task
 from ..storage.shared_memory import SharedSegmentCache
-
-
-def _wall() -> float:
-    """The pool's wall-clock source (reporting-only measurements).
-
-    Measured task durations are reported on ``QueryResult.wall_seconds``
-    and ``machine_wall_seconds``; they never feed a planning decision or a
-    fingerprint, so they go through the sanctioned
-    :func:`repro.common.clock.monotonic_seconds` helper.
-    """
-    return monotonic_seconds()
 
 
 # --------------------------------------------------------------------- #
@@ -50,11 +39,11 @@ def _wall() -> float:
 # --------------------------------------------------------------------- #
 def _run_work(work: TaskWork, cache: SharedSegmentCache) -> TaskOutcome:
     """Run one task against the attached segments and stamp its duration."""
-    started = _wall()
+    started = time.perf_counter()
     outcome = run_task(
         work, lambda blocks: cache.get_blocks(blocks.pin, blocks.block_ids)
     )
-    return replace(outcome, wall_seconds=_wall() - started)
+    return replace(outcome, wall_seconds=time.perf_counter() - started)
 
 
 def _worker_main(worker_index: int, tasks: Any, results: Any) -> None:

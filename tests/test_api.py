@@ -23,6 +23,7 @@ from repro.api.cache import CachedPlan
 from repro.common.errors import PlanningError
 from repro.common.predicates import between, ge
 from repro.common.query import Query, join_query, scan_query
+from repro.common.rng import make_rng
 from repro.core import AdaptDBConfig
 from repro.core.planner import JoinMethod
 from repro.exec import simulate
@@ -30,7 +31,9 @@ from repro.experiments.harness import runtime_seconds
 from repro.parallel import ParallelBackend
 from repro.partitioning.two_phase import TwoPhasePartitioner
 from repro.testing import reference_join_count
-from repro.workloads.tpch_queries import tpch_query
+from repro.workloads.generators import switching_workload
+from repro.workloads.tpch import TPCHGenerator
+from repro.workloads.tpch_queries import EVALUATED_TEMPLATES, tables_for_templates, tpch_query
 
 
 def q12_like(low: float = 0.0, high: float = 400.0) -> Query:
@@ -233,6 +236,19 @@ class TestPlanCache:
         assert cache.get(("a",)) is entry
         assert cache.get(("c",)) is entry
         assert len(cache) == 2
+
+    def test_signature_index_is_bounded_by_the_lru(self):
+        """A signature's newest-key entry goes when its key leaves the LRU."""
+        templates = list(EVALUATED_TEMPLATES)
+        tables = TPCHGenerator(scale=0.05, seed=1).generate(tables_for_templates(templates))
+        session = Session(AdaptDBConfig(plan_cache_size=16, rows_per_block=256))
+        for table in tables.values():
+            session.load_table(table)
+        session.run_workload(switching_workload(templates, 25, make_rng(1)))
+        cache = session.plan_cache
+        assert len(cache) == cache.capacity
+        assert len(cache._latest) <= cache.capacity
+        assert all(cache.peek(key) is not None for key in cache._latest.values())
 
 
 class TestBackends:

@@ -140,8 +140,77 @@ class TestCMTWorkloadEndToEnd:
 # --------------------------------------------------------------------- #
 # Golden digests: decisions must not drift across commits
 # --------------------------------------------------------------------- #
+# The streams are module functions so tests/test_determinism.py can rerun
+# them under an adversarial clock and under two hash seeds.
 def sha256_of(payload) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def explained_run(session, queries, adapt=True):
+    """Plan, lower and execute each query in turn.
+
+    Returns the results and, per query, its physical plan's
+    ``explain_full()`` (the logical and physical explains).
+    """
+    results, explains = [], []
+    for query in queries:
+        physical = session.lower(session.plan(query, adapt=adapt))
+        results.append(session.execute(physical))
+        explains.append(physical.explain_full())
+    return results, explains
+
+
+def golden_switching_stream(backend, persistence, root):
+    """The 16-query fig13-style switching stream on one backend and tier."""
+    templates = list(EVALUATED_TEMPLATES)
+    tables = list(
+        TPCHGenerator(scale=0.02, seed=1)
+        .generate(tables_for_templates(templates))
+        .values()
+    )
+    queries = switching_workload(templates, 2, make_rng(1))
+    tier = {"persistence": "memory"}
+    if persistence == "mmap":
+        # A buffer far below the working set: blocks spill, evict and
+        # fault throughout the stream.
+        tier = {"persistence": "mmap", "storage_root": str(root), "buffer_bytes": 96_000}
+    config = AdaptDBConfig(
+        rows_per_block=64, buffer_blocks=8, seed=1,
+        execution_backend=backend, num_workers=2, **tier,
+    )
+    runner = AdaptDBRunner(tables, config)
+    try:
+        return explained_run(runner.session, queries)
+    finally:
+        runner.session.close()
+
+
+def switching_decisions_digest(results) -> str:
+    """Digest of the per-query decision series of a switching stream."""
+    per_query = {
+        name: [int(getattr(result, name)) for result in results]
+        for name in (
+            "output_rows", "scan_output_rows", "blocks_read",
+            "blocks_repartitioned", "trees_created",
+        )
+    }
+    return sha256_of(per_query)
+
+
+def golden_scan_stream(backend, num_workers):
+    """Three fig08-style scans of ``lineitem``, without adaptation."""
+    tables = TPCHGenerator(scale=0.02, seed=1).generate(["lineitem"])
+    config = AdaptDBConfig(
+        rows_per_block=128, buffer_blocks=8, seed=1, num_machines=8,
+        execution_backend=backend, num_workers=num_workers,
+    )
+    with Session(config) as session:
+        session.load_table(tables["lineitem"])
+        return explained_run(session, fig08_scan_queries(3), adapt=False)
+
+
+def scan_digest(results) -> str:
+    return sha256_of([list(result.fingerprint()) for result in results])
 
 
 class TestGoldenDigests:
@@ -164,54 +233,13 @@ class TestGoldenDigests:
     @pytest.mark.parametrize("persistence", ["memory", "mmap"])
     @pytest.mark.parametrize("backend", ["tasks", "parallel"])
     def test_switching_stream_decisions(self, backend, persistence, tmp_path):
-        templates = list(EVALUATED_TEMPLATES)
-        tables = list(
-            TPCHGenerator(scale=0.02, seed=1)
-            .generate(tables_for_templates(templates))
-            .values()
-        )
-        queries = switching_workload(templates, 2, make_rng(1))
-        tier = {"persistence": "memory"}
-        if persistence == "mmap":
-            # A buffer far below the working set: blocks spill, evict and
-            # fault throughout the stream.
-            tier = {
-                "persistence": "mmap",
-                "storage_root": str(tmp_path / "root"),
-                "buffer_bytes": 96_000,
-            }
-        config = AdaptDBConfig(
-            rows_per_block=64, buffer_blocks=8, seed=1,
-            execution_backend=backend, num_workers=2, **tier,
-        )
-        runner = AdaptDBRunner(tables, config)
-        try:
-            results = runner.run_workload(queries)
-        finally:
-            runner.session.close()
-        per_query = {
-            name: [int(getattr(result, name)) for result in results]
-            for name in (
-                "output_rows", "scan_output_rows", "blocks_read",
-                "blocks_repartitioned", "trees_created",
-            )
-        }
+        results, _ = golden_switching_stream(backend, persistence, tmp_path / "root")
         assert len(results) == 16
-        assert sha256_of(per_query) == self.SEED_ENGINE_DECISIONS
+        assert switching_decisions_digest(results) == self.SEED_ENGINE_DECISIONS
 
     @pytest.mark.parametrize(
         "backend, num_workers", [("tasks", None), ("parallel", 1), ("parallel", 2)]
     )
     def test_scan_fingerprints(self, backend, num_workers):
-        tables = TPCHGenerator(scale=0.02, seed=1).generate(["lineitem"])
-        config = AdaptDBConfig(
-            rows_per_block=128, buffer_blocks=8, seed=1, num_machines=8,
-            execution_backend=backend, num_workers=num_workers,
-        )
-        with Session(config) as session:
-            session.load_table(tables["lineitem"])
-            fingerprints = [
-                session.run(query, adapt=False).fingerprint()
-                for query in fig08_scan_queries(3)
-            ]
-        assert sha256_of([list(fp) for fp in fingerprints]) == self.SCAN_FINGERPRINTS
+        results, _ = golden_scan_stream(backend, num_workers)
+        assert scan_digest(results) == self.SCAN_FINGERPRINTS
