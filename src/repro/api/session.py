@@ -202,9 +202,10 @@ class Session:
         delta chains, samples, statistics and placement; RNG states and the
         adaptation window resume where :meth:`checkpoint` captured them.
         Blocks start *cold* — their columns fault in through the block
-        buffer on first read.  Spill files a crashed writer stranded after
-        the last commit are garbage-collected here, and a pending SQLite WAL
-        is replayed by opening the catalog.
+        buffer on first read.  The root's one checkpoint file is read and
+        its checksums verified before anything is written under the root;
+        spill files a crashed writer stranded after the last commit are
+        garbage-collected here, and a leftover staging file is ignored.
 
         Args:
             storage_root: Root directory a previous session checkpointed.
@@ -224,11 +225,11 @@ class Session:
     def checkpoint(self) -> dict[str, int]:
         """Commit the session's full partition state to the storage root.
 
-        Dirty blocks are spilled first; then one catalog transaction
-        records all metadata.  A crash before the commit leaves the previous
-        checkpoint intact (the stranded spill files are collected on the
-        next :meth:`open`).  Returns ``{"blocks_spilled": ...,
-        "versions_removed": ...}``.
+        Dirty blocks are spilled first; then one checksummed checkpoint
+        file recording all metadata is renamed into place — the commit.  A
+        crash before the rename leaves the previous checkpoint intact (the
+        stranded spill files are collected on the next :meth:`open`).
+        Returns ``{"blocks_spilled": ..., "versions_removed": ...}``.
 
         Raises:
             StorageError: on a session without ``persistence="mmap"``.
@@ -508,12 +509,12 @@ class Session:
     # ------------------------------------------------------------------ #
     def close(self) -> None:
         """Release cross-process resources (worker pool, pinned segments)
-        and the persistence tier's catalog connection and file mappings.
+        and the persistence tier's file mappings.
 
         Closing is idempotent and a closed session remains usable through
         the in-process backends (the parallel backend restarts its pool
-        lazily if selected again); only checkpoint/reopen requires the
-        catalog connection.
+        lazily if selected again); only :meth:`checkpoint` refuses a
+        closed session.
         """
         for backend in self.backends.values():
             closer = getattr(backend, "close", None)

@@ -72,7 +72,7 @@ class AdaptDBConfig:
             provide epoch-aware crash recovery.  The default can be
             overridden with the ``REPRO_PERSISTENCE`` environment variable
             (an explicit constructor argument always wins).
-        storage_root: Directory holding the spill files and catalog of an
+        storage_root: Directory holding the spill files and checkpoint of an
             ``"mmap"`` session.  ``None`` lets the session create a unique
             temporary root (under ``REPRO_STORAGE_ROOT`` when that is set).
         buffer_bytes: Byte budget of the block buffer; ``None`` means

@@ -1,7 +1,7 @@
 """Distributed storage engine: blocks, the simulated DFS, tables and catalog.
 
-The durable tier (spill store, block buffer, persistent catalog and
-checkpoint/restore) lives in :mod:`repro.storage.persist`.
+The durable tier (spill store, block buffer and the checkpoint file it
+commits by a rename) lives in :mod:`repro.storage.persist`.
 """
 
 from .block import Block, compute_ranges, concatenate_columns
@@ -9,7 +9,7 @@ from .catalog import Catalog
 from .dfs import DEFAULT_REPLICATION, DistributedFileSystem, ReadStats
 from .sampling import DEFAULT_SAMPLE_SIZE, sample_columns
 from .table import ColumnTable, RepartitionStats, StoredTable
-from .persist import BlockBuffer, PersistenceManager, PersistentBlockStore, PersistentCatalog
+from .persist import BlockBuffer, PersistenceManager, PersistentBlockStore
 
 __all__ = [
     "Block",
@@ -21,7 +21,6 @@ __all__ = [
     "DistributedFileSystem",
     "PersistenceManager",
     "PersistentBlockStore",
-    "PersistentCatalog",
     "ReadStats",
     "RepartitionStats",
     "StoredTable",

@@ -1,19 +1,17 @@
-"""Durable storage tier: spill files, block buffer, catalog, checkpoints.
+"""Durable storage tier: spill files, block buffer, checkpoints.
 
 See :mod:`repro.storage.persist.manager` for the lifecycle overview.
 """
 
 from .buffer import BlockBuffer
-from .catalog import CATALOG_FILENAME, PersistentCatalog
-from .manager import PersistenceManager
+from .manager import PersistenceManager, read_checkpoint
 from .serialize import FORMAT_VERSION
 from .store import PersistentBlockStore
 
 __all__ = [
     "BlockBuffer",
-    "CATALOG_FILENAME",
     "FORMAT_VERSION",
     "PersistenceManager",
     "PersistentBlockStore",
-    "PersistentCatalog",
+    "read_checkpoint",
 ]

@@ -1,30 +1,31 @@
 """Checkpoint/restore orchestration of one persistent storage root.
 
-A :class:`PersistenceManager` bundles the three pieces of the durable tier
-— the WAL-mode :class:`~repro.storage.persist.catalog.PersistentCatalog`,
-the mmap :class:`~repro.storage.persist.store.PersistentBlockStore` and the
-byte-budgeted :class:`~repro.storage.persist.buffer.BlockBuffer` — and
-owns the two lifecycle transitions:
+A :class:`PersistenceManager` bundles the mmap
+:class:`~repro.storage.persist.store.PersistentBlockStore`, the
+byte-budgeted :class:`~repro.storage.persist.buffer.BlockBuffer` and the
+root's one metadata file, ``<root>/checkpoint``, and owns the two
+lifecycle transitions:
 
 ``checkpoint``
     Two-phase: (1) spill every dirty block to a fresh on-disk version,
-    then (2) commit *one* catalog transaction rewriting all metadata
-    (config, RNG states, per-table epochs + delta chains, serialized
-    trees, block rows + placement, samples, the adaptation window).  A
-    crash anywhere before the commit leaves the catalog at the previous
-    checkpoint; the stranded spill files are garbage-collected on the
-    next open.  After the commit the freshly referenced versions become
-    durable and superseded version files are removed.
+    then (2) write *one* file in the spill files' checksummed format — all
+    metadata in its header, the retained samples as its columns — and
+    rename it into place.  The rename is the commit: a crash before it
+    leaves the previous checkpoint in force (stranded spill files are
+    collected on the next open, a staging file is ignored).  After it,
+    superseded version files are removed.  Nothing is fsynced: the commit
+    is atomic against a process crash, and a checkpoint torn by an OS
+    crash fails its checksum on open.
 
 ``restore``
-    Rebuilds a session's partition state from the last committed
-    checkpoint: blocks come back as *cold* (unloaded) :class:`Block`\\ s
-    whose columns fault in through the buffer on first read, tables are
-    reconstructed with their exact epoch counters and delta chains (so
-    plan-cache keys and ``delta_between`` spans carry across the
-    restart), and the session / DFS / repartitioner RNG states and the
-    query window are restored so post-restart adaptation decisions are
-    bit-identical to an uninterrupted run.
+    Rebuilds a session's partition state from the checkpoint ``open``
+    read and verified: blocks come back as *cold* (unloaded)
+    :class:`Block`\\ s whose columns fault in through the buffer on first
+    read, tables are reconstructed with their exact epoch counters and
+    delta chains (so plan-cache keys and ``delta_between`` spans carry
+    across the restart), and the session / DFS / repartitioner RNG states
+    and the query window are restored so post-restart adaptation
+    decisions are bit-identical to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -41,17 +42,20 @@ from ...common.errors import StorageError
 from ..block import Block
 from ..table import StoredTable
 from .buffer import BlockBuffer
-from .catalog import PersistentCatalog
 from .serialize import (
     FORMAT_VERSION,
+    column_layout,
     query_from_payload,
     query_to_payload,
+    read_columns,
+    read_header,
     restore_rng_state,
     rng_state_payload,
     schema_from_payload,
     schema_to_payload,
     tree_from_payload,
     tree_to_payload,
+    write_file,
 )
 from .store import PersistentBlockStore
 
@@ -59,20 +63,59 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import (avoids a
     # storage -> api import cycle; the manager only duck-types the session)
     from ...api.session import Session
 
+#: The checkpoint's file name under the storage root.
+CHECKPOINT_FILENAME = "checkpoint"
+
+#: A parsed checkpoint: its JSON header and its sample columns.
+Checkpoint = tuple[dict[str, Any], dict[str, np.ndarray]]
+
+
+def read_checkpoint(root: Path) -> Checkpoint:
+    """Read and verify ``<root>/checkpoint``: its header (without the column
+    layout) and its sample columns.
+
+    Raises:
+        StorageError: naming the root and what is wrong, if the file is
+            missing, truncated or fails a checksum.
+    """
+    path = Path(root) / CHECKPOINT_FILENAME
+
+    def damaged(what: str) -> StorageError:
+        return StorageError(
+            f"checkpoint of storage root {str(root)!r} at {str(path)!r} {what}"
+        )
+
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        raise damaged("is missing") from None
+    header_bytes, data_start = read_header(data, damaged)
+    header = json.loads(header_bytes)
+    layout = column_layout(header.pop("columns"), data_start)
+    return header, read_columns(data, layout, damaged, verify=True)
+
+
+def _sample_column(table_name: str, column_name: str) -> str:
+    """The checkpoint's column name of one retained sample column."""
+    return json.dumps([table_name, column_name])
+
 
 class PersistenceManager:
-    """The durable tier of one session: catalog + spill store + buffer."""
+    """The durable tier of one session: spill store + buffer + checkpoint."""
 
     def __init__(
         self,
         root: Path,
         num_machines: int,
         buffer_bytes: int | None = None,
+        restored: Checkpoint | None = None,
     ) -> None:
         self.root = Path(root)
-        self.catalog = PersistentCatalog(self.root)
         self.store = PersistentBlockStore(self.root, num_machines)
         self.buffer = BlockBuffer(self.store, budget_bytes=buffer_bytes)
+        #: The checkpoint :meth:`open` verified, until :meth:`restore` uses it.
+        self._restored = restored
+        self.closed = False
 
     # ------------------------------------------------------------------ #
     # Lifecycle entry points
@@ -84,52 +127,49 @@ class PersistenceManager:
         """Open a storage root for a *fresh* session.
 
         Raises:
-            StorageError: if the root already holds a checkpoint — reusing
-                it would collide block ids and spill files; such roots are
-                resumed with ``Session.open`` instead.
+            StorageError: if the root already holds a file of its own (a
+                checkpoint, a staging file, the metadata of an older format) —
+                reusing it would collide block ids and spill files; such
+                roots are resumed with ``Session.open`` instead.
         """
-        manager = cls(root, num_machines, buffer_bytes)
-        if manager.catalog.has_checkpoint():
+        root = Path(root)
+        held = sorted(e.name for e in root.iterdir() if e.is_file()) if root.is_dir() else []
+        if held:
             raise StorageError(
-                f"storage root {str(root)!r} already holds a checkpointed "
-                "catalog; resume it with Session.open(storage_root) instead "
-                "of creating a fresh session over it"
+                f"storage root {str(root)!r} already holds a checkpointed state "
+                f"({', '.join(held)}); resume it with Session.open(storage_root) "
+                "instead of creating a fresh session over it"
             )
-        return manager
+        return cls(root, num_machines, buffer_bytes)
 
     @classmethod
     def open(cls, root: Path) -> "PersistenceManager":
-        """Open a storage root holding a committed checkpoint for restore.
+        """Read and verify a storage root's checkpoint for restore.
+
+        Nothing is written under the root before the checkpoint verified.
 
         Raises:
-            StorageError: if the root holds no catalog, or its checkpoint
-                was written in another ``FORMAT_VERSION`` (there is no
-                migration; the root's files are left untouched).
+            StorageError: naming the root, if its checkpoint is missing or
+                damaged, or was written in another ``FORMAT_VERSION``
+                (there is no migration; the root's files are left
+                untouched).
         """
         root = Path(root)
-        if not (root / "catalog.sqlite").exists():
-            raise StorageError(f"storage root {str(root)!r} holds no catalog")
-        # Opening the connection replays any WAL a crashed writer left.
-        probe = PersistentCatalog(root)
-        try:
-            stored_version = probe.require_meta("format_version")
-            if stored_version != FORMAT_VERSION:
-                raise StorageError(
-                    f"storage root {str(root)!r} was checkpointed in format "
-                    f"version {stored_version}; this library reads version "
-                    f"{FORMAT_VERSION}"
-                )
-            config_payload = probe.require_meta("config")
-            num_machines = int(config_payload["num_machines"])
-            buffer_bytes = config_payload.get("buffer_bytes")
-        finally:
-            probe.close()
-        return cls(root, num_machines, buffer_bytes)
+        checkpoint = read_checkpoint(root)
+        header = checkpoint[0]
+        stored_version = header.get("format_version")
+        if stored_version != FORMAT_VERSION:
+            raise StorageError(
+                f"storage root {str(root)!r} was checkpointed in format "
+                f"version {stored_version}; this library reads version "
+                f"{FORMAT_VERSION}"
+            )
+        config = header["config"]
+        return cls(root, int(config["num_machines"]), config.get("buffer_bytes"), checkpoint)
 
     def stored_config_payload(self) -> dict[str, Any]:
-        """The config dict committed by the last checkpoint."""
-        payload = self.catalog.require_meta("config")
-        return dict(payload)
+        """The config dict of the checkpoint :meth:`open` read."""
+        return dict(self._restored[0]["config"])
 
     def attach(self, dfs: Any) -> None:
         """Route the DFS's reads and block lifecycle through this tier."""
@@ -138,8 +178,8 @@ class PersistenceManager:
         self.buffer.dfs = dfs
 
     def close(self) -> None:
-        """Release the catalog connection and unmap every resident spill
-        file (idempotent; unmapped blocks fault back in if read again).
+        """Unmap every resident spill file and refuse further checkpoints
+        (idempotent; unmapped blocks fault back in if read again).
 
         The buffer also lets go of the DFS, the one back-reference of the
         ``dfs.buffer`` wiring, so a closed session is freed by reference
@@ -148,7 +188,7 @@ class PersistenceManager:
         """
         self.buffer.release()
         self.buffer.dfs = None
-        self.catalog.close()
+        self.closed = True
 
     # ------------------------------------------------------------------ #
     # Checkpoint
@@ -156,19 +196,19 @@ class PersistenceManager:
     def checkpoint(self, session: "Session") -> dict[str, int]:
         """Persist the session's full partition state; returns counters.
 
-        Phase 1 spills every dirty block (new on-disk versions, catalog
-        untouched); phase 2 commits one transaction describing exactly
-        those versions.  Only after the commit are superseded and stranded
-        version files removed.
+        Phase 1 spills every dirty block (new on-disk versions, checkpoint
+        untouched); phase 2 renames one checkpoint file describing exactly
+        those versions into place.  Only after the rename are superseded
+        and stranded version files removed.
 
         Raises:
             StorageError: if the session was closed — checked before phase
                 1, so nothing is written under the root.
         """
-        if self.catalog.closed:
+        if self.closed:
             raise StorageError(
                 f"cannot checkpoint storage root {str(self.root)!r}: the "
-                "session is closed (its catalog connection was released)"
+                "session is closed"
             )
         dfs = session.dfs
         tables = session.catalog.tables()
@@ -187,122 +227,107 @@ class PersistenceManager:
         return {"blocks_spilled": spilled, "versions_removed": removed}
 
     def _commit_checkpoint(self, session: "Session", tables: list[StoredTable]) -> None:
-        """Phase 2: the single metadata transaction (the crash test's seam)."""
+        """Phase 2: write the checkpoint file and rename it into place (the
+        crash test's seam).  Tables are stored by name, trees by id."""
         dfs = session.dfs
-        meta_rows = [
-            ("format_version", json.dumps(FORMAT_VERSION)),
-            ("config", json.dumps(dataclasses.asdict(session.config))),
-            ("next_block_id", json.dumps(dfs.next_block_id)),
-            ("rng", json.dumps({
+        table_payloads = []
+        samples: dict[str, np.ndarray] = {}
+        for table in sorted(tables, key=lambda table: table.name):
+            blocks = []
+            for block_id in table.block_ids():
+                block = dfs.peek_block(block_id)
+                blocks.append({
+                    "id": block_id,
+                    "tree": table.tree_of_block(block_id),
+                    "rows": block.num_rows,
+                    "bytes": block.size_bytes,
+                    "version": self.store.live_version(block_id),
+                    "ranges": {name: [lo, hi] for name, (lo, hi) in block.ranges.items()},
+                    "placement": dfs.replicas_of(block_id),
+                })
+            table_payloads.append({
+                "name": table.name,
+                "schema": schema_to_payload(table.schema),
+                "rows_per_block": table.rows_per_block,
+                "epoch": table.epoch,
+                "next_tree_id": table._next_tree_id,
+                "delta_chain_limit": table.delta_chain_limit,
+                "delta_chain": [
+                    [epoch, _delta_to_payload(delta)] for epoch, delta in table._delta_chain
+                ],
+                "total_rows": table.total_rows,
+                "trees": [
+                    [tree_id, tree_to_payload(table.trees[tree_id])]
+                    for tree_id in sorted(table.trees)
+                ],
+                "blocks": blocks,
+                "sample": sorted(table.sample),
+            })
+            for column_name in sorted(table.sample):
+                samples[_sample_column(table.name, column_name)] = table.sample[column_name]
+        header = {
+            "format_version": FORMAT_VERSION,
+            "config": dataclasses.asdict(session.config),
+            "next_block_id": dfs.next_block_id,
+            "rng": {
                 "session": rng_state_payload(session.rng),
                 "dfs": rng_state_payload(dfs.rng),
                 "repartitioner": rng_state_payload(session.repartitioner.rng),
-            })),
-        ]
-        with self.catalog.transaction() as cur:
-            for stale in ("tables", "trees", "blocks", "samples", "window"):
-                cur.execute(f"DELETE FROM {stale}")  # noqa: S608 - fixed names
-            cur.executemany(
-                "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)", meta_rows
-            )
-            for table in tables:
-                payload = {
-                    "schema": schema_to_payload(table.schema),
-                    "rows_per_block": table.rows_per_block,
-                    "epoch": table.epoch,
-                    "next_tree_id": table._next_tree_id,
-                    "delta_chain_limit": table.delta_chain_limit,
-                    "delta_chain": [
-                        [epoch, _delta_to_payload(delta)]
-                        for epoch, delta in table._delta_chain
-                    ],
-                    "total_rows": table.total_rows,
-                }
-                cur.execute(
-                    "INSERT INTO tables (name, payload) VALUES (?, ?)",
-                    (table.name, json.dumps(payload)),
-                )
-                for tree_id in sorted(table.trees):
-                    cur.execute(
-                        "INSERT INTO trees (table_name, tree_id, payload) VALUES (?, ?, ?)",
-                        (table.name, tree_id, json.dumps(tree_to_payload(table.trees[tree_id]))),
-                    )
-                for block_id in table.block_ids():
-                    block = dfs.peek_block(block_id)
-                    block_payload = {
-                        "ranges": {name: [lo, hi] for name, (lo, hi) in block.ranges.items()},
-                        "placement": dfs.replicas_of(block_id),
-                    }
-                    cur.execute(
-                        "INSERT INTO blocks (block_id, table_name, tree_id, num_rows,"
-                        " size_bytes, version, payload) VALUES (?, ?, ?, ?, ?, ?, ?)",
-                        (
-                            block_id,
-                            table.name,
-                            table.tree_of_block(block_id),
-                            block.num_rows,
-                            block.size_bytes,
-                            self.store.live_version(block_id),
-                            json.dumps(block_payload),
-                        ),
-                    )
-                for column_name in sorted(table.sample):
-                    array = np.ascontiguousarray(table.sample[column_name])
-                    cur.execute(
-                        "INSERT INTO samples (table_name, column_name, dtype, data)"
-                        " VALUES (?, ?, ?, ?)",
-                        (table.name, column_name, array.dtype.str,
-                         sqlite_blob(array.tobytes())),
-                    )
-            for position, query in enumerate(session.repartitioner.window.queries):
-                cur.execute(
-                    "INSERT INTO window (position, payload) VALUES (?, ?)",
-                    (position, json.dumps(query_to_payload(query))),
-                )
+            },
+            "tables": table_payloads,
+            "window": [query_to_payload(q) for q in session.repartitioner.window.queries],
+        }
+        write_file(self.root / CHECKPOINT_FILENAME, header, samples)
 
     # ------------------------------------------------------------------ #
     # Restore
     # ------------------------------------------------------------------ #
     def restore(self, session: "Session") -> None:
-        """Rebuild ``session``'s state from the last committed checkpoint.
+        """Rebuild ``session``'s state from the checkpoint :meth:`open` read.
 
         The session arrives freshly constructed (empty DFS and catalog);
-        blocks are re-registered cold, tables are reconstructed at their
-        checkpointed epochs, RNG states and the adaptation window are
-        restored, and only then is the DFS attached to the buffer/store so
-        the restore itself never counts as buffer traffic.
+        blocks are re-registered cold in id order, tables are reconstructed
+        at their checkpointed epochs in name order, RNG states and the
+        adaptation window are restored, and only then is the DFS attached
+        to the buffer/store so the restore itself never counts as buffer
+        traffic.
         """
-        catalog = self.catalog
+        header, samples = self._restored
+        self._restored = None
         dfs = session.dfs
-        block_rows = catalog.block_rows()
+        blocks = sorted(
+            ((table["name"], block) for table in header["tables"] for block in table["blocks"]),
+            key=lambda entry: entry[1]["id"],
+        )
 
         # Adopt placement/version maps first so stranded (uncommitted)
         # spill versions from a crashed writer are collected before any
         # loader can observe them.
-        for block_id, _table, _tree, _rows, _size, version, payload in block_rows:
-            self.store.adopt_block(block_id, payload["placement"][0], version)
+        for _table, block in blocks:
+            self.store.adopt_block(block["id"], block["placement"][0], block["version"])
         self.store.mark_durable()
         self.store.gc()
 
         table_blocks: dict[str, list[tuple[int, int, int]]] = {}
-        for block_id, table_name, tree_id, num_rows, size_bytes, version, payload in block_rows:
-            ranges = {name: (lo, hi) for name, (lo, hi) in payload["ranges"].items()}
+        for table_name, entry in blocks:
+            block_id, num_rows = entry["id"], entry["rows"]
             block = Block.restore(
                 block_id=block_id,
                 table=table_name,
-                ranges=ranges,
-                size_bytes=size_bytes,
+                ranges={name: (lo, hi) for name, (lo, hi) in entry["ranges"].items()},
+                size_bytes=entry["bytes"],
                 num_rows=num_rows,
             )
-            self.buffer.bind(block, self.store.loader(block_id, version))
-            dfs.put_block(block, machine_ids=payload["placement"])
-            table_blocks.setdefault(table_name, []).append((block_id, tree_id, num_rows))
-        dfs.restore_block_counter(int(catalog.require_meta("next_block_id")))
+            self.buffer.bind(block, self.store.loader(block_id, entry["version"]))
+            dfs.put_block(block, machine_ids=entry["placement"])
+            table_blocks.setdefault(table_name, []).append((block_id, entry["tree"], num_rows))
+        dfs.restore_block_counter(int(header["next_block_id"]))
 
-        for name, payload in catalog.table_payloads():
+        for payload in header["tables"]:
+            name = payload["name"]
             trees = {
                 tree_id: tree_from_payload(tree_payload)
-                for tree_id, tree_payload in catalog.tree_payloads(name)
+                for tree_id, tree_payload in payload["trees"]
             }
             rows_of = table_blocks.get(name, [])
             block_to_tree = {block_id: tree_id for block_id, tree_id, _ in rows_of}
@@ -316,8 +341,8 @@ class PersistenceManager:
                 if num_rows:
                     non_empty[tree_id].add(block_id)
             sample = {
-                column: np.frombuffer(data, dtype=np.dtype(dtype_str)).copy()
-                for column, dtype_str, data in catalog.sample_rows(name)
+                column: samples[_sample_column(name, column)].copy()
+                for column in payload["sample"]
             }
             table = StoredTable(
                 name=name,
@@ -342,19 +367,14 @@ class PersistenceManager:
             )
             session.catalog.register(table)
 
-        rng_states = catalog.require_meta("rng")
+        rng_states = header["rng"]
         restore_rng_state(session.rng, rng_states["session"])
         restore_rng_state(dfs.rng, rng_states["dfs"])
         restore_rng_state(session.repartitioner.rng, rng_states["repartitioner"])
-        for query_payload in catalog.window_payloads():
+        for query_payload in header["window"]:
             session.repartitioner.window.add(query_from_payload(query_payload))
 
         self.attach(dfs)
-
-
-def sqlite_blob(data: bytes) -> memoryview:
-    """Wrap raw bytes for a BLOB parameter."""
-    return memoryview(data)
 
 
 def _delta_to_payload(delta: PartitionDelta) -> dict[str, Any]:

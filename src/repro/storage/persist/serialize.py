@@ -1,19 +1,32 @@
-"""JSON payload (de)serialization for the durable catalog.
+"""The durable tier's one file format and its JSON payloads.
 
-Everything the catalog persists beyond raw column bytes travels as JSON:
-schemas, partitioning trees, selection predicates, window queries, change
-descriptors and RNG states.  The payload shapes are chosen so a round trip
-is *exact* — trees serialize through the same preorder flat-array form the
-compiled tree uses (cutpoints survive as shortest-round-trip floats),
-predicate values are unwrapped to Python scalars, and RNG states carry the
-bit generator's full integer state — because the acceptance contract of the
-persistence tier is bit-identical ``QueryResult.fingerprint()``s across a
-restart.
+Spill files and the checkpoint are one kind of file: a prefix (magic,
+header length, header CRC32), a JSON header whose ``columns`` entry lays out
+``[name, dtype, length, offset, crc32]`` per column (offsets relative to the
+aligned end of the header), then the raw column bytes, each 64-byte aligned.
+:func:`write_file` is the one writer; :func:`read_header`,
+:func:`column_layout` and :func:`read_columns` are the one parser, and a
+damaged file raises the caller's :class:`StorageError`.
+
+Everything else travels as JSON: schemas, partitioning trees, selection
+predicates, window queries, change descriptors and RNG states.  The payload
+shapes are chosen so a round trip is *exact* — trees serialize through the
+same preorder flat-array form the compiled tree uses (cutpoints survive as
+shortest-round-trip floats), predicate values are unwrapped to Python
+scalars, and RNG states carry the bit generator's full integer state —
+because the acceptance contract of the persistence tier is bit-identical
+``QueryResult.fingerprint()``s across a restart.
 """
 
 from __future__ import annotations
 
-from typing import Any
+import json
+import os
+import struct
+import zlib
+from collections.abc import Mapping
+from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -25,9 +38,95 @@ from ...partitioning.tree import PartitioningTree, TreeNode
 
 #: Bumped whenever any payload shape changes incompatibly (2, 3 and 4: the
 #: stored config lost fields; 4 also a legal ``execution_backend`` value; 5: a
-#: spilled version is one file).  ``PersistenceManager.open`` refuses other
-#: versions.
-FORMAT_VERSION = 5
+#: spilled version is one file; 6: the metadata is one checkpoint file).
+#: ``PersistenceManager.open`` refuses other versions.
+FORMAT_VERSION = 6
+
+#: File prefix: magic, header length, header CRC32.
+_PREFIX = struct.Struct("<8sII")
+_MAGIC = b"ADAPTDB\x00"
+_ALIGN = 64
+
+#: One column of a parsed layout: name, dtype, length, absolute offset, CRC32.
+ColumnLayout = tuple[str, np.dtype, int, int, int]
+#: Builds the error a damaged file raises from what is wrong with it.
+Damaged = Callable[[str], StorageError]
+
+
+def _aligned(size: int) -> int:
+    return -(-size // _ALIGN) * _ALIGN
+
+
+# --------------------------------------------------------------------- #
+# The file format
+# --------------------------------------------------------------------- #
+def write_file(path: Path, header: dict[str, Any], columns: Mapping[str, np.ndarray]) -> int:
+    """Write ``header`` and ``columns`` as one file at ``path``.
+
+    The file is staged under ``<name>.tmp`` and renamed into place, so a
+    crash mid-write never produces a file a reader could pick up.  Returns
+    the column payload bytes written.
+    """
+    arrays = {name: np.ascontiguousarray(array) for name, array in columns.items()}
+    layout: list[list[Any]] = []
+    end = 0
+    for name, array in arrays.items():
+        layout.append([name, array.dtype.str, len(array), end, zlib.crc32(array)])
+        end = _aligned(end + array.nbytes)
+    blob = json.dumps({**header, "columns": layout}).encode()
+    prefix = _PREFIX.pack(_MAGIC, len(blob), zlib.crc32(blob)) + blob
+    staging = path.with_name(path.name + ".tmp")
+    with open(staging, "wb") as out:
+        out.write(prefix + bytes(-len(prefix) % _ALIGN))
+        for array in arrays.values():
+            out.write(array)  # straight from the array's buffer
+            out.write(bytes(-array.nbytes % _ALIGN))
+    os.replace(staging, path)
+    return sum(array.nbytes for array in arrays.values())
+
+
+def read_header(buffer: Any, damaged: Damaged) -> tuple[bytes, int]:
+    """Check a file's prefix and header checksum.
+
+    Returns the header's JSON bytes and the offset its column offsets are
+    relative to.
+    """
+    if len(buffer) < _PREFIX.size:
+        raise damaged("is empty" if len(buffer) == 0 else "is truncated")
+    magic, header_size, header_crc = _PREFIX.unpack_from(buffer)
+    if magic != _MAGIC:
+        raise damaged("does not start with the file magic")
+    header = buffer[_PREFIX.size : _PREFIX.size + header_size]
+    if len(header) != header_size:
+        raise damaged("is truncated inside its header")
+    if zlib.crc32(header) != header_crc:
+        raise damaged("has a damaged header")
+    return header, _aligned(_PREFIX.size + header_size)
+
+
+def column_layout(columns: list[list[Any]], data_start: int) -> list[ColumnLayout]:
+    """A header's ``columns`` entry with dtypes parsed and offsets absolute."""
+    return [
+        (name, np.dtype(dtype_str), length, data_start + offset, crc)
+        for name, dtype_str, length, offset, crc in columns
+    ]
+
+
+def read_columns(
+    buffer: Any, layout: list[ColumnLayout], damaged: Damaged, verify: bool
+) -> dict[str, np.ndarray]:
+    """Read-only views of a file's columns, checked against their CRC32s
+    when ``verify``."""
+    columns: dict[str, np.ndarray] = {}
+    for name, dtype, length, offset, crc in layout:
+        try:
+            column = np.frombuffer(buffer, dtype=dtype, count=length, offset=offset)
+        except ValueError:
+            raise damaged(f"is truncated inside column {name!r}") from None
+        if verify and zlib.crc32(column) != crc:
+            raise damaged(f"fails the checksum of column {name!r}")
+        columns[name] = column
+    return columns
 
 
 def _plain_scalar(value: Any) -> Any:

@@ -2,26 +2,25 @@
 
 Layout under the storage root::
 
-    catalog.sqlite
+    checkpoint             # the metadata of the last committed checkpoint
     machine-00/
         block-000017-v3    # prefix + JSON header + 64-byte-aligned columns
         ...
     machine-01/
         ...
 
-A version file starts with a fixed prefix (magic, header length, header
-CRC32), then a JSON header (``num_rows`` and ``[name, dtype, length, offset,
-crc32]`` per column, offsets relative to the aligned end of the header), then
-the raw little-endian column bytes.  It lives under the machine directory of
-the block's *primary replica* (the first entry of its DFS placement),
-mirroring the paper's HDFS substrate where a block has a home node.  Spills
-are **versioned**: every spill of a block writes a fresh ``block-<id>-v<n>``
-file (staged under a ``.tmp`` name and renamed into place, so a half-written
-version is never picked up), and the version the catalog references only
-advances when a checkpoint commits.  Between checkpoints the *live* version
-(what an eviction wrote) and the *durable* version (what the catalog
+A version file is one file in the durable tier's checksummed format
+(:mod:`repro.storage.persist.serialize`), ``num_rows`` in its header.  It
+lives under the machine directory of the block's *primary replica* (the
+first entry of its DFS placement), mirroring the paper's HDFS substrate
+where a block has a home node.  Spills are **versioned**: every spill of a
+block writes a fresh ``block-<id>-v<n>`` file (staged under a ``.tmp`` name
+and renamed into place, so a half-written version is never picked up), and
+the version the checkpoint references only advances when a checkpoint
+commits.  Between checkpoints the *live* version
+(what an eviction wrote) and the *durable* version (what the checkpoint
 references) may differ; a crash simply strands the live version, and
-:meth:`PersistentBlockStore.gc` unlinks every file the catalog does not
+:meth:`PersistentBlockStore.gc` unlinks every file the checkpoint does not
 reference on the next open.
 
 A fault opens the file once, maps it once (read-only; the descriptor is
@@ -44,27 +43,18 @@ import json
 import mmap
 import os
 import re
-import struct
-import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from ...common.errors import StorageError
+from .serialize import ColumnLayout, column_layout, read_columns, read_header, write_file
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..block import Block
 
 _VERSION_FILE = re.compile(r"^block-(\d+)-v(\d+)$")
-#: File prefix: magic, header length, header CRC32.
-_PREFIX = struct.Struct("<8sII")
-_MAGIC = b"ADBSPILL"
-_ALIGN = 64
-
-
-def _aligned(size: int) -> int:
-    return -(-size // _ALIGN) * _ALIGN
 
 
 def _machine_dir(root: Path, machine_id: int) -> Path:
@@ -87,10 +77,10 @@ class PersistentBlockStore:
         self._machine: dict[int, int] = {}
         #: block id -> newest version written to disk (0 = never spilled).
         self._live: dict[int, int] = {}
-        #: block id -> version the catalog currently references.
+        #: block id -> version the checkpoint currently references.
         self._durable: dict[int, int] = {}
         #: (block id, version) -> column layout, once its checksums verified.
-        self._verified: dict[tuple[int, int], list[tuple[Any, ...]]] = {}
+        self._verified: dict[tuple[int, int], list[ColumnLayout]] = {}
         #: Lifetime spill counters (bytes include only column payloads).
         self.spills = 0
         self.spilled_bytes = 0
@@ -104,7 +94,7 @@ class PersistentBlockStore:
         self._live.setdefault(block_id, 0)
 
     def adopt_block(self, block_id: int, machine_id: int, version: int) -> None:
-        """Track a block restored from the catalog (its file already exists)."""
+        """Track a block restored from the checkpoint (its file already exists)."""
         self._machine[block_id] = machine_id
         self._live[block_id] = version
         self._durable[block_id] = version
@@ -112,9 +102,9 @@ class PersistentBlockStore:
     def forget_block(self, block_id: int) -> None:
         """Stop tracking a deleted block and unlink its *undurable* versions.
 
-        The version the catalog still references is deliberately kept: until
+        The version the checkpoint still references is deliberately kept: until
         the next checkpoint commits, a crash must be able to roll back to
-        the previous catalog state — which includes this block.  The next
+        the previous checkpoint — which includes this block.  The next
         post-commit :meth:`gc` (whose durable map no longer contains the
         block) removes the retained file.
         """
@@ -148,34 +138,18 @@ class PersistentBlockStore:
         """Write ``block``'s consolidated columns as a new version on disk.
 
         Returns the loader for the freshly written version and marks the
-        block clean with it.  The file is staged under a ``.tmp`` name and
-        renamed into place so a crash mid-write never produces a file the
-        fault path could pick up.
+        block clean with it.  A crash mid-write leaves only a ``.tmp`` file,
+        which the fault path never picks up.
         """
         machine_id = self.machine_of(block.block_id)
         version = self._live.get(block.block_id, 0) + 1
         final = _version_file(self.root, machine_id, block.block_id, version)
-        staging = final.with_name(final.name + ".tmp")
-
-        columns = block.columns  # consolidates pending chunks
-        arrays = [np.ascontiguousarray(array) for array in columns.values()]
-        layout: list[list[Any]] = []
-        end = 0
-        for name, array in zip(columns, arrays):
-            layout.append([name, array.dtype.str, len(array), end, zlib.crc32(array)])
-            end = _aligned(end + array.nbytes)
-        header = json.dumps({"num_rows": block.num_rows, "columns": layout}).encode()
-        prefix = _PREFIX.pack(_MAGIC, len(header), zlib.crc32(header)) + header
-        with open(staging, "wb") as out:
-            out.write(prefix + bytes(-len(prefix) % _ALIGN))
-            for array in arrays:
-                out.write(array)  # straight from the array's buffer
-                out.write(bytes(-array.nbytes % _ALIGN))
-        os.replace(staging, final)
+        # ``block.columns`` consolidates pending chunks.
+        written = write_file(final, {"num_rows": block.num_rows}, block.columns)
 
         self._live[block.block_id] = version
         self.spills += 1
-        self.spilled_bytes += sum(array.nbytes for array in arrays)
+        self.spilled_bytes += written
         loader = self.loader(block.block_id, version)
         block.mark_clean(loader)
         return loader
@@ -197,30 +171,13 @@ class PersistentBlockStore:
                 raise damaged("is missing") from None
             except ValueError:  # an empty file cannot be mapped
                 raise damaged("is empty") from None
-            if len(mapped) < _PREFIX.size:
-                raise damaged("is truncated")
-            magic, header_size, header_crc = _PREFIX.unpack_from(mapped)
-            header = mapped[_PREFIX.size : _PREFIX.size + header_size]
-            if magic != _MAGIC or len(header) != header_size or zlib.crc32(header) != header_crc:
-                raise damaged("has a damaged header")
+            header, data_start = read_header(mapped, damaged)
             # The parsed layout is kept once its column checksums verified.
             layout = self._verified.get((block_id, version))
             verify = layout is None
             if layout is None:
-                data_start = _aligned(_PREFIX.size + header_size)
-                layout = [
-                    (name, np.dtype(dtype_str), length, data_start + offset, crc)
-                    for name, dtype_str, length, offset, crc in json.loads(header)["columns"]
-                ]
-            columns: dict[str, np.ndarray] = {}
-            for name, dtype, length, offset, crc in layout:
-                try:
-                    column = np.frombuffer(mapped, dtype=dtype, count=length, offset=offset)
-                except ValueError:
-                    raise damaged(f"is truncated inside column {name!r}") from None
-                if verify and zlib.crc32(column) != crc:
-                    raise damaged(f"fails the checksum of column {name!r}")
-                columns[name] = column
+                layout = column_layout(json.loads(header)["columns"], data_start)
+            columns = read_columns(mapped, layout, damaged, verify)
             self._verified[(block_id, version)] = layout
             return columns
 
@@ -230,7 +187,7 @@ class PersistentBlockStore:
     # Checkpoint bookkeeping and garbage collection
     # ------------------------------------------------------------------ #
     def mark_durable(self) -> dict[int, int]:
-        """Promote every live version to durable (the catalog just committed).
+        """Promote every live version to durable (a checkpoint just committed).
 
         Returns the block id -> version map the caller recorded.
         """
@@ -242,7 +199,7 @@ class PersistentBlockStore:
 
         Called after a successful checkpoint (dropping superseded versions)
         and on open (dropping versions stranded by a crash between spilling
-        and the catalog commit).  Returns the number of files removed.
+        and the checkpoint commit).  Returns the number of files removed.
         """
         removed = 0
         for machine_id in range(self.num_machines):

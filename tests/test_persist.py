@@ -5,10 +5,11 @@ faults, evictions, write-back), the peek bypass, a randomized spill/evict
 audit proving buffered reads are bit-identical to the in-memory store,
 checkpoint/restore of the full partition state (epochs, trees, statistics,
 delta chains, RNG states, the adaptation window, plan-cache keys), crash
-consistency when a checkpoint dies between spilling blocks and committing
-the catalog, the one-file-per-version spill format (round trip, staging,
-typed errors for every kind of damage), eviction by the schedule's announced
-future, and ``close()`` letting go of every mapping.
+consistency when a checkpoint dies between spilling blocks and renaming the
+checkpoint file into place, typed errors and no writes when opening a
+damaged checkpoint, the one-file-per-version spill format (round trip,
+staging, typed errors for every kind of damage), eviction by the schedule's
+announced future, and ``close()`` letting go of every mapping.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from __future__ import annotations
 import gc
 import mmap
 import os
-import re
-import sqlite3
 import struct
 import tempfile
 import weakref
@@ -39,7 +38,8 @@ from repro.core import AdaptDBConfig
 from repro.partitioning.two_phase import TwoPhasePartitioner
 from repro.storage.block import Block
 from repro.storage.dfs import DistributedFileSystem
-from repro.storage.persist import FORMAT_VERSION, PersistenceManager
+from repro.storage.persist import FORMAT_VERSION, PersistenceManager, read_checkpoint
+from repro.storage.persist.serialize import write_file
 from repro.workloads.generators import switching_workload
 
 
@@ -115,6 +115,15 @@ def assert_same_block_state(actual, expected):
                     actual_columns[name], expected_array,
                     err_msg=f"{table_name} block {block_id} column {name}",
                 )
+
+
+def snapshot(root):
+    """Every path under ``root`` with the bytes of each file (``None`` for
+    a directory)."""
+    return {
+        path.relative_to(root): path.read_bytes() if path.is_file() else None
+        for path in sorted(root.rglob("*"))
+    }
 
 
 def bare_tier(root, budget_bytes=None, num_machines=1):
@@ -436,8 +445,9 @@ class TestCheckpointRestore:
         reopened.close()
 
     def test_open_requires_a_catalog_and_checkpoint(self, tmp_path):
-        with pytest.raises(StorageError, match="no catalog"):
+        with pytest.raises(StorageError, match="nowhere/checkpoint' is missing"):
             Session.open(tmp_path / "nowhere")
+        assert not (tmp_path / "nowhere").exists()
 
     def test_open_refuses_another_format_version(self, tmp_path, tpch_tables):
         """A root checkpointed in another format fails typed, naming both
@@ -446,27 +456,17 @@ class TestCheckpointRestore:
         session.checkpoint()
         root = session.storage_root
         session.close()
-        stored = 4  # the last format that spilled a directory per version
+        stored = 5  # the last format whose metadata was a database
         assert stored == FORMAT_VERSION - 1
-        with sqlite3.connect(root / "catalog.sqlite") as conn:
-            conn.execute(
-                "UPDATE meta SET value = ? WHERE key = 'format_version'", (str(stored),)
-            )
-        conn.close()
+        header, samples = read_checkpoint(root)
+        write_file(root / "checkpoint", {**header, "format_version": stored}, samples)
 
-        def snapshot():
-            return {
-                path.relative_to(root): path.read_bytes()
-                for path in sorted(root.rglob("*"))
-                if path.is_file()
-            }
-
-        before = snapshot()
+        before = snapshot(root)
         with pytest.raises(
             StorageError, match=f"version {stored}.*version {FORMAT_VERSION}"
         ):
             Session.open(root)
-        assert snapshot() == before
+        assert snapshot(root) == before
 
     def test_fresh_session_refuses_a_checkpointed_root(self, tmp_path, tpch_tables):
         session = load_session(mmap_config(tmp_path), tpch_tables, ("part",))
@@ -506,33 +506,64 @@ class TestCheckpointRestore:
 
 
 # --------------------------------------------------------------------- #
-# The catalog write path
+# A damaged checkpoint
 # --------------------------------------------------------------------- #
-class TestCatalogWritePath:
-    """A catalog write outside ``transaction()`` can never reach disk."""
+def _truncate(path, size):
+    with open(path, "r+b") as handle:
+        handle.truncate(size)
 
-    def test_a_stray_write_is_gone_after_close_and_reopen(self, tmp_path, tpch_tables):
+
+def _flip(path, offset):
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+def _data_start(path):
+    """Offset of the first column's first byte (from the file's own prefix)."""
+    _, header_size, _ = struct.unpack_from("<8sII", path.read_bytes())
+    return -(-(16 + header_size) // 64) * 64
+
+
+#: damage -> (how the checkpoint file is damaged, what the error says).
+CHECKPOINT_DAMAGE = {
+    "missing": (lambda path: path.unlink(), "is missing"),
+    "empty": (lambda path: _truncate(path, 0), "is empty"),
+    "cut_in_header": (lambda path: _truncate(path, 40), "is truncated inside its header"),
+    "cut_in_sample": (
+        lambda path: _truncate(path, _data_start(path) + 12),
+        "is truncated inside column",
+    ),
+    "bad_magic": (lambda path: _flip(path, 0), "does not start with the file magic"),
+    "bad_header_crc": (lambda path: _flip(path, 30), "has a damaged header"),
+    "bad_sample_crc": (
+        lambda path: _flip(path, _data_start(path) + 3),
+        "fails the checksum of column",
+    ),
+    "only_staging": (
+        lambda path: path.rename(path.with_name("checkpoint.tmp")), "is missing"
+    ),
+}
+
+
+class TestDamagedCheckpoint:
+    @pytest.mark.parametrize("damage", sorted(CHECKPOINT_DAMAGE))
+    def test_a_damaged_checkpoint_fails_typed_and_the_open_writes_nothing(
+        self, tmp_path, tpch_tables, damage
+    ):
         session = load_session(mmap_config(tmp_path), tpch_tables, ("part",))
         session.checkpoint()
-        session.persist.catalog._conn.execute("DELETE FROM blocks")
+        root = session.storage_root
         session.close()
+        corrupt, expected = CHECKPOINT_DAMAGE[damage]
+        corrupt(root / "checkpoint")
 
-        reopened = Session.open(tmp_path / "root")
-        assert reopened.persist.catalog.block_rows()
-        assert reopened.table("part").total_rows == tpch_tables["part"].num_rows
-        reopened.close()
-
-    def test_the_next_transaction_refuses_and_rolls_it_back(self, tmp_path, tpch_tables):
-        session = load_session(mmap_config(tmp_path), tpch_tables, ("part",))
-        session.checkpoint()
-        catalog = session.persist.catalog
-        catalog._conn.execute("DELETE FROM meta WHERE key = 'config'")
-        root = re.escape(str(tmp_path / "root"))
-        with pytest.raises(StorageError, match=f"{root}.*outside transaction"):
-            session.checkpoint()
-        assert catalog.has_checkpoint(), "the stray DELETE was rolled back"
-        session.checkpoint()
-        session.close()
+        before = snapshot(root)
+        with pytest.raises(StorageError) as raised:
+            Session.open(root)
+        message = str(raised.value)
+        assert f"storage root {str(root)!r}" in message and expected in message
+        assert snapshot(root) == before, "a refused open writes nothing"
 
 
 # --------------------------------------------------------------------- #
@@ -546,8 +577,29 @@ class TestCrashRecovery:
                 found.add(entry)
         return found
 
+    @staticmethod
+    def die_before_writing(monkeypatch):
+        def die(manager, session_arg, tables):
+            raise RuntimeError("simulated crash before the checkpoint is written")
+
+        monkeypatch.setattr(PersistenceManager, "_commit_checkpoint", die)
+
+    @staticmethod
+    def die_before_the_rename(monkeypatch, truncate=False):
+        real_replace = os.replace
+
+        def replace(source, target):
+            if Path(target).name != "checkpoint":
+                return real_replace(source, target)  # a spill file
+            if truncate:
+                _truncate(source, os.path.getsize(source) // 2)
+            raise RuntimeError("simulated crash before the checkpoint rename")
+
+        monkeypatch.setattr(os, "replace", replace)
+
+    @pytest.mark.parametrize("crash", ["unwritten", "unrenamed", "truncated"])
     def test_crash_between_spill_and_commit_rolls_back(
-        self, tmp_path, tpch_tables, monkeypatch
+        self, tmp_path, tpch_tables, monkeypatch, crash
     ):
         queries = adaptive_workload(queries_per_template=2)
         w1, w2 = queries[:4], queries[4:]
@@ -559,15 +611,18 @@ class TestCrashRecovery:
         block_state = all_block_columns(session)
 
         # More adaptation beyond the checkpoint, then a checkpoint that dies
-        # after phase 1 (spill files written) but before the catalog commit.
+        # after phase 1 (spill files written) but before the rename commits:
+        # before its file is written, once it is staged whole, or with a
+        # truncated staging file.
         w2_fingerprints = [r.fingerprint() for r in session.run_workload(w2)]
-        def die(manager, session_arg, tables):
-            raise RuntimeError("simulated crash before the catalog commit")
-
-        monkeypatch.setattr(PersistenceManager, "_commit_checkpoint", die)
+        if crash == "unwritten":
+            self.die_before_writing(monkeypatch)
+        else:
+            self.die_before_the_rename(monkeypatch, truncate=crash == "truncated")
         with pytest.raises(RuntimeError, match="simulated crash"):
             session.checkpoint()
         monkeypatch.undo()
+        assert (root / "checkpoint.tmp").exists() == (crash != "unwritten")
         stranded = self.on_disk_versions(root)
         session.close()
 
@@ -576,9 +631,14 @@ class TestCrashRecovery:
         assert table_epochs(reopened) == epochs
         assert_same_block_state(all_block_columns(reopened), block_state)
         # Stranded post-checkpoint spill files were garbage-collected: only
-        # catalog-referenced versions remain on disk.
+        # versions the checkpoint references remain on disk.
         remaining = self.on_disk_versions(root)
-        durable = reopened.persist.catalog.durable_versions()
+        header, _ = read_checkpoint(root)
+        durable = {
+            block["id"]: block["version"]
+            for table in header["tables"]
+            for block in table["blocks"]
+        }
         for entry in remaining:
             block_id, version = entry.removeprefix("block-").split("-v")
             assert durable.get(int(block_id)) == int(version), entry
@@ -587,6 +647,9 @@ class TestCrashRecovery:
         assert [
             r.fingerprint() for r in reopened.run_workload(w2)
         ] == w2_fingerprints
+        # The next checkpoint overwrites the staging file and commits.
+        reopened.checkpoint()
+        assert sorted(p.name for p in root.iterdir() if p.is_file()) == ["checkpoint"]
         reopened.close()
 
     def test_rollback_survives_block_deletions_after_checkpoint(
@@ -727,23 +790,6 @@ class TestSpillFormat:
         store.spill(block)
         block.unload()
         np.testing.assert_array_equal(block.columns["key"], np.arange(10))
-
-
-def _truncate(path, size):
-    with open(path, "r+b") as handle:
-        handle.truncate(size)
-
-
-def _flip(path, offset):
-    data = bytearray(path.read_bytes())
-    data[offset] ^= 0x01
-    path.write_bytes(bytes(data))
-
-
-def _data_start(path):
-    """Offset of the first column's first byte (from the file's own prefix)."""
-    _, header_size, _ = struct.unpack_from("<8sII", path.read_bytes())
-    return -(-(16 + header_size) // 64) * 64
 
 
 DAMAGE = {
