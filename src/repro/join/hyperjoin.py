@@ -89,10 +89,11 @@ def plan_hyper_join(
         ranges: list[tuple[float, float]] = []
         for block_id in block_ids:
             block = dfs.peek_block(block_id)
-            if block.num_rows == 0 or column not in block.ranges:
+            found = block.find_range(column) if block.num_rows else None
+            if found is None:
                 continue
             ids.append(block_id)
-            ranges.append(block.range_of(column))
+            ranges.append(found)
         return ids, ranges
 
     build_ids, build_ranges = usable(build_block_ids, build_column)
@@ -381,8 +382,9 @@ class HyperPlanCache:
                 ranges.append(cached_range)
             else:
                 block = dfs.peek_block(block_id)
-                if block.num_rows == 0 or column not in block.ranges:
+                found = block.find_range(column) if block.num_rows else None
+                if found is None:
                     continue
                 ids.append(block_id)
-                ranges.append(block.range_of(column))
+                ranges.append(found)
         return ids, ranges, kept

@@ -20,8 +20,9 @@ arrays (per-node attribute index, cutpoint and child offsets, the
 left-to-right leaf list, and every leaf's box — its path interval per
 attribute) built once and cached until the structure changes.  ``lookup``
 is one array ``may_match_range`` per predicate over the leaf boxes, ANDed,
-and ``route_rows`` advances all rows level-synchronously through the node
-arrays.  Structural edits must go through :meth:`resplit_node` (or call
+and ``route_rows`` walks every row the same fixed number of steps (the
+tree's depth) through the node arrays, a leaf looping to itself.
+Structural edits must go through :meth:`resplit_node` (or call
 :meth:`invalidate_compiled`) so the cache is patched or rebuilt, and leaves
 are (re)bound through :meth:`assign_block_ids`.
 """
@@ -79,6 +80,9 @@ class CompiledTree:
     into ``attributes`` of node ``i``'s split attribute, or ``-1`` for a
     leaf; ``left``/``right`` hold child node numbers (``-1`` for leaves) and
     ``leaf_pos`` maps a leaf node number to its left-to-right leaf position.
+    For routing, ``children[2 * i + 1]`` / ``children[2 * i]`` are node
+    ``i``'s left / right child, and a leaf is its own child on both sides,
+    so every row takes ``depth`` steps, the longest root-to-leaf path.
     ``leaf_lo[a, j]`` / ``leaf_hi[a, j]`` bound attribute ``a`` on leaf
     ``j``'s root path: a row routed to leaf ``j`` has ``leaf_lo < value <=
     leaf_hi`` on every split attribute (``-inf`` / ``inf`` where the path
@@ -97,6 +101,8 @@ class CompiledTree:
     node_index: dict[int, int]
     leaf_lo: np.ndarray
     leaf_hi: np.ndarray
+    children: np.ndarray
+    depth: int
     bound_blocks: list[int] | None = None
     bound_leaves: np.ndarray | None = None
     block_leaf: dict[int, int] | None = None
@@ -205,6 +211,16 @@ class PartitioningTree:
                 lo[right_child, attr_index] = cutpoint
         leaves = np.flatnonzero(node_attr < 0)  # preorder = left to right
 
+        # Routing steps: a leaf loops to itself; depth is the longest path,
+        # parents before children in preorder.
+        node_numbers = np.arange(count, dtype=np.intp)
+        children = np.empty(2 * count, dtype=np.intp)
+        children[0::2] = np.where(right >= 0, right, node_numbers)
+        children[1::2] = np.where(left >= 0, left, node_numbers)
+        depths = np.zeros(count, dtype=np.intp)
+        for index in np.flatnonzero(node_attr >= 0).tolist():
+            depths[left[index]] = depths[right[index]] = depths[index] + 1
+
         return CompiledTree(
             attributes=attributes,
             attribute_index=attribute_index,
@@ -217,6 +233,8 @@ class PartitioningTree:
             node_index=index_of,
             leaf_lo=np.ascontiguousarray(lo[leaves].T),
             leaf_hi=np.ascontiguousarray(hi[leaves].T),
+            children=children,
+            depth=int(depths.max()),
         )
 
     # ------------------------------------------------------------------ #
@@ -385,9 +403,11 @@ class PartitioningTree:
         callers map it to block ids via :meth:`block_ids` or handle the
         grouping themselves (as the loader does before block ids exist).
 
-        All rows advance one tree level per iteration over the compiled node
-        arrays, so the work is a handful of vectorized passes instead of a
-        per-node recursion.
+        Every row takes the tree's compiled ``depth`` steps over the node
+        arrays, a row at a leaf stepping to itself, so a step is one flat
+        gather of the rows' split values and one of their next nodes, with
+        no per-level compaction.  A row goes left when ``value <=
+        cutpoint``; a NaN on either side compares false and goes right.
 
         Args:
             columns: Column name -> value array; must contain every attribute
@@ -405,33 +425,25 @@ class PartitioningTree:
                     f"cannot route rows: column {attribute!r} missing from data"
                 )
         num_rows = len(next(iter(columns.values())))
-        node_attr, cutpoints = compiled.node_attr, compiled.cutpoints
-        left, right = compiled.left, compiled.right
         if not compiled.attributes:  # single-leaf tree
             return np.zeros(num_rows, dtype=np.int64)
 
-        # One float64 row per attribute: comparing against a float cutpoint
-        # promotes integer columns to float64 anyway, so this is exact.
+        # One float64 row per attribute, flattened: comparing against a
+        # float cutpoint promotes integer columns to float64 anyway, so this
+        # is exact.  Node i reads its attribute's row at offsets[i].
         values = np.empty((len(compiled.attributes), num_rows), dtype=np.float64)
         for attr_index, attribute in enumerate(compiled.attributes):
             values[attr_index] = columns[attribute]
+        flat = values.ravel()
+        offsets = np.maximum(compiled.node_attr, 0).astype(np.intp) * num_rows
+        cutpoints, children = compiled.cutpoints, compiled.children
 
-        rows = np.arange(num_rows, dtype=np.int64)
-        nodes = np.zeros(num_rows, dtype=np.int64)
-        final_nodes = np.empty(num_rows, dtype=np.int64)
-        while rows.size:
-            attrs = node_attr[nodes]
-            at_leaf = attrs < 0
-            if at_leaf.any():
-                final_nodes[rows[at_leaf]] = nodes[at_leaf]
-                keep = ~at_leaf
-                rows, nodes, attrs = rows[keep], nodes[keep], attrs[keep]
-                if not rows.size:
-                    break
-            goes_left = values[attrs, rows] <= cutpoints[nodes]
-            nodes = np.where(goes_left, left[nodes], right[nodes])
-
-        return compiled.leaf_pos[final_nodes].astype(np.int64)
+        rows = np.arange(num_rows, dtype=np.intp)
+        nodes = np.zeros(num_rows, dtype=np.intp)
+        for _ in range(compiled.depth):
+            goes_left = flat[offsets[nodes] + rows] <= cutpoints[nodes]
+            nodes = children[2 * nodes + goes_left]
+        return compiled.leaf_pos[nodes].astype(np.int64)
 
     # ------------------------------------------------------------------ #
     # Lookup (block pruning)

@@ -6,34 +6,48 @@ the equivalent of a 64 MB HDFS block in the paper.  Blocks store real rows
 carry per-column min/max metadata, which is what the hyper-join overlap
 computation and the partitioning-tree lookup consume.
 
-Storage is *chunked per column*: appends (the smooth-repartitioning write
-path) push each incoming column array onto that column's pending list and
-only update the per-column min/max ranges and row/byte counters
-incrementally — O(appended rows) instead of O(block rows) — an LSM-style
-write path with deferred compaction.  A pending column's old contents become
-its first piece, so no reader ever sees a stale array.  Who compacts: the
-first read of a column after an append, in place and once — a block is read
-hundreds of times between appends.  A task names the columns it reads
-(``arrays``), so the columns no task reads stay pending; ``columns`` (a
-spill, a shared-memory pin, a re-split) compacts every column.  Who
-deliberately does not: block migration streams ``column_pieces()`` of its
-sources, which are about to be cleared; compacting them first would copy
-every row twice.
+**Ranges** are two float64 vectors per block, lows and highs, over a column
+index (column name -> position) that every block with the same column
+layout shares.  An absent range is the empty interval ``(inf, -inf)``, so an
+append merges a block's ranges with one ``np.minimum`` / ``np.maximum``.
+:attr:`Block.ranges` derives the ``{column: (lo, hi)}`` dict from them;
+readers that want one column's range ask :meth:`Block.find_range`.
+
+**Appends are records.**  An append (the smooth-repartitioning write path)
+keeps one record, ``(column index, batch columns, start, end)``: rows
+``start:end`` of a :class:`Batch` of columns that many blocks share.  The
+record serves every column, so an append costs O(1) Python whatever the
+column count, plus the range merge and the row and byte counters — an
+LSM-style write path with deferred compaction.  The block also keeps which columns still have
+unmerged records (its *stale* columns) and each stale column's old contents.
+A stale column's entry in the column mapping is ``None``, so no reader ever
+sees a stale array.  Who compacts: the first read of a column after an
+append, in place and once — a block is read hundreds of times between
+appends.  A task names the columns it reads (``arrays``), so the columns no
+task reads stay stale; ``columns`` (a spill, a shared-memory pin, a
+re-split) compacts every column.  When the last stale column merges, the
+records are dropped.  A merged column also drops its entries from the
+block's records, so a batch column lives only while some block that
+appended it still has that column stale, as a slice would.  Who
+deliberately does not compact: block migration streams ``column_pieces()``
+of its sources, which are about to be cleared; compacting them first would
+copy every row twice.
 
 Under the persistence tier a block can additionally be **unloaded**: its
 consolidated columns are dropped (``_columns is None``) and fault back in
 through a bound loader on the next columnar read.  Metadata — ranges,
 ``size_bytes``, ``num_rows`` — always stays resident, so planning peeks and
-pruning never touch disk.  Appends to an unloaded block land on the pending
-lists without faulting; the on-disk prefix is only read when something
-actually consumes the rows.  ``dirty`` tracks whether the in-memory state
-has diverged from the newest spill — only clean blocks may drop their
-columns, dirty ones are written back first.
+pruning never touch disk.  Appends to an unloaded block become records
+without faulting; the on-disk prefix is only read when something actually
+consumes the rows.  ``dirty`` tracks whether the in-memory state has
+diverged from the newest spill — only clean blocks may drop their columns,
+dirty ones are written back first.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence, cast
+from functools import lru_cache
+from typing import Callable, Iterable, Mapping, cast
 
 import numpy as np
 
@@ -54,20 +68,53 @@ def _chunk_rows(columns: dict[str, np.ndarray], block_id: int) -> int:
     return lengths.pop() if lengths else 0
 
 
+@lru_cache(maxsize=1024)
+def column_index(names: tuple[str, ...]) -> dict[str, int]:
+    """The shared index of one column layout: column name -> position.
+
+    There is one dict per recent layout, so blocks and batches whose
+    columns come in the same order hold the same object, and a block
+    recognises a batch's layout with one identity test (a layout evicted
+    and rebuilt only costs that block one re-lay).  Read-only.
+    """
+    return {name: position for position, name in enumerate(names)}
+
+
+class Batch:
+    """Columns whose row ranges several blocks append.
+
+    Block migration sorts the moved rows by target block once; each target
+    then appends its range ``start:end`` of the one batch.
+    """
+
+    __slots__ = ("index", "columns", "row_bytes")
+
+    def __init__(self, columns: Mapping[str, np.ndarray]) -> None:
+        self.index = column_index(tuple(columns))
+        self.columns = list(columns.values())
+        #: Bytes of one row over all columns: a range of n rows is n times this.
+        self.row_bytes = sum(array.itemsize for array in self.columns)
+
+
+#: One append, shared by all of its columns: rows ``start:end`` of a batch,
+#: as ``(batch.index, columns, start, end)``.  ``columns`` is the block's own
+#: copy of the batch's column list, in which a merged column is ``None``.
+Record = tuple[dict[str, int], list[np.ndarray | None], int, int]
+
+
 class Block:
     """A horizontal slice of a table.
 
     Attributes:
         block_id: Globally unique identifier assigned by the DFS.
         table: Name of the table the block belongs to.
-        ranges: Column name -> (min, max) over the rows in the block,
-            maintained incrementally across appends.
-        size_bytes: Approximate size of the block, also incremental.
+        size_bytes: Approximate size of the block, maintained incrementally.
     """
 
     __slots__ = (
-        "block_id", "table", "ranges", "size_bytes",
-        "_columns", "_pending", "_num_rows", "_loader", "dirty", "__weakref__",
+        "block_id", "table", "size_bytes",
+        "_columns", "_index", "_lo", "_hi", "_records", "_stale", "_old",
+        "_num_rows", "_loader", "dirty", "__weakref__",
     )
 
     def __init__(
@@ -80,15 +127,19 @@ class Block:
     ) -> None:
         self.block_id = block_id
         self.table = table
-        #: Column name -> its contiguous array, or ``None`` while appends to
-        #: it await a merge: its pieces, old contents first, are in
-        #: ``_pending``.  A column's key keeps its place either way.
+        #: Column name -> its contiguous array, or ``None`` while the column
+        #: is stale.  A column's key keeps its place either way.
         self._columns: dict[str, np.ndarray | None] | None = dict(columns)
-        #: Column name -> its pieces in row order, awaiting one merge.
-        self._pending: dict[str, list[np.ndarray]] = {}
-        self._num_rows = _chunk_rows(self._columns, block_id)
-        self.ranges = ranges if ranges else compute_ranges(self._columns)
-        self.size_bytes = size_bytes if size_bytes else _estimate_bytes(self._columns)
+        #: Appends that some column has not merged yet, oldest first.
+        self._records: list[Record] = []
+        #: Stale column -> position in ``_records`` of its first unmerged one.
+        self._stale: dict[str, int] = {}
+        #: Stale column -> its contents before that record (absent until an
+        #: unloaded block faults its spilled rows in).
+        self._old: dict[str, np.ndarray | None] = {}
+        self._num_rows = _chunk_rows(columns, block_id)
+        self._set_ranges(ranges if ranges else compute_ranges(columns), columns)
+        self.size_bytes = size_bytes if size_bytes else _estimate_bytes(columns)
         #: Faults the newest spilled version back in; bound by the buffer.
         self._loader: Callable[[], dict[str, np.ndarray]] | None = None
         #: Whether in-memory state has diverged from the newest spill.
@@ -133,11 +184,11 @@ class Block:
         """Column name -> contiguous value array.
 
         Faults an unloaded block's columns back in through the bound loader,
-        then consolidates every pending column.
+        then consolidates every stale column.
         """
         if self._columns is None:
             self._fault()
-        if self._pending:
+        if self._stale:
             self.consolidate()
         return cast("dict[str, np.ndarray]", self._columns)
 
@@ -145,20 +196,26 @@ class Block:
         """A mapping in which each of ``names`` is one contiguous array.
 
         Like :attr:`columns`, but only ``names`` are consolidated: a reader
-        that needs two of twelve columns leaves the other ten pending, and
-        their entries are ``None``, never stale.  Treat the result as
-        read-only; it is the block's own mapping, not a copy.
+        that needs two of twelve columns leaves the other ten stale, and
+        their entries are ``None``, never stale arrays.  Treat the result as
+        read-only and as valid until the block's next append; it is the
+        block's own mapping, not a copy.
         """
         if self._columns is None:
             self._fault()
-        if self._pending and not self._pending.keys().isdisjoint(names):
+        if self._stale and not self._stale.keys().isdisjoint(names):
             self._merge(names)
         return cast("dict[str, np.ndarray | None]", self._columns)
 
     @property
     def pending_columns(self) -> dict[str, int]:
-        """Column -> pieces awaiting one merge (empty when contiguous)."""
-        return {name: len(pieces) for name, pieces in self._pending.items()}
+        """Stale column -> pieces awaiting one merge: its old contents, if
+        any, plus one per unmerged append (empty when contiguous)."""
+        records, old = len(self._records), self._old
+        return {
+            name: records - first + (old.get(name) is not None and len(old[name]) > 0)
+            for name, first in self._stale.items()
+        }
 
     @property
     def is_resident(self) -> bool:
@@ -170,21 +227,58 @@ class Block:
         """Names of the stored columns (faults if unloaded)."""
         return list(self.columns)
 
+    @property
+    def ranges(self) -> dict[str, tuple[float, float]]:
+        """Column name -> (min, max) over the block's rows, derived from the
+        range vectors; a column without rows has no entry.  Columns come in
+        the order they first got a range."""
+        lows, highs = self._lo.tolist(), self._hi.tolist()
+        return {
+            name: (lows[position], highs[position])
+            for name, position in self._index.items()
+            if not lows[position] > highs[position]
+        }
+
+    def find_range(self, column: str) -> tuple[float, float] | None:
+        """The (min, max) of ``column`` over the block's rows, or ``None``
+        when the block has no range for it (no such column, or no rows)."""
+        position = self._index.get(column)
+        if position is None:
+            return None
+        lo, hi = self._lo.item(position), self._hi.item(position)
+        return None if lo > hi else (lo, hi)
+
     def range_of(self, column: str) -> tuple[float, float]:
         """Return the (min, max) of ``column`` over the block's rows.
 
         Raises:
             StorageError: if the column is absent or the block is empty.
         """
-        if column not in self.ranges:
+        found = self.find_range(column)
+        if found is None:
             raise StorageError(f"block {self.block_id} has no range metadata for column {column!r}")
-        return self.ranges[column]
+        return found
+
+    def _set_ranges(
+        self, ranges: Mapping[str, tuple[float, float]], columns: Iterable[str]
+    ) -> None:
+        """Lay ``ranges`` out as the range vectors: the ranged columns first,
+        in order, then the other ``columns`` with the empty interval
+        ``(inf, -inf)``.  Ranged columns always lead the index, so
+        :attr:`ranges` lists them in the order they got a range."""
+        names = tuple(dict.fromkeys([*ranges, *columns]))
+        padding = len(names) - len(ranges)
+        self._index = column_index(names)
+        lows = [lo for lo, _ in ranges.values()] + [np.inf] * padding
+        highs = [hi for _, hi in ranges.values()] + [-np.inf] * padding
+        self._lo = np.array(lows, dtype=np.float64)
+        self._hi = np.array(highs, dtype=np.float64)
 
     # ------------------------------------------------------------------ #
     # Mutation (append path)
     # ------------------------------------------------------------------ #
     def append_rows(self, rows: dict[str, np.ndarray]) -> int:
-        """Append ``rows`` as pending pieces, updating metadata incrementally.
+        """Append ``rows`` as one record, updating metadata incrementally.
 
         ``rows`` maps every column name to a value array, all of equal
         length; returns how many rows were appended.  Ranges merge via
@@ -195,58 +289,72 @@ class Block:
         if added == 0:
             return 0
         # Validate against the *effective* column set — consolidated and
-        # pending together (an initially column-less block has only the
+        # stale together (an initially column-less block has only the
         # latter) — so validation always agrees with what a read produces.
-        stored = (self._columns or {}).keys() | self._pending.keys()
+        stored = (self._columns or {}).keys() | self._stale.keys()
         if stored and rows.keys() != stored:
             raise StorageError(
                 f"block {self.block_id}: appended columns {sorted(rows)} do not match "
                 f"stored columns {sorted(stored)}"
             )
         pieces = list(rows.values())
-        lows = [float(piece.min()) for piece in pieces]
-        self.extend(list(rows), pieces, added, lows, [float(piece.max()) for piece in pieces])
+        lows = np.array([piece.min() for piece in pieces], dtype=np.float64)
+        highs = np.array([piece.max() for piece in pieces], dtype=np.float64)
+        self.extend(Batch(rows), 0, added, lows, highs)
         return added
 
     def extend(
-        self,
-        names: list[str],
-        pieces: list[np.ndarray],
-        num_rows: int,
-        lows: Sequence[float],
-        highs: Sequence[float],
+        self, batch: Batch, start: int, end: int, lows: np.ndarray, highs: np.ndarray
     ) -> None:
-        """Trusted append of ``num_rows`` rows: ``pieces[i]`` holds column
-        ``names[i]``, whose (min, max) over the piece is ``(lows[i], highs[i])``.
+        """Trusted append of rows ``start:end`` of ``batch``, whose per-column
+        (min, max) over those rows are ``lows`` / ``highs``: float64 vectors
+        in the batch's column order.
 
-        Block migration calls this once per target block: it has cut the
-        pieces from one sorted batch and derived every target's ranges with
-        one ``reduceat`` per column, so nothing is validated or reduced here.
+        Block migration calls this once per target block: it has sorted one
+        batch by target and derived every target's ranges with one
+        ``reduceat`` per column, so nothing is validated or reduced here.
+        The append is one record and one range merge.  Only a column merged
+        since the previous append is visited, to set its contents aside.
         """
-        columns, pending = self._columns, self._pending
-        ranges = self.ranges
-        added_bytes = 0
-        for name, piece, lo, hi in zip(names, pieces, lows, highs):
-            column = pending.get(name)
-            if column is not None:
-                column.append(piece)
-            else:
-                # An unloaded block's old contents join on the fault instead.
-                prefix = None
-                if columns is not None:
-                    prefix, columns[name] = columns.get(name), None
-                pending[name] = [prefix, piece] if prefix is not None and len(prefix) else [piece]
-            added_bytes += piece.nbytes
-            existing = ranges.get(name)
-            if existing is not None:
-                if existing[0] < lo:
-                    lo = existing[0]
-                if existing[1] > hi:
-                    hi = existing[1]
-            ranges[name] = (lo, hi)
+        index = batch.index
+        if self._index is not index:
+            # Another layout: re-lay the vectors, ranged columns still
+            # first, and scatter the batch's ranges into them.
+            self._set_ranges(self.ranges, [*index, *self._index])
+            positions = [self._index[name] for name in index]
+            lows_at, highs_at = np.full((2, len(self._index)), [[np.inf], [-np.inf]])
+            lows_at[positions], highs_at[positions] = lows, highs
+            lows, highs = lows_at, highs_at
+        np.minimum(self._lo, lows, out=self._lo)
+        np.maximum(self._hi, highs, out=self._hi)
+        stale = self._stale
+        if not stale:
+            # Every column is merged, so no record is left: the mapping
+            # becomes every column's old contents.  An unloaded block's old
+            # contents join on the fault instead.
+            columns = self._columns
+            if columns is not None:
+                self._old = columns
+                self._columns = {**columns, **dict.fromkeys(index)}
+            self._stale = dict.fromkeys(index, 0)
+        elif not stale.keys() >= index.keys():
+            self._set_aside(index)
+        self._records.append((index, list(batch.columns), start, end))
         self.dirty = True
-        self._num_rows += num_rows
-        self.size_bytes += added_bytes
+        self._num_rows += end - start
+        self.size_bytes += (end - start) * batch.row_bytes
+
+    def _set_aside(self, index: Mapping[str, int]) -> None:
+        """Make the columns of ``index`` that are merged stale: their
+        contents become their old contents, and their unmerged records
+        start with the one about to be appended."""
+        columns, stale, old = self._columns, self._stale, self._old
+        first = len(self._records)
+        for name in index:
+            if name not in stale:
+                stale[name] = first
+                if columns is not None:
+                    old[name], columns[name] = columns.get(name), None
 
     def replace_columns(self, columns: dict[str, np.ndarray]) -> None:
         """Replace the block's contents and recompute ranges and size exactly.
@@ -256,58 +364,72 @@ class Block:
         never silently prune a block with live rows.
         """
         self._columns = dict(columns)
-        self._pending = {}
-        self._num_rows = _chunk_rows(self._columns, self.block_id)
-        self.ranges = compute_ranges(self._columns)
-        self.size_bytes = _estimate_bytes(self._columns)
+        self._records, self._stale, self._old = [], {}, {}
+        self._num_rows = _chunk_rows(columns, self.block_id)
+        self._set_ranges(compute_ranges(columns), columns)
+        self.size_bytes = _estimate_bytes(columns)
         self.dirty = True
 
     def clear(self, empty_columns: dict[str, np.ndarray]) -> None:
         """Empty the block in place (its rows have been migrated elsewhere)."""
         self._columns = dict(empty_columns)
-        self._pending = {}
+        self._records, self._stale, self._old = [], {}, {}
         self._num_rows = 0
-        self.ranges = {}
+        self._lo = np.full(len(self._index), np.inf)
+        self._hi = np.full(len(self._index), -np.inf)
         self.size_bytes = 0
         self.dirty = True
 
     def consolidate(self) -> None:
-        """Merge every pending column into a contiguous array.
+        """Merge every stale column into a contiguous array.
 
         ``size_bytes`` is re-derived from the consolidated arrays afterwards,
         so it is exact whatever dtype promotions the merges did.
         """
-        if not self._pending:
+        if not self._stale:
             return
         if self._columns is None:
             self._fault()
-        self._merge(list(self._pending))
-        assert self._columns is not None
-        self.size_bytes = _estimate_bytes(self._columns)
+        self._merge(list(self._stale))
+        self.size_bytes = _estimate_bytes(cast("dict[str, np.ndarray]", self._columns))
+
+    def _pieces(self, name: str, first: int, release: bool = False) -> list[np.ndarray]:
+        """Stale column ``name``'s pieces in row order: its old contents,
+        if it has rows, then its slice of every record from ``first`` on.
+        With ``release``, the records let go of the column."""
+        old = self._old.get(name)
+        pieces = [old] if old is not None and len(old) else []
+        for index, columns, start, end in self._records[first:]:
+            position = index[name]
+            pieces.append(columns[position][start:end])
+            if release:
+                columns[position] = None
+        return pieces
 
     def _merge(self, names: Iterable[str]) -> None:
-        """Merge the pending pieces of ``names`` into their columns.
-
-        The pieces are in row order, the old contents first.  The caller
-        has faulted an unloaded block in.
-        """
-        columns, pending = self._columns, self._pending
+        """Merge the stale columns among ``names``; drop the records once no
+        column is stale.  The caller has faulted an unloaded block in."""
+        columns, stale = self._columns, self._stale
         assert columns is not None
         for name in names:
-            pieces = pending.pop(name, None)
-            if pieces is None:
+            first = stale.pop(name, None)
+            if first is None:
                 continue
-            # Always a copy: a lone piece is a slice of a migration batch,
-            # which it would otherwise keep alive.
+            # Always a copy, and the records let go of the column: a batch
+            # column stays alive only while some block still needs it.
+            pieces = self._pieces(name, first, release=True)
+            self._old.pop(name, None)
             merged = np.concatenate(pieces)
             self.size_bytes += merged.nbytes - sum(piece.nbytes for piece in pieces)
             columns[name] = merged
+        if not stale:
+            self._records, self._old = [], {}
 
     def column_pieces(self) -> dict[str, list[np.ndarray]]:
         """The block's raw storage per column, in row order, without consolidating.
 
-        A complete column is one piece; a pending one is its pieces in row
-        order.  For the one reader that consumes a
+        A merged column is one piece; a stale one is its old contents and
+        its record slices.  For the one reader that consumes a
         block exactly once — block migration, whose sources are cleared right
         after; everything that reads a block again uses ``arrays`` or
         ``columns``.  Empty blocks yield no columns.  Treat the result as
@@ -317,10 +439,12 @@ class Block:
             return {}
         if self._columns is None:
             self._fault()
-        columns = self._columns
+        columns, stale = self._columns, self._stale
         assert columns is not None
-        pieces = dict(self._pending)
-        return {name: pieces.get(name) or [array] for name, array in columns.items()}
+        return {
+            name: [array] if array is not None else self._pieces(name, stale[name])
+            for name, array in columns.items()
+        }
 
     # ------------------------------------------------------------------ #
     # Persistence protocol (spill store / block buffer)
@@ -339,10 +463,10 @@ class Block:
         """Drop the in-memory columns of a clean block (metadata stays).
 
         Raises:
-            StorageError: if the block is dirty, has pending columns, or has
+            StorageError: if the block is dirty, has stale columns, or has
                 no loader to fault the columns back in from.
         """
-        if self.dirty or self._pending:
+        if self.dirty or self._stale:
             raise StorageError(
                 f"block {self.block_id} has unspilled changes and cannot be unloaded"
             )
@@ -354,16 +478,14 @@ class Block:
 
     def _fault(self) -> None:
         """Materialize the spilled columns from the bound loader; a column
-        appended to while unloaded gets its spilled rows as first piece."""
+        appended to while unloaded gets its spilled rows as old contents."""
         if self._loader is None:
             raise StorageError(
                 f"block {self.block_id} is unloaded and has no loader to fault from"
             )
         columns: dict[str, np.ndarray | None] = dict(self._loader())
-        for name, pieces in self._pending.items():
-            prefix, columns[name] = columns.get(name), None
-            if prefix is not None and len(prefix):
-                pieces.insert(0, prefix)
+        for name in self._stale:
+            self._old[name], columns[name] = columns.get(name), None
         self._columns = columns
 
     # ------------------------------------------------------------------ #
@@ -379,7 +501,7 @@ class Block:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"Block(block_id={self.block_id}, table={self.table!r}, "
-            f"num_rows={self._num_rows}, pending_columns={list(self._pending)})"
+            f"num_rows={self._num_rows}, pending_columns={list(self._stale)})"
         )
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from ..common.errors import PartitioningError, StorageError
 from ..common.predicates import Predicate
 from ..common.schema import Schema
 from ..partitioning.tree import PartitioningTree, TreeNode
-from .block import Block, compute_ranges, concatenate_columns
+from .block import Batch, Block, compute_ranges, concatenate_columns
 from .dfs import DistributedFileSystem
 from .sampling import sample_columns
 
@@ -309,23 +309,23 @@ class StoredTable:
         names: list[str],
         columns: list[np.ndarray],
         bounds: list[int],
-        lows: Iterable[Sequence[float]],
-        highs: Iterable[Sequence[float]],
+        lows: np.ndarray,
+        highs: np.ndarray,
     ) -> None:
         """Append rows ``bounds[i]:bounds[i + 1]`` of ``columns`` (named
         ``names``) to ``block_ids[i]``, whose per-column (min, max) over
-        those rows are ``lows[i]`` / ``highs[i]`` (see :meth:`Block.extend`)."""
+        those rows are row ``i`` of the (targets × columns) matrices
+        ``lows`` / ``highs``.  The columns become one :class:`Batch`, and
+        each block appends one record of it (see :meth:`Block.extend`)."""
         self._recording().blocks_changed.update(block_ids)
+        batch = Batch(dict(zip(names, columns)))
+        lows, highs = np.asarray(lows, dtype=np.float64), np.asarray(highs, dtype=np.float64)
         peek_block = self.dfs.peek_block
         for position, (block_id, block_lows, block_highs) in enumerate(
             zip(block_ids, lows, highs)
         ):
-            start, end = bounds[position], bounds[position + 1]
             block = peek_block(block_id)
-            block.extend(
-                names, [values[start:end] for values in columns], end - start,
-                block_lows, block_highs,
-            )
+            block.extend(batch, bounds[position], bounds[position + 1], block_lows, block_highs)
             self._set_block_rows(block_id, block.num_rows)
 
     def _clear_block(self, block_id: int) -> None:
@@ -372,19 +372,35 @@ class StoredTable:
         del self.trees[tree_id]
 
     def audit_cached_statistics(self) -> None:
-        """Verify every cached statistic against a brute-force DFS scan.
+        """Verify every cached statistic, and every block's ranges, against a
+        brute-force DFS scan.
+
+        Ranges are recomputed from ``column_pieces()`` concatenated here, so
+        the audit merges no stale column of a block.
 
         Raises:
-            StorageError: if any cached counter disagrees with the blocks.
+            StorageError: if any cached counter or range disagrees with the
+                blocks.
 
         Intended for tests and debugging; production paths never call it.
         """
         for block_id in self._block_to_tree:
-            actual = self.dfs.peek_block(block_id).num_rows
+            block = self.dfs.peek_block(block_id)
+            actual = block.num_rows
             if self._block_rows.get(block_id) != actual:
                 raise StorageError(
                     f"cached rows for block {block_id} = {self._block_rows.get(block_id)}, "
                     f"actual {actual}"
+                )
+            ranges = block.ranges
+            expected = compute_ranges(
+                {name: np.concatenate(pieces) for name, pieces in block.column_pieces().items()}
+            )
+            if ranges.keys() != expected.keys() or not np.array_equal(
+                [ranges[name] for name in expected], list(expected.values()), equal_nan=True
+            ):
+                raise StorageError(
+                    f"ranges of block {block_id} = {ranges}, actual {expected}"
                 )
         for tree_id in self.trees:
             actual_tree = sum(
@@ -555,9 +571,9 @@ class StoredTable:
         # order within each source, inside every leaf) and compute every
         # leaf's per-column min/max with one reduceat per column.  This costs
         # O(moved rows) total instead of per-(source, leaf) python work.
-        # Source blocks are streamed piece by piece (consolidated prefix plus
-        # pending pieces) — they are about to be cleared, so consolidating
-        # them first would copy every row twice.
+        # Source blocks are streamed piece by piece (merged columns, old
+        # contents and record slices) — they are about to be cleared, so
+        # consolidating them first would copy every row twice.
         source_pieces = [source.column_pieces() for _, source in sources]
         names = list(source_pieces[0])
         union_columns = {}
@@ -568,20 +584,25 @@ class StoredTable:
         stats.source_blocks = len(sources)
         stats.rows_moved = len(leaf_indices)
 
-        order = np.argsort(leaf_indices, kind="stable")
-        unique_leaves, starts = np.unique(leaf_indices[order], return_index=True)
-        bounds = [*starts.tolist(), len(order)]
+        # Targets are the leaves that receive rows; ``bounds`` delimit each
+        # one's rows in the sorted batch.  Leaf indices narrowed to the
+        # smallest unsigned type sort stably by radix (up to 16 bits).
+        keys = leaf_indices.astype(np.min_scalar_type(len(target_block_ids)))
+        order = np.argsort(keys, kind="stable")
+        counts = np.bincount(leaf_indices, minlength=len(target_block_ids))
+        leaves = np.flatnonzero(counts)
+        ends = np.cumsum(counts[leaves])
+        starts = ends - counts[leaves]
+        bounds = [0, *ends.tolist()]
         sorted_columns = [union_columns[name][order] for name in names]
-        # Per target leaf, every column's (min, max): one reduceat per column.
-        lows = zip(*(
-            np.minimum.reduceat(values, starts).astype(np.float64).tolist()
-            for values in sorted_columns
-        ))
-        highs = zip(*(
-            np.maximum.reduceat(values, starts).astype(np.float64).tolist()
-            for values in sorted_columns
-        ))
-        targets = [target_block_ids[leaf] for leaf in unique_leaves.tolist()]
+        # Per target, every column's (min, max): one reduceat per column
+        # fills a column of the (targets × columns) matrices.
+        lows = np.empty((len(leaves), len(names)))
+        highs = np.empty((len(leaves), len(names)))
+        for position, values in enumerate(sorted_columns):
+            lows[:, position] = np.minimum.reduceat(values, starts)
+            highs[:, position] = np.maximum.reduceat(values, starts)
+        targets = [target_block_ids[leaf] for leaf in leaves.tolist()]
         # The descriptor ends up as the non-empty foreign sources plus the
         # target leaves that received rows.
         with self.mutation():
@@ -589,7 +610,7 @@ class StoredTable:
             for block_id, _ in sources:
                 self._clear_block(block_id)
 
-        stats.target_blocks_touched = len(unique_leaves)
+        stats.target_blocks_touched = len(targets)
         return stats
 
     def resplit(
@@ -684,9 +705,7 @@ class StoredTable:
     def join_range_of_block(self, block_id: int, attribute: str) -> tuple[float, float] | None:
         """The (min, max) of ``attribute`` in ``block_id`` or ``None`` if empty."""
         block = self.dfs.peek_block(block_id)
-        if block.num_rows == 0 or attribute not in block.ranges:
-            return None
-        return block.range_of(attribute)
+        return block.find_range(attribute) if block.num_rows else None
 
     def describe(self) -> str:
         """Human-readable summary of the table's trees and block counts."""

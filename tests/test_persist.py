@@ -36,7 +36,7 @@ from repro.common.rng import make_rng
 from repro.cluster.cluster import Cluster
 from repro.core import AdaptDBConfig
 from repro.partitioning.two_phase import TwoPhasePartitioner
-from repro.storage.block import Block
+from repro.storage.block import Batch, Block
 from repro.storage.dfs import DistributedFileSystem
 from repro.storage.persist import FORMAT_VERSION, PersistenceManager, read_checkpoint
 from repro.storage.persist.serialize import write_file
@@ -756,8 +756,8 @@ class TestSpillFormat:
             evict_and_fault(columns, version=1)
             # Re-spilled after an append: the mapped prefix plus the chunk.
             extra = make_columns(names, appended, seed + 1)
-            zeros = [0.0] * len(names)
-            block.extend(names, [extra[name] for name in names], appended, zeros, zeros)
+            zeros = np.zeros(len(names))
+            block.extend(Batch({name: extra[name] for name in names}), 0, appended, zeros, zeros)
             evict_and_fault(
                 {name: np.concatenate([columns[name], extra[name]]) for name in names},
                 version=2,

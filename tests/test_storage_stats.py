@@ -16,6 +16,8 @@ Two families of properties introduced by the incremental-metadata work:
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ from repro.common.schema import DataType, Schema
 from repro.core import AdaptDBConfig
 from repro.partitioning.two_phase import TwoPhasePartitioner
 from repro.partitioning.upfront import UpfrontPartitioner
-from repro.storage.block import Block, compute_ranges
+from repro.storage.block import Batch, Block, compute_ranges
 from repro.storage.dfs import DistributedFileSystem
 from repro.storage.table import ColumnTable, StoredTable
 from repro.testing import reference_join_count
@@ -225,6 +227,18 @@ class TestChunkedBlockConsolidation:
         assert block.ranges == {"a": (1.0, 2.0)}
         assert block.columns["a"].tolist() == [2, 1]
 
+    def test_append_in_another_column_order(self):
+        # The batch's layout (b, a) is not the block's (a, b): the range
+        # vectors are re-laid by name, ranged columns keeping their order.
+        block = self.make_block()
+        block.append_rows({"b": np.array([-0.5, 0.2]), "a": np.array([9, 2], dtype=np.int64)})
+        assert list(block.ranges.items()) == [("a", (1.0, 9.0)), ("b", (-0.5, 0.4))]
+        assert block.columns["a"].tolist() == [3, 1, 4, 9, 2]
+        assert block.columns["b"].tolist() == [0.3, 0.1, 0.4, -0.5, 0.2]
+        empty = Block(0, "t", {"a": np.empty(0, dtype=np.int64), "b": np.empty(0)})
+        empty.append_rows({"b": np.array([0.5]), "a": np.array([7], dtype=np.int64)})
+        assert list(empty.ranges.items()) == [("b", (0.5, 0.5)), ("a", (7.0, 7.0))]
+
     def test_clear_resets_all_metadata(self):
         block = self.make_block()
         block.append_rows({"a": np.array([9], dtype=np.int64), "b": np.array([0.9])})
@@ -308,6 +322,23 @@ class TestPerColumnCompaction:
         block.arrays(["c"])
         block.unload()
         assert not block.is_resident
+
+    def test_a_batch_column_lives_while_a_block_needs_it(self):
+        # Two blocks append halves of one batch.  Each block's record keeps
+        # the batch's columns alive until that block merges the column.
+        rows = {"a": np.arange(4, dtype=np.int64), "b": np.arange(4) / 10}
+        batch_a = weakref.ref(rows["a"])
+        batch = Batch(rows)
+        blocks = [Block(i, "t", {"a": np.empty(0, dtype=np.int64), "b": np.empty(0)}) for i in (0, 1)]
+        for i, block in enumerate(blocks):
+            block.extend(batch, 2 * i, 2 * i + 2, np.zeros(2), np.zeros(2))
+        del rows, batch
+        assert blocks[0].arrays(["a"])["a"].tolist() == [0, 1]
+        assert batch_a() is not None  # the other block still needs it
+        assert blocks[1].arrays(["a"])["a"].tolist() == [2, 3]
+        assert batch_a() is None
+        assert blocks[1].pending_columns == {"b": 1}
+        assert blocks[1].columns["b"].tolist() == [0.2, 0.3]
 
     def test_an_unloaded_block_takes_appends_without_faulting(self):
         spilled = {

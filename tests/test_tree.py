@@ -65,14 +65,43 @@ class TestStructure:
         assert "a <= 50" in text and "leaf block=3" in text
 
 
+def nan_cutpoint_tree() -> PartitioningTree:
+    """``two_level_tree`` whose left ``b`` split has a NaN cutpoint."""
+    tree = two_level_tree()
+    tree.root.left.cutpoint = math.nan
+    tree.invalidate_compiled()
+    return tree
+
+
+def single_leaf_tree() -> PartitioningTree:
+    return PartitioningTree(root=TreeNode(block_id=7))
+
+
 class TestRouting:
-    def test_route_rows_to_expected_leaves(self):
-        tree = two_level_tree()
-        columns = {
-            "a": np.array([0, 0, 100, 100]),
-            "b": np.array([5, 15, 15, 25]),
-        }
-        assert tree.route_rows(columns).tolist() == [0, 1, 2, 3]
+    @pytest.mark.parametrize(
+        "make_tree, columns, expected",
+        [
+            pytest.param(
+                two_level_tree,
+                {"a": [0, 0, 100, 100], "b": [5, 15, 15, 25]},
+                [0, 1, 2, 3],
+                id="two_level",
+            ),
+            # Every comparison with a NaN is false, so it goes right: under
+            # the NaN cutpoint to leaf 1, and a NaN ``a`` to the right half.
+            pytest.param(
+                nan_cutpoint_tree,
+                {"a": [0, 0, math.nan, 100], "b": [-math.inf, math.nan, 15, 25]},
+                [1, 1, 2, 3],
+                id="nan_cutpoint",
+            ),
+            pytest.param(single_leaf_tree, {"a": [1, 2, 3]}, [0, 0, 0], id="single_leaf"),
+        ],
+    )
+    def test_route_rows_to_expected_leaves(self, make_tree, columns, expected):
+        tree = make_tree()
+        arrays = {name: np.array(values) for name, values in columns.items()}
+        assert tree.route_rows(arrays).tolist() == expected
 
     def test_route_boundary_goes_left(self):
         tree = two_level_tree()
@@ -280,10 +309,41 @@ def predicate_lists(draw) -> list[Predicate]:
     return result
 
 
+def walk_rows(tree: PartitioningTree, columns: dict[str, np.ndarray]) -> list[int]:
+    """Each row's leaf position, walked from the live nodes one row at a
+    time: ``value <= cutpoint`` goes left.  The values are numpy scalars, so
+    an int64 compares against a float cutpoint as a float64, as in
+    ``route_rows``."""
+    position = {id(leaf): index for index, leaf in enumerate(tree.leaves())}
+    leaves = []
+    for row in range(len(next(iter(columns.values())))):
+        node = tree.root
+        while not node.is_leaf:
+            node = node.left if columns[node.attribute][row] <= node.cutpoint else node.right
+        leaves.append(position[id(node)])
+    return leaves
+
+
+def routing_rows() -> dict[str, np.ndarray]:
+    """Rows for the routing oracle: the cutpoints themselves, NaN, ±inf,
+    and int64 values above 2**53 (not exact as float64)."""
+    rng = np.random.default_rng(0)
+    floats = [-math.inf, -1.0, 0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 5.0, 6.0, math.inf, math.nan]
+    ints = [-(2**62), -1, 0, 1, 2, 3, 5, 6, 2**53 + 1, 2**62]
+    return {
+        "a": rng.choice(floats, size=64),
+        "b": rng.choice(np.array(ints, dtype=np.int64), size=64),
+        "c": rng.choice(floats, size=64),
+        "d": rng.choice(np.array(ints, dtype=np.int64), size=64),
+    }
+
+
 class TestLeafBoxesAgainstThePaths:
     """``lookup``, ``lookup_block`` and ``leaf_bounds`` read compiled leaf
     boxes, which ``resplit_node`` patches in place; the oracle re-walks the
-    live nodes every time, so a box the patch forgot shows up at once."""
+    live nodes every time, so a box the patch forgot shows up at once.
+    ``route_rows`` walks a fixed number of steps over the compiled nodes;
+    its oracle walks the live nodes row by row."""
 
     def check(self, tree: PartitioningTree, predicates: list[Predicate]) -> None:
         leaves = path_boxes(tree)
@@ -324,3 +384,5 @@ class TestLeafBoxesAgainstThePaths:
             attribute = data.draw(st.sampled_from([*SPLIT_ON, "d"]))
             tree.resplit_node(node, attribute, data.draw(CUTS))
             self.check(tree, data.draw(predicate_lists()))
+            rows = routing_rows()
+            assert tree.route_rows(rows).tolist() == walk_rows(tree, rows)
