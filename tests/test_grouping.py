@@ -38,6 +38,54 @@ def random_overlap(rng, num_build=32, num_probe=16, width=20.0) -> np.ndarray:
     return compute_overlap_matrix(build, probe)
 
 
+def figure6_grouping(overlap: np.ndarray, budget: int) -> tuple[list[list[int]], list[int]]:
+    """Figure 6 as written: every step compares every remaining block and
+    takes the first with the least δ of the group's union.  Returns the
+    groups and each group's reads."""
+    matrix = np.asarray(overlap, dtype=bool)
+    remaining = list(range(matrix.shape[0]))
+    groups, reads = [], []
+    group, union = [], np.zeros(matrix.shape[1], dtype=bool)
+    while remaining:
+        deltas = (matrix[remaining] | union).sum(axis=1)
+        best = remaining.pop(int(np.argmin(deltas)))  # the first minimum
+        group.append(best)
+        union = union | matrix[best]
+        if len(group) == budget or not remaining:
+            groups.append(group)
+            reads.append(int(union.sum()))
+            group, union = [], np.zeros(matrix.shape[1], dtype=bool)
+    return groups, reads
+
+
+def reference_inputs() -> dict[str, np.ndarray]:
+    """Repeated rows (as range partitioning makes them), empty rows and
+    shapes past 256 rows and 64 columns."""
+    rng = np.random.default_rng(34)
+    pool = rng.random((5, 40)) < 0.3
+    wide_pool = rng.random((9, 90)) < 0.2
+    repeated = pool[rng.integers(0, len(pool), 60)]
+    return {
+        "repeated": pool[rng.integers(0, len(pool), 120)],
+        "repeated_and_distinct": rng.permutation(
+            np.vstack([repeated, rng.random((8, 40)) < 0.5])
+        ),
+        "repeated_and_empty": rng.permutation(
+            np.vstack([repeated, np.zeros((20, 40), dtype=bool)])
+        ),
+        "all_empty": np.zeros((50, 12), dtype=bool),
+        "no_rows": np.zeros((0, 7), dtype=bool),
+        "no_columns": np.zeros((9, 0), dtype=bool),
+        "one_row": np.ones((1, 3), dtype=bool),
+        "ranges": random_overlap(rng, num_build=96, num_probe=30),
+        "300x90_repeated": wide_pool[rng.integers(0, len(wide_pool), 300)],
+        "300x70_distinct": rng.random((300, 70)) < 0.25,
+    }
+
+
+REFERENCE_INPUTS = reference_inputs()
+
+
 class TestExample1:
     def test_good_grouping_costs_five(self):
         """Grouping {A1,A2},{A3} reads 5 probe blocks — the paper's optimum."""
@@ -52,13 +100,26 @@ class TestExample1:
         assert grouping.total_probe_reads == 5
 
 
+class TestFigure6Reference:
+    @pytest.mark.parametrize("budget", range(1, 13))
+    @pytest.mark.parametrize("name", sorted(REFERENCE_INPUTS))
+    def test_bottom_up_equals_figure6(self, name, budget):
+        """Same groups, in the same order, with the same reads."""
+        overlap = REFERENCE_INPUTS[name]
+        groups, reads = figure6_grouping(overlap, budget)
+        grouping = bottom_up_grouping(overlap, budget)
+        assert grouping.groups == groups
+        assert grouping.probe_reads_per_group == reads
+
+
 class TestGroupingValidity:
     @pytest.mark.parametrize("algorithm", sorted(GROUPING_ALGORITHMS))
     @pytest.mark.parametrize("budget", [1, 2, 4, 7, 32])
     def test_every_block_grouped_exactly_once(self, rng, algorithm, budget):
-        overlap = random_overlap(rng)
-        grouping = group_blocks(overlap, budget, algorithm)
-        grouping.validate(overlap.shape[0], budget)
+        for num_build in (32, 300):
+            overlap = random_overlap(rng, num_build=num_build)
+            grouping = group_blocks(overlap, budget, algorithm)
+            grouping.validate(overlap.shape[0], budget)
 
     @pytest.mark.parametrize("algorithm", sorted(GROUPING_ALGORITHMS))
     def test_probe_reads_match_reported_cost(self, rng, algorithm):
