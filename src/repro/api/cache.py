@@ -12,7 +12,9 @@ A cache key is ``(query signature, per-table epochs)``:
   mutation (see :class:`repro.storage.table.StoredTable`), so a key can only
   hit an entry created at exactly the same partition state — a post-mutation
   query can never be served a stale plan, and mutations of unrelated tables
-  leave entries untouched.
+  leave entries untouched.  An entry serves only its exact epochs: once a
+  table it reads bumps, the entry is never looked up again and ages out of
+  the LRU.
 
 Entries hold the reusable planning products: the logical decisions (relevant
 block sets, join decisions with their hyper schedules) and, once a query ran
@@ -21,7 +23,7 @@ without adaptation work, the compiled + scheduled physical skeleton.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from ..common.lru import BoundedLRU
@@ -71,10 +73,6 @@ class CachedPlan:
     ``compiled``/``schedule`` stay ``None`` until the plan was lowered for a
     query without adaptation work — repartition tasks belong to the query
     that triggered them and must never be replayed from a cache.
-
-    ``relevant_blocks`` records, per table, the relevant-block set the plan
-    was computed from — the evidence the revalidation pass compares against
-    the current partition state (see ``Session._revalidate``).
     """
 
     scan_tables: list[str]
@@ -82,38 +80,8 @@ class CachedPlan:
     join_decisions: "list[JoinDecision]"
     compiled: "CompiledPlan | None" = None
     schedule: "TaskSchedule | None" = None
-    relevant_blocks: dict[str, list[int]] = field(default_factory=dict)
 
 
-@dataclass
-class PlanCache(BoundedLRU[tuple[object, ...], CachedPlan]):
-    """A bounded LRU from ``(signature, epochs)`` keys to :class:`CachedPlan`.
-
-    Besides exact-match lookups, the cache keeps a per-signature index of
-    the newest key so the session can find the entry a changed epoch
-    orphaned and *revalidate* it against the tables' change descriptors
-    instead of replanning (``revalidations`` counts the rescues).  A
-    signature's index entry leaves with its key, so the index never holds
-    more entries than the LRU.
-    """
-
-    revalidations: int = 0
-    _latest: dict[object, tuple[object, ...]] = field(default_factory=dict, repr=False)
-
-    def put(self, key: tuple[object, ...], value: CachedPlan) -> None:
-        super().put(key, value)
-        if self.capacity > 0:
-            self._latest[key[0]] = key
-
-    def _evict(self, key: tuple[object, ...]) -> None:
-        super()._evict(key)
-        if self._latest.get(key[0]) == key:
-            del self._latest[key[0]]
-
-    def clear(self) -> None:
-        super().clear()
-        self._latest.clear()
-
-    def latest_key(self, signature: object) -> tuple[object, ...] | None:
-        """The newest cache key recorded for ``signature``, if still cached."""
-        return self._latest.get(signature)
+#: A bounded LRU from ``(signature, epochs)`` keys to :class:`CachedPlan`.
+#: Lookups are exact-match: an entry serves only the epochs it was planned at.
+PlanCache = BoundedLRU[tuple[object, ...], CachedPlan]

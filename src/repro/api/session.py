@@ -319,7 +319,6 @@ class Session:
             sample_size=self.config.sample_size,
             rng=derive_rng(self.rng, f"stored-sample:{table.name}"),
         )
-        stored.delta_chain_limit = self.config.delta_chain_limit
         self.catalog.register(stored)
         return stored
 
@@ -355,14 +354,6 @@ class Session:
 
         entry = self.plan_cache.get(key) if self.plan_cache.capacity else None
         from_cache = entry is not None
-        if entry is None and self.plan_cache.capacity:
-            entry = self._revalidate(query, signature, epochs)
-            if entry is not None:
-                # The surviving entry (logical decisions *and* any compiled
-                # schedule) is rebound under the new epoch key.
-                self.plan_cache.put(key, entry)
-                self.plan_cache.revalidations += 1
-                from_cache = True
         if entry is None:
             base = self.optimizer.plan_query(query)
             # The entry keeps its own container copies so a caller mutating a
@@ -372,10 +363,6 @@ class Session:
                 scan_tables=list(base.scan_tables),
                 scan_blocks={table: list(ids) for table, ids in base.scan_blocks.items()},
                 join_decisions=list(base.join_decisions),
-                relevant_blocks={
-                    name: list(self.optimizer.relevant_blocks(name, query))
-                    for name, _ in epochs
-                },
             )
             self.plan_cache.put(key, entry)
         logical = LogicalPlan(
@@ -391,56 +378,6 @@ class Session:
         )
         logical.planning_seconds = time.perf_counter() - started
         return logical
-
-    def _revalidate(
-        self,
-        query: Query,
-        signature: tuple[object, ...],
-        epochs: tuple[tuple[str, int], ...],
-    ) -> CachedPlan | None:
-        """Rescue the newest same-signature entry across an epoch gap.
-
-        The cached plan (and its compiled schedule) replays bit-identically
-        iff nothing it reads changed.  Per table, that holds when the delta
-        chain covers the gap with a non-full descriptor, the tree set
-        survived (join classification is structural), no referenced block
-        was touched or dropped (block contents, ranges and row counts feed
-        the overlap matrices, shuffle sizing and DFS placement), and no
-        *touched* block entered the lookup (a re-split elsewhere in a tree
-        can pull new blocks *into* a pruned set without touching the old
-        ones).  Untouched blocks provably keep their membership — their row
-        counts and leaf path bounds are unchanged within a preserved tree
-        set — so only the delta's touched blocks need the O(depth)
-        ``lookup_contains`` probe, never a full O(blocks) lookup.  Any doubt
-        returns ``None``: the caller replans cold, which is always correct.
-        """
-        old_key = self.plan_cache.latest_key(signature)
-        if old_key is None:
-            return None
-        old = self.plan_cache.peek(old_key)
-        if old is None:
-            return None
-        old_epochs = dict(old_key[1])  # type: ignore[arg-type]
-        for name, new_epoch in epochs:
-            old_epoch = old_epochs.get(name)
-            if old_epoch is None:
-                return None
-            delta = self.catalog.get(name).delta_between(old_epoch, new_epoch)
-            if delta is None or delta.full or not delta.preserves_tree_set():
-                return None
-            referenced = old.relevant_blocks.get(name)
-            if referenced is None:
-                return None
-            if not delta.touched_blocks.isdisjoint(referenced):
-                return None
-            table = self.catalog.get(name)
-            predicates = query.predicates_on(name)
-            if any(
-                table.lookup_contains(block_id, predicates)
-                for block_id in delta.blocks_changed
-            ):
-                return None
-        return old
 
     # ------------------------------------------------------------------ #
     # Stage 2: LogicalPlan -> PhysicalPlan
@@ -549,7 +486,6 @@ class Session:
             "plan_hits": self.plan_cache.hits,
             "plan_misses": self.plan_cache.misses,
             "plan_hit_rate": round(self.plan_cache.hit_rate, 4),
-            "plan_revalidations": self.plan_cache.revalidations,
             "plan_entries": len(self.plan_cache),
             "hyper_hits": hyper.hits,
             "hyper_misses": hyper.misses,

@@ -1,8 +1,9 @@
 """A small bounded LRU map with hit/miss counters.
 
-Shared by the session plan cache (:class:`repro.api.cache.PlanCache`) and the
-optimizer's hyper-plan memo (:class:`repro.join.hyperjoin.HyperPlanCache`), so
-the recency/eviction/statistics mechanics exist exactly once.
+Shared by the session plan cache (:data:`repro.api.cache.PlanCache`, used
+as is: exact-match lookups only) and the optimizer's hyper-plan memo
+(:class:`repro.join.hyperjoin.HyperPlanCache`), so the recency/eviction/
+statistics mechanics exist exactly once.
 """
 
 from __future__ import annotations
@@ -73,8 +74,9 @@ class BoundedLRU(Generic[K, V]):
     def peek(self, key: K) -> V | None:
         """Return the value for ``key`` without recency or counter updates.
 
-        Used by delta-upgrade paths that inspect a stale entry they are
-        about to replace — inspecting it is neither a hit nor a miss.
+        Used by the hyper-plan memo's delta upgrade, which inspects a stale
+        entry it is about to replace — inspecting it is neither a hit nor a
+        miss.
         """
         self._check_key(key)
         return self._entries.get(key)
@@ -86,13 +88,8 @@ class BoundedLRU(Generic[K, V]):
         self._check_key(key)
         self._entries.pop(key, None)
         while len(self._entries) >= self.capacity:
-            self._evict(next(iter(self._entries)))
+            del self._entries[next(iter(self._entries))]
         self._entries[key] = value
-
-    def _evict(self, key: K) -> None:
-        """Drop the least-recently-used ``key`` (subclasses drop their
-        index entries for it too)."""
-        del self._entries[key]
 
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""

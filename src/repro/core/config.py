@@ -28,8 +28,8 @@ class AdaptDBConfig:
         join_level_fraction: Fraction of tree levels reserved for the join
             attribute in two-phase trees (Figure 16 sweeps this; paper
             default is one half).
-        join_levels_override: Absolute number of join levels; overrides the
-            fraction when not ``None``.
+        join_levels_override: Absolute number of join levels (at least 0);
+            overrides the fraction when not ``None``.
         min_frequency: Minimum number of window queries with a new join
             attribute before a tree is created for it (``fmin``).
         enable_smooth: Enable join-driven smooth repartitioning.
@@ -40,9 +40,10 @@ class AdaptDBConfig:
             ``"hyper"`` to force a join algorithm for ablation runs.
         grouping_algorithm: Block-grouping heuristic used by hyper-join.
         sample_size: Rows retained in each table's sample.
-        replication: DFS replication factor.
+        replication: DFS replication factor (at least 1).
         seed: Seed for all randomized choices.
-        shuffle_cost_factor: The cost model's ``CSJ`` constant.
+        shuffle_cost_factor: The cost model's ``CSJ`` constant (at least 1:
+            a shuffled block costs no less than a block read).
         execution_backend: Which :class:`~repro.api.ExecutionBackend` a
             session executes through: ``"tasks"`` (the schedule interpreter
             run in-process) or ``"parallel"`` (the same interpreter on a
@@ -58,13 +59,8 @@ class AdaptDBConfig:
             ``"forkserver"``); ``None`` picks ``fork`` where available,
             else ``spawn``.
         plan_cache_size: Capacity of the session's epoch-keyed plan cache
-            (entries); ``0`` disables plan caching entirely.
-        delta_chain_limit: Change descriptors retained per table.  Cached
-            planning state is maintained *across* epoch bumps (stale
-            hyper-plan memo entries are delta-patched, compiled session
-            plans are revalidated against the tables' change descriptors);
-            an artifact older than this many bumps can no longer be patched
-            and is recomputed cold (bounds delta-chain memory).
+            (entries); ``0`` disables plan caching entirely.  An entry
+            serves only the exact table epochs it was planned at.
         persistence: ``"memory"`` (default; blocks live purely in RAM) or
             ``"mmap"`` — blocks spill to memory-mapped one-per-version files
             under ``storage_root``, all reads route through a byte-budgeted
@@ -102,7 +98,6 @@ class AdaptDBConfig:
     num_workers: int | None = None
     worker_start_method: str | None = None
     plan_cache_size: int = 64
-    delta_chain_limit: int = 64
     persistence: str = ""
     storage_root: str | None = None
     buffer_bytes: int | None = None
@@ -139,6 +134,12 @@ class AdaptDBConfig:
             raise PlanningError("window_size must be at least 1")
         if not 0.0 <= self.join_level_fraction <= 1.0:
             raise PlanningError("join_level_fraction must be in [0, 1]")
+        if self.join_levels_override is not None and self.join_levels_override < 0:
+            raise PlanningError("join_levels_override must be at least 0 (or None)")
+        if self.replication < 1:
+            raise PlanningError("replication must be at least 1")
+        if self.shuffle_cost_factor < 1.0:
+            raise PlanningError("shuffle_cost_factor must be at least 1")
         if self.force_join_method not in (None, "shuffle", "hyper"):
             raise PlanningError("force_join_method must be None, 'shuffle' or 'hyper'")
         if self.execution_backend not in ("tasks", "parallel"):
@@ -151,8 +152,6 @@ class AdaptDBConfig:
             )
         if self.plan_cache_size < 0:
             raise PlanningError("plan_cache_size must be non-negative")
-        if self.delta_chain_limit < 1:
-            raise PlanningError("delta_chain_limit must be at least 1")
         if self.persistence not in ("memory", "mmap"):
             raise PlanningError("persistence must be 'memory' or 'mmap'")
         if self.persistence == "memory":

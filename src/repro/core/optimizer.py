@@ -188,14 +188,6 @@ class Optimizer:
     # ------------------------------------------------------------------ #
     # Block relevance
     # ------------------------------------------------------------------ #
-    def relevant_blocks(self, table_name: str, query: Query) -> list[int]:
-        """Public view of the relevant-block computation.
-
-        Used by the session's plan-cache revalidation to compare a cached
-        plan's recorded block sets against the current partition state.
-        """
-        return self._relevant_blocks(table_name, query)
-
     def _relevant_blocks(self, table_name: str, query: Query) -> list[int]:
         """Blocks of ``table_name`` that must be read for ``query``.
 

@@ -367,7 +367,7 @@ class HyperPlanCache:
         the usable ids, their ranges, and ``(new_index, old_index)`` pairs
         for reused rows/columns.
         """
-        touched = delta.touched_blocks
+        touched = delta.blocks
         old_index = {block_id: i for i, block_id in enumerate(old_usable_ids)}
         ids: list[int] = []
         ranges: list[Range] = []

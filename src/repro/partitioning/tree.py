@@ -86,8 +86,8 @@ class CompiledTree:
     ``leaf_lo[a, j]`` / ``leaf_hi[a, j]`` bound attribute ``a`` on leaf
     ``j``'s root path: a row routed to leaf ``j`` has ``leaf_lo < value <=
     leaf_hi`` on every split attribute (``-inf`` / ``inf`` where the path
-    never splits on it).  ``bound_blocks`` / ``bound_leaves`` and
-    ``block_leaf`` are derived from the leaves' block ids on first use.
+    never splits on it).  ``bound_blocks`` / ``bound_leaves`` are derived
+    from the leaves' block ids on first use.
     """
 
     attributes: list[str]
@@ -105,7 +105,6 @@ class CompiledTree:
     depth: int
     bound_blocks: list[int] | None = None
     bound_leaves: np.ndarray | None = None
-    block_leaf: dict[int, int] | None = None
 
     def bound_leaf_blocks(self) -> tuple[list[int], np.ndarray]:
         """Block ids of the bound leaves, left to right, and their leaf positions.
@@ -269,7 +268,6 @@ class PartitioningTree:
         for leaf, block_id in zip(leaves, block_ids):
             leaf.block_id = block_id
         compiled.bound_blocks = compiled.bound_leaves = None
-        compiled.block_leaf = None
 
     # ------------------------------------------------------------------ #
     # Structure inspection / mutation
@@ -469,25 +467,6 @@ class PartitioningTree:
         if keep is None:
             return list(blocks)
         return list(compress(blocks, keep[positions].tolist()))
-
-    def lookup_block(self, block_id: int, predicates: list[Predicate] | None = None) -> bool:
-        """Whether :meth:`lookup` would include ``block_id``: its leaf's box
-        against each predicate.  Unknown block ids return ``False``."""
-        compiled = self.compiled()
-        if compiled.block_leaf is None:
-            blocks, positions = compiled.bound_leaf_blocks()
-            compiled.block_leaf = dict(zip(blocks, positions.tolist()))
-        position = compiled.block_leaf.get(block_id)
-        if position is None:
-            return False
-        for predicate in predicates or ():
-            attr_index = compiled.attribute_index.get(predicate.column)
-            if attr_index is not None and not predicate.may_match_range(
-                float(compiled.leaf_lo[attr_index, position]),
-                float(compiled.leaf_hi[attr_index, position]),
-            ):
-                return False
-        return True
 
     def leaf_bounds(self, attribute: str) -> dict[int, tuple[float, float]]:
         """Per-leaf value bounds of ``attribute`` implied by the tree structure.

@@ -22,9 +22,9 @@ lifecycle transitions:
     read and verified: blocks come back as *cold* (unloaded)
     :class:`Block`\\ s whose columns fault in through the buffer on first
     read, tables are reconstructed with their exact epoch counters and
-    delta chains (so plan-cache keys and ``delta_between`` spans carry
-    across the restart), and the session / DFS / repartitioner RNG states
-    and the query window are restored so post-restart adaptation
+    delta chains (so plan-cache keys and the hyper-plan memo's
+    ``delta_between`` spans carry across the restart), and the session /
+    DFS / repartitioner RNG states and the query window are restored so post-restart adaptation
     decisions are bit-identical to an uninterrupted run.
 """
 
@@ -251,7 +251,6 @@ class PersistenceManager:
                 "rows_per_block": table.rows_per_block,
                 "epoch": table.epoch,
                 "next_tree_id": table._next_tree_id,
-                "delta_chain_limit": table.delta_chain_limit,
                 "delta_chain": [
                     [epoch, _delta_to_payload(delta)] for epoch, delta in table._delta_chain
                 ],
@@ -354,7 +353,6 @@ class PersistenceManager:
                 _block_to_tree=block_to_tree,
                 _next_tree_id=payload["next_tree_id"],
                 _epoch=payload["epoch"],
-                delta_chain_limit=payload["delta_chain_limit"],
                 _delta_chain=[
                     (epoch, _delta_from_payload(delta_payload))
                     for epoch, delta_payload in payload["delta_chain"]
@@ -379,23 +377,9 @@ class PersistenceManager:
 
 def _delta_to_payload(delta: PartitionDelta) -> dict[str, Any]:
     """Change descriptor -> JSON (sorted lists; sets have no JSON form)."""
-    return {
-        "blocks_changed": sorted(delta.blocks_changed),
-        "blocks_dropped": sorted(delta.blocks_dropped),
-        "trees_resplit": sorted(delta.trees_resplit),
-        "trees_added": sorted(delta.trees_added),
-        "trees_dropped": sorted(delta.trees_dropped),
-        "full": delta.full,
-    }
+    return {"blocks": sorted(delta.blocks), "full": delta.full}
 
 
 def _delta_from_payload(payload: dict[str, Any]) -> PartitionDelta:
     """Inverse of :func:`_delta_to_payload`."""
-    return PartitionDelta(
-        blocks_changed=set(payload["blocks_changed"]),
-        blocks_dropped=set(payload["blocks_dropped"]),
-        trees_resplit=set(payload["trees_resplit"]),
-        trees_added=set(payload["trees_added"]),
-        trees_dropped=set(payload["trees_dropped"]),
-        full=payload["full"],
-    )
+    return PartitionDelta(blocks=set(payload["blocks"]), full=payload["full"])

@@ -38,9 +38,11 @@ from ...partitioning.tree import PartitioningTree, TreeNode
 
 #: Bumped whenever any payload shape changes incompatibly (2, 3 and 4: the
 #: stored config lost fields; 4 also a legal ``execution_backend`` value; 5: a
-#: spilled version is one file; 6: the metadata is one checkpoint file).
-#: ``PersistenceManager.open`` refuses other versions.
-FORMAT_VERSION = 6
+#: spilled version is one file; 6: the metadata is one checkpoint file; 7: a
+#: change descriptor is block ids plus ``full``, and the stored config and
+#: tables lost ``delta_chain_limit``).  ``PersistenceManager.open`` refuses
+#: other versions.
+FORMAT_VERSION = 7
 
 #: File prefix: magic, header length, header CRC32.
 _PREFIX = struct.Struct("<8sII")

@@ -348,7 +348,7 @@ class SharedBlockStore:
         if slab.epoch != table.epoch:
             delta = table.delta_between(slab.epoch, table.epoch)
             everything = delta is None or delta.full
-            stale = slab.slots.keys() if everything else delta.touched_blocks
+            stale = slab.slots.keys() if everything else delta.blocks
             for block_id in [b for b in stale if b in slab.slots]:
                 slab.release(block_id)
             slab.epoch = table.epoch

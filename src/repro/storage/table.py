@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 import numpy as np
 
@@ -92,17 +92,18 @@ class StoredTable:
 
     Partition state (block contents, the block set, the tree set, split
     nodes) changes only inside ``with table.mutation() as delta:``.  The
-    mutation primitives below record every block and tree id they touch
-    into the open :class:`~repro.common.epochs.PartitionDelta` and refuse to
-    run without one; the context's exit is the only place the
-    :attr:`epoch` advances and the descriptor joins the delta chain.  A
-    mutation therefore cannot skip its bump or under-describe itself.
-    Planning layers key their caches on
-    ``(table, epoch)`` pairs: an unchanged epoch guarantees that block
-    contents, block ranges and tree structure are all unchanged, so a cached
-    plan replays bit-identically; on a changed epoch they consult
-    :meth:`delta_between` to *patch* cached state in place when the delta
-    chain still covers the gap, and recompute from scratch otherwise.
+    mutation primitives below record every block id they touch (a tree
+    change touches the tree's blocks) into the open
+    :class:`~repro.common.epochs.PartitionDelta` and refuse to run without
+    one; the context's exit is the only place the :attr:`epoch` advances
+    and the descriptor joins the delta chain.  A mutation therefore cannot
+    skip its bump or under-describe itself.  Planning layers key their
+    caches on ``(table, epoch)`` pairs: an unchanged epoch guarantees that
+    block contents, block ranges and tree structure are all unchanged, so a
+    cached plan replays bit-identically.  On a changed epoch the session
+    plan cache replans; the hyper-plan memo and the parallel backend's slab
+    consult :meth:`delta_between` to *patch* cached state in place when the
+    delta chain still covers the gap, and recompute from scratch otherwise.
     """
 
     name: str
@@ -116,8 +117,9 @@ class StoredTable:
     _epoch: int = field(default=0, repr=False)
     #: Maximum recorded change descriptors; past it the oldest are dropped,
     #: :meth:`delta_between` returns ``None`` for spans reaching back that
-    #: far, and consumers fall back to a cold recompute.
-    delta_chain_limit: int = 64
+    #: far, and consumers fall back to a cold recompute.  A class constant;
+    #: tests shorten it per instance.
+    delta_chain_limit: ClassVar[int] = 64
     _delta_chain: list[tuple[int, PartitionDelta]] = field(
         default_factory=list, repr=False
     )
@@ -255,14 +257,6 @@ class StoredTable:
     def _materialize_tree(self, tree: PartitioningTree, columns: dict[str, np.ndarray]) -> int:
         """Bind ``tree``'s leaves to new blocks filled with ``columns``' rows."""
         delta = self._recording()
-        tree_id = self._next_tree_id
-        self._next_tree_id += 1
-        tree.tree_id = tree_id
-        delta.trees_added.add(tree_id)
-        self._tree_blocks[tree_id] = []
-        self._tree_rows[tree_id] = 0
-        self._non_empty[tree_id] = set()
-
         # One stable sort groups the rows by leaf (each leaf keeps table
         # order).  Each leaf gathers its own arrays through its slice of the
         # order: a slice of one sorted copy would keep the whole copy alive
@@ -278,10 +272,19 @@ class StoredTable:
             ]
         else:
             leaf_contents = [self._empty_columns() for _ in range(num_leaves)]
-        block_ids: list[int] = []
-        for leaf_columns in leaf_contents:
-            block = self.dfs.create_block(self.name, leaf_columns)
-            block_ids.append(block.block_id)
+        blocks = [self.dfs.create_block(self.name, leaf_columns) for leaf_columns in leaf_contents]
+        block_ids = [block.block_id for block in blocks]
+        # The whole tree is named before it is registered, so a failure part
+        # way through registration still bumps and describes it.
+        delta.blocks.update(block_ids)
+
+        tree_id = self._next_tree_id
+        self._next_tree_id += 1
+        tree.tree_id = tree_id
+        self._tree_blocks[tree_id] = []
+        self._tree_rows[tree_id] = 0
+        self._non_empty[tree_id] = set()
+        for block in blocks:
             self._register_block(block.block_id, tree_id, block.num_rows)
         tree.assign_block_ids(block_ids)
         self.trees[tree_id] = tree
@@ -289,7 +292,7 @@ class StoredTable:
 
     def _register_block(self, block_id: int, tree_id: int, num_rows: int) -> None:
         """Record a freshly created block in the statistics caches."""
-        self._recording().blocks_changed.add(block_id)
+        self._recording().blocks.add(block_id)
         self._block_to_tree[block_id] = tree_id
         self._block_rows[block_id] = num_rows
         self._tree_blocks[tree_id].append(block_id)
@@ -300,7 +303,7 @@ class StoredTable:
 
     def _open_block(self, block_id: int) -> Block:
         """The block about to be rewritten in place, recorded as changed."""
-        self._recording().blocks_changed.add(block_id)
+        self._recording().blocks.add(block_id)
         return self.dfs.peek_block(block_id)
 
     def _append_rows(
@@ -317,7 +320,7 @@ class StoredTable:
         those rows are row ``i`` of the (targets × columns) matrices
         ``lows`` / ``highs``.  The columns become one :class:`Batch`, and
         each block appends one record of it (see :meth:`Block.extend`)."""
-        self._recording().blocks_changed.update(block_ids)
+        self._recording().blocks.update(block_ids)
         batch = Batch(dict(zip(names, columns)))
         lows, highs = np.asarray(lows, dtype=np.float64), np.asarray(highs, dtype=np.float64)
         peek_block = self.dfs.peek_block
@@ -361,9 +364,11 @@ class StoredTable:
         no standalone block-deletion primitive.
         """
         delta = self._recording()
-        delta.trees_dropped.add(tree_id)
-        for block_id in self._tree_blocks.pop(tree_id):
-            delta.blocks_dropped.add(block_id)
+        block_ids = self._tree_blocks.pop(tree_id)
+        # The whole tree is named before the first deletion, so a failure
+        # part way through still describes every block it may have lost.
+        delta.blocks.update(block_ids)
+        for block_id in block_ids:
             self.dfs.delete_block(block_id)
             del self._block_to_tree[block_id]
             self._total_rows -= self._block_rows.pop(block_id)
@@ -503,24 +508,6 @@ class StoredTable:
         block_rows = self._block_rows
         return [block_id for block_id in matched if block_rows.get(block_id, 0) > 0]
 
-    def lookup_contains(
-        self, block_id: int, predicates: list[Predicate] | None = None
-    ) -> bool:
-        """Whether :meth:`lookup` would include ``block_id`` — in O(depth).
-
-        Per-block membership in the pruned set depends only on the block's
-        own row count and its leaf's path bounds in the owning tree, so one
-        parent-chain walk answers it without re-running the full lookup.
-        Blocks no longer in the table (e.g. dropped by a repartition) return
-        ``False``.
-        """
-        if self._block_rows.get(block_id, 0) <= 0:
-            return False
-        tree_id = self._block_to_tree.get(block_id)
-        if tree_id is None:
-            return False
-        return self.trees[tree_id].lookup_block(block_id, predicates)
-
     def rows_under_tree(self, tree_id: int) -> int:
         """Total number of rows stored under a tree (cache-served)."""
         return self._tree_rows.get(tree_id, 0)
@@ -635,11 +622,10 @@ class StoredTable:
             raise PartitioningError(f"node is not part of tree {tree_id}")
         with self.mutation() as delta:
             self.trees[tree_id].resplit_node(node, attribute, cutpoint)
-            # The tree's lookups changed even when no rows end up moving, and
-            # plan revalidation only probes touched blocks, so the tree and
-            # both blocks are recorded unconditionally.
-            delta.trees_resplit.add(tree_id)
-            delta.blocks_changed.update((left_id, right_id))
+            # The two leaves' bounds changed even when no rows end up moving,
+            # and the descriptor names a tree change by its blocks, so both
+            # blocks are recorded unconditionally.
+            delta.blocks.update((left_id, right_id))
             left_columns = self.dfs.peek_block(left_id).columns
             right_columns = self.dfs.peek_block(right_id).columns
             merged = {

@@ -27,6 +27,9 @@ class TestConfigValidation:
             {"window_size": 0},
             {"join_level_fraction": 1.5},
             {"force_join_method": "magic"},
+            {"replication": 0},
+            {"shuffle_cost_factor": 0.5},
+            {"join_levels_override": -1},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

@@ -6,10 +6,10 @@ Covers the change-descriptor plumbing end to end:
 * ``patch_overlap_matrix`` audited against brute-force recomputation over
   randomized keep/change/drop/append/permute perturbations,
 * the digest-keyed grouping memo,
-* ``HyperPlanCache`` delta upgrades and the session plan-cache
-  revalidation pass — always checked *bit-identical* against a session
-  planning cold (the oracle: its tables' ``delta_between`` answers ``None``,
-  the fallback production takes on chain overflow),
+* ``HyperPlanCache`` delta upgrades — always checked *bit-identical*
+  against a session planning cold (the oracle: its tables'
+  ``delta_between`` answers ``None``, the fallback production takes on
+  chain overflow),
 * the chain-overflow fallback (spans past the retained window replan),
 * read-only overlap matrices in every cached hyper plan.
 
@@ -31,6 +31,7 @@ from repro.common.rng import make_rng
 from repro.core import AdaptDBConfig
 from repro.join.grouping import group_blocks, matrix_row_digests
 from repro.join.overlap import compute_overlap_matrix, patch_overlap_matrix
+from repro.partitioning.two_phase import TwoPhasePartitioner
 
 PRED = (5.0, 25.0)
 
@@ -39,8 +40,8 @@ def make_session(tables, incremental=True, **overrides):
     """A two-table session; ``incremental=False`` is the cold-planning oracle.
 
     The oracle shadows ``delta_between`` on its tables so every span reads
-    as unavailable: revalidation and hyper-plan upgrades then fall back to
-    planning cold, exactly as they do in production on chain overflow.
+    as unavailable: hyper-plan upgrades then fall back to planning cold,
+    exactly as they do in production on chain overflow.
     """
     config = AdaptDBConfig(rows_per_block=512, buffer_blocks=4, seed=3, **overrides)
     session = Session(config=config)
@@ -61,23 +62,11 @@ def li_join(low=PRED[0], high=PRED[1]):
     )
 
 
-def resplit_somewhere(table, fraction=0.5, quantity_window=None):
-    """Amoeba-style re-split of one bottom leaf pair of ``table``.
-
-    With ``quantity_window=(lo, hi)``, only nodes whose path bounds on
-    ``l_quantity`` are disjoint from the window qualify — the re-split then
-    provably leaves the window's relevant block set untouched.
-    """
+def resplit_somewhere(table, fraction=0.5):
+    """Amoeba-style re-split of one bottom leaf pair of ``table``."""
     for tree_id in sorted(table.trees):
         tree = table.tree(tree_id)
-        for node, bounds in tree.bottom_internal_nodes():
-            if quantity_window is not None:
-                quantity_bounds = bounds.get("l_quantity")
-                if quantity_bounds is None or not (
-                    quantity_bounds[1] < quantity_window[0]
-                    or quantity_bounds[0] > quantity_window[1]
-                ):
-                    continue
+        for node, _ in tree.bottom_internal_nodes():
             left_id, right_id = node.left.block_id, node.right.block_id
             ranges = [
                 block_range
@@ -106,33 +95,36 @@ def resplit_somewhere(table, fraction=0.5, quantity_window=None):
 # --------------------------------------------------------------------- #
 class TestPartitionDelta:
     def test_merged_unions_all_sets(self):
-        merged = PartitionDelta.merged(
-            [
-                PartitionDelta(blocks_changed={1, 2}, trees_resplit={0}),
-                PartitionDelta(blocks_changed={2, 3}, blocks_dropped={9}),
-                PartitionDelta(trees_added={4}, trees_dropped={5}),
-            ]
-        )
-        assert merged.blocks_changed == {1, 2, 3}
-        assert merged.blocks_dropped == {9}
-        assert merged.trees_resplit == {0}
-        assert merged.trees_added == {4}
-        assert merged.trees_dropped == {5}
+        parts = [PartitionDelta(blocks={1, 2}), PartitionDelta(blocks={2, 3}),
+                 PartitionDelta(blocks={9})]
+        merged = PartitionDelta.merged(parts)
+        assert merged.blocks == {1, 2, 3, 9}
         assert not merged.full
+        assert parts[0].blocks == {1, 2}  # the inputs are not mutated
 
     def test_full_dominates_merge(self):
         merged = PartitionDelta.merged(
-            [PartitionDelta(blocks_changed={1}), PartitionDelta.full_change()]
+            [PartitionDelta(blocks={1}), PartitionDelta.full_change()]
         )
         assert merged.full
 
-    def test_touched_blocks_and_tree_set_preservation(self):
-        delta = PartitionDelta(blocks_changed={1}, blocks_dropped={2})
-        assert delta.touched_blocks == {1, 2}
-        assert delta.preserves_tree_set()
-        assert not PartitionDelta(trees_added={3}).preserves_tree_set()
-        assert not PartitionDelta(trees_dropped={3}).preserves_tree_set()
-        assert not PartitionDelta.full_change().preserves_tree_set()
+    def test_touched_blocks_and_tree_set_preservation(self, tpch_tables):
+        """A change to the tree set is described by block ids alone: adding
+        a tree names every block it creates, dropping one every block it
+        deletes."""
+        session = make_session(tpch_tables)
+        table = session.table("lineitem")
+        before = table.epoch
+        tree = TwoPhasePartitioner("l_orderkey", ["l_quantity"]).build(
+            table.sample, total_rows=table.total_rows, num_leaves=4
+        )
+        tree_id = table.add_empty_tree(tree)
+        added = set(table.block_ids(tree_id))
+        assert table.delta_between(before, table.epoch) == PartitionDelta(blocks=added)
+        before = table.epoch
+        assert table.drop_empty_trees() == [tree_id]
+        assert table.delta_between(before, table.epoch) == PartitionDelta(blocks=added)
+        session.close()
 
 
 # --------------------------------------------------------------------- #
@@ -151,7 +143,7 @@ class TestDeltaChain:
         table = session.table("lineitem")
         delta = table.delta_between(table.epoch, table.epoch)
         assert delta is not None
-        assert not delta.full and not delta.touched_blocks
+        assert not delta.full and not delta.blocks
         session.close()
 
     def test_out_of_range_spans_return_none(self, tpch_tables):
@@ -169,9 +161,7 @@ class TestDeltaChain:
         assert pair is not None
         delta = table.delta_between(before, table.epoch)
         assert delta is not None and not delta.full
-        assert set(pair) <= delta.blocks_changed
-        assert delta.trees_resplit
-        assert delta.preserves_tree_set()
+        assert set(pair) <= delta.blocks
         session.close()
 
     def test_chain_overflow_returns_none_for_old_spans(self, tpch_tables):
@@ -181,10 +171,10 @@ class TestDeltaChain:
         start = table.epoch
         for _ in range(4):
             with table.mutation() as delta:
-                delta.blocks_changed.add(1)
+                delta.blocks.add(1)
         assert table.delta_between(start, table.epoch) is None
         recent = table.delta_between(table.epoch - 1, table.epoch)
-        assert recent is not None and recent.blocks_changed == {1}
+        assert recent is not None and recent.blocks == {1}
         session.close()
 
 
@@ -273,40 +263,6 @@ class TestGroupingMemo:
 
 
 # --------------------------------------------------------------------- #
-# Per-block lookup membership (the O(depth) revalidation probe)
-# --------------------------------------------------------------------- #
-class TestLookupContains:
-    def test_matches_full_lookup_across_perturbations(self, tpch_tables):
-        """``lookup_contains`` must agree with full ``lookup`` membership.
-
-        Audited over shifting predicate windows and interleaved re-splits
-        (which change leaf path bounds) — the probe walks the parent chain
-        instead of the whole tree, so any disagreement means the final-
-        interval shortcut is unsound.
-        """
-        session = make_session(tpch_tables)
-        table = session.catalog.get("lineitem")
-        rng = make_rng(19)
-        for round_index in range(6):
-            low = 1.0 + 7.0 * (round_index % 5)
-            predicates = [between("l_quantity", low, low + 11.0)]
-            matched = set(table.lookup(predicates))
-            for block_id in table.block_ids():
-                assert table.lookup_contains(block_id, predicates) == (
-                    block_id in matched
-                ), f"block {block_id} disagreed for window ({low}, {low + 11.0})"
-            assert not table.lookup_contains(10_000_000, predicates)  # unknown id
-            resplit_somewhere(table, fraction=float(rng.uniform(0.2, 0.8)))
-
-    def test_no_predicates_means_every_non_empty_block(self, tpch_tables):
-        session = make_session(tpch_tables)
-        table = session.catalog.get("orders")
-        non_empty = set(table.non_empty_block_ids())
-        for block_id in table.block_ids():
-            assert table.lookup_contains(block_id, None) == (block_id in non_empty)
-
-
-# --------------------------------------------------------------------- #
 # System level: patched plans are bit-identical to cold planning
 # --------------------------------------------------------------------- #
 class TestIncrementalBitIdentity:
@@ -330,47 +286,13 @@ class TestIncrementalBitIdentity:
         assert stats[True]["hyper_upgrades"] > 0
         assert stats[False]["hyper_upgrades"] == 0
 
-    def test_plan_revalidation_fires_for_disjoint_resplits(self, tpch_tables):
-        """Re-splits disjoint from the predicate window leave the relevant
-        set untouched: the whole cached plan is revalidated, not replanned."""
-        window = (5.0, 20.0)
-        fingerprints = {}
-        stats = {}
-        for incremental in (True, False):
-            session = make_session(tpch_tables, incremental=incremental)
-            query = li_join(*window)
-            sequence = [session.run(query, adapt=False).fingerprint()]
-            for step in range(3):
-                assert resplit_somewhere(
-                    session.table("lineitem"),
-                    fraction=0.4 + 0.1 * step,
-                    quantity_window=window,
-                )
-                sequence.append(session.run(query, adapt=False).fingerprint())
-            fingerprints[incremental] = sequence
-            stats[incremental] = session.cache_stats()
-            session.close()
-        assert fingerprints[True] == fingerprints[False]
-        assert stats[True]["plan_revalidations"] > 0
-        assert stats[False]["plan_revalidations"] == 0
-
-    def test_touched_relevant_set_blocks_revalidation(self, tpch_tables):
-        """A re-split inside the relevant set must NOT be revalidated —
-        the conservative bail replans (and may still delta-patch)."""
-        session = make_session(tpch_tables)
-        session.run(li_join(), adapt=False)
-        assert resplit_somewhere(session.table("lineitem"))
-        session.run(li_join(), adapt=False)
-        assert session.cache_stats()["plan_revalidations"] == 0
-        session.close()
-
     def test_chain_overflow_falls_back_to_cold_planning(self, tpch_tables):
         """Spans past the retained delta window must replan, never guess."""
         fingerprints = {}
         for incremental in (True, False):
-            session = make_session(
-                tpch_tables, incremental=incremental, delta_chain_limit=1
-            )
+            session = make_session(tpch_tables, incremental=incremental)
+            for name in ("lineitem", "orders"):
+                session.table(name).delta_chain_limit = 1
             sequence = [session.run(li_join(), adapt=False).fingerprint()]
             for step in range(2):
                 # Two bumps per round: a span of 2 overflows a chain of 1.
@@ -385,7 +307,6 @@ class TestIncrementalBitIdentity:
             if incremental:
                 stats = session.cache_stats()
                 assert stats["hyper_upgrades"] == 0
-                assert stats["plan_revalidations"] == 0
             session.close()
         assert fingerprints[True] == fingerprints[False]
 

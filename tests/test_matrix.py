@@ -61,9 +61,7 @@ NEW_TREES = {
 }
 BACKENDS = ("tasks", "parallel")
 #: The fast paths this harness is the oracle for; each must fire in a run.
-FAST_PATHS = (
-    "plan revalidation", "hyper upgrade", "REPARTITION task", "buffer eviction", "reopen",
-)
+FAST_PATHS = ("hyper upgrade", "REPARTITION task", "buffer eviction", "reopen")
 
 
 @dataclass(frozen=True)
@@ -158,7 +156,6 @@ class ConfigurationMatrix(RuleBasedStateMachine):
 
     def retire(self, session: Session) -> None:
         """Count the session's fast paths, then close it (sparing the pool)."""
-        self.fired["plan revalidation"] += session.plan_cache.revalidations
         self.fired["hyper upgrade"] += session.optimizer.hyper_cache.upgrades
         if session.persist is not None:
             self.fired["buffer eviction"] += session.persist.buffer.evictions

@@ -265,8 +265,10 @@ class TestSlab:
         a span the bounded chain no longer covers) every slot is stale, and
         when no extent fits the segment is replaced: answers stay those of
         ``tasks`` and each table still owns exactly one segment."""
-        limit = 1 if fallback == "chain-overflow" else 64
-        session = full_session(tpch_tables, delta_chain_limit=limit)
+        session = full_session(tpch_tables)
+        if fallback == "chain-overflow":
+            for table in session.catalog.tables():
+                table.delta_chain_limit = 1
         store = session.backends["parallel"].store
         seen: set[str] = set()
         try:

@@ -456,7 +456,7 @@ class TestCheckpointRestore:
         session.checkpoint()
         root = session.storage_root
         session.close()
-        stored = 5  # the last format whose metadata was a database
+        stored = 6  # the last format whose change descriptors named trees
         assert stored == FORMAT_VERSION - 1
         header, samples = read_checkpoint(root)
         write_file(root / "checkpoint", {**header, "format_version": stored}, samples)

@@ -306,11 +306,11 @@ class TestMutationContext:
         before = stored.epoch
         with stored.mutation() as delta:
             stored._clear_block(block_id)
-            delta.blocks_changed.clear()
-            delta.blocks_changed.add(extra_id)
+            delta.blocks.clear()
+            delta.blocks.add(extra_id)
         assert stored.epoch == before + 1
         recorded = stored.delta_between(before, stored.epoch)
-        assert recorded.blocks_changed == {block_id, extra_id}
+        assert recorded.blocks == {block_id, extra_id}
 
 
 # --------------------------------------------------------------------- #
@@ -359,7 +359,7 @@ class PartitionSnapshot:
 
     blocks: dict[int, tuple[int, bytes]]  # block id -> (rows, content digest)
     trees: dict[int, object]  # tree id -> structure
-    registered: frozenset[int]  # tree ids with statistics entries
+    registered: dict[int, frozenset[int]]  # tree id with statistics -> its block ids
     next_tree_id: int
 
     @classmethod
@@ -372,24 +372,33 @@ class PartitionSnapshot:
                 digest.update(np.ascontiguousarray(columns[name]).tobytes())
             blocks[block_id] = (rows, digest.digest())
         trees = {tree_id: tree_shape(tree.root) for tree_id, tree in stored.trees.items()}
-        return cls(blocks, trees, frozenset(stored._tree_blocks), stored._next_tree_id)
+        registered = {
+            tree_id: frozenset(block_ids) for tree_id, block_ids in stored._tree_blocks.items()
+        }
+        return cls(blocks, trees, registered, stored._next_tree_id)
 
     def undescribed(self, after: "PartitionSnapshot", delta: PartitionDelta) -> list[str]:
-        """Every change from this snapshot to ``after`` that ``delta`` misses."""
+        """Every change from this snapshot to ``after`` that ``delta`` misses.
+
+        A descriptor holds block ids only, so a tree change must show in the
+        blocks it names: an added or dropped tree by all of its blocks, a
+        restructured one by at least one.
+        """
         if delta.full:
             return []
         missing = [
             f"block {block_id}"
             for block_id in sorted(self.blocks.keys() | after.blocks.keys())
             if self.blocks.get(block_id) != after.blocks.get(block_id)
-            and block_id not in delta.touched_blocks
+            and block_id not in delta.blocks
         ]
-        for tree_id in sorted(self.registered | after.registered):
-            if (tree_id in self.registered) != (tree_id in after.registered):
-                if tree_id not in delta.trees_added | delta.trees_dropped:
+        for tree_id in sorted(self.registered.keys() | after.registered.keys()):
+            old, new = self.registered.get(tree_id), after.registered.get(tree_id)
+            if (old is None) != (new is None):
+                if not (old or new) <= delta.blocks:
                     missing.append(f"tree {tree_id} added or dropped")
             elif self.trees.get(tree_id) != after.trees.get(tree_id):
-                if tree_id not in delta.trees_resplit | delta.trees_added:
+                if (old | new).isdisjoint(delta.blocks):
                     missing.append(f"tree {tree_id} restructured")
         return missing
 
@@ -436,7 +445,7 @@ def run_with_fault(monkeypatch, entry: str, fault: str, k: int) -> int:
         subject.append(session.table("t"))
         before = PartitionSnapshot.capture(subject[0])
     else:
-        before = PartitionSnapshot({}, {}, frozenset(), 0)
+        before = PartitionSnapshot({}, {}, {}, 0)
     epoch = subject[0].epoch if subject else 0
 
     owner, name = FAULT_POINTS[fault]

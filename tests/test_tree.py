@@ -339,7 +339,7 @@ def routing_rows() -> dict[str, np.ndarray]:
 
 
 class TestLeafBoxesAgainstThePaths:
-    """``lookup``, ``lookup_block`` and ``leaf_bounds`` read compiled leaf
+    """``lookup`` and ``leaf_bounds`` read compiled leaf
     boxes, which ``resplit_node`` patches in place; the oracle re-walks the
     live nodes every time, so a box the patch forgot shows up at once.
     ``route_rows`` walks a fixed number of steps over the compiled nodes;
@@ -360,10 +360,6 @@ class TestLeafBoxesAgainstThePaths:
         ]
         assert tree.lookup(predicates) == expected
         assert tree.block_ids() == [block_id for block_id, _ in leaves if block_id is not None]
-        for block_id, _ in leaves:
-            if block_id is not None:
-                assert tree.lookup_block(block_id, predicates) == (block_id in expected)
-        assert not tree.lookup_block(10_000, predicates)
         for attribute in [*SPLIT_ON, "d"]:
             assert tree.leaf_bounds(attribute) == {
                 block_id: box.get(attribute, (-math.inf, math.inf))
