@@ -38,8 +38,8 @@ storage tier (:mod:`repro.storage.persist`): blocks spill to memory-mapped
 files under ``config.storage_root``, reads route through a byte-budgeted
 block buffer, and :meth:`Session.checkpoint` / :meth:`Session.open` provide
 epoch-aware crash recovery — a reopened session resumes with its partition
-trees, epochs, delta chains, samples, RNG states and adaptation window
-intact, reproducing bit-identical query fingerprints.
+trees, epochs, block change stamps, samples, RNG states and adaptation
+window intact, reproducing bit-identical query fingerprints.
 """
 
 from __future__ import annotations
@@ -199,8 +199,9 @@ class Session:
 
         The session is rebuilt from the last committed checkpoint: tables
         come back at their exact partition-state epochs with their trees,
-        delta chains, samples, statistics and placement; RNG states and the
-        adaptation window resume where :meth:`checkpoint` captured them.
+        block change stamps, samples, statistics and placement; RNG states
+        and the adaptation window resume where :meth:`checkpoint` captured
+        them.
         Blocks start *cold* — their columns fault in through the block
         buffer on first read.  The root's one checkpoint file is read and
         its checksums verified before anything is written under the root;

@@ -74,7 +74,7 @@ class BoundedLRU(Generic[K, V]):
     def peek(self, key: K) -> V | None:
         """Return the value for ``key`` without recency or counter updates.
 
-        Used by the hyper-plan memo's delta upgrade, which inspects a stale
+        Used by the hyper-plan memo's upgrade, which inspects a stale
         entry it is about to replace — inspecting it is neither a hit nor a
         miss.
         """

@@ -157,25 +157,15 @@ class Optimizer:
         probe_col: str,
     ) -> HyperJoinPlan:
         """Plan one hyper-join direction through the epoch-keyed cache."""
-        dfs = self.catalog.get(build_table).dfs
-        state_token = (
-            build_table,
-            self.catalog.get(build_table).epoch,
-            probe_table,
-            self.catalog.get(probe_table).epoch,
-        )
         return self.hyper_cache.get_or_plan(
-            dfs,
+            self.catalog.get(build_table),
+            self.catalog.get(probe_table),
             build_blocks,
             probe_blocks,
             build_col,
             probe_col,
             self.config.buffer_blocks,
             self.config.grouping_algorithm,
-            state_token,
-            delta_source=lambda name, start, end: (
-                self.catalog.get(name).delta_between(start, end)
-            ),
         )
 
     def _choose_method(self, shuffle_cost: float, hyper_cost: float) -> JoinMethod:

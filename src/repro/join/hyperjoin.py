@@ -16,21 +16,18 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..common.epochs import PartitionDelta
 from ..common.errors import PlanningError
 from ..common.lru import BoundedLRU
 from ..storage.dfs import DistributedFileSystem
 from .grouping import Grouping, average_probe_multiplicity, group_blocks, matrix_row_digests
 from .overlap import Range, compute_overlap_matrix, patch_overlap_matrix
 
-#: ``(table_name, start_epoch, end_epoch) -> merged delta or None`` — how the
-#: cache reaches :meth:`repro.storage.table.StoredTable.delta_between`
-#: without importing the storage layer.
-DeltaSource = Callable[[str, int, int], "PartitionDelta | None"]
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from ..storage.table import StoredTable
 
 
 @dataclass
@@ -114,7 +111,7 @@ def plan_hyper_join(
 
 @dataclass
 class _CacheEntry:
-    """One memoized schedule plus the state needed to delta-patch it later.
+    """One memoized schedule plus the state needed to patch it later.
 
     ``build_ranges`` / ``probe_ranges`` map each *usable* block id to the
     join-attribute range it had when the plan was computed; ``row_digests``
@@ -144,14 +141,14 @@ class HyperPlanCache:
     where ``state_token`` carries the ``(table, epoch)`` pairs of both sides.
     Any table mutation bumps its epoch and thereby orphans every entry that
     mentions it.  An orphan is not abandoned: the cache finds the newest
-    entry for the same join template, asks both tables (through the caller's
-    ``delta_source``) for the merged change descriptor spanning the stale
-    and current epochs, and **patches** the schedule — re-peeking only
-    changed blocks, rewriting only changed overlap rows/columns, and
-    re-grouping through the digest-keyed memo — in O(changed × blocks)
-    instead of recomputing in O(blocks²).  The patched plan is bit-identical
-    to a cold recompute by construction; if either delta is unavailable
-    (chain overflow) or blanket-full, the cache falls back to cold planning.
+    entry for the same join template, asks both tables which blocks
+    :meth:`~repro.storage.table.StoredTable.changed_since` that entry's
+    epochs, and **patches** the schedule — re-peeking only changed blocks,
+    rewriting only changed overlap rows/columns, and re-grouping through
+    the digest-keyed memo — in O(changed × blocks) instead of recomputing
+    in O(blocks²).  The patched plan is bit-identical to a cold recompute by
+    construction; when it would keep no overlap row and no column, the
+    cache plans cold instead.
 
     Cached plans are shared and must be treated as read-only by consumers
     (they already are: compilation and execution only read them).  Patched
@@ -168,7 +165,7 @@ class HyperPlanCache:
     def __init__(self, capacity: int = 256) -> None:
         self._cache: BoundedLRU[tuple, _CacheEntry] = BoundedLRU(capacity=capacity)
         #: join template -> full key of the newest entry for that template,
-        #: the starting point for delta upgrades.
+        #: the starting point for upgrades.
         self._history: dict[tuple, tuple] = {}
         self._upgrades = 0
 
@@ -187,22 +184,23 @@ class HyperPlanCache:
 
     @property
     def upgrades(self) -> int:
-        """Misses resolved by delta-patching a stale entry (no cold replan)."""
+        """Misses resolved by patching a stale entry (no cold replan)."""
         return self._upgrades
 
     def get_or_plan(
         self,
-        dfs: DistributedFileSystem,
+        build_table: "StoredTable",
+        probe_table: "StoredTable",
         build_block_ids: list[int],
         probe_block_ids: list[int],
         build_column: str,
         probe_column: str,
         buffer_blocks: int,
         algorithm: str,
-        state_token: tuple,
-        delta_source: DeltaSource,
     ) -> HyperJoinPlan:
         """Return the cached schedule for this key, upgrading or planning on a miss."""
+        dfs = build_table.dfs
+        state_token = (build_table.name, build_table.epoch, probe_table.name, probe_table.epoch)
         key = (
             state_token,
             tuple(build_block_ids),
@@ -223,7 +221,7 @@ class HyperPlanCache:
         entry = self._cache.get(key)
         if entry is None:
             entry = self._upgrade(
-                dfs, key, template, build_block_ids, probe_block_ids, delta_source
+                key, template, build_table, probe_table, build_block_ids, probe_block_ids
             )
             if entry is not None:
                 self._upgrades += 1
@@ -254,43 +252,33 @@ class HyperPlanCache:
         return entry.plan
 
     # ------------------------------------------------------------------ #
-    # Delta upgrades
+    # Upgrades
     # ------------------------------------------------------------------ #
     def _upgrade(
         self,
-        dfs: DistributedFileSystem,
         key: tuple,
         template: tuple,
+        build_table: "StoredTable",
+        probe_table: "StoredTable",
         build_block_ids: list[int],
         probe_block_ids: list[int],
-        delta_source: DeltaSource,
     ) -> _CacheEntry | None:
-        """Patch the newest same-template entry up to ``key``'s state, if possible."""
+        """Patch the newest same-template entry up to ``key``'s state, if
+        it keeps anything of it."""
         old_key = self._history.get(template)
         if old_key is None:
             return None
         old = self._cache.peek(old_key)
         if old is None:
             return None
-        state_token = key[0]
         old_token = old_key[0]
-        build_delta = delta_source(state_token[0], old_token[1], state_token[1])
-        probe_delta = delta_source(state_token[2], old_token[3], state_token[3])
-        if (
-            build_delta is None
-            or build_delta.full
-            or probe_delta is None
-            or probe_delta.full
-        ):
-            return None
-
         build_ids, build_ranges, kept_build = self._usable_via_delta(
-            dfs, build_block_ids, key[3], set(old_key[1]), old.plan.build_block_ids,
-            old.build_ranges, build_delta,
+            build_table, old_token[1], build_block_ids, key[3], set(old_key[1]),
+            old.plan.build_block_ids, old.build_ranges,
         )
         probe_ids, probe_ranges, kept_probe = self._usable_via_delta(
-            dfs, probe_block_ids, key[4], set(old_key[2]), old.plan.probe_block_ids,
-            old.probe_ranges, probe_delta,
+            probe_table, old_token[3], probe_block_ids, key[4], set(old_key[2]),
+            old.plan.probe_block_ids, old.probe_ranges,
         )
 
         build_same = (
@@ -305,6 +293,8 @@ class HyperPlanCache:
             # Nothing this join reads actually changed — rebind the old
             # entry (shared read-only state) under the new epoch key.
             return old
+        if not kept_build and not kept_probe:
+            return None  # nothing kept: plan cold
 
         buffer_blocks, algorithm = key[5], key[6]
         overlap = patch_overlap_matrix(
@@ -350,30 +340,31 @@ class HyperPlanCache:
 
     def _usable_via_delta(
         self,
-        dfs: DistributedFileSystem,
+        table: "StoredTable",
+        old_epoch: int,
         candidate_ids: list[int],
         column: str,
         old_candidates: set[int],
         old_usable_ids: list[int],
         old_ranges: dict[int, Range],
-        delta: PartitionDelta,
     ) -> tuple[list[int], list[Range], list[tuple[int, int]]]:
-        """One side's usable-block filter, peeking only blocks the delta touched.
+        """One side's usable-block filter, peeking only blocks that changed
+        since ``old_epoch``.
 
-        A candidate examined for the old entry and untouched by the delta
-        kept its contents, so its usability verdict and cached range are
-        reused; everything else (new candidates, changed blocks) goes
-        through the same peek-and-filter as ``plan_hyper_join``.  Returns
-        the usable ids, their ranges, and ``(new_index, old_index)`` pairs
-        for reused rows/columns.
+        A candidate examined for the old entry and unchanged since kept its
+        contents, so its usability verdict and cached range are reused;
+        everything else (new candidates, changed blocks) goes through the
+        same peek-and-filter as ``plan_hyper_join``.  Returns the usable
+        ids, their ranges, and ``(new_index, old_index)`` pairs for reused
+        rows/columns.
         """
-        touched = delta.blocks
+        dfs, changed_since = table.dfs, table.changed_since
         old_index = {block_id: i for i, block_id in enumerate(old_usable_ids)}
         ids: list[int] = []
         ranges: list[Range] = []
         kept: list[tuple[int, int]] = []
         for block_id in candidate_ids:
-            if block_id in old_candidates and block_id not in touched:
+            if block_id in old_candidates and not changed_since(block_id, old_epoch):
                 cached_range = old_ranges.get(block_id)
                 if cached_range is None:
                     continue  # examined before: empty or range-less, still is

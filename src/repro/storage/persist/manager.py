@@ -22,8 +22,8 @@ lifecycle transitions:
     read and verified: blocks come back as *cold* (unloaded)
     :class:`Block`\\ s whose columns fault in through the buffer on first
     read, tables are reconstructed with their exact epoch counters and
-    delta chains (so plan-cache keys and the hyper-plan memo's
-    ``delta_between`` spans carry across the restart), and the session /
+    each block's change stamp (so plan-cache keys and the answers of
+    ``StoredTable.changed_since`` carry across the restart), and the session /
     DFS / repartitioner RNG states and the query window are restored so post-restart adaptation
     decisions are bit-identical to an uninterrupted run.
 """
@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from ...common.epochs import PartitionDelta
 from ...common.errors import StorageError
 from ..block import Block
 from ..table import StoredTable
@@ -242,6 +241,7 @@ class PersistenceManager:
                     "rows": block.num_rows,
                     "bytes": block.size_bytes,
                     "version": self.store.live_version(block_id),
+                    "written_at": table._written_at[block_id],
                     "ranges": {name: [lo, hi] for name, (lo, hi) in block.ranges.items()},
                     "placement": dfs.replicas_of(block_id),
                 })
@@ -251,9 +251,6 @@ class PersistenceManager:
                 "rows_per_block": table.rows_per_block,
                 "epoch": table.epoch,
                 "next_tree_id": table._next_tree_id,
-                "delta_chain": [
-                    [epoch, _delta_to_payload(delta)] for epoch, delta in table._delta_chain
-                ],
                 "total_rows": table.total_rows,
                 "trees": [
                     [tree_id, tree_to_payload(table.trees[tree_id])]
@@ -308,6 +305,7 @@ class PersistenceManager:
         self.store.gc()
 
         table_blocks: dict[str, list[tuple[int, int, int]]] = {}
+        written_at: dict[str, dict[int, int]] = {}
         for table_name, entry in blocks:
             block_id, num_rows = entry["id"], entry["rows"]
             block = Block.restore(
@@ -320,6 +318,7 @@ class PersistenceManager:
             self.buffer.bind(block, self.store.loader(block_id, entry["version"]))
             dfs.put_block(block, machine_ids=entry["placement"])
             table_blocks.setdefault(table_name, []).append((block_id, entry["tree"], num_rows))
+            written_at.setdefault(table_name, {})[block_id] = entry["written_at"]
         dfs.restore_block_counter(int(header["next_block_id"]))
 
         for payload in header["tables"]:
@@ -353,10 +352,7 @@ class PersistenceManager:
                 _block_to_tree=block_to_tree,
                 _next_tree_id=payload["next_tree_id"],
                 _epoch=payload["epoch"],
-                _delta_chain=[
-                    (epoch, _delta_from_payload(delta_payload))
-                    for epoch, delta_payload in payload["delta_chain"]
-                ],
+                _written_at=written_at.get(name, {}),
                 _block_rows=block_rows_map,
                 _tree_rows=tree_rows,
                 _tree_blocks=tree_blocks,
@@ -374,12 +370,3 @@ class PersistenceManager:
 
         self.attach(dfs)
 
-
-def _delta_to_payload(delta: PartitionDelta) -> dict[str, Any]:
-    """Change descriptor -> JSON (sorted lists; sets have no JSON form)."""
-    return {"blocks": sorted(delta.blocks), "full": delta.full}
-
-
-def _delta_from_payload(payload: dict[str, Any]) -> PartitionDelta:
-    """Inverse of :func:`_delta_to_payload`."""
-    return PartitionDelta(blocks=set(payload["blocks"]), full=payload["full"])

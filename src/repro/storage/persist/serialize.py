@@ -9,7 +9,7 @@ aligned end of the header), then the raw column bytes, each 64-byte aligned.
 damaged file raises the caller's :class:`StorageError`.
 
 Everything else travels as JSON: schemas, partitioning trees, selection
-predicates, window queries, change descriptors and RNG states.  The payload
+predicates, window queries and RNG states.  The payload
 shapes are chosen so a round trip is *exact* — trees serialize through the
 same preorder flat-array form the compiled tree uses (cutpoints survive as
 shortest-round-trip floats), predicate values are unwrapped to Python
@@ -40,9 +40,10 @@ from ...partitioning.tree import PartitioningTree, TreeNode
 #: stored config lost fields; 4 also a legal ``execution_backend`` value; 5: a
 #: spilled version is one file; 6: the metadata is one checkpoint file; 7: a
 #: change descriptor is block ids plus ``full``, and the stored config and
-#: tables lost ``delta_chain_limit``).  ``PersistenceManager.open`` refuses
-#: other versions.
-FORMAT_VERSION = 7
+#: tables lost the bound of the descriptor chain; 8: the chain is gone, and
+#: each block's entry carries the epoch it last changed at).
+#: ``PersistenceManager.open`` refuses other versions.
+FORMAT_VERSION = 8
 
 #: File prefix: magic, header length, header CRC32.
 _PREFIX = struct.Struct("<8sII")

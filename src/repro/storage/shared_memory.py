@@ -10,10 +10,10 @@ block column copies:
   :class:`~repro.storage.dfs.DistributedFileSystem`.  ``pin_table(table,
   block_ids, columns)`` makes the slab current for exactly the blocks and
   columns a stage is about to read.  When the table's epoch moved, the
-  change descriptor :meth:`~repro.storage.table.StoredTable.delta_between`
-  returns says which slots are stale (a ``full`` or missing descriptor says
-  "all of them") and they are dropped; then each requested column a block's
-  slot lacks is copied in through ``block.arrays(names)``, so a column no
+  slots of blocks that
+  :meth:`~repro.storage.table.StoredTable.changed_since` the slab's epoch
+  are stale and dropped; then each requested column a block's slot lacks
+  is copied in through ``block.arrays(names)``, so a column no
   stage reads is neither copied nor compacted, exactly as on the inline
   path.  Copies are appended at the slab's tail.  When the tail reaches the
   end, the live extents are compacted once; only if that leaves too little
@@ -334,7 +334,7 @@ class SharedBlockStore:
         """Make ``columns`` of ``block_ids`` current in ``table``'s slab and
         list their slots.
 
-        Slots of blocks touched since the slab's epoch are dropped first;
+        Slots of blocks changed since the slab's epoch are dropped first;
         then each requested column a block's slot lacks is copied in.  When
         the slab has no room even after compacting, the stage starts over,
         once, in a fresh segment sized for the table as it is now.
@@ -346,10 +346,7 @@ class SharedBlockStore:
         block_ids, names = list(block_ids), list(columns)
         slab = self._slabs.get(table.name) or self._new_slab(table)
         if slab.epoch != table.epoch:
-            delta = table.delta_between(slab.epoch, table.epoch)
-            everything = delta is None or delta.full
-            stale = slab.slots.keys() if everything else delta.blocks
-            for block_id in [b for b in stale if b in slab.slots]:
+            for block_id in [b for b in slab.slots if table.changed_since(b, slab.epoch)]:
                 slab.release(block_id)
             slab.epoch = table.epoch
         if not self._copy_in(slab, table, block_ids, names):

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from ..common.epochs import PartitionDelta
 from ..common.errors import PartitioningError, StorageError
 from ..common.predicates import Predicate
 from ..common.schema import Schema
@@ -91,19 +90,18 @@ class StoredTable:
         rows_per_block: Target rows per block, used to size new trees.
 
     Partition state (block contents, the block set, the tree set, split
-    nodes) changes only inside ``with table.mutation() as delta:``.  The
-    mutation primitives below record every block id they touch (a tree
-    change touches the tree's blocks) into the open
-    :class:`~repro.common.epochs.PartitionDelta` and refuse to run without
-    one; the context's exit is the only place the :attr:`epoch` advances
-    and the descriptor joins the delta chain.  A mutation therefore cannot
-    skip its bump or under-describe itself.  Planning layers key their
-    caches on ``(table, epoch)`` pairs: an unchanged epoch guarantees that
-    block contents, block ranges and tree structure are all unchanged, so a
+    nodes) changes only inside ``with table.mutation():``.  The mutation
+    primitives below record every block id they touch (a tree change
+    touches the tree's blocks) and refuse to run outside one; the context's
+    exit is the only place the :attr:`epoch` advances, and it stamps every
+    recorded block with the new epoch.  A mutation therefore cannot skip
+    its bump or leave a change unstamped.  Planning layers key their caches
+    on ``(table, epoch)`` pairs: an unchanged epoch guarantees that block
+    contents, block ranges and tree structure are all unchanged, so a
     cached plan replays bit-identically.  On a changed epoch the session
     plan cache replans; the hyper-plan memo and the parallel backend's slab
-    consult :meth:`delta_between` to *patch* cached state in place when the
-    delta chain still covers the gap, and recompute from scratch otherwise.
+    ask :meth:`changed_since` which blocks changed since the epoch their
+    state was built at, and reuse what they cached for the others.
     """
 
     name: str
@@ -115,14 +113,8 @@ class StoredTable:
     _block_to_tree: dict[int, int] = field(default_factory=dict)
     _next_tree_id: int = 0
     _epoch: int = field(default=0, repr=False)
-    #: Maximum recorded change descriptors; past it the oldest are dropped,
-    #: :meth:`delta_between` returns ``None`` for spans reaching back that
-    #: far, and consumers fall back to a cold recompute.  A class constant;
-    #: tests shorten it per instance.
-    delta_chain_limit: ClassVar[int] = 64
-    _delta_chain: list[tuple[int, PartitionDelta]] = field(
-        default_factory=list, repr=False
-    )
+    #: block id -> the epoch its partition state last changed at.
+    _written_at: dict[int, int] = field(default_factory=dict, repr=False)
     # Incremental statistics caches (see module docstring).
     _block_rows: dict[int, int] = field(default_factory=dict, repr=False)
     _tree_rows: dict[int, int] = field(default_factory=dict, repr=False)
@@ -130,8 +122,8 @@ class StoredTable:
     _non_empty: dict[int, set[int]] = field(default_factory=dict, repr=False)
     _total_rows: int = field(default=0, repr=False)
     _empty_template: dict[str, np.ndarray] | None = field(default=None, repr=False)
-    # The descriptor of the mutation in progress (``None`` between mutations).
-    _open_delta: PartitionDelta | None = field(default=None, repr=False, compare=False)
+    # Block ids the mutation in progress touched (``None`` between mutations).
+    _touched: set[int] | None = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------ #
     # Loading
@@ -158,7 +150,7 @@ class StoredTable:
             sample=table.sample(sample_size, rng),
             rows_per_block=rows_per_block,
         )
-        with stored.mutation(full=True):
+        with stored.mutation():
             stored._materialize_tree(tree, table.columns)
         return stored
 
@@ -185,78 +177,53 @@ class StoredTable:
         return self._epoch
 
     @contextmanager
-    def mutation(self, full: bool = False) -> Iterator[PartitionDelta]:
+    def mutation(self) -> Iterator[None]:
         """Open the one context in which partition state may change.
 
-        The primitives record what they touch into the mutation's change
-        descriptor as they run.  The yielded descriptor is a second, empty
-        one for the caller: ids added to it are included at exit
-        (over-description is always sound), and what the primitives recorded
-        is out of the caller's reach.  On exit — normal or by exception, so
-        a half-finished mutation is still announced — the epoch advances
-        once and the descriptor joins the delta chain, unless nothing was
-        recorded and ``full`` is false.  The chain is bounded by
-        :attr:`delta_chain_limit`.
-
-        Args:
-            full: Blanket change (initial load, full repartitioning) —
-                always bumps, and consumers recompute from scratch.
+        The primitives record every block id they touch as they run.  On
+        exit — normal or by exception, so a half-finished mutation is still
+        announced — the epoch advances once if anything was recorded; then
+        each recorded block still in the table is stamped with the new epoch
+        and each one deleted loses its stamp.
 
         Raises:
             StorageError: if a mutation is already open; they do not nest.
         """
-        if self._open_delta is not None:
+        if self._touched is not None:
             raise StorageError(f"table {self.name!r}: mutation() does not nest")
-        delta = PartitionDelta(full=full)
-        self._open_delta = delta
-        added_by_caller = PartitionDelta()
+        touched = self._touched = set()
         try:
-            yield added_by_caller
+            yield
         finally:
-            self._open_delta = None
-            delta.include(added_by_caller)
-            if delta != PartitionDelta():  # something recorded, or full
+            self._touched = None
+            if touched:
                 self._epoch += 1
-                self._delta_chain.append((self._epoch, delta))
-                if len(self._delta_chain) > self.delta_chain_limit:
-                    del self._delta_chain[: -self.delta_chain_limit]
+                for block_id in touched:
+                    if block_id in self._block_to_tree:
+                        self._written_at[block_id] = self._epoch
+                    else:
+                        self._written_at.pop(block_id, None)
 
-    def _recording(self) -> PartitionDelta:
-        """The open mutation's descriptor; primitives call this before they write."""
-        if self._open_delta is None:
+    def _recording(self) -> set[int]:
+        """The open mutation's touched ids; primitives call this before they write."""
+        if self._touched is None:
             raise StorageError(
                 f"table {self.name!r}: partition state may only change inside mutation()"
             )
-        return self._open_delta
+        return self._touched
 
-    def delta_between(self, start_epoch: int, end_epoch: int) -> PartitionDelta | None:
-        """Merged change descriptor covering ``(start_epoch, end_epoch]``.
-
-        Returns:
-            An (unshared, caller-owned) merged :class:`PartitionDelta` when
-            the bounded chain still covers every bump in the span, or
-            ``None`` when it does not (the span pre-dates the retained
-            window, or the epochs are out of range) — callers must then
-            recompute from scratch.  The result may itself be a *full*
-            descriptor, which callers treat the same as ``None``.
-        """
-        if start_epoch > end_epoch or end_epoch > self._epoch:
-            return None
-        if start_epoch == end_epoch:
-            return PartitionDelta()
-        chain = self._delta_chain
-        if not chain or chain[0][0] > start_epoch + 1:
-            return None
-        return PartitionDelta.merged(
-            delta for epoch, delta in chain if start_epoch < epoch <= end_epoch
-        )
+    def changed_since(self, block_id: int, epoch: int) -> bool:
+        """Whether ``block_id``'s partition state (rows, ranges, leaf bounds)
+        may differ from what it was at ``epoch``: true for a block that is
+        not in the table, or was stamped after ``epoch``."""
+        return self._written_at.get(block_id, epoch + 1) > epoch
 
     # ------------------------------------------------------------------ #
     # Mutation primitives (the only code that writes partition state)
     # ------------------------------------------------------------------ #
     def _materialize_tree(self, tree: PartitioningTree, columns: dict[str, np.ndarray]) -> int:
         """Bind ``tree``'s leaves to new blocks filled with ``columns``' rows."""
-        delta = self._recording()
+        touched = self._recording()
         # One stable sort groups the rows by leaf (each leaf keeps table
         # order).  Each leaf gathers its own arrays through its slice of the
         # order: a slice of one sorted copy would keep the whole copy alive
@@ -275,8 +242,8 @@ class StoredTable:
         blocks = [self.dfs.create_block(self.name, leaf_columns) for leaf_columns in leaf_contents]
         block_ids = [block.block_id for block in blocks]
         # The whole tree is named before it is registered, so a failure part
-        # way through registration still bumps and describes it.
-        delta.blocks.update(block_ids)
+        # way through registration still bumps and stamps it.
+        touched.update(block_ids)
 
         tree_id = self._next_tree_id
         self._next_tree_id += 1
@@ -292,7 +259,7 @@ class StoredTable:
 
     def _register_block(self, block_id: int, tree_id: int, num_rows: int) -> None:
         """Record a freshly created block in the statistics caches."""
-        self._recording().blocks.add(block_id)
+        self._recording().add(block_id)
         self._block_to_tree[block_id] = tree_id
         self._block_rows[block_id] = num_rows
         self._tree_blocks[tree_id].append(block_id)
@@ -303,7 +270,7 @@ class StoredTable:
 
     def _open_block(self, block_id: int) -> Block:
         """The block about to be rewritten in place, recorded as changed."""
-        self._recording().blocks.add(block_id)
+        self._recording().add(block_id)
         return self.dfs.peek_block(block_id)
 
     def _append_rows(
@@ -320,7 +287,7 @@ class StoredTable:
         those rows are row ``i`` of the (targets × columns) matrices
         ``lows`` / ``highs``.  The columns become one :class:`Batch`, and
         each block appends one record of it (see :meth:`Block.extend`)."""
-        self._recording().blocks.update(block_ids)
+        self._recording().update(block_ids)
         batch = Batch(dict(zip(names, columns)))
         lows, highs = np.asarray(lows, dtype=np.float64), np.asarray(highs, dtype=np.float64)
         peek_block = self.dfs.peek_block
@@ -363,11 +330,11 @@ class StoredTable:
         Blocks are only ever deleted together with their tree, so there is
         no standalone block-deletion primitive.
         """
-        delta = self._recording()
+        touched = self._recording()
         block_ids = self._tree_blocks.pop(tree_id)
         # The whole tree is named before the first deletion, so a failure
-        # part way through still describes every block it may have lost.
-        delta.blocks.update(block_ids)
+        # part way through still stamps every block it may have lost.
+        touched.update(block_ids)
         for block_id in block_ids:
             self.dfs.delete_block(block_id)
             del self._block_to_tree[block_id]
@@ -590,8 +557,8 @@ class StoredTable:
             lows[:, position] = np.minimum.reduceat(values, starts)
             highs[:, position] = np.maximum.reduceat(values, starts)
         targets = [target_block_ids[leaf] for leaf in leaves.tolist()]
-        # The descriptor ends up as the non-empty foreign sources plus the
-        # target leaves that received rows.
+        # The mutation stamps the non-empty foreign sources and the target
+        # leaves that received rows.
         with self.mutation():
             self._append_rows(targets, names, sorted_columns, bounds, lows, highs)
             for block_id, _ in sources:
@@ -620,12 +587,12 @@ class StoredTable:
         left_id, right_id = left.block_id, right.block_id
         if self.tree_of_block(left_id) != tree_id:
             raise PartitioningError(f"node is not part of tree {tree_id}")
-        with self.mutation() as delta:
+        with self.mutation():
             self.trees[tree_id].resplit_node(node, attribute, cutpoint)
             # The two leaves' bounds changed even when no rows end up moving,
-            # and the descriptor names a tree change by its blocks, so both
-            # blocks are recorded unconditionally.
-            delta.blocks.update((left_id, right_id))
+            # and a tree change is stamped on its blocks, so both blocks are
+            # recorded unconditionally.
+            self._recording().update((left_id, right_id))
             left_columns = self.dfs.peek_block(left_id).columns
             right_columns = self.dfs.peek_block(right_id).columns
             merged = {
@@ -674,7 +641,7 @@ class StoredTable:
             self.schema,
         )
         num_source_blocks = len(self.non_empty_block_ids())
-        with self.mutation(full=True):
+        with self.mutation():
             for tree_id in list(self.trees):
                 self._forget_tree(tree_id)
             self._materialize_tree(tree, all_columns)

@@ -1,16 +1,18 @@
-"""Incremental plan-state maintenance (the delta-patching planner).
+"""Incremental plan-state maintenance (the patching planner).
 
-Covers the change-descriptor plumbing end to end:
+Covers the change stamps end to end:
 
-* ``PartitionDelta`` algebra and the bounded per-table delta chain,
+* ``StoredTable.changed_since`` audited over random mutation sequences
+  against snapshots taken at every epoch, and mutation by mutation for
+  adding, dropping and re-splitting,
 * ``patch_overlap_matrix`` audited against brute-force recomputation over
   randomized keep/change/drop/append/permute perturbations,
 * the digest-keyed grouping memo,
-* ``HyperPlanCache`` delta upgrades — always checked *bit-identical*
-  against a session planning cold (the oracle: its tables'
-  ``delta_between`` answers ``None``, the fallback production takes on
-  chain overflow),
-* the chain-overflow fallback (spans past the retained window replan),
+* ``HyperPlanCache`` upgrades — always checked *bit-identical* against a
+  session planning cold (the oracle: its tables report every block as
+  changed, so nothing is kept and every upgrade falls back to cold
+  planning),
+* the one "everything changed" path: ``replace_with_tree`` plans cold,
 * read-only overlap matrices in every cached hyper plan.
 
 Agreement with the cold oracle over adaptive streams, on both execution
@@ -20,18 +22,21 @@ backends, is checked across the whole configuration matrix in
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.api import Session
-from repro.common.epochs import PartitionDelta
 from repro.common.predicates import between
 from repro.common.query import join_query
 from repro.common.rng import make_rng
 from repro.core import AdaptDBConfig
+from repro.core.optimizer import Optimizer
 from repro.join.grouping import group_blocks, matrix_row_digests
 from repro.join.overlap import compute_overlap_matrix, patch_overlap_matrix
 from repro.partitioning.two_phase import TwoPhasePartitioner
+from repro.partitioning.upfront import UpfrontPartitioner
 
 PRED = (5.0, 25.0)
 
@@ -39,16 +44,16 @@ PRED = (5.0, 25.0)
 def make_session(tables, incremental=True, **overrides):
     """A two-table session; ``incremental=False`` is the cold-planning oracle.
 
-    The oracle shadows ``delta_between`` on its tables so every span reads
-    as unavailable: hyper-plan upgrades then fall back to planning cold,
-    exactly as they do in production on chain overflow.
+    The oracle shadows ``changed_since`` on its tables so every block reads
+    as changed: a hyper-plan upgrade then keeps nothing and plans cold,
+    exactly as it does in production after ``replace_with_tree``.
     """
     config = AdaptDBConfig(rows_per_block=512, buffer_blocks=4, seed=3, **overrides)
     session = Session(config=config)
     for name in ("lineitem", "orders"):
         stored = session.load_table(tables[name])
         if not incremental:
-            stored.delta_between = lambda start, end: None
+            stored.changed_since = lambda block_id, epoch: True
     return session
 
 
@@ -90,67 +95,121 @@ def resplit_somewhere(table, fraction=0.5):
     return None
 
 
-# --------------------------------------------------------------------- #
-# PartitionDelta algebra
-# --------------------------------------------------------------------- #
-class TestPartitionDelta:
-    def test_merged_unions_all_sets(self):
-        parts = [PartitionDelta(blocks={1, 2}), PartitionDelta(blocks={2, 3}),
-                 PartitionDelta(blocks={9})]
-        merged = PartitionDelta.merged(parts)
-        assert merged.blocks == {1, 2, 3, 9}
-        assert not merged.full
-        assert parts[0].blocks == {1, 2}  # the inputs are not mutated
+def two_phase_tree(table, num_leaves):
+    return TwoPhasePartitioner("l_orderkey", ["l_quantity"]).build(
+        table.sample, total_rows=table.total_rows, num_leaves=num_leaves
+    )
 
-    def test_full_dominates_merge(self):
-        merged = PartitionDelta.merged(
-            [PartitionDelta(blocks={1}), PartitionDelta.full_change()]
-        )
-        assert merged.full
+
+def mutate(table, kind, rng):
+    """Apply one mutation of ``kind`` to ``table`` (it may turn out a no-op)."""
+    if kind == "move_blocks":
+        if table.num_trees < 2:
+            table.add_empty_tree(two_phase_tree(table, 4))
+        source, target = (int(t) for t in rng.choice(sorted(table.trees), 2, replace=False))
+        blocks = table.block_ids(source)
+        count = int(rng.integers(1, len(blocks) + 1))
+        table.move_blocks([int(b) for b in rng.choice(blocks, count, replace=False)], target)
+    elif kind == "resplit":  # over two empty leaves, only their bounds change
+        tree_id = int(rng.choice(sorted(table.trees)))
+        nodes = table.tree(tree_id).bottom_internal_nodes()
+        node, _ = nodes[int(rng.integers(len(nodes)))]
+        table.resplit(tree_id, node, node.attribute, node.cutpoint * float(rng.uniform(0.5, 1.5)))
+    elif kind == "add_empty_tree":
+        table.add_empty_tree(two_phase_tree(table, int(rng.integers(2, 6))))
+    elif kind == "drop_empty_trees":
+        table.drop_empty_trees()
+    else:
+        table.replace_with_tree(two_phase_tree(table, int(rng.integers(4, 12))))
+
+
+def partition_state(table):
+    """Block id -> (rows, content digest, tree id, leaf bounds), observed directly."""
+    leaves = {}
+
+    def walk(node, tree_id, path):
+        if node.is_leaf:
+            leaves[node.block_id] = (tree_id, path)
+            return
+        split = (node.attribute, node.cutpoint)
+        walk(node.left, tree_id, (*path, (*split, "<=")))
+        walk(node.right, tree_id, (*path, (*split, ">")))
+
+    for tree_id, tree in table.trees.items():
+        walk(tree.root, tree_id, ())
+    state = {}
+    for block_id in table.block_ids():
+        block = table.dfs.peek_block(block_id)
+        digest = hashlib.blake2b(digest_size=16)
+        for name, values in sorted(block.columns.items()):
+            digest.update(np.ascontiguousarray(values).tobytes())
+        state[block_id] = (block.num_rows, digest.digest(), leaves.get(block_id))
+    return state
+
+
+# --------------------------------------------------------------------- #
+# Change stamps: a multi-epoch audit
+# --------------------------------------------------------------------- #
+MUTATIONS = ("move_blocks", "resplit", "add_empty_tree", "drop_empty_trees", "replace_with_tree")
+
+
+class TestChangeStamps:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_change_is_stamped_after_every_earlier_epoch(self, tpch_tables, seed):
+        """After each mutation of a random run, for every earlier epoch,
+        every block that appeared, vanished, or whose rows, contents, tree
+        or leaf bounds differ from that epoch's snapshot is
+        ``changed_since`` it (so a change that did not bump fails too)."""
+        session = make_session(tpch_tables)
+        table = session.table("lineitem")
+        rng = make_rng(seed)
+        snapshots = {table.epoch: partition_state(table)}
+        for kind in [*MUTATIONS, *rng.choice(MUTATIONS, 10)]:
+            mutate(table, str(kind), rng)
+            now = partition_state(table)
+            for epoch, then in snapshots.items():
+                changed = {b for b in then.keys() | now.keys() if then.get(b) != now.get(b)}
+                unstamped = [b for b in sorted(changed) if not table.changed_since(b, epoch)]
+                assert unstamped == [], f"{kind}: changes since epoch {epoch} left unstamped"
+            assert not any(table.changed_since(b, table.epoch) for b in now)
+            snapshots[table.epoch] = now
+        assert len(snapshots) > len(MUTATIONS)
+        table.audit_cached_statistics()
+        session.close()
+
+
+def changed_blocks(table, epoch, block_ids):
+    return {b for b in block_ids if table.changed_since(b, epoch)}
+
+
+class TestPartitionDelta:
+    """What one change to the tree set stamps, block by block."""
 
     def test_touched_blocks_and_tree_set_preservation(self, tpch_tables):
         """A change to the tree set is described by block ids alone: adding
-        a tree names every block it creates, dropping one every block it
-        deletes."""
+        a tree stamps every block it creates and nothing else, dropping one
+        makes every block it deletes read as changed."""
         session = make_session(tpch_tables)
         table = session.table("lineitem")
+        old = set(table.block_ids())
         before = table.epoch
-        tree = TwoPhasePartitioner("l_orderkey", ["l_quantity"]).build(
-            table.sample, total_rows=table.total_rows, num_leaves=4
-        )
-        tree_id = table.add_empty_tree(tree)
+        tree_id = table.add_empty_tree(two_phase_tree(table, 4))
         added = set(table.block_ids(tree_id))
-        assert table.delta_between(before, table.epoch) == PartitionDelta(blocks=added)
+        assert added and not added & old
+        assert changed_blocks(table, before, old | added) == added
         before = table.epoch
         assert table.drop_empty_trees() == [tree_id]
-        assert table.delta_between(before, table.epoch) == PartitionDelta(blocks=added)
+        assert changed_blocks(table, before, old | added) == added
         session.close()
 
 
-# --------------------------------------------------------------------- #
-# The bounded delta chain
-# --------------------------------------------------------------------- #
 class TestDeltaChain:
-    def test_load_records_a_full_descriptor(self, tpch_tables):
-        session = make_session(tpch_tables)
-        table = session.table("lineitem")
-        delta = table.delta_between(0, table.epoch)
-        assert delta is not None and delta.full
-        session.close()
+    """What single mutations stamp, and what an unchanged table reports."""
 
     def test_empty_span_is_an_empty_delta(self, tpch_tables):
         session = make_session(tpch_tables)
         table = session.table("lineitem")
-        delta = table.delta_between(table.epoch, table.epoch)
-        assert delta is not None
-        assert not delta.full and not delta.blocks
-        session.close()
-
-    def test_out_of_range_spans_return_none(self, tpch_tables):
-        session = make_session(tpch_tables)
-        table = session.table("lineitem")
-        assert table.delta_between(table.epoch, table.epoch + 1) is None
-        assert table.delta_between(table.epoch, table.epoch - 1) is None
+        assert changed_blocks(table, table.epoch, table.block_ids()) == set()
         session.close()
 
     def test_resplit_records_blocks_and_tree(self, tpch_tables):
@@ -159,22 +218,8 @@ class TestDeltaChain:
         before = table.epoch
         pair = resplit_somewhere(table)
         assert pair is not None
-        delta = table.delta_between(before, table.epoch)
-        assert delta is not None and not delta.full
-        assert set(pair) <= delta.blocks
-        session.close()
-
-    def test_chain_overflow_returns_none_for_old_spans(self, tpch_tables):
-        session = make_session(tpch_tables)
-        table = session.table("lineitem")
-        table.delta_chain_limit = 2
-        start = table.epoch
-        for _ in range(4):
-            with table.mutation() as delta:
-                delta.blocks.add(1)
-        assert table.delta_between(start, table.epoch) is None
-        recent = table.delta_between(table.epoch - 1, table.epoch)
-        assert recent is not None and recent.blocks == {1}
+        assert table.epoch == before + 1
+        assert set(pair) <= changed_blocks(table, before, table.block_ids())
         session.close()
 
 
@@ -286,33 +331,34 @@ class TestIncrementalBitIdentity:
         assert stats[True]["hyper_upgrades"] > 0
         assert stats[False]["hyper_upgrades"] == 0
 
-    def test_chain_overflow_falls_back_to_cold_planning(self, tpch_tables):
-        """Spans past the retained delta window must replan, never guess."""
-        fingerprints = {}
-        for incremental in (True, False):
-            session = make_session(tpch_tables, incremental=incremental)
-            for name in ("lineitem", "orders"):
-                session.table(name).delta_chain_limit = 1
-            sequence = [session.run(li_join(), adapt=False).fingerprint()]
-            for step in range(2):
-                # Two bumps per round: a span of 2 overflows a chain of 1.
-                assert resplit_somewhere(
-                    session.table("lineitem"), fraction=0.4 + 0.1 * step
+    def test_replace_with_tree_plans_cold(self, tpch_tables):
+        """Once both sides went through ``replace_with_tree`` an upgrade
+        would keep no overlap row and no column, so the cache plans cold: no
+        upgrade is counted, and the plan equals a fresh optimizer's."""
+        session = make_session(tpch_tables, force_join_method="hyper")
+        session.plan(li_join(), adapt=False)
+        for name, column in (("lineitem", "l_orderkey"), ("orders", "o_orderkey")):
+            table = session.table(name)
+            table.replace_with_tree(
+                UpfrontPartitioner([column], table.rows_per_block).build(
+                    table.sample, total_rows=table.total_rows
                 )
-                assert resplit_somewhere(
-                    session.table("lineitem"), fraction=0.45 + 0.1 * step
-                )
-                sequence.append(session.run(li_join(), adapt=False).fingerprint())
-            fingerprints[incremental] = sequence
-            if incremental:
-                stats = session.cache_stats()
-                assert stats["hyper_upgrades"] == 0
-            session.close()
-        assert fingerprints[True] == fingerprints[False]
+            )
+        upgrades = session.optimizer.hyper_cache.upgrades
+        plan = session.plan(li_join(), adapt=False).join_decisions[0].hyper_plan
+        assert session.optimizer.hyper_cache.upgrades == upgrades
+        fresh = Optimizer(session.catalog, session.cluster, session.config)
+        expected = fresh.plan_query(li_join()).join_decisions[0].hyper_plan
+        assert plan.build_block_ids == expected.build_block_ids
+        assert plan.probe_block_ids == expected.probe_block_ids
+        assert np.array_equal(plan.overlap, expected.overlap)
+        assert plan.grouping == expected.grouping
+        assert plan.probe_multiplicity == expected.probe_multiplicity
+        session.close()
 
     def test_cached_overlap_matrices_refuse_in_place_writes(self, tpch_tables):
-        """Both places a hyper-plan entry is built — cold planning and a
-        delta upgrade — hand out a read-only overlap matrix, so patching a
+        """Both places a hyper-plan entry is built — cold planning and an
+        upgrade — hand out a read-only overlap matrix, so patching a
         cached matrix in place raises at the write."""
         session = make_session(tpch_tables, force_join_method="hyper")
         plans = [session.plan(li_join(), adapt=False).join_decisions[0].hyper_plan]

@@ -8,13 +8,14 @@ tampered plans and checkpoint/reopen cycles through every configuration at
 once::
 
     {tasks, parallel} x {memory, mmap unbounded, mmap evicting}
-                      x {plan cache on, off} x {delta patching, cold oracle}
+                      x {plan cache on, off} x {patching, cold oracle}
 
 After every step the fingerprints and the logical and physical ``explain()``
 texts agree across the whole matrix, every join cardinality equals
 ``reference_join_count`` and every scan count equals ``rows_matching`` on the
-raw tables.  The cold oracle shadows ``delta_between`` with ``None``, exactly
-as production falls back on a delta-chain overflow.  The parallel axis
+raw tables.  The cold oracle shadows ``changed_since`` with "every block
+changed", so an upgrade keeps nothing and plans cold, exactly as production
+does once both sides of a join went through ``replace_with_tree``.  The parallel axis
 replays each step's physical plan through both backends of one session, and
 every session's parallel backend runs on one shared worker pool.  At the end
 of the run, every fast path the matrix is the oracle for must have fired.
@@ -28,7 +29,7 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, seed, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -85,7 +86,7 @@ class Config:
     def __str__(self) -> str:
         return (
             f"{self.storage}/cache={'on' if self.plan_cache else 'off'}"
-            f"/{'delta' if self.incremental else 'cold'}"
+            f"/{'patch' if self.incremental else 'cold'}"
         )
 
 
@@ -127,6 +128,17 @@ def check_answers(logical, result) -> None:
         )
 
 
+#: The run's seed.  Derandomization alone seeds from this class's source, so
+#: any edit to the class would draw different steps; pinned, an edit keeps
+#: the steps (and the fast paths they fire) the matrix has always run.
+MATRIX_SEED = int(
+    "67dd07a403933255b28c7e8f7bd946c733b696c827f6e211"
+    "0fe3a6e3e766b12b10971c9fa869f4141e9da4004d8c1ea5",
+    16,
+)
+
+
+@seed(MATRIX_SEED)
 class ConfigurationMatrix(RuleBasedStateMachine):
     #: The worker pool every session's parallel backend shares (set per run).
     pool: WorkerPool
@@ -150,7 +162,7 @@ class ConfigurationMatrix(RuleBasedStateMachine):
     def wire(self, config: Config, session: Session) -> Session:
         if not config.incremental:
             for table in session.catalog.tables():
-                table.delta_between = lambda start, end: None
+                table.changed_since = lambda block_id, epoch: True
         session.backends["parallel"]._pool = self.pool
         return session
 

@@ -164,7 +164,7 @@ class TestAgreement:
 
 
 # --------------------------------------------------------------------- #
-# The slab: a per-table cache of block copies, invalidated by deltas
+# The slab: a per-table cache of block copies, invalidated by change stamps
 # --------------------------------------------------------------------- #
 def lineitem_of(tpch_tables, rows_per_block: int = 512):
     """A stored ``lineitem`` (blocks of uneven sizes) outside any parallel session."""
@@ -257,25 +257,21 @@ class TestSlab:
             cache.close()
             store.close()
 
-    @pytest.mark.parametrize("fallback", ["full-delta", "chain-overflow", "exhaustion"])
+    @pytest.mark.parametrize("fallback", ["replace-with-tree", "exhaustion"])
     def test_fallbacks_agree_with_tasks_and_keep_one_segment(
         self, tpch_tables, monkeypatch, fallback
     ):
-        """Whenever the delta cannot say what changed (a ``full`` descriptor,
-        a span the bounded chain no longer covers) every slot is stale, and
-        when no extent fits the segment is replaced: answers stay those of
-        ``tasks`` and each table still owns exactly one segment."""
+        """Whenever every block changed (``replace_with_tree``) every slot is
+        stale, and when no extent fits the segment is replaced: answers stay
+        those of ``tasks`` and each table still owns exactly one segment."""
         session = full_session(tpch_tables)
-        if fallback == "chain-overflow":
-            for table in session.catalog.tables():
-                table.delta_chain_limit = 1
         store = session.backends["parallel"].store
         seen: set[str] = set()
         try:
             if fallback == "exhaustion":
                 small = born_small(store, session.table("lineitem"), monkeypatch)
             for index, query in enumerate(adaptive_stream(12)):
-                if fallback == "full-delta" and index % 4 == 3:
+                if fallback == "replace-with-tree" and index % 4 == 3:
                     table = session.table("lineitem")
                     table.replace_with_tree(
                         UpfrontPartitioner(["l_orderkey"], table.rows_per_block).build(
@@ -538,9 +534,9 @@ class TestSegmentLifecycle:
         assert [store() for store in stores] == [None, None]
 
     def test_epoch_bump_invalidates_pin(self, par_session):
-        """A blanket epoch bump makes every slot stale — the blocks read next
-        are copied again — but the segment, and the workers' attachment to
-        it, stay."""
+        """A bump that stamps every block makes every slot stale — the blocks
+        read next are copied again — but the segment, and the workers'
+        attachment to it, stay."""
         query = scan_query("lineitem", [between("l_quantity", 1, 20)])
         baseline = par_session.run(query, adapt=False).fingerprint()
         store = par_session.backends["parallel"].store
@@ -551,8 +547,9 @@ class TestSegmentLifecycle:
         assert par_session.run(query, adapt=False).fingerprint() == baseline
         assert store.copied_bytes == copied  # a current slab costs nothing
 
-        with table.mutation(full=True):
-            pass
+        with table.mutation():
+            for block_id in table.block_ids():
+                table._open_block(block_id)
         assert par_session.run(query, adapt=False).fingerprint() == baseline
         assert store.copied_bytes == 2 * copied
         assert store.segment_of("lineitem") == segment

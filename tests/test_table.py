@@ -10,7 +10,6 @@ import pytest
 
 from repro.api import Session
 from repro.cluster import Cluster
-from repro.common.epochs import PartitionDelta
 from repro.common.errors import PartitioningError, SchemaError, StorageError
 from repro.common.predicates import between, le, rows_matching
 from repro.common.query import join_query
@@ -279,38 +278,37 @@ class TestMutationContext:
 
     def test_mutations_do_not_nest(self):
         stored = load_table(500, 256)
+        block_id = stored.block_ids()[0]
         before = stored.epoch
         with pytest.raises(StorageError, match="does not nest"):
-            with stored.mutation(full=True):
+            with stored.mutation():
+                stored._open_block(block_id)
                 with stored.mutation():
                     pass
         # The outer mutation still closed: one bump, and the table is usable.
         assert stored.epoch == before + 1
+        assert stored.changed_since(block_id, before)
         with stored.mutation():
             pass
 
-    def test_empty_mutation_neither_bumps_nor_grows_the_chain(self):
+    def test_empty_mutation_neither_bumps_nor_stamps(self):
         stored = load_table(500, 256)
-        before, chain = stored.epoch, list(stored._delta_chain)
+        before, stamps = stored.epoch, dict(stored._written_at)
         with stored.mutation():
             pass
-        assert stored.epoch == before and stored._delta_chain == chain
-        with stored.mutation(full=True):
-            pass
-        assert stored.epoch == before + 1
-        assert stored.delta_between(before, stored.epoch).full
+        assert stored.epoch == before and stored._written_at == stamps
+        assert not any(stored.changed_since(b, before) for b in stored.block_ids())
 
-    def test_caller_may_add_to_but_not_take_from_what_was_recorded(self):
+    def test_a_raising_mutation_still_bumps_and_stamps_what_it_touched(self):
         stored = load_table(2000, 256)
-        block_id, extra_id = stored.non_empty_block_ids()[:2]
+        block_id = stored.non_empty_block_ids()[0]
         before = stored.epoch
-        with stored.mutation() as delta:
-            stored._clear_block(block_id)
-            delta.blocks.clear()
-            delta.blocks.add(extra_id)
+        with pytest.raises(InjectedFault):
+            with stored.mutation():
+                stored._clear_block(block_id)
+                raise InjectedFault("after the write")
         assert stored.epoch == before + 1
-        recorded = stored.delta_between(before, stored.epoch)
-        assert recorded.blocks == {block_id, extra_id}
+        assert [b for b in stored.block_ids() if stored.changed_since(b, before)] == [block_id]
 
 
 # --------------------------------------------------------------------- #
@@ -336,8 +334,6 @@ FAULT_POINTS = {
 ENTRY_POINTS = (
     "load", "move_blocks", "resplit", "add_empty_tree", "drop_empty_trees", "replace_with_tree",
 )
-#: Entry points that are blanket changes: they always bump, with a full delta.
-FULL_ENTRY_POINTS = ("load", "replace_with_tree")
 JOIN = join_query("t", "u", "key", "key", predicates={"t": [between("other", 10, 70)]})
 
 
@@ -347,18 +343,23 @@ def dimension_table() -> ColumnTable:
     return ColumnTable("u", schema, {"key": keys, "weight": keys / 7.0})
 
 
-def tree_shape(node) -> object:
+def leaf_bounds(node, path: tuple = ()) -> dict[int, tuple]:
+    """Block id -> the splits on the path from ``node`` down to its leaf."""
     if node.is_leaf:
-        return node.block_id
-    return (node.attribute, node.cutpoint, tree_shape(node.left), tree_shape(node.right))
+        return {node.block_id: path}
+    split = (node.attribute, node.cutpoint)
+    return {
+        **leaf_bounds(node.left, (*path, (*split, "<="))),
+        **leaf_bounds(node.right, (*path, (*split, ">"))),
+    }
 
 
 @dataclass
 class PartitionSnapshot:
-    """A table's partition state, observed directly: the descriptor's oracle."""
+    """A table's partition state, observed directly: the oracle of its stamps."""
 
     blocks: dict[int, tuple[int, bytes]]  # block id -> (rows, content digest)
-    trees: dict[int, object]  # tree id -> structure
+    leaves: dict[int, tuple[int, tuple]]  # block id -> (tree id, leaf bounds)
     registered: dict[int, frozenset[int]]  # tree id with statistics -> its block ids
     next_tree_id: int
 
@@ -371,36 +372,39 @@ class PartitionSnapshot:
             for name in sorted(columns):
                 digest.update(np.ascontiguousarray(columns[name]).tobytes())
             blocks[block_id] = (rows, digest.digest())
-        trees = {tree_id: tree_shape(tree.root) for tree_id, tree in stored.trees.items()}
+        leaves = {
+            block_id: (tree_id, bounds)
+            for tree_id, tree in stored.trees.items()
+            for block_id, bounds in leaf_bounds(tree.root).items()
+        }
         registered = {
             tree_id: frozenset(block_ids) for tree_id, block_ids in stored._tree_blocks.items()
         }
-        return cls(blocks, trees, registered, stored._next_tree_id)
+        return cls(blocks, leaves, registered, stored._next_tree_id)
 
-    def undescribed(self, after: "PartitionSnapshot", delta: PartitionDelta) -> list[str]:
-        """Every change from this snapshot to ``after`` that ``delta`` misses.
+    def undescribed(self, after: "PartitionSnapshot", stored: StoredTable, epoch: int) -> list[str]:
+        """Every block that changed from this snapshot to ``after`` but is
+        not ``stored.changed_since(epoch)``.
 
-        A descriptor holds block ids only, so a tree change must show in the
-        blocks it names: an added or dropped tree by all of its blocks, a
-        restructured one by at least one.
+        A block changed if it appeared or vanished, or its rows, content
+        digest, tree or leaf bounds differ; a tree added to or dropped from
+        the statistics changed all of its blocks.
         """
-        if delta.full:
-            return []
-        missing = [
-            f"block {block_id}"
-            for block_id in sorted(self.blocks.keys() | after.blocks.keys())
-            if self.blocks.get(block_id) != after.blocks.get(block_id)
-            and block_id not in delta.blocks
-        ]
-        for tree_id in sorted(self.registered.keys() | after.registered.keys()):
+        changed = {
+            block_id
+            for before, now in ((self.blocks, after.blocks), (self.leaves, after.leaves))
+            for block_id in before.keys() | now.keys()
+            if before.get(block_id) != now.get(block_id)
+        }
+        for tree_id in self.registered.keys() | after.registered.keys():
             old, new = self.registered.get(tree_id), after.registered.get(tree_id)
-            if (old is None) != (new is None):
-                if not (old or new) <= delta.blocks:
-                    missing.append(f"tree {tree_id} added or dropped")
-            elif self.trees.get(tree_id) != after.trees.get(tree_id):
-                if (old | new).isdisjoint(delta.blocks):
-                    missing.append(f"tree {tree_id} restructured")
-        return missing
+            if old != new:
+                changed |= (old or frozenset()) | (new or frozenset())
+        return [
+            f"block {block_id}"
+            for block_id in sorted(changed)
+            if not stored.changed_since(block_id, epoch)
+        ]
 
 
 def two_phase_tree(stored: StoredTable, num_leaves: int = 8) -> PartitioningTree:
@@ -477,16 +481,13 @@ def run_with_fault(monkeypatch, entry: str, fault: str, k: int) -> int:
     stored = subject[0]
     after = PartitionSnapshot.capture(stored)
     changed, advanced = after != before, stored.epoch != epoch
-    full = entry in FULL_ENTRY_POINTS
-    # The epoch advanced if and only if something changed (a blanket change
-    # always advances it).  A write failing half-way through a primitive
-    # may leave it advanced over a recorded change it never made.
-    assert advanced or not (changed or full)
+    # The epoch advanced if and only if something changed.  A write failing
+    # half-way through a primitive may leave it advanced over a recorded
+    # change it never made.
+    assert advanced or not changed
     if fault in PRIMITIVES:
-        assert advanced == (changed or full)
-    delta = stored.delta_between(epoch, stored.epoch)
-    assert delta.full == (full and advanced)
-    assert before.undescribed(after, delta) == []
+        assert advanced == changed
+    assert before.undescribed(after, stored, epoch) == []
 
     # The next query answers from what the table's trees now hold.
     if "t" not in session.catalog:
@@ -508,7 +509,7 @@ def run_with_fault(monkeypatch, entry: str, fault: str, k: int) -> int:
 @pytest.mark.parametrize("fault", sorted(FAULT_POINTS))
 def test_a_failure_anywhere_leaves_a_described_state(monkeypatch, fault, entry):
     """Raise at every call of every fault point inside every entry point:
-    the epoch and the delta chain cover whatever happened before the raise,
+    the epoch and the block stamps cover whatever happened before the raise,
     and the next query is answered from what the table now holds."""
     calls = run_with_fault(monkeypatch, entry, fault, 0)
     for k in range(1, calls + 1):
