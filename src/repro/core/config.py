@@ -38,7 +38,6 @@ class AdaptDBConfig:
             models the Full Scan baseline.
         force_join_method: ``None`` (cost-based choice), ``"shuffle"`` or
             ``"hyper"`` to force a join algorithm for ablation runs.
-        grouping_algorithm: Block-grouping heuristic used by hyper-join.
         sample_size: Rows retained in each table's sample.
         replication: DFS replication factor (at least 1).
         seed: Seed for all randomized choices.
@@ -89,7 +88,6 @@ class AdaptDBConfig:
     enable_amoeba: bool = True
     enable_pruning: bool = True
     force_join_method: str | None = None
-    grouping_algorithm: str = "bottom_up"
     sample_size: int = 10_000
     replication: int = 3
     seed: int = 20170101
@@ -126,6 +124,8 @@ class AdaptDBConfig:
                     f"(0 means unbounded), got {raw_budget!r}"
                 )
             self.buffer_bytes = env_budget or None
+        if self.num_machines < 1:
+            raise PlanningError("num_machines must be at least 1")
         if self.rows_per_block <= 0:
             raise PlanningError("rows_per_block must be positive")
         if self.buffer_blocks < 1:
@@ -136,6 +136,8 @@ class AdaptDBConfig:
             raise PlanningError("join_level_fraction must be in [0, 1]")
         if self.join_levels_override is not None and self.join_levels_override < 0:
             raise PlanningError("join_levels_override must be at least 0 (or None)")
+        if self.sample_size < 0:
+            raise PlanningError("sample_size must be non-negative")
         if self.replication < 1:
             raise PlanningError("replication must be at least 1")
         if self.shuffle_cost_factor < 1.0:

@@ -165,7 +165,6 @@ class Optimizer:
             build_col,
             probe_col,
             self.config.buffer_blocks,
-            self.config.grouping_algorithm,
         )
 
     def _choose_method(self, shuffle_cost: float, hyper_cost: float) -> JoinMethod:

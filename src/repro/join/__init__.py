@@ -2,7 +2,6 @@
 and the row kernels the task engine runs joins with."""
 
 from .grouping import (
-    GROUPING_ALGORITHMS,
     Grouping,
     average_probe_multiplicity,
     bottom_up_grouping,
@@ -17,7 +16,6 @@ from .kernels import hash_partition, join_match_count_arrays
 from .overlap import compute_overlap_matrix, delta, probe_blocks_needed, ranges_overlap, union_vector
 
 __all__ = [
-    "GROUPING_ALGORITHMS",
     "Grouping",
     "HyperJoinPlan",
     "ILPSolution",

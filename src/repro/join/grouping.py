@@ -7,11 +7,16 @@ of a grouping is the total number of probe-block reads:
 
     C(P) = Σ_{p ∈ P} δ( ∨_{r ∈ p} v_r )
 
-Choosing the groups to minimize this cost is NP-hard (Section 4.1.4); this
-module provides:
+Choosing the groups to minimize this cost is NP-hard (Section 4.1.4).  The
+planner uses one rule, the paper's bottom-up heuristic (Figure 6), through
+the memo :func:`group_blocks`:
 
-* :func:`bottom_up_grouping` — the paper's practical heuristic (Figure 6),
-  run over the matrix's distinct overlap vectors rather than its rows,
+* :func:`bottom_up_grouping` — Figure 6, run over the matrix's distinct
+  overlap vectors rather than its rows.
+
+The others are comparisons for the grouping ablation (Example 1, Figure 17),
+called directly, never by the planner:
+
 * :func:`greedy_grouping` — the approximate algorithm of Figure 5, realized
   with the same greedy block-at-a-time rule but restarted per group,
 * :func:`first_fit_grouping` — a naive baseline that chunks blocks in their
@@ -20,7 +25,6 @@ module provides:
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
@@ -39,12 +43,10 @@ class Grouping:
         groups: Lists of build-side block *indices* (positions in the overlap
             matrix, not DFS block ids).
         probe_reads_per_group: δ of the union vector of each group.
-        algorithm: Name of the algorithm that produced this grouping.
     """
 
     groups: list[list[int]]
     probe_reads_per_group: list[int] = field(default_factory=list)
-    algorithm: str = ""
 
     @property
     def total_probe_reads(self) -> int:
@@ -159,7 +161,7 @@ def bottom_up_grouping(overlap: np.ndarray, budget: int) -> Grouping:
                 # A partly taken vector has a new lowest block; until now it
                 # lay inside the union, where only bulk takes read it.
                 live.sort(key=lambda vector: blocks[vector][done[vector]])
-    return Grouping(groups=groups, probe_reads_per_group=reads, algorithm="bottom_up")
+    return Grouping(groups=groups, probe_reads_per_group=reads)
 
 
 def greedy_grouping(overlap: np.ndarray, budget: int) -> Grouping:
@@ -191,7 +193,7 @@ def greedy_grouping(overlap: np.ndarray, budget: int) -> Grouping:
             remaining[best] = False
         groups.append(group)
 
-    grouping = Grouping(groups=groups, algorithm="greedy")
+    grouping = Grouping(groups=groups)
     grouping.probe_reads_per_group = grouping_cost(overlap, groups)
     return grouping
 
@@ -204,73 +206,36 @@ def first_fit_grouping(overlap: np.ndarray, budget: int) -> Grouping:
         list(range(start, min(start + budget, num_blocks)))
         for start in range(0, num_blocks, budget)
     ]
-    grouping = Grouping(groups=groups, algorithm="first_fit")
+    grouping = Grouping(groups=groups)
     grouping.probe_reads_per_group = grouping_cost(overlap, groups)
     return grouping
-
-
-GROUPING_ALGORITHMS = {
-    "bottom_up": bottom_up_grouping,
-    "greedy": greedy_grouping,
-    "first_fit": first_fit_grouping,
-}
 
 
 _GROUPING_CACHE: dict[tuple, Grouping] = {}
 _GROUPING_CACHE_LIMIT = 512
 
 
-def matrix_row_digests(overlap: np.ndarray) -> list[bytes]:
-    """Per-row content digests of the overlap matrix.
+def group_blocks(overlap: np.ndarray, budget: int) -> Grouping:
+    """The planner's grouping: :func:`bottom_up_grouping`, memoized.
 
-    The grouping memo keys on these instead of the whole-matrix bytes so an
-    incremental planner that patched only a few rows can produce the memo
-    key in O(changed): it reuses the digests of untouched rows and hashes
-    only the rewritten ones (see ``HyperPlanCache``).
-    """
-    contiguous = np.ascontiguousarray(overlap, dtype=bool)
-    return [
-        hashlib.blake2b(row.tobytes(), digest_size=16).digest() for row in contiguous
-    ]
-
-
-def group_blocks(
-    overlap: np.ndarray,
-    budget: int,
-    algorithm: str = "bottom_up",
-    row_digests: list[bytes] | None = None,
-) -> Grouping:
-    """Dispatch to a named grouping algorithm.
-
-    Every algorithm is a deterministic pure function of the overlap matrix,
-    so results are memoized on per-row content digests: the optimizer costs
-    both build directions of every hyper-join every query, consecutive
-    queries from the same template reproduce the same overlap pattern, and a
-    patched matrix whose rows all survived an epoch bump hits the same memo
-    entry as the cold computation that created it.  Callers must treat the
-    returned :class:`Grouping` as read-only.
+    Bottom-up grouping is a deterministic pure function of the overlap
+    matrix, and the optimizer costs both build directions of every
+    hyper-join every query, while consecutive queries from the same
+    template reproduce the same overlap pattern.  The memo keys on the
+    matrix itself: its shape (packing pads each row to whole bytes) and its
+    rows packed to bits, so equal matrices share an entry whatever array
+    holds them.  It is process-wide and emptied when it holds 512 entries.
+    Callers must treat the returned :class:`Grouping` as read-only.
 
     Args:
         overlap: The boolean overlap matrix ``V``.
         budget: Maximum blocks per group (the paper's ``B``).
-        algorithm: One of ``bottom_up``, ``greedy``, ``first_fit``.
-        row_digests: Precomputed :func:`matrix_row_digests` of ``overlap``
-            (an incremental caller maintains them row-by-row); computed here
-            when omitted.
     """
-    try:
-        implementation = GROUPING_ALGORITHMS[algorithm]
-    except KeyError:
-        raise PlanningError(
-            f"unknown grouping algorithm {algorithm!r}; choose from {sorted(GROUPING_ALGORITHMS)}"
-        ) from None
-    if row_digests is None:
-        row_digests = matrix_row_digests(overlap)
-    digest = hashlib.blake2b(b"".join(row_digests), digest_size=16).digest()
-    key = (overlap.shape, digest, budget, algorithm)
+    _check_inputs(overlap, budget)
+    key = (overlap.shape, np.packbits(overlap, axis=1).tobytes(), budget)
     cached = _GROUPING_CACHE.get(key)
     if cached is None:
         if len(_GROUPING_CACHE) >= _GROUPING_CACHE_LIMIT:
             _GROUPING_CACHE.clear()
-        cached = _GROUPING_CACHE[key] = implementation(overlap, budget)
+        cached = _GROUPING_CACHE[key] = bottom_up_grouping(overlap, budget)
     return cached

@@ -14,7 +14,6 @@ This module plans that schedule; the task engine executes it, one
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -23,7 +22,7 @@ import numpy as np
 from ..common.errors import PlanningError
 from ..common.lru import BoundedLRU
 from ..storage.dfs import DistributedFileSystem
-from .grouping import Grouping, average_probe_multiplicity, group_blocks, matrix_row_digests
+from .grouping import Grouping, average_probe_multiplicity, group_blocks
 from .overlap import Range, compute_overlap_matrix, patch_overlap_matrix
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -62,7 +61,6 @@ def plan_hyper_join(
     build_column: str,
     probe_column: str,
     buffer_blocks: int,
-    algorithm: str = "bottom_up",
 ) -> HyperJoinPlan:
     """Compute the hyper-join schedule (overlap matrix + grouping).
 
@@ -76,54 +74,82 @@ def plan_hyper_join(
         probe_block_ids: Candidate probe-side blocks.
         build_column / probe_column: Join attribute on each side.
         buffer_blocks: Memory budget ``B`` (build blocks per hash table).
-        algorithm: Grouping algorithm name (see ``repro.join.grouping``).
     """
-    if buffer_blocks < 1:
-        raise PlanningError("buffer_blocks must be at least 1")
+    return _plan_cold(
+        dfs, build_block_ids, probe_block_ids, build_column, probe_column, buffer_blocks
+    ).plan
 
-    def usable(block_ids: list[int], column: str) -> tuple[list[int], list[tuple[float, float]]]:
-        ids: list[int] = []
-        ranges: list[tuple[float, float]] = []
-        for block_id in block_ids:
-            block = dfs.peek_block(block_id)
-            found = block.find_range(column) if block.num_rows else None
-            if found is None:
-                continue
-            ids.append(block_id)
-            ranges.append(found)
-        return ids, ranges
 
-    build_ids, build_ranges = usable(build_block_ids, build_column)
-    probe_ids, probe_ranges = usable(probe_block_ids, probe_column)
-
-    overlap = compute_overlap_matrix(build_ranges, probe_ranges)
-    overlap.setflags(write=False)  # cached and shared: never patched in place
-    grouping = group_blocks(overlap, buffer_blocks, algorithm) if build_ids else Grouping(groups=[])
-    multiplicity = average_probe_multiplicity(overlap, grouping) if build_ids else 1.0
-    return HyperJoinPlan(
-        build_block_ids=build_ids,
-        probe_block_ids=probe_ids,
-        overlap=overlap,
-        grouping=grouping,
-        probe_multiplicity=multiplicity,
-    )
+def _usable_range(dfs: DistributedFileSystem, block_id: int, column: str) -> Range | None:
+    """The block's range on ``column``, or ``None`` when the block cannot
+    join: it has no rows, or no range on ``column``."""
+    block = dfs.peek_block(block_id)
+    return block.find_range(column) if block.num_rows else None
 
 
 @dataclass
 class _CacheEntry:
     """One memoized schedule plus the state needed to patch it later.
 
-    ``build_ranges`` / ``probe_ranges`` map each *usable* block id to the
-    join-attribute range it had when the plan was computed; ``row_digests``
-    are the per-row content digests of ``plan.overlap`` (the grouping memo
-    key material).  All containers are owned by the entry — upgrades build
-    fresh ones, never aliasing a plan handed to a caller.
+    ``build_ranges`` / ``probe_ranges`` map each *usable* block id, in
+    overlap-matrix order, to the join-attribute range it had when the plan
+    was computed.  Both are owned by the entry — upgrades build fresh ones,
+    never aliasing a plan handed to a caller.
     """
 
     build_ranges: dict[int, Range]
     probe_ranges: dict[int, Range]
-    row_digests: list[bytes]
     plan: HyperJoinPlan
+
+
+def _plan_cold(
+    dfs: DistributedFileSystem,
+    build_block_ids: list[int],
+    probe_block_ids: list[int],
+    build_column: str,
+    probe_column: str,
+    buffer_blocks: int,
+) -> _CacheEntry:
+    """Peek every candidate once, keep the usable ones, and plan over them."""
+    if buffer_blocks < 1:
+        raise PlanningError("buffer_blocks must be at least 1")
+
+    def usable(block_ids: list[int], column: str) -> dict[int, Range]:
+        ranges: dict[int, Range] = {}
+        for block_id in block_ids:
+            found = _usable_range(dfs, block_id, column)
+            if found is not None:
+                ranges[block_id] = found
+        return ranges
+
+    build_ranges = usable(build_block_ids, build_column)
+    probe_ranges = usable(probe_block_ids, probe_column)
+    overlap = compute_overlap_matrix(list(build_ranges.values()), list(probe_ranges.values()))
+    return _make_entry(build_ranges, probe_ranges, overlap, buffer_blocks)
+
+
+def _make_entry(
+    build_ranges: dict[int, Range],
+    probe_ranges: dict[int, Range],
+    overlap: np.ndarray,
+    buffer_blocks: int,
+) -> _CacheEntry:
+    """Group ``overlap`` (the matrix between the two sides' usable blocks)
+    into the schedule that cold plans and upgrades alike return."""
+    overlap.setflags(write=False)  # cached and shared: never patched in place
+    if build_ranges:
+        grouping = group_blocks(overlap, buffer_blocks)
+        multiplicity = average_probe_multiplicity(overlap, grouping)
+    else:
+        grouping, multiplicity = Grouping(groups=[]), 1.0
+    plan = HyperJoinPlan(
+        build_block_ids=list(build_ranges),
+        probe_block_ids=list(probe_ranges),
+        overlap=overlap,
+        grouping=grouping,
+        probe_multiplicity=multiplicity,
+    )
+    return _CacheEntry(build_ranges=build_ranges, probe_ranges=probe_ranges, plan=plan)
 
 
 class HyperPlanCache:
@@ -135,8 +161,7 @@ class HyperPlanCache:
     partition state the schedule is a pure function of the block-id lists and
     the planning knobs, so entries are keyed on::
 
-        (state_token, build_ids, probe_ids, build_col, probe_col,
-         buffer_blocks, algorithm)
+        (state_token, build_ids, probe_ids, build_col, probe_col, buffer_blocks)
 
     where ``state_token`` carries the ``(table, epoch)`` pairs of both sides.
     Any table mutation bumps its epoch and thereby orphans every entry that
@@ -145,7 +170,7 @@ class HyperPlanCache:
     :meth:`~repro.storage.table.StoredTable.changed_since` that entry's
     epochs, and **patches** the schedule — re-peeking only changed blocks,
     rewriting only changed overlap rows/columns, and re-grouping through
-    the digest-keyed memo — in O(changed × blocks) instead of recomputing
+    the matrix-keyed memo — in O(changed × blocks) instead of recomputing
     in O(blocks²).  The patched plan is bit-identical to a cold recompute by
     construction; when it would keep no overlap row and no column, the
     cache plans cold instead.
@@ -162,8 +187,11 @@ class HyperPlanCache:
     side.
     """
 
-    def __init__(self, capacity: int = 256) -> None:
-        self._cache: BoundedLRU[tuple, _CacheEntry] = BoundedLRU(capacity=capacity)
+    #: Entries kept (least recently used evicted first).
+    CAPACITY = 256
+
+    def __init__(self) -> None:
+        self._cache: BoundedLRU[tuple, _CacheEntry] = BoundedLRU(capacity=self.CAPACITY)
         #: join template -> full key of the newest entry for that template,
         #: the starting point for upgrades.
         self._history: dict[tuple, tuple] = {}
@@ -196,10 +224,8 @@ class HyperPlanCache:
         build_column: str,
         probe_column: str,
         buffer_blocks: int,
-        algorithm: str,
     ) -> HyperJoinPlan:
         """Return the cached schedule for this key, upgrading or planning on a miss."""
-        dfs = build_table.dfs
         state_token = (build_table.name, build_table.epoch, probe_table.name, probe_table.epoch)
         key = (
             state_token,
@@ -208,16 +234,8 @@ class HyperPlanCache:
             build_column,
             probe_column,
             buffer_blocks,
-            algorithm,
         )
-        template = (
-            state_token[0],
-            state_token[2],
-            build_column,
-            probe_column,
-            buffer_blocks,
-            algorithm,
-        )
+        template = (state_token[0], state_token[2], build_column, probe_column, buffer_blocks)
         entry = self._cache.get(key)
         if entry is None:
             entry = self._upgrade(
@@ -226,26 +244,13 @@ class HyperPlanCache:
             if entry is not None:
                 self._upgrades += 1
             else:
-                plan = plan_hyper_join(
-                    dfs,
+                entry = _plan_cold(
+                    build_table.dfs,
                     build_block_ids,
                     probe_block_ids,
                     build_column,
                     probe_column,
                     buffer_blocks,
-                    algorithm,
-                )
-                entry = _CacheEntry(
-                    build_ranges={
-                        block_id: dfs.peek_block(block_id).range_of(build_column)
-                        for block_id in plan.build_block_ids
-                    },
-                    probe_ranges={
-                        block_id: dfs.peek_block(block_id).range_of(probe_column)
-                        for block_id in plan.probe_block_ids
-                    },
-                    row_digests=matrix_row_digests(plan.overlap),
-                    plan=plan,
                 )
             self._cache.put(key, entry)
         self._history[template] = key
@@ -272,71 +277,33 @@ class HyperPlanCache:
         if old is None:
             return None
         old_token = old_key[0]
-        build_ids, build_ranges, kept_build = self._usable_via_delta(
-            build_table, old_token[1], build_block_ids, key[3], set(old_key[1]),
-            old.plan.build_block_ids, old.build_ranges,
+        build_ranges, kept_build = self._usable_via_delta(
+            build_table, old_token[1], build_block_ids, key[3], set(old_key[1]), old.build_ranges
         )
-        probe_ids, probe_ranges, kept_probe = self._usable_via_delta(
-            probe_table, old_token[3], probe_block_ids, key[4], set(old_key[2]),
-            old.plan.probe_block_ids, old.probe_ranges,
+        probe_ranges, kept_probe = self._usable_via_delta(
+            probe_table, old_token[3], probe_block_ids, key[4], set(old_key[2]), old.probe_ranges
         )
 
-        build_same = (
-            len(kept_build) == len(build_ids)
-            and build_ids == old.plan.build_block_ids
-        )
-        probe_same = (
-            len(kept_probe) == len(probe_ids)
-            and probe_ids == old.plan.probe_block_ids
-        )
-        if build_same and probe_same:
+        if (
+            len(kept_build) == len(build_ranges)
+            and list(build_ranges) == old.plan.build_block_ids
+            and len(kept_probe) == len(probe_ranges)
+            and list(probe_ranges) == old.plan.probe_block_ids
+        ):
             # Nothing this join reads actually changed — rebind the old
             # entry (shared read-only state) under the new epoch key.
             return old
         if not kept_build and not kept_probe:
             return None  # nothing kept: plan cold
 
-        buffer_blocks, algorithm = key[5], key[6]
         overlap = patch_overlap_matrix(
-            old.plan.overlap, build_ranges, probe_ranges, kept_build, kept_probe
+            old.plan.overlap,
+            list(build_ranges.values()),
+            list(probe_ranges.values()),
+            kept_build,
+            kept_probe,
         )
-        overlap.setflags(write=False)
-        if probe_same:
-            # Probe columns are untouched, so a kept build row's bytes — and
-            # therefore its digest — are unchanged; hash only fresh rows.
-            contiguous = np.ascontiguousarray(overlap, dtype=bool)
-            kept_rows = dict(kept_build)
-            row_digests = [
-                old.row_digests[kept_rows[row]]
-                if row in kept_rows
-                else hashlib.blake2b(
-                    contiguous[row].tobytes(), digest_size=16
-                ).digest()
-                for row in range(len(build_ids))
-            ]
-        else:
-            row_digests = matrix_row_digests(overlap)
-        if build_ids:
-            grouping = group_blocks(
-                overlap, buffer_blocks, algorithm, row_digests=row_digests
-            )
-            multiplicity = average_probe_multiplicity(overlap, grouping)
-        else:
-            grouping = Grouping(groups=[])
-            multiplicity = 1.0
-        plan = HyperJoinPlan(
-            build_block_ids=list(build_ids),
-            probe_block_ids=list(probe_ids),
-            overlap=overlap,
-            grouping=grouping,
-            probe_multiplicity=multiplicity,
-        )
-        return _CacheEntry(
-            build_ranges=dict(zip(build_ids, build_ranges)),
-            probe_ranges=dict(zip(probe_ids, probe_ranges)),
-            row_digests=row_digests,
-            plan=plan,
-        )
+        return _make_entry(build_ranges, probe_ranges, overlap, key[5])
 
     def _usable_via_delta(
         self,
@@ -345,37 +312,30 @@ class HyperPlanCache:
         candidate_ids: list[int],
         column: str,
         old_candidates: set[int],
-        old_usable_ids: list[int],
         old_ranges: dict[int, Range],
-    ) -> tuple[list[int], list[Range], list[tuple[int, int]]]:
+    ) -> tuple[dict[int, Range], list[tuple[int, int]]]:
         """One side's usable-block filter, peeking only blocks that changed
         since ``old_epoch``.
 
         A candidate examined for the old entry and unchanged since kept its
         contents, so its usability verdict and cached range are reused;
         everything else (new candidates, changed blocks) goes through the
-        same peek-and-filter as ``plan_hyper_join``.  Returns the usable
-        ids, their ranges, and ``(new_index, old_index)`` pairs for reused
+        same per-block filter as a cold plan.  Returns the usable ids with
+        their ranges, and ``(new_index, old_index)`` pairs for reused
         rows/columns.
         """
         dfs, changed_since = table.dfs, table.changed_since
-        old_index = {block_id: i for i, block_id in enumerate(old_usable_ids)}
-        ids: list[int] = []
-        ranges: list[Range] = []
+        old_index = {block_id: i for i, block_id in enumerate(old_ranges)}
+        usable: dict[int, Range] = {}
         kept: list[tuple[int, int]] = []
         for block_id in candidate_ids:
             if block_id in old_candidates and not changed_since(block_id, old_epoch):
-                cached_range = old_ranges.get(block_id)
-                if cached_range is None:
-                    continue  # examined before: empty or range-less, still is
-                kept.append((len(ids), old_index[block_id]))
-                ids.append(block_id)
-                ranges.append(cached_range)
+                # Examined before: an empty or range-less block still is.
+                found = old_ranges.get(block_id)
+                if found is not None:
+                    kept.append((len(usable), old_index[block_id]))
             else:
-                block = dfs.peek_block(block_id)
-                found = block.find_range(column) if block.num_rows else None
-                if found is None:
-                    continue
-                ids.append(block_id)
-                ranges.append(found)
-        return ids, ranges, kept
+                found = _usable_range(dfs, block_id, column)
+            if found is not None:
+                usable[block_id] = found
+        return usable, kept

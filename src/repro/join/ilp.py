@@ -73,7 +73,7 @@ def ilp_grouping(
 
     num_build, num_probe = overlap.shape
     if num_build == 0:
-        return ILPSolution(Grouping(groups=[], algorithm="ilp"), 0.0, 0.0, True)
+        return ILPSolution(Grouping(groups=[]), 0.0, 0.0, True)
 
     num_partitions = math.ceil(num_build / budget)
     num_x = num_build * num_partitions
@@ -161,7 +161,7 @@ def ilp_grouping(
         groups[k].append(i)
     groups = [group for group in groups if group]
 
-    grouping = Grouping(groups=groups, algorithm="ilp")
+    grouping = Grouping(groups=groups)
     grouping.probe_reads_per_group = grouping_cost(overlap, groups)
     return ILPSolution(
         grouping=grouping,

@@ -129,6 +129,12 @@ def hash_partition(keys: np.ndarray, num_partitions: int) -> np.ndarray:
     if num_partitions <= 0:
         raise ValueError("num_partitions must be positive")
     # np.mod takes the sign of the (positive) divisor: already non-negative.
+    if keys.dtype.kind == "f":
+        # Reduced in float64, whose remainder of a truncated key is exact, so
+        # a key within int64 goes where its int64 value would; NaN and ±inf
+        # (which have none) go to partition 0.  Equal keys still meet.
+        finite = np.where(np.isfinite(keys), np.trunc(keys), 0.0)
+        return np.mod(finite, num_partitions).astype(np.int64)
     return np.mod(keys.astype(np.int64, copy=False), num_partitions)
 
 

@@ -9,7 +9,9 @@ computation and the partitioning-tree lookup consume.
 **Ranges** are two float64 vectors per block, lows and highs, over a column
 index (column name -> position) that every block with the same column
 layout shares.  An absent range is the empty interval ``(inf, -inf)``, so an
-append merges a block's ranges with one ``np.minimum`` / ``np.maximum``.
+append merges a block's ranges with one ``np.fmin`` / ``np.fmax``.  Ranges
+skip NaN (it matches no predicate and no join key): a column whose rows are
+all NaN has no range, like an empty one.
 :attr:`Block.ranges` derives the ``{column: (lo, hi)}`` dict from them;
 readers that want one column's range ask :meth:`Block.find_range`.
 
@@ -298,8 +300,8 @@ class Block:
                 f"stored columns {sorted(stored)}"
             )
         pieces = list(rows.values())
-        lows = np.array([piece.min() for piece in pieces], dtype=np.float64)
-        highs = np.array([piece.max() for piece in pieces], dtype=np.float64)
+        lows = np.array([np.fmin.reduce(piece) for piece in pieces], dtype=np.float64)
+        highs = np.array([np.fmax.reduce(piece) for piece in pieces], dtype=np.float64)
         self.extend(Batch(rows), 0, added, lows, highs)
         return added
 
@@ -308,7 +310,7 @@ class Block:
     ) -> None:
         """Trusted append of rows ``start:end`` of ``batch``, whose per-column
         (min, max) over those rows are ``lows`` / ``highs``: float64 vectors
-        in the batch's column order.
+        in the batch's column order, NaN where the rows have no range.
 
         Block migration calls this once per target block: it has sorted one
         batch by target and derived every target's ranges with one
@@ -325,8 +327,8 @@ class Block:
             lows_at, highs_at = np.full((2, len(self._index)), [[np.inf], [-np.inf]])
             lows_at[positions], highs_at[positions] = lows, highs
             lows, highs = lows_at, highs_at
-        np.minimum(self._lo, lows, out=self._lo)
-        np.maximum(self._hi, highs, out=self._hi)
+        np.fmin(self._lo, lows, out=self._lo)
+        np.fmax(self._hi, highs, out=self._hi)
         stale = self._stale
         if not stale:
             # Every column is merged, so no record is left: the mapping
@@ -506,12 +508,15 @@ class Block:
 
 
 def compute_ranges(columns: dict[str, np.ndarray]) -> dict[str, tuple[float, float]]:
-    """Compute per-column (min, max) metadata, skipping empty columns."""
+    """Compute per-column (min, max) metadata over the non-NaN values,
+    skipping columns that have none."""
     ranges: dict[str, tuple[float, float]] = {}
     for name, array in columns.items():
         if len(array) == 0:
             continue
-        ranges[name] = (float(array.min()), float(array.max()))
+        lo = float(np.fmin.reduce(array))
+        if lo == lo:  # NaN only when every value is NaN
+            ranges[name] = (lo, float(np.fmax.reduce(array)))
     return ranges
 
 

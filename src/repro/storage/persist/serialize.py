@@ -41,9 +41,10 @@ from ...partitioning.tree import PartitioningTree, TreeNode
 #: spilled version is one file; 6: the metadata is one checkpoint file; 7: a
 #: change descriptor is block ids plus ``full``, and the stored config and
 #: tables lost the bound of the descriptor chain; 8: the chain is gone, and
-#: each block's entry carries the epoch it last changed at).
+#: each block's entry carries the epoch it last changed at; 9: the stored
+#: config lost the grouping-algorithm field).
 #: ``PersistenceManager.open`` refuses other versions.
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 
 #: File prefix: magic, header length, header CRC32.
 _PREFIX = struct.Struct("<8sII")

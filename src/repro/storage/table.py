@@ -550,12 +550,16 @@ class StoredTable:
         bounds = [0, *ends.tolist()]
         sorted_columns = [union_columns[name][order] for name in names]
         # Per target, every column's (min, max): one reduceat per column
-        # fills a column of the (targets × columns) matrices.
+        # fills a column of the (targets × columns) matrices.  Float columns
+        # reduce with fmin / fmax, which skip NaN; a target whose rows are
+        # all NaN gets NaN, which the append's range merge ignores.
         lows = np.empty((len(leaves), len(names)))
         highs = np.empty((len(leaves), len(names)))
         for position, values in enumerate(sorted_columns):
-            lows[:, position] = np.minimum.reduceat(values, starts)
-            highs[:, position] = np.maximum.reduceat(values, starts)
+            floats = values.dtype.kind == "f"
+            low, high = (np.fmin, np.fmax) if floats else (np.minimum, np.maximum)
+            lows[:, position] = low.reduceat(values, starts)
+            highs[:, position] = high.reduceat(values, starts)
         targets = [target_block_ids[leaf] for leaf in leaves.tolist()]
         # The mutation stamps the non-empty foreign sources and the target
         # leaves that received rows.

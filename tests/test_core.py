@@ -30,6 +30,8 @@ class TestConfigValidation:
             {"replication": 0},
             {"shuffle_cost_factor": 0.5},
             {"join_levels_override": -1},
+            {"num_machines": 0},
+            {"sample_size": -5},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

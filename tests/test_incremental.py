@@ -7,7 +7,7 @@ Covers the change stamps end to end:
   adding, dropping and re-splitting,
 * ``patch_overlap_matrix`` audited against brute-force recomputation over
   randomized keep/change/drop/append/permute perturbations,
-* the digest-keyed grouping memo,
+* the matrix-keyed grouping memo,
 * ``HyperPlanCache`` upgrades — always checked *bit-identical* against a
   session planning cold (the oracle: its tables report every block as
   changed, so nothing is kept and every upgrade falls back to cold
@@ -33,7 +33,7 @@ from repro.common.query import join_query
 from repro.common.rng import make_rng
 from repro.core import AdaptDBConfig
 from repro.core.optimizer import Optimizer
-from repro.join.grouping import group_blocks, matrix_row_digests
+from repro.join.grouping import group_blocks
 from repro.join.overlap import compute_overlap_matrix, patch_overlap_matrix
 from repro.partitioning.two_phase import TwoPhasePartitioner
 from repro.partitioning.upfront import UpfrontPartitioner
@@ -295,16 +295,26 @@ class TestPatchOverlapMatrix:
 
 
 # --------------------------------------------------------------------- #
-# Digest-keyed grouping memo
+# Matrix-keyed grouping memo
 # --------------------------------------------------------------------- #
 class TestGroupingMemo:
-    def test_precomputed_digests_hit_the_cold_entry(self):
+    def test_memo_keys_on_shape_bits_and_budget(self):
         rng = make_rng(11)
         overlap = compute_overlap_matrix(random_ranges(rng, 9), random_ranges(rng, 7))
         cold = group_blocks(overlap, budget=3)
-        digests = matrix_row_digests(overlap)
-        via_digests = group_blocks(overlap, budget=3, row_digests=digests)
-        assert via_digests is cold  # same memo entry, not merely equal
+        # The same matrix held as every other column of a wider array.
+        wide = np.zeros((9, 14), dtype=bool)
+        wide[:, ::2] = overlap
+        strided = wide[:, ::2]
+        assert not strided.flags.c_contiguous
+        assert group_blocks(strided, budget=3) is cold  # same entry, not merely equal
+        assert group_blocks(overlap, budget=4) is not cold
+        # Rows pad to whole bytes: 2 x 3 and 2 x 5 zeros pack to equal
+        # bytes and group alike, yet they are different matrices.
+        narrow, broad = np.zeros((2, 3), dtype=bool), np.zeros((2, 5), dtype=bool)
+        assert np.packbits(narrow, axis=1).tobytes() == np.packbits(broad, axis=1).tobytes()
+        assert group_blocks(narrow, 2).groups == group_blocks(broad, 2).groups
+        assert group_blocks(narrow, 2) is not group_blocks(broad, 2)
 
 
 # --------------------------------------------------------------------- #

@@ -20,6 +20,7 @@ from repro.core import AdaptDBConfig
 from repro.join.hyperjoin import plan_hyper_join
 from repro.partitioning.two_phase import TwoPhasePartitioner
 from repro.partitioning.upfront import UpfrontPartitioner
+from repro.storage.block import Block
 from repro.storage.dfs import DistributedFileSystem
 from repro.storage.table import ColumnTable, StoredTable
 
@@ -214,3 +215,44 @@ class TestHyperJoinExecution:
             for buffer_blocks in (1, 2, 4, 8)
         ]
         assert all(later <= earlier for earlier, later in zip(costs, costs[1:]))
+
+
+class TestNaNJoinKeys:
+    """NaN join keys match nothing, and must not cost a join its valid rows."""
+
+    @staticmethod
+    def tables(nan_on_both_sides: bool) -> tuple[ColumnTable, ColumnTable]:
+        rng = np.random.default_rng(1)
+        left = {"k": rng.integers(0, 600, 3000).astype(float), "a": rng.integers(0, 100, 3000)}
+        right = {"rk": rng.integers(0, 600, 1200).astype(float), "ra": rng.integers(0, 100, 1200)}
+        left["k"][17] = np.nan
+        if nan_on_both_sides:
+            right["rk"][[5, 900]] = np.nan
+        return (
+            ColumnTable("L", Schema.of(("k", DataType.FLOAT), ("a", DataType.INT)), left),
+            ColumnTable("R", Schema.of(("rk", DataType.FLOAT), ("ra", DataType.INT)), right),
+        )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("method", ["hyper", "shuffle"])
+    @pytest.mark.parametrize("nan_on_both_sides", [False, True])
+    def test_forced_methods_match_reference(self, method, nan_on_both_sides):
+        """Also after adaptation has migrated the NaN rows into a join tree."""
+        left, right = self.tables(nan_on_both_sides)
+        config = AdaptDBConfig(rows_per_block=256, seed=1, force_join_method=method, window_size=2)
+        session = Session(config)
+        session.load_table(left)
+        session.load_table(right)
+        rows = [session.run(join_query("L", "R", "k", "rk")).output_rows for _ in range(3)]
+        for name in ("L", "R"):
+            session.table(name).audit_cached_statistics()
+        session.close()
+        assert rows == [reference_join_count(left, right, "k", "rk")] * 3
+
+    def test_all_nan_column_has_no_range(self):
+        block = Block(0, "L", {"k": np.array([np.nan, np.nan]), "a": np.array([1, 2])})
+        assert block.find_range("k") is None
+        assert block.find_range("a") == (1.0, 2.0)
+        block.append_rows({"k": np.array([np.nan, 3.0]), "a": np.array([0, 9])})
+        assert block.find_range("k") == (3.0, 3.0)
+        assert block.find_range("a") == (0.0, 9.0)

@@ -86,6 +86,16 @@ class TestHashPartition:
         with pytest.raises(ValueError):
             hash_partition(np.array([1]), 0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_float_keys_partition_like_their_int64_values(self, rng):
+        """No float key is cast to int64: NaN, ±inf and keys beyond int64 get
+        a partition, and the rest go where their int64 value goes."""
+        keys = rng.uniform(-1e6, 1e6, size=500)
+        keys[:3] = (-7.5, 2.0**62 + 2.0**20, -(2.0**62))
+        assert np.array_equal(hash_partition(keys, 7), hash_partition(keys.astype(np.int64), 7))
+        odd = np.array([np.nan, np.inf, -np.inf, 1e20, -1e20])
+        assert set(hash_partition(odd, 7).tolist()) <= set(range(7))
+
     def test_partitions_are_reasonably_balanced(self, rng):
         keys = rng.integers(0, 1_000_000, size=10_000)
         counts = np.bincount(hash_partition(keys, 10), minlength=10)

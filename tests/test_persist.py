@@ -461,7 +461,7 @@ class TestCheckpointRestore:
         session.checkpoint()
         root = session.storage_root
         session.close()
-        stored = 7  # the last format with a chain of change descriptors
+        stored = 8  # the last format whose config names a grouping algorithm
         assert stored == FORMAT_VERSION - 1
         header, samples = read_checkpoint(root)
         write_file(root / "checkpoint", {**header, "format_version": stored}, samples)
