@@ -80,13 +80,6 @@ def plan_hyper_join(
     ).plan
 
 
-def _usable_range(dfs: DistributedFileSystem, block_id: int, column: str) -> Range | None:
-    """The block's range on ``column``, or ``None`` when the block cannot
-    join: it has no rows, or no range on ``column``."""
-    block = dfs.peek_block(block_id)
-    return block.find_range(column) if block.num_rows else None
-
-
 @dataclass
 class _CacheEntry:
     """One memoized schedule plus the state needed to patch it later.
@@ -117,7 +110,7 @@ def _plan_cold(
     def usable(block_ids: list[int], column: str) -> dict[int, Range]:
         ranges: dict[int, Range] = {}
         for block_id in block_ids:
-            found = _usable_range(dfs, block_id, column)
+            found = dfs.peek_range(block_id, column)
             if found is not None:
                 ranges[block_id] = found
         return ranges
@@ -335,7 +328,7 @@ class HyperPlanCache:
                 if found is not None:
                     kept.append((len(usable), old_index[block_id]))
             else:
-                found = _usable_range(dfs, block_id, column)
+                found = dfs.peek_range(block_id, column)
             if found is not None:
                 usable[block_id] = found
         return usable, kept

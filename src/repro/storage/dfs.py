@@ -211,6 +211,12 @@ class DistributedFileSystem:
         except KeyError:
             raise StorageError(f"unknown block {block_id}") from None
 
+    def peek_range(self, block_id: int, column: str) -> tuple[float, float] | None:
+        """The block's (min, max) on ``column``, peeked, or ``None`` when
+        the block cannot join on it: it has no rows, or no range for it."""
+        block = self.peek_block(block_id)
+        return block.find_range(column) if block.num_rows else None
+
     def has_block(self, block_id: int) -> bool:
         """Whether ``block_id`` exists."""
         return block_id in self._blocks

@@ -550,16 +550,14 @@ class StoredTable:
         bounds = [0, *ends.tolist()]
         sorted_columns = [union_columns[name][order] for name in names]
         # Per target, every column's (min, max): one reduceat per column
-        # fills a column of the (targets × columns) matrices.  Float columns
-        # reduce with fmin / fmax, which skip NaN; a target whose rows are
-        # all NaN gets NaN, which the append's range merge ignores.
+        # fills a column of the (targets × columns) matrices.  fmin / fmax
+        # skip NaN; a target whose rows are all NaN gets NaN, which the
+        # append's range merge ignores.
         lows = np.empty((len(leaves), len(names)))
         highs = np.empty((len(leaves), len(names)))
         for position, values in enumerate(sorted_columns):
-            floats = values.dtype.kind == "f"
-            low, high = (np.fmin, np.fmax) if floats else (np.minimum, np.maximum)
-            lows[:, position] = low.reduceat(values, starts)
-            highs[:, position] = high.reduceat(values, starts)
+            lows[:, position] = np.fmin.reduceat(values, starts)
+            highs[:, position] = np.fmax.reduceat(values, starts)
         targets = [target_block_ids[leaf] for leaf in leaves.tolist()]
         # The mutation stamps the non-empty foreign sources and the target
         # leaves that received rows.
@@ -659,11 +657,6 @@ class StoredTable:
     # ------------------------------------------------------------------ #
     # Introspection helpers
     # ------------------------------------------------------------------ #
-    def join_range_of_block(self, block_id: int, attribute: str) -> tuple[float, float] | None:
-        """The (min, max) of ``attribute`` in ``block_id`` or ``None`` if empty."""
-        block = self.dfs.peek_block(block_id)
-        return block.find_range(attribute) if block.num_rows else None
-
     def describe(self) -> str:
         """Human-readable summary of the table's trees and block counts."""
         lines = [f"table {self.name}: {self.total_rows} rows, {len(self.trees)} tree(s)"]

@@ -76,8 +76,8 @@ def resplit_somewhere(table, fraction=0.5):
             ranges = [
                 block_range
                 for block_range in (
-                    table.join_range_of_block(left_id, node.attribute),
-                    table.join_range_of_block(right_id, node.attribute),
+                    table.dfs.peek_range(left_id, node.attribute),
+                    table.dfs.peek_range(right_id, node.attribute),
                 )
                 if block_range is not None
             ]

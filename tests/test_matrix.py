@@ -244,7 +244,7 @@ class ConfigurationMatrix(RuleBasedStateMachine):
             ranges = [
                 block_range
                 for block_id in (node.left.block_id, node.right.block_id)
-                if (block_range := stored.join_range_of_block(block_id, node.attribute))
+                if (block_range := stored.dfs.peek_range(block_id, node.attribute))
             ]
             cutpoint = node.cutpoint
             if ranges:

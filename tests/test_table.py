@@ -520,7 +520,7 @@ class TestJoinRange:
     def test_join_range_of_block(self):
         stored = load_table()
         block_id = stored.non_empty_block_ids()[0]
-        lo, hi = stored.join_range_of_block(block_id, "key")
+        lo, hi = stored.dfs.peek_range(block_id, "key")
         block = stored.dfs.peek_block(block_id)
         assert (lo, hi) == block.range_of("key")
 
@@ -531,4 +531,4 @@ class TestJoinRange:
         )
         tree_id = stored.add_empty_tree(tree)
         empty_block = stored.block_ids(tree_id)[0]
-        assert stored.join_range_of_block(empty_block, "key") is None
+        assert stored.dfs.peek_range(empty_block, "key") is None
