@@ -28,7 +28,6 @@ from .common import (
     scan_query,
 )
 from .api import (
-    ExecutionBackend,
     LogicalPlan,
     PhysicalPlan,
     Session,
@@ -43,7 +42,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AdaptDBConfig",
     "ColumnTable",
-    "ExecutionBackend",
     "JoinClause",
     "LogicalPlan",
     "PhysicalPlan",

@@ -49,8 +49,6 @@ class AdaptiveRepartitioner:
         rows_per_block: Target block size for newly created trees.
         join_level_fraction: Fraction of tree levels reserved for join
             attributes in new two-phase trees.
-        min_frequency: Minimum window frequency before a tree is created for
-            a new join attribute (the paper's ``fmin``).
         enable_smooth: Toggle for smooth (join-driven) repartitioning.
         enable_amoeba: Toggle for selection-driven refinement.
         rng: Random generator for block selection.
@@ -59,7 +57,6 @@ class AdaptiveRepartitioner:
     window_size: int = DEFAULT_WINDOW_SIZE
     rows_per_block: int = 4096
     join_level_fraction: float = 0.5
-    min_frequency: int = 1
     join_levels_override: int | None = None
     enable_smooth: bool = True
     enable_amoeba: bool = True
@@ -73,7 +70,6 @@ class AdaptiveRepartitioner:
         self.smooth = SmoothRepartitioner(
             rows_per_block=self.rows_per_block,
             join_level_fraction=self.join_level_fraction,
-            min_frequency=self.min_frequency,
             join_levels_override=self.join_levels_override,
             rng=self.rng,
         )

@@ -1,9 +1,10 @@
-"""Pluggable execution backends for the staged query lifecycle.
+"""The in-process execution backend of the staged query lifecycle.
 
 A backend consumes a :class:`~repro.api.plans.PhysicalPlan` and produces a
-:class:`~repro.exec.result.QueryResult`.  Every backend is a thin selection
-over the session's one schedule interpreter
-(:class:`~repro.exec.engine.Executor`):
+:class:`~repro.exec.result.QueryResult`.  There are two, each a thin
+selection over the session's one schedule interpreter
+(:class:`~repro.exec.engine.Executor`), and a session picks one by name
+(``Session.backends``, ``Session.use_backend``):
 
 * :class:`TaskBackend` (``"tasks"``) — the interpreter with its inline
   runner;
@@ -19,7 +20,7 @@ all reads of the result either backend returns (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING
 
 from ..exec.engine import Executor
 from ..exec.result import QueryResult
@@ -28,23 +29,11 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from .plans import PhysicalPlan
 
 
-@runtime_checkable
-class ExecutionBackend(Protocol):
-    """Anything that can execute a physical plan into a query result."""
-
-    name: str
-
-    def execute(self, physical: "PhysicalPlan") -> QueryResult:
-        """Run ``physical`` and return the accounted result."""
-        ...  # pragma: no cover - protocol definition
-
-
 @dataclass
 class TaskBackend:
-    """The schedule interpreter, run in-process, behind the backend protocol."""
+    """The schedule interpreter, run in-process (backend ``"tasks"``)."""
 
     executor: Executor
-    name: str = "tasks"
 
     def execute(self, physical: "PhysicalPlan") -> QueryResult:
         """Replay the physical plan's compiled schedule through the engine."""

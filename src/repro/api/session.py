@@ -12,12 +12,14 @@ every query through three explicit stages::
 
     result = session.run(query)         # the three stages in one call
 
-Execution goes through a pluggable :class:`~repro.api.backends.ExecutionBackend`
-(``"tasks"`` — the schedule interpreter run in-process, or ``"parallel"`` —
-the same interpreter over a worker pool), selected per session via
-``AdaptDBConfig.execution_backend`` or the ``backend`` argument.  Both share
-the session's one :class:`~repro.exec.engine.Executor`; the modelled
-runtimes (serial, makespan, simulated) are reads of every result.
+Execution goes through one of two backends, picked by name: ``"tasks"``
+(:class:`~repro.api.backends.TaskBackend`, the schedule interpreter run
+in-process) or ``"parallel"`` (:class:`~repro.parallel.ParallelBackend`, the
+same interpreter over a worker pool).  ``AdaptDBConfig.execution_backend``
+picks the one a session starts with, and :meth:`Session.use_backend`
+switches.  Both share the session's one
+:class:`~repro.exec.engine.Executor`; the modelled runtimes (serial,
+makespan, simulated) are reads of every result.
 
 Planning is cached: every :class:`~repro.storage.table.StoredTable` mutation
 bumps a per-table epoch, and the session keeps a bounded plan cache keyed on
@@ -39,12 +41,14 @@ files under ``config.storage_root``, reads route through a byte-budgeted
 block buffer, and :meth:`Session.checkpoint` / :meth:`Session.open` provide
 epoch-aware crash recovery — a reopened session resumes with its partition
 trees, epochs, block change stamps, samples, RNG states and adaptation
-window intact, reproducing bit-identical query fingerprints.
+window intact, reproducing bit-identical query fingerprints.  A session
+without ``config.storage_root`` generates a unique ``repro-storage-*`` root
+under the system temp dir (:func:`tempfile.gettempdir`, which follows
+``TMPDIR``).
 """
 
 from __future__ import annotations
 
-import os
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -69,8 +73,9 @@ from ..partitioning.upfront import UpfrontPartitioner
 from ..storage.catalog import Catalog
 from ..storage.dfs import DistributedFileSystem
 from ..storage.persist import PersistenceManager
+from ..storage.sampling import DEFAULT_SAMPLE_SIZE
 from ..storage.table import ColumnTable, StoredTable
-from .backends import ExecutionBackend, TaskBackend
+from .backends import TaskBackend
 from .cache import CachedPlan, PlanCache, query_signature
 from .plans import LogicalPlan, PhysicalPlan
 
@@ -81,15 +86,14 @@ class Session:
 
     Attributes:
         config: Instance configuration.
-        backend: Execution backend: a name (``"tasks"`` / ``"parallel"``),
-            an :class:`ExecutionBackend` instance, or ``None`` to follow
-            ``config.execution_backend``.
-        executor: The one schedule interpreter every built-in backend runs
-            physical plans through.
+        executor: The one schedule interpreter both backends run physical
+            plans through.
+        backends: The backends by name, ``"tasks"`` and ``"parallel"``.
+        backend: The selected backend; ``config.execution_backend`` picks it
+            and :meth:`use_backend` switches it.
     """
 
     config: AdaptDBConfig = field(default_factory=AdaptDBConfig)
-    backend: str | ExecutionBackend | None = None
     #: Internal: a pre-opened manager holding a checkpoint to restore from;
     #: set only by :meth:`Session.open`.
     _restore_manager: PersistenceManager | None = field(default=None, repr=False)
@@ -102,7 +106,8 @@ class Session:
     optimizer: Optimizer = field(init=False)
     plan_cache: PlanCache = field(init=False)
     executor: Executor = field(init=False)
-    backends: dict[str, ExecutionBackend] = field(init=False)
+    backends: dict[str, TaskBackend | ParallelBackend] = field(init=False)
+    backend: TaskBackend | ParallelBackend = field(init=False)
 
     def __post_init__(self) -> None:
         # The construction (and rng-derivation) order below is load-bearing:
@@ -110,25 +115,18 @@ class Session:
         # digests in tests/test_integration.py stay valid) only while it is
         # unchanged.
         self.rng = make_rng(self.config.seed)
-        cost_model = CostModel(
-            shuffle_factor=self.config.shuffle_cost_factor,
-            parallelism=self.config.num_machines,
-        )
         self.cluster = Cluster(
             num_machines=self.config.num_machines,
-            cost_model=cost_model,
+            cost_model=CostModel(parallelism=self.config.num_machines),
         )
         self.dfs = DistributedFileSystem(
-            cluster=self.cluster,
-            replication=self.config.replication,
-            rng=derive_rng(self.rng, "dfs"),
+            cluster=self.cluster, rng=derive_rng(self.rng, "dfs")
         )
         self.catalog = Catalog()
         self.repartitioner = AdaptiveRepartitioner(
             window_size=self.config.window_size,
             rows_per_block=self.config.rows_per_block,
             join_level_fraction=self.config.join_level_fraction,
-            min_frequency=self.config.min_frequency,
             join_levels_override=self.config.join_levels_override,
             enable_smooth=self.config.enable_smooth,
             enable_amoeba=self.config.enable_amoeba,
@@ -139,7 +137,7 @@ class Session:
             cluster=self.cluster,
             config=self.config,
         )
-        self.plan_cache = PlanCache(capacity=self.config.plan_cache_size)
+        self.plan_cache = PlanCache()
         self.executor = Executor(
             catalog=self.catalog, cluster=self.cluster, config=self.config
         )
@@ -147,11 +145,10 @@ class Session:
         # registering the backend costs nothing for sessions that never
         # select it.
         self.backends = {
-            backend.name: backend
-            for backend in (TaskBackend(self.executor), ParallelBackend(self.executor))
+            "tasks": TaskBackend(self.executor),
+            "parallel": ParallelBackend(self.executor),
         }
-        self.use_backend(self.backend if self.backend is not None
-                         else self.config.execution_backend)
+        self.use_backend(self.config.execution_backend)
         if self.config.persistence == "mmap":
             if self._restore_manager is not None:
                 # Session.open: adopt the pre-opened root and rebuild the
@@ -172,29 +169,20 @@ class Session:
 
         An explicit ``config.storage_root`` is used verbatim (that is what
         makes it reopenable at a known location).  Otherwise a unique
-        directory is created — under ``$REPRO_STORAGE_ROOT`` when set (the
-        CI persistence job points this at a tmpdir shared by the whole
-        suite), else under the system temp dir.  A generated root is *not*
-        written back to the config: configs are shareable between sessions
-        (two sessions built from one config must not collide on a root),
-        and :meth:`storage_root` exposes the resolved path.
+        directory is created under the system temp dir.  A generated root is
+        *not* written back to the config: configs are shareable between
+        sessions (two sessions built from one config must not collide on a
+        root), and :meth:`storage_root` exposes the resolved path.
         """
         if self.config.storage_root is not None:
             return Path(self.config.storage_root)
-        parent = os.environ.get("REPRO_STORAGE_ROOT") or None
-        if parent is not None:
-            Path(parent).mkdir(parents=True, exist_ok=True)
-        return Path(tempfile.mkdtemp(prefix="repro-storage-", dir=parent))
+        return Path(tempfile.mkdtemp(prefix="repro-storage-"))
 
     # ------------------------------------------------------------------ #
     # Durability: checkpoint / reopen
     # ------------------------------------------------------------------ #
     @classmethod
-    def open(
-        cls,
-        storage_root: str | Path,
-        backend: str | ExecutionBackend | None = None,
-    ) -> "Session":
+    def open(cls, storage_root: str | Path) -> "Session":
         """Reopen a checkpointed storage root as a new session.
 
         The session is rebuilt from the last committed checkpoint: tables
@@ -207,18 +195,15 @@ class Session:
         its checksums verified before anything is written under the root;
         spill files a crashed writer stranded after the last commit are
         garbage-collected here, and a leftover staging file is ignored.
-
-        Args:
-            storage_root: Root directory a previous session checkpointed.
-            backend: Optional execution-backend override; ``None`` follows
-                the checkpointed config.
+        The reopened session selects the checkpointed config's backend;
+        :meth:`use_backend` switches it.
         """
         manager = PersistenceManager.open(Path(storage_root))
         try:
             payload = manager.stored_config_payload()
             payload["storage_root"] = str(Path(storage_root))
             config = AdaptDBConfig(**payload)
-            return cls(config=config, backend=backend, _restore_manager=manager)
+            return cls(config=config, _restore_manager=manager)
         except BaseException:
             manager.close()
             raise
@@ -254,27 +239,16 @@ class Session:
     # ------------------------------------------------------------------ #
     # Backend selection
     # ------------------------------------------------------------------ #
-    def use_backend(self, backend: str | ExecutionBackend) -> ExecutionBackend:
-        """Select the execution backend (by name or instance) and return it."""
-        if isinstance(backend, str):
-            try:
-                backend = self.backends[backend]
-            except KeyError:
-                raise PlanningError(
-                    f"unknown execution backend {backend!r}; "
-                    f"choose from {sorted(self.backends)}"
-                ) from None
-        else:
-            self.backends[backend.name] = backend
-        self.backend = backend
-        return backend
-
-    def _active_backend(self) -> ExecutionBackend:
-        """The selected backend, guaranteed resolved to an instance."""
-        backend = self.backend
-        if not isinstance(backend, ExecutionBackend):
-            raise PlanningError("no execution backend selected")
-        return backend
+    def use_backend(self, name: str) -> TaskBackend | ParallelBackend:
+        """Select the execution backend by name and return it."""
+        try:
+            self.backend = self.backends[name]
+        except KeyError:
+            raise PlanningError(
+                f"unknown execution backend {name!r}; "
+                f"choose from {sorted(self.backends)}"
+            ) from None
+        return self.backend
 
     # ------------------------------------------------------------------ #
     # Loading
@@ -309,7 +283,7 @@ class Session:
                 attributes=attributes, rows_per_block=self.config.rows_per_block
             )
             sample = table.sample(
-                self.config.sample_size, derive_rng(self.rng, f"sample:{table.name}")
+                DEFAULT_SAMPLE_SIZE, derive_rng(self.rng, f"sample:{table.name}")
             )
             tree = partitioner.build(sample, total_rows=table.num_rows)
         stored = StoredTable.load(
@@ -317,7 +291,6 @@ class Session:
             self.dfs,
             tree,
             rows_per_block=self.config.rows_per_block,
-            sample_size=self.config.sample_size,
             rng=derive_rng(self.rng, f"stored-sample:{table.name}"),
         )
         self.catalog.register(stored)
@@ -353,7 +326,7 @@ class Session:
         epochs = self.table_epochs(query)
         key = (signature, epochs)
 
-        entry = self.plan_cache.get(key) if self.plan_cache.capacity else None
+        entry = self.plan_cache.get(key)
         from_cache = entry is not None
         if entry is None:
             base = self.optimizer.plan_query(query)
@@ -422,7 +395,7 @@ class Session:
         every execution, so they always describe exactly one query.
         """
         self.dfs.reset_read_stats()
-        result = self._active_backend().execute(physical)
+        result = self.backend.execute(physical)
         result.planning_seconds = physical.logical.planning_seconds
         result.plan_cache_hit = physical.logical.from_cache
         stats = self.dfs.read_stats
@@ -454,10 +427,7 @@ class Session:
         lazily if selected again); only :meth:`checkpoint` refuses a
         closed session.
         """
-        for backend in self.backends.values():
-            closer = getattr(backend, "close", None)
-            if callable(closer):
-                closer()
+        self.backends["parallel"].close()
         if self.persist is not None:
             self.persist.close()
 

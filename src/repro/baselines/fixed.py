@@ -20,6 +20,7 @@ from ..core.config import AdaptDBConfig
 from ..exec.result import QueryResult
 from ..partitioning.two_phase import TwoPhasePartitioner
 from ..partitioning.upfront import UpfrontPartitioner
+from ..storage.sampling import DEFAULT_SAMPLE_SIZE
 from ..storage.table import ColumnTable
 
 
@@ -58,7 +59,7 @@ class BestGuessFixedBaseline:
     def _hand_tuned_tree(self, table: ColumnTable):
         join_attribute = self._dominant_join_attribute(table.name)
         selection_attributes = self._hot_selection_attributes(table.name, table)
-        sample = table.sample(self.config.sample_size)
+        sample = table.sample(DEFAULT_SAMPLE_SIZE)
         num_leaves = max(1, math.ceil(table.num_rows / self.config.rows_per_block))
 
         if join_attribute is None:

@@ -29,6 +29,7 @@ from ..common.query import Query
 from ..core.config import AdaptDBConfig
 from ..exec.result import QueryResult
 from ..partitioning.two_phase import TwoPhasePartitioner
+from ..storage.sampling import DEFAULT_SAMPLE_SIZE
 from ..storage.table import ColumnTable
 
 #: Default reference keys for the TPC-H join graph used in the evaluation.
@@ -106,7 +107,7 @@ class PREFBaseline:
             selection_attributes=[],
             rows_per_block=self.config.rows_per_block,
         )
-        sample = table.sample(self.config.sample_size)
+        sample = table.sample(DEFAULT_SAMPLE_SIZE)
         return partitioner.build(
             sample, total_rows=table.num_rows, num_leaves=num_leaves, join_levels=depth
         )

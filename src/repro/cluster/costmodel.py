@@ -20,6 +20,7 @@ absolute values are not meant to match the paper's testbed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 
 @dataclass(frozen=True)
@@ -27,22 +28,22 @@ class CostModel:
     """Analytical cost model translating block accesses into cost units.
 
     Attributes:
-        shuffle_factor: The paper's ``CSJ`` constant (default 3.0).
+        shuffle_factor: The paper's ``CSJ`` constant (3.0).
         remote_read_penalty: Multiplier applied to remote block reads
-            (default 1.08, i.e. 8 % slower than a local read).
+            (1.08, i.e. 8 % slower than a local read).
         repartition_write_factor: Cost of writing one repartitioned block
             relative to reading one block.  Repartitioning reads a block,
             routes every record through the new tree and writes it back, so
-            the default charges one read plus one (slightly more expensive)
+            the model charges one read plus one (slightly more expensive)
             write per block.
         parallelism: Number of machines sharing the work; modelled seconds
             are cost units divided by this value, mirroring perfectly
             parallel scans.
     """
 
-    shuffle_factor: float = 3.0
-    remote_read_penalty: float = 1.08
-    repartition_write_factor: float = 1.5
+    shuffle_factor: ClassVar[float] = 3.0
+    remote_read_penalty: ClassVar[float] = 1.08
+    repartition_write_factor: ClassVar[float] = 1.5
     parallelism: int = 10
 
     # ------------------------------------------------------------------ #

@@ -41,10 +41,9 @@ from .pool import WorkerPool
 
 @dataclass
 class ParallelBackend:
-    """True multi-core execution behind the backend protocol."""
+    """True multi-core execution (backend ``"parallel"``)."""
 
     executor: Executor
-    name: str = "parallel"
     store: SharedBlockStore = field(init=False, default_factory=SharedBlockStore)
     _pool: WorkerPool | None = field(init=False, default=None)
 
@@ -62,9 +61,7 @@ class ParallelBackend:
             self._pool.close()
             self._pool = None
         if self._pool is None:
-            self._pool = WorkerPool(
-                self.num_workers, self.executor.config.worker_start_method
-            )
+            self._pool = WorkerPool(self.num_workers)
         return self._pool
 
     @property

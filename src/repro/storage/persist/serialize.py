@@ -42,9 +42,10 @@ from ...partitioning.tree import PartitioningTree, TreeNode
 #: change descriptor is block ids plus ``full``, and the stored config and
 #: tables lost the bound of the descriptor chain; 8: the chain is gone, and
 #: each block's entry carries the epoch it last changed at; 9: the stored
-#: config lost the grouping-algorithm field).
+#: config lost the grouping-algorithm field; 10: the stored config lost the
+#: six fields no caller set, now constants).
 #: ``PersistenceManager.open`` refuses other versions.
-FORMAT_VERSION = 9
+FORMAT_VERSION = 10
 
 #: File prefix: magic, header length, header CRC32.
 _PREFIX = struct.Struct("<8sII")

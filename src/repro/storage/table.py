@@ -31,7 +31,7 @@ from ..common.schema import Schema
 from ..partitioning.tree import PartitioningTree, TreeNode
 from .block import Batch, Block, compute_ranges, concatenate_columns
 from .dfs import DistributedFileSystem
-from .sampling import sample_columns
+from .sampling import DEFAULT_SAMPLE_SIZE, sample_columns
 
 
 @dataclass
@@ -52,7 +52,7 @@ class ColumnTable:
             return 0
         return len(next(iter(self.columns.values())))
 
-    def sample(self, sample_size: int = 10_000, rng: np.random.Generator | None = None) -> dict[str, np.ndarray]:
+    def sample(self, sample_size: int = DEFAULT_SAMPLE_SIZE, rng: np.random.Generator | None = None) -> dict[str, np.ndarray]:
         """Draw a row sample (see :func:`repro.storage.sampling.sample_columns`)."""
         return sample_columns(self.columns, sample_size, rng)
 
@@ -135,7 +135,6 @@ class StoredTable:
         dfs: DistributedFileSystem,
         tree: PartitioningTree,
         rows_per_block: int = 4096,
-        sample_size: int = 10_000,
         rng: np.random.Generator | None = None,
     ) -> "StoredTable":
         """Partition ``table`` with ``tree`` and store its blocks in ``dfs``.
@@ -147,7 +146,7 @@ class StoredTable:
             name=table.name,
             schema=table.schema,
             dfs=dfs,
-            sample=table.sample(sample_size, rng),
+            sample=table.sample(rng=rng),
             rows_per_block=rows_per_block,
         )
         with stored.mutation():

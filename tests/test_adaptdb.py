@@ -10,6 +10,7 @@ from repro.common.errors import StorageError
 from repro.common.query import join_query
 from repro.core import AdaptDBConfig
 from repro.partitioning.two_phase import TwoPhasePartitioner
+from repro.storage.dfs import DEFAULT_REPLICATION
 from repro.workloads.tpch_queries import tpch_query
 
 from repro.testing import reference_join_count
@@ -50,7 +51,7 @@ class TestLoading:
         stored = db.load_table(tpch_tables["orders"])
         for block_id in stored.block_ids():
             assert len(db.dfs.replicas_of(block_id)) == min(
-                small_config.replication, small_config.num_machines
+                DEFAULT_REPLICATION, small_config.num_machines
             )
 
     def test_describe_covers_all_tables(self, small_db):

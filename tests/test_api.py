@@ -16,7 +16,6 @@ import pytest
 from repro.api import (
     PlanCache,
     Session,
-    TaskBackend,
     query_signature,
 )
 from repro.api.cache import CachedPlan
@@ -204,17 +203,6 @@ class TestPlanCache:
         fingerprints = {result.fingerprint() for result in tail}
         assert len(fingerprints) == 1
 
-    def test_cache_disabled_by_config(self, tpch_tables):
-        config = AdaptDBConfig(rows_per_block=512, buffer_blocks=4, seed=3,
-                               plan_cache_size=0)
-        session = Session(config=config)
-        for name in ("lineitem", "orders"):
-            session.load_table(tpch_tables[name])
-        first = session.run(q12_like(), adapt=False)
-        second = session.run(q12_like(), adapt=False)
-        assert not first.plan_cache_hit and not second.plan_cache_hit
-        assert len(session.plan_cache) == 0
-
     def test_hyper_plan_cache_reused_across_different_predicates(self, session):
         """Same pruned block sets under different values reuse the hyper plan."""
         session.run(q12_like(0.0, 1e18), adapt=False)   # prunes nothing
@@ -253,11 +241,6 @@ class TestBackends:
                 AdaptDBConfig(execution_backend=model)
             with pytest.raises(PlanningError):
                 session.use_backend(model)
-
-    def test_custom_backend_instance_accepted(self, session):
-        backend = TaskBackend(session.executor, name="tasks2")
-        assert session.use_backend(backend) is backend
-        assert session.backends["tasks2"] is backend
 
     def test_mutating_a_served_plan_does_not_poison_the_cache(self, session):
         reference = session.run(q12_like(), adapt=False).fingerprint()

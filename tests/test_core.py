@@ -27,11 +27,18 @@ class TestConfigValidation:
             {"window_size": 0},
             {"join_level_fraction": 1.5},
             {"force_join_method": "magic"},
-            {"replication": 0},
-            {"shuffle_cost_factor": 0.5},
             {"join_levels_override": -1},
             {"num_machines": 0},
-            {"sample_size": -5},
+            # A count must be an int, and a bool is not a count.
+            {"buffer_blocks": 4.5},
+            {"num_machines": 4.0},
+            {"rows_per_block": 512.5},
+            {"window_size": True},
+            {"num_workers": 2.0},
+            {"join_levels_override": 1.5},
+            {"persistence": "mmap", "buffer_bytes": 4096.0},
+            {"num_machines": True},
+            {"persistence": "mmap", "buffer_bytes": True},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

@@ -115,7 +115,8 @@ def adaptive_stream(root: Path):
             session.load_table(table)
         first, first_explains = golden.explained_run(session, queries[:half])
         session.checkpoint()
-    with Session.open(root, backend="parallel") as session:
+    with Session.open(root) as session:
+        session.use_backend("parallel")
         second, second_explains = golden.explained_run(session, queries[half:])
     return first + second, first_explains + second_explains
 

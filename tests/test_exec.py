@@ -377,7 +377,6 @@ class BoundaryBackend:
     """
 
     executor: Executor
-    name: str = "boundary"
     shipped: list[TaskWork] = field(default_factory=list)
 
     def execute(self, physical):
@@ -403,7 +402,8 @@ class TestWorkerBoundary:
             session.load_table(table)
         backend = BoundaryBackend(session.executor)
         if boundary:
-            session.use_backend(backend)
+            session.backends["boundary"] = backend
+            session.use_backend("boundary")
         results = session.run_workload(queries)
         return [result.fingerprint() for result in results], backend.shipped, session
 

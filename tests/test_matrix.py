@@ -38,7 +38,7 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from repro.api import Session
+from repro.api import PlanCache, Session
 from repro.common.predicates import rows_matching
 from repro.common.rng import make_rng
 from repro.core import AdaptDBConfig
@@ -79,8 +79,7 @@ class Config:
             tier = {"persistence": "mmap", "storage_root": str(root), "buffer_bytes": budget}
         return AdaptDBConfig(
             rows_per_block=ROWS_PER_BLOCK, buffer_blocks=4, window_size=6, seed=5,
-            num_machines=4, num_workers=2,
-            plan_cache_size=64 if self.plan_cache else 0, **tier,
+            num_machines=4, num_workers=2, **tier,
         )
 
     def __str__(self) -> str:
@@ -160,6 +159,8 @@ class ConfigurationMatrix(RuleBasedStateMachine):
     # Session wiring
     # -------------------------------------------------------------- #
     def wire(self, config: Config, session: Session) -> Session:
+        if not config.plan_cache:
+            session.plan_cache = PlanCache(capacity=0)
         if not config.incremental:
             for table in session.catalog.tables():
                 table.changed_since = lambda block_id, epoch: True

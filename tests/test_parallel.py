@@ -136,7 +136,9 @@ class TestAgreement:
             session.close()
 
     def test_spawn_start_method_smoke(self, tpch_tables):
-        session = make_session(tpch_tables, worker_start_method="spawn")
+        session = make_session(tpch_tables)
+        backend = session.backends["parallel"]
+        backend._pool = WorkerPool(backend.num_workers, "spawn")
         try:
             assert_backends_agree(
                 session,
@@ -664,7 +666,7 @@ class TestFailedStages:
         reason="the patched kernel reaches the workers by fork inheritance",
     )
     def test_worker_write_to_a_pinned_block_fails_the_query(self, tpch_tables, monkeypatch):
-        session = make_session(tpch_tables, worker_start_method="fork")
+        session = make_session(tpch_tables)  # WorkerPool forks where it can
         try:
             scan = scan_query("lineitem", [between("l_quantity", 5, 25)])
             table = session.table("lineitem")
@@ -743,7 +745,7 @@ class TestBackendProtocol:
         backend = par_session.backends["parallel"]
         assert isinstance(backend, ParallelBackend)
         assert backend.executor is par_session.executor
-        assert par_session.backend.name == "parallel"
+        assert par_session.backend is backend
 
     def test_pool_starts_lazily(self, tpch_tables):
         session = make_session(tpch_tables)
