@@ -60,8 +60,10 @@ class AdaptDBConfig:
             report the paper's serial-sum model (``cost_units``, and
             ``runtime_seconds`` = cost units per machine), the schedule's
             makespan and the schedule itself on each result.
-        num_workers: Worker processes of the parallel backend; ``None``
-            means one worker per modelled machine.
+        num_workers: Helper processes of the parallel backend; ``None``
+            means one per modelled machine.  The session's own process
+            executes too: in every stage it runs the machine whose tasks
+            read the most, and the helpers run the other machines' tasks.
         persistence: ``"memory"`` (default; blocks live purely in RAM) or
             ``"mmap"`` — blocks spill to memory-mapped one-per-version files
             under ``storage_root``, all reads route through a byte-budgeted

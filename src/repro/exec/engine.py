@@ -7,8 +7,9 @@ apply the outcomes in task-id order, finish accounting.  Two runners exist:
 :meth:`Executor.run_inline` executes the work in the parent, reading every
 task's blocks with one batched DFS call issued from its assigned machine
 (so locality statistics reflect the scheduler's placement); the
-``repro.parallel`` backend supplies the other, which ships the same work to
-its worker pool.  The result keeps the serial block-access sum, the
+``repro.parallel`` backend supplies the other, which runs one machine's
+work through the same :meth:`Executor.run_here` and ships the rest to its
+worker pool.  The result keeps the serial block-access sum, the
 schedule's per-machine loads and the schedule itself; every modelled runtime
 (serial, makespan, barrier-aware simulation) is derived from those on read.
 """
@@ -23,6 +24,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ..cluster.cluster import Cluster
+from ..common.errors import ExecutionError, ReproError
 from ..core.config import AdaptDBConfig
 from ..core.optimizer import JoinDecision, QueryPlan
 from ..core.planner import JoinMethod
@@ -115,7 +117,23 @@ class Executor:
     # ------------------------------------------------------------------ #
     def run_inline(self, works: Iterable[TaskWork]) -> list[TaskOutcome]:
         """Execute a stage's work in this process, one task after another."""
-        return [run_task(work, partial(self.fetch, work)) for work in works]
+        return [self.run_here(work) for work in works]
+
+    def run_here(self, work: TaskWork) -> TaskOutcome:
+        """Run one task in this process, reading its blocks from its machine.
+
+        A kernel fault that is not a library error (a write to a read-only
+        block, say) fails the task with :class:`ExecutionError`, as it does
+        in a pool worker.
+        """
+        try:
+            return run_task(work, partial(self.fetch, work))
+        except ReproError:
+            raise
+        except Exception as exc:
+            raise ExecutionError(
+                f"task {work.task_id} failed on machine {work.machine_id}: {exc!r}"
+            ) from exc
 
     def fetch(self, work: TaskWork, block_input: BlockInput) -> Sequence:
         """One batched DFS read of an input, issued from the task's machine."""

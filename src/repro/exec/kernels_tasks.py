@@ -3,7 +3,7 @@
 The schedule interpreter (:class:`~repro.exec.engine.Executor`) turns every
 placed task into one :class:`TaskWork` — ids, column names, predicates and
 flat arrays only — and hands it to a runner.  Whichever runner executes it
-(the parent, inline; or a ``repro.parallel`` worker process), the work goes
+(the parent; or a ``repro.parallel`` worker process), the work goes
 through the one :func:`run_task` below:
 
 * the ``run_*`` kernels do the row work of one task.  They take only block
@@ -95,7 +95,8 @@ class TaskOutcome:
     rows: int
     #: Shuffle-map only: one key array per target partition.
     parts: tuple[np.ndarray, ...] | None = None
-    #: Measured by pool workers (reporting only); zero when run inline.
+    #: Measured by the parallel backend, in a worker or the parent
+    #: (reporting only); zero when run by the inline runner.
     wall_seconds: float = 0.0
 
 

@@ -1,24 +1,37 @@
 """The multi-core execution backend (``execution_backend="parallel"``).
 
 :class:`ParallelBackend` replays already-compiled :class:`TaskSchedule`\\ s
-on a persistent :class:`~repro.parallel.pool.WorkerPool` — one worker per
-simulated machine (folded modulo ``num_workers``).  Block columns reach the
-workers through one shared-memory slab per table, kept current by a
-:class:`~repro.storage.shared_memory.SharedBlockStore`: before a stage is
-dispatched, the columns it reads of the blocks it reads are copied in if the
-slab lacks them or a repartition touched the block since, and each work
-item carries the slots of its own blocks and columns only.
+with the session's own process and a persistent
+:class:`~repro.parallel.pool.WorkerPool` of ``num_workers`` helper processes
+as the executors.  In every stage the parent runs the *heaviest* machine —
+the one whose tasks read the most blocks (in a reduce stage, the most
+keys), ties to the lowest machine id, so the split depends on the schedule
+alone — in-process, through the same :meth:`Executor.run_here
+<repro.exec.engine.Executor.run_here>` the inline runner uses; the other
+machines' tasks go to the helpers, folded modulo ``num_workers``.  A stage
+whose tasks all sit on one machine therefore pins nothing, ships nothing and
+never waits.  Block columns reach the helpers through one shared-memory slab
+per table, kept current by a
+:class:`~repro.storage.shared_memory.SharedBlockStore`: before a stage's
+helper work is submitted, the columns it reads of the blocks it reads are
+copied in if the slab lacks them or a repartition touched the block since,
+and each work item carries the slots of its own blocks and columns only.
 
 Determinism contract: execution goes through the session's one schedule
 interpreter (:class:`~repro.exec.engine.Executor`) with this backend's
-pool runner (``ParallelBackend._run_stage``).  The interpreter describes
-each stage's tasks, this runner pins their tables, ships the descriptions
-to the pool and returns the collected outcomes, and the interpreter merges
-them **in task-id order** — exactly as it does for the inline runner — so
-``QueryResult.fingerprint()`` is bit-identical to
-:class:`~repro.api.backends.TaskBackend`.  The only parallel-specific
-fields are the wall-clock measurements (``wall_seconds`` /
-``machine_wall_seconds``), which fingerprints exclude.
+runner (``ParallelBackend._run_stage``).  The interpreter describes each
+stage's tasks, this runner runs one machine's share and ships the rest, and
+the interpreter merges all outcomes **in task-id order** — exactly as it
+does for the inline runner — so ``QueryResult.fingerprint()`` is
+bit-identical to :class:`~repro.api.backends.TaskBackend`.  The only
+parallel-specific fields are the wall-clock measurements (``wall_seconds``
+/ ``machine_wall_seconds``, the parent's tasks included), which
+fingerprints exclude.
+
+A helper that dies mid-stage costs the query one pool restart: the stage's
+uncollected works run again on fresh helpers (never in the parent, so a
+crashing kernel cannot take the session down).  A second death, or a task
+that raised, fails the query.
 
 Stages follow the schedule's shuffle barrier: stage 0 (scans, shuffle maps,
 hyper groups) fans out first; only after its map outcomes are merged into
@@ -36,7 +49,7 @@ from ..exec.engine import Executor
 from ..exec.kernels_tasks import TaskOutcome, TaskWork
 from ..exec.result import QueryResult
 from ..storage.shared_memory import SharedBlockStore
-from .pool import WorkerPool
+from .pool import WorkerDied, WorkerPool
 
 
 @dataclass
@@ -52,7 +65,7 @@ class ParallelBackend:
     # ------------------------------------------------------------------ #
     @property
     def num_workers(self) -> int:
-        """Pool size: ``config.num_workers`` or one worker per machine."""
+        """Helper processes: ``config.num_workers`` or one per machine."""
         return self.executor.config.num_workers or self.executor.cluster.num_machines
 
     def ensure_pool(self) -> WorkerPool:
@@ -80,8 +93,9 @@ class ParallelBackend:
     # Execution
     # ------------------------------------------------------------------ #
     def execute(self, physical) -> QueryResult:
-        """Interpret a physical plan's schedule with the pool as the runner."""
-        pool = self.ensure_pool()
+        """Interpret a physical plan's schedule with the parent and the pool
+        as the runner."""
+        started_pool = self.ensure_pool()
         machine_wall = [0.0] * physical.schedule.num_machines
         started = time.perf_counter()
         try:
@@ -89,29 +103,48 @@ class ParallelBackend:
                 physical.logical,
                 physical.compiled,
                 physical.schedule,
-                runner=lambda works: self._run_stage(pool, works, machine_wall),
+                runner=lambda works: self._run_stage(started_pool, works, machine_wall),
             )
         except BaseException:
             # A failed stage leaves its other outcomes in the pool's result
             # queue, where the next query would collect them as its own.
             # Drop the pool; ensure_pool() starts a fresh one (pins stay:
             # the store is parent-owned).
-            pool.close()
-            self._pool = None
+            if self._pool is not None:
+                self._pool.close()
+                self._pool = None
             raise
         result.wall_seconds = time.perf_counter() - started
         result.machine_wall_seconds = machine_wall
         return result
 
     def _run_stage(
-        self, pool: WorkerPool, works: Iterable[TaskWork], machine_wall: list[float]
+        self, started_pool: WorkerPool, works: Iterable[TaskWork], machine_wall: list[float]
     ) -> list[TaskOutcome]:
-        """The pool runner: fan one stage's work out and collect its outcomes.
+        """The runner: the parent runs the stage's heaviest machine, the pool
+        the others.
 
-        Each outcome's measured ``wall_seconds`` is added to its machine's
-        slot of ``machine_wall`` (reporting only).
+        The other machines' work is pinned and submitted first; the parent
+        then runs its own work in-process and collects the helpers'
+        outcomes last.  Each outcome's measured ``wall_seconds`` is added to
+        its machine's slot of ``machine_wall`` (reporting only).
         """
         works = list(works)
+        if not works:
+            return []
+        own = heaviest_machine(works)
+        shipped = self._ship([work for work in works if work.machine_id != own])
+        outcomes = [self._run_here(work) for work in works if work.machine_id == own]
+        if shipped:
+            outcomes += self._collect(started_pool, shipped)
+        machine_of = {work.task_id: work.machine_id for work in works}
+        for outcome in outcomes:
+            machine_wall[machine_of[outcome.task_id]] += outcome.wall_seconds
+        return outcomes
+
+    def _ship(self, works: list[TaskWork]) -> list[TaskWork]:
+        """Pin ``works``' blocks, submit each work with its pins and return
+        what was submitted."""
         # One pin per table per stage, made before anything is submitted: the
         # store writes into a segment only while no worker is reading it.  It
         # lists each block once (probe blocks are re-read) and the columns
@@ -122,23 +155,67 @@ class ParallelBackend:
                 block_ids, names = read.setdefault(blocks.table, ({}, {}))
                 block_ids.update(dict.fromkeys(blocks.block_ids))
                 names.update(blocks.columns_read)
-        catalog = self.executor.catalog
+        catalog, pool = self.executor.catalog, self._pool
+        assert pool is not None, "execute() starts the pool"
         pins = {
             name: self.store.pin_table(catalog.get(name), block_ids, names)
             for name, (block_ids, names) in read.items()
         }
+        shipped = []
         for work in works:
             inputs = []
             for blocks in work.inputs:
                 # Charge the reads where the inline runner would, so locality
-                # and buffer statistics match TaskBackend's (block data itself
-                # travels via shared memory, not through this call).
+                # statistics match TaskBackend's (block data itself travels
+                # via shared memory, not through this call).
                 self.executor.fetch(work, blocks)
                 pin = pins[blocks.table].select(blocks.block_ids, blocks.columns_read)
                 inputs.append(replace(blocks, pin=pin))
-            pool.submit(work.machine_id, replace(work, inputs=tuple(inputs)))
-        machine_of = {work.task_id: work.machine_id for work in works}
-        outcomes = pool.collect(len(works))
-        for outcome in outcomes:
-            machine_wall[machine_of[outcome.task_id]] += outcome.wall_seconds
-        return outcomes
+            shipped.append(replace(work, inputs=tuple(inputs)))
+            pool.submit(work.machine_id, shipped[-1])
+        return shipped
+
+    def _run_here(self, work: TaskWork) -> TaskOutcome:
+        """Run one task in the parent, as the inline runner does, and stamp
+        its duration."""
+        started = time.perf_counter()
+        outcome = self.executor.run_here(work)
+        return replace(outcome, wall_seconds=time.perf_counter() - started)
+
+    def _collect(self, started_pool: WorkerPool, shipped: list[TaskWork]) -> list[TaskOutcome]:
+        """The helpers' outcomes of ``shipped``.
+
+        A worker that dies costs the query one pool restart: the works
+        whose outcomes had not arrived run again on fresh workers — never
+        in the parent, so a crashing kernel cannot take the session down.
+        A second death in the query, or a task that raised, fails it.
+        """
+        pool = self._pool
+        assert pool is not None, "execute() starts the pool"
+        try:
+            return pool.collect(len(shipped))
+        except WorkerDied as death:
+            if pool is not started_pool:
+                raise
+            pool.close()
+            done = {outcome.task_id for outcome in death.outcomes}
+            left = [work for work in shipped if work.task_id not in done]
+            pool = self.ensure_pool()
+            for work in left:
+                pool.submit(work.machine_id, work)
+            return death.outcomes + pool.collect(len(left))
+
+
+def heaviest_machine(works: Iterable[TaskWork]) -> int:
+    """The machine whose works read the most blocks (or, in a reduce stage,
+    the most keys); ties go to the lowest machine id.
+
+    Depends only on the schedule, never on a clock, so which process runs
+    which task is the same on every run.
+    """
+    load: dict[int, int] = {}
+    for work in works:
+        keys = sum(len(k) for k in (work.build_keys, work.probe_keys) if k is not None)
+        blocks = sum(len(blocks.block_ids) for blocks in work.inputs)
+        load[work.machine_id] = load.get(work.machine_id, 0) + keys + blocks
+    return min(load, key=lambda machine_id: (-load[machine_id], machine_id))

@@ -1,7 +1,8 @@
 """Persistent worker pool for the multi-core execution backend.
 
-One worker process per simulated machine (folded modulo ``num_workers``
-when the pool is smaller than the cluster).  Workers receive the schedule
+``num_workers`` helper processes; the backend hands them every machine's
+tasks but the one the parent runs itself, folded modulo ``num_workers``
+when the pool is smaller than the cluster.  Workers receive the schedule
 interpreter's picklable :class:`~repro.exec.kernels_tasks.TaskWork`
 descriptions — task ids, block ids, predicates and, per input, a
 :class:`~repro.storage.shared_memory.TablePin` listing the shared-memory
@@ -11,7 +12,8 @@ shuffle keys and row counts come back.  Each worker runs the work through
 the same :func:`~repro.exec.kernels_tasks.run_task` the parent runs inline,
 so the interpreter merges outcomes identically and stays bit-identical.
 
-Timing: workers stamp each task with its ``time.perf_counter()`` duration.
+Timing: workers stamp each task with its ``time.perf_counter()`` duration
+(the backend stamps the parent's own tasks the same way).
 The measured times are reported on ``QueryResult.wall_seconds`` /
 ``machine_wall_seconds`` and feed no decision and no fingerprint.
 ``tests/test_determinism.py`` holds that: it runs the golden streams with
@@ -70,6 +72,19 @@ def _worker_main(worker_index: int, tasks: Any, results: Any) -> None:
 # --------------------------------------------------------------------- #
 # Parent-side pool
 # --------------------------------------------------------------------- #
+class WorkerDied(ExecutionError):
+    """A worker process died while a stage's outcomes were being collected.
+
+    Unlike a task that raised, the work itself may be sound: ``outcomes``
+    holds what the stage delivered before the death, so a caller can run
+    the rest again on a fresh pool.
+    """
+
+    def __init__(self, message: str, outcomes: list[TaskOutcome]) -> None:
+        super().__init__(message)
+        self.outcomes = outcomes
+
+
 class WorkerPool:
     """A persistent pool of task-executing worker processes.
 
@@ -121,9 +136,11 @@ class WorkerPool:
         ``timeout`` bounds the wait for each outcome.  The wait is on the
         result pipes and the workers' sentinels together, so a crashed
         worker (e.g. killed by a signal, so it cannot report) is reported
-        at once — after whatever it managed to send has been read.  After a
-        raise the stage's other outcomes may still be in the pipes, so the
-        caller must not reuse the pool (``ParallelBackend`` drops it).
+        at once as :class:`WorkerDied` — after whatever it managed to send
+        has been read, which the exception carries.  A task that raised is
+        a plain :class:`ExecutionError`.  After a raise the stage's other
+        outcomes may still be in the pipes, so the caller must not reuse
+        the pool (``ParallelBackend`` drops it).
         """
         outcomes: list[TaskOutcome] = []
         sentinels = [worker.sentinel for worker in self._workers]
@@ -146,7 +163,7 @@ class WorkerPool:
                     for worker, reader in zip(self._workers, self._results)
                     if worker.sentinel in ready or reader in ready
                 ]
-                raise ExecutionError(f"worker process(es) died during execution: {dead}")
+                raise WorkerDied(f"worker process(es) died during execution: {dead}", outcomes)
             for item in items:
                 if item[0] == "error":
                     _, worker_index, task_id, detail = item
@@ -194,8 +211,12 @@ class WorkerPool:
         for reader in self._results:
             reader.close()
         if not finalizing:
-            for task_queue in self._task_queues:
+            for task_queue, worker in zip(self._task_queues, self._workers):
                 task_queue.close()
+                if worker.exitcode != 0:
+                    # A worker that died left its queue unread: waiting for
+                    # the feeder to flush it could block for good.
+                    task_queue.cancel_join_thread()
                 task_queue.join_thread()
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net

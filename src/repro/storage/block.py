@@ -4,7 +4,10 @@ A block is the unit of storage, placement, pruning and join scheduling —
 the equivalent of a 64 MB HDFS block in the paper.  Blocks store real rows
 (one numpy array per column) so joins can be executed and verified, and they
 carry per-column min/max metadata, which is what the hyper-join overlap
-computation and the partitioning-tree lookup consume.
+computation and the partitioning-tree lookup consume.  Every column array
+a block stores is read-only — its initial columns (views of the caller's
+arrays), merged columns and rewrites alike — so a kernel that writes to a
+block it reads raises instead of silently changing a live block.
 
 **Ranges** are two float64 vectors per block, lows and highs, over a column
 index (column name -> position) that every block with the same column
@@ -60,6 +63,16 @@ from ..common.schema import Schema
 def _estimate_bytes(columns: dict[str, np.ndarray]) -> int:
     """Approximate the on-disk size of a set of column arrays."""
     return int(sum(array.nbytes for array in columns.values()))
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array`` as a block stores it: read-only, a view when the caller's
+    array is writeable, so no kernel can overwrite a live block."""
+    if not array.flags.writeable:
+        return array
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 def _chunk_rows(columns: dict[str, np.ndarray], block_id: int) -> int:
@@ -129,9 +142,11 @@ class Block:
     ) -> None:
         self.block_id = block_id
         self.table = table
-        #: Column name -> its contiguous array, or ``None`` while the column
-        #: is stale.  A column's key keeps its place either way.
-        self._columns: dict[str, np.ndarray | None] | None = dict(columns)
+        #: Column name -> its contiguous read-only array, or ``None`` while
+        #: the column is stale.  A column's key keeps its place either way.
+        self._columns: dict[str, np.ndarray | None] | None = {
+            name: _frozen(array) for name, array in columns.items()
+        }
         #: Appends that some column has not merged yet, oldest first.
         self._records: list[Record] = []
         #: Stale column -> position in ``_records`` of its first unmerged one.
@@ -365,7 +380,7 @@ class Block:
         ``size_bytes`` always change together, so stale range metadata can
         never silently prune a block with live rows.
         """
-        self._columns = dict(columns)
+        self._columns = {name: _frozen(array) for name, array in columns.items()}
         self._records, self._stale, self._old = [], {}, {}
         self._num_rows = _chunk_rows(columns, self.block_id)
         self._set_ranges(compute_ranges(columns), columns)
@@ -374,7 +389,7 @@ class Block:
 
     def clear(self, empty_columns: dict[str, np.ndarray]) -> None:
         """Empty the block in place (its rows have been migrated elsewhere)."""
-        self._columns = dict(empty_columns)
+        self._columns = {name: _frozen(array) for name, array in empty_columns.items()}
         self._records, self._stale, self._old = [], {}, {}
         self._num_rows = 0
         self._lo = np.full(len(self._index), np.inf)
@@ -422,6 +437,7 @@ class Block:
             pieces = self._pieces(name, first, release=True)
             self._old.pop(name, None)
             merged = np.concatenate(pieces)
+            merged.flags.writeable = False
             self.size_bytes += merged.nbytes - sum(piece.nbytes for piece in pieces)
             columns[name] = merged
         if not stale:

@@ -1,19 +1,22 @@
 """Tests for the multi-core execution backend (repro.parallel).
 
 The contract under test: the parallel backend executes compiled task
-schedules on real worker processes, with block columns shipped through
-shared-memory segments, and produces results **bit-identical** to the
-in-process task backend — same ``output_rows``, same ``fingerprint()``.
-Agreement over adaptive workloads that repartition tables (epoch bumps)
-mid-stream is checked across the whole configuration matrix in
-``tests/test_matrix.py``.  Here: the shared-memory slab (only the columns a
-stage reads are copied, stale slots re-copied on demand, compaction, a stage
-too big for any segment failing typed, the hand-off proportional to the
-blocks read), segment lifecycle (no
-leaks after close, crashed workers recovered), failed stages (a worker-side error — including
-a write to a pinned block, which is read-only — fails the query loudly and
-leaves the session correct), the wall-clock reporting fields that
-fingerprints must ignore, and attached views that are read-only.
+schedules on the parent and real helper processes, with block columns
+shipped to the helpers through shared-memory segments, and produces results
+**bit-identical** to the in-process task backend — same ``output_rows``,
+same ``fingerprint()``.  Agreement over adaptive workloads that repartition
+tables (epoch bumps) mid-stream is checked across the whole configuration
+matrix in ``tests/test_matrix.py``.  Here: the split (the parent runs each
+stage's heaviest machine; a stage on one machine ships nothing), the
+shared-memory slab (only the columns the helpers' work reads are copied,
+stale slots re-copied on demand, compaction, a stage too big for any segment
+failing typed, the hand-off proportional to the blocks read), segment
+lifecycle (no leaks after close, crashed workers recovered), failed stages (a
+helper that dies mid-stage costs one pool restart; a second death or a task
+error — including a write to a block, which is read-only in every process —
+fails the query loudly and leaves the session correct), the wall-clock
+reporting fields that fingerprints must ignore, and attached views that are
+read-only.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ from repro.common.schema import DataType, Schema
 from repro.core import AdaptDBConfig
 from repro.exec import TaskKind, kernels_tasks
 from repro.exec.kernels_tasks import BlockInput, TaskOutcome, TaskWork
-from repro.parallel import ParallelBackend, WorkerPool, pool as pool_module
+from repro.parallel import ParallelBackend, WorkerDied, WorkerPool, pool as pool_module
+from repro.parallel.backend import heaviest_machine
 from repro.common.errors import ExecutionError, StorageError
 from repro.common.rng import make_rng
 from repro.partitioning.upfront import UpfrontPartitioner
@@ -87,12 +91,12 @@ def par_session(tpch_tables):
     session.close()
 
 
-def assert_backends_agree(session: Session, query) -> tuple:
+def assert_backends_agree(session: Session, query, adapt: bool = True) -> tuple:
     """Plan once, execute on both backends, demand bit-identical results.
 
     Returns ``(tasks_result, parallel_result)`` for extra assertions.
     """
-    physical = session.lower(session.plan(query, adapt=True))
+    physical = session.lower(session.plan(query, adapt=adapt))
     session.use_backend("tasks")
     tasks_result = session.execute(physical)
     session.use_backend("parallel")
@@ -114,6 +118,12 @@ def segment_exists(name: str) -> bool:
         return False
     shm.close()
     return True
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the patched kernel reaches the workers by fork inheritance",
+)
 
 
 # --------------------------------------------------------------------- #
@@ -166,6 +176,88 @@ class TestAgreement:
 
 
 # --------------------------------------------------------------------- #
+# The parent runs each stage's heaviest machine
+# --------------------------------------------------------------------- #
+def machine_reads(session: Session) -> list[tuple[int, int]]:
+    return [
+        (machine.local_reads, machine.remote_reads) for machine in session.cluster.machines
+    ]
+
+
+class TestParentRunsAMachine:
+    def test_a_stage_on_one_machine_ships_nothing(self, tpch_tables, monkeypatch):
+        """A hyper join of one group is one task on one machine: the parent
+        runs it, and nothing is pinned, copied or submitted."""
+        session = make_session(tpch_tables)
+        store = session.backends["parallel"].store
+        submitted = recorded_submits(monkeypatch)
+        try:
+            session.run(scan_query("lineitem", [between("l_quantity", 1, 50)]), adapt=False)
+            copied, submitted[:] = store.copied_bytes, []
+            join = join_query("lineitem", "orders", "l_orderkey", "o_orderkey")
+            _, parallel_result = assert_backends_agree(session, join, adapt=False)
+            machines = {machine_id for machine_id, _ in parallel_result.schedule.placements()}
+            assert len(machines) == 1
+            assert submitted == []
+            assert store.copied_bytes == copied
+            assert parallel_result.machine_wall_seconds[machines.pop()] > 0.0
+        finally:
+            session.close()
+
+    def test_a_shuffle_join_runs_on_the_parent_and_a_helper(self, tpch_tables, monkeypatch):
+        """A 4-machine shuffle join whose map stage spans several machines:
+        the parent runs the heaviest machine's maps and reduce, the helpers
+        the others, and answers and per-machine reads equal ``tasks``'s."""
+        session = make_session(tpch_tables, force_join_method="shuffle")
+        submitted = recorded_submits(monkeypatch)
+        here, run_here = [], session.executor.run_here
+
+        def recording(work):
+            here.append(work)
+            return run_here(work)
+
+        monkeypatch.setattr(session.executor, "run_here", recording)
+        try:
+            query = join_query(
+                "lineitem", "orders", "l_orderkey", "o_orderkey",
+                {"lineitem": [between("l_quantity", 5, 25)]},
+            )
+            physical = session.lower(session.plan(query, adapt=False))
+            counts, fingerprints = [], []
+            for backend in ("tasks", "parallel"):
+                session.use_backend(backend)
+                here[:] = []
+                result = session.execute(physical)  # resets the read counters first
+                counts.append(machine_reads(session))
+                fingerprints.append(result.fingerprint())
+            assert fingerprints[0] == fingerprints[1]
+            assert counts[0] == counts[1] and sum(map(sum, counts[1])) > 0
+            placements = result.schedule.placements()
+            assert len({m for m, t in placements if t.kind is TaskKind.SHUFFLE_MAP}) > 1
+            # Per stage, one machine runs in the parent, and none of its
+            # works is shipped.
+            for kind in (TaskKind.SHUFFLE_MAP, TaskKind.SHUFFLE_REDUCE):
+                assert len({work.machine_id for work in here if work.kind is kind}) == 1
+                assert any(work.kind is kind for work in submitted)
+            assert {(w.kind, w.machine_id) for w in here}.isdisjoint(
+                (w.kind, w.machine_id) for w in submitted
+            )
+        finally:
+            session.close()
+
+    def test_the_heaviest_machine_reads_the_most(self):
+        def work(task_id, machine_id, blocks=0, keys=0):
+            inputs = (BlockInput("t", tuple(range(blocks)), ()),) if blocks else ()
+            arrays = {"build_keys": np.arange(keys), "probe_keys": np.arange(keys)} if keys else {}
+            kind = TaskKind.SCAN if blocks else TaskKind.SHUFFLE_REDUCE
+            return TaskWork(task_id, kind, machine_id, inputs, **arrays)
+
+        assert heaviest_machine([work(0, 0, 2), work(1, 1, 3), work(2, 0, 2)]) == 0
+        assert heaviest_machine([work(0, 2, 3), work(1, 1, 3)]) == 1  # a tie: lowest id
+        assert heaviest_machine([work(0, 0, keys=5), work(1, 3, keys=9)]) == 3
+
+
+# --------------------------------------------------------------------- #
 # The slab: a per-table cache of block copies, invalidated by change stamps
 # --------------------------------------------------------------------- #
 def lineitem_of(tpch_tables, rows_per_block: int = 512):
@@ -206,6 +298,18 @@ def recorded_pins(store: SharedBlockStore, monkeypatch) -> list:
 
     monkeypatch.setattr(store, "pin_table", recording)
     return pins
+
+
+def recorded_submits(monkeypatch) -> list[TaskWork]:
+    """Every work any pool is handed from now on, in order."""
+    submit, works = WorkerPool.submit, []
+
+    def recording(pool, worker_index, work):
+        works.append(work)
+        submit(pool, worker_index, work)
+
+    monkeypatch.setattr(WorkerPool, "submit", recording)
+    return works
 
 
 def slot_bytes(block, names) -> int:
@@ -360,13 +464,14 @@ class TestSlab:
 
     def test_every_slot_read_equals_the_block_byte_for_byte(self, tpch_tables, monkeypatch):
         """Over an adaptive stream, after every query, every column of each
-        slot a stage was handed holds exactly the bytes of the block it
-        stands for."""
+        slot a stage handed its helpers holds exactly the bytes of the block
+        it stands for.  (The parent reads its own machine's blocks in place,
+        so the stream is long enough for the helpers' share to exceed 500.)"""
         session = full_session(tpch_tables)
         pins, checked = recorded_pins(session.backends["parallel"].store, monkeypatch), 0
         cache = SharedSegmentCache()
         try:
-            for query in adaptive_stream(40):
+            for query in adaptive_stream(96):
                 pins.clear()
                 session.run(query)
                 for pin in pins:
@@ -386,13 +491,18 @@ class TestSlab:
             cache.close()
             session.close()
 
-    def test_a_query_copies_and_compacts_only_the_columns_it_reads(self, tpch_tables):
+    def test_a_query_copies_and_compacts_only_the_columns_it_reads(
+        self, tpch_tables, monkeypatch
+    ):
         """After an adaptive stream left blocks with pending pieces, one
-        parallel query merges and copies the columns it reads of the blocks
-        it reads, and nothing else: every other column stays pending, as on
-        the inline path (a pin that copied the whole block merged them all)."""
+        parallel query merges the columns it reads of the blocks it reads,
+        copies those of the blocks its helpers read, and nothing else: every
+        other column stays pending, as on the inline path (a pin that copied
+        the whole block merged them all).  The join is forced to shuffle:
+        its map stage spreads over the machines, so the helpers get work."""
         session = full_session(tpch_tables, execution_backend="tasks")
         store = session.backends["parallel"].store
+        submitted = recorded_submits(monkeypatch)
         try:
             for query in adaptive_stream(12):
                 session.run(query)
@@ -403,19 +513,25 @@ class TestSlab:
                 for block_id in session.table(table).block_ids()
             }
             session.use_backend("parallel")
+            monkeypatch.setattr(session.config, "force_join_method", "shuffle")
             query = join_query(
                 "lineitem", "orders", "l_orderkey", "o_orderkey",
                 {"lineitem": [between("l_quantity", 5, 25)]},
             )
             result = session.run(query, adapt=False)
+            assert result.join_methods == ["shuffle"]
             reads = {"lineitem": {"l_orderkey", "l_quantity"}, "orders": {"o_orderkey"}}
             read = {b for _, task in result.schedule.placements() for b in task.read_block_ids}
             blocks = [session.dfs.peek_block(block_id) for block_id in sorted(read)]
             for block in blocks:
                 assert set(block.pending_columns) == pending[block.block_id] - reads[block.table]
             assert any(block.pending_columns for block in blocks)
+            shipped = {b for work in submitted for blocks in work.inputs for b in blocks.block_ids}
+            assert shipped and shipped < read  # the parent read the rest in place
             assert store.copied_bytes == sum(
-                slot_bytes(block, reads[block.table]) for block in blocks
+                slot_bytes(block, reads[block.table])
+                for block in blocks
+                if block.block_id in shipped
             )
         finally:
             session.close()
@@ -496,7 +612,8 @@ class TestSlab:
 # --------------------------------------------------------------------- #
 class TestSegmentLifecycle:
     def test_close_unlinks_every_segment(self, tpch_tables):
-        session = make_session(tpch_tables)
+        # A shuffle join: its map stage has work for the helpers, and pins.
+        session = make_session(tpch_tables, force_join_method="shuffle")
         session.run(join_query("lineitem", "orders", "l_orderkey", "o_orderkey"))
         backend = session.backends["parallel"]
         segments = pinned_segments(backend)
@@ -661,11 +778,12 @@ class TestFailedStages:
         session.close()
         assert segments and not any(segment_exists(segment) for segment in segments)
 
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="the patched kernel reaches the workers by fork inheritance",
-    )
+    @needs_fork
     def test_worker_write_to_a_pinned_block_fails_the_query(self, tpch_tables, monkeypatch):
+        """A kernel that writes to a block it reads fails the query with
+        ``ExecutionError`` whether a helper runs it (the pinned view is
+        read-only), the parent does, or the ``tasks`` backend does (the
+        block's own arrays are read-only), and no block changes."""
         session = make_session(tpch_tables)  # WorkerPool forks where it can
         try:
             scan = scan_query("lineitem", [between("l_quantity", 5, 25)])
@@ -676,24 +794,96 @@ class TestFailedStages:
                 for block_id in table.non_empty_block_ids()
             }
             run_scan_task = kernels_tasks.run_scan_task
+            parent, writer = os.getpid(), {}
 
             def writing_scan(blocks, predicates):
-                column = blocks[0].columns[first_column]
-                column[0] = column[0] + 1
+                if (os.getpid() == parent) == (writer["where"] != "helper"):
+                    column = blocks[0].columns[first_column]
+                    column[0] = column[0] + 1
                 return run_scan_task(blocks, predicates)
 
-            # Patched before the pool starts, so the forked workers run it.
+            # Patched before a pool starts, so the forked workers run it; a
+            # failed query drops its pool, and the next one forks anew.
             monkeypatch.setattr(kernels_tasks, "run_scan_task", writing_scan)
-            with pytest.raises(ExecutionError, match="destination is read-only"):
-                session.run(scan, adapt=False)
+            for where, reported in (
+                ("helper", "on worker"), ("parent", "on machine"), ("tasks", "on machine")
+            ):
+                writer["where"] = where
+                session.use_backend("tasks" if where == "tasks" else "parallel")
+                with pytest.raises(
+                    ExecutionError, match=f"{reported}.*destination is read-only"
+                ):
+                    session.run(scan, adapt=False)
+                for block_id, column in before.items():
+                    assert np.array_equal(
+                        session.dfs.peek_block(block_id).columns[first_column], column
+                    )
             monkeypatch.undo()
-
-            for block_id, column in before.items():
-                assert np.array_equal(
-                    session.dfs.peek_block(block_id).columns[first_column], column
-                )
             # The workers that inherited the patch went with the failed pool.
             assert_backends_agree(session, scan)
+        finally:
+            session.close()
+
+    @needs_fork
+    def test_a_helper_that_dies_mid_stage_costs_one_restart(
+        self, tpch_tables, monkeypatch, tmp_path
+    ):
+        """A helper that exits on one task of a shuffle join's map stage:
+        the backend restarts the pool once and runs the stage's uncollected
+        works on the fresh workers.  The answer is that of ``tasks``, the
+        next query runs on the restarted pool, and nothing leaks."""
+        before = set(glob.glob("/dev/shm/psm_*"))
+        session = make_session(tpch_tables, force_join_method="shuffle")
+        backend = session.backends["parallel"]
+        parent, died = os.getpid(), str(tmp_path / "died")
+        run_shuffle_map_task = kernels_tasks.run_shuffle_map_task
+
+        def dying_map(*args):
+            if os.getpid() != parent:
+                try:  # the first helper to get here dies, and only it
+                    os.close(os.open(died, os.O_CREAT | os.O_EXCL))
+                except FileExistsError:
+                    pass
+                else:
+                    os._exit(3)
+            return run_shuffle_map_task(*args)
+
+        join = join_query("lineitem", "orders", "l_orderkey", "o_orderkey")
+        try:
+            # Patched before the pool starts, so the forked workers run it.
+            monkeypatch.setattr(kernels_tasks, "run_shuffle_map_task", dying_map)
+            first = backend.ensure_pool()
+            assert_backends_agree(session, join, adapt=False)
+            assert os.path.exists(died)
+            restarted = backend.pool
+            assert restarted is not first and not first.alive
+            monkeypatch.undo()
+            assert_backends_agree(session, join, adapt=False)
+            assert backend.pool is restarted and restarted.alive
+        finally:
+            session.close()
+        assert set(glob.glob("/dev/shm/psm_*")) <= before
+
+    @needs_fork
+    def test_a_second_death_fails_the_query(self, tpch_tables, monkeypatch):
+        """Helpers that die on every map: the restarted pool's die too, and
+        the query fails loudly instead of restarting for good."""
+        session = make_session(tpch_tables, force_join_method="shuffle")
+        parent = os.getpid()
+        run_shuffle_map_task = kernels_tasks.run_shuffle_map_task
+
+        def dying_map(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return run_shuffle_map_task(*args)
+
+        join = join_query("lineitem", "orders", "l_orderkey", "o_orderkey")
+        try:
+            monkeypatch.setattr(kernels_tasks, "run_shuffle_map_task", dying_map)
+            with pytest.raises(WorkerDied, match="died during execution"):
+                session.run(join, adapt=False)
+            monkeypatch.undo()
+            assert_backends_agree(session, join, adapt=False)
         finally:
             session.close()
 

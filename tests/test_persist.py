@@ -31,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.session import Session
-from repro.common.errors import PlanningError, StorageError
+from repro.common.errors import ExecutionError, PlanningError, StorageError
 from repro.common.predicates import between, ge
 from repro.common.query import join_query, scan_query
 from repro.common.rng import make_rng
@@ -959,8 +959,9 @@ class TestAnnouncedFuture:
             raise RuntimeError("kernel failed mid-query")
 
         monkeypatch.setattr(engine, "run_task", die)
-        with pytest.raises(RuntimeError, match="mid-query"):
+        with pytest.raises(ExecutionError, match="mid-query") as failed:
             session.run(join, adapt=False)
+        assert isinstance(failed.value.__cause__, RuntimeError)
         monkeypatch.undo()
         lineitem = set(session.table("lineitem").block_ids())
         assert lineitem & set(buffer._uses), "the failed query left its hint behind"
