@@ -14,7 +14,8 @@ point's budget, and lowered into one ``HYPER_GROUP`` task per group.  The
 sweep drives the *real* bounded-memory storage tier: the session persists
 via ``persistence="mmap"``, every block is spilled at a checkpoint, and each
 sweep point restarts cold with the block buffer's byte budget scaled to the
-same number of blocks the hyper-join groups over.  Alongside the modelled
+same number of blocks the hyper-join groups over (counted in the key-column
+bytes the join reads of a block, which is what the buffer charges).  Alongside the modelled
 series the experiment therefore reports *measured* buffer traffic — faults
 (blocks actually materialized from the spill files), hits and evictions —
 which shrink/grow with the buffer exactly as the paper's curve does.
@@ -61,9 +62,11 @@ def run(
     """Reproduce Figure 14: runtime and probe-block reads vs. buffer size.
 
     Each sweep point evicts everything resident (a cold cache), re-budgets
-    the block buffer to ``(buffer_blocks + 1)`` mean-sized blocks and runs
-    the same lineitem-orders hyper-join, so the measured fault counts are
-    the bounded-memory analogue of the paper's "orders blocks read" axis.
+    the block buffer to ``(buffer_blocks + 1)`` blocks' worth of the bytes
+    the join reads of a block (its key column: the buffer charges resident
+    columns only) and runs the same lineitem-orders hyper-join, so the
+    measured fault counts are the bounded-memory analogue of the paper's
+    "orders blocks read" axis.
     """
     buffer_sizes = buffer_sizes or list(DEFAULT_BUFFER_SIZES)
     tables = TPCHGenerator(scale=scale, seed=seed).generate(["lineitem", "orders"])
@@ -88,7 +91,15 @@ def run(
     db.checkpoint()
     assert db.persist is not None
     buffer = db.persist.buffer
-    mean_block_bytes = max(1, db.dfs.total_bytes() // max(1, db.dfs.num_blocks))
+    # A block the join reads is charged the bytes of its key column alone
+    # (residency is per column), so the budget is counted in those.
+    key_bytes = [
+        db.dfs.peek_block(block_id).num_rows
+        * table.schema.column(key).dtype.numpy_dtype.itemsize
+        for table, key in ((lineitem, "l_orderkey"), (orders, "o_orderkey"))
+        for block_id in table.block_ids()
+    ]
+    mean_read_bytes = max(1, sum(key_bytes) // max(1, len(key_bytes)))
     logical = db.plan(join_query("lineitem", "orders", "l_orderkey", "o_orderkey"), adapt=False)
     build_ids, probe_ids = lineitem.non_empty_block_ids(), orders.non_empty_block_ids()
 
@@ -99,7 +110,7 @@ def run(
     evictions: list[float] = []
     for buffer_blocks in buffer_sizes:
         # +1: one probe block is streamed against the resident build blocks.
-        buffer.set_budget((buffer_blocks + 1) * mean_block_bytes)
+        buffer.set_budget((buffer_blocks + 1) * mean_read_bytes)
         buffer.drop_resident()
         buffer.reset_counters()
         decision = replace(

@@ -10,7 +10,8 @@ number of join matches so tests can verify results against a reference join.
   many reads, and never for a column no task reads.
 * :func:`join_match_count_arrays`: integer keys whose shared range spans at
   most :data:`DENSE_SPAN_FACTOR` slots per row are counted into a direct-address
-  table the probe keys index, O(rows + span), no sort.  Under range
+  table the probe keys index, O(rows + span), no sort and no boolean filter
+  (keys outside the range clip onto two zeroed pad slots).  Under range
   partitioning that is the common case: a hyper-join group's build keys are a
   key *range*, a shuffle partition every ``num_partitions``-th key of one.
   Float and sparse keys sort (``_sorted_match_count``), O(n log n).
@@ -35,6 +36,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
 #: 16 to 32 slots per row on every input size measured (EXPERIMENTS.md).
 DENSE_SPAN_FACTOR = 16
 
+_INTP = np.iinfo(np.intp)
+
 
 def _sorted_match_count(build_keys: np.ndarray, probe_keys: np.ndarray) -> int:
     """Join cardinality of two non-empty key arrays by sorting: Σ over the
@@ -48,12 +51,24 @@ def _sorted_match_count(build_keys: np.ndarray, probe_keys: np.ndarray) -> int:
     return int((build_counts[build_idx] * probe_counts[probe_idx]).sum())
 
 
+def _padded_slots(keys: np.ndarray, low: int, high: int) -> np.ndarray:
+    """``keys`` clipped into ``[low - 1, high + 1]`` and shifted to start at
+    0: a key inside the shared range lands on its own slot, one outside it on
+    one of the two pad slots.  One intp copy, clipped and shifted in place."""
+    slots = np.maximum(keys, low - 1, dtype=np.intp)
+    np.minimum(slots, high + 1, out=slots)
+    return np.subtract(slots, low - 1, out=slots)
+
+
 def join_match_count_arrays(build_keys: np.ndarray, probe_keys: np.ndarray) -> int:
     """Join cardinality of two raw key arrays (the hash join of one task).
 
     Dense integer keys are counted over the range both sides share: one
-    ``bincount`` of the build keys is the hash table, the probe keys index it.
-    The span is a Python int, so the ends of int64 cannot overflow it.
+    ``bincount`` of the build keys is the hash table, the probe keys index
+    it.  Keys outside the range are clipped onto two pad slots whose counts
+    are zeroed before the probe, so neither side is filtered.  The span is a
+    Python int, so the ends of int64 cannot overflow it; a shared range at
+    an end of int64 has no room for a pad slot and is sorted.
     """
     sides = (build_keys, probe_keys)
     if len(build_keys) == 0 or len(probe_keys) == 0:
@@ -64,11 +79,12 @@ def join_match_count_arrays(build_keys: np.ndarray, probe_keys: np.ndarray) -> i
         span = high - low + 1
         if span <= 0:
             return 0
-        if span <= DENSE_SPAN_FACTOR * (len(build_keys) + len(probe_keys)):
-            build, probe = (
-                np.subtract(k[(k >= low) & (k <= high)], low, dtype=np.intp) for k in sides
-            )
-            return int(np.bincount(build, minlength=span)[probe].sum())
+        dense = span <= DENSE_SPAN_FACTOR * (len(build_keys) + len(probe_keys))
+        if dense and _INTP.min < low and high < _INTP.max:
+            build, probe = (_padded_slots(keys, low, high) for keys in sides)
+            counts = np.bincount(build, minlength=span + 2)
+            counts[0] = counts[-1] = 0
+            return int(counts.take(probe).sum())
     return _sorted_match_count(build_keys, probe_keys)
 
 
@@ -83,8 +99,10 @@ def gather_columns(blocks: Iterable["Block"], columns: list[str]) -> dict[str, n
     blocks = list(blocks)
     sources = [block.arrays(columns) for block in blocks if block.num_rows]
     if not sources:
-        empties = [block.columns for block in reversed(blocks)]  # the first block wins
-        dtypes = {name: e[name].dtype for e in empties for name in columns if name in e}
+        empties = [block.arrays(columns) for block in reversed(blocks)]  # the first block wins
+        dtypes = {
+            name: e[name].dtype for e in empties for name in columns if e.get(name) is not None
+        }
         return {name: np.empty(0, dtype=dtypes.get(name, np.int64)) for name in columns}
     try:
         return {name: np.concatenate([source[name] for source in sources]) for name in columns}

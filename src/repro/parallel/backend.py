@@ -143,18 +143,28 @@ class ParallelBackend:
         return outcomes
 
     def _ship(self, works: list[TaskWork]) -> list[TaskWork]:
-        """Pin ``works``' blocks, submit each work with its pins and return
-        what was submitted."""
-        # One pin per table per stage, made before anything is submitted: the
-        # store writes into a segment only while no worker is reading it.  It
-        # lists each block once (probe blocks are re-read) and the columns
-        # any input of the stage reads.
+        """Charge ``works``' reads, pin their blocks, submit each work with
+        its pins and return what was submitted."""
+        # Each work reads its blocks first, as the inline runner would — its
+        # inputs fetched from its machine, then the columns its kernel reads
+        # — so locality and buffer hit and fault counts match TaskBackend's
+        # (block data itself travels via shared memory, not through this).
+        # Then one pin per table per stage, made before anything is
+        # submitted: the store writes into a segment only while no worker is
+        # reading it.  It lists each block once (probe blocks are re-read)
+        # and the columns any input of the stage reads.
         read: dict[str, tuple[dict[int, None], dict[str, None]]] = {}
         for work in works:
-            for blocks in work.inputs:
-                block_ids, names = read.setdefault(blocks.table, ({}, {}))
+            fetched = [self.executor.fetch(work, blocks) for blocks in work.inputs]
+            for blocks, batch in zip(work.inputs, fetched):
+                names = list(blocks.columns_read)
+                # A kernel reads the blocks with rows, or, if none has rows,
+                # every block (for the dtypes).
+                for block in [block for block in batch if block.num_rows] or batch:
+                    block.arrays(names)
+                block_ids, columns = read.setdefault(blocks.table, ({}, {}))
                 block_ids.update(dict.fromkeys(blocks.block_ids))
-                names.update(blocks.columns_read)
+                columns.update(blocks.columns_read)
         catalog, pool = self.executor.catalog, self._pool
         assert pool is not None, "execute() starts the pool"
         pins = {
@@ -165,10 +175,6 @@ class ParallelBackend:
         for work in works:
             inputs = []
             for blocks in work.inputs:
-                # Charge the reads where the inline runner would, so locality
-                # statistics match TaskBackend's (block data itself travels
-                # via shared memory, not through this call).
-                self.executor.fetch(work, blocks)
                 pin = pins[blocks.table].select(blocks.block_ids, blocks.columns_read)
                 inputs.append(replace(blocks, pin=pin))
             shipped.append(replace(work, inputs=tuple(inputs)))

@@ -38,15 +38,21 @@ deliberately does not compact: block migration streams ``column_pieces()``
 of its sources, which are about to be cleared; compacting them first would
 copy every row twice.
 
-Under the persistence tier a block can additionally be **unloaded**: its
-consolidated columns are dropped (``_columns is None``) and fault back in
-through a bound loader on the next columnar read.  Metadata — ranges,
-``size_bytes``, ``num_rows`` — always stays resident, so planning peeks and
-pruning never touch disk.  Appends to an unloaded block become records
-without faulting; the on-disk prefix is only read when something actually
-consumes the rows.  ``dirty`` tracks whether the in-memory state has
-diverged from the newest spill — only clean blocks may drop their columns,
-dirty ones are written back first.
+Under the persistence tier residency is **per column**.  An unloaded
+block has dropped every column (all of them are *absent*); a read faults
+in, with one call of the bound loader, only the absent columns it names —
+``arrays(names)`` those names, ``columns`` every absent column — so a block
+read for two of its twelve columns holds two.  Absent columns are tracked
+the way stale ones are, so a fully resident block pays one truthiness test
+per read.  Metadata — ranges, ``size_bytes``, ``num_rows`` — always stays
+resident, so planning peeks and pruning never touch disk;
+``resident_bytes`` (``size_bytes`` less the spilled rows of the absent
+columns, kept incrementally) is what the block buffer charges.  Appends to
+an unloaded or partly resident block become records without faulting; an
+absent column's spilled rows become its old contents when it faults, so no
+row is lost.  ``dirty`` tracks whether the in-memory state has diverged
+from the newest spill — only clean blocks may drop their columns, dirty
+ones are written back first.
 """
 
 from __future__ import annotations
@@ -111,6 +117,9 @@ class Batch:
         self.row_bytes = sum(array.itemsize for array in self.columns)
 
 
+#: Maps the named spilled columns in: column name -> read-only array.
+Loader = Callable[[list[str]], dict[str, np.ndarray]]
+
 #: One append, shared by all of its columns: rows ``start:end`` of a batch,
 #: as ``(batch.index, columns, start, end)``.  ``columns`` is the block's own
 #: copy of the batch's column list, in which a merged column is ``None``.
@@ -129,7 +138,7 @@ class Block:
     __slots__ = (
         "block_id", "table", "size_bytes",
         "_columns", "_index", "_lo", "_hi", "_records", "_stale", "_old",
-        "_num_rows", "_loader", "dirty", "__weakref__",
+        "_absent", "_absent_bytes", "_num_rows", "_loader", "dirty", "__weakref__",
     )
 
     def __init__(
@@ -143,22 +152,25 @@ class Block:
         self.block_id = block_id
         self.table = table
         #: Column name -> its contiguous read-only array, or ``None`` while
-        #: the column is stale.  A column's key keeps its place either way.
-        self._columns: dict[str, np.ndarray | None] | None = {
+        #: the column is stale or absent.  A column's key keeps its place.
+        self._columns: dict[str, np.ndarray | None] = {
             name: _frozen(array) for name, array in columns.items()
         }
         #: Appends that some column has not merged yet, oldest first.
         self._records: list[Record] = []
         #: Stale column -> position in ``_records`` of its first unmerged one.
         self._stale: dict[str, int] = {}
-        #: Stale column -> its contents before that record (absent until an
-        #: unloaded block faults its spilled rows in).
+        #: Stale column -> its contents before that record (``None`` while
+        #: the column is absent).
         self._old: dict[str, np.ndarray | None] = {}
+        #: Columns whose spilled rows are not in memory, and those rows' bytes.
+        self._absent: dict[str, None] = {}
+        self._absent_bytes = 0
         self._num_rows = _chunk_rows(columns, block_id)
         self._set_ranges(ranges if ranges else compute_ranges(columns), columns)
         self.size_bytes = size_bytes if size_bytes else _estimate_bytes(columns)
-        #: Faults the newest spilled version back in; bound by the buffer.
-        self._loader: Callable[[], dict[str, np.ndarray]] | None = None
+        #: Faults columns of the newest spilled version in; bound by the buffer.
+        self._loader: Loader | None = None
         #: Whether in-memory state has diverged from the newest spill.
         self.dirty = True
 
@@ -170,11 +182,13 @@ class Block:
         ranges: dict[str, tuple[float, float]],
         size_bytes: int,
         num_rows: int,
+        column_names: Iterable[str],
     ) -> "Block":
         """Rebuild a *cold* block from checkpointed metadata.
 
-        The block starts unloaded and clean; its columns fault in through
-        the loader the restore path binds right after construction.
+        The block starts clean with every column absent; its columns fault
+        in through the loader the restore path binds right after
+        construction.
         """
         block = cls(
             block_id=block_id,
@@ -183,7 +197,9 @@ class Block:
             ranges=dict(ranges),
             size_bytes=size_bytes,
         )
-        block._columns = None
+        block._columns = dict.fromkeys(column_names)
+        block._absent = dict.fromkeys(column_names)
+        block._absent_bytes = size_bytes
         block._num_rows = num_rows
         block.dirty = False
         return block
@@ -200,11 +216,11 @@ class Block:
     def columns(self) -> dict[str, np.ndarray]:
         """Column name -> contiguous value array.
 
-        Faults an unloaded block's columns back in through the bound loader,
+        Faults every absent column in through the bound loader (one call),
         then consolidates every stale column.
         """
-        if self._columns is None:
-            self._fault()
+        if self._absent:
+            self._fault(list(self._absent))
         if self._stale:
             self.consolidate()
         return cast("dict[str, np.ndarray]", self._columns)
@@ -212,14 +228,14 @@ class Block:
     def arrays(self, names: list[str]) -> Mapping[str, np.ndarray | None]:
         """A mapping in which each of ``names`` is one contiguous array.
 
-        Like :attr:`columns`, but only ``names`` are consolidated: a reader
-        that needs two of twelve columns leaves the other ten stale, and
-        their entries are ``None``, never stale arrays.  Treat the result as
-        read-only and as valid until the block's next append; it is the
-        block's own mapping, not a copy.
+        Like :attr:`columns`, but only ``names`` are faulted in and
+        consolidated: a reader that needs two of twelve columns leaves the
+        other ten absent or stale, and their entries are ``None``, never
+        stale arrays.  Treat the result as read-only and as valid until the
+        block's next append; it is the block's own mapping, not a copy.
         """
-        if self._columns is None:
-            self._fault()
+        if self._absent and not self._absent.keys().isdisjoint(names):
+            self._fault(names)
         if self._stale and not self._stale.keys().isdisjoint(names):
             self._merge(names)
         return cast("dict[str, np.ndarray | None]", self._columns)
@@ -236,8 +252,14 @@ class Block:
 
     @property
     def is_resident(self) -> bool:
-        """Whether the consolidated columns are currently in memory."""
-        return self._columns is not None
+        """Whether some column's spilled rows are in memory."""
+        return len(self._absent) < len(self._columns)
+
+    @property
+    def resident_bytes(self) -> int:
+        """``size_bytes`` less the spilled rows of the absent columns: the
+        bytes the block holds in memory (O(1), tracked incrementally)."""
+        return self.size_bytes - self._absent_bytes
 
     @property
     def column_names(self) -> list[str]:
@@ -347,12 +369,11 @@ class Block:
         stale = self._stale
         if not stale:
             # Every column is merged, so no record is left: the mapping
-            # becomes every column's old contents.  An unloaded block's old
-            # contents join on the fault instead.
+            # becomes every column's old contents.  An absent column's old
+            # contents join on its fault instead.
             columns = self._columns
-            if columns is not None:
-                self._old = columns
-                self._columns = {**columns, **dict.fromkeys(index)}
+            self._old = columns
+            self._columns = {**columns, **dict.fromkeys(index)}
             self._stale = dict.fromkeys(index, 0)
         elif not stale.keys() >= index.keys():
             self._set_aside(index)
@@ -370,8 +391,7 @@ class Block:
         for name in index:
             if name not in stale:
                 stale[name] = first
-                if columns is not None:
-                    old[name], columns[name] = columns.get(name), None
+                old[name], columns[name] = columns.get(name), None
 
     def replace_columns(self, columns: dict[str, np.ndarray]) -> None:
         """Replace the block's contents and recompute ranges and size exactly.
@@ -382,6 +402,7 @@ class Block:
         """
         self._columns = {name: _frozen(array) for name, array in columns.items()}
         self._records, self._stale, self._old = [], {}, {}
+        self._absent, self._absent_bytes = {}, 0
         self._num_rows = _chunk_rows(columns, self.block_id)
         self._set_ranges(compute_ranges(columns), columns)
         self.size_bytes = _estimate_bytes(columns)
@@ -391,6 +412,7 @@ class Block:
         """Empty the block in place (its rows have been migrated elsewhere)."""
         self._columns = {name: _frozen(array) for name, array in empty_columns.items()}
         self._records, self._stale, self._old = [], {}, {}
+        self._absent, self._absent_bytes = {}, 0
         self._num_rows = 0
         self._lo = np.full(len(self._index), np.inf)
         self._hi = np.full(len(self._index), -np.inf)
@@ -405,8 +427,8 @@ class Block:
         """
         if not self._stale:
             return
-        if self._columns is None:
-            self._fault()
+        if self._absent:
+            self._fault(list(self._absent))
         self._merge(list(self._stale))
         self.size_bytes = _estimate_bytes(cast("dict[str, np.ndarray]", self._columns))
 
@@ -425,9 +447,8 @@ class Block:
 
     def _merge(self, names: Iterable[str]) -> None:
         """Merge the stale columns among ``names``; drop the records once no
-        column is stale.  The caller has faulted an unloaded block in."""
+        column is stale.  The caller has faulted absent ones in."""
         columns, stale = self._columns, self._stale
-        assert columns is not None
         for name in names:
             first = stale.pop(name, None)
             if first is None:
@@ -455,10 +476,9 @@ class Block:
         """
         if self._num_rows == 0:
             return {}
-        if self._columns is None:
-            self._fault()
+        if self._absent:
+            self._fault(list(self._absent))
         columns, stale = self._columns, self._stale
-        assert columns is not None
         return {
             name: [array] if array is not None else self._pieces(name, stale[name])
             for name, array in columns.items()
@@ -467,18 +487,18 @@ class Block:
     # ------------------------------------------------------------------ #
     # Persistence protocol (spill store / block buffer)
     # ------------------------------------------------------------------ #
-    def set_loader(self, loader: Callable[[], dict[str, np.ndarray]] | None) -> None:
+    def set_loader(self, loader: Loader | None) -> None:
         """Install the fault source for this block's spilled columns."""
         self._loader = loader
 
-    def mark_clean(self, loader: Callable[[], dict[str, np.ndarray]]) -> None:
+    def mark_clean(self, loader: Loader) -> None:
         """Record that the in-memory state was just spilled as ``loader``'s
         version; the block may now drop its columns via :meth:`unload`."""
         self.dirty = False
         self._loader = loader
 
     def unload(self) -> None:
-        """Drop the in-memory columns of a clean block (metadata stays).
+        """Drop every in-memory column of a clean block (metadata stays).
 
         Raises:
             StorageError: if the block is dirty, has stale columns, or has
@@ -492,19 +512,31 @@ class Block:
             raise StorageError(
                 f"block {self.block_id} has no spill loader and cannot be unloaded"
             )
-        self._columns = None
+        self._columns = dict.fromkeys(self._columns)
+        self._absent = dict.fromkeys(self._columns)
+        self._absent_bytes = self.size_bytes
 
-    def _fault(self) -> None:
-        """Materialize the spilled columns from the bound loader; a column
-        appended to while unloaded gets its spilled rows as old contents."""
+    def _fault(self, names: Iterable[str]) -> None:
+        """Map the absent columns among ``names`` in with one loader call; a
+        stale column's spilled rows become its old contents."""
+        absent = self._absent
+        missing = [name for name in names if name in absent]
+        if not missing:
+            return
         if self._loader is None:
             raise StorageError(
                 f"block {self.block_id} is unloaded and has no loader to fault from"
             )
-        columns: dict[str, np.ndarray | None] = dict(self._loader())
-        for name in self._stale:
-            self._old[name], columns[name] = columns.get(name), None
-        self._columns = columns
+        columns, stale = self._columns, self._stale
+        for name, array in self._loader(missing).items():
+            del absent[name]
+            self._absent_bytes -= array.nbytes
+            if name in stale:
+                self._old[name] = array
+            else:
+                columns[name] = array
+        if not absent:
+            self._absent_bytes = 0
 
     # ------------------------------------------------------------------ #
     # Row access

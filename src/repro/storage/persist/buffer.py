@@ -4,15 +4,19 @@ Every data read of a persistent session flows through one
 :class:`BlockBuffer` sitting between the DFS and the spill store:
 
 * ``DistributedFileSystem.get_block(s)`` calls :meth:`touch` — a resident
-  block counts a **hit** and refreshes its recency; a spilled block is left
-  to fault lazily (below) so a batch read never materializes more than the
-  consumer actually walks.
-* A spilled block's columns fault in through the loader the buffer bound
-  to it (:meth:`bind`): the fault is counted, the block is (re)admitted at
-  the MRU end, and the budget is enforced by evicting — clean blocks just
-  drop their in-memory copy, dirty blocks are spilled first.  This also
-  covers stragglers: a consumer holding a ``Block`` handle past an eviction
-  transparently re-faults on its next column read.
+  block (one holding some column) counts a **hit** and refreshes its
+  recency; a spilled block is left to fault lazily (below) so a batch read
+  never materializes more than the consumer actually walks.
+* A block's absent columns fault in through the loader the buffer bound to
+  it (:meth:`bind`), only those a read names: each loader call is one
+  **fault**, so a read of a resident block that lacks a named column counts
+  a hit and a fault.  The block is (re)admitted at the MRU end, charged its
+  ``resident_bytes`` — the bytes of its resident columns, not its
+  ``size_bytes`` — and the budget is enforced by evicting: clean blocks
+  just drop their in-memory columns, dirty blocks are spilled first (the
+  spill's own faults of their absent columns count but charge nothing).  This
+  also covers stragglers: a consumer holding a ``Block`` handle past an
+  eviction transparently re-faults on its next column read.
 * The victim is the resident block whose next *announced* use is farthest.
   The executor holds a query's whole reference string before it reads the
   first block and hands it to :meth:`announce`; blocks with no announced use
@@ -43,12 +47,12 @@ from __future__ import annotations
 
 import weakref
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from ..block import Block
+    from ..block import Block, Loader
     from ..dfs import DistributedFileSystem
     from .store import PersistentBlockStore
 
@@ -76,11 +80,15 @@ class BlockBuffer:
         self._handed: dict[int, int] = {}
         #: Position the consumer has reached (that of the latest fault).
         self._now = -1
+        #: The block whose faults count but charge nothing: one an eviction
+        #: is writing back (it is leaving the pool), or one ``release``
+        #: copies to the heap at close.
+        self._uncharged: int | None = None
 
     # ------------------------------------------------------------------ #
     # Wiring
     # ------------------------------------------------------------------ #
-    def bind(self, block: "Block", raw_loader: Callable[[], dict[str, np.ndarray]]) -> None:
+    def bind(self, block: "Block", raw_loader: "Loader") -> None:
         """Route ``block``'s future column faults through this buffer.
 
         The loader refers to the block and to the buffer weakly, so no block
@@ -88,11 +96,11 @@ class BlockBuffer:
         is freed by reference counting, not by the cycle collector.
         """
         buffer, target = weakref.ref(self), weakref.ref(block)
-        block.set_loader(lambda: buffer()._fault(target(), raw_loader))
+        block.set_loader(lambda names: buffer()._fault(target(), raw_loader, names))
 
     def admit(self, block: "Block") -> None:
         """Charge a resident block (creation or restore-with-data) to the pool."""
-        self._charge(block)
+        self._charge(block, block.resident_bytes)
         self._enforce_budget(exclude=block.block_id)
 
     def announce(self, block_ids: Iterable[int]) -> None:
@@ -115,18 +123,26 @@ class BlockBuffer:
             self.hits += 1
             if self.dfs is not None:
                 self.dfs.read_stats.buffer_hits += 1
-            self._charge(block)  # refresh recency and recharge a grown block
+            # Refresh recency and recharge a grown block.
+            self._charge(block, block.resident_bytes)
 
-    def _fault(self, block: "Block", raw_loader: Callable[[], dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
-        """Materialize a spilled block's columns, admitting it to the pool."""
-        columns = raw_loader()
+    def _fault(
+        self, block: "Block", raw_loader: "Loader", names: list[str]
+    ) -> dict[str, np.ndarray]:
+        """Map ``names`` of a block's spilled columns in, (re)admitting the
+        block to the pool charged with them."""
+        columns = raw_loader(names)
         self.faults += 1
         if self.dfs is not None:
             self.dfs.read_stats.buffer_faults += 1
+        if block.block_id == self._uncharged:
+            return columns
         # A batch read hands out blocks ahead of the consumer; a fault is
         # where the consumer is known to be.
         self._now = max(self._now, self._handed.get(block.block_id, -1))
-        self._charge(block)
+        # The block installs the columns when this returns: charge them now.
+        faulted = sum(column.nbytes for column in columns.values())
+        self._charge(block, block.resident_bytes + faulted)
         self._enforce_budget(exclude=block.block_id)
         return columns
 
@@ -137,12 +153,12 @@ class BlockBuffer:
         """Whether the buffer currently charges ``block_id`` as resident."""
         return block_id in self._resident
 
-    def _charge(self, block: "Block") -> None:
-        """(Re)charge a block at its current size and move it to the MRU end."""
+    def _charge(self, block: "Block", charge: int) -> None:
+        """(Re)charge a block ``charge`` bytes and move it to the MRU end."""
         previous = self._resident.pop(block.block_id, 0)
-        self._resident[block.block_id] = block.size_bytes
+        self._resident[block.block_id] = charge
         self._held[block.block_id] = block
-        self.resident_bytes += block.size_bytes - previous
+        self.resident_bytes += charge - previous
 
     def _next_use(self, block_id: int) -> float:
         """Position of a block's next announced use (inf when there is none)."""
@@ -173,9 +189,14 @@ class BlockBuffer:
         block = self._held.pop(block_id)
         self.resident_bytes -= charge
         if block.dirty:
-            # Write-back: the spill installs a fresh buffer-bound loader for
-            # the new version before the in-memory copy is dropped.
-            self.bind(block, self.store.spill(block))
+            # Write-back: the spill faults the absent columns in and installs
+            # a fresh buffer-bound loader for the new version before the
+            # in-memory copy is dropped.
+            self._uncharged = block_id
+            try:
+                self.bind(block, self.store.spill(block))
+            finally:
+                self._uncharged = None
         block.unload()
         self.evictions += 1
         if self.dfs is not None:
@@ -210,10 +231,15 @@ class BlockBuffer:
     def release(self) -> None:
         """Let go of every file mapping (session close): resident clean blocks
         drop their columns — no eviction is counted, nothing was evicted for
-        space — and a dirty block's mapped prefix becomes a heap copy."""
+        space — and a dirty block becomes a heap copy (its absent columns
+        fault in, charged nothing)."""
         for block_id, block in list(self._held.items()):
             if block.dirty:
-                block.consolidate()
+                self._uncharged = block_id
+                try:
+                    block.consolidate()
+                finally:
+                    self._uncharged = None
             else:
                 self.discard(block_id)
                 block.unload()

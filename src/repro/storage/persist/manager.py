@@ -91,7 +91,7 @@ def read_checkpoint(root: Path) -> Checkpoint:
     header_bytes, data_start = read_header(data, damaged)
     header = json.loads(header_bytes)
     layout = column_layout(header.pop("columns"), data_start)
-    return header, read_columns(data, layout, damaged, verify=True)
+    return header, read_columns(data, layout, damaged)
 
 
 def _sample_column(table_name: str, column_name: str) -> str:
@@ -306,6 +306,10 @@ class PersistenceManager:
 
         table_blocks: dict[str, list[tuple[int, int, int]]] = {}
         written_at: dict[str, dict[int, int]] = {}
+        # Every block of a table holds exactly its schema's columns.
+        column_names = {
+            table["name"]: [name for name, _ in table["schema"]] for table in header["tables"]
+        }
         for table_name, entry in blocks:
             block_id, num_rows = entry["id"], entry["rows"]
             block = Block.restore(
@@ -314,6 +318,7 @@ class PersistenceManager:
                 ranges={name: (lo, hi) for name, (lo, hi) in entry["ranges"].items()},
                 size_bytes=entry["bytes"],
                 num_rows=num_rows,
+                column_names=column_names[table_name],
             )
             self.buffer.bind(block, self.store.loader(block_id, entry["version"]))
             dfs.put_block(block, machine_ids=entry["placement"])

@@ -23,18 +23,21 @@ references) may differ; a crash simply strands the live version, and
 :meth:`PersistentBlockStore.gc` unlinks every file the checkpoint does not
 reference on the next open.
 
-A fault opens the file once, maps it once (read-only; the descriptor is
-closed at once) and returns ``np.frombuffer`` views into the mapping — pages
-stream in on demand and the OS may reclaim them under pressure, which is
-what lets a working set larger than the buffer budget (or than RAM) execute
-at all.  The header CRC is checked on every fault; the column CRCs on the
-first fault of each ``(block, version)`` per store instance, so every version
-a reopened session adopts is verified once before its rows are used.  A
-missing, truncated or corrupted file raises :class:`StorageError` naming the
-block, version and path; nothing damaged is ever returned as data.  The views
-are read-only by construction: block contents may only change through the
-epoch-bumped mutation paths, which replace arrays rather than writing them
-in place.
+A fault takes the names of the columns a read lacks and returns
+``np.frombuffer`` views of those columns only.  A version is mapped once
+(read-only; the descriptor is closed at once) and the mapping is reused by
+every later fault while any view of it is alive, so a block faulted column
+by column holds one mapping, and a fully evicted one none.  Pages stream in
+on demand and the OS may reclaim them under pressure, which is what lets a
+working set larger than the buffer budget (or than RAM) execute at all.
+The header CRC is checked on every fault; a column's CRC the first time
+that column of that ``(block, version)`` is read per store instance, so
+every column a reopened session reads is verified once before its rows are
+used, and a column never read is never checked.  A missing, truncated or
+corrupted file raises :class:`StorageError` naming the block, version and
+path; nothing damaged is ever returned as data.  The views are read-only by
+construction: block contents may only change through the epoch-bumped
+mutation paths, which replace arrays rather than writing them in place.
 """
 
 from __future__ import annotations
@@ -43,8 +46,9 @@ import json
 import mmap
 import os
 import re
+import weakref
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -52,7 +56,7 @@ from ...common.errors import StorageError
 from .serialize import ColumnLayout, column_layout, read_columns, read_header, write_file
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from ..block import Block
+    from ..block import Block, Loader
 
 _VERSION_FILE = re.compile(r"^block-(\d+)-v(\d+)$")
 
@@ -79,8 +83,9 @@ class PersistentBlockStore:
         self._live: dict[int, int] = {}
         #: block id -> version the checkpoint currently references.
         self._durable: dict[int, int] = {}
-        #: (block id, version) -> column layout, once its checksums verified.
-        self._verified: dict[tuple[int, int], list[ColumnLayout]] = {}
+        #: (block id, version) -> its column layout by name, and the names
+        #: of the columns whose checksums verified.
+        self._verified: dict[tuple[int, int], tuple[dict[str, ColumnLayout], set[str]]] = {}
         #: Lifetime spill counters (bytes include only column payloads).
         self.spills = 0
         self.spilled_bytes = 0
@@ -134,7 +139,7 @@ class PersistentBlockStore:
     # ------------------------------------------------------------------ #
     # Spilling
     # ------------------------------------------------------------------ #
-    def spill(self, block: "Block") -> Callable[[], dict[str, np.ndarray]]:
+    def spill(self, block: "Block") -> "Loader":
         """Write ``block``'s consolidated columns as a new version on disk.
 
         Returns the loader for the freshly written version and marks the
@@ -154,31 +159,44 @@ class PersistentBlockStore:
         block.mark_clean(loader)
         return loader
 
-    def loader(self, block_id: int, version: int) -> Callable[[], dict[str, np.ndarray]]:
-        """A closure faulting one on-disk version back in as read-only views."""
+    def loader(self, block_id: int, version: int) -> "Loader":
+        """A closure faulting named columns of one on-disk version in as
+        read-only views of one shared mapping."""
         path = _version_file(self.root, self.machine_of(block_id), block_id, version)
+        # The version's one mapping, while some view of it is alive.
+        mapping: weakref.ref[mmap.mmap] | None = None
 
         def damaged(what: str) -> StorageError:
             return StorageError(
                 f"spill file of block {block_id} v{version} at {str(path)!r} {what}"
             )
 
-        def fault() -> dict[str, np.ndarray]:
-            try:
-                with open(path, "rb") as handle:
-                    mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-            except FileNotFoundError:
-                raise damaged("is missing") from None
-            except ValueError:  # an empty file cannot be mapped
-                raise damaged("is empty") from None
+        def fault(names: list[str]) -> dict[str, np.ndarray]:
+            nonlocal mapping
+            mapped = mapping() if mapping is not None else None
+            if mapped is None:
+                try:
+                    with open(path, "rb") as handle:
+                        mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+                except FileNotFoundError:
+                    raise damaged("is missing") from None
+                except ValueError:  # an empty file cannot be mapped
+                    raise damaged("is empty") from None
+                mapping = weakref.ref(mapped)
             header, data_start = read_header(mapped, damaged)
-            # The parsed layout is kept once its column checksums verified.
-            layout = self._verified.get((block_id, version))
-            verify = layout is None
-            if layout is None:
+            # The parsed layout is kept with the names whose checksums passed.
+            entry = self._verified.get((block_id, version))
+            if entry is None:
                 layout = column_layout(json.loads(header)["columns"], data_start)
-            columns = read_columns(mapped, layout, damaged, verify)
-            self._verified[(block_id, version)] = layout
+                entry = {column[0]: column for column in layout}, set()
+            by_name, verified = entry
+            try:
+                wanted = [by_name[name] for name in names]
+            except KeyError as error:
+                raise damaged(f"has no column {error.args[0]!r}") from None
+            columns = read_columns(mapped, wanted, damaged, verified)
+            verified.update(names)
+            self._verified[(block_id, version)] = entry
             return columns
 
         return fault

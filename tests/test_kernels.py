@@ -209,6 +209,19 @@ class TestCountingJoin:
         assert join_match_count_arrays(far, -near) == 2
         assert sorted_joins == [(4, 4)]
 
+    def test_a_dense_range_at_an_end_of_int64_is_sorted(self, sorted_joins):
+        """Dense keys are clipped onto a pad slot on each side of the shared
+        range; at an end of int64 there is no room for one."""
+        info = np.iinfo(np.int64)
+        low = np.array([info.min, info.min, info.min + 1], dtype=np.int64)
+        high = np.array([info.max - 1, info.max, info.max], dtype=np.int64)
+        assert join_match_count_arrays(low, low[::-1].copy()) == 5
+        assert join_match_count_arrays(high, high) == 5
+        assert sorted_joins == [(3, 3), (3, 3)]
+        inside = np.array([info.min + 1, info.min + 2], dtype=np.int64)
+        assert join_match_count_arrays(low, inside) == 1  # room for both pads
+        assert sorted_joins == [(3, 3), (3, 3)]
+
     def test_uint64_keys_beyond_int64_are_sorted_not_wrapped(self, sorted_joins):
         keys = np.array([2**63 + 1, 2**63 + 1, 5], dtype=np.uint64)
         assert join_match_count_arrays(keys, keys) == 5

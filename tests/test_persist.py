@@ -15,6 +15,7 @@ announced future, and ``close()`` letting go of every mapping.
 from __future__ import annotations
 
 import gc
+import json
 import mmap
 import os
 import struct
@@ -41,7 +42,7 @@ from repro.partitioning.two_phase import TwoPhasePartitioner
 from repro.storage.block import Batch, Block
 from repro.storage.dfs import DistributedFileSystem
 from repro.storage.persist import FORMAT_VERSION, PersistenceManager, read_checkpoint
-from repro.storage.persist.serialize import write_file
+from repro.storage.persist.serialize import column_layout, read_header, write_file
 from repro.workloads.generators import switching_workload
 
 
@@ -790,7 +791,7 @@ class TestSpillFormat:
         assert os.listdir(machine_dir) == [f"block-{block.block_id:06d}-v1.tmp"]
         assert block.dirty and store.live_version(block.block_id) == 0
         with pytest.raises(StorageError, match="is missing"):
-            store.loader(block.block_id, 1)()  # the fault path never sees a .tmp
+            store.loader(block.block_id, 1)(["key"])  # the fault path never sees a .tmp
         assert store.gc() == 1
         assert os.listdir(machine_dir) == []
         # The block was never marked clean, so nothing was lost.
@@ -859,6 +860,137 @@ class TestDamagedSpillFiles:
         del calls[:]
         _ = block.columns
         assert len(calls) == 1, "a verified version re-checks only its header"
+
+
+# --------------------------------------------------------------------- #
+# Column-granular faults
+# --------------------------------------------------------------------- #
+MMAP = mmap.mmap
+
+
+def mapping_of(array):
+    """The mapping at the bottom of an array's base chain, or ``None``."""
+    base = array
+    while base is not None and not isinstance(base, MMAP):
+        base = base.obj if isinstance(base, memoryview) else getattr(base, "base", None)
+    return base
+
+
+class TestColumnGranularFaults:
+    """A read faults in only the absent columns it names, with one loader
+    call; the buffer charges a block for its resident columns."""
+
+    COLUMNS = {
+        "a": np.arange(100, dtype=np.int64),
+        "b": np.arange(100) / 10,
+        "c": np.arange(100, dtype=np.int32) * 3,
+    }
+
+    @pytest.fixture
+    def cold(self, tmp_path, monkeypatch):
+        """A spilled, evicted three-column block; every fault's names and
+        every file mapping opened are recorded."""
+        dfs, manager = bare_tier(tmp_path / "root")
+        block = dfs.create_block("t", dict(self.COLUMNS))
+        buffer = manager.buffer
+        buffer.drop_resident()
+        buffer.reset_counters()
+        faults, maps = [], []
+        fault, open_map = buffer._fault, mmap.mmap
+
+        def recording_fault(block, raw_loader, names):
+            faults.append(list(names))
+            return fault(block, raw_loader, names)
+
+        def recording_map(*args, **kwargs):
+            maps.append(args)
+            return open_map(*args, **kwargs)
+
+        monkeypatch.setattr(buffer, "_fault", recording_fault)
+        monkeypatch.setattr(mmap, "mmap", recording_map)
+        yield dfs, manager, block, faults, maps
+        manager.close()
+
+    def test_a_read_faults_only_its_named_columns(self, cold):
+        dfs, manager, block, faults, maps = cold
+        arrays = dfs.get_block(block.block_id, 0).arrays(["a"])
+        np.testing.assert_array_equal(arrays["a"], self.COLUMNS["a"])
+        assert arrays["b"] is None and arrays["c"] is None
+        assert faults == [["a"]] and len(maps) == 1
+        # The buffer charges the resident column, not the block's size.
+        assert block.resident_bytes == self.COLUMNS["a"].nbytes < block.size_bytes
+        assert manager.buffer.resident_bytes == block.resident_bytes
+
+    def test_a_later_read_faults_only_its_column_and_reuses_the_mapping(self, cold):
+        dfs, manager, block, faults, maps = cold
+        first = dfs.get_block(block.block_id, 0).arrays(["a"])["a"]
+        arrays = dfs.get_block(block.block_id, 0).arrays(["a", "b"])
+        assert faults == [["a"], ["b"]]
+        assert len(maps) == 1, "the second fault maps nothing new"
+        assert arrays["a"] is first
+        mapping = mapping_of(arrays["b"])
+        assert mapping is not None and mapping is mapping_of(first)
+        np.testing.assert_array_equal(arrays["b"], self.COLUMNS["b"])
+        assert manager.buffer.resident_bytes == block.resident_bytes == (
+            self.COLUMNS["a"].nbytes + self.COLUMNS["b"].nbytes
+        )
+        # A fully evicted block holds no mapping; the next fault maps again.
+        alive = weakref.ref(mapping)
+        del first, arrays, mapping
+        manager.buffer.drop_resident()
+        assert alive() is None
+        dfs.get_block(block.block_id, 0).arrays(["c"])
+        assert faults == [["a"], ["b"], ["c"]] and len(maps) == 2
+
+    def test_a_column_first_read_later_is_still_verified(self, cold):
+        """Verifying the columns one read names leaves the others of that
+        version unverified: damage to one is caught on its first read."""
+        dfs, manager, block, faults, maps = cold
+        arrays = dfs.get_block(block.block_id, 0).arrays(["a", "b"])
+        path = version_file(manager.store, block.block_id)
+        header, data_start = read_header(path.read_bytes(), StorageError)
+        layout = column_layout(json.loads(header)["columns"], data_start)
+        _flip(path, next(offset for name, _, _, offset, _ in layout if name == "c") + 1)
+        with pytest.raises(StorageError) as raised:
+            dfs.get_block(block.block_id, 0).arrays(["c"])
+        message = str(raised.value)
+        assert f"block {block.block_id} v1" in message and str(path) in message
+        assert "fails the checksum of column 'c'" in message
+        assert faults == [["a", "b"], ["c"]] and manager.buffer.faults == 1
+        after = block.arrays(["a"])  # the failed fault changed nothing
+        assert after["a"] is arrays["a"] and after["c"] is None
+
+    def test_an_append_to_a_partly_resident_block_keeps_every_row(self, cold):
+        dfs, manager, block, faults, maps = cold
+        dfs.get_block(block.block_id, 0).arrays(["a"])
+        extra = {"a": np.array([-1], dtype=np.int64), "b": np.array([0.5]),
+                 "c": np.array([7], dtype=np.int32)}
+        block.append_rows(extra)
+        expected = {
+            name: np.concatenate([column, extra[name]]) for name, column in self.COLUMNS.items()
+        }
+        # b faults its spilled rows in as old contents, ahead of the append.
+        np.testing.assert_array_equal(block.arrays(["b"])["b"], expected["b"])
+        assert faults == [["a"], ["b"]]
+        # The write-back of the evicted dirty block faults c and keeps it too.
+        manager.buffer.drop_resident()
+        assert faults == [["a"], ["b"], ["c"]]
+        for name, column in block.columns.items():
+            np.testing.assert_array_equal(column, expected[name])
+
+    def test_a_hit_is_a_read_of_a_resident_block_and_a_fault_one_loader_call(self, cold):
+        """One ``get_block`` of a block holding some column is a hit; one
+        loader call is a fault, so a read that finds a named column absent in
+        a resident block counts both."""
+        dfs, manager, block, faults, maps = cold
+        buffer, stats = manager.buffer, dfs.read_stats
+        counts = []
+        for names in (["a"], ["a"], ["a", "b"], ["b", "c"], ["c"], []):
+            dfs.get_block(block.block_id, 0).arrays(names)
+            counts.append((buffer.hits, buffer.faults))
+        assert counts == [(0, 1), (1, 1), (2, 2), (3, 3), (4, 3), (5, 3)]
+        assert (stats.buffer_hits, stats.buffer_faults) == counts[-1]
+        assert faults == [["a"], ["b"], ["c"]]
 
 
 # --------------------------------------------------------------------- #
@@ -973,9 +1105,9 @@ class TestAnnouncedFuture:
         session.close()
 
 
-#: Faults of ``test_the_hint_is_advisory``'s stream under each policy (175 is also
-#: what the LRU-only buffer before the announcement existed counted).
-LRU_FAULTS, ANNOUNCED_FAULTS = 175, 119
+#: Faults of ``test_the_hint_is_advisory``'s stream under each policy, one per
+#: loader call (175 and 119 while a fault mapped every column of a block).
+LRU_FAULTS, ANNOUNCED_FAULTS = 130, 109
 
 
 # --------------------------------------------------------------------- #
@@ -1076,17 +1208,20 @@ class TestCompactionUnderTheBuffer:
             assert not block.is_resident and block.dirty
             assert set(block.pending_columns.values()) == {1}
 
-        faults: dict[int, int] = {}
+        # Per block, the names of each fault, one list per residency: an
+        # eviction (whose write-back faults the absent columns) ends one.
+        residencies: dict[int, list[list[list[str]]]] = {}
         evictions: dict[int, int] = {}
         fault, evict = buffer._fault, buffer._evict
 
-        def counting_fault(block, raw_loader):
-            faults[block.block_id] = faults.get(block.block_id, 0) + 1
-            return fault(block, raw_loader)
+        def counting_fault(block, raw_loader, names):
+            residencies.setdefault(block.block_id, [[]])[-1].append(list(names))
+            return fault(block, raw_loader, names)
 
         def counting_evict(block_id):
             evictions[block_id] = evictions.get(block_id, 0) + 1
             evict(block_id)
+            residencies.setdefault(block_id, [[]]).append([])
 
         monkeypatch.setattr(buffer, "_fault", counting_fault)
         monkeypatch.setattr(buffer, "_evict", counting_evict)
@@ -1096,8 +1231,14 @@ class TestCompactionUnderTheBuffer:
         assert result.output_rows == tpch_tables["lineitem"].num_rows
         stayed = 0
         for block in appended:
-            # One fault per residency: compaction itself never re-reads the file.
-            assert faults[block.block_id] == evictions.get(block.block_id, 0) + block.is_resident
+            # A residency starts with the join's read, which faults its key
+            # column alone, and faults a column at most once: compaction
+            # itself never re-reads the file.
+            for faults in residencies[block.block_id]:
+                if faults:
+                    assert faults[0] == ["l_orderkey"]
+                    names = [name for names in faults for name in names]
+                    assert len(names) == len(set(names))
             assert "l_orderkey" not in block.pending_columns
             if block.block_id not in evictions:
                 stayed += 1
@@ -1111,7 +1252,7 @@ class TestCompactionUnderTheBuffer:
             for block_id in table.block_ids()
             if buffer.is_resident(block_id)
         ]
-        assert buffer.resident_bytes == sum(block.size_bytes for block in resident)
+        assert buffer.resident_bytes == sum(block.resident_bytes for block in resident)
         session.close()
 
     def test_a_restart_mid_stream_changes_no_fingerprint(self, tmp_path, tpch_tables):

@@ -316,12 +316,35 @@ class TestPerColumnCompaction:
 
         block = self.make_block()
         block.arrays(["a", "b"])
-        block.mark_clean(lambda: {})
+        block.mark_clean(lambda names: {})
         with pytest.raises(StorageError, match="unspilled"):
             block.unload()
         block.arrays(["c"])
         block.unload()
         assert not block.is_resident
+
+    def test_a_fully_resident_block_never_calls_its_loader(self):
+        block = self.make_block()
+        calls: list[list[str]] = []
+        spilled: dict[str, np.ndarray] = {}
+
+        def loader(names: list[str]) -> dict[str, np.ndarray]:
+            calls.append(names)
+            return {name: spilled[name] for name in names}
+
+        block.mark_clean(loader)
+        block.arrays(["a"])
+        block.column_pieces()
+        spilled.update(block.columns)
+        assert calls == [] and block.resident_bytes == block.size_bytes
+        block.unload()
+        assert not block.is_resident and block.resident_bytes == 0
+        # One call names every absent column; then the block is whole again.
+        assert list(block.columns) == ["a", "b", "c"]
+        assert calls == [["a", "b", "c"]]
+        block.arrays(["a", "b", "c"])
+        block.column_pieces()
+        assert calls == [["a", "b", "c"]] and block.resident_bytes == block.size_bytes
 
     def test_a_batch_column_lives_while_a_block_needs_it(self):
         # Two blocks append halves of one batch.  Each block's record keeps
@@ -345,11 +368,11 @@ class TestPerColumnCompaction:
             "a": np.array([3, 1], dtype=np.int64),
             "b": np.array([0.3, 0.1]),
         }
-        faults: list[int] = []
+        faults: list[list[str]] = []
 
-        def loader() -> dict[str, np.ndarray]:
-            faults.append(1)
-            return dict(spilled)
+        def loader(names: list[str]) -> dict[str, np.ndarray]:
+            faults.append(names)
+            return {name: spilled[name] for name in names}
 
         block = Block(0, "t", dict(spilled))
         block.mark_clean(loader)
@@ -358,10 +381,11 @@ class TestPerColumnCompaction:
         assert faults == [] and not block.is_resident
         assert block.num_rows == 3 and block.ranges["a"] == (1.0, 7.0)
         assert block.arrays(["a"])["a"].tolist() == [3, 1, 7]
-        # The fault put b's spilled rows ahead of its appended piece.
-        assert faults == [1] and block.pending_columns == {"b": 2}
+        # The read faulted a alone; b's spilled rows are still on disk.
+        assert faults == [["a"]] and block.pending_columns == {"b": 1}
+        # b's fault puts its spilled rows ahead of its appended piece.
         assert block.columns["b"].tolist() == [0.3, 0.1, 0.7]
-        assert faults == [1]
+        assert faults == [["a"], ["b"]]
 
 
 # --------------------------------------------------------------------- #
