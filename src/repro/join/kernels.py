@@ -7,7 +7,9 @@ number of join matches so tests can verify results against a reference join.
 * :func:`gather_columns`: one ``np.concatenate`` per column over the batch,
   O(rows).  ``block.arrays(names)`` compacts the named columns on their first
   read after an append, so the copy is paid once, not on each of a block's
-  many reads, and never for a column no task reads.
+  many reads, and never for a column no task reads.  Which blocks it reads
+  is :func:`read_arrays`'s rule, which the parallel backend also follows to
+  charge a shipped work's reads.
 * :func:`join_match_count_arrays`: integer keys whose shared range spans at
   most :data:`DENSE_SPAN_FACTOR` slots per row are counted into a direct-address
   table the probe keys index, O(rows + span), no sort and no boolean filter
@@ -21,7 +23,7 @@ number of join matches so tests can verify results against a reference join.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
@@ -88,6 +90,20 @@ def join_match_count_arrays(build_keys: np.ndarray, probe_keys: np.ndarray) -> i
     return _sorted_match_count(build_keys, probe_keys)
 
 
+def read_arrays(
+    blocks: Iterable["Block"], columns: list[str]
+) -> list[Mapping[str, np.ndarray | None]]:
+    """What a kernel reads of a batch of blocks: ``arrays(columns)`` of each
+    block with rows, in order, or of every block when none has rows (an
+    empty batch still supplies the dtypes).
+
+    The one rule for which blocks a read touches, so a backend that charges
+    a work's reads before shipping it charges the reads its kernel makes.
+    """
+    blocks = list(blocks)
+    return [block.arrays(columns) for block in [b for b in blocks if b.num_rows] or blocks]
+
+
 def gather_columns(blocks: Iterable["Block"], columns: list[str]) -> dict[str, np.ndarray]:
     """Concatenate the named columns of a batch of blocks row-wise.
 
@@ -97,11 +113,13 @@ def gather_columns(blocks: Iterable["Block"], columns: list[str]) -> dict[str, n
     only the last-resort default when no block carries the column at all.
     """
     blocks = list(blocks)
-    sources = [block.arrays(columns) for block in blocks if block.num_rows]
-    if not sources:
-        empties = [block.arrays(columns) for block in reversed(blocks)]  # the first block wins
-        dtypes = {
-            name: e[name].dtype for e in empties for name in columns if e.get(name) is not None
+    sources = read_arrays(blocks, columns)
+    if not any(block.num_rows for block in blocks):
+        dtypes = {  # the first block wins
+            name: e[name].dtype
+            for e in reversed(sources)
+            for name in columns
+            if e.get(name) is not None
         }
         return {name: np.empty(0, dtype=dtypes.get(name, np.int64)) for name in columns}
     try:

@@ -48,6 +48,7 @@ from typing import Iterable
 from ..exec.engine import Executor
 from ..exec.kernels_tasks import TaskOutcome, TaskWork
 from ..exec.result import QueryResult
+from ..join.kernels import read_arrays
 from ..storage.shared_memory import SharedBlockStore
 from .pool import WorkerDied, WorkerPool
 
@@ -157,11 +158,7 @@ class ParallelBackend:
         for work in works:
             fetched = [self.executor.fetch(work, blocks) for blocks in work.inputs]
             for blocks, batch in zip(work.inputs, fetched):
-                names = list(blocks.columns_read)
-                # A kernel reads the blocks with rows, or, if none has rows,
-                # every block (for the dtypes).
-                for block in [block for block in batch if block.num_rows] or batch:
-                    block.arrays(names)
+                read_arrays(batch, list(blocks.columns_read))
                 block_ids, columns = read.setdefault(blocks.table, ({}, {}))
                 block_ids.update(dict.fromkeys(blocks.block_ids))
                 columns.update(blocks.columns_read)
