@@ -44,13 +44,17 @@ trees, epochs, block change stamps, samples, RNG states and adaptation
 window intact, reproducing bit-identical query fingerprints.  A session
 without ``config.storage_root`` generates a unique ``repro-storage-*`` root
 under the system temp dir (:func:`tempfile.gettempdir`, which follows
-``TMPDIR``).
+``TMPDIR``); a generated root that was never checkpointed is removed once
+nothing can read it any more, or at process exit.
 """
 
 from __future__ import annotations
 
+import os
+import shutil
 import tempfile
 import time
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -73,11 +77,20 @@ from ..partitioning.upfront import UpfrontPartitioner
 from ..storage.catalog import Catalog
 from ..storage.dfs import DistributedFileSystem
 from ..storage.persist import PersistenceManager
+from ..storage.persist.store import PersistentBlockStore
 from ..storage.sampling import DEFAULT_SAMPLE_SIZE
 from ..storage.table import ColumnTable, StoredTable
 from .backends import TaskBackend
 from .cache import CachedPlan, PlanCache, query_signature
 from .plans import LogicalPlan, PhysicalPlan
+
+
+def _remove_generated_root(root: Path, pid: int) -> None:
+    """Remove a generated storage root nothing checkpointed.  Only the
+    process that generated it removes it: a forked worker collecting its
+    copy of the session leaves the root alone."""
+    if os.getpid() == pid:
+        shutil.rmtree(root, ignore_errors=True)
 
 
 @dataclass
@@ -98,6 +111,10 @@ class Session:
     #: set only by :meth:`Session.open`.
     _restore_manager: PersistenceManager | None = field(default=None, repr=False)
     persist: PersistenceManager | None = field(init=False, default=None)
+    #: Removes a generated storage root; :meth:`checkpoint` detaches it.
+    _remove_root: weakref.finalize[[Path, int], PersistentBlockStore] | None = field(
+        init=False, default=None, repr=False
+    )
     rng: np.random.Generator = field(init=False)
     cluster: Cluster = field(init=False)
     dfs: DistributedFileSystem = field(init=False)
@@ -157,22 +174,31 @@ class Session:
                 self.persist = self._restore_manager
                 self.persist.restore(self)
             else:
+                root = self._resolve_storage_root()
                 self.persist = PersistenceManager.create(
-                    self._resolve_storage_root(),
-                    self.config.num_machines,
-                    self.config.buffer_bytes,
+                    root, self.config.num_machines, self.config.buffer_bytes
                 )
                 self.persist.attach(self.dfs)
+                if self.config.storage_root is None:
+                    # Every block's loader holds the store, so the root
+                    # outlives whatever can still fault from it.
+                    self._remove_root = weakref.finalize(
+                        self.persist.store, _remove_generated_root, root, os.getpid()
+                    )
 
     def _resolve_storage_root(self) -> Path:
         """Pick the storage root of a fresh mmap session.
 
         An explicit ``config.storage_root`` is used verbatim (that is what
-        makes it reopenable at a known location).  Otherwise a unique
-        directory is created under the system temp dir.  A generated root is
-        *not* written back to the config: configs are shareable between
-        sessions (two sessions built from one config must not collide on a
-        root), and :meth:`storage_root` exposes the resolved path.
+        makes it reopenable at a known location) and is never removed.
+        Otherwise a unique directory is created under the system temp dir;
+        unless :meth:`checkpoint` commits to it, it is removed when the
+        session is garbage-collected (with every block it handed out) or the
+        process exits — not by :meth:`close`, after which the session can
+        still read.  A generated root is *not* written back to the config:
+        configs are shareable between sessions (two sessions built from one
+        config must not collide on a root), and :meth:`storage_root` exposes
+        the resolved path.
         """
         if self.config.storage_root is not None:
             return Path(self.config.storage_root)
@@ -216,6 +242,7 @@ class Session:
         crash before the rename leaves the previous checkpoint intact (the
         stranded spill files are collected on the next :meth:`open`).
         Returns ``{"blocks_spilled": ..., "versions_removed": ...}``.
+        A generated root is kept from then on, so :meth:`open` can reopen it.
 
         Raises:
             StorageError: on a session without ``persistence="mmap"``.
@@ -224,7 +251,10 @@ class Session:
             raise StorageError(
                 "checkpoint() requires a session with persistence='mmap'"
             )
-        return self.persist.checkpoint(self)
+        counters = self.persist.checkpoint(self)
+        if self._remove_root is not None:
+            self._remove_root.detach()
+        return counters
 
     @property
     def storage_root(self) -> Path | None:

@@ -1,13 +1,12 @@
-"""Cluster simulation: machines, memory budgets, and the analytical cost model."""
+"""Cluster simulation: machines and the analytical cost model."""
 
-from .cluster import DEFAULT_MACHINE_MEMORY_BYTES, DEFAULT_NUM_MACHINES, Cluster
+from .cluster import DEFAULT_NUM_MACHINES, Cluster
 from .costmodel import CostModel
 from .machine import Machine
 
 __all__ = [
     "Cluster",
     "CostModel",
-    "DEFAULT_MACHINE_MEMORY_BYTES",
     "DEFAULT_NUM_MACHINES",
     "Machine",
 ]

@@ -79,10 +79,6 @@ class CostModel:
         """Cost of reading ``blocks`` and writing them back under a new tree."""
         return blocks * (1.0 + self.repartition_write_factor)
 
-    def read_cost(self, local_reads: float, remote_reads: float) -> float:
-        """Cost of an explicit mix of local and remote block reads."""
-        return local_reads + remote_reads * self.remote_read_penalty
-
     # ------------------------------------------------------------------ #
     # Presentation
     # ------------------------------------------------------------------ #

@@ -1,9 +1,9 @@
 """A single worker machine in the simulated cluster.
 
 The paper ran on 10 physical nodes with 256 GB of RAM each.  In the
-reproduction a machine is a bookkeeping object: it has an identifier, a
-memory budget used to bound the size of hyper-join hash tables, and counters
-of how many blocks it has read locally vs. remotely.
+reproduction a machine is a bookkeeping object: it has an identifier, the
+blocks whose replicas it holds, and counters of how many blocks it has read
+locally vs. remotely.
 """
 
 from __future__ import annotations
@@ -17,13 +17,11 @@ class Machine:
 
     Attributes:
         machine_id: Zero-based identifier within the cluster.
-        memory_bytes: Memory available for building hash tables.
         local_reads: Number of blocks this machine read from its own disk.
         remote_reads: Number of blocks this machine read over the network.
     """
 
     machine_id: int
-    memory_bytes: int
     local_reads: int = 0
     remote_reads: int = 0
     stored_blocks: set[int] = field(default_factory=set)
@@ -48,15 +46,3 @@ class Machine:
         """Zero the read counters (start of a new query)."""
         self.local_reads = 0
         self.remote_reads = 0
-
-    @property
-    def total_reads(self) -> int:
-        """Total number of block reads performed by this machine."""
-        return self.local_reads + self.remote_reads
-
-    @property
-    def locality_fraction(self) -> float:
-        """Fraction of reads that were local (1.0 when no reads happened)."""
-        if self.total_reads == 0:
-            return 1.0
-        return self.local_reads / self.total_reads

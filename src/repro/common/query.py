@@ -44,14 +44,6 @@ class JoinClause:
             return self.right_column
         raise PlanningError(f"table {table!r} does not participate in join {self}")
 
-    def other_table(self, table: str) -> str:
-        """Return the table joined with ``table``."""
-        if table == self.left_table:
-            return self.right_table
-        if table == self.right_table:
-            return self.left_table
-        raise PlanningError(f"table {table!r} does not participate in join {self}")
-
     def __str__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"{self.left_table}.{self.left_column} = "

@@ -86,10 +86,6 @@ class Schema:
         except KeyError:
             raise SchemaError(f"unknown column {name!r}; have {self.column_names}") from None
 
-    def dtype_of(self, name: str) -> DataType:
-        """Return the :class:`DataType` of the column named ``name``."""
-        return self.column(name).dtype
-
     def validate_columns(self, columns: dict[str, NDArray[Any]]) -> None:
         """Check that ``columns`` matches this schema exactly.
 

@@ -137,11 +137,6 @@ class QueryResult:
         return max(self.machine_cost_units, default=0.0)
 
     @property
-    def used_hyper_join(self) -> bool:
-        """Whether any join of the query ran as a hyper-join."""
-        return any(method == "hyper" for method in self.join_methods)
-
-    @property
     def straggler_factor(self) -> float:
         """Makespan relative to a perfectly balanced cluster (>= 1.0)."""
         return straggler_factor(self.machine_cost_units)

@@ -67,7 +67,6 @@ class DistributedFileSystem:
     rng: np.random.Generator = field(default_factory=make_rng)
     _blocks: dict[int, Block] = field(default_factory=dict)
     _placement: dict[int, list[int]] = field(default_factory=dict)
-    _table_blocks: dict[str, set[int]] = field(default_factory=dict, repr=False)
     _next_block_id: int = 0
     read_stats: ReadStats = field(default_factory=ReadStats)
     #: Persistence hooks — ``None`` for in-memory sessions; attached by the
@@ -108,7 +107,6 @@ class DistributedFileSystem:
         placement = [int(m) for m in machine_ids]
         self._blocks[block.block_id] = block
         self._placement[block.block_id] = placement
-        self._table_blocks.setdefault(block.table, set()).add(block.block_id)
         for machine_id in placement:
             self.cluster.machine(machine_id).stored_blocks.add(block.block_id)
         if self.block_store is not None:
@@ -130,7 +128,6 @@ class DistributedFileSystem:
             raise StorageError(f"cannot delete unknown block {block_id}")
         for machine_id in self._placement.pop(block_id):
             self.cluster.machine(machine_id).stored_blocks.discard(block_id)
-        self._table_blocks[self._blocks[block_id].table].discard(block_id)
         del self._blocks[block_id]
         if self.buffer is not None:
             self.buffer.discard(block_id)
@@ -217,10 +214,6 @@ class DistributedFileSystem:
         block = self.peek_block(block_id)
         return block.find_range(column) if block.num_rows else None
 
-    def has_block(self, block_id: int) -> bool:
-        """Whether ``block_id`` exists."""
-        return block_id in self._blocks
-
     def replicas_of(self, block_id: int) -> list[int]:
         """Machine ids holding replicas of ``block_id``."""
         try:
@@ -240,16 +233,3 @@ class DistributedFileSystem:
     def num_blocks(self) -> int:
         """Number of blocks currently stored."""
         return len(self._blocks)
-
-    def blocks_of_table(self, table: str) -> list[int]:
-        """Ids of all blocks belonging to ``table`` (sorted, index-served)."""
-        return sorted(self._table_blocks.get(table, ()))
-
-    def total_bytes(self, table: str | None = None) -> int:
-        """Total stored bytes, optionally restricted to one table."""
-        if table is not None:
-            return sum(
-                self._blocks[block_id].size_bytes
-                for block_id in self._table_blocks.get(table, ())
-            )
-        return sum(block.size_bytes for block in self._blocks.values())

@@ -237,7 +237,6 @@ class PersistenceManager:
                 block = dfs.peek_block(block_id)
                 blocks.append({
                     "id": block_id,
-                    "tree": table.tree_of_block(block_id),
                     "rows": block.num_rows,
                     "bytes": block.size_bytes,
                     "version": self.store.live_version(block_id),
@@ -251,7 +250,6 @@ class PersistenceManager:
                 "rows_per_block": table.rows_per_block,
                 "epoch": table.epoch,
                 "next_tree_id": table._next_tree_id,
-                "total_rows": table.total_rows,
                 "trees": [
                     [tree_id, tree_to_payload(table.trees[tree_id])]
                     for tree_id in sorted(table.trees)
@@ -282,8 +280,9 @@ class PersistenceManager:
         """Rebuild ``session``'s state from the checkpoint :meth:`open` read.
 
         The session arrives freshly constructed (empty DFS and catalog);
-        blocks are re-registered cold in id order, tables are reconstructed
-        at their checkpointed epochs in name order, RNG states and the
+        blocks are re-registered cold in id order, tables are constructed
+        from their trees at their checkpointed epochs in name order (a
+        tree's leaves say which blocks it holds), RNG states and the
         adaptation window are restored, and only then is the DFS attached
         to the buffer/store so the restore itself never counts as buffer
         traffic.
@@ -304,67 +303,45 @@ class PersistenceManager:
         self.store.mark_durable()
         self.store.gc()
 
-        table_blocks: dict[str, list[tuple[int, int, int]]] = {}
         written_at: dict[str, dict[int, int]] = {}
         # Every block of a table holds exactly its schema's columns.
         column_names = {
             table["name"]: [name for name, _ in table["schema"]] for table in header["tables"]
         }
         for table_name, entry in blocks:
-            block_id, num_rows = entry["id"], entry["rows"]
+            block_id = entry["id"]
             block = Block.restore(
                 block_id=block_id,
                 table=table_name,
                 ranges={name: (lo, hi) for name, (lo, hi) in entry["ranges"].items()},
                 size_bytes=entry["bytes"],
-                num_rows=num_rows,
+                num_rows=entry["rows"],
                 column_names=column_names[table_name],
             )
             self.buffer.bind(block, self.store.loader(block_id, entry["version"]))
             dfs.put_block(block, machine_ids=entry["placement"])
-            table_blocks.setdefault(table_name, []).append((block_id, entry["tree"], num_rows))
             written_at.setdefault(table_name, {})[block_id] = entry["written_at"]
         dfs.restore_block_counter(int(header["next_block_id"]))
 
         for payload in header["tables"]:
             name = payload["name"]
-            trees = {
-                tree_id: tree_from_payload(tree_payload)
-                for tree_id, tree_payload in payload["trees"]
-            }
-            rows_of = table_blocks.get(name, [])
-            block_to_tree = {block_id: tree_id for block_id, tree_id, _ in rows_of}
-            block_rows_map = {block_id: num_rows for block_id, _, num_rows in rows_of}
-            tree_blocks: dict[int, list[int]] = {tree_id: [] for tree_id in trees}
-            tree_rows: dict[int, int] = {tree_id: 0 for tree_id in trees}
-            non_empty: dict[int, set[int]] = {tree_id: set() for tree_id in trees}
-            for block_id, tree_id, num_rows in rows_of:
-                tree_blocks[tree_id].append(block_id)
-                tree_rows[tree_id] += num_rows
-                if num_rows:
-                    non_empty[tree_id].add(block_id)
-            sample = {
-                column: samples[_sample_column(name, column)].copy()
-                for column in payload["sample"]
-            }
-            table = StoredTable(
+            session.catalog.register(StoredTable(
                 name=name,
                 schema=schema_from_payload(payload["schema"]),
                 dfs=dfs,
-                trees=trees,
-                sample=sample,
                 rows_per_block=payload["rows_per_block"],
-                _block_to_tree=block_to_tree,
-                _next_tree_id=payload["next_tree_id"],
-                _epoch=payload["epoch"],
-                _written_at=written_at.get(name, {}),
-                _block_rows=block_rows_map,
-                _tree_rows=tree_rows,
-                _tree_blocks=tree_blocks,
-                _non_empty=non_empty,
-                _total_rows=payload["total_rows"],
-            )
-            session.catalog.register(table)
+                sample={
+                    column: samples[_sample_column(name, column)].copy()
+                    for column in payload["sample"]
+                },
+                trees={
+                    tree_id: tree_from_payload(tree_payload)
+                    for tree_id, tree_payload in payload["trees"]
+                },
+                epoch=payload["epoch"],
+                next_tree_id=payload["next_tree_id"],
+                written_at=written_at.get(name, {}),
+            ))
 
         rng_states = header["rng"]
         restore_rng_state(session.rng, rng_states["session"])

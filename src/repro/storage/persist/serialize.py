@@ -43,9 +43,10 @@ from ...partitioning.tree import PartitioningTree, TreeNode
 #: tables lost the bound of the descriptor chain; 8: the chain is gone, and
 #: each block's entry carries the epoch it last changed at; 9: the stored
 #: config lost the grouping-algorithm field; 10: the stored config lost the
-#: six fields no caller set, now constants).
+#: six fields no caller set, now constants; 11: a table's entry lost its
+#: row total and each block's entry its tree, both read off the trees).
 #: ``PersistenceManager.open`` refuses other versions.
-FORMAT_VERSION = 10
+FORMAT_VERSION = 11
 
 #: File prefix: magic, header length, header CRC32.
 _PREFIX = struct.Struct("<8sII")

@@ -8,19 +8,18 @@ several trees (one per popular join attribute) and blocks migrate between
 them; the table tracks which blocks belong to which tree and exposes the
 ``lookup`` used by the optimizer's cost model.
 
-Storage statistics are *incremental*: the table keeps per-block row counts,
-per-tree row totals and per-tree non-empty block sets, updated on every
-mutation (create / append / clear / delete / move / re-split), so
-``total_rows``, ``rows_under_tree``, ``non_empty_block_ids`` and
-``tree_row_fractions`` are O(1)/O(result) cache reads instead of O(blocks)
-scans over ``dfs.peek_block`` — smooth repartitioning consults them several
-times per query.
+Storage statistics are kept once: ``_block_rows`` maps each block to its
+row count, and the exit of :meth:`StoredTable.mutation` is its one writer (it
+reads the count off every block the mutation touched).  Tree membership is
+the trees' own leaf block ids.  ``total_rows``, ``rows_under_tree`` and
+``non_empty_block_ids`` are sums and filters over that one dict, so they
+never walk ``dfs.peek_block`` and have no copy to fall out of step with.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -76,7 +75,6 @@ class RepartitionStats:
         self.rows_moved += other.rows_moved
 
 
-@dataclass
 class StoredTable:
     """A table managed by the AdaptDB storage engine.
 
@@ -85,45 +83,66 @@ class StoredTable:
         schema: Table schema.
         dfs: The distributed file system holding the table's blocks.
         trees: tree_id -> partitioning tree.  Every leaf of every tree is
-            bound to a DFS block (possibly empty).
+            bound to a DFS block (possibly empty); a tree's leaf block ids
+            are the one record of which blocks it holds.
         sample: Retained row sample used to build new trees later.
         rows_per_block: Target rows per block, used to size new trees.
+
+    The constructor takes the trees as they are and reads each leaf block's
+    row count off the DFS; :meth:`load` starts from no tree, and a restored
+    table passes its checkpointed trees, epoch, next tree id and each
+    block's change stamp.
 
     Partition state (block contents, the block set, the tree set, split
     nodes) changes only inside ``with table.mutation():``.  The mutation
     primitives below record every block id they touch (a tree change
     touches the tree's blocks) and refuse to run outside one; the context's
     exit is the only place the :attr:`epoch` advances, and it stamps every
-    recorded block with the new epoch.  A mutation therefore cannot skip
-    its bump or leave a change unstamped.  Planning layers key their caches
-    on ``(table, epoch)`` pairs: an unchanged epoch guarantees that block
-    contents, block ranges and tree structure are all unchanged, so a
-    cached plan replays bit-identically.  On a changed epoch the session
-    plan cache replans; the hyper-plan memo and the parallel backend's slab
-    ask :meth:`changed_since` which blocks changed since the epoch their
-    state was built at, and reuse what they cached for the others.
+    recorded block with the new epoch and its row count.  A mutation
+    therefore cannot skip its bump or leave a change unstamped.  Planning
+    layers key their caches on ``(table, epoch)`` pairs: an unchanged epoch
+    guarantees that block contents, block ranges and tree structure are all
+    unchanged, so a cached plan replays bit-identically.  On a changed epoch
+    the session plan cache replans; the hyper-plan memo and the parallel
+    backend's slab ask :meth:`changed_since` which blocks changed since the
+    epoch their state was built at, and reuse what they cached for the
+    others.
     """
 
-    name: str
-    schema: Schema
-    dfs: DistributedFileSystem
-    trees: dict[int, PartitioningTree] = field(default_factory=dict)
-    sample: dict[str, np.ndarray] = field(default_factory=dict)
-    rows_per_block: int = 4096
-    _block_to_tree: dict[int, int] = field(default_factory=dict)
-    _next_tree_id: int = 0
-    _epoch: int = field(default=0, repr=False)
-    #: block id -> the epoch its partition state last changed at.
-    _written_at: dict[int, int] = field(default_factory=dict, repr=False)
-    # Incremental statistics caches (see module docstring).
-    _block_rows: dict[int, int] = field(default_factory=dict, repr=False)
-    _tree_rows: dict[int, int] = field(default_factory=dict, repr=False)
-    _tree_blocks: dict[int, list[int]] = field(default_factory=dict, repr=False)
-    _non_empty: dict[int, set[int]] = field(default_factory=dict, repr=False)
-    _total_rows: int = field(default=0, repr=False)
-    _empty_template: dict[str, np.ndarray] | None = field(default=None, repr=False)
-    # Block ids the mutation in progress touched (``None`` between mutations).
-    _touched: set[int] | None = field(default=None, repr=False, compare=False)
+    def __init__(
+        self,
+        name: str,
+        schema: Schema,
+        dfs: DistributedFileSystem,
+        rows_per_block: int = 4096,
+        sample: dict[str, np.ndarray] | None = None,
+        trees: dict[int, PartitioningTree] | None = None,
+        epoch: int = 0,
+        next_tree_id: int = 0,
+        written_at: dict[int, int] | None = None,
+    ) -> None:
+        self.name = name
+        self.schema = schema
+        self.dfs = dfs
+        self.rows_per_block = rows_per_block
+        self.sample = sample if sample is not None else {}
+        self.trees = trees if trees is not None else {}
+        self._block_to_tree = {
+            block_id: tree_id
+            for tree_id, tree in self.trees.items()
+            for block_id in tree.block_ids()
+        }
+        #: block id -> its row count, written where the epoch advances.
+        self._block_rows = {
+            block_id: dfs.peek_block(block_id).num_rows for block_id in self._block_to_tree
+        }
+        self._epoch = epoch
+        self._next_tree_id = next_tree_id
+        #: block id -> the epoch its partition state last changed at.
+        self._written_at = written_at if written_at is not None else {}
+        self._empty_template: dict[str, np.ndarray] | None = None
+        # Block ids the mutation in progress touched (``None`` between mutations).
+        self._touched: set[int] | None = None
 
     # ------------------------------------------------------------------ #
     # Loading
@@ -183,7 +202,8 @@ class StoredTable:
         exit — normal or by exception, so a half-finished mutation is still
         announced — the epoch advances once if anything was recorded; then
         each recorded block still in the table is stamped with the new epoch
-        and each one deleted loses its stamp.
+        and its row count is read off the block, and each one deleted loses
+        both.
 
         Raises:
             StorageError: if a mutation is already open; they do not nest.
@@ -197,11 +217,14 @@ class StoredTable:
             self._touched = None
             if touched:
                 self._epoch += 1
+                peek_block = self.dfs.peek_block
                 for block_id in touched:
                     if block_id in self._block_to_tree:
                         self._written_at[block_id] = self._epoch
+                        self._block_rows[block_id] = peek_block(block_id).num_rows
                     else:
                         self._written_at.pop(block_id, None)
+                        self._block_rows.pop(block_id, None)
 
     def _recording(self) -> set[int]:
         """The open mutation's touched ids; primitives call this before they write."""
@@ -247,25 +270,16 @@ class StoredTable:
         tree_id = self._next_tree_id
         self._next_tree_id += 1
         tree.tree_id = tree_id
-        self._tree_blocks[tree_id] = []
-        self._tree_rows[tree_id] = 0
-        self._non_empty[tree_id] = set()
-        for block in blocks:
-            self._register_block(block.block_id, tree_id, block.num_rows)
+        for block_id in block_ids:
+            self._register_block(block_id, tree_id)
         tree.assign_block_ids(block_ids)
         self.trees[tree_id] = tree
         return tree_id
 
-    def _register_block(self, block_id: int, tree_id: int, num_rows: int) -> None:
-        """Record a freshly created block in the statistics caches."""
+    def _register_block(self, block_id: int, tree_id: int) -> None:
+        """Make a freshly created block part of the table, under ``tree_id``."""
         self._recording().add(block_id)
         self._block_to_tree[block_id] = tree_id
-        self._block_rows[block_id] = num_rows
-        self._tree_blocks[tree_id].append(block_id)
-        self._tree_rows[tree_id] += num_rows
-        self._total_rows += num_rows
-        if num_rows:
-            self._non_empty[tree_id].add(block_id)
 
     def _open_block(self, block_id: int) -> Block:
         """The block about to be rewritten in place, recorded as changed."""
@@ -293,65 +307,43 @@ class StoredTable:
         for position, (block_id, block_lows, block_highs) in enumerate(
             zip(block_ids, lows, highs)
         ):
-            block = peek_block(block_id)
-            block.extend(batch, bounds[position], bounds[position + 1], block_lows, block_highs)
-            self._set_block_rows(block_id, block.num_rows)
+            peek_block(block_id).extend(
+                batch, bounds[position], bounds[position + 1], block_lows, block_highs
+            )
 
     def _clear_block(self, block_id: int) -> None:
         """Empty a block in place (its rows have been migrated elsewhere)."""
         self._open_block(block_id).clear(self._empty_columns())
-        self._set_block_rows(block_id, 0)
 
     def _rewrite_block(self, block_id: int, columns: dict[str, np.ndarray]) -> None:
         """Replace a block's contents wholesale (one side of a re-split)."""
-        block = self._open_block(block_id)
-        block.replace_columns(columns)
-        self._set_block_rows(block_id, block.num_rows)
-
-    def _set_block_rows(self, block_id: int, num_rows: int) -> None:
-        """Propagate a block's new row count through the caches."""
-        previous = self._block_rows[block_id]
-        if num_rows == previous:
-            return
-        tree_id = self._block_to_tree[block_id]
-        delta = num_rows - previous
-        self._block_rows[block_id] = num_rows
-        self._tree_rows[tree_id] += delta
-        self._total_rows += delta
-        if num_rows:
-            self._non_empty[tree_id].add(block_id)
-        else:
-            self._non_empty[tree_id].discard(block_id)
+        self._open_block(block_id).replace_columns(columns)
 
     def _forget_tree(self, tree_id: int) -> None:
-        """Delete a tree, its blocks and all their cache entries.
+        """Delete a tree and its blocks.
 
         Blocks are only ever deleted together with their tree, so there is
         no standalone block-deletion primitive.
         """
         touched = self._recording()
-        block_ids = self._tree_blocks.pop(tree_id)
+        block_ids = self.trees[tree_id].block_ids()
         # The whole tree is named before the first deletion, so a failure
         # part way through still stamps every block it may have lost.
         touched.update(block_ids)
         for block_id in block_ids:
             self.dfs.delete_block(block_id)
             del self._block_to_tree[block_id]
-            self._total_rows -= self._block_rows.pop(block_id)
-        del self._tree_rows[tree_id]
-        del self._non_empty[tree_id]
         del self.trees[tree_id]
 
     def audit_cached_statistics(self) -> None:
-        """Verify every cached statistic, and every block's ranges, against a
-        brute-force DFS scan.
+        """Verify every block's cached row count and ranges against the block.
 
         Ranges are recomputed from ``column_pieces()`` concatenated here, so
         the audit merges no stale column of a block.
 
         Raises:
-            StorageError: if any cached counter or range disagrees with the
-                blocks.
+            StorageError: if a cached row count or range disagrees with the
+                block.
 
         Intended for tests and debugging; production paths never call it.
         """
@@ -373,27 +365,6 @@ class StoredTable:
                 raise StorageError(
                     f"ranges of block {block_id} = {ranges}, actual {expected}"
                 )
-        for tree_id in self.trees:
-            actual_tree = sum(
-                self.dfs.peek_block(b).num_rows for b in self.block_ids(tree_id)
-            )
-            if self._tree_rows.get(tree_id) != actual_tree:
-                raise StorageError(
-                    f"cached rows for tree {tree_id} = {self._tree_rows.get(tree_id)}, "
-                    f"actual {actual_tree}"
-                )
-            actual_non_empty = {
-                b for b in self.block_ids(tree_id) if self.dfs.peek_block(b).num_rows > 0
-            }
-            if self._non_empty.get(tree_id) != actual_non_empty:
-                raise StorageError(f"cached non-empty set for tree {tree_id} is stale")
-        actual_total = sum(
-            self.dfs.peek_block(b).num_rows for b in self._block_to_tree
-        )
-        if self._total_rows != actual_total:
-            raise StorageError(
-                f"cached total rows {self._total_rows}, actual {actual_total}"
-            )
 
     # ------------------------------------------------------------------ #
     # Tree management
@@ -440,18 +411,18 @@ class StoredTable:
     # Block access
     # ------------------------------------------------------------------ #
     def block_ids(self, tree_id: int | None = None) -> list[int]:
-        """All block ids of the table, optionally restricted to one tree."""
+        """All block ids of the table, optionally restricted to one tree (in
+        leaf order)."""
         if tree_id is None:
             return sorted(self._block_to_tree)
-        return list(self._tree_blocks.get(tree_id, ()))
+        tree = self.trees.get(tree_id)
+        return tree.block_ids() if tree is not None else []
 
     def non_empty_block_ids(self, tree_id: int | None = None) -> list[int]:
-        """Block ids that currently contain at least one row (cache-served)."""
-        if tree_id is None:
-            return sorted(
-                block_id for blocks in self._non_empty.values() for block_id in blocks
-            )
-        return sorted(self._non_empty.get(tree_id, ()))
+        """Block ids that currently contain at least one row, sorted."""
+        block_rows = self._block_rows
+        candidates = block_rows if tree_id is None else self.block_ids(tree_id)
+        return sorted(block_id for block_id in candidates if block_rows.get(block_id, 0))
 
     def lookup(
         self,
@@ -475,20 +446,14 @@ class StoredTable:
         return [block_id for block_id in matched if block_rows.get(block_id, 0) > 0]
 
     def rows_under_tree(self, tree_id: int) -> int:
-        """Total number of rows stored under a tree (cache-served)."""
-        return self._tree_rows.get(tree_id, 0)
+        """Total number of rows stored under a tree."""
+        block_rows = self._block_rows
+        return sum(block_rows.get(block_id, 0) for block_id in self.block_ids(tree_id))
 
     @property
     def total_rows(self) -> int:
-        """Total number of rows stored across all trees (cache-served)."""
-        return self._total_rows
-
-    def tree_row_fractions(self) -> dict[int, float]:
-        """Fraction of the table's rows held by each tree."""
-        total = self._total_rows
-        if total == 0:
-            return {tree_id: 0.0 for tree_id in self.trees}
-        return {tree_id: self._tree_rows[tree_id] / total for tree_id in self.trees}
+        """Total number of rows stored across all trees."""
+        return sum(self._block_rows.values())
 
     # ------------------------------------------------------------------ #
     # Block migration (smooth repartitioning / full repartitioning)
@@ -615,9 +580,7 @@ class StoredTable:
         Returns:
             The ids of the removed trees.
         """
-        removable = [
-            tree_id for tree_id in self.trees if self._tree_rows.get(tree_id, 0) == 0
-        ]
+        removable = [tree_id for tree_id in self.trees if self.rows_under_tree(tree_id) == 0]
         if len(removable) == len(self.trees):
             removable = removable[:-1]
         if not removable:
@@ -634,21 +597,17 @@ class StoredTable:
         refinement: all existing rows are read, routed through the new tree,
         and the old trees are dropped.
         """
+        sources = self.non_empty_block_ids()
         all_columns = concatenate_columns(
-            [
-                self.dfs.peek_block(block_id).columns
-                for block_id in self.non_empty_block_ids()
-            ],
-            self.schema,
+            [self.dfs.peek_block(block_id).columns for block_id in sources], self.schema
         )
-        num_source_blocks = len(self.non_empty_block_ids())
         with self.mutation():
             for tree_id in list(self.trees):
                 self._forget_tree(tree_id)
             self._materialize_tree(tree, all_columns)
         rows_moved = len(next(iter(all_columns.values()))) if all_columns else 0
         return RepartitionStats(
-            source_blocks=num_source_blocks,
+            source_blocks=len(sources),
             target_blocks_touched=tree.num_leaves,
             rows_moved=rows_moved,
         )

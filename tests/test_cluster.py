@@ -10,20 +10,17 @@ from repro.common.errors import StorageError
 
 class TestMachine:
     def test_local_read_accounting(self):
-        machine = Machine(machine_id=0, memory_bytes=1024, stored_blocks={1, 2})
+        machine = Machine(machine_id=0, stored_blocks={1, 2})
         assert machine.record_read(1) is True
         assert machine.record_read(5) is False
         assert (machine.local_reads, machine.remote_reads) == (1, 1)
-        assert machine.locality_fraction == 0.5
-
-    def test_locality_is_one_without_reads(self):
-        assert Machine(0, 1024).locality_fraction == 1.0
 
     def test_reset_counters(self):
-        machine = Machine(0, 1024, stored_blocks={1})
+        machine = Machine(0, stored_blocks={1})
         machine.record_read(1)
+        machine.record_read(2)
         machine.reset_counters()
-        assert machine.total_reads == 0
+        assert (machine.local_reads, machine.remote_reads) == (0, 0)
 
 
 class TestCluster:
@@ -40,15 +37,6 @@ class TestCluster:
         with pytest.raises(StorageError):
             Cluster(num_machines=2).machine(5)
 
-    def test_buffer_blocks_from_memory(self):
-        cluster = Cluster(num_machines=2, machine_memory_bytes=1024)
-        assert cluster.buffer_blocks(256) == 4
-        assert cluster.buffer_blocks(4096) == 1  # never below one block
-
-    def test_buffer_blocks_rejects_bad_block_size(self):
-        with pytest.raises(StorageError):
-            Cluster(num_machines=2).buffer_blocks(0)
-
     def test_parallelism_matches_cluster_size(self):
         cluster = Cluster(num_machines=7)
         assert cluster.cost_model.parallelism == 7
@@ -58,11 +46,13 @@ class TestCluster:
         cluster.machine(0).stored_blocks.add(1)
         cluster.machine(0).record_read(1)
         cluster.machine(1).record_read(1)
-        assert cluster.total_local_reads == 1
-        assert cluster.total_remote_reads == 1
-        assert cluster.locality_fraction == 0.5
+
+        def counts():
+            return [(m.local_reads, m.remote_reads) for m in cluster.machines]
+
+        assert counts() == [(1, 0), (0, 1)]
         cluster.reset_read_counters()
-        assert cluster.locality_fraction == 1.0
+        assert counts() == [(0, 0), (0, 0)]
 
 
 class TestCostModel:
@@ -94,9 +84,6 @@ class TestCostModel:
 
     def test_repartition_cost_charges_read_and_write(self):
         assert self.model.repartition_cost(10) == pytest.approx(25.0)
-
-    def test_read_cost_mix(self):
-        assert self.model.read_cost(10, 10) == pytest.approx(10 + 10.8)
 
     def test_to_seconds_divides_by_parallelism(self):
         assert self.model.to_seconds(100) == pytest.approx(10.0)

@@ -175,7 +175,7 @@ class TestExecutor:
         rng = small_db.rng
         for _ in range(12):
             result = small_db.run(tpch_query("q12", rng))
-        assert result.used_hyper_join
+        assert "hyper" in result.join_methods
 
     def test_multi_join_query_executes_every_clause(self, small_config, tpch_tables):
         db = Session(small_config)

@@ -47,7 +47,8 @@ class TestBlockLifecycle:
         block = dfs.create_block("t", make_columns())
         replicas = dfs.replicas_of(block.block_id)
         dfs.delete_block(block.block_id)
-        assert not dfs.has_block(block.block_id)
+        with pytest.raises(StorageError):
+            dfs.peek_block(block.block_id)
         for machine_id in replicas:
             assert not dfs.cluster.machine(machine_id).holds(block.block_id)
 
@@ -60,14 +61,7 @@ class TestBlockLifecycle:
         b = dfs.create_block("b", make_columns())
         c = dfs.create_block("a", make_columns())
         assert dfs.num_blocks == 3
-        assert dfs.blocks_of_table("a") == sorted([a.block_id, c.block_id])
-        assert dfs.blocks_of_table("b") == [b.block_id]
-
-    def test_total_bytes(self, dfs):
-        dfs.create_block("a", make_columns())
-        dfs.create_block("b", make_columns())
-        assert dfs.total_bytes() == dfs.total_bytes("a") + dfs.total_bytes("b")
-        assert dfs.total_bytes("a") == 80
+        assert [dfs.peek_block(x.block_id).table for x in (a, b, c)] == ["a", "b", "a"]
 
 
 class TestReads:
@@ -106,7 +100,7 @@ class TestReads:
         dfs.get_block(block.block_id, reader_machine=0)
         dfs.reset_read_stats()
         assert dfs.read_stats.total_reads == 0
-        assert dfs.cluster.total_local_reads == 0
+        assert all(m.local_reads == m.remote_reads == 0 for m in dfs.cluster.machines)
 
     def test_locality_fraction_defaults_to_one(self, dfs):
         assert dfs.read_stats.locality_fraction == 1.0

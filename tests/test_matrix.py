@@ -211,10 +211,27 @@ class ConfigurationMatrix(RuleBasedStateMachine):
 
     @invariant()
     def same_partition_state(self) -> None:
+        """Equal trees, epochs and derived block statistics everywhere."""
         states = {
             str(config): (
                 session.describe(),
-                tuple((table.name, table.epoch) for table in session.catalog.tables()),
+                tuple(
+                    (
+                        table.name,
+                        table.epoch,
+                        table.total_rows,
+                        tuple(
+                            (
+                                tree_id,
+                                tuple(table.block_ids(tree_id)),
+                                tuple(table.non_empty_block_ids(tree_id)),
+                                table.rows_under_tree(tree_id),
+                            )
+                            for tree_id in sorted(table.trees)
+                        ),
+                    )
+                    for table in session.catalog.tables()
+                ),
             )
             for config, session in self.sessions.items()
         }

@@ -464,7 +464,7 @@ class TestCheckpointRestore:
         session.checkpoint()
         root = session.storage_root
         session.close()
-        stored = 9  # the last format whose config names the six constant fields
+        stored = 10  # the last format whose tables carry a row total and blocks a tree
         assert stored == FORMAT_VERSION - 1
         header, samples = read_checkpoint(root)
         write_file(root / "checkpoint", {**header, "format_version": stored}, samples)
@@ -1316,6 +1316,41 @@ class TestPersistenceConfig:
             assert session.config.storage_root is None
         finally:
             session.close()
+
+    def test_a_generated_root_is_removed_unless_checkpointed(
+        self, monkeypatch, tmp_path, tpch_tables
+    ):
+        """A generated root nothing checkpointed is removed once its session
+        is dropped, not by close() (a closed session still reads from it); a
+        checkpointed one stays and reopens."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        config = AdaptDBConfig(rows_per_block=512, seed=3, persistence="mmap",
+                               buffer_bytes=64 * 1024)
+        query = scan_query("part", [ge("p_size", 10.0)])
+
+        dropped = load_session(config, tpch_tables, ("part",))
+        root = dropped.storage_root
+        dropped.close()
+        expected = dropped.run(query, adapt=False).fingerprint()
+        assert root.is_dir()
+        del dropped
+        gc.collect()
+        assert not root.exists()
+
+        kept = load_session(config, tpch_tables, ("part",))
+        kept.checkpoint()
+        root = kept.storage_root
+        kept.close()
+        del kept
+        gc.collect()
+        reopened = Session.open(root)
+        try:
+            assert reopened.run(query, adapt=False).fingerprint() == expected
+        finally:
+            reopened.close()
+        del reopened
+        gc.collect()
+        assert (root / "checkpoint").is_file()
 
     def test_mmap_buffer_bytes_option_fills_unset_fields(self, request):
         """``--mmap-buffer-bytes N`` runs every config that does not pick its

@@ -25,14 +25,6 @@ class TestJoinClause:
         with pytest.raises(PlanningError):
             self.clause.column_for("part")
 
-    def test_other_table(self):
-        assert self.clause.other_table("lineitem") == "orders"
-        assert self.clause.other_table("orders") == "lineitem"
-
-    def test_other_table_unknown(self):
-        with pytest.raises(PlanningError):
-            self.clause.other_table("part")
-
 
 class TestQueryValidation:
     def test_requires_at_least_one_table(self):

@@ -59,9 +59,6 @@ class TestSchema:
         with pytest.raises(SchemaError, match="unknown column"):
             self.make_schema().column("missing")
 
-    def test_dtype_of(self):
-        assert self.make_schema().dtype_of("day") is DataType.DATE
-
     def test_validate_columns_accepts_matching_arrays(self):
         schema = self.make_schema()
         schema.validate_columns(

@@ -2,11 +2,11 @@
 
 Two families of properties introduced by the incremental-metadata work:
 
-* the statistics caches on :class:`StoredTable` (per-block row counts,
-  per-tree totals, non-empty sets, table total) must agree exactly with a
-  brute-force recomputation over ``dfs.peek_block`` after *any* randomized
-  sequence of mutations (``move_blocks``, ``replace_with_tree``,
-  ``drop_empty_trees``, Amoeba re-splits), and
+* the statistics of :class:`StoredTable` (per-block row counts and the
+  per-tree totals, non-empty sets and table total derived from them) must
+  agree exactly with a brute-force recomputation over ``dfs.peek_block``
+  after *any* randomized sequence of mutations (``move_blocks``,
+  ``replace_with_tree``, ``drop_empty_trees``, Amoeba re-splits), and
 * chunked blocks must consolidate without observable change: row order,
   ranges and ``size_bytes`` are identical whether reads happen before,
   between or after appends, and
@@ -68,17 +68,10 @@ def brute_force_stats(stored: StoredTable) -> dict:
         )
         for tree_id in stored.trees
     }
-    total = sum(per_tree_rows.values())
-    fractions = (
-        {tree_id: rows / total for tree_id, rows in per_tree_rows.items()}
-        if total
-        else {tree_id: 0.0 for tree_id in stored.trees}
-    )
     return {
         "per_tree_rows": per_tree_rows,
         "per_tree_non_empty": per_tree_non_empty,
-        "total": total,
-        "fractions": fractions,
+        "total": sum(per_tree_rows.values()),
     }
 
 
@@ -92,7 +85,6 @@ def assert_stats_match(stored: StoredTable) -> None:
     assert stored.non_empty_block_ids() == sorted(
         b for blocks in expected["per_tree_non_empty"].values() for b in blocks
     )
-    assert stored.tree_row_fractions() == expected["fractions"]
     # Block ranges must equal an exact recomputation from the stored rows.
     for block_id in stored.block_ids():
         block = stored.dfs.peek_block(block_id)

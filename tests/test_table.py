@@ -152,11 +152,6 @@ class TestTreeManagement:
         tree_id = stored.add_empty_tree(tree)
         assert stored.tree_for_join_attribute("key") == tree_id
 
-    def test_tree_row_fractions_sum_to_one(self):
-        stored = load_table()
-        fractions = stored.tree_row_fractions()
-        assert sum(fractions.values()) == pytest.approx(1.0)
-
     def test_describe_lists_trees(self):
         text = load_table().describe()
         assert "tree 0" in text and "rows" in text
@@ -360,7 +355,7 @@ class PartitionSnapshot:
 
     blocks: dict[int, tuple[int, bytes]]  # block id -> (rows, content digest)
     leaves: dict[int, tuple[int, tuple]]  # block id -> (tree id, leaf bounds)
-    registered: dict[int, frozenset[int]]  # tree id with statistics -> its block ids
+    registered: dict[int, frozenset[int]]  # tree id -> the block ids registered under it
     next_tree_id: int
 
     @classmethod
@@ -377,8 +372,10 @@ class PartitionSnapshot:
             for tree_id, tree in stored.trees.items()
             for block_id, bounds in leaf_bounds(tree.root).items()
         }
+        owners = stored._block_to_tree
         registered = {
-            tree_id: frozenset(block_ids) for tree_id, block_ids in stored._tree_blocks.items()
+            tree_id: frozenset(b for b, owner in owners.items() if owner == tree_id)
+            for tree_id in set(owners.values())
         }
         return cls(blocks, leaves, registered, stored._next_tree_id)
 
