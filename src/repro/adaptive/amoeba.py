@@ -125,8 +125,8 @@ class AmoebaAdaptor:
             if not bottom:
                 continue
             memo = tree.bottom_memo()
-            split_on = np.array([node.attribute for node, _ in bottom], dtype=object)
-            current_cuts = np.array([node.cutpoint for node, _ in bottom], dtype=np.float64)
+            split_on = np.array([node.attribute for node in bottom], dtype=object)
+            current_cuts = np.array([node.cutpoint for node in bottom], dtype=np.float64)
             current = np.empty(len(bottom), dtype=np.int64)
             for attribute in dict.fromkeys(split_on.tolist()):
                 at = np.flatnonzero(split_on == attribute)
@@ -150,7 +150,7 @@ class AmoebaAdaptor:
                 for position in np.flatnonzero(eligible).tolist():
                     candidate = TransformCandidate(
                         tree_id=tree_id,
-                        node=bottom[position][0],
+                        node=bottom[position],
                         new_attribute=attribute,
                         new_cutpoint=float(cuts[position]),
                         benefit=float(benefit[position]),

@@ -31,13 +31,11 @@ class RepartitionReport:
     rows_repartitioned: int = 0
     trees_created: int = 0
     amoeba_transforms: int = 0
-    per_table_blocks: dict[str, int] = field(default_factory=dict)
 
-    def record(self, table: str, blocks: int, rows: int) -> None:
-        """Add repartitioning work for ``table``."""
+    def record(self, blocks: int, rows: int) -> None:
+        """Add one table's repartitioning work."""
         self.blocks_repartitioned += blocks
         self.rows_repartitioned += rows
-        self.per_table_blocks[table] = self.per_table_blocks.get(table, 0) + blocks
 
 
 @dataclass
@@ -92,12 +90,12 @@ class AdaptiveRepartitioner:
                 if plan.created_tree_id is not None:
                     report.trees_created += 1
                 stats = self.smooth.apply(table, plan)
-                report.record(table.name, stats.source_blocks, stats.rows_moved)
+                report.record(stats.source_blocks, stats.rows_moved)
 
         if self.enable_amoeba:
             for table in tables:
                 stats = self.amoeba.adapt(table, self.window)
                 report.amoeba_transforms += stats.transforms_applied
-                report.record(table.name, stats.blocks_repartitioned, stats.rows_moved)
+                report.record(stats.blocks_repartitioned, stats.rows_moved)
 
         return report

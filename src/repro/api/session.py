@@ -31,9 +31,12 @@ of the query's semantics and cost) — only the planning after it is reused,
 which is safe because adaptation work always bumps an epoch and therefore
 forces a fresh plan.
 
-Read statistics are scoped per execution: ``execute()`` resets the DFS and
-per-machine read counters before running, and ``plan()``/``lower()`` never
-touch them, so interleaved plan/run calls cannot skew locality accounting.
+Locality is scoped per execution: ``execute()`` zeroes the machines' read
+counters before running (``dfs.read_stats`` sums them), and
+``plan()``/``lower()`` never touch them, so interleaved plan/run calls
+cannot skew locality accounting.  Buffer traffic is not scoped: the block
+buffer's counters run for the session's lifetime, and one query's traffic
+is their difference across ``run()``, planning and lowering included.
 
 Sessions configured with ``persistence="mmap"`` additionally own a durable
 storage tier (:mod:`repro.storage.persist`): blocks spill to memory-mapped
@@ -421,17 +424,14 @@ class Session:
     def execute(self, physical: PhysicalPlan) -> QueryResult:
         """Run a physical plan through the selected backend.
 
-        Read statistics (DFS locality counters) are reset at the start of
-        every execution, so they always describe exactly one query.
+        The machines' read counters are zeroed at the start of every
+        execution, so ``dfs.read_stats`` afterwards describes exactly this
+        execution's reads.  The block buffer's counters are not reset.
         """
         self.dfs.reset_read_stats()
         result = self.backend.execute(physical)
         result.planning_seconds = physical.logical.planning_seconds
         result.plan_cache_hit = physical.logical.from_cache
-        stats = self.dfs.read_stats
-        result.buffer_hits = stats.buffer_hits
-        result.buffer_faults = stats.buffer_faults
-        result.buffer_evictions = stats.buffer_evictions
         return result
 
     # ------------------------------------------------------------------ #

@@ -183,46 +183,23 @@ def apply_outcome(
 ) -> None:
     """Merge one task's outcome into the query result / its join's state."""
     if task.kind is TaskKind.SCAN:
-        apply_scan_outcome(result, task, outcome.rows)
+        result.scan_output_rows += outcome.rows
+        result.blocks_read += len(task.block_ids)
         return
     state = states[task.join_index]
     if task.kind is TaskKind.SHUFFLE_MAP:
-        apply_shuffle_map_outcome(state, task, outcome.parts)
+        build = task.side == "build"
+        partitions = state.build_partitions if build else state.probe_partitions
+        for partition, keys in enumerate(outcome.parts):
+            if len(keys):
+                partitions[partition].append(keys)
+        if build:
+            state.build_blocks_read += len(task.block_ids)
+        else:
+            state.probe_blocks_read += len(task.block_ids)
     elif task.kind is TaskKind.SHUFFLE_REDUCE:
-        apply_shuffle_reduce_outcome(state, outcome.rows)
+        state.output_rows += outcome.rows
     else:
-        apply_hyper_group_outcome(state, task, outcome.rows)
-
-
-def apply_scan_outcome(result: "QueryResult", task: Task, matched_rows: int) -> None:
-    """Merge a scan task's matched-row count into the query result."""
-    result.scan_output_rows += matched_rows
-    result.blocks_read += len(task.block_ids)
-
-
-def apply_shuffle_map_outcome(
-    state: "JoinState", task: Task, parts: Sequence[np.ndarray]
-) -> None:
-    """Merge one map task's per-partition key arrays into the join state."""
-    partitions = (
-        state.build_partitions if task.side == "build" else state.probe_partitions
-    )
-    for partition, keys in enumerate(parts):
-        if len(keys):
-            partitions[partition].append(keys)
-    if task.side == "build":
+        state.output_rows += outcome.rows
         state.build_blocks_read += len(task.block_ids)
-    else:
-        state.probe_blocks_read += len(task.block_ids)
-
-
-def apply_shuffle_reduce_outcome(state: "JoinState", output_rows: int) -> None:
-    """Merge one reduce task's join cardinality into the join state."""
-    state.output_rows += output_rows
-
-
-def apply_hyper_group_outcome(state: "JoinState", task: Task, output_rows: int) -> None:
-    """Merge one hyper-group task's cardinality and read counts."""
-    state.output_rows += output_rows
-    state.build_blocks_read += len(task.block_ids)
-    state.probe_blocks_read += len(task.probe_block_ids)
+        state.probe_blocks_read += len(task.probe_block_ids)

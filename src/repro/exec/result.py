@@ -66,14 +66,12 @@ class QueryResult:
         machine_wall_seconds: Measured wall-clock task time per machine
             (index = machine id), populated only by the parallel backend.
             Also excluded from :meth:`fingerprint`.
-        buffer_hits: Block-buffer hits during this execution (persistent
-            sessions only; zero for in-memory sessions).  Excluded from
-            :meth:`fingerprint` — buffer behaviour must never change
-            answers or plans, only where bytes were read from.
-        buffer_faults: Spilled blocks materialized from disk during this
-            execution.  Excluded from :meth:`fingerprint`.
-        buffer_evictions: Blocks evicted from the buffer during this
-            execution.  Excluded from :meth:`fingerprint`.
+
+    A result carries no I/O counters.  Locality is counted by the machines
+    (``session.dfs.read_stats`` sums them for the last execution) and
+    block-buffer traffic by the buffer (``session.persist.buffer``'s
+    ``hits`` / ``faults`` / ``evictions``; a query's share is their
+    difference across it).
     """
 
     query: Query
@@ -93,9 +91,6 @@ class QueryResult:
     plan_cache_hit: bool = False
     wall_seconds: float = 0.0
     machine_wall_seconds: list[float] = field(default_factory=list)
-    buffer_hits: int = 0
-    buffer_faults: int = 0
-    buffer_evictions: int = 0
 
     def fingerprint(self) -> tuple:
         """Stable digest of every decision-dependent field of the result.
@@ -104,11 +99,10 @@ class QueryResult:
         must produce equal fingerprints — the plan-cache tests and the
         layered benchmark compare cached vs. cold runs through this.
         Wall-clock measurements (``planning_seconds``, ``wall_seconds``,
-        ``machine_wall_seconds``), cache provenance (``plan_cache_hit``) and
-        buffer traffic (``buffer_hits`` / ``buffer_faults`` /
-        ``buffer_evictions``) are deliberately excluded, which is what lets
-        the parallel backend — and the mmap persistence tier — produce
-        fingerprints bit-identical to the in-memory task backend.
+        ``machine_wall_seconds``) and cache provenance (``plan_cache_hit``)
+        are deliberately excluded, which is what lets the parallel backend —
+        and the mmap persistence tier — produce fingerprints bit-identical
+        to the in-memory task backend.
         """
         return (
             self.output_rows,

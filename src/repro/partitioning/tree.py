@@ -355,33 +355,27 @@ class PartitioningTree:
         if cutpoint > box_lo[attr_index]:
             compiled.leaf_lo[attr_index, right_leaf] = cutpoint
 
-    def bottom_internal_nodes(self) -> list[tuple[TreeNode, dict[str, tuple[float, float]]]]:
-        """Internal nodes whose two children are both leaves, with path bounds.
+    def bottom_internal_nodes(self) -> list[TreeNode]:
+        """Internal nodes whose two children are both leaves, left to right.
 
         The result is cached alongside the compiled form (Amoeba enumerates
-        these every query); treat the bounds dicts as read-only.  See
-        :meth:`bottom_memo` for results derived from it.
+        these every query).  See :meth:`bottom_memo` for results derived
+        from it.
         """
         if self._bottom_nodes is None:
-            result: list[tuple[TreeNode, dict[str, tuple[float, float]]]] = []
+            result: list[TreeNode] = []
 
-            def descend(node: TreeNode, bounds: dict[str, tuple[float, float]]) -> None:
+            def descend(node: TreeNode) -> None:
                 if node.is_leaf:
                     return
                 assert node.left is not None and node.right is not None
                 if node.left.is_leaf and node.right.is_leaf:
-                    result.append((node, dict(bounds)))
+                    result.append(node)
                     return
-                assert node.attribute is not None and node.cutpoint is not None
-                lo, hi = bounds.get(node.attribute, (-math.inf, math.inf))
-                left_bounds = dict(bounds)
-                left_bounds[node.attribute] = (lo, min(hi, node.cutpoint))
-                right_bounds = dict(bounds)
-                right_bounds[node.attribute] = (max(lo, node.cutpoint), hi)
-                descend(node.left, left_bounds)
-                descend(node.right, right_bounds)
+                descend(node.left)
+                descend(node.right)
 
-            descend(self.root, {})
+            descend(self.root)
             self._bottom_nodes = result
         return self._bottom_nodes
 

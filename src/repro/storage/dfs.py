@@ -2,7 +2,8 @@
 
 The DFS owns every block in the system.  It assigns globally unique block
 ids, places replicas on machines, and is the single point through which block
-reads flow so that locality and I/O statistics can be accounted.
+reads flow: the reading machine counts each read as local or remote, and an
+attached block buffer counts its own hits, faults and evictions.
 """
 
 from __future__ import annotations
@@ -24,20 +25,16 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 DEFAULT_REPLICATION = 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReadStats:
-    """Accumulated read statistics since the last reset.
+    """A snapshot of the machines' block-read counters since the last reset.
 
-    The three ``buffer_*`` counters stay zero for purely in-memory sessions;
-    under ``persistence="mmap"`` the block buffer mirrors its events here so
-    every execution reports its own hit/fault/eviction traffic.
+    The machines are the one record of locality; this is their sum at the
+    moment :attr:`DistributedFileSystem.read_stats` was read.
     """
 
     local_reads: int = 0
     remote_reads: int = 0
-    buffer_hits: int = 0
-    buffer_faults: int = 0
-    buffer_evictions: int = 0
 
     @property
     def total_reads(self) -> int:
@@ -68,9 +65,8 @@ class DistributedFileSystem:
     _blocks: dict[int, Block] = field(default_factory=dict)
     _placement: dict[int, list[int]] = field(default_factory=dict)
     _next_block_id: int = 0
-    read_stats: ReadStats = field(default_factory=ReadStats)
     #: Persistence hooks — ``None`` for in-memory sessions; attached by the
-    #: PersistenceManager.  The buffer accounts reads/faults/evictions, the
+    #: PersistenceManager.  The buffer counts hits/faults/evictions, the
     #: store tracks which machine directory each block spills to.
     buffer: "BlockBuffer | None" = field(default=None, repr=False)
     block_store: "PersistentBlockStore | None" = field(default=None, repr=False)
@@ -152,29 +148,17 @@ class DistributedFileSystem:
     # Reads
     # ------------------------------------------------------------------ #
     def get_block(self, block_id: int, reader_machine: int) -> Block:
-        """Read a block, accounting locality against the machine reading it."""
-        block = self.peek_block(block_id)
-        machine = self.cluster.machine(reader_machine)
-        if machine.record_read(block_id):
-            self.read_stats.local_reads += 1
-        else:
-            self.read_stats.remote_reads += 1
-        if self.buffer is not None:
-            # Resident blocks count a hit and refresh recency; spilled blocks
-            # fault lazily (and are then accounted) on first column access.
-            self.buffer.touch(block)
-        return block
+        """Read one block, accounting locality against the machine reading it."""
+        return self.get_blocks([block_id], reader_machine)[0]
 
     def get_blocks(self, block_ids: Sequence[int], reader_machine: int) -> list[Block]:
-        """Read a batch of blocks in one call, accounting locality per block.
+        """Read a batch of blocks, in the order of ``block_ids``.
 
-        Tasks issue one ``get_blocks`` call for all blocks they touch instead
-        of one ``get_block`` per block; the returned list preserves the order
-        of ``block_ids``.  Without a buffer (which must see every ``touch``
-        in order) one reader's batch is accounted in one step.
+        The reading machine counts the batch's local and remote reads in one
+        step.  With a buffer attached, each block is then touched in order:
+        a resident block counts a hit and refreshes its recency, a spilled
+        one faults lazily on its first column read.
         """
-        if self.buffer is not None:
-            return [self.get_block(block_id, reader_machine) for block_id in block_ids]
         try:
             blocks = [self._blocks[block_id] for block_id in block_ids]
         except KeyError as error:
@@ -183,8 +167,9 @@ class DistributedFileSystem:
         local = sum(map(machine.stored_blocks.__contains__, block_ids))
         machine.local_reads += local
         machine.remote_reads += len(blocks) - local
-        self.read_stats.local_reads += local
-        self.read_stats.remote_reads += len(blocks) - local
+        if self.buffer is not None:
+            for block in blocks:
+                self.buffer.touch(block)
         return blocks
 
     def announce(self, block_ids: Iterable[int]) -> None:
@@ -224,9 +209,17 @@ class DistributedFileSystem:
     # ------------------------------------------------------------------ #
     # Statistics
     # ------------------------------------------------------------------ #
+    @property
+    def read_stats(self) -> ReadStats:
+        """The machines' read counters summed into a new snapshot."""
+        machines = self.cluster.machines
+        return ReadStats(
+            local_reads=sum(machine.local_reads for machine in machines),
+            remote_reads=sum(machine.remote_reads for machine in machines),
+        )
+
     def reset_read_stats(self) -> None:
-        """Zero the DFS and per-machine read counters."""
-        self.read_stats = ReadStats()
+        """Zero every machine's read counters."""
         self.cluster.reset_read_counters()
 
     @property

@@ -3,7 +3,7 @@
 Every data read of a persistent session flows through one
 :class:`BlockBuffer` sitting between the DFS and the spill store:
 
-* ``DistributedFileSystem.get_block(s)`` calls :meth:`touch` — a resident
+* ``DistributedFileSystem.get_blocks`` calls :meth:`touch` — a resident
   block (one holding some column) counts a **hit** and refreshes its
   recency; a spilled block is left to fault lazily (below) so a batch read
   never materializes more than the consumer actually walks.
@@ -31,11 +31,11 @@ Every data read of a persistent session flows through one
   accounts the materialization — pages became resident, pretending
   otherwise would undercount.
 
-Counters (hits / faults / evictions) accumulate on the buffer for the
-lifetime sweeps of fig14 and are mirrored per execution into the DFS's
-:class:`~repro.storage.dfs.ReadStats`, which ``Session.execute`` resets per
-query and copies onto the ``QueryResult`` — excluded from fingerprints,
-because buffer behaviour must never change query answers or plans.
+The counters (hits / faults / evictions) are the one record of buffer
+traffic.  They accumulate over the buffer's lifetime; one query's traffic
+is their difference across it (planning, lowering and execution all
+included), as fig14 and the layered benchmark take it.  Buffer behaviour
+never changes query answers or plans, so no result fingerprint reads them.
 
 ``budget_bytes=None`` means unbounded: blocks stay resident and the buffer
 only tracks recency and counters.  The budget is a *target*, not a hard
@@ -53,7 +53,6 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..block import Block, Loader
-    from ..dfs import DistributedFileSystem
     from .store import PersistentBlockStore
 
 
@@ -72,8 +71,6 @@ class BlockBuffer:
         self.hits = 0
         self.faults = 0
         self.evictions = 0
-        #: Set once the buffer is attached to a DFS; per-execution counter sink.
-        self.dfs: "DistributedFileSystem | None" = None
         #: Announced future: block id -> positions of its uses not yet handed
         #: out by ``touch``, and the position of the use handed out last.
         self._uses: dict[int, deque[int]] = {}
@@ -121,8 +118,6 @@ class BlockBuffer:
             self._handed[block.block_id] = uses.popleft()
         if block.block_id in self._resident:
             self.hits += 1
-            if self.dfs is not None:
-                self.dfs.read_stats.buffer_hits += 1
             # Refresh recency and recharge a grown block.
             self._charge(block, block.resident_bytes)
 
@@ -133,8 +128,6 @@ class BlockBuffer:
         block to the pool charged with them."""
         columns = raw_loader(names)
         self.faults += 1
-        if self.dfs is not None:
-            self.dfs.read_stats.buffer_faults += 1
         if block.block_id == self._uncharged:
             return columns
         # A batch read hands out blocks ahead of the consumer; a fault is
@@ -199,8 +192,6 @@ class BlockBuffer:
                 self._uncharged = None
         block.unload()
         self.evictions += 1
-        if self.dfs is not None:
-            self.dfs.read_stats.buffer_evictions += 1
 
     def discard(self, block_id: int) -> None:
         """Drop tracking for a deleted block (no spill, no eviction count)."""

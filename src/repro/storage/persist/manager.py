@@ -174,19 +174,15 @@ class PersistenceManager:
         """Route the DFS's reads and block lifecycle through this tier."""
         dfs.block_store = self.store
         dfs.buffer = self.buffer
-        self.buffer.dfs = dfs
 
     def close(self) -> None:
         """Unmap every resident spill file and refuse further checkpoints
         (idempotent; unmapped blocks fault back in if read again).
 
-        The buffer also lets go of the DFS, the one back-reference of the
-        ``dfs.buffer`` wiring, so a closed session is freed by reference
-        counting; a closed session's reads stop counting buffer traffic in
-        ``dfs.read_stats``.
+        The buffer holds no reference back to the DFS, so a closed session
+        is freed by reference counting.
         """
         self.buffer.release()
-        self.buffer.dfs = None
         self.closed = True
 
     # ------------------------------------------------------------------ #

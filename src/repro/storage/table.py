@@ -68,12 +68,6 @@ class RepartitionStats:
     target_blocks_touched: int = 0
     rows_moved: int = 0
 
-    def merge(self, other: "RepartitionStats") -> None:
-        """Accumulate another operation's counters into this one."""
-        self.source_blocks += other.source_blocks
-        self.target_blocks_touched += other.target_blocks_touched
-        self.rows_moved += other.rows_moved
-
 
 class StoredTable:
     """A table managed by the AdaptDB storage engine.

@@ -110,7 +110,7 @@ class TestStoredTableEpochs:
 
     def test_resplit_bumps_unconditionally(self, session):
         table = session.table("lineitem")
-        node, _ = table.trees[0].bottom_internal_nodes()[0]
+        node = table.trees[0].bottom_internal_nodes()[0]
         before = table.epoch
         # Re-splitting on the split the node already has moves nothing; the
         # epoch must advance and name both blocks all the same.

@@ -104,3 +104,18 @@ class TestReads:
 
     def test_locality_fraction_defaults_to_one(self, dfs):
         assert dfs.read_stats.locality_fraction == 1.0
+
+    def test_read_stats_is_a_snapshot_of_the_machines(self, dfs):
+        """Each access sums the machines' counters into a new frozen value,
+        so a kept snapshot does not move with later reads or resets."""
+        block = dfs.create_block("t", make_columns())
+        dfs.get_blocks([block.block_id, block.block_id], reader_machine=0)
+        kept = dfs.read_stats
+        assert kept.total_reads == sum(
+            m.local_reads + m.remote_reads for m in dfs.cluster.machines
+        ) == 2
+        dfs.get_block(block.block_id, reader_machine=1)
+        dfs.reset_read_stats()
+        assert kept.total_reads == 2
+        with pytest.raises(AttributeError):
+            kept.local_reads = 0

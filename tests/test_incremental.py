@@ -71,7 +71,7 @@ def resplit_somewhere(table, fraction=0.5):
     """Amoeba-style re-split of one bottom leaf pair of ``table``."""
     for tree_id in sorted(table.trees):
         tree = table.tree(tree_id)
-        for node, _ in tree.bottom_internal_nodes():
+        for node in tree.bottom_internal_nodes():
             left_id, right_id = node.left.block_id, node.right.block_id
             ranges = [
                 block_range
@@ -113,7 +113,7 @@ def mutate(table, kind, rng):
     elif kind == "resplit":  # over two empty leaves, only their bounds change
         tree_id = int(rng.choice(sorted(table.trees)))
         nodes = table.tree(tree_id).bottom_internal_nodes()
-        node, _ = nodes[int(rng.integers(len(nodes)))]
+        node = nodes[int(rng.integers(len(nodes)))]
         table.resplit(tree_id, node, node.attribute, node.cutpoint * float(rng.uniform(0.5, 1.5)))
     elif kind == "add_empty_tree":
         table.add_empty_tree(two_phase_tree(table, int(rng.integers(2, 6))))

@@ -258,7 +258,7 @@ class ConfigurationMatrix(RuleBasedStateMachine):
             bottom = stored.tree(tree_id).bottom_internal_nodes()
             if not bottom:
                 continue
-            node, _ = bottom[pick % len(bottom)]
+            node = bottom[pick % len(bottom)]
             ranges = [
                 block_range
                 for block_id in (node.left.block_id, node.right.block_id)

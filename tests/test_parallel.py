@@ -176,12 +176,16 @@ class TestAgreement:
 
 
 class TestBufferCounts:
+    @pytest.mark.parametrize("force_join_method", [None, "shuffle"])
     def test_hits_and_faults_equal_tasks_under_a_buffer_that_never_evicts(
-        self, tpch_tables, tmp_path
+        self, tpch_tables, tmp_path, force_join_method
     ):
         """Each shipped work reads its blocks before the pin does, as the
         inline runner would, so a reopened (cold) session whose buffer never
-        evicts counts the same hits and faults per query on both backends."""
+        evicts counts the same hits and faults per query on both backends.
+        A query's counts are the buffer's own counters differenced across
+        ``run()``, so planning and lowering are counted too (under forced
+        shuffle joins, lowering's pre-read faults key columns in)."""
         queries = switching_workload(EVALUATED_TEMPLATES, 2, make_rng(5))
         counts, fingerprints = {}, {}
         for backend in ("tasks", "parallel"):
@@ -189,19 +193,26 @@ class TestBufferCounts:
             session = Session(config=parallel_config(
                 execution_backend=backend, persistence="mmap",
                 storage_root=str(root), buffer_bytes=None,
+                force_join_method=force_join_method,
             ))
             for name in ("lineitem", "orders", "customer", "part", "supplier"):
                 session.load_table(tpch_tables[name])
             session.checkpoint()
             session.close()
             reopened = Session.open(root)
+            buffer = reopened.persist.buffer
+            counts[backend], fingerprints[backend] = [], []
             try:
-                results = reopened.run_workload(queries)
-                assert reopened.persist.buffer.evictions == 0
+                for query in queries:
+                    before = (buffer.hits, buffer.faults)
+                    result = reopened.run(query)
+                    counts[backend].append(
+                        (buffer.hits - before[0], buffer.faults - before[1])
+                    )
+                    fingerprints[backend].append(result.fingerprint())
+                assert buffer.evictions == 0
             finally:
                 reopened.close()
-            counts[backend] = [(r.buffer_hits, r.buffer_faults) for r in results]
-            fingerprints[backend] = [r.fingerprint() for r in results]
         assert fingerprints["parallel"] == fingerprints["tasks"]
         assert counts["parallel"] == counts["tasks"]
         hits, faults = (sum(column) for column in zip(*counts["tasks"]))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.adaptive.repartitioner import AdaptiveRepartitioner
+from repro.adaptive.repartitioner import AdaptiveRepartitioner, RepartitionReport
 from repro.cluster import Cluster
 from repro.common.predicates import gt
 from repro.common.query import join_query, scan_query
@@ -63,10 +63,12 @@ def q12_like():
 class TestOnQuery:
     def test_join_query_triggers_smooth_repartitioning(self, catalog):
         repartitioner = AdaptiveRepartitioner(window_size=10, rows_per_block=512, rng=make_rng(1))
+        lineitem = catalog.get("lineitem")
+        assert lineitem.tree_for_join_attribute("l_orderkey") is None
         report = repartitioner.on_query(catalog, q12_like())
         assert report.trees_created >= 1
         assert report.blocks_repartitioned > 0
-        assert "lineitem" in report.per_table_blocks
+        assert lineitem.tree_for_join_attribute("l_orderkey") is not None
 
     def test_window_records_queries(self, catalog):
         repartitioner = AdaptiveRepartitioner(window_size=3, rng=make_rng(1))
@@ -130,7 +132,8 @@ class TestOnQuery:
         assert target is not None
         assert lineitem.rows_under_tree(target) / lineitem.total_rows > 0.9
 
-    def test_report_accumulates_per_table(self, catalog):
-        repartitioner = AdaptiveRepartitioner(window_size=10, rng=make_rng(1))
-        report = repartitioner.on_query(catalog, q12_like())
-        assert report.blocks_repartitioned == sum(report.per_table_blocks.values())
+    def test_report_accumulates_across_tables(self):
+        report = RepartitionReport()
+        report.record(3, 300)
+        report.record(2, 150)
+        assert (report.blocks_repartitioned, report.rows_repartitioned) == (5, 450)

@@ -136,7 +136,7 @@ class TestCachedStatisticsProperty:
                 tree = stored.tree(tree_id)
                 bottom = tree.bottom_internal_nodes()
                 if bottom:
-                    node, _ = bottom[int(rng.integers(0, len(bottom)))]
+                    node = bottom[int(rng.integers(0, len(bottom)))]
                     attribute = spare_attributes[int(rng.integers(0, 3))]
                     cutpoint = float(np.median(stored.sample[attribute]))
                     stored.resplit(tree_id, node, attribute, cutpoint)

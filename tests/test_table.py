@@ -419,7 +419,7 @@ def stage(entry: str, session: Session):
         target = stored.add_empty_tree(two_phase_tree(stored))
         return lambda: stored.move_blocks(stored.block_ids(0), target)
     if entry == "resplit":
-        node, _ = stored.tree(0).bottom_internal_nodes()[0]
+        node = stored.tree(0).bottom_internal_nodes()[0]
         return lambda: stored.resplit(0, node, "value", 0.5)
     if entry == "add_empty_tree":
         return lambda: stored.add_empty_tree(two_phase_tree(stored))

@@ -199,14 +199,12 @@ class TestCompiledForm:
         assert tree.compiled() is not compiled
         assert tree.block_ids() == [0, 1, 2, 3]
 
-    def test_bottom_internal_nodes_cached_with_bounds(self):
+    def test_bottom_internal_nodes_cached(self):
         tree = two_level_tree()
         bottom = tree.bottom_internal_nodes()
         assert tree.bottom_internal_nodes() is bottom
         assert len(bottom) == 2
-        (left_node, left_bounds), (right_node, right_bounds) = bottom
-        assert left_node.attribute == "b" and left_bounds == {"a": (-np.inf, 50.0)}
-        assert right_node.attribute == "b" and right_bounds == {"a": (50.0, np.inf)}
+        assert bottom[0] is tree.root.left and bottom[1] is tree.root.right
 
     def test_lookup_matches_route_after_resplit(self, rng):
         tree = two_level_tree()
